@@ -4,22 +4,22 @@
 #                     reachable), build, race-enabled tests (incl. the
 #                     federation fault-tolerance suite and the simulator
 #                     invariant harness), one iteration of each perf
-#                     microbenchmark, a 20-VM cluster-scale smoke, a
-#                     /metrics endpoint smoke test, and a 16-client
+#                     microbenchmark, one smoke pass of the end-to-end
+#                     benchmark, a 20-VM cluster-scale smoke, a /metrics
+#                     endpoint smoke test, and a 16-client
 #                     async-federation chaos smoke
 #   make test       - plain test suite (tier-1 gate)
 #   make test-race  - federation layers + simulator invariants, race-enabled
 #   make fuzz-smoke - a short run of every fuzz target
 #   make bench      - full benchmark runs with allocation reporting
-#   make perf       - the CLI perf experiment, writing BENCH_<name>.json
 #   make scale      - the full 20/500/5000-VM cluster-scale sweep
 
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race fuzz-smoke bench bench-env bench-update bench-agg perf scale scale-smoke metrics-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck build test race test-race fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale scale-smoke metrics-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race bench-smoke bench-env bench-update bench-agg scale-smoke metrics-smoke swarm-smoke spec-smoke
+ci: vet staticcheck build race test-race bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale-smoke metrics-smoke swarm-smoke spec-smoke
 
 vet:
 	$(GO) vet ./...
@@ -58,9 +58,9 @@ race:
 # The federation layers carry the concurrency-heavy fault-tolerance tests
 # (round deadlines, retries, rejoin) and the shared round engine behind both
 # paths; internal/rl carries the concurrent actor/critic update pipeline and
-# its batched-vs-sequential golden tests; internal/cloudsim carries the
-# simulator invariant harness (randomized episodes at 20 and 500 VMs). Run
-# all of them race-enabled on every merge.
+# its batched-vs-reference and concurrent-vs-sequential update goldens;
+# internal/cloudsim carries the simulator invariant harness (randomized
+# episodes at 20 and 500 VMs). Run all of them race-enabled on every merge.
 test-race:
 	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
 
@@ -101,8 +101,11 @@ bench:
 	$(GO) test ./internal/rl/ -run xxx -bench 'BenchmarkRolloutStep|BenchmarkPPOUpdate' -benchmem
 	$(GO) test ./internal/cloudsim/ -run xxx -bench 'BenchmarkEnvStep|BenchmarkObserve|BenchmarkEpisode' -benchmem
 
-perf:
-	$(GO) run ./cmd/pfrl-bench -exp perf -benchdir .
+# One smoke-sized pass of each end-to-end benchmark workload (the repo's one
+# performance ledger, see benchmark/README.md), with results routed to a
+# scratch directory.
+bench-e2e-smoke:
+	$(GO) run ./benchmark -smoke -repeats 1 -out "$$(mktemp -d)"
 
 # Cluster-scale sweep smoke for ci: the 20-VM configuration only, with the
 # artifact routed to a scratch directory so the committed full-sweep

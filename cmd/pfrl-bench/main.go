@@ -11,11 +11,11 @@
 //
 // Experiments: fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21
 // ablation (fig11 also prints figs 12–13; fig16 also prints figs 17–19).
-// The extra "perf" experiment benchmarks the rollout/update hot loops and,
-// with -benchdir, writes machine-readable BENCH_<name>.json artifacts; the
-// "scale" experiment (also chained after perf) sweeps the simulator over
-// 20/500/5000-VM clusters with streaming tasks and the fixed-width top-k
-// observation, writing BENCH_ClusterScale.json.
+// The extra "scale" experiment sweeps the simulator over 20/500/5000-VM
+// clusters with streaming tasks and the fixed-width top-k observation and,
+// with -benchdir, writes BENCH_ClusterScale.json; "spec" runs one episode of
+// a declarative workload spec. Performance is measured by `go run
+// ./benchmark` (see benchmark/README.md), not here.
 package main
 
 import (
@@ -50,7 +50,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfrl-bench: ")
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21 ablation perf scale spec all)")
+		exp      = flag.String("exp", "", "experiment id (fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21 ablation scale spec all)")
 		seed     = flag.Int64("seed", 1, "experiment seed")
 		scale    = flag.Int("scale", 4, "VM capacity divisor (1 = paper scale)")
 		tasks    = flag.Int("tasks", 100, "tasks per client (paper: 3500)")
@@ -58,7 +58,7 @@ func main() {
 		comm     = flag.Int("comm", 5, "communication frequency (paper: 15-25)")
 		smooth   = flag.Int("smooth", 5, "moving-average window for printed curves")
 		csvDir   = flag.String("csv", "", "also write raw curve series as CSV files into this directory")
-		benchDir = flag.String("benchdir", "", "write perf results as BENCH_<name>.json files into this directory")
+		benchDir = flag.String("benchdir", "", "write the -exp scale result as BENCH_ClusterScale.json into this directory")
 		scaleCap = flag.Int("scale-cap", 0, "skip cluster-scale sweep sizes above this VM count (0 = full sweep; CI smoke uses 20)")
 		events   = flag.String("events", "", "append JSONL training/federation events to this file (empty = disabled)")
 		workloadSpec = flag.String("workload-spec", "",
@@ -137,8 +137,6 @@ func run(id string, bc benchConfig) error {
 		return runFig21(bc)
 	case "ablation":
 		return runAblation(bc)
-	case "perf":
-		return runPerf(bc)
 	case "scale":
 		return runClusterScale(bc)
 	case "spec":

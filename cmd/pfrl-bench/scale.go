@@ -1,8 +1,12 @@
 package main
 
 import (
+	"encoding/json"
 	"fmt"
+	"log"
 	"math/rand"
+	"os"
+	"path/filepath"
 	"time"
 
 	"repro/internal/cloudsim"
@@ -31,7 +35,16 @@ func scaleSweep() []int { return []int{20, 500, 5000} }
 // scaleCluster extends the Table-3 capacity mix (8:6:4:2 of small to large
 // VMs per 20) to n machines by repeating the 20-VM block.
 func scaleCluster(n int) []cloudsim.VMSpec {
-	block := envStepCluster()
+	var block []cloudsim.VMSpec
+	add := func(count, cpu int, mem float64) {
+		for i := 0; i < count; i++ {
+			block = append(block, cloudsim.VMSpec{CPU: cpu, Mem: mem})
+		}
+	}
+	add(8, 8, 64)
+	add(6, 16, 128)
+	add(4, 32, 256)
+	add(2, 64, 512)
 	specs := make([]cloudsim.VMSpec, n)
 	for i := range specs {
 		specs[i] = block[i%len(block)]
@@ -232,4 +245,21 @@ func runClusterScale(bc benchConfig) error {
 	fmt.Print(t.String())
 	bc.writeJSON("BENCH_ClusterScale.json", res)
 	return nil
+}
+
+// writeJSON marshals v into -benchdir under the given filename; errors are
+// fatal like writeCSV's.
+func (bc benchConfig) writeJSON(filename string, v any) {
+	if bc.benchDir == "" {
+		return
+	}
+	data, err := json.MarshalIndent(v, "", "  ")
+	if err != nil {
+		log.Fatal(err)
+	}
+	path := filepath.Join(bc.benchDir, filename)
+	if err := os.WriteFile(path, append(data, '\n'), 0o644); err != nil {
+		log.Fatal(err)
+	}
+	fmt.Printf("(wrote %s)\n", path)
 }

@@ -82,8 +82,6 @@ func main() {
 			"server/demo/swarm: payload quantization tier (identity | f32 | i16 | i8)")
 		codecDelta = flag.Bool("codec-delta", false,
 			"server/demo/swarm: delta-encode uplink payloads against the last delivered global")
-		aggWorkers = flag.Int("agg-workers", 0,
-			"aggregation worker goroutines for large payloads (0 = GOMAXPROCS; any count is bit-identical)")
 		// Observability knobs.
 		metricsAddr = flag.String("metrics-addr", "",
 			"serve Prometheus /metrics and /debug/pprof/ on this address (empty = disabled)")
@@ -97,9 +95,6 @@ func main() {
 		log.Fatal(err)
 	}
 	codec := fedcore.CodecConfig{Tier: tier, Delta: *codecDelta}
-	if *aggWorkers > 0 {
-		fedcore.SetAggWorkers(*aggWorkers)
-	}
 
 	if bound, err := startMetrics(*metricsAddr); err != nil {
 		log.Fatal(err)

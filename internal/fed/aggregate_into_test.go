@@ -1,105 +1,134 @@
 package fed
 
 import (
-	"fmt"
-	"math/rand"
+	"runtime"
 	"testing"
 
 	"repro/internal/fedcore"
 )
 
-// TestAggregateIntoMatchesAggregate is the aggregator half of the degradation
-// pin: for every strategy the pooled arena fast path must reproduce the
-// legacy allocating Aggregate bit for bit, at any worker count. Stateful
-// aggregators (momentum) are driven through multiple rounds on independent
-// instances so their internal state evolves identically on both paths.
-func TestAggregateIntoMatchesAggregate(t *testing.T) {
-	const k, dim, rounds = 5, 257, 3
+func uniformWeights(k int) [][]float64 {
+	w := make([][]float64, k)
+	for i := range w {
+		w[i] = make([]float64, k)
+		for j := range w[i] {
+			w[i][j] = 1.0 / float64(k)
+		}
+	}
+	return w
+}
 
-	makeUploads := func(rng *rand.Rand) []Payload {
-		uploads := make([]Payload, k)
-		for i := range uploads {
-			uploads[i] = make(Payload, dim)
-			for j := range uploads[i] {
-				uploads[i][j] = rng.NormFloat64()
+// TestAggregateReturnsOwnedCopies pins Aggregate's ownership contract for
+// every aggregator: the personalized payloads and the global share no memory
+// with each other or with the aggregator's state (Momentum keeps its global
+// across rounds), and a second Aggregate call leaves the first call's
+// results unchanged.
+func TestAggregateReturnsOwnedCopies(t *testing.T) {
+	const k, dim = 4, 33
+
+	for _, tc := range []struct {
+		name string
+		agg  Aggregator
+	}{
+		{"FedAvg", FedAvg{}},
+		{"Momentum", NewMomentum(0.9)},
+		{"Attention", NewAttention(11)},
+		{"StaticWeights", StaticWeights{W: uniformWeights(k)}},
+		{"SecureFedAvg", NewSecureFedAvg(3)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			personalized, global := tc.agg.Aggregate(randomUploads(31, k, dim))
+			if len(personalized) != k || len(global) != dim {
+				t.Fatalf("got %d personalized payloads, global of %d", len(personalized), len(global))
+			}
+			all := append(personalized[:k:k], global)
+			snapshot := clonePayloads(all)
+			requireUnchanged := func(when string, skip int) {
+				t.Helper()
+				for i, p := range all {
+					for j := range p {
+						if i != skip && p[j] != snapshot[i][j] {
+							t.Fatalf("%s: returned payload %d changed at %d", when, i, j)
+						}
+					}
+				}
+			}
+
+			// A second round must not reach back into the first's results.
+			personalized, global = tc.agg.Aggregate(randomUploads(32, k, dim))
+			requireUnchanged("second Aggregate", -1)
+
+			// Scribbling over any one payload of either round must leave
+			// every other one — and the aggregator's state — untouched.
+			all = append(append(all, personalized...), global)
+			snapshot = clonePayloads(all)
+			for i, p := range all {
+				for j := range p {
+					p[j] = -12345
+				}
+				requireUnchanged("overwriting a returned payload", i)
+				if m, ok := tc.agg.(*Momentum); ok {
+					for j, v := range snapshot[len(snapshot)-1] {
+						if m.global[j] != v {
+							t.Fatalf("overwriting returned payload %d reached Momentum's state at %d", i, j)
+						}
+					}
+				}
+				copy(p, snapshot[i])
+			}
+		})
+	}
+}
+
+func clonePayloads(ps []Payload) []Payload {
+	out := make([]Payload, len(ps))
+	for i, p := range ps {
+		out[i] = append(Payload(nil), p...)
+	}
+	return out
+}
+
+// TestMomentumStateIndependentOfArena drives two Momentum instances through
+// the same rounds — one through Aggregate (a throwaway arena per call), one
+// through AggregateInto on a single reused arena — and requires bit-equal
+// results every round: the velocity/global state must live in the
+// aggregator, never in arena buffers the next round rewrites.
+func TestMomentumStateIndependentOfArena(t *testing.T) {
+	const k, dim, rounds = 5, 257, 3
+	owned, pooled := NewMomentum(0.9), NewMomentum(0.9)
+	var arena fedcore.PayloadArena
+	for round := 0; round < rounds; round++ {
+		uploads := randomUploads(int64(40+round), k, dim)
+		wantPers, wantGlobal := owned.Aggregate(uploads)
+		gotPers, gotGlobal := pooled.AggregateInto(uploads, &arena)
+		if len(gotPers) != len(wantPers) {
+			t.Fatalf("round %d: %d personalized payloads, want %d", round, len(gotPers), len(wantPers))
+		}
+		for i := range wantPers {
+			for j := range wantPers[i] {
+				if gotPers[i][j] != wantPers[i][j] {
+					t.Fatalf("round %d: personalized[%d][%d] = %v, want %v (bitwise)",
+						round, i, j, gotPers[i][j], wantPers[i][j])
+				}
 			}
 		}
-		return uploads
-	}
-
-	staticW := make([][]float64, k)
-	for i := range staticW {
-		staticW[i] = make([]float64, k)
-		for j := range staticW[i] {
-			staticW[i][j] = 1.0 / float64(k)
+		for j := range wantGlobal {
+			if gotGlobal[j] != wantGlobal[j] {
+				t.Fatalf("round %d: global[%d] = %v, want %v (bitwise)", round, j, gotGlobal[j], wantGlobal[j])
+			}
 		}
-	}
-
-	cases := []struct {
-		name string
-		// fresh builds an independent instance per path so stateful
-		// aggregators cannot leak rounds across the comparison.
-		fresh func() Aggregator
-	}{
-		{"FedAvg", func() Aggregator { return FedAvg{} }},
-		{"Momentum", func() Aggregator { return NewMomentum(0.9) }},
-		{"Attention", func() Aggregator { return NewAttention(11) }},
-		{"StaticWeights", func() Aggregator { return StaticWeights{W: staticW} }},
-	}
-
-	for _, workers := range []int{1, 4} {
-		prev := fedcore.SetAggWorkers(workers)
-		for _, tc := range cases {
-			t.Run(fmt.Sprintf("%s/workers%d", tc.name, workers), func(t *testing.T) {
-				legacy, pooled := tc.fresh(), tc.fresh()
-				into, ok := pooled.(fedcore.IntoAggregator)
-				if !ok {
-					t.Fatalf("%s does not implement the pooled fast path", tc.name)
-				}
-				rng := rand.New(rand.NewSource(31))
-				var arena fedcore.PayloadArena
-				for round := 0; round < rounds; round++ {
-					uploads := makeUploads(rng)
-					wantPers, wantGlobal := legacy.Aggregate(uploads)
-					gotPers, gotGlobal := into.AggregateInto(uploads, &arena)
-					if len(gotPers) != len(wantPers) {
-						t.Fatalf("round %d: %d personalized payloads, want %d", round, len(gotPers), len(wantPers))
-					}
-					for i := range wantPers {
-						for j := range wantPers[i] {
-							if gotPers[i][j] != wantPers[i][j] {
-								t.Fatalf("round %d: personalized[%d][%d] = %v, want %v (bitwise)",
-									round, i, j, gotPers[i][j], wantPers[i][j])
-							}
-						}
-					}
-					for j := range wantGlobal {
-						if gotGlobal[j] != wantGlobal[j] {
-							t.Fatalf("round %d: global[%d] = %v, want %v (bitwise)",
-								round, j, gotGlobal[j], wantGlobal[j])
-						}
-					}
-				}
-			})
-		}
-		fedcore.SetAggWorkers(prev)
 	}
 }
 
 // TestEngineRoundSteadyStateAllocs holds the engine's aggregation step — the
 // arena-backed AggregatePartialInto the round engine calls every commit — to
-// zero allocations once warm, for the aggregators whose data plane is pure
-// reduction. (Attention allocates its O(K²) weight matrix by design.)
+// zero allocations once warm at the paper's payload width, for the
+// aggregators whose data plane is pure reduction: FedAvg and Momentum
+// (ReduceMeanInto) and StaticWeights (WeightedMixInto + ReduceMeanInto).
+// Attention allocates its O(K²) weight matrix by design.
 func TestEngineRoundSteadyStateAllocs(t *testing.T) {
-	const k, dim = 4, 2048
-	rng := rand.New(rand.NewSource(17))
-	uploads := make([]Payload, k)
-	for i := range uploads {
-		uploads[i] = make(Payload, dim)
-		for j := range uploads[i] {
-			uploads[i][j] = rng.NormFloat64()
-		}
-	}
+	const k, dim = 8, benchDim
+	uploads := randomUploads(17, k, dim)
 	prevGlobal := make(Payload, dim)
 
 	for _, tc := range []struct {
@@ -108,15 +137,31 @@ func TestEngineRoundSteadyStateAllocs(t *testing.T) {
 	}{
 		{"FedAvg", FedAvg{}},
 		{"Momentum", NewMomentum(0.9)},
+		{"StaticWeights", StaticWeights{W: uniformWeights(k)}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var arena fedcore.PayloadArena
-			fedcore.AggregatePartialInto(tc.agg, uploads, prevGlobal, &arena)
-			if n := testing.AllocsPerRun(20, func() {
+			if n := mallocsPerRun(20, func() {
 				fedcore.AggregatePartialInto(tc.agg, uploads, prevGlobal, &arena)
 			}); n != 0 {
 				t.Fatalf("warm %s round allocates %v/op; want 0", tc.name, n)
 			}
 		})
 	}
+}
+
+// mallocsPerRun is testing.AllocsPerRun without its GOMAXPROCS(1) pin: the
+// zero-alloc round must hold at whatever width the process runs, which is
+// where a goroutine fan-out inside the reduce would show. Like AllocsPerRun
+// it warms f once and divides in integers, so stray runtime allocations
+// round away.
+func mallocsPerRun(runs int, f func()) uint64 {
+	f()
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	for i := 0; i < runs; i++ {
+		f()
+	}
+	runtime.ReadMemStats(&after)
+	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }

@@ -22,19 +22,6 @@ func AggregatePartial(agg Aggregator, uploads []Payload, prevGlobal Payload) (pe
 	return fedcore.AggregatePartial(agg, uploads, prevGlobal)
 }
 
-// meanPayload is the allocating mean used by the legacy Aggregate paths and
-// SecureFedAvg. It reduces through fedcore.ReduceMeanInto, so its
-// accumulation order — and therefore its bits — match the pooled fast path
-// exactly.
-func meanPayload(uploads []Payload) Payload {
-	if len(uploads) == 0 {
-		panic("fed: aggregate of zero uploads")
-	}
-	out := make(Payload, len(uploads[0]))
-	fedcore.ReduceMeanInto(out, uploads)
-	return out
-}
-
 // FedAvg is the classic parameter-averaging aggregator (McMahan et al.):
 // every participant receives the same global mean.
 type FedAvg struct{}
@@ -43,19 +30,14 @@ type FedAvg struct{}
 func (FedAvg) Name() string { return "FedAvg" }
 
 // Aggregate implements Aggregator.
-func (FedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	global := meanPayload(uploads)
-	personalized := make([]Payload, len(uploads))
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), global...)
-	}
-	return personalized, global
+func (a FedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
+	return fedcore.AggregateOwned(a, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator: the mean reduces into the
 // arena's global buffer and every personalized view aliases it — FedAvg
-// hands all participants the identical model, so the seed-era K× copies were
-// pure overhead. Results are valid until the arena's next round.
+// hands all participants the identical model. Results are valid until the
+// arena's next round.
 func (FedAvg) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	global := arena.Global(len(uploads[0]))
 	fedcore.ReduceMeanInto(global, uploads)
@@ -87,21 +69,14 @@ func (*Momentum) Name() string { return "MFPO" }
 
 // Aggregate implements Aggregator.
 func (m *Momentum) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	mean := meanPayload(uploads)
-	m.step(mean)
-	personalized := make([]Payload, len(uploads))
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), m.global...)
-	}
-	return personalized, append(Payload(nil), m.global...)
+	return fedcore.AggregateOwned(m, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator. The mean reduces into the
-// arena buffer, the velocity/global column update fans out across workers
-// (elementwise, so bit-identical at any width), and the personalized views
-// alias the aggregator's own global — momentum hands everyone the same
-// model. Results are valid until the next round; the engine copy-installs
-// the global.
+// arena buffer, the velocity/global update runs in place, and the
+// personalized views alias the aggregator's own global — momentum hands
+// everyone the same model. Results are valid until the next round; the
+// engine copy-installs the global.
 func (m *Momentum) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	mean := arena.Global(len(uploads[0]))
 	fedcore.ReduceMeanInto(mean, uploads)
@@ -119,22 +94,10 @@ func (m *Momentum) step(mean Payload) {
 	if len(mean) != len(m.global) {
 		panic(fmt.Sprintf("fed: momentum dim changed %d -> %d", len(m.global), len(mean)))
 	}
-	if dim := len(m.global); fedcore.SerialChunk(dim, dim) {
-		// The closure literal lives in the else branch only: building it
-		// here would heap-allocate every round even when it runs serially.
-		m.stepChunk(mean, 0, dim)
-	} else {
-		fedcore.ParallelChunks(dim, dim, func(lo, hi int) { m.stepChunk(mean, lo, hi) })
-	}
-}
-
-// stepChunk applies the velocity update over columns [lo, hi) — the shared
-// kernel of the serial and parallel paths.
-func (m *Momentum) stepChunk(mean Payload, lo, hi int) {
 	beta := m.Beta
-	g, v, u := m.global[lo:hi], m.velocity[lo:hi], mean[lo:hi]
+	g, v := m.global, m.velocity
 	for j := range g {
-		delta := u[j] - g[j]
+		delta := mean[j] - g[j]
 		v[j] = beta*v[j] + delta
 		g[j] += v[j]
 	}
@@ -163,25 +126,14 @@ func (*Attention) Name() string { return "PFRL-DM" }
 
 // Aggregate implements Aggregator.
 func (a *Attention) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	w := a.Gen.Weights(uploads)
-	a.LastWeights = w
-	k := len(uploads)
-	dim := len(uploads[0])
-	personalized := make([]Payload, k)
-	for i := range personalized {
-		personalized[i] = make(Payload, dim)
-	}
-	fedcore.WeightedMixInto(personalized, w, uploads)
-	// Eq. (22): ψ_G = mean of the personalized models.
-	global := meanPayload(personalized)
-	return personalized, global
+	return fedcore.AggregateOwned(a, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator: the Eq. 21 mix writes
-// into arena-carved views and the Eq. 22 mean into the arena global, both
-// through the parallel tree-reduce. The attention weight computation itself
-// still allocates (it is O(K²·heads), negligible next to the O(K·dim) data
-// plane). Results are valid until the arena's next round.
+// into arena-carved views and the Eq. 22 mean (ψ_G = mean of the
+// personalized models) into the arena global. The attention weight
+// computation itself still allocates (it is O(K²·heads), negligible next to
+// the O(K·dim) data plane). Results are valid until the arena's next round.
 func (a *Attention) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	w := a.Gen.Weights(uploads)
 	a.LastWeights = w
@@ -208,17 +160,7 @@ func (StaticWeights) Name() string { return "static-weights" }
 
 // Aggregate implements Aggregator.
 func (s StaticWeights) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	k := len(uploads)
-	if len(s.W) != k {
-		panic(fmt.Sprintf("fed: static weight matrix is %dx? for %d uploads", len(s.W), k))
-	}
-	dim := len(uploads[0])
-	personalized := make([]Payload, k)
-	for i := range personalized {
-		personalized[i] = make(Payload, dim)
-	}
-	fedcore.WeightedMixInto(personalized, s.W, uploads)
-	return personalized, meanPayload(personalized)
+	return fedcore.AggregateOwned(s, uploads)
 }
 
 // AggregateInto implements fedcore.IntoAggregator with the same arena-backed

@@ -12,23 +12,24 @@ import (
 	"repro/internal/workload"
 )
 
-func TestMeanPayload(t *testing.T) {
-	got := meanPayload([]Payload{{1, 2}, {3, 4}})
-	if got[0] != 2 || got[1] != 3 {
-		t.Fatalf("mean %v", got)
-	}
-}
-
-func TestMeanPayloadPanics(t *testing.T) {
-	for _, uploads := range [][]Payload{nil, {{1}, {1, 2}}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Fatal("expected panic")
-				}
+// TestAggregateRejectsBadUploads: zero uploads and ragged uploads are
+// programming errors every aggregator reports by panicking, never by
+// returning a short or garbage payload.
+func TestAggregateRejectsBadUploads(t *testing.T) {
+	for _, agg := range []Aggregator{
+		FedAvg{}, NewMomentum(0.9), NewAttention(5),
+		StaticWeights{W: [][]float64{{0.5, 0.5}, {0.5, 0.5}}}, NewSecureFedAvg(1),
+	} {
+		for _, uploads := range [][]Payload{nil, {{1}, {1, 2}}} {
+			func() {
+				defer func() {
+					if recover() == nil {
+						t.Fatalf("%s accepted %v", agg.Name(), uploads)
+					}
+				}()
+				agg.Aggregate(uploads)
 			}()
-			meanPayload(uploads)
-		}()
+		}
 	}
 }
 

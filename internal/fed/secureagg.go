@@ -1,6 +1,10 @@
 package fed
 
-import "math/rand"
+import (
+	"math/rand"
+
+	"repro/internal/fedcore"
+)
 
 // SecureFedAvg simulates pairwise-masked secure aggregation (Bonawitz et
 // al., CCS 2017) on top of plain averaging: every pair of participants
@@ -68,7 +72,8 @@ func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	s.LastMasked = masked
 
 	// The server only ever touches the masked payloads.
-	global := meanPayload(masked)
+	global := make(Payload, dim)
+	fedcore.ReduceMeanInto(global, masked)
 	personalized := make([]Payload, k)
 	for i := range personalized {
 		personalized[i] = append(Payload(nil), global...)

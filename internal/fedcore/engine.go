@@ -46,15 +46,33 @@ type Aggregator interface {
 	Aggregate(uploads []Payload) (personalized []Payload, global Payload)
 }
 
-// IntoAggregator is the pooled fast path: AggregateInto computes the same
-// result as Aggregate but places it in caller-owned arena buffers, so a
-// steady-state round allocates nothing. The returned slices are valid only
-// until the arena's next use; callers that retain them must copy. The
-// engine prefers this path when an aggregator provides it (all of
-// internal/fed's strategies do) and falls back to Aggregate otherwise.
+// IntoAggregator is the pooled form the engine runs: AggregateInto places
+// its result in caller-owned arena buffers, so a steady-state round
+// allocates nothing. The returned slices are valid only until the arena's
+// next use; callers that retain them must copy. internal/fed's FedAvg,
+// Momentum, Attention and StaticWeights implement their rule here and get
+// Aggregate from AggregateOwned; the engine falls back to Aggregate for
+// aggregators without it (SecureFedAvg, test fakes).
 type IntoAggregator interface {
 	Aggregator
 	AggregateInto(uploads []Payload, arena *PayloadArena) (personalized []Payload, global Payload)
+}
+
+// AggregateOwned is the one implementation of Aggregate for aggregators
+// whose rule lives in AggregateInto: it runs the rule on a throwaway arena
+// and returns copies the caller owns — every payload has its own backing
+// array, aliasing neither the others nor the aggregator's state.
+func AggregateOwned(agg IntoAggregator, uploads []Payload) (personalized []Payload, global Payload) {
+	if len(uploads) == 0 {
+		panic("fedcore: aggregate of zero uploads")
+	}
+	var arena PayloadArena
+	views, g := agg.AggregateInto(uploads, &arena)
+	personalized = make([]Payload, len(views))
+	for i, v := range views {
+		personalized[i] = append(Payload(nil), v...)
+	}
+	return personalized, append(Payload(nil), g...)
 }
 
 // AggregatePartial runs one aggregation over however many uploads arrived

@@ -1,101 +1,19 @@
 package fedcore
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// Parallel tree-reduce over payload columns.
+// Payload reduction kernels.
 //
 // Aggregation is elementwise: every output scalar depends on one column of
-// the K uploads and nothing else, so the dimension axis shards perfectly.
-// The workers split [0, dim) into contiguous column chunks; within a chunk
-// every element accumulates over the uploads in fixed order — a left-deep
-// reduction tree whose shape does not depend on the worker count. Because
-// float addition order per element never changes, the result is
-// bit-identical at any fan-out, which is what lets the degradation pin
-// ("single worker reproduces today's runs") hold trivially for every worker
-// count, not just one. This mirrors internal/tensor's parallelRows
-// machinery (same atomic worker knob, same contiguous-chunk split, same
-// serial fast path below a work threshold).
-
-// aggParallelThreshold is the minimum number of scalar operations
-// (participants × dim for a reduce) below which fanning out costs more in
-// goroutine overhead than it saves; the small payloads of the unit-test
-// federations stay on the serial path.
-const aggParallelThreshold = 64 * 1024
-
-// aggWorkers caps the aggregation fan-out width. Zero (the default) means
-// "GOMAXPROCS at call time". Accessed atomically so concurrent engines can
-// read it without a lock.
-var aggWorkers atomic.Int64
-
-// SetAggWorkers sets the aggregation worker count and returns the previous
-// setting. n <= 0 restores the GOMAXPROCS-following default. Results are
-// bit-identical for any worker count (the reduction tree has a fixed shape
-// per element); the knob only trades wall-clock for cores.
-func SetAggWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(aggWorkers.Swap(int64(n)))
-}
-
-// AggWorkers returns the effective aggregation fan-out width.
-func AggWorkers() int {
-	if n := int(aggWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// SerialChunk reports whether ParallelChunks(n, work, ·) would run entirely
-// on the caller's goroutine. Hot paths branch on it before building their
-// chunk closure: a closure passed across a function boundary is heap-
-// allocated even when it only ever runs serially, and the zero-alloc
-// steady-state guarantee covers exactly the serial regime this predicate
-// selects.
-func SerialChunk(n, work int) bool {
-	workers := AggWorkers()
-	if workers > n {
-		workers = n
-	}
-	return workers <= 1 || work < aggParallelThreshold
-}
-
-// ParallelChunks runs fn over [0, n), split into contiguous chunks across
-// up to AggWorkers goroutines. work estimates the total scalar operations;
-// below the fan-out threshold (or with one worker) fn runs serially on the
-// caller's goroutine, keeping the fast path allocation-free. fn must be
-// safe to run concurrently on disjoint ranges.
-func ParallelChunks(n, work int, fn func(lo, hi int)) {
-	workers := AggWorkers()
-	if workers > n {
-		workers = n
-	}
-	if SerialChunk(n, work) {
-		if n > 0 {
-			fn(0, n)
-		}
-		return
-	}
-	chunk := (n + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < n; lo += chunk {
-		hi := min(lo+chunk, n)
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+// the K uploads and nothing else, and every element accumulates over the
+// uploads in fixed order from zero — a left-deep reduction whose bits are the
+// seed-era sequential loop's. The reduce runs on the caller's goroutine: it is
+// memory-bound and under 1 % of any training pass (DESIGN §8), and staying
+// goroutine- and closure-free is what keeps a steady-state round at zero
+// allocations at the paper's payload width.
 
 // checkUploads validates a reduce's inputs: at least one upload, all of the
-// expected length. Mirrors the seed-era meanPayload panics.
+// expected length.
 func checkUploads(uploads []Payload, dim int) {
 	if len(uploads) == 0 {
 		panic("fedcore: aggregate of zero uploads")
@@ -109,42 +27,25 @@ func checkUploads(uploads []Payload, dim int) {
 
 // ReduceMeanInto computes dst = mean(uploads) with dst fully overwritten.
 // The accumulation order per element is upload order starting from zero —
-// exactly the seed-era sequential loop — so the result is bit-identical to
-// it at any worker count. dst must not alias any upload.
+// exactly the seed-era sequential loop. dst must not alias any upload.
 func ReduceMeanInto(dst Payload, uploads []Payload) {
-	dim := len(dst)
-	checkUploads(uploads, dim)
+	checkUploads(uploads, len(dst))
 	inv := 1.0 / float64(len(uploads))
-	if SerialChunk(dim, len(uploads)*dim) {
-		reduceMeanChunk(dst, uploads, inv, 0, dim)
-		return
-	}
-	ParallelChunks(dim, len(uploads)*dim, func(lo, hi int) {
-		reduceMeanChunk(dst, uploads, inv, lo, hi)
-	})
-}
-
-// reduceMeanChunk accumulates the [lo, hi) columns of the mean in upload
-// order from zero — the shared kernel of both the serial and parallel paths,
-// so they are bit-identical by construction.
-func reduceMeanChunk(dst Payload, uploads []Payload, inv float64, lo, hi int) {
-	out := dst[lo:hi]
-	clear(out)
+	clear(dst)
 	for _, u := range uploads {
-		for j, v := range u[lo:hi] {
-			out[j] += v
+		for j, v := range u {
+			dst[j] += v
 		}
 	}
-	for j := range out {
-		out[j] *= inv
+	for j := range dst {
+		dst[j] *= inv
 	}
 }
 
 // WeightedMixInto computes dst[i] = Σ_j w[i][j]·uploads[j] for every row i
-// (the attention/static-weights personalization mix, Eq. 21). Rows shard
-// across workers; per element the j-accumulation order is fixed, matching
-// the seed-era loops bit-identically. Each dst[i] must be dim long and must
-// not alias any upload.
+// (the attention/static-weights personalization mix, Eq. 21). Per element the
+// j-accumulation order is fixed, matching the seed-era loops bit-identically.
+// Each dst[i] must be dim long and must not alias any upload.
 func WeightedMixInto(dst []Payload, w [][]float64, uploads []Payload) {
 	k := len(uploads)
 	if len(dst) != k || len(w) != k {
@@ -155,19 +56,7 @@ func WeightedMixInto(dst []Payload, w [][]float64, uploads []Payload) {
 	}
 	dim := len(uploads[0])
 	checkUploads(uploads, dim)
-	if SerialChunk(k, k*k*dim) {
-		weightedMixChunk(dst, w, uploads, k, dim, 0, k)
-		return
-	}
-	ParallelChunks(k, k*k*dim, func(lo, hi int) {
-		weightedMixChunk(dst, w, uploads, k, dim, lo, hi)
-	})
-}
-
-// weightedMixChunk computes output rows [lo, hi) of the mix with a fixed
-// j-accumulation order — the shared kernel of both paths.
-func weightedMixChunk(dst []Payload, w [][]float64, uploads []Payload, k, dim, lo, hi int) {
-	for i := lo; i < hi; i++ {
+	for i := range dst {
 		if len(w[i]) != k {
 			panic("fedcore: weight matrix not square")
 		}

@@ -1,123 +1,43 @@
 package fedcore
 
-import (
-	"math/rand"
-	"sync"
-	"testing"
-)
+import "testing"
 
-func randUploads(seed int64, k, dim int) []Payload {
-	rng := rand.New(rand.NewSource(seed))
-	out := make([]Payload, k)
-	for i := range out {
-		out[i] = make(Payload, dim)
-		for j := range out[i] {
-			out[i][j] = rng.NormFloat64()
-		}
-	}
-	return out
-}
-
-// withWorkers runs fn under a fixed aggregation fan-out, restoring the
-// process-wide knob afterwards.
-func withWorkers(n int, fn func()) {
-	prev := SetAggWorkers(n)
-	defer SetAggWorkers(prev)
-	fn()
-}
-
-func TestParallelChunksCoversRange(t *testing.T) {
-	for _, workers := range []int{1, 2, 3, 7} {
-		for _, n := range []int{0, 1, 5, 1000} {
-			hits := make([]int, n)
-			var mu sync.Mutex
-			withWorkers(workers, func() {
-				// Inflate the work estimate so the parallel path engages.
-				ParallelChunks(n, aggParallelThreshold*2, func(lo, hi int) {
-					mu.Lock()
-					defer mu.Unlock()
-					for i := lo; i < hi; i++ {
-						hits[i]++
-					}
-				})
-			})
-			for i, h := range hits {
-				if h != 1 {
-					t.Fatalf("workers=%d n=%d: index %d visited %d times", workers, n, i, h)
-				}
-			}
-		}
-	}
-}
-
-func TestParallelChunksSerialBelowThreshold(t *testing.T) {
-	withWorkers(8, func() {
-		if n := testing.AllocsPerRun(20, func() {
-			ParallelChunks(100, 100, func(lo, hi int) {})
-		}); n != 0 {
-			t.Fatalf("small-work ParallelChunks allocates %v/op; want serial fast path", n)
-		}
-	})
-}
-
-// TestReduceMeanIntoBitIdentical: the mean must match the seed-era sequential
-// loop bit for bit at every worker count — the degradation pin's foundation.
+// TestReduceMeanIntoBitIdentical pins the kernel against a hand-computed
+// table. The second column pins the accumulation order: left to right from
+// zero, (1e16 + 1) − 1e16 is 0 in float64; a reduce that cancels the two
+// large terms first (pairwise, say) gives 1.
 func TestReduceMeanIntoBitIdentical(t *testing.T) {
-	const k, dim = 7, 16384 // k*dim crosses the parallel threshold
-	uploads := randUploads(20, k, dim)
-
-	want := make(Payload, dim)
-	for _, u := range uploads {
-		for j, v := range u {
-			want[j] += v
-		}
-	}
+	uploads := []Payload{{1, 1e16, -3}, {2, 1, 0.5}, {6, -1e16, 4}}
+	want := Payload{3, 0, 0.5}
+	dst := Payload{9, 9, 9} // stale contents must be overwritten
+	ReduceMeanInto(dst, uploads)
 	for j := range want {
-		want[j] *= 1.0 / float64(k)
-	}
-
-	dst := make(Payload, dim)
-	for _, workers := range []int{1, 2, 3, 8, 32} {
-		withWorkers(workers, func() { ReduceMeanInto(dst, uploads) })
-		for j := range want {
-			if dst[j] != want[j] {
-				t.Fatalf("workers=%d: mean diverges at %d: %v vs %v", workers, j, dst[j], want[j])
-			}
+		if dst[j] != want[j] {
+			t.Fatalf("mean[%d] = %v, want %v", j, dst[j], want[j])
 		}
 	}
 }
 
+// TestWeightedMixIntoBitIdentical: hand-computed Eq. 21 mix. Row 2's second
+// column pins the j-accumulation order the same way the mean's does.
 func TestWeightedMixIntoBitIdentical(t *testing.T) {
-	const k, dim = 6, 8192
-	uploads := randUploads(21, k, dim)
-	rng := rand.New(rand.NewSource(22))
-	w := make([][]float64, k)
-	for i := range w {
-		w[i] = make([]float64, k)
-		for j := range w[i] {
-			w[i][j] = rng.Float64()
-		}
+	uploads := []Payload{{1, 1e16}, {2, 1}, {4, -1e16}}
+	w := [][]float64{
+		{1, 0, 0},
+		{0.5, 0.25, 0.25},
+		{1, 1, 1},
 	}
-
-	want := make([]Payload, k)
-	for i := range want {
-		want[i] = make(Payload, dim)
-		for j := 0; j < k; j++ {
-			for d, v := range uploads[j] {
-				want[i][d] += w[i][j] * v
-			}
-		}
-	}
-
+	want := []Payload{{1, 1e16}, {2, 2.5e15}, {7, 0}}
 	var arena PayloadArena
-	for _, workers := range []int{1, 3, 16} {
-		dst := arena.Payloads(k, dim)
-		withWorkers(workers, func() { WeightedMixInto(dst, w, uploads) })
-		for i := range want {
-			for d := range want[i] {
-				if dst[i][d] != want[i][d] {
-					t.Fatalf("workers=%d: mix diverges at [%d][%d]", workers, i, d)
-				}
+	dst := arena.Payloads(3, 2)
+	for i := range dst {
+		dst[i][0], dst[i][1] = 9, 9
+	}
+	WeightedMixInto(dst, w, uploads)
+	for i := range want {
+		for d := range want[i] {
+			if dst[i][d] != want[i][d] {
+				t.Fatalf("mix[%d][%d] = %v, want %v", i, d, dst[i][d], want[i][d])
 			}
 		}
 	}

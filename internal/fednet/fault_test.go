@@ -128,7 +128,7 @@ func TestKillMidRoundThenRejoin(t *testing.T) {
 	}
 
 	// Participation-weighted FedAvg over exactly the two arrivals: the new
-	// global is their mean, computed the same way meanPayload does.
+	// global is their mean, accumulated the way fedcore.ReduceMeanInto does.
 	u0, u1 := transport.last[clients[0].Local.ID], transport.last[clients[1].Local.ID]
 	global := srv.Global()
 	if len(u0) == 0 || len(u0) != len(global) {
