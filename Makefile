@@ -1,9 +1,11 @@
 # Developer targets for the PFRL-DM reproduction.
 #
-#   make ci         - the full pre-merge smoke check: vet, staticcheck (when
-#                     reachable), build, race-enabled tests (incl. the
-#                     federation fault-tolerance suite and the simulator
-#                     invariant harness), one iteration of each perf
+#   make ci         - the full pre-merge smoke check: vet (incl. the gofmt
+#                     gate), staticcheck (when reachable), build,
+#                     race-enabled tests (incl. the federation
+#                     fault-tolerance suite and the simulator invariant
+#                     harness), the tensor tests once more under
+#                     GOAMD64=v3, one iteration of each perf
 #                     microbenchmark, one smoke pass of the end-to-end
 #                     benchmark, a 20-VM cluster-scale smoke, a /metrics
 #                     endpoint smoke test, and a 16-client
@@ -17,12 +19,17 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale scale-smoke metrics-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale scale-smoke metrics-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale-smoke metrics-smoke swarm-smoke spec-smoke
+ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale-smoke metrics-smoke swarm-smoke spec-smoke
 
+# gofmt -l prints the files it would rewrite; any output fails the gate.
 vet:
 	$(GO) vet ./...
+	@unformatted="$$(gofmt -l cmd internal *.go)"; \
+	if [ -n "$$unformatted" ]; then \
+		echo "gofmt: not formatted (run gofmt -w):"; echo "$$unformatted"; exit 1; \
+	fi
 
 # Pinned staticcheck via `go run` so CI needs no separately-installed binary.
 # The module proxy is unreachable in offline/sandboxed environments; probe
@@ -64,6 +71,13 @@ race:
 test-race:
 	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
 
+# The tensor kernels are pinned bit-for-bit against the scalar Go code and
+# math.Tanh as the toolchain compiles them; GOAMD64=v3 is the build where
+# that compilation is allowed to differ (fused multiply-add), so the pins run
+# there too. On v3 the tanh kernel is compiled out (see tanh_amd64.go).
+test-v3:
+	GOAMD64=v3 $(GO) test ./internal/tensor/
+
 # Short deterministic-budget run of every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one run per target).
 fuzz-smoke:
@@ -74,6 +88,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzStreamInject -fuzztime 10s ./internal/cloudsim
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/fedcore
+	$(GO) test -run '^$$' -fuzz FuzzTanhMatchesMath -fuzztime 10s ./internal/tensor
 
 # One iteration of each microbenchmark: catches panics/regressions in the
 # bench harness itself without paying for a full measurement run.

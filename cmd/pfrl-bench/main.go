@@ -50,17 +50,17 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfrl-bench: ")
 	var (
-		exp      = flag.String("exp", "", "experiment id (fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21 ablation scale spec all)")
-		seed     = flag.Int64("seed", 1, "experiment seed")
-		scale    = flag.Int("scale", 4, "VM capacity divisor (1 = paper scale)")
-		tasks    = flag.Int("tasks", 100, "tasks per client (paper: 3500)")
-		episodes = flag.Int("episodes", 40, "episodes per client (paper: 300-500)")
-		comm     = flag.Int("comm", 5, "communication frequency (paper: 15-25)")
-		smooth   = flag.Int("smooth", 5, "moving-average window for printed curves")
-		csvDir   = flag.String("csv", "", "also write raw curve series as CSV files into this directory")
-		benchDir = flag.String("benchdir", "", "write the -exp scale result as BENCH_ClusterScale.json into this directory")
-		scaleCap = flag.Int("scale-cap", 0, "skip cluster-scale sweep sizes above this VM count (0 = full sweep; CI smoke uses 20)")
-		events   = flag.String("events", "", "append JSONL training/federation events to this file (empty = disabled)")
+		exp          = flag.String("exp", "", "experiment id (fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21 ablation scale spec all)")
+		seed         = flag.Int64("seed", 1, "experiment seed")
+		scale        = flag.Int("scale", 4, "VM capacity divisor (1 = paper scale)")
+		tasks        = flag.Int("tasks", 100, "tasks per client (paper: 3500)")
+		episodes     = flag.Int("episodes", 40, "episodes per client (paper: 300-500)")
+		comm         = flag.Int("comm", 5, "communication frequency (paper: 15-25)")
+		smooth       = flag.Int("smooth", 5, "moving-average window for printed curves")
+		csvDir       = flag.String("csv", "", "also write raw curve series as CSV files into this directory")
+		benchDir     = flag.String("benchdir", "", "write the -exp scale result as BENCH_ClusterScale.json into this directory")
+		scaleCap     = flag.Int("scale-cap", 0, "skip cluster-scale sweep sizes above this VM count (0 = full sweep; CI smoke uses 20)")
+		events       = flag.String("events", "", "append JSONL training/federation events to this file (empty = disabled)")
 		workloadSpec = flag.String("workload-spec", "",
 			"declarative workload spec JSON for -exp spec; also redirects the -exp scale sweep's arrivals")
 	)

@@ -28,12 +28,12 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("workload-stats: ")
 	var (
-		table1  = flag.Bool("table1", false, "print Table 1 (machine specifications)")
-		fig     = flag.Int("fig", 0, "print the data behind Figure 2 (CPU), 3 (memory), 4 (arrival rates) or 5 (runtime CDF)")
-		summary = flag.Bool("summary", false, "print a per-dataset summary characterization")
-		n       = flag.Int("n", 3500, "tasks sampled per dataset (the paper samples 3500)")
-		seed    = flag.Int64("seed", 1, "sampling seed")
-		bins    = flag.Int("bins", 10, "histogram bins for figures 2-3")
+		table1    = flag.Bool("table1", false, "print Table 1 (machine specifications)")
+		fig       = flag.Int("fig", 0, "print the data behind Figure 2 (CPU), 3 (memory), 4 (arrival rates) or 5 (runtime CDF)")
+		summary   = flag.Bool("summary", false, "print a per-dataset summary characterization")
+		n         = flag.Int("n", 3500, "tasks sampled per dataset (the paper samples 3500)")
+		seed      = flag.Int64("seed", 1, "sampling seed")
+		bins      = flag.Int("bins", 10, "histogram bins for figures 2-3")
 		specFile  = flag.String("spec", "", "characterize this declarative workload spec (also the reference for -calibrate)")
 		calibrate = flag.String("calibrate", "", "compare this CSV trace against -spec (or a spec fitted from the trace)")
 		validate  = flag.Bool("validate-presets", false, "check every embedded preset spec matches its builtin model bit-for-bit")

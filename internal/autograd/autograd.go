@@ -57,11 +57,11 @@ type Value struct {
 	// opcode plus operands/auxiliary state in these pooled slots and
 	// Backward dispatches statically. Reset wipes them with the rest of the
 	// struct. Ops off the update hot path still use `back`.
-	op         opcode
-	srcA, srcB *Value
+	op                           opcode
+	srcA, srcB                   *Value
 	aux0, aux1, aux2, aux3, aux4 *tensor.Matrix
-	auxS0      float64
-	auxIdx     []int
+	auxS0                        float64
+	auxIdx                       []int
 }
 
 // Tape records operations for reverse-mode differentiation. A Tape is not

@@ -51,6 +51,7 @@ const (
 	surrogateFromA  = 1 // Minimum took surr1 (ties included)
 	surrogateInside = 2 // Clamp passed the ratio through unclipped
 )
+
 func ClippedSurrogateLoss(logits *Value, actions []int, oldLogp, advantage *tensor.Matrix, clip, entCoef float64) SurrogateResult {
 	t := logits.tape
 	n, a := logits.Data.Rows, logits.Data.Cols

@@ -121,7 +121,7 @@ func Neg(a *Value) *Value { return Scale(a, -1) }
 func Tanh(a *Value) *Value {
 	t := a.tape
 	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
-	a.Data.ApplyInto(math.Tanh, out.Data)
+	a.Data.TanhInto(out.Data)
 	out.op, out.srcA = opTanh, a
 	return out
 }

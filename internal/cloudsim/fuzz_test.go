@@ -17,13 +17,13 @@ import (
 // step).
 func FuzzStreamInject(f *testing.F) {
 	f.Add(int64(1), []byte{})
-	f.Add(int64(2), []byte{1, 1, 8, 2, 0, 1, 2, 16, 3, 0})          // two valid tasks
-	f.Add(int64(3), []byte{1, 1, 8, 0, 0})                          // zero duration
-	f.Add(int64(4), []byte{5, 1, 8, 2, 0, 0x80, 1, 8, 2, 0})        // arrival regression
-	f.Add(int64(5), []byte{1, 0, 8, 2, 0})                          // zero CPU
-	f.Add(int64(6), []byte{1, 1, 0, 2, 0})                          // zero memory
-	f.Add(int64(7), []byte{1, 1, 255, 2, 0})                        // infinite memory
-	f.Add(int64(8), []byte{1, 100, 8, 2, 0})                        // over-capacity CPU
+	f.Add(int64(2), []byte{1, 1, 8, 2, 0, 1, 2, 16, 3, 0})   // two valid tasks
+	f.Add(int64(3), []byte{1, 1, 8, 0, 0})                   // zero duration
+	f.Add(int64(4), []byte{5, 1, 8, 2, 0, 0x80, 1, 8, 2, 0}) // arrival regression
+	f.Add(int64(5), []byte{1, 0, 8, 2, 0})                   // zero CPU
+	f.Add(int64(6), []byte{1, 1, 0, 2, 0})                   // zero memory
+	f.Add(int64(7), []byte{1, 1, 255, 2, 0})                 // infinite memory
+	f.Add(int64(8), []byte{1, 100, 8, 2, 0})                 // over-capacity CPU
 
 	f.Fuzz(func(t *testing.T, seed int64, data []byte) {
 		specs := []VMSpec{{CPU: 4, Mem: 8}, {CPU: 2, Mem: 2}, {CPU: 8, Mem: 16}}

@@ -17,13 +17,13 @@ func TestSlowedDurationTable(t *testing.T) {
 		cpu, dur int
 		want     int
 	}{
-		{"within-physical", 4, 2, 4, 4},           // usedAfter 2 ≤ 2
-		{"first-overcommit", 2, 1, 2, 3},          // usedAfter 3 → ⌈2·3/2⌉
-		{"full-overcommit", 1, 1, 2, 4},           // usedAfter 4 → ⌈2·4/2⌉
-		{"overcommit-odd-ceil", 4, 3, 5, 8},       // usedAfter 3 → ⌈5·3/2⌉
-		{"whole-cap-single-task", 4, 4, 1, 2},     // usedAfter 4 → ⌈1·4/2⌉
-		{"boundary-exact-physical", 3, 1, 7, 7},   // usedAfter 2 ≤ 2
-		{"one-slot-task-slowed", 2, 2, 1, 2},      // usedAfter 4 → ⌈1·4/2⌉
+		{"within-physical", 4, 2, 4, 4},         // usedAfter 2 ≤ 2
+		{"first-overcommit", 2, 1, 2, 3},        // usedAfter 3 → ⌈2·3/2⌉
+		{"full-overcommit", 1, 1, 2, 4},         // usedAfter 4 → ⌈2·4/2⌉
+		{"overcommit-odd-ceil", 4, 3, 5, 8},     // usedAfter 3 → ⌈5·3/2⌉
+		{"whole-cap-single-task", 4, 4, 1, 2},   // usedAfter 4 → ⌈1·4/2⌉
+		{"boundary-exact-physical", 3, 1, 7, 7}, // usedAfter 2 ≤ 2
+		{"one-slot-task-slowed", 2, 2, 1, 2},    // usedAfter 4 → ⌈1·4/2⌉
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

@@ -66,9 +66,9 @@ func TestWaitPercentileHandComputed(t *testing.T) {
 	waits := []float64{1, 2, 10}
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {0.5, 2}, {1, 10},
-		{0.95, 9.2},  // pos 1.9: 2 + 0.9*(10-2)
-		{0.25, 1.5},  // pos 0.5: 1 + 0.5*(2-1)
-		{0.75, 6.0},  // pos 1.5: 2 + 0.5*(10-2)
+		{0.95, 9.2}, // pos 1.9: 2 + 0.9*(10-2)
+		{0.25, 1.5}, // pos 0.5: 1 + 0.5*(2-1)
+		{0.75, 6.0}, // pos 1.5: 2 + 0.5*(10-2)
 	}
 	for _, c := range cases {
 		if got := waitPercentile(waits, c.q); got != c.want {

@@ -434,4 +434,3 @@ func (e *Encoder) quantize(v []float64, body []byte, qmax float64, useEF bool, p
 		}
 	}
 }
-

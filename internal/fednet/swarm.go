@@ -134,9 +134,9 @@ func (h swarmHeap) Less(i, j int) bool {
 	}
 	return h[i].id < h[j].id
 }
-func (h swarmHeap) Swap(i, j int)      { h[i], h[j] = h[j], h[i] }
-func (h *swarmHeap) Push(x any)        { *h = append(*h, x.(swarmEvent)) }
-func (h *swarmHeap) Pop() any          { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
+func (h swarmHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
+func (h *swarmHeap) Push(x any)   { *h = append(*h, x.(swarmEvent)) }
+func (h *swarmHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
 // swarmPad holds the federation-wide observation pads and normalization
 // caps: every client must encode to the same width against the same caps

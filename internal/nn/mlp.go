@@ -2,7 +2,6 @@ package nn
 
 import (
 	"fmt"
-	"math"
 	"math/rand"
 
 	"repro/internal/autograd"
@@ -148,7 +147,7 @@ func (m *MLP) Infer(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
 		if !last {
 			switch m.Act {
 			case ActTanh:
-				out.ApplyInto(math.Tanh, out)
+				out.TanhInto(out)
 			case ActReLU:
 				out.ApplyInto(func(v float64) float64 {
 					if v > 0 {

@@ -115,6 +115,17 @@ func (m *Matrix) ApplyInto(f func(float64) float64, dst *Matrix) *Matrix {
 	return dst
 }
 
+// TanhInto sets dst = tanh(m) elementwise and returns dst; dst may be m.
+// Bitwise identical to ApplyInto(math.Tanh, dst) on every input.
+func (m *Matrix) TanhInto(dst *Matrix) *Matrix {
+	dst.assertShape(m.Rows, m.Cols, "TanhInto")
+	if simdEnabled && len(m.Data) > 0 {
+		tanhCols(&dst.Data[0], &m.Data[0], len(m.Data))
+		return dst
+	}
+	return m.ApplyInto(math.Tanh, dst)
+}
+
 // AddRowBroadcastInto sets dst = m with the 1 x Cols row vector b added to
 // each row, and returns dst.
 func (m *Matrix) AddRowBroadcastInto(b, dst *Matrix) *Matrix {

@@ -1,102 +1,20 @@
 package tensor
 
-import (
-	"fmt"
-	"runtime"
-	"sync"
-	"sync/atomic"
-)
+import "fmt"
 
-// parallelThreshold is the minimum number of multiply-accumulate operations
-// (rows*cols*inner) above which the scalar matmul kernels fan out across
-// goroutines. Below the threshold the goroutine overhead dominates any
-// speedup for the small matrices used by the 64-unit MLPs in this
-// repository. simdParallelThreshold is the same knob for the AVX-512 path,
-// whose per-MAC cost is several times lower, so fanning out pays off only
-// for proportionally larger products.
-const (
-	parallelThreshold     = 64 * 1024
-	simdParallelThreshold = 512 * 1024
-)
-
-// matmulWorkers caps the goroutine fan-out width for the tiled kernels.
-// Zero (the default) means "GOMAXPROCS at call time". Accessed atomically so
-// concurrent matmuls can read it without a lock.
-var matmulWorkers atomic.Int64
-
-// SetMatMulWorkers sets the worker count for the row-tiled matmul fan-out
-// and returns the previous setting. n <= 0 restores the GOMAXPROCS-following
-// default. Tiling splits output rows, and every output element's
-// accumulation stays within one worker, so results are identical for any
-// worker count.
-func SetMatMulWorkers(n int) int {
-	if n < 0 {
-		n = 0
-	}
-	return int(matmulWorkers.Swap(int64(n)))
-}
-
-// workerCount returns the effective fan-out width.
-func workerCount() int {
-	if n := int(matmulWorkers.Load()); n > 0 {
-		return n
-	}
-	return runtime.GOMAXPROCS(0)
-}
-
-// shouldParallelize reports whether a kernel over the given row count and
-// estimated work (total multiply-accumulates) is worth fanning out. Callers
-// check it before building the parallelRows closure so the serial fast path
-// stays allocation-free (the closure would otherwise escape to the heap on
-// every call) — on a single-worker configuration it is always false for the
-// same reason.
-func shouldParallelize(rows, work int) bool {
-	threshold := parallelThreshold
-	if simdEnabled {
-		threshold = simdParallelThreshold
-	}
-	return work >= threshold && rows >= 2 && workerCount() > 1
-}
-
-// parallelRows runs fn over the row range [0, rows), split into contiguous
-// blocks across up to workerCount goroutines. All matmul variants share this
-// fan-out so their parallel behaviour stays identical. Callers have already
-// decided via shouldParallelize that fanning out is worthwhile.
-func parallelRows(rows, work int, fn func(lo, hi int)) {
-	if !shouldParallelize(rows, work) {
-		fn(0, rows)
-		return
-	}
-	workers := workerCount()
-	if workers > rows {
-		workers = rows
-	}
-	chunk := (rows + workers - 1) / workers
-	var wg sync.WaitGroup
-	for lo := 0; lo < rows; lo += chunk {
-		hi := lo + chunk
-		if hi > rows {
-			hi = rows
-		}
-		wg.Add(1)
-		go func(lo, hi int) {
-			defer wg.Done()
-			fn(lo, hi)
-		}(lo, hi)
-	}
-	wg.Wait()
-}
+// The three products run serially on the calling goroutine: the cores are
+// already taken one level up, by the actor/critic update overlap and the
+// client goroutines (DESIGN §8 has the measurements).
 
 // MatMul returns the matrix product m · b.
-// It panics if m.Cols != b.Rows. Large products are tiled by row blocks
-// across GOMAXPROCS goroutines.
+// It panics if m.Cols != b.Rows.
 func (m *Matrix) MatMul(b *Matrix) *Matrix {
 	return m.MatMulInto(b, New(m.Rows, b.Cols))
 }
 
 // MatMulInto computes dst = m · b and returns dst. dst is zeroed first (the
 // kernel accumulates), must have shape m.Rows x b.Cols, and must not alias m
-// or b. Large products are tiled by row blocks across GOMAXPROCS goroutines.
+// or b.
 func (m *Matrix) MatMulInto(b, dst *Matrix) *Matrix {
 	if m.Cols != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMul shape mismatch %dx%d · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -106,32 +24,26 @@ func (m *Matrix) MatMulInto(b, dst *Matrix) *Matrix {
 		panic("tensor: MatMulInto dst aliases an operand")
 	}
 	dst.Zero()
-	if work := m.Rows * m.Cols * b.Cols; shouldParallelize(m.Rows, work) {
-		parallelRows(m.Rows, work, func(lo, hi int) {
-			matmulRange(dst, m, b, lo, hi)
-		})
+	if simdEnabled && len(dst.Data) > 0 && m.Cols > 0 {
+		accumulateSIMD(dst, b, m.Data, 1, m.Cols, true)
 	} else {
-		matmulRange(dst, m, b, 0, m.Rows)
+		matmulScalar(dst, m, b)
 	}
 	return dst
 }
 
-// matmulKBlock is the k-panel height of the cache-blocked SIMD kernels: 64
+// matmulKBlock is the k-panel height of the cache-blocked SIMD kernel: 64
 // rows of b at the repo's typical ≤64 hidden columns is ≤32 KiB, so a panel
-// stays L1-resident while every output row in the range streams over it.
-// Panels are visited in ascending k order, so each output element still
-// accumulates in exactly the order of the unblocked scalar kernel.
+// stays L1-resident while every output row streams over it. Panels are
+// visited in ascending k order, so each output element still accumulates in
+// exactly the order of the unblocked scalar kernel.
 const matmulKBlock = 64
 
-// matmulRange computes rows [lo,hi) of out = m·b using an ikj loop order so
-// the inner loop walks both b and out contiguously.
-func matmulRange(out, m, b *Matrix, lo, hi int) {
+// matmulScalar accumulates out += m·b using an ikj loop order so the inner
+// loop walks both b and out contiguously.
+func matmulScalar(out, m, b *Matrix) {
 	n, p := m.Cols, b.Cols
-	if simdEnabled && p >= 8 && n > 0 {
-		matmulRangeSIMD(out, m, b, lo, hi)
-		return
-	}
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		mrow := m.Data[i*n : (i+1)*n]
 		orow := out.Data[i*p : (i+1)*p]
 		for k, mv := range mrow {
@@ -146,38 +58,21 @@ func matmulRange(out, m, b *Matrix, lo, hi int) {
 	}
 }
 
-// matmulRangeSIMD is the cache-blocked AVX-512 variant of matmulRange. The
-// full-width column groups go through axpyCols (bitwise identical to the
-// scalar inner loop); the p%8 tail columns run the scalar loop. Requires
-// b.Cols >= 8 and m.Cols > 0.
-func matmulRangeSIMD(out, m, b *Matrix, lo, hi int) {
-	n, p := m.Cols, b.Cols
-	p8 := p &^ 7
-	for k0 := 0; k0 < n; k0 += matmulKBlock {
-		kn := n - k0
+// accumulateSIMD is the cache-blocked AVX-512 kernel behind all three
+// products: out[r,:] += Σ_t s[r*sRowStride + t*sStride] · b[t,:] with t
+// ascending, every column of every output row going through axpyRows,
+// bitwise identical to the scalar inner loops. s is m.Data walked by rows
+// (MatMul: strides 1, m.Cols) or by columns (MatMulTransA: m.Cols, 1).
+// skipZeros selects the scalar kernels' zero-scalar guard; MatMulTransB
+// turns it off. Requires a non-empty out and b.
+func accumulateSIMD(out, b *Matrix, s []float64, sStride, sRowStride int, skipZeros bool) {
+	p := b.Cols
+	for k0 := 0; k0 < b.Rows; k0 += matmulKBlock {
+		kn := b.Rows - k0
 		if kn > matmulKBlock {
 			kn = matmulKBlock
 		}
-		bp := &b.Data[k0*p]
-		for i := lo; i < hi; i++ {
-			axpyCols(&out.Data[i*p], bp, &m.Data[i*n+k0], kn, p8, p, 1)
-		}
-	}
-	if p8 == p {
-		return
-	}
-	for i := lo; i < hi; i++ {
-		mrow := m.Data[i*n : (i+1)*n]
-		orow := out.Data[i*p : (i+1)*p]
-		for k, mv := range mrow {
-			if mv == 0 {
-				continue
-			}
-			brow := b.Data[k*p : (k+1)*p]
-			for j := p8; j < p; j++ {
-				orow[j] += mv * brow[j]
-			}
-		}
+		axpyRows(&out.Data[0], &b.Data[k0*p], &s[k0*sStride], kn, p, out.Rows, p, sStride, p, sRowStride, skipZeros)
 	}
 }
 
@@ -187,8 +82,7 @@ func (m *Matrix) MatMulTransB(b *Matrix) *Matrix {
 }
 
 // MatMulTransBInto computes dst = m · bᵀ and returns dst. dst must have
-// shape m.Rows x b.Rows and must not alias m or b. Large products fan out by
-// row blocks like MatMul.
+// shape m.Rows x b.Rows and must not alias m or b.
 func (m *Matrix) MatMulTransBInto(b, dst *Matrix) *Matrix {
 	if m.Cols != b.Cols {
 		panic(fmt.Sprintf("tensor: MatMulTransB shape mismatch %dx%d · (%dx%d)ᵀ", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -197,21 +91,20 @@ func (m *Matrix) MatMulTransBInto(b, dst *Matrix) *Matrix {
 	if aliases(dst, m) || aliases(dst, b) {
 		panic("tensor: MatMulTransBInto dst aliases an operand")
 	}
-	if work := m.Rows * m.Cols * b.Rows; shouldParallelize(m.Rows, work) {
-		parallelRows(m.Rows, work, func(lo, hi int) {
-			matmulTransBRange(dst, m, b, lo, hi)
-		})
+	if simdEnabled && len(dst.Data) > 0 && m.Cols > 0 {
+		matmulTransBSIMD(dst, m, b)
 	} else {
-		matmulTransBRange(dst, m, b, 0, m.Rows)
+		matmulTransBScalar(dst, m, b)
 	}
 	return dst
 }
 
-// matmulTransBRange computes rows [lo,hi) of out = m·bᵀ: each output row is
-// a set of dot products between one row of m and every row of b.
-func matmulTransBRange(out, m, b *Matrix, lo, hi int) {
+// matmulTransBScalar computes out = m·bᵀ: each output row is a set of dot
+// products between one row of m and every row of b. A dot product starts
+// from +0 and adds every term, zero or not.
+func matmulTransBScalar(out, m, b *Matrix) {
 	n := m.Cols
-	for i := lo; i < hi; i++ {
+	for i := 0; i < m.Rows; i++ {
 		mrow := m.Data[i*n : (i+1)*n]
 		orow := out.Data[i*b.Rows : (i+1)*b.Rows]
 		for j := 0; j < b.Rows; j++ {
@@ -225,6 +118,23 @@ func matmulTransBRange(out, m, b *Matrix, lo, hi int) {
 	}
 }
 
+// matmulTransBSIMD vectorises matmulTransBScalar across output columns:
+// with b transposed into pooled scratch, m·bᵀ is the ikj product over bᵀ, and
+// accumulating into a zeroed out without the zero-scalar guard is, per
+// element, the scalar dot product's `s = 0; s += m[i,k]*b[j,k]` in k order.
+// Requires a non-empty out and m.Cols > 0.
+func matmulTransBSIMD(out, m, b *Matrix) {
+	bt := defaultPool.GetUninit(b.Cols, b.Rows)
+	for j := 0; j < b.Rows; j++ {
+		for k, v := range b.Data[j*b.Cols : (j+1)*b.Cols] {
+			bt.Data[k*b.Rows+j] = v
+		}
+	}
+	out.Zero()
+	accumulateSIMD(out, bt, m.Data, 1, m.Cols, false)
+	defaultPool.Put(bt)
+}
+
 // MatMulTransA returns mᵀ · b without materializing the transpose.
 func (m *Matrix) MatMulTransA(b *Matrix) *Matrix {
 	return m.MatMulTransAInto(b, New(m.Cols, b.Cols))
@@ -232,9 +142,7 @@ func (m *Matrix) MatMulTransA(b *Matrix) *Matrix {
 
 // MatMulTransAInto computes dst = mᵀ · b and returns dst. dst is zeroed
 // first (the kernel accumulates), must have shape m.Cols x b.Cols, and must
-// not alias m or b. Large products fan out across goroutines by blocks of
-// output rows (columns of m), so every k-accumulation stays within one
-// goroutine and the summation order matches the serial kernel exactly.
+// not alias m or b.
 func (m *Matrix) MatMulTransAInto(b, dst *Matrix) *Matrix {
 	if m.Rows != b.Rows {
 		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
@@ -244,73 +152,29 @@ func (m *Matrix) MatMulTransAInto(b, dst *Matrix) *Matrix {
 		panic("tensor: MatMulTransAInto dst aliases an operand")
 	}
 	dst.Zero()
-	if work := m.Rows * m.Cols * b.Cols; shouldParallelize(m.Cols, work) {
-		parallelRows(m.Cols, work, func(lo, hi int) {
-			matmulTransARange(dst, m, b, lo, hi)
-		})
+	if simdEnabled && len(dst.Data) > 0 && m.Rows > 0 {
+		// Output row i reads column i of m with stride m.Cols, a strided
+		// scalar stream the out-of-order core hides well.
+		accumulateSIMD(dst, b, m.Data, m.Cols, 1, true)
 	} else {
-		matmulTransARange(dst, m, b, 0, m.Cols)
+		matmulTransAScalar(dst, m, b)
 	}
 	return dst
 }
 
-// matmulTransARange computes output rows [lo,hi) of out = mᵀ·b, i.e. the
-// contributions of columns lo..hi of m. The k loop stays outermost (as in
-// the historical serial kernel) so accumulation order per output element is
-// identical regardless of how the row range is partitioned.
-func matmulTransARange(out, m, b *Matrix, lo, hi int) {
-	if simdEnabled && b.Cols >= 8 && m.Rows > 0 {
-		matmulTransARangeSIMD(out, m, b, lo, hi)
-		return
-	}
+// matmulTransAScalar accumulates out += mᵀ·b with the k loop outermost, so
+// every output element accumulates over ascending k.
+func matmulTransAScalar(out, m, b *Matrix) {
 	for k := 0; k < m.Rows; k++ {
 		mrow := m.Data[k*m.Cols : (k+1)*m.Cols]
 		brow := b.Data[k*b.Cols : (k+1)*b.Cols]
-		for i := lo; i < hi; i++ {
-			mv := mrow[i]
+		for i, mv := range mrow {
 			if mv == 0 {
 				continue
 			}
 			orow := out.Data[i*b.Cols : (i+1)*b.Cols]
 			for j, bv := range brow {
 				orow[j] += mv * bv
-			}
-		}
-	}
-}
-
-// matmulTransARangeSIMD is the cache-blocked AVX-512 variant of
-// matmulTransARange. Each output row i reads column i of m with stride
-// m.Cols (a strided scalar stream the out-of-order core hides well);
-// accumulation per element runs over ascending k exactly like the scalar
-// k-outermost kernel. Requires b.Cols >= 8 and m.Rows > 0.
-func matmulTransARangeSIMD(out, m, b *Matrix, lo, hi int) {
-	p := b.Cols
-	p8 := p &^ 7
-	for k0 := 0; k0 < m.Rows; k0 += matmulKBlock {
-		kn := m.Rows - k0
-		if kn > matmulKBlock {
-			kn = matmulKBlock
-		}
-		bp := &b.Data[k0*p]
-		for i := lo; i < hi; i++ {
-			axpyCols(&out.Data[i*p], bp, &m.Data[k0*m.Cols+i], kn, p8, p, m.Cols)
-		}
-	}
-	if p8 == p {
-		return
-	}
-	for k := 0; k < m.Rows; k++ {
-		mrow := m.Data[k*m.Cols : (k+1)*m.Cols]
-		brow := b.Data[k*p : (k+1)*p]
-		for i := lo; i < hi; i++ {
-			mv := mrow[i]
-			if mv == 0 {
-				continue
-			}
-			orow := out.Data[i*p : (i+1)*p]
-			for j := p8; j < p; j++ {
-				orow[j] += mv * brow[j]
 			}
 		}
 	}

@@ -71,7 +71,7 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 // GetUninit returns a rows x cols matrix whose contents are unspecified: a
 // recycled buffer keeps whatever values its previous owner left behind. Only
 // callers that overwrite every element before reading any (e.g. the
-// transpose scratch in MatMulTransAInto) may use it; everything else goes
+// transpose scratch in MatMulTransBInto) may use it; everything else goes
 // through Get, which zeroes defensively.
 func (p *Pool) GetUninit(rows, cols int) *Matrix {
 	m, _ := p.get(rows, cols)

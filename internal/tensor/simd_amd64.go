@@ -8,10 +8,12 @@ package tensor
 // k-ascending order, as the portable Go loops. Separate VMULPD + VADDPD are
 // used instead of FMA precisely because a fused multiply-add rounds once
 // where the scalar code rounds twice — FMA would change low-order bits and
-// break the repo's bit-reproducibility guarantee. Under that constraint the
+// break the repo's bit-reproducibility guarantee. (The one place FMA does
+// appear is tanhCols' exp core, where the scalar reference, math.Exp, uses
+// it too on the same CPU; see tanh_amd64.go.) Under that constraint the
 // SIMD kernels are bitwise identical to the scalar kernels (pinned by
-// TestAxpySIMDMatchesScalar and friends), so enabling them never changes a
-// training run.
+// TestMatMulSIMDMatchesScalar and friends), so enabling them never changes
+// a training run.
 
 // simdEnabled gates all assembly fast paths. It is true when the CPU and OS
 // support AVX-512F. Tests flip it via setSIMD to compare both paths.
@@ -33,16 +35,23 @@ func SIMDEnabled() bool { return simdEnabled }
 // 16, with OSXSAVE and XCR0 opmask/ZMM state enabled).
 func x86HasAVX512() bool
 
-// axpyCols computes, for t in [0,k): dst[0:cols] += s[t*sStride] * b[t*bStride : +cols],
-// with cols a positive multiple of 8. Scalars equal to zero are skipped
-// entirely, matching the `if mv == 0 { continue }` guard in the scalar
-// kernels (the test is on the value bits shifted left by one, so -0.0 is
-// skipped exactly like +0.0). Accumulators live in registers for the whole
+// axpyRows computes, for r in [0,rows) and t in [0,k):
+//
+//	dst[r*dstStride : +cols] += s[r*sRowStride + t*sStride] * b[t*bStride : +cols]
+//
+// for any k, cols, rows >= 1 (the last cols%8 columns run under a k-mask).
+// With skipZeros, scalars equal to zero are skipped entirely, matching the
+// `if mv == 0 { continue }` guard in the scalar MatMul/MatMulTransA kernels
+// (the test is on the value bits shifted left by one, so -0.0 is skipped
+// exactly like +0.0); MatMulTransB's dot products and AddScaledInPlace have
+// no such guard and pass false. Accumulators live in registers for the whole
 // k loop; per output element the operation sequence is add(mul(s,b)) in
-// k-ascending order — identical to the scalar loops.
+// k-ascending order — identical to the scalar loops. (Which of two
+// different NaN payloads survives an operation depends on x86 operand order
+// and is not part of the contract; NaN-ness is.)
 //
 //go:noescape
-func axpyCols(dst, b, s *float64, k, cols, bStride, sStride int)
+func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool)
 
 // vecAdd computes dst[0:n] += src[0:n] for n a positive multiple of 8.
 //

@@ -28,54 +28,69 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
-// func axpyCols(dst, b, s *float64, k, cols, bStride, sStride int)
+// func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool)
 //
-// for t in [0,k): dst[0:cols] += s[t*sStride] * b[t*bStride : +cols]
+// for r in [0,rows), t in [0,k):
+//	dst[r*dstStride : +cols] += s[r*sRowStride + t*sStride] * b[t*bStride : +cols]
 //
-// cols must be a positive multiple of 8. The j-dimension (columns) is what
+// k, cols and rows are any positive counts. The j-dimension (columns) is what
 // gets vectorized; every output element keeps the scalar kernels' exact
-// k-ascending mul-then-add sequence, and zero scalars are skipped just like
-// the scalar `if mv == 0 { continue }` guard (SHLQ $1 drops the sign bit, so
-// -0.0 is skipped too). No FMA anywhere: VMULPD then VADDPD round twice,
+// k-ascending mul-then-add sequence. With skipZeros, zero scalars are skipped
+// just like the scalar `if mv == 0 { continue }` guard (SHLQ $1 drops the sign
+// bit, so -0.0 is skipped too); without it R14 = 1 is OR-ed into the test so
+// the branch is never taken. No FMA anywhere: VMULPD then VADDPD round twice,
 // exactly like the Go code.
 //
 // Columns are consumed in 64-wide panels (8 ZMM accumulators held across the
 // whole k loop — the repo's MLPs are 64 units wide, so the common case is a
-// single panel), then 32-wide, then 8-wide. Each column belongs to exactly
-// one panel, so the panel split never reorders any element's accumulation.
-TEXT ·axpyCols(SB), NOSPLIT, $0-56
-	MOVQ dst+0(FP), DI
+// single panel), then 32-wide, then 8-wide under a k-mask that also covers
+// the last cols%8 columns (masked-off lanes are neither loaded nor stored, so
+// the kernel never touches memory past a row's end). Each column belongs to
+// exactly one panel, so the panel split never reorders any element's
+// accumulation. Within a panel the rows run one after another, except in the
+// masked panel: one accumulator per row is a k-deep chain of dependent adds
+// (a 64x1 critic head would be nothing else), so four rows share each pass
+// over b and their chains overlap.
+//
+// dst, cols and dstStride are advanced in their argument slots.
+TEXT ·axpyRows(SB), NOSPLIT, $0-81
 	MOVQ b+8(FP), SI
-	MOVQ s+16(FP), DX
 	MOVQ k+24(FP), R8
-	MOVQ cols+32(FP), R9
-	MOVQ bStride+40(FP), R10
-	MOVQ sStride+48(FP), R11
-	SHLQ $3, R9  // cols in bytes
+	MOVQ bStride+48(FP), R10
+	MOVQ sStride+56(FP), R11
+	MOVQ sRowStride+72(FP), R9
+	MOVBQZX skipZeros+80(FP), R14
+	XORQ $1, R14 // 1 = keep zero scalars
 	SHLQ $3, R10 // b row stride in bytes
 	SHLQ $3, R11 // s stride in bytes
-	XORQ R12, R12 // byte offset into the column panel
+	SHLQ $3, R9  // s row stride in bytes
+	LEAQ (R9)(R9*2), R12
+	SHLQ $3, dstStride+64(FP)
 
 panel64: // 8 ZMM accumulators = 64 columns per pass
-	MOVQ R9, AX
-	SUBQ R12, AX
-	CMPQ AX, $512
+	CMPQ cols+32(FP), $64
 	JLT  panel32
-	VMOVUPD (DI)(R12*1), Z0
-	VMOVUPD 64(DI)(R12*1), Z1
-	VMOVUPD 128(DI)(R12*1), Z2
-	VMOVUPD 192(DI)(R12*1), Z3
-	VMOVUPD 256(DI)(R12*1), Z20
-	VMOVUPD 320(DI)(R12*1), Z21
-	VMOVUPD 384(DI)(R12*1), Z22
-	VMOVUPD 448(DI)(R12*1), Z23
-	LEAQ (SI)(R12*1), BX // &b[panel start]
-	MOVQ DX, CX          // &s[0]
-	MOVQ R8, R13         // k countdown
+	MOVQ dst+0(FP), DI
+	MOVQ s+16(FP), DX
+	MOVQ rows+40(FP), R15
+
+row64:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	VMOVUPD 256(DI), Z20
+	VMOVUPD 320(DI), Z21
+	VMOVUPD 384(DI), Z22
+	VMOVUPD 448(DI), Z23
+	MOVQ SI, BX  // &b[panel start]
+	MOVQ DX, CX  // &s[row start]
+	MOVQ R8, R13 // k countdown
 
 k64:
 	MOVQ (CX), AX
 	SHLQ $1, AX // ±0.0 → ZF set → skip, matching the scalar guard
+	ORQ  R14, AX
 	JZ   skip64
 	VBROADCASTSD (CX), Z4
 	VMULPD (BX), Z4, Z5
@@ -100,33 +115,43 @@ skip64:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k64
-	VMOVUPD Z0, (DI)(R12*1)
-	VMOVUPD Z1, 64(DI)(R12*1)
-	VMOVUPD Z2, 128(DI)(R12*1)
-	VMOVUPD Z3, 192(DI)(R12*1)
-	VMOVUPD Z20, 256(DI)(R12*1)
-	VMOVUPD Z21, 320(DI)(R12*1)
-	VMOVUPD Z22, 384(DI)(R12*1)
-	VMOVUPD Z23, 448(DI)(R12*1)
-	ADDQ $512, R12
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	VMOVUPD Z20, 256(DI)
+	VMOVUPD Z21, 320(DI)
+	VMOVUPD Z22, 384(DI)
+	VMOVUPD Z23, 448(DI)
+	ADDQ dstStride+64(FP), DI
+	ADDQ R9, DX
+	DECQ R15
+	JNZ  row64
+	ADDQ $512, SI
+	ADDQ $512, dst+0(FP)
+	SUBQ $64, cols+32(FP)
 	JMP  panel64
 
 panel32: // 4 ZMM accumulators = 32 columns per pass
-	MOVQ R9, AX
-	SUBQ R12, AX
-	CMPQ AX, $256
+	CMPQ cols+32(FP), $32
 	JLT  panel8
-	VMOVUPD (DI)(R12*1), Z0
-	VMOVUPD 64(DI)(R12*1), Z1
-	VMOVUPD 128(DI)(R12*1), Z2
-	VMOVUPD 192(DI)(R12*1), Z3
-	LEAQ (SI)(R12*1), BX // &b[panel start]
-	MOVQ DX, CX          // &s[0]
-	MOVQ R8, R13         // k countdown
+	MOVQ dst+0(FP), DI
+	MOVQ s+16(FP), DX
+	MOVQ rows+40(FP), R15
+
+row32:
+	VMOVUPD (DI), Z0
+	VMOVUPD 64(DI), Z1
+	VMOVUPD 128(DI), Z2
+	VMOVUPD 192(DI), Z3
+	MOVQ SI, BX
+	MOVQ DX, CX
+	MOVQ R8, R13
 
 k32:
 	MOVQ (CX), AX
-	SHLQ $1, AX // ±0.0 → ZF set → skip, matching the scalar guard
+	SHLQ $1, AX
+	ORQ  R14, AX
 	JZ   skip32
 	VBROADCASTSD (CX), Z4
 	VMULPD (BX), Z4, Z5
@@ -143,27 +168,118 @@ skip32:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k32
-	VMOVUPD Z0, (DI)(R12*1)
-	VMOVUPD Z1, 64(DI)(R12*1)
-	VMOVUPD Z2, 128(DI)(R12*1)
-	VMOVUPD Z3, 192(DI)(R12*1)
-	ADDQ $256, R12
+	VMOVUPD Z0, (DI)
+	VMOVUPD Z1, 64(DI)
+	VMOVUPD Z2, 128(DI)
+	VMOVUPD Z3, 192(DI)
+	ADDQ dstStride+64(FP), DI
+	ADDQ R9, DX
+	DECQ R15
+	JNZ  row32
+	ADDQ $256, SI
+	ADDQ $256, dst+0(FP)
+	SUBQ $32, cols+32(FP)
 	JMP  panel32
 
-panel8: // single ZMM = 8 columns per pass
-	CMPQ R12, R9
-	JGE  done
-	VMOVUPD (DI)(R12*1), Z0
-	LEAQ (SI)(R12*1), BX
+panel8: // single ZMM under K1 = the panel's min(8, cols left) columns
+	MOVQ cols+32(FP), CX
+	TESTQ CX, CX
+	JLE  done
+	MOVL $0xFF, AX
+	CMPQ CX, $8
+	JGE  mask8
+	MOVL $1, AX
+	SHLL CX, AX
+	DECL AX
+
+mask8:
+	KMOVW AX, K1
+	MOVQ dst+0(FP), DI
+	MOVQ s+16(FP), DX
+	MOVQ rows+40(FP), R15
+
+rows4: // four rows per pass: s rows at CX, CX+R9, CX+2*R9, CX+R12
+	CMPQ R15, $4
+	JLT  rows1
+	MOVQ dstStride+64(FP), AX
+	LEAQ (AX)(AX*2), BX
+	VMOVUPD.Z (DI), K1, Z0
+	VMOVUPD.Z (DI)(AX*1), K1, Z1
+	VMOVUPD.Z (DI)(AX*2), K1, Z2
+	VMOVUPD.Z (DI)(BX*1), K1, Z3
+	MOVQ SI, BX
+	MOVQ DX, CX
+	MOVQ R8, R13
+
+k8x4:
+	VMOVUPD.Z (BX), K1, Z5
+	MOVQ (CX), AX
+	SHLQ $1, AX
+	ORQ  R14, AX
+	JZ   skip8a
+	VBROADCASTSD (CX), Z4
+	VMULPD Z5, Z4, Z4
+	VADDPD Z4, Z0, Z0
+
+skip8a:
+	MOVQ (CX)(R9*1), AX
+	SHLQ $1, AX
+	ORQ  R14, AX
+	JZ   skip8b
+	VBROADCASTSD (CX)(R9*1), Z6
+	VMULPD Z5, Z6, Z6
+	VADDPD Z6, Z1, Z1
+
+skip8b:
+	MOVQ (CX)(R9*2), AX
+	SHLQ $1, AX
+	ORQ  R14, AX
+	JZ   skip8c
+	VBROADCASTSD (CX)(R9*2), Z7
+	VMULPD Z5, Z7, Z7
+	VADDPD Z7, Z2, Z2
+
+skip8c:
+	MOVQ (CX)(R12*1), AX
+	SHLQ $1, AX
+	ORQ  R14, AX
+	JZ   skip8d
+	VBROADCASTSD (CX)(R12*1), Z8
+	VMULPD Z5, Z8, Z8
+	VADDPD Z8, Z3, Z3
+
+skip8d:
+	ADDQ R10, BX
+	ADDQ R11, CX
+	DECQ R13
+	JNZ  k8x4
+	MOVQ dstStride+64(FP), AX
+	LEAQ (AX)(AX*2), BX
+	VMOVUPD Z0, K1, (DI)
+	VMOVUPD Z1, K1, (DI)(AX*1)
+	VMOVUPD Z2, K1, (DI)(AX*2)
+	VMOVUPD Z3, K1, (DI)(BX*1)
+	LEAQ (DI)(AX*4), DI
+	LEAQ (DX)(R9*4), DX
+	SUBQ $4, R15
+	JMP  rows4
+
+rows1: // the last rows%4 rows, one per pass
+	TESTQ R15, R15
+	JZ   next8
+	VMOVUPD.Z (DI), K1, Z0
+	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
 
 k8:
 	MOVQ (CX), AX
 	SHLQ $1, AX
+	ORQ  R14, AX
 	JZ   skip8
 	VBROADCASTSD (CX), Z4
-	VMULPD (BX), Z4, Z5
+	VMOVUPD.Z (BX), K1, Z5
+	VMULPD Z5, Z4, Z5
 	VADDPD Z5, Z0, Z0
 
 skip8:
@@ -171,8 +287,16 @@ skip8:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k8
-	VMOVUPD Z0, (DI)(R12*1)
-	ADDQ $64, R12
+	VMOVUPD Z0, K1, (DI)
+	ADDQ dstStride+64(FP), DI
+	ADDQ R9, DX
+	DECQ R15
+	JMP  rows1
+
+next8:
+	ADDQ $64, SI
+	ADDQ $64, dst+0(FP)
+	SUBQ $8, cols+32(FP)
 	JMP  panel8
 
 done:

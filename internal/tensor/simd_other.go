@@ -15,16 +15,18 @@ func SIMDEnabled() bool { return false }
 
 func x86HasAVX512() bool { return false }
 
-func axpyCols(dst, b, s *float64, k, cols, bStride, sStride int) {
-	dstS := unsafeSlice(dst, cols)
-	for t := 0; t < k; t++ {
-		sv := *offsetPtr(s, t*sStride)
-		if sv == 0 {
-			continue
-		}
-		bRow := unsafeSlice(offsetPtr(b, t*bStride), cols)
-		for j := range dstS {
-			dstS[j] += sv * bRow[j]
+func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool) {
+	for r := 0; r < rows; r++ {
+		dstS := unsafeSlice(offsetPtr(dst, r*dstStride), cols)
+		for t := 0; t < k; t++ {
+			sv := *offsetPtr(s, r*sRowStride+t*sStride)
+			if skipZeros && sv == 0 {
+				continue
+			}
+			bRow := unsafeSlice(offsetPtr(b, t*bStride), cols)
+			for j := range dstS {
+				dstS[j] += sv * bRow[j]
+			}
 		}
 	}
 }

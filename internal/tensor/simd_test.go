@@ -1,6 +1,7 @@
 package tensor
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -43,65 +44,94 @@ func requireBitIdentical(t *testing.T, label string, want, got []float64) {
 	}
 }
 
-// simdShapes covers full panels (32- and 8-column groups), scalar tails
-// (cols % 8 != 0), sub-vector widths that bypass SIMD entirely, and inner
-// dimensions spanning several cache blocks.
-var simdShapes = []struct{ rows, inner, cols int }{
-	{1, 1, 1},
-	{3, 5, 7},
-	{2, 9, 8},
-	{4, 17, 9},
-	{5, 64, 16},
-	{7, 65, 33},
-	{64, 538, 64},
-	{9, 130, 65},
-	{1, 200, 40},
-	{16, 3, 72},
+// x86DefaultNaN is the quiet NaN the FPU itself produces (Inf-Inf, 0*Inf).
+// The tests plant this pattern rather than math.NaN(): when an operation
+// meets two different NaNs, which payload survives depends on x86 operand
+// order, which neither the compiler nor the kernels promise. With a single
+// pattern in play every NaN in a product is this one, and outputs compare
+// with Float64bits.
+var x86DefaultNaN = math.Float64frombits(0xFFF8000000000000)
+
+// plantSpecials overwrites a few random elements with ±Inf and NaN. Against
+// the exact zeros fillMixed leaves in the other operand this is what tells a
+// skipped zero scalar (element untouched) from a multiplied one (0*Inf = NaN).
+func plantSpecials(rng *rand.Rand, data []float64) {
+	for _, v := range []float64{math.Inf(1), math.Inf(-1), x86DefaultNaN} {
+		data[rng.Intn(len(data))] = v
+	}
+}
+
+// forEachSIMDShape calls fn for every rows x inner x cols the kernels must
+// agree on: output widths through every panel combination (64-, 32-, masked
+// 8-wide and the cols%8 tail), inner dimensions around the k block, and row
+// counts around the four-row grouping of the masked panel.
+func forEachSIMDShape(fn func(rows, inner, cols int)) {
+	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 21, 63, 64, 65} {
+		for _, inner := range []int{1, 63, 64, 65, 130} {
+			for _, rows := range []int{1, 7, 8, 9, 64} {
+				fn(rows, inner, cols)
+			}
+		}
+	}
+	fn(64, 538, 64) // the paper-scale first layer
+	fn(1, 200, 40)
+	fn(16, 3, 72)
+}
+
+// checkProductSIMDMatchesScalar runs product (which must write out) with
+// SIMD off and on over every shape, once on fillMixed operands and once with
+// specials planted in both, and requires bit-identical outputs.
+func checkProductSIMDMatchesScalar(t *testing.T, seed int64, label string,
+	operands func(rows, inner, cols int) (m, b *Matrix), product func(m, b, out *Matrix)) {
+	t.Helper()
+	if !SIMDEnabled() {
+		t.Skip("no AVX-512 on this machine")
+	}
+	rng := rand.New(rand.NewSource(seed))
+	forEachSIMDShape(func(rows, inner, cols int) {
+		for _, specials := range []bool{false, true} {
+			m, b := operands(rows, inner, cols)
+			fillMixed(rng, m.Data)
+			fillMixed(rng, b.Data)
+			if specials {
+				plantSpecials(rng, m.Data)
+				plantSpecials(rng, b.Data)
+			}
+			scalarOut := New(rows, cols)
+			simdOut := New(rows, cols)
+			// Dirty destinations: the products must not depend on them.
+			scalarOut.Fill(math.Inf(-1))
+			simdOut.Fill(x86DefaultNaN)
+			prev := setSIMD(false)
+			product(m, b, scalarOut)
+			setSIMD(true)
+			product(m, b, simdOut)
+			setSIMD(prev)
+			requireBitIdentical(t, fmt.Sprintf("%s %dx%dx%d specials=%v", label, rows, inner, cols, specials),
+				scalarOut.Data, simdOut.Data)
+		}
+	})
 }
 
 func TestMatMulSIMDMatchesScalar(t *testing.T) {
-	if !SIMDEnabled() {
-		t.Skip("no AVX-512 on this machine")
-	}
-	rng := rand.New(rand.NewSource(41))
-	for _, sh := range simdShapes {
-		m := New(sh.rows, sh.inner)
-		b := New(sh.inner, sh.cols)
-		fillMixed(rng, m.Data)
-		fillMixed(rng, b.Data)
-
-		scalarOut := New(sh.rows, sh.cols)
-		simdOut := New(sh.rows, sh.cols)
-		prev := setSIMD(false)
-		m.MatMulInto(b, scalarOut)
-		setSIMD(true)
-		m.MatMulInto(b, simdOut)
-		setSIMD(prev)
-		requireBitIdentical(t, "MatMulInto", scalarOut.Data, simdOut.Data)
-	}
+	checkProductSIMDMatchesScalar(t, 41, "MatMulInto",
+		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(inner, cols) },
+		func(m, b, out *Matrix) { m.MatMulInto(b, out) })
 }
 
 func TestMatMulTransASIMDMatchesScalar(t *testing.T) {
-	if !SIMDEnabled() {
-		t.Skip("no AVX-512 on this machine")
-	}
-	rng := rand.New(rand.NewSource(42))
-	for _, sh := range simdShapes {
-		// out = mᵀ·b is sh.rows x sh.cols, with the shared dim sh.inner.
-		m := New(sh.inner, sh.rows)
-		b := New(sh.inner, sh.cols)
-		fillMixed(rng, m.Data)
-		fillMixed(rng, b.Data)
+	// out = mᵀ·b is rows x cols, with the shared dim inner.
+	checkProductSIMDMatchesScalar(t, 42, "MatMulTransAInto",
+		func(rows, inner, cols int) (m, b *Matrix) { return New(inner, rows), New(inner, cols) },
+		func(m, b, out *Matrix) { m.MatMulTransAInto(b, out) })
+}
 
-		scalarOut := New(sh.rows, sh.cols)
-		simdOut := New(sh.rows, sh.cols)
-		prev := setSIMD(false)
-		m.MatMulTransAInto(b, scalarOut)
-		setSIMD(true)
-		m.MatMulTransAInto(b, simdOut)
-		setSIMD(prev)
-		requireBitIdentical(t, "MatMulTransAInto", scalarOut.Data, simdOut.Data)
-	}
+func TestMatMulTransBSIMDMatchesScalar(t *testing.T) {
+	// out = m·bᵀ is rows x cols: b has one row per output column. Unlike
+	// the other two, a zero in m is multiplied, not skipped.
+	checkProductSIMDMatchesScalar(t, 48, "MatMulTransBInto",
+		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(cols, inner) },
+		func(m, b, out *Matrix) { m.MatMulTransBInto(b, out) })
 }
 
 func TestAddInPlaceSIMDMatchesScalar(t *testing.T) {
@@ -130,11 +160,12 @@ func TestAddScaledInPlaceSIMDMatchesScalar(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(44))
 	for _, n := range []int{1, 8, 9, 33, 100, 537} {
-		for _, s := range []float64{1.7, -0.3, 0, math.Copysign(0, -1), 5e-324} {
+		for _, s := range []float64{1.7, -0.3, 0, math.Copysign(0, -1), 5e-324, math.Inf(1)} {
 			a := New(1, n)
 			b := New(1, n)
 			fillMixed(rng, a.Data)
 			fillMixed(rng, b.Data)
+			plantSpecials(rng, b.Data) // s == 0 must still turn these into NaN
 			scalarA := cloneMatrix(a)
 			prev := setSIMD(false)
 			scalarA.AddScaledInPlace(b, s)
@@ -216,25 +247,135 @@ func TestAdamUpdateSIMDMatchesScalar(t *testing.T) {
 	}
 }
 
-func TestSetMatMulWorkers(t *testing.T) {
-	prev := SetMatMulWorkers(3)
-	defer SetMatMulWorkers(prev)
-	if got := SetMatMulWorkers(0); got != 3 {
-		t.Fatalf("SetMatMulWorkers returned %d, want 3", got)
+// tanhEdges are the inputs at and around every branch boundary of math.tanh
+// (each is also tried negated).
+func tanhEdges() []float64 {
+	const halfMaxLog = 0.5 * 8.8029691931113054295988e+01
+	edges := []float64{
+		0, 5e-324, 1e-310, 2.2250738585072009e-308, 2.2250738585072014e-308,
+		1e-20, 0.1, 0.5, 1, 10, 44, 100, 1e300, math.MaxFloat64, math.Inf(1),
+		math.NaN(), x86DefaultNaN, math.Float64frombits(0x7FF0000000000001), // quiet, default and signalling NaN
 	}
-	// Worker count must not change results: run a product large enough to
-	// fan out under both settings and compare bitwise.
-	rng := rand.New(rand.NewSource(46))
-	m := New(96, 300)
-	b := New(300, 64)
-	fillMixed(rng, m.Data)
-	fillMixed(rng, b.Data)
-	one := New(96, 64)
-	many := New(96, 64)
-	SetMatMulWorkers(1)
-	m.MatMulInto(b, one)
-	SetMatMulWorkers(4)
-	m.MatMulInto(b, many)
-	SetMatMulWorkers(prev)
-	requireBitIdentical(t, "MatMulInto workers", one.Data, many.Data)
+	for _, c := range []float64{0.625, halfMaxLog} {
+		edges = append(edges, math.Nextafter(c, 0), c, math.Nextafter(c, math.Inf(1)))
+	}
+	for _, v := range edges {
+		edges = append(edges, -v)
+	}
+	return edges
+}
+
+// requireTanhMatchesMath runs src.TanhInto(dst) and compares every element
+// with math.Tanh bit for bit.
+func requireTanhMatchesMath(t *testing.T, src, dst *Matrix) {
+	t.Helper()
+	in := append([]float64(nil), src.Data...) // dst may be src
+	src.TanhInto(dst)
+	for i, x := range in {
+		want, got := math.Tanh(x), dst.Data[i]
+		if math.Float64bits(want) != math.Float64bits(got) {
+			t.Fatalf("element %d of %d: tanh(%v = %#x): math.Tanh %v (%#x), TanhInto %v (%#x)",
+				i, len(in), x, math.Float64bits(x), want, math.Float64bits(want), got, math.Float64bits(got))
+		}
+	}
+}
+
+// TestTanhIntoMatchesMath pins the tanh kernel as a transcription of the
+// toolchain's math.Tanh: if it fails after a toolchain bump, math.Tanh
+// changed — re-transcribe tanh_amd64.s or drop the fast path; do not loosen
+// the comparison.
+func TestTanhIntoMatchesMath(t *testing.T) {
+	edges := tanhEdges()
+	t.Run("edges", func(t *testing.T) {
+		src := FromSlice(1, len(edges), edges)
+		requireTanhMatchesMath(t, src, New(1, len(edges)))
+	})
+	t.Run("lengths", func(t *testing.T) {
+		// Every n%8 tail, each edge visiting each lane, out of place and in
+		// place (MLP.Infer activates in place).
+		for n := 1; n <= 17; n++ {
+			for off := range edges {
+				src := New(1, n)
+				for i := range src.Data {
+					src.Data[i] = edges[(off+i)%len(edges)]
+				}
+				guarded := New(1, n+1) // a store past n would hit the guard
+				guarded.Data[n] = 12345
+				dst := FromSlice(1, n, guarded.Data[:n])
+				requireTanhMatchesMath(t, src, dst)
+				if guarded.Data[n] != 12345 {
+					t.Fatalf("n=%d: TanhInto wrote past the end of dst", n)
+				}
+				requireTanhMatchesMath(t, src, src)
+			}
+		}
+	})
+	t.Run("sweep", func(t *testing.T) {
+		if !SIMDEnabled() {
+			t.Skip("no AVX-512 on this machine: TanhInto is math.Tanh")
+		}
+		perDist := 2_750_000 // x4 distributions = 11 M inputs
+		if testing.Short() {
+			perDist = 100_000
+		}
+		dists := []struct {
+			name string
+			draw func(rng *rand.Rand) float64
+		}{
+			{"N(0,1)", func(rng *rand.Rand) float64 { return rng.NormFloat64() }},
+			{"N(0,10)", func(rng *rand.Rand) float64 { return 10 * rng.NormFloat64() }},
+			{"U(-50,50)", func(rng *rand.Rand) float64 { return 100*rng.Float64() - 50 }},
+			{"bits", func(rng *rand.Rand) float64 { return math.Float64frombits(rng.Uint64()) }},
+		}
+		const chunk = 1 << 14
+		src, dst := New(1, chunk), New(1, chunk)
+		for di, d := range dists {
+			rng := rand.New(rand.NewSource(int64(49 + di)))
+			for done := 0; done < perDist; done += chunk {
+				for i := range src.Data {
+					src.Data[i] = d.draw(rng)
+				}
+				requireTanhMatchesMath(t, src, dst)
+			}
+		}
+	})
+}
+
+func FuzzTanhMatchesMath(f *testing.F) {
+	for _, x := range tanhEdges() {
+		f.Add(math.Float64bits(x), math.Float64bits(-x))
+	}
+	f.Fuzz(func(t *testing.T, a, b uint64) {
+		// Nine elements: a full vector and a one-lane tail, the two inputs
+		// alternating so each meets the other's branch in the same vector.
+		src := New(1, 9)
+		for i := range src.Data {
+			src.Data[i] = math.Float64frombits(a)
+			if i%2 == 1 {
+				src.Data[i] = math.Float64frombits(b)
+			}
+		}
+		requireTanhMatchesMath(t, src, New(1, 9))
+	})
+}
+
+// BenchmarkTanh times the activation of one 64x64 minibatch of N(0,1)
+// pre-activations through the kernel and through math.Tanh. (The end-to-end
+// ledger's tensor.tanh_ns_per_elem probe calls ApplyInto(math.Tanh) and so
+// keeps timing the scalar reference.)
+func BenchmarkTanh(b *testing.B) {
+	rng := rand.New(rand.NewSource(50))
+	src, dst := RandNormal(rng, 64, 64, 0, 1), New(64, 64)
+	b.Run("TanhInto", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			src.TanhInto(dst)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src.Data)), "ns/elem")
+	})
+	b.Run("ApplyInto(math.Tanh)", func(b *testing.B) {
+		for i := 0; i < b.N; i++ {
+			src.ApplyInto(math.Tanh, dst)
+		}
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*len(src.Data)), "ns/elem")
+	})
 }

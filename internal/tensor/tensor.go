@@ -177,19 +177,14 @@ func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
 // AddScaledInPlace sets m = m + s*b and returns m.
 func (m *Matrix) AddScaledInPlace(b *Matrix, s float64) *Matrix {
 	m.assertSameShape(b, "AddScaledInPlace")
-	i := 0
-	// The s != 0 guard is for bit-exactness, not speed: axpyCols skips zero
-	// scalars outright, whereas the scalar loop's `x += 0*v` can flip a -0.0
-	// element to +0.0 (signed-zero addition). With s == 0 the scalar loop
-	// runs instead, preserving those semantics.
-	if simdEnabled && s != 0 {
-		if n8 := len(m.Data) &^ 7; n8 > 0 {
-			axpyCols(&m.Data[0], &b.Data[0], &s, 1, n8, 0, 0)
-			i = n8
-		}
+	if simdEnabled && len(m.Data) > 0 {
+		// Zero scalars are kept: the scalar loop's `x += 0*v` can flip a
+		// -0.0 element to +0.0 and turns an infinite v into NaN.
+		axpyRows(&m.Data[0], &b.Data[0], &s, 1, len(m.Data), 1, 0, 0, 0, 0, false)
+		return m
 	}
-	for ; i < len(m.Data); i++ {
-		m.Data[i] += s * b.Data[i]
+	for i, v := range b.Data {
+		m.Data[i] += s * v
 	}
 	return m
 }

@@ -175,19 +175,6 @@ func TestMatMulIdentity(t *testing.T) {
 	}
 }
 
-func TestMatMulParallelMatchesSerial(t *testing.T) {
-	rng := rand.New(rand.NewSource(2))
-	// Big enough to exceed parallelThreshold.
-	a := RandNormal(rng, 80, 100, 0, 1)
-	b := RandNormal(rng, 100, 90, 0, 1)
-	got := a.MatMul(b)
-	want := New(80, 90)
-	matmulRange(want, a, b, 0, 80)
-	if !got.ApproxEqual(want, 1e-9) {
-		t.Fatal("parallel MatMul disagrees with serial kernel")
-	}
-}
-
 func TestMatMulTransB(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := RandNormal(rng, 4, 6, 0, 1)

@@ -308,9 +308,9 @@ func TestHybridMixBoundaryFractions(t *testing.T) {
 		frac       float64
 		wantNative int
 	}{
-		{"truncation-bug", 7, 0.1, 1},   // int(0.7) == 0 before the fix
-		{"round-down", 10, 0.04, 0},     // round(0.4) == 0
-		{"round-up", 10, 0.05, 1},       // round(0.5) == 1 (half away from zero)
+		{"truncation-bug", 7, 0.1, 1}, // int(0.7) == 0 before the fix
+		{"round-down", 10, 0.04, 0},   // round(0.4) == 0
+		{"round-up", 10, 0.05, 1},     // round(0.5) == 1 (half away from zero)
 		{"negative-clamped", 10, -0.5, 0},
 		{"zero", 10, 0, 0},
 		{"one", 10, 1, 10},
