@@ -8,8 +8,8 @@
 #                     GOAMD64=v3, one iteration of each perf
 #                     microbenchmark, one smoke pass of the end-to-end
 #                     benchmark, a 20-VM cluster-scale smoke, a /metrics
-#                     endpoint smoke test, and a 16-client
-#                     async-federation chaos smoke
+#                     endpoint smoke test, a 4-client barrier-federation
+#                     chaos smoke and a 16-client async-federation one
 #   make test       - plain test suite (tier-1 gate)
 #   make test-race  - federation layers + simulator invariants, race-enabled
 #   make fuzz-smoke - a short run of every fuzz target
@@ -19,9 +19,9 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale scale-smoke metrics-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale scale-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale-smoke metrics-smoke swarm-smoke spec-smoke
+ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
 
 # gofmt -l prints the files it would rewrite; any output fails the gate.
 vet:
@@ -45,6 +45,14 @@ staticcheck:
 # gauges are exposed. Guards the Prometheus endpoint end to end.
 metrics-smoke:
 	./scripts/metrics_smoke.sh
+
+# The barrier regime end to end: a 4-client demo federation over loopback
+# fednet with a round deadline and the fault injector on from the very first
+# install (the join), everything seeded. The async regime's counterpart is
+# swarm-smoke below.
+fed-smoke:
+	$(GO) run ./cmd/pfrl-node -mode demo -clients 4 -rounds 2 -comm 1 -tasks 20 \
+		-retries 8 -round-timeout 5s -seed 42 -fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
 
 # A 16-client buffered-async swarm over loopback fednet with the fault
 # injector on: drops, duplicates, and corruptions all active, everything

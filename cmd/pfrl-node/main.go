@@ -62,7 +62,7 @@ func main() {
 		roundTimeout = flag.Duration("round-timeout", 0,
 			"server/demo: aggregate with whoever arrived after this much waiting (0 = strict full barrier)")
 		retries = flag.Int("retries", 3,
-			"client/demo: retry attempts per sync step (exponential backoff, seeded jitter)")
+			"client/demo: retry attempts per step — join install, sync, fetch, resync (exponential backoff, seeded jitter)")
 		rpcTimeout = flag.Duration("rpc-timeout", 0,
 			"client/demo: per-RPC deadline; set above -round-timeout plus a training segment (0 = none)")
 		faultSpec = flag.String("fault-spec", "",
@@ -71,7 +71,7 @@ func main() {
 			"client: reclaim this client id after a restart instead of registering anew")
 		// Asynchronous-federation knobs.
 		async = flag.Bool("async", false,
-			"server/demo/swarm: buffered asynchronous aggregation instead of the round barrier")
+			"server/demo/swarm: commit on buffer fill (buffered asynchronous aggregation) instead of at the round barrier")
 		stalenessBound = flag.Int("staleness-bound", -1,
 			"async: drop deltas staler than this many rounds (-1 = unbounded, 0 = fresh only)")
 		buffer = flag.Int("buffer", 0,

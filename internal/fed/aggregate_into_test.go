@@ -165,3 +165,32 @@ func mallocsPerRun(runs int, f func()) uint64 {
 	runtime.ReadMemStats(&after)
 	return (after.Mallocs - before.Mallocs) / uint64(runs)
 }
+
+// TestBarrierRoundSteadyStateAllocs holds a whole barrier round on the
+// engine — K Submits staged into the pooled buffers, the close, the commit —
+// to zero allocations once warm.
+func TestBarrierRoundSteadyStateAllocs(t *testing.T) {
+	const k, dim = 8, benchDim
+	uploads := randomUploads(18, k, dim)
+	e, err := fedcore.NewAsync(FedAvg{}, make(Payload, dim), fedcore.AsyncOptions{
+		Options: fedcore.Options{K: k, Clients: k, Seed: 1}, Barrier: true,
+	}, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	seq := 0
+	if n := mallocsPerRun(20, func() {
+		seq++
+		for id, u := range uploads {
+			if _, err := e.Submit(id, seq, 0, u); err != nil {
+				t.Fatal(err)
+			}
+		}
+		e.CloseRound(false)
+	}); n != 0 {
+		t.Fatalf("warm barrier round allocates %v/op; want 0", n)
+	}
+	if e.Round() != 21 {
+		t.Fatalf("%d rounds committed, want 21", e.Round())
+	}
+}

@@ -14,14 +14,6 @@ import (
 // strategies (FedAvg, MFPO momentum, PFRL-DM attention, static weights).
 type Aggregator = fedcore.Aggregator
 
-// AggregatePartial delegates to the round engine's single implementation of
-// the partial-participation policy (k-of-n rounds; k=0 keeps the previous
-// global payload). Kept here so aggregation call sites and tests read
-// naturally next to the strategies.
-func AggregatePartial(agg Aggregator, uploads []Payload, prevGlobal Payload) (personalized []Payload, global Payload) {
-	return fedcore.AggregatePartial(agg, uploads, prevGlobal)
-}
-
 // FedAvg is the classic parameter-averaging aggregator (McMahan et al.):
 // every participant receives the same global mean.
 type FedAvg struct{}

@@ -5,6 +5,8 @@ import (
 	"math"
 	"testing"
 	"time"
+
+	"repro/internal/fedcore"
 )
 
 func TestParseFaultSpec(t *testing.T) {
@@ -196,7 +198,8 @@ func TestPartialAggregation(t *testing.T) {
 	for _, ac := range aggs {
 		for k := 0; k <= len(all); k++ {
 			uploads := all[:k]
-			personalized, global := AggregatePartial(ac.mk(), uploads, prev)
+			var arena fedcore.PayloadArena
+			personalized, global := fedcore.AggregatePartialInto(ac.mk(), uploads, prev, &arena)
 			if len(personalized) != k {
 				t.Fatalf("%s k=%d: %d personalized payloads", ac.name, k, len(personalized))
 			}
@@ -234,7 +237,8 @@ func TestPartialAggregation(t *testing.T) {
 	// included) must reproduce the common vector for every k ≥ 1.
 	for _, ac := range aggs {
 		same := []Payload{mk(5), mk(5)}
-		_, global := AggregatePartial(ac.mk(), same, prev)
+		var arena fedcore.PayloadArena
+		_, global := fedcore.AggregatePartialInto(ac.mk(), same, prev, &arena)
 		for i := range global {
 			if math.Abs(global[i]-same[0][i]) > 1e-9 {
 				t.Fatalf("%s: identical uploads must aggregate to themselves", ac.name)
@@ -339,6 +343,48 @@ func TestDeterminismGolden(t *testing.T) {
 			if cA[ci][e] != cB[ci][e] {
 				t.Fatalf("client %d reward curves diverge at episode %d", ci, e)
 			}
+		}
+	}
+}
+
+// nanUploads poisons one client's uploads with a NaN, every round.
+type nanUploads struct {
+	Transport
+	poisoned int
+}
+
+func (tr nanUploads) Upload(c *Client) (Payload, error) {
+	p, err := tr.Transport.Upload(c)
+	if err == nil && c.ID == tr.poisoned {
+		p[len(p)/2] = math.NaN()
+	}
+	return p, err
+}
+
+// TestPoisonedClientCannotCorruptGlobal: a PFRL-DM federation where one
+// client uploads a NaN every round. The engine's accept point rejects the
+// payload, so the global — and through the attention mix every other
+// client's personalized critic — stays finite, and every report counts the
+// drop. Without the gate one NaN scalar reaches every client within a round.
+func TestPoisonedClientCannotCorruptGlobal(t *testing.T) {
+	clients := []*Client{newDualClient(t, 0, 120), newDualClient(t, 1, 121), newDualClient(t, 2, 122)}
+	f, err := New(clients, PublicCriticTransport{}, NewAttention(14), Options{K: 3, CommEvery: 1, Seed: 14})
+	if err != nil {
+		t.Fatal(err)
+	}
+	f.Transport = nanUploads{Transport: PublicCriticTransport{}, poisoned: 1}
+	for r := 0; r < 3; r++ {
+		if err := f.RunRound(); err != nil {
+			t.Fatal(err)
+		}
+		for i, v := range f.Global {
+			if math.IsNaN(v) || math.IsInf(v, 0) {
+				t.Fatalf("round %d: global[%d] = %v", r, i, v)
+			}
+		}
+		rep := f.Reports[r]
+		if rep.UploadDrops != 1 || rep.Participants != 2 || rep.Selected != 3 || rep.Arrived != 3 {
+			t.Fatalf("round %d report %+v, want the poisoned upload dropped", r, rep)
 		}
 	}
 }

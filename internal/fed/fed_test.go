@@ -402,7 +402,9 @@ func TestNewValidation(t *testing.T) {
 func TestEngineSelectSubset(t *testing.T) {
 	// Selection now lives in the shared round engine; the federation-facing
 	// contract is unchanged: K distinct indices drawn without replacement.
-	e, err := fedcore.New(FedAvg{}, Payload{0}, fedcore.Options{K: 3, Clients: 5, Seed: 7})
+	e, err := fedcore.NewAsync(FedAvg{}, Payload{0}, fedcore.AsyncOptions{
+		Options: fedcore.Options{K: 3, Clients: 5, Seed: 7}, Barrier: true,
+	}, nil)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -18,21 +18,18 @@ type RoundReport = fedcore.RoundReport
 // (internal/fedcore): it drives Algorithm 1 by interleaving local training
 // segments with engine rounds, pulling uploads from the engine's selected
 // clients and delivering the results over its Transport. All round policy —
-// seeded K-of-N selection, partial aggregation, report bookkeeping, the
-// late-join rule — lives in the engine; this type owns only the data plane.
+// seeded K-of-N selection, the accept rules, partial aggregation, the commit
+// trigger, report bookkeeping, the late-join rule — lives in the engine; this
+// type owns only the data plane.
 type Federation struct {
 	Clients   []*Client
 	Transport Transport
 	Agg       Aggregator
 
-	// Engine is the shared round state machine; the networked fednet.Server
-	// wraps the same type, which is what keeps the two paths bit-identical.
-	Engine *fedcore.Engine
-
-	// Async is the buffered asynchronous submission front-end when the
-	// federation runs in async mode (Options.Async), nil in sync mode. In
-	// async mode Engine is Async.Engine().
-	Async *fedcore.AsyncEngine
+	// Engine is the shared round state machine, built with the barrier
+	// trigger unless Options.Async; the networked fednet.Server wraps the
+	// same type, which is what keeps the two paths bit-identical.
+	Engine *fedcore.AsyncEngine
 
 	// K is the number of clients that participate in each aggregation
 	// (K ≤ N; the paper uses K = N/2 for PFRL-DM), as resolved by the
@@ -84,10 +81,10 @@ type Federation struct {
 	downLen   int
 	downFrame int
 
-	scrAll      []int
-	scrContribs []fedcore.Contribution
+	// all is 0..N-1, the pull-side draw's candidates.
+	all []int
 
-	// Async-mode bookkeeping: per-client monotone submission counters (the
+	// Submission bookkeeping: per-client monotone submission counters (the
 	// dedup key), per-client base rounds (the round whose global each client
 	// last installed — the staleness anchor), the number of committed rounds
 	// (mirrors Engine.Round without locking inside deliveries), and the
@@ -105,14 +102,14 @@ type Options struct {
 	Seed      int64
 	Parallel  bool
 
-	// Async switches the federation to buffered asynchronous aggregation:
-	// selected clients' deltas are submitted to a fedcore.AsyncEngine with
-	// staleness-weighted mixing, and commits fire every Buffer arrivals
-	// instead of at the segment barrier.
+	// Async switches the engine's commit trigger from the segment barrier
+	// (every RunRound closes one round over whatever its selected clients
+	// uploaded) to buffered asynchronous aggregation: uploads are
+	// staleness-weighted and commits fire every Buffer accepted arrivals.
 	Async bool
 	// StalenessBound caps accepted staleness in async mode (negative =
 	// unbounded). Zero accepts only fresh deltas — with Buffer = K this
-	// degrades to the sync engine bit-identically.
+	// reproduces the barrier bit-identically.
 	StalenessBound int
 	// Buffer is the async commit trigger B; <= 0 resolves to K.
 	Buffer int
@@ -139,13 +136,7 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 	if err != nil {
 		return nil, fmt.Errorf("fed: initial upload from client %d: %w", clients[0].ID, err)
 	}
-	coreOpts := fedcore.Options{
-		K:       opts.K,
-		Clients: len(clients),
-		Seed:    opts.Seed,
-	}
 	f := &Federation{
-		Clients:   clients,
 		Transport: transport,
 		Agg:       agg,
 		CommEvery: commEvery,
@@ -155,32 +146,17 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 	// Downlink frames are absolute and stateless (no residual) so one
 	// encoder serves every client and identical payloads encode once.
 	f.downEnc = fedcore.NewEncoder(fedcore.CodecConfig{Tier: opts.Codec.Tier, NoErrorFeedback: true})
-	f.upEnc = make([]*fedcore.Encoder, len(clients))
-	for i := range f.upEnc {
-		f.upEnc[i] = fedcore.NewEncoder(opts.Codec)
+	for _, c := range clients {
+		f.addSlot(c, 0)
 	}
-	f.refs = make([]Payload, len(clients))
-	f.refTags = make([]uint64, len(clients))
-	f.upBufs = make([]Payload, len(clients))
-	if opts.Async {
-		async, err := fedcore.NewAsync(agg, initial, fedcore.AsyncOptions{
-			Options:        coreOpts,
-			StalenessBound: opts.StalenessBound,
-			Buffer:         opts.Buffer,
-		}, f.deliverCommit)
-		if err != nil {
-			return nil, fmt.Errorf("fed: %w", err)
-		}
-		f.Async = async
-		f.Engine = async.Engine()
-		f.clientSeq = make([]int, len(clients))
-		f.clientBase = make([]int, len(clients))
-	} else {
-		engine, err := fedcore.New(agg, initial, coreOpts)
-		if err != nil {
-			return nil, fmt.Errorf("fed: %w", err)
-		}
-		f.Engine = engine
+	f.Engine, err = fedcore.NewAsync(agg, initial, fedcore.AsyncOptions{
+		Options:        fedcore.Options{K: opts.K, Clients: len(clients), Seed: opts.Seed},
+		StalenessBound: opts.StalenessBound,
+		Buffer:         opts.Buffer,
+		Barrier:        !opts.Async,
+	}, f.deliverCommit)
+	if err != nil {
+		return nil, fmt.Errorf("fed: %w", err)
 	}
 	f.K = f.Engine.K()
 	f.Global = f.Engine.Global()
@@ -211,68 +187,27 @@ func (f *Federation) trainSegment(episodes int) {
 	wg.Wait()
 }
 
-// RunRound performs one full round: a local-training segment followed by an
-// engine round over K selected participants. This path pulls: only the
-// engine's selected clients upload, so Arrived ≤ Selected in the report.
-// Participants receive their personalized payloads; every other client
-// receives the stored global model (Algorithm 1, lines 13–15).
+// RunRound performs one full round: a local-training segment, the engine's
+// pull-side draw of K participants, and one upload + Submit per drawn client.
+// Under the barrier trigger the round then closes over whatever arrived;
+// under the buffer trigger commits fire inside Submit whenever B accepted
+// arrivals are buffered, so one segment may commit zero rounds (after upload
+// drops) or the buffer may carry arrivals across segments when B ≠ K. At
+// every commit participants receive their personalized payloads and every
+// other client the stored global model (Algorithm 1, lines 13–15).
 //
 // Transient transport faults (ErrInjectedFault) do not fail the round: a
-// client whose upload drops simply does not participate (corrupt-length
-// uploads are filtered by the engine), and a client whose download drops
-// keeps its previous parameters until the next round. Any other transport
-// error — a misconfigured client, say — surfaces as the returned error; a
-// fatal upload error aborts before the engine round, while a fatal download
-// error is reported after the round commits (the aggregation itself already
-// happened).
+// client whose upload drops simply does not participate (corrupt-length and
+// non-finite uploads are rejected by the engine), and a client whose download
+// drops keeps its previous parameters until the next commit. Any other
+// transport error — a misconfigured client, say — surfaces as the returned
+// error; a fatal upload error aborts before the round closes, while a fatal
+// download error is reported after the commit (the aggregation itself
+// already happened).
 func (f *Federation) RunRound() error {
-	if f.Async != nil {
-		return f.runRoundAsync()
-	}
 	f.trainSegment(f.CommEvery)
 
-	selected := f.Engine.Select(f.allClients())
-	stats := fedcore.RoundStats{Expected: len(f.Clients), Selected: len(selected)}
-	var uploadDur time.Duration
-	contribs := f.scrContribs[:0]
-	for _, idx := range selected {
-		callStart := time.Now()
-		u, err := f.Transport.Upload(f.Clients[idx])
-		uploadDur += time.Since(callStart)
-		switch {
-		case errors.Is(err, ErrInjectedFault):
-			stats.UploadDrops++
-			continue
-		case err != nil:
-			return fmt.Errorf("fed: round %d upload from client %d: %w", f.Rounds, f.Clients[idx].ID, err)
-		}
-		contribs = append(contribs, fedcore.Contribution{ID: idx, Upload: f.recvUpload(idx, u)})
-		f.comm.UploadScalars += int64(len(u))
-	}
-	f.scrContribs = contribs
-	stats.Arrived = len(contribs)
-
-	f.deliverErr = nil
-	f.Engine.CompleteRound(contribs, stats, func(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
-		drops, dlDur := f.deliverCommit(personalized, global)
-		return drops, uploadDur + dlDur
-	})
-
-	f.syncMirrors()
-	return f.deliverErr
-}
-
-// runRoundAsync is the async-mode round body: a local-training segment
-// followed by staleness-weighted submissions from the K selected clients.
-// Selection still runs per segment on the engine's RNG (the same stream the
-// sync path consumes — part of the degradation pin), but commits fire inside
-// Submit whenever the engine's buffer reaches B accepted arrivals, so one
-// segment may commit zero rounds (after upload drops) or the buffer may
-// carry arrivals across segments when B ≠ K.
-func (f *Federation) runRoundAsync() error {
-	f.trainSegment(f.CommEvery)
-
-	selected := f.Engine.Select(f.allClients())
+	selected := f.Engine.Select(f.all)
 	f.deliverErr = nil
 	for _, idx := range selected {
 		callStart := time.Now()
@@ -280,32 +215,24 @@ func (f *Federation) runRoundAsync() error {
 		obs.GlobalTimers().Add(obs.PhaseComm, time.Since(callStart))
 		switch {
 		case errors.Is(err, ErrInjectedFault):
-			f.Async.AbsorbUploadDrops(1)
+			f.Engine.AbsorbUploadDrops(1)
 			continue
 		case err != nil:
 			return fmt.Errorf("fed: round %d upload from client %d: %w", f.Rounds, f.Clients[idx].ID, err)
 		}
 		f.comm.UploadScalars += int64(len(u))
 		f.clientSeq[idx]++
-		// A length-mismatch reject (ErrBadUpload) is already counted by the
-		// engine; the client simply sits this round out.
-		_, _ = f.Async.Submit(idx, f.clientSeq[idx], f.clientBase[idx], f.recvUpload(idx, u))
+		// A rejected upload (ErrBadUpload) is already counted by the engine;
+		// the client simply sits this round out.
+		_, _ = f.Engine.Submit(idx, f.clientSeq[idx], f.clientBase[idx], f.recvUpload(idx, u))
 		if f.deliverErr != nil {
 			break
 		}
 	}
+	// A no-op unless the engine runs the barrier trigger.
+	f.Engine.CloseRound(false)
 	f.syncMirrors()
 	return f.deliverErr
-}
-
-// allClients returns the pooled 0..N-1 selection candidate slice.
-func (f *Federation) allClients() []int {
-	all := f.scrAll[:0]
-	for i := range f.Clients {
-		all = append(all, i)
-	}
-	f.scrAll = all
-	return all
 }
 
 // recvUpload moves one upload across the simulated wire: the client's
@@ -361,10 +288,9 @@ func (f *Federation) sendDown(payload Payload) (Payload, int) {
 
 // deliverCommit distributes one committed round's results: participants
 // receive their personalized payloads, everyone else the new global. It is
-// the Delivery callback for both modes (the sync path wraps it to fold
-// upload time into the round's comm duration) and runs under the engine
-// locks, so it must not call back into the engine — the committed-round
-// counter mirrors Engine.Round for that reason.
+// the engine's Delivery callback and runs under the engine lock, so it must
+// not call back into the engine — the committed-round counter mirrors
+// Engine.Round for that reason.
 func (f *Federation) deliverCommit(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
 	f.committed++
 	f.downPtr = nil // arena buffers are rewritten per commit; drop the cache
@@ -390,11 +316,9 @@ func (f *Federation) deliverCommit(personalized map[int]fedcore.Payload, global 
 			f.comm.DownloadScalars += int64(len(payload))
 			f.comm.DownloadBytes += int64(frameLen)
 			fedcore.ObserveWireDownload(frameLen)
-			if f.clientBase != nil {
-				// The client installed this commit's global: its next delta
-				// is fresh relative to round f.committed.
-				f.clientBase[idx] = f.committed
-			}
+			// The client installed this commit's global: its next delta is
+			// fresh relative to round f.committed.
+			f.clientBase[idx] = f.committed
 			if f.codec.Delta {
 				// Both ends saw this install: it becomes the client's next
 				// delta reference, under a fresh tag.
@@ -433,46 +357,42 @@ func (f *Federation) RunEpisodes(episodes int) error {
 	if rem := episodes % f.CommEvery; rem > 0 {
 		f.trainSegment(rem)
 	}
-	// Async mode: commit any trailing partial buffer so deltas submitted
-	// after the last full commit are not lost. A no-op (preserving the sync
-	// degradation pin) when every segment's submissions committed exactly.
-	if f.Async != nil {
-		f.deliverErr = nil
-		if _, ok := f.Async.Flush(); ok {
-			f.syncMirrors()
-		}
-		return f.deliverErr
+	// Commit any trailing partial buffer so deltas submitted after the last
+	// commit are not lost. A no-op when every submission already committed —
+	// always, under the barrier trigger.
+	f.deliverErr = nil
+	if _, ok := f.Engine.Flush(); ok {
+		f.syncMirrors()
 	}
-	return nil
+	return f.deliverErr
 }
 
 // AddClient joins a new client mid-training (the Figure-20 scenario),
 // initializing it under the engine's late-join policy — the same rule a
 // fednet joiner or resyncing straggler gets: the current global payload.
 func (f *Federation) AddClient(c *Client) error {
-	var round int
-	var global Payload
-	if f.Async != nil {
-		round, global = f.Async.Join(len(f.Clients))
-	} else {
-		round, global = f.Engine.Join()
-	}
+	round, global := f.Engine.Join(len(f.Clients))
 	if err := f.Transport.Download(c, global); err != nil {
 		return fmt.Errorf("fed: joining client %d: %w", c.ID, err)
 	}
+	f.addSlot(c, round)
+	return nil
+}
+
+// addSlot appends client c and its per-client state. Its installs so far
+// were out-of-band raw payloads (the constructor's initial sync, a join —
+// matching the networked path's JoinReply), so it starts with a fresh
+// encoder and no delta reference: its first uplink is absolute. base is the
+// round whose global it holds.
+func (f *Federation) addSlot(c *Client, base int) {
+	f.all = append(f.all, len(f.Clients))
 	f.Clients = append(f.Clients, c)
-	// Join installs are out-of-band raw payloads (matching the networked
-	// path's JoinReply): the newcomer gets a fresh encoder with no delta
-	// reference, so its first uplink is absolute.
 	f.upEnc = append(f.upEnc, fedcore.NewEncoder(f.codec))
 	f.refs = append(f.refs, nil)
 	f.refTags = append(f.refTags, 0)
 	f.upBufs = append(f.upBufs, nil)
-	if f.Async != nil {
-		f.clientSeq = append(f.clientSeq, 0)
-		f.clientBase = append(f.clientBase, round)
-	}
-	return nil
+	f.clientSeq = append(f.clientSeq, 0)
+	f.clientBase = append(f.clientBase, base)
 }
 
 // MeanRewardCurve averages the clients' reward curves elementwise over the

@@ -3,6 +3,7 @@ package fedcore
 import (
 	"errors"
 	"testing"
+	"time"
 )
 
 func mustAsync(t *testing.T, opts AsyncOptions, initial Payload, deliver Delivery) *AsyncEngine {
@@ -17,11 +18,17 @@ func mustAsync(t *testing.T, opts AsyncOptions, initial Payload, deliver Deliver
 // TestAsyncBufferCommit pins the commit trigger: B accepted arrivals fire
 // one aggregation round over exactly those arrivals; the buffer then resets.
 func TestAsyncBufferCommit(t *testing.T) {
+	delivered := map[int]Payload{}
 	a := mustAsync(t, AsyncOptions{
 		Options:        Options{K: 2, Clients: 4, Seed: 1},
 		StalenessBound: -1,
 		Buffer:         2,
-	}, Payload{0, 0}, nil)
+	}, Payload{0, 0}, func(personalized map[int]Payload, _ Payload) (int, time.Duration) {
+		for id, p := range personalized {
+			delivered[id] = append(Payload(nil), p...)
+		}
+		return 0, 0
+	})
 
 	res, err := a.Submit(0, 1, 0, Payload{2, 4})
 	if err != nil || res.Status != SubmitAccepted || res.Committed != nil {
@@ -47,16 +54,10 @@ func TestAsyncBufferCommit(t *testing.T) {
 	if rep.StaleDrops != 0 || rep.DupDrops != 0 || rep.UploadDrops != 0 {
 		t.Fatalf("fault-free commit carries drops: %+v", rep)
 	}
-	// The trigger's personalized payload rides the result.
-	if res.Personalized == nil {
-		t.Fatal("trigger client got no personalized payload")
-	}
-	// The other participant's is retained for its next contact.
-	if p, ok := a.TakePersonal(0); !ok || p == nil {
-		t.Fatal("non-trigger participant's personalized payload not retained")
-	}
-	if _, ok := a.TakePersonal(0); ok {
-		t.Fatal("TakePersonal did not consume the retained payload")
+	// Both participants' personalized payloads reached the adapter, which
+	// owns their retention (fednet: TestAsyncFetchDeliversCommittedResults).
+	if len(delivered) != 2 || delivered[0][0] != 3 || delivered[1][1] != 6 {
+		t.Fatalf("delivered %v, want both participants' [3 6]", delivered)
 	}
 }
 
@@ -214,10 +215,14 @@ func TestAsyncFlush(t *testing.T) {
 	}
 }
 
-// TestAsyncBufferDefaultsToK pins the Buffer <= 0 resolution.
+// TestAsyncBufferDefaultsToK pins the Buffer <= 0 resolution: the K-th
+// accepted arrival commits.
 func TestAsyncBufferDefaultsToK(t *testing.T) {
 	a := mustAsync(t, AsyncOptions{Options: Options{K: 3, Clients: 6, Seed: 1}}, Payload{0}, nil)
-	if a.Buffer() != 3 {
-		t.Fatalf("buffer %d, want K=3", a.Buffer())
+	for id := 0; id < 3; id++ {
+		res, err := a.Submit(id, 1, 0, Payload{1})
+		if err != nil || (res.Committed != nil) != (id == 2) {
+			t.Fatalf("arrival %d: %+v err %v, want the commit on the K=3rd", id, res, err)
+		}
 	}
 }

@@ -1,32 +1,52 @@
-// Package fedcore is the transport-agnostic federated round engine: the
-// control plane of Algorithm 1, shared by the in-process federation
-// (internal/fed) and the networked one (internal/fednet).
+// Package fedcore is the transport-agnostic federated round engine: the one
+// implementation of Algorithm 1's server side, shared by the in-process
+// federation (internal/fed) and the networked one (internal/fednet).
 //
-// The engine owns every piece of round *policy* — seeded K-of-N participant
-// selection, the participation-weighted partial-aggregation rule, corrupt
-// upload filtering, round/report bookkeeping, the late-join/resync payload
-// rule, and the per-round observability — while the adapters own the *data
-// plane*: how payloads actually reach clients (direct method calls for fed,
-// a net/rpc barrier for fednet). Because both paths drive the same engine
-// with the same seed, an in-process run and a loopback networked run are
-// bit-identical, which the cross-path equivalence golden test pins.
+// There is one engine type, AsyncEngine, and one round lifecycle:
 //
-// A round, from the engine's point of view:
+//	accept → buffer → trigger{B arrivals | barrier close | flush} → commit → deliver
 //
-//  1. Select draws the round's participants from the candidate ids using
-//     the engine's seeded RNG (stable identity order at full participation,
-//     so per-client aggregators map rows to clients).
-//  2. The adapter collects uploads however its transport works — the
-//     in-process federation pulls from the selected clients, the networked
-//     server already holds the arrivals' pushes.
-//  3. CompleteRound filters corrupt-length uploads, aggregates the rest
-//     under the partial-participation policy, installs the new global
-//     payload, and hands the personalized payloads to the adapter's
-//     delivery callback before committing the round report.
+// Each stage has exactly one implementation:
+//
+//   - Submit is the only accept point. It dedupes on (client, seq), rejects
+//     wrong-length and non-finite payloads without consuming the seq, gates
+//     on staleness, pre-mixes stale deltas toward the current global, and
+//     copies the survivor into a pooled buffer.
+//   - A commit fires on one of three triggers: the buffer reaching B accepted
+//     arrivals (inside Submit — buffered asynchronous aggregation), the
+//     adapter closing the round barrier (CloseRound — the synchronous
+//     regime, AsyncOptions.Barrier), or a shutdown Flush of a partial buffer.
+//   - commitLocked is the only commit step: a seeded K-draw over the buffered
+//     arrivals, the participation-weighted partial aggregation, the new
+//     global, the report, the metrics.
+//   - The Delivery callback hands the personalized payloads (participants)
+//     and the new global (everyone else) to the adapter, which owns how they
+//     reach clients and whether they are retained — the engine keeps no
+//     per-adapter state.
+//
+// Because both adapters drive the same engine with the same seed, an
+// in-process run and a loopback networked run are bit-identical (the
+// cross-path golden), and because the two commit triggers share every step
+// before and after the trigger itself, a buffer of K fresh arrivals commits
+// exactly what a barrier over the same K arrivals does (the
+// async-degradation goldens).
+//
+// Staleness. A client reports the base round whose global it last installed;
+// τ = currentRound − base. A delta with τ over the bound is dropped into the
+// round report (StaleDrops). An accepted delta with τ > 0 is pre-mixed
+// toward the current global with weight w(τ) = 1/(1+τ):
+//
+//	ũ = w·u + (1−w)·ψ_G
+//
+// At τ = 0 the blend is skipped entirely (not multiplied by w = 1), so fresh
+// submissions carry their exact bits. Under the barrier trigger every
+// arrival belongs to the round being closed and is fresh by construction: a
+// client whose last download was lost still counts at full weight.
 package fedcore
 
 import (
 	"errors"
+	"fmt"
 	"math/rand"
 	"sync"
 	"time"
@@ -75,27 +95,13 @@ func AggregateOwned(agg IntoAggregator, uploads []Payload) (personalized []Paylo
 	return personalized, append(Payload(nil), g...)
 }
 
-// AggregatePartial runs one aggregation over however many uploads arrived
-// (the partial-participation regime: k of n clients answered before the
-// round deadline). Each arrival carries equal weight, so the result is the
-// participation-weighted mean — exactly agg.Aggregate over the k uploads.
-// The degenerate round where nobody arrived is well-defined too: no
-// personalized payloads, and the global payload carries over unchanged.
-//
-// This is the single implementation of the policy; fed.AggregatePartial is
-// a thin delegate kept for call-site convenience.
-func AggregatePartial(agg Aggregator, uploads []Payload, prevGlobal Payload) (personalized []Payload, global Payload) {
-	if len(uploads) == 0 {
-		return nil, append(Payload(nil), prevGlobal...)
-	}
-	return agg.Aggregate(uploads)
-}
-
-// AggregatePartialInto is AggregatePartial over arena buffers: the pooled
-// data plane the engine (and the aggregation benchmarks) run. Zero uploads
-// return prevGlobal itself as the carried-over global — the caller copies
-// or already owns it. Aggregators without the pooled fast path fall back to
-// the allocating Aggregate.
+// AggregatePartialInto runs one aggregation over however many uploads
+// arrived (the partial-participation regime: k of n clients answered before
+// the round closed), in arena buffers. Each arrival carries equal weight, so
+// the result is the participation-weighted mean — exactly the aggregator's
+// rule over the k uploads. Zero uploads return prevGlobal itself as the
+// carried-over global — the caller copies or already owns it. Aggregators
+// without the pooled fast path fall back to the allocating Aggregate.
 func AggregatePartialInto(agg Aggregator, uploads []Payload, prevGlobal Payload, arena *PayloadArena) (personalized []Payload, global Payload) {
 	if len(uploads) == 0 {
 		return nil, prevGlobal
@@ -115,77 +121,56 @@ func DefaultK(n int) int {
 	return n / 2
 }
 
-// RoundReport records who actually contributed to one aggregation round.
-// Both federation paths produce it; the fields split into shared policy
-// outcomes and transport-shaped observations:
-//
-//   - Selected/Participants/UploadDrops/DownloadDrops are path-independent
-//     for a fault-free full barrier.
-//   - Expected/Arrived read differently per transport: the in-process
-//     federation pulls uploads only from the Selected clients (so Arrived ≤
-//     Selected), while the networked server selects from whoever pushed
-//     before the barrier closed (so Selected ≤ Arrived).
-//   - TimedOut marks rounds closed by a deadline rather than a full
-//     barrier; the in-process path has no deadline and never sets it.
+// RoundReport records one commit: who was drawn, who arrived, who was
+// aggregated, and what the window since the previous commit dropped.
 type RoundReport struct {
 	// Round is the round index (0-based).
 	Round int
-	// Expected is how many clients the round could have drawn from (N).
+	// Expected is N, the federation size: the constructor's Clients, grown
+	// by every Join of a client id beyond it (fed.AddClient).
 	Expected int
-	// Selected is how many clients were drawn for the round (K).
+	// Selected is how many clients were drawn for the round. Under the
+	// barrier trigger it is the adapter's pull-side draw (Select) when it
+	// made one — K even if some of the drawn never arrive — and otherwise,
+	// as under the buffer trigger, the commit-time draw over the arrivals.
 	Selected int
-	// Arrived is how many uploads reached the aggregation step, including
-	// corrupt-length ones the engine then filtered.
+	// Arrived is how many uploads reached the engine in the window. Under
+	// the barrier trigger it includes the corrupt ones Submit rejected; under
+	// the buffer trigger it is the accepted arrivals the commit drew from.
 	Arrived int
 	// Participants is how many uploads were actually aggregated.
 	Participants int
-	// UploadDrops counts uploads lost to transient transport faults or
-	// corrupt lengths; a dropped upload leaves that client out of the round.
+	// UploadDrops counts uploads lost in the window: transport faults the
+	// adapter absorbed (AbsorbUploadDrops) plus wrong-length and non-finite
+	// payloads rejected by Submit. A dropped upload leaves that client out
+	// of the round.
 	UploadDrops int
-	// DownloadDrops counts deliveries lost to transient transport faults; a
+	// DownloadDrops counts deliveries the Delivery callback reported lost; a
 	// dropped download leaves that client on its previous parameters.
 	DownloadDrops int
-	// StaleDrops counts async submissions dropped for exceeding the
-	// staleness bound since the previous commit. Always zero on sync rounds.
+	// StaleDrops counts submissions dropped in the window for exceeding the
+	// staleness bound. Always zero under the barrier trigger.
 	StaleDrops int
-	// DupDrops counts async submissions dropped as (client, seq) duplicates
-	// since the previous commit. Always zero on sync rounds.
+	// DupDrops counts submissions dropped in the window as (client, seq)
+	// duplicates. Always zero under the barrier trigger, whose adapters never
+	// resubmit a seq.
 	DupDrops int
-	// TimedOut marks rounds closed by a deadline instead of a full barrier.
+	// TimedOut marks barrier rounds closed by a deadline instead of a full
+	// barrier; only the networked adapter has one.
 	TimedOut bool
 }
 
-// RoundStats carries the adapter-observed facts about one round into
-// CompleteRound: barrier shape, selection size, and data-plane upload drops
-// the adapter absorbed before the engine saw the contributions.
-type RoundStats struct {
-	Expected    int
-	Selected    int
-	Arrived     int
-	UploadDrops int
-	StaleDrops  int
-	DupDrops    int
-	TimedOut    bool
-}
-
-// Contribution is one client's upload, tagged with its id so personalized
-// payloads can be routed back.
-type Contribution struct {
-	ID     int
-	Upload Payload
-}
-
-// Delivery distributes one round's results: personalized payloads keyed by
+// Delivery distributes one commit's results: personalized payloads keyed by
 // client id for the participants, the new global payload for everyone else.
 // It returns the download drops it absorbed and the wall-clock spent in
 // transport calls (both folded into the round report and phase timers).
-// The callback runs while the engine holds its round lock, so it must not
-// call back into the engine. The map and the personalized payloads it
-// carries are engine-owned scratch reused next round: deliver must install
-// or copy them before returning, never retain them.
+// The callback runs while the engine holds its lock, so it must not call
+// back into the engine. The map and the payloads it carries are engine-owned
+// scratch reused next commit: deliver must install or copy them before
+// returning, never retain them.
 type Delivery func(personalized map[int]Payload, global Payload) (downloadDrops int, comm time.Duration)
 
-// Options configures New.
+// Options is the selection policy every regime shares.
 type Options struct {
 	// K is the number of participants aggregated per round; <=0 or >Clients
 	// means full participation.
@@ -196,30 +181,112 @@ type Options struct {
 	Seed int64
 }
 
-// Engine is the federated round state machine. One engine instance backs
-// one federation (in-process or networked); all methods are safe for
-// concurrent use.
-type Engine struct {
+// AsyncOptions configures NewAsync.
+type AsyncOptions struct {
+	Options
+	// StalenessBound is the maximum staleness (in rounds) a submission may
+	// carry and still be mixed; anything staler is dropped into the round
+	// report. Negative means unbounded. Zero accepts only fresh deltas.
+	// Unused under Barrier, where every arrival is fresh by construction.
+	StalenessBound int
+	// Buffer is B, the number of accepted arrivals that triggers a commit.
+	// <= 0 resolves to the engine's K. Unused under Barrier.
+	Buffer int
+	// Barrier selects the commit trigger: false commits every Buffer
+	// accepted arrivals (inside Submit), true commits only when the adapter
+	// closes the round (CloseRound) — the synchronous regime.
+	Barrier bool
+}
+
+// SubmitStatus classifies the outcome of one Submit.
+type SubmitStatus int
+
+const (
+	// SubmitAccepted: the delta was staleness-weighted and buffered (and
+	// possibly committed, see SubmitResult.Committed).
+	SubmitAccepted SubmitStatus = iota
+	// SubmitDuplicate: a delta with this (client, seq) was already consumed —
+	// a retransmit after a lost ACK. Dropped without touching the buffer.
+	SubmitDuplicate
+	// SubmitStale: the delta exceeded the staleness bound and was dropped
+	// into the round report.
+	SubmitStale
+	// SubmitNonFinite: the payload carried a NaN or ±Inf and was rejected
+	// with ErrBadUpload, seq not consumed.
+	SubmitNonFinite
+)
+
+func (s SubmitStatus) String() string {
+	if names := [...]string{"accepted", "duplicate", "stale", "nonfinite"}; s >= 0 && int(s) < len(names) {
+		return names[s]
+	}
+	return fmt.Sprintf("SubmitStatus(%d)", int(s))
+}
+
+// SubmitResult reports what one submission did.
+type SubmitResult struct {
+	Status    SubmitStatus
+	Staleness int
+	// Round is the engine round after this submission — post-commit when
+	// the submission triggered one. Clients adopt it as their next base.
+	Round int
+	// Committed is the report of the commit this submission triggered, nil
+	// otherwise.
+	Committed *RoundReport
+}
+
+type arrival struct {
+	id     int
+	upload Payload
+}
+
+// AsyncEngine is the federated round state machine. One instance backs one
+// federation (in-process or networked, barrier or buffered); all methods are
+// safe for concurrent use under its single lock.
+type AsyncEngine struct {
+	deliver Delivery
+
 	mu      sync.Mutex
-	k       int
 	agg     Aggregator
 	rng     *rand.Rand
-	global  Payload
-	round   int
-	reports []RoundReport
+	k       int
+	bound   int
+	buffer  int
+	barrier bool
 
-	// Pooled round scratch: the aggregation arena plus the contribution
-	// filtering and routing buffers, all reused across rounds so the
-	// steady-state data plane allocates nothing.
+	global   Payload
+	round    int
+	reports  []RoundReport
+	expected int
+
+	buf     []arrival
+	lastSeq map[int]int
+	// Window counters folded into the next commit's report, then reset:
+	// drops by cause — stale, duplicate, absorbed by the adapter's transport,
+	// rejected by Submit (wrong length or non-finite) — and the size of the
+	// adapter's pull-side draw.
+	staleDrops int
+	dupDrops   int
+	absorbed   int
+	rejected   int
+	drawn      int
+
+	// Pooled scratch, reused across commits so a steady-state round
+	// allocates nothing: the aggregation arena, one staging buffer per
+	// buffered arrival (recycled when the buffer drains), and the commit's
+	// candidate / upload / routing staging.
 	arena      PayloadArena
+	mixPool    []Payload
+	mixUsed    int
+	scrCand    []int
 	scrUploads []Payload
-	scrIDs     []int
 	scrByID    map[int]Payload
 }
 
-// New builds an engine holding ψ_G^(0) = initial, with K resolved against
-// opts.Clients.
-func New(agg Aggregator, initial Payload, opts Options) (*Engine, error) {
+// NewAsync builds an engine holding ψ_G^(0) = initial, with K resolved
+// against opts.Clients. The deliver callback (may be nil) runs at every
+// commit under the engine lock — it must not call back into the engine.
+func NewAsync(agg Aggregator, initial Payload, opts AsyncOptions, deliver Delivery) (*AsyncEngine, error) {
 	if agg == nil {
 		return nil, errors.New("fedcore: engine needs an aggregator")
 	}
@@ -233,159 +300,331 @@ func New(agg Aggregator, initial Payload, opts Options) (*Engine, error) {
 	if k <= 0 || k > opts.Clients {
 		k = opts.Clients
 	}
-	return &Engine{
-		k:      k,
-		agg:    agg,
-		rng:    rand.New(rand.NewSource(opts.Seed)),
-		global: append(Payload(nil), initial...),
+	buffer := opts.Buffer
+	if buffer <= 0 {
+		buffer = k
+	}
+	return &AsyncEngine{
+		deliver:  deliver,
+		agg:      agg,
+		rng:      rand.New(rand.NewSource(opts.Seed)),
+		k:        k,
+		bound:    opts.StalenessBound,
+		buffer:   buffer,
+		barrier:  opts.Barrier,
+		global:   append(Payload(nil), initial...),
+		expected: opts.Clients,
+		lastSeq:  make(map[int]int),
+		scrByID:  make(map[int]Payload),
 	}, nil
 }
 
+// Engine returns the engine itself, for callers that read its state as
+// a.Engine().Round() (the frozen benchmark probe does).
+func (a *AsyncEngine) Engine() *AsyncEngine { return a }
+
 // K returns the resolved per-round participation.
-func (e *Engine) K() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.k
+func (a *AsyncEngine) K() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.k
 }
 
 // Round returns the number of completed aggregation rounds.
-func (e *Engine) Round() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.round
+func (a *AsyncEngine) Round() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.round
 }
 
 // Global returns a copy of the stored global payload.
-func (e *Engine) Global() Payload {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append(Payload(nil), e.global...)
+func (a *AsyncEngine) Global() Payload {
+	_, global := a.State()
+	return global
 }
 
 // PayloadLen returns the expected upload length (the global payload's).
-func (e *Engine) PayloadLen() int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return len(e.global)
+func (a *AsyncEngine) PayloadLen() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return len(a.global)
 }
 
 // Reports returns a copy of the per-round participation records.
-func (e *Engine) Reports() []RoundReport {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return append([]RoundReport(nil), e.reports...)
+func (a *AsyncEngine) Reports() []RoundReport {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return append([]RoundReport(nil), a.reports...)
 }
 
-// Join is the single late-join/resync policy shared by every path: a fresh
-// joiner (fed.AddClient, fednet Join), a restarted client reclaiming its
-// slot, and a straggler resyncing via State all receive the current round
-// index and a copy of the stored global payload.
-func (e *Engine) Join() (round int, global Payload) {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	return e.round, append(Payload(nil), e.global...)
+// State is the single out-of-band install rule: a fresh joiner, a restarted
+// client reclaiming its slot and a straggler resyncing all receive the
+// current round index and a copy of the stored global payload, read together.
+func (a *AsyncEngine) State() (round int, global Payload) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.round, append(Payload(nil), a.global...)
 }
 
-// Select draws the round's K participants from the candidate ids. Full
-// participation (K >= len(candidates)) keeps the candidates' stable order,
+// Join admits clientID — fed.AddClient, a fednet Join or rejoin — under the
+// State rule. It clears the slot's dedup state, so a restarted client reusing
+// its id is not blocked by the sequence numbers of its previous life, and
+// grows Expected when the id lies beyond the federation the engine was built
+// for.
+func (a *AsyncEngine) Join(clientID int) (round int, global Payload) {
+	a.mu.Lock()
+	delete(a.lastSeq, clientID)
+	if clientID >= a.expected {
+		a.expected = clientID + 1
+	}
+	a.mu.Unlock()
+	return a.State()
+}
+
+// Select is the pull-side draw: an adapter that asks clients for uploads
+// (rather than receiving pushes) calls it once per round to learn whom to
+// ask. Full participation (K >= len(candidates)) keeps the candidates' order,
 // so aggregators with per-client semantics (StaticWeights) map rows to
 // clients; otherwise a seeded permutation picks K without replacement, in
-// permutation order. The RNG is consumed only on the partial path, so the
-// selection stream is identical whether candidates are all N clients (the
-// in-process pull) or the barrier's arrivals (the networked push) whenever
-// everyone shows up.
-func (e *Engine) Select(candidates []int) []int {
-	e.mu.Lock()
-	defer e.mu.Unlock()
-	if e.k >= len(candidates) {
-		return append([]int(nil), candidates...)
+// permutation order. The RNG is consumed only on the partial path — and the
+// commit-time draw over at most K pulled arrivals never is — so the selection
+// stream is identical whether a round draws from all N clients up front (the
+// in-process pull) or from the barrier's arrivals at commit (the networked
+// push) whenever everyone shows up. The returned slice is the caller's.
+func (a *AsyncEngine) Select(candidates []int) []int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	out := a.drawLocked(append([]int(nil), candidates...))
+	a.drawn = len(out)
+	return out
+}
+
+// drawLocked picks K of the candidates: the candidates themselves when K
+// covers them, a seeded permutation's first K otherwise. Caller holds a.mu.
+func (a *AsyncEngine) drawLocked(candidates []int) []int {
+	if a.k >= len(candidates) {
+		return candidates
 	}
-	idx := e.rng.Perm(len(candidates))[:e.k]
-	out := make([]int, len(idx))
-	for i, j := range idx {
+	out := make([]int, a.k)
+	for i, j := range a.rng.Perm(len(candidates))[:a.k] {
 		out[i] = candidates[j]
 	}
 	return out
 }
 
-// CompleteRound closes one round: corrupt-length uploads are filtered into
-// the drop count (detectable, so the round survives them), the survivors
-// are aggregated under the partial-participation policy, the new global
-// payload is installed, the adapter's deliver callback distributes the
-// results, and the report is committed. Uploads are aggregated in
-// contribution order, which the adapters keep deterministic (selection
-// order in-process, ascending client id at the networked barrier).
-//
-// The round counter advances even for a degenerate round (zero
-// participants keep the global payload unchanged), matching the
-// partial-participation regime where a round that nobody reached still
-// happened.
-func (e *Engine) CompleteRound(contribs []Contribution, stats RoundStats, deliver Delivery) RoundReport {
-	e.mu.Lock()
-	defer e.mu.Unlock()
+// AbsorbUploadDrops folds adapter-observed transport upload drops — uploads
+// that never reached Submit — into the next commit's report.
+func (a *AsyncEngine) AbsorbUploadDrops(n int) {
+	a.mu.Lock()
+	a.absorbed += n
+	a.mu.Unlock()
+}
 
-	expect := len(e.global)
-	uploads := e.scrUploads[:0]
-	ids := e.scrIDs[:0]
-	uploadDrops := stats.UploadDrops
-	for _, c := range contribs {
-		if len(c.Upload) != expect {
-			uploadDrops++
-			continue
-		}
-		uploads = append(uploads, c.Upload)
-		ids = append(ids, c.ID)
+// ErrBadUpload rejects a submission whose payload has the wrong length or
+// carries a non-finite value. The submission is not consumed: a retry with a
+// well-formed payload and the same seq will succeed.
+var ErrBadUpload = errors.New("fedcore: bad upload")
+
+// stage hands out one pooled staging buffer of n scalars; buffers stay
+// checked out until the next commit drains the arrival buffer. Caller holds
+// a.mu.
+func (a *AsyncEngine) stage(n int) Payload {
+	if a.mixUsed == len(a.mixPool) {
+		a.mixPool = append(a.mixPool, make(Payload, n))
 	}
-	e.scrUploads, e.scrIDs = uploads, ids
+	b := a.mixPool[a.mixUsed]
+	if cap(b) < n {
+		b = make(Payload, n)
+		a.mixPool[a.mixUsed] = b
+	}
+	a.mixUsed++
+	return b[:n]
+}
+
+// Submit applies one client upload — the engine's only accept point. seq is
+// the client's monotone submission counter (dedup key — retransmits carry
+// the same seq); base is the engine round whose global the client last
+// installed (staleness anchor, ignored under the barrier trigger). Under the
+// buffer trigger a commit fires inside Submit when the buffer reaches B
+// accepted arrivals. Submit never retains the caller's slice.
+func (a *AsyncEngine) Submit(clientID, seq, base int, upload Payload) (SubmitResult, error) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+
+	staleness := 0
+	if !a.barrier && a.round > base {
+		staleness = a.round - base
+	}
+	res := SubmitResult{Staleness: staleness, Round: a.round}
+
+	if last, ok := a.lastSeq[clientID]; ok && seq <= last {
+		a.dupDrops++
+		mDupDrops.Inc()
+		res.Status = SubmitDuplicate
+		a.emitDelta(clientID, res)
+		return res, nil
+	}
+	if len(upload) != len(a.global) {
+		// Not consumed: lastSeq is untouched so a rebuilt retry passes.
+		a.rejected++
+		return res, ErrBadUpload
+	}
+	if a.bound >= 0 && staleness > a.bound {
+		a.staleDrops++
+		a.lastSeq[clientID] = seq
+		mStaleDrops.Inc()
+		hStaleness.Observe(float64(staleness))
+		res.Status = SubmitStale
+		a.emitDelta(clientID, res)
+		return res, nil
+	}
+
+	// One pass stages the arrival into a pooled buffer — pre-mixed toward
+	// the global when stale, verbatim when fresh — and checks it is finite:
+	// u−u is 0 for every finite u (−0 and subnormals included) and NaN for
+	// NaN and ±Inf, so the sum is non-zero exactly when one slipped in.
+	staged := a.stage(len(upload))
+	var poison float64
+	if staleness > 0 {
+		w := 1.0 / (1.0 + float64(staleness))
+		for i, u := range upload {
+			staged[i] = w*u + (1-w)*a.global[i]
+			poison += u - u
+		}
+	} else {
+		for i, u := range upload {
+			staged[i] = u
+			poison += u - u
+		}
+	}
+	if poison != 0 {
+		// Same contract as a bad length: counted, seq not consumed.
+		a.mixUsed--
+		a.rejected++
+		mNonFiniteDrops.Inc()
+		res.Status = SubmitNonFinite
+		a.emitDelta(clientID, res)
+		return res, ErrBadUpload
+	}
+	a.lastSeq[clientID] = seq
+	hStaleness.Observe(float64(staleness))
+	a.buf = append(a.buf, arrival{id: clientID, upload: staged})
+	gBufferFill.Set(float64(len(a.buf)))
+	res.Status = SubmitAccepted
+	a.emitDelta(clientID, res)
+
+	if !a.barrier && len(a.buf) >= a.buffer {
+		report := a.commitLocked(false)
+		res.Committed = &report
+		res.Round = a.round
+	}
+	return res, nil
+}
+
+// CloseRound is the barrier trigger: it commits whatever the round buffered
+// — including nothing, the degenerate round that carries the global over and
+// still advances the counter — and marks the report TimedOut when a deadline
+// rather than a full barrier closed it. An engine built without
+// AsyncOptions.Barrier has no barrier to close and returns ok=false.
+func (a *AsyncEngine) CloseRound(timedOut bool) (report RoundReport, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if !a.barrier {
+		return RoundReport{}, false
+	}
+	return a.commitLocked(timedOut), true
+}
+
+// Flush force-commits a partially filled buffer (end of training / shutdown)
+// so trailing deltas are not lost. Returns the report, or ok=false when the
+// buffer was empty — always, right after a CloseRound.
+func (a *AsyncEngine) Flush() (report RoundReport, ok bool) {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	if len(a.buf) == 0 {
+		return RoundReport{}, false
+	}
+	return a.commitLocked(false), true
+}
+
+// commitLocked is the one commit step, whatever triggered it: the
+// commit-time draw picks the participants from the buffered arrivals
+// (identity order — and no RNG consumed — when K covers the buffer), their
+// uploads are aggregated under the partial-participation policy in draw
+// order, the new global is installed, the adapter's deliver callback
+// distributes the results, and the report — with the window's drop counters
+// folded in — is committed. Caller holds a.mu.
+func (a *AsyncEngine) commitLocked(timedOut bool) RoundReport {
+	candidates := a.scrCand[:0]
+	byID := a.scrByID
+	clear(byID)
+	for _, arr := range a.buf {
+		candidates = append(candidates, arr.id)
+		byID[arr.id] = arr.upload
+	}
+	a.scrCand = candidates
+	participants := a.drawLocked(candidates)
+	uploads := a.scrUploads[:0]
+	for _, id := range participants {
+		uploads = append(uploads, byID[id])
+	}
+	a.scrUploads = uploads
 
 	aggStart := time.Now()
-	personalized, global := AggregatePartialInto(e.agg, uploads, e.global, &e.arena)
+	personalized, global := AggregatePartialInto(a.agg, uploads, a.global, &a.arena)
 	aggDur := time.Since(aggStart)
-	// The aggregator's output lives in arena buffers reused next round, so
-	// the stored global is copied into the engine-owned mirror.
-	if len(global) == 0 {
-		e.global = e.global[:0]
-	} else if len(e.global) == 0 || &global[0] != &e.global[0] {
-		if cap(e.global) < len(global) {
-			e.global = make(Payload, len(global))
-		}
-		e.global = e.global[:len(global)]
-		copy(e.global, global)
+	// The aggregator's output lives in arena buffers reused next commit, so
+	// the stored global is copied into the engine-owned mirror (unless it is
+	// the mirror: the zero-participant carry-over).
+	if len(global) != len(a.global) || &global[0] != &a.global[0] {
+		a.global = append(a.global[:0], global...)
 	}
 
 	report := RoundReport{
-		Round:        e.round,
-		Expected:     stats.Expected,
-		Selected:     stats.Selected,
-		Arrived:      stats.Arrived,
+		Round:        a.round,
+		Expected:     a.expected,
+		Selected:     len(participants),
+		Arrived:      len(a.buf),
 		Participants: len(uploads),
-		UploadDrops:  uploadDrops,
-		StaleDrops:   stats.StaleDrops,
-		DupDrops:     stats.DupDrops,
-		TimedOut:     stats.TimedOut,
+		UploadDrops:  a.absorbed + a.rejected,
+		StaleDrops:   a.staleDrops,
+		DupDrops:     a.dupDrops,
+		TimedOut:     timedOut,
 	}
-	e.round++
+	if a.barrier {
+		// A barrier window is one round: it reports whom the adapter asked
+		// and everything that came back, rejected uploads included.
+		if a.drawn > 0 {
+			report.Selected = a.drawn
+		}
+		report.Arrived += a.rejected
+	}
+	a.round++
 
-	if e.scrByID == nil {
-		e.scrByID = make(map[int]Payload, len(ids))
-	}
-	clear(e.scrByID)
-	byID := e.scrByID
-	for i, id := range ids {
+	clear(byID)
+	for i, id := range participants {
 		byID[id] = personalized[i]
 	}
 	var commDur time.Duration
-	if deliver != nil {
-		report.DownloadDrops, commDur = deliver(byID, e.global)
+	if a.deliver != nil {
+		report.DownloadDrops, commDur = a.deliver(byID, a.global)
 	}
-	e.reports = append(e.reports, report)
+	a.reports = append(a.reports, report)
+
+	a.buf = a.buf[:0]
+	a.mixUsed = 0
+	a.staleDrops, a.dupDrops, a.absorbed, a.rejected, a.drawn = 0, 0, 0, 0, 0
 
 	obs.GlobalTimers().Add(obs.PhaseAggregate, aggDur)
 	obs.GlobalTimers().Add(obs.PhaseComm, commDur)
 	mRounds.Inc()
+	if !a.barrier {
+		mAsyncCommits.Inc()
+	}
 	mUploadDrops.Add(uint64(report.UploadDrops))
 	mDownloadDrops.Add(uint64(report.DownloadDrops))
 	gParticipants.Set(float64(report.Participants))
+	gBufferFill.Set(0)
 	hAggregate.Observe(aggDur.Seconds())
 	if obs.Active() {
 		ev := obs.E("round").At(-1, report.Round, -1).
@@ -405,4 +644,14 @@ func (e *Engine) CompleteRound(contribs []Contribution, stats RoundStats, delive
 		obs.Emit(ev)
 	}
 	return report
+}
+
+func (a *AsyncEngine) emitDelta(clientID int, res SubmitResult) {
+	if !obs.Active() {
+		return
+	}
+	obs.Emit(obs.E("delta").At(clientID, res.Round, -1).
+		F("staleness", float64(res.Staleness)).
+		F("buffer_fill", float64(len(a.buf))).
+		S("status", res.Status.String()))
 }

@@ -276,7 +276,7 @@ func TestLateJoinerSeesSameModelOnBothPaths(t *testing.T) {
 		t.Fatal("late joiners diverged between in-process and networked paths")
 	}
 	// And the in-process engine agrees with the networked server.
-	if round, global := f.Engine.Join(); round != 1 || !samePayload(global, srv.Global()) {
+	if round, global := f.Engine.State(); round != 1 || !samePayload(global, srv.Global()) {
 		t.Fatalf("engine join state diverged: round %d", round)
 	}
 }

@@ -21,8 +21,8 @@ var (
 	hAggregate = coreReg.Histogram("pfrl_fed_aggregate_seconds",
 		"server-side aggregation time per round", nil)
 
-	// Async-mode instruments (AsyncEngine): staleness distribution of
-	// submitted deltas, drop counters, and buffer state.
+	// Accept-point instruments: staleness distribution of submitted deltas,
+	// drop counters by cause, and buffer state.
 	hStaleness = coreReg.Histogram("pfrl_fed_staleness_rounds",
 		"staleness (rounds behind the global) of submitted async deltas",
 		[]float64{0, 1, 2, 4, 8, 16, 32})
@@ -30,6 +30,8 @@ var (
 		"async submissions dropped for exceeding the staleness bound")
 	mDupDrops = coreReg.Counter("pfrl_fed_async_duplicate_drops_total",
 		"async submissions dropped as (client, seq) duplicates")
+	mNonFiniteDrops = coreReg.Counter("pfrl_fed_nonfinite_drops_total",
+		"submissions rejected for carrying a NaN or infinite value")
 	mAsyncCommits = coreReg.Counter("pfrl_fed_async_commits_total",
 		"buffered async commits (aggregation rounds triggered by arrivals)")
 	gBufferFill = coreReg.Gauge("pfrl_fed_async_buffer_fill",

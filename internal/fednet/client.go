@@ -66,7 +66,7 @@ type RemoteClient struct {
 	id    int
 	round int // sync mode: next server round; async mode: local submission seq
 	async bool
-	base  int // async mode: the server round whose global we last installed
+	base  int // the server round whose global we last installed
 	rpc   *rpc.Client
 	rng   *rand.Rand
 	stats ClientStats
@@ -110,19 +110,20 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 		conn.Close()
 		return nil, fmt.Errorf("fednet: join: %w", err)
 	}
-	if err := transport.Download(local, reply.Global); err != nil {
-		conn.Close()
-		return nil, fmt.Errorf("fednet: install initial global: %w", err)
-	}
 	c.enc = fedcore.NewEncoder(reply.Codec)
 	c.id = reply.ClientID
-	if reply.Async {
-		// Async protocol: c.round becomes the local submission sequence
-		// (monotone, never adopted from the server), and c.base tracks the
-		// round whose global we installed — the staleness anchor.
-		c.async = true
-		c.base = reply.Round
-	} else {
+	// The bootstrap global goes through the caller's transport, which may
+	// inject faults: retry like any other install.
+	if err := c.retry("join", func() error { return c.Transport.Download(local, reply.Global) }); err != nil {
+		c.rpc.Close()
+		return nil, fmt.Errorf("fednet: install initial global: %w", err)
+	}
+	// c.base tracks the round whose global we installed (the staleness
+	// anchor; a barrier server ignores it). Under the async protocol c.round
+	// is the local submission sequence, monotone and never adopted from the
+	// server.
+	c.async, c.base = reply.Async, reply.Round
+	if !c.async {
 		c.round = reply.Round
 	}
 	return c, nil
@@ -246,37 +247,45 @@ func (c *RemoteClient) RunRounds(rounds, commEvery int) error {
 	return nil
 }
 
-// syncRound uploads, waits out the barrier, and installs the returned
-// payload, retrying transient failures up to Options.Retries times.
-func (c *RemoteClient) syncRound() error {
+// retry runs one protocol step until it succeeds, fails fatally, or has been
+// re-attempted Options.Retries times — the one retry loop every step (join
+// install, sync, fetch, resync) shares. Between attempts it backs off and,
+// for connection-level failures, redials; a failed redial is left to the
+// next attempt, since the server may still be down.
+func (c *RemoteClient) retry(step string, once func() error) error {
 	for attempt := 0; ; attempt++ {
-		err := c.syncOnce()
-		if err == nil {
-			return nil
-		}
-		if roundPassed(err) {
-			return c.resync()
-		}
-		if refMismatch(err) {
-			c.enc.ClearRef()
-		}
+		err := once()
 		retry, redial := retryable(err)
 		if !retry {
 			return err
 		}
 		if attempt >= c.opts.Retries {
-			return fmt.Errorf("giving up after %d attempts: %w", attempt+1, err)
+			return fmt.Errorf("%s: giving up after %d attempts: %w", step, attempt+1, err)
 		}
 		c.stats.Retries++
-		c.noteRetry("sync", attempt, err)
+		c.noteRetry(step, attempt, err)
 		c.backoff(attempt)
 		if redial {
-			if rerr := c.reconnect(); rerr != nil {
-				// The server may still be down; the next attempt redials.
-				continue
-			}
+			_ = c.reconnect()
 		}
 	}
+}
+
+// syncRound uploads, exchanges, and installs the returned payload. A delta
+// reference the server disowned (a lost reply) is cleared so the retry goes
+// absolute; a round the server closed without us is recovered via resync.
+func (c *RemoteClient) syncRound() error {
+	err := c.retry("sync", func() error {
+		err := c.syncOnce()
+		if refMismatch(err) {
+			c.enc.ClearRef()
+		}
+		return err
+	})
+	if roundPassed(err) {
+		return c.resync()
+	}
+	return err
 }
 
 // syncOnce is a single upload→exchange→download attempt. In sync mode the
@@ -291,10 +300,7 @@ func (c *RemoteClient) syncOnce() error {
 		return err
 	}
 	var reply SyncReply
-	args := SyncArgs{ClientID: c.id, Round: c.round, Frame: c.enc.Encode(upload)}
-	if c.async {
-		args.Base = c.base
-	}
+	args := SyncArgs{ClientID: c.id, Round: c.round, Frame: c.enc.Encode(upload), Base: c.base}
 	if err := c.call("Federation.Sync", args, &reply); err != nil {
 		return err
 	}
@@ -302,9 +308,7 @@ func (c *RemoteClient) syncOnce() error {
 		return err
 	}
 	c.round++
-	if c.async {
-		c.base = reply.Round
-	}
+	c.base = reply.Round
 	return nil
 }
 
@@ -334,84 +338,47 @@ func (c *RemoteClient) install(frame []byte, refTag uint64) error {
 // base, returning whether anything new arrived. Transient failures retry
 // like syncRound; a retry after a successful install is idempotent (the
 // advanced base makes the server answer "nothing new").
-func (c *RemoteClient) Fetch() (bool, error) {
-	for attempt := 0; ; attempt++ {
+func (c *RemoteClient) Fetch() (installed bool, err error) {
+	err = c.retry("fetch", func() error {
 		var reply FetchReply
-		err := c.call("Federation.Fetch", FetchArgs{ClientID: c.id, Base: c.base}, &reply)
-		if err == nil {
-			if !reply.Has {
-				return false, nil
-			}
-			if derr := c.install(reply.Frame, reply.RefTag); derr != nil {
-				err = derr
-			} else {
-				c.base = reply.Round
-				return true, nil
-			}
+		if err := c.call("Federation.Fetch", FetchArgs{ClientID: c.id, Base: c.base}, &reply); err != nil || !reply.Has {
+			return err
 		}
-		retry, redial := retryable(err)
-		if !retry {
-			return false, err
+		if err := c.install(reply.Frame, reply.RefTag); err != nil {
+			return err
 		}
-		if attempt >= c.opts.Retries {
-			return false, fmt.Errorf("fetch failed after %d attempts: %w", attempt+1, err)
-		}
-		c.stats.Retries++
-		c.noteRetry("fetch", attempt, err)
-		c.backoff(attempt)
-		if redial {
-			if rerr := c.reconnect(); rerr != nil {
-				continue
-			}
-		}
-	}
+		c.base, installed = reply.Round, true
+		return nil
+	})
+	return installed, err
 }
 
 // Async reports whether the server runs asynchronous rounds.
 func (c *RemoteClient) Async() bool { return c.async }
 
-// Base returns the server round whose global this client last installed
-// (async mode — the staleness anchor).
-func (c *RemoteClient) Base() int { return c.base }
-
 // resync recovers from a missed round: fetch the server's current state
 // and install the global payload, leaving the round counter aligned with
 // the server instead of poisoned behind it.
 func (c *RemoteClient) resync() error {
-	for attempt := 0; ; attempt++ {
+	return c.retry("resync", func() error {
 		var state StateReply
-		err := c.call("Federation.State", StateArgs{}, &state)
-		if err == nil {
-			if derr := c.Transport.Download(c.Local, state.Global); derr != nil {
-				err = derr
-			} else {
-				// A raw out-of-band install: the server has no record of it,
-				// so the next uplink must be absolute.
-				c.enc.ClearRef()
-				c.round = state.Round
-				c.stats.Resyncs++
-				mNetResyncs.Inc()
-				if obs.Active() {
-					obs.Emit(obs.E("resync").At(c.id, c.round, -1))
-				}
-				return nil
-			}
-		}
-		if retry, redial := retryable(err); !retry {
+		if err := c.call("Federation.State", StateArgs{}, &state); err != nil {
 			return err
-		} else if attempt >= c.opts.Retries {
-			return fmt.Errorf("resync failed after %d attempts: %w", attempt+1, err)
-		} else {
-			c.stats.Retries++
-			c.noteRetry("resync", attempt, err)
-			c.backoff(attempt)
-			if redial {
-				if rerr := c.reconnect(); rerr != nil {
-					continue
-				}
-			}
 		}
-	}
+		if err := c.Transport.Download(c.Local, state.Global); err != nil {
+			return err
+		}
+		// A raw out-of-band install: the server has no record of it, so the
+		// next uplink must be absolute.
+		c.enc.ClearRef()
+		c.round = state.Round
+		c.stats.Resyncs++
+		mNetResyncs.Inc()
+		if obs.Active() {
+			obs.Emit(obs.E("resync").At(c.id, c.round, -1))
+		}
+		return nil
+	})
 }
 
 // noteRetry records one re-attempted step in the metrics and, when a sink is

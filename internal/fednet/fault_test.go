@@ -2,6 +2,7 @@ package fednet
 
 import (
 	"errors"
+	"fmt"
 	"strings"
 	"sync"
 	"testing"
@@ -433,5 +434,107 @@ func TestCallTimeoutGivesUp(t *testing.T) {
 	st := rc.Stats()
 	if st.Timeouts != 2 || st.Retries != 1 {
 		t.Fatalf("stats %+v, want 2 timeouts / 1 retry", st)
+	}
+}
+
+// TestServerCloseReleasesBarrierWaiters: a Sync blocked on a barrier that
+// will never fill is released by Server.Close with a non-retryable error —
+// the client gives up at once instead of hanging (RoundTimeout = 0 would
+// otherwise hold it forever) or burning its retries against a dead server.
+func TestServerCloseReleasesBarrierWaiters(t *testing.T) {
+	transport := fed.PublicCriticTransport{}
+	ref := newLocalClient(t, 99, 120)
+	srv, addr := startServer(t, 2, 2, fed.FedAvg{}, mustUpload(t, transport, ref))
+	rc, err := DialOptions(addr, newLocalClient(t, 0, 121), transport, Options{
+		Retries: 3, RetryBase: time.Millisecond, Seed: 3,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc.Close()
+
+	done := make(chan error, 1)
+	go func() { done <- rc.RunRounds(1, 1) }()
+	// Wait until the upload is pending server-side, i.e. the call is blocked.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		blocked := srv.arrived == 1
+		srv.mu.Unlock()
+		if blocked {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("client never reached the barrier")
+		}
+	}
+	srv.Close()
+	select {
+	case err := <-done:
+		if err == nil || !strings.Contains(err.Error(), msgClosed) {
+			t.Fatalf("err %v, want %q", err, msgClosed)
+		}
+	case <-time.After(3 * time.Second):
+		t.Fatal("Server.Close left the barrier waiter blocked")
+	}
+	if st := rc.Stats(); st.Retries != 0 {
+		t.Fatalf("stats %+v: a closed server must not be retried", st)
+	}
+	if srv.Rounds() != 0 {
+		t.Fatal("Close must not commit the open round")
+	}
+	// Late callers are turned away the same way.
+	var reply SyncReply
+	err = rc.rpc.Call("Federation.Sync", SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(srv.Global())}, &reply)
+	if err == nil || !strings.Contains(err.Error(), msgClosed) {
+		t.Fatalf("post-close Sync: err %v, want %q", err, msgClosed)
+	}
+}
+
+// corruptFirstDownload truncates the first payload it is asked to install,
+// reporting the inner transport's length rejection as an injected fault —
+// exactly what fed.FaultyTransport's corrupt event does — then behaves.
+type corruptFirstDownload struct {
+	fed.Transport
+	done bool
+}
+
+func (tr *corruptFirstDownload) Download(c *fed.Client, p fed.Payload) error {
+	if tr.done {
+		return tr.Transport.Download(c, p)
+	}
+	tr.done = true
+	err := tr.Transport.Download(c, p[:len(p)-1])
+	return fmt.Errorf("%w: corrupt-length download (client %d): %v", fed.ErrInjectedFault, c.ID, err)
+}
+
+// TestJoinInstallRetriesInjectedFault: the bootstrap global is installed
+// through the caller's transport, so a fault injected at join is retried in
+// place like any other install instead of failing the dial.
+func TestJoinInstallRetriesInjectedFault(t *testing.T) {
+	plain := fed.PublicCriticTransport{}
+	ref := newLocalClient(t, 99, 125)
+	initial := mustUpload(t, plain, ref)
+	_, addr := startServer(t, 2, 2, fed.FedAvg{}, initial)
+
+	local := newLocalClient(t, 0, 126)
+	rc, err := DialOptions(addr, local, &corruptFirstDownload{Transport: plain}, Options{
+		Retries: 2, RetryBase: time.Millisecond, Seed: 4,
+	})
+	if err != nil {
+		t.Fatalf("a corrupt first download must be retried, got %v", err)
+	}
+	defer rc.Close()
+	if st := rc.Stats(); st.Retries != 1 {
+		t.Fatalf("stats %+v, want exactly one retry", st)
+	}
+	got := mustUpload(t, plain, local)
+	for d := range initial {
+		if got[d] != initial[d] {
+			t.Fatal("joiner did not install the bootstrap global")
+		}
+	}
+	// Without retries the strict protocol still surfaces the fault.
+	if _, err := Dial(addr, newLocalClient(t, 1, 127), &corruptFirstDownload{Transport: plain}); !errors.Is(err, fed.ErrInjectedFault) {
+		t.Fatalf("strict dial: err %v, want the injected fault", err)
 	}
 }

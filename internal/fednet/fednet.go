@@ -4,15 +4,17 @@
 // cross-provider collaboration made literal, with no workload data ever
 // leaving a client (§1, §3.4).
 //
-// Protocol (one round):
+// Protocol (one barrier round; ServerConfig.Async replaces the barrier by
+// submit-and-return plus a Fetch RPC, see SyncArgs and FetchArgs):
 //
 //  1. Every client calls Sync(round, upload). The call blocks server-side
 //     on a round barrier.
 //  2. When all registered clients have arrived — or the round deadline
-//     expires — the server draws the K participants from the arrivals,
-//     aggregates their uploads (participation-weighted: each arrival
-//     carries equal weight), stores the new global model, and releases the
-//     barrier.
+//     expires — the server submits the arrivals to the engine in ascending
+//     client id and closes the round: the engine draws the K participants
+//     from them, aggregates their uploads (participation-weighted: each
+//     arrival carries equal weight) and stores the new global model; the
+//     server releases the barrier.
 //  3. Each Sync returns the caller's personalized payload (participants) or
 //     the stored global model (everyone else) — exactly Algorithm 1's
 //     lines 9–15, distributed.
@@ -24,8 +26,9 @@
 // told so and re-downloads the current global model via State instead of
 // poisoning the round counter.
 //
-// The round policy itself — seeded K-of-N selection, partial aggregation,
-// report bookkeeping, the late-join rule — is not implemented here: the
+// The round policy itself — what an acceptable upload is, seeded K-of-N
+// selection, partial aggregation, report bookkeeping, the late-join rule —
+// is not implemented here: the
 // server is a thin adapter over the shared round engine (internal/fedcore),
 // the same state machine that backs the in-process fed.Federation. The
 // design trades throughput for reproducibility: uploads are aggregated in
@@ -35,10 +38,10 @@
 package fednet
 
 import (
+	"errors"
 	"fmt"
 	"net"
 	"net/rpc"
-	"sort"
 	"sync"
 	"time"
 
@@ -59,6 +62,9 @@ const (
 	// the server's bookkeeping (a lost reply left the two ends on different
 	// references); the client clears its reference and retries absolutely.
 	msgRefMismatch = "fednet: delta reference mismatch"
+	// msgClosed answers every Sync held or made after Server.Close; it
+	// matches no retryable prefix, so clients give up at once.
+	msgClosed = "fednet: server closed"
 )
 
 // JoinArgs registers a client with the server.
@@ -186,80 +192,85 @@ type ServerConfig struct {
 	Codec fedcore.CodecConfig
 }
 
-// Server is the aggregation endpoint: the RPC/barrier data plane over the
-// shared round engine. Create with NewServer, then Serve.
+// Server is the aggregation endpoint: the RPC data plane over the shared
+// round engine. Create with NewServer, then Listen.
 type Server struct {
-	cfg    ServerConfig
-	engine *fedcore.Engine
-	// async is the buffered submission front-end in async mode, nil in sync
-	// mode; engine is then async.Engine().
-	async *fedcore.AsyncEngine
+	cfg      ServerConfig
+	engine   *fedcore.AsyncEngine
+	listener net.Listener
+	rpcSrv   *rpc.Server
 
-	mu          sync.Mutex
-	nextID      int
-	pending     map[int]fed.Payload // decoded uploads of the in-progress round
-	roundDone   chan struct{}       // closed when the round aggregates
-	lastRound   int                 // index of the most recently completed round
-	lastResults map[int]SyncReply   // that round's per-client results (encoded frames)
-	timer       *time.Timer         // round deadline, armed at first upload
-	listener    net.Listener
-	rpcSrv      *rpc.Server
-	closedOnce  sync.Once
-	wg          sync.WaitGroup
+	// mu guards everything below and is held across engine calls, so the
+	// engine's Delivery callback runs under it. Lock order: mu → engine.
+	mu     sync.Mutex
+	nextID int
+	closed bool
 
-	// Wire codec state (guarded by mu): the per-client delta references —
-	// the decoded payload each client last had delivered, under the tag the
-	// reply carried — and the tag sequence. comm accumulates measured wire
-	// traffic.
+	// Barrier regime: the decoded uploads of the open round by client id
+	// (nil = not arrived) and their count, the channel its waiters block on,
+	// the deadline armed at the first upload, and the closed round's
+	// per-client replies, retained until the next round supersedes them so a
+	// client whose reply was lost can re-fetch it.
+	pending     []fed.Payload
+	arrived     int
+	roundDone   chan struct{}
+	timer       *time.Timer
+	lastRound   int
+	lastResults map[int]SyncReply
+
+	// Async regime: personalized payloads of commits their owner has not
+	// collected yet (push transports have no open reply to carry them),
+	// consumed by the owner's next Sync or Fetch. Entries are copies: the
+	// engine's payloads live in arena buffers rewritten next commit.
+	retained map[int]fed.Payload
+
+	// Wire codec state: the per-client delta references — the decoded
+	// payload each client last had delivered, under the tag the reply
+	// carried — and the tag sequence. comm accumulates measured traffic.
 	codecRefs    map[int]fed.Payload
 	codecRefTags map[int]uint64
 	refSeq       uint64
 	comm         fed.CommStats
 
-	// Downlink framer (own lock: async replies encode outside mu). Absolute
-	// and stateless, so identical payloads produce identical frames.
-	downMu  sync.Mutex
-	downEnc *fedcore.Encoder
+	// Downlink framer, absolute and stateless so identical payloads produce
+	// identical frames, plus a one-entry cache keyed by payload identity:
+	// FedAvg/Momentum alias every participant to one model, so the common
+	// barrier round encodes twice (participants' payload + the global)
+	// regardless of N. Holding downSrc keeps its address from being reused;
+	// every commit resets the cache because arena buffers are rewritten.
+	downEnc   *fedcore.Encoder
+	downSrc   fed.Payload
+	downFrame []byte
+	downDec   fed.Payload
 }
 
 // NewServer builds a server; it does not listen yet. Round policy (K
 // resolution, aggregator and initial-model validation) is the engine's.
 func NewServer(cfg ServerConfig) (*Server, error) {
-	coreOpts := fedcore.Options{
-		K:       cfg.K,
-		Clients: cfg.Clients,
-		Seed:    cfg.Seed,
-	}
-	var engine *fedcore.Engine
-	var async *fedcore.AsyncEngine
-	if cfg.Async {
-		a, err := fedcore.NewAsync(cfg.Aggregator, cfg.InitialGlobal, fedcore.AsyncOptions{
-			Options:        coreOpts,
-			StalenessBound: cfg.StalenessBound,
-			Buffer:         cfg.Buffer,
-		}, nil)
-		if err != nil {
-			return nil, fmt.Errorf("fednet: %w", err)
-		}
-		async, engine = a, a.Engine()
-	} else {
-		e, err := fedcore.New(cfg.Aggregator, cfg.InitialGlobal, coreOpts)
-		if err != nil {
-			return nil, fmt.Errorf("fednet: %w", err)
-		}
-		engine = e
-	}
 	s := &Server{
 		cfg:          cfg,
-		engine:       engine,
-		async:        async,
-		pending:      map[int]fed.Payload{},
 		roundDone:    make(chan struct{}),
 		lastRound:    -1,
+		retained:     map[int]fed.Payload{},
 		codecRefs:    map[int]fed.Payload{},
 		codecRefTags: map[int]uint64{},
 		downEnc:      fedcore.NewEncoder(fedcore.CodecConfig{Tier: cfg.Codec.Tier, NoErrorFeedback: true}),
 	}
+	deliver := s.deliverBarrier
+	if cfg.Async {
+		deliver = s.retainPersonalized
+	}
+	engine, err := fedcore.NewAsync(cfg.Aggregator, cfg.InitialGlobal, fedcore.AsyncOptions{
+		Options:        fedcore.Options{K: cfg.K, Clients: cfg.Clients, Seed: cfg.Seed},
+		StalenessBound: cfg.StalenessBound,
+		Buffer:         cfg.Buffer,
+		Barrier:        !cfg.Async,
+	}, deliver)
+	if err != nil {
+		return nil, fmt.Errorf("fednet: %w", err)
+	}
+	s.engine = engine
+	s.pending = make([]fed.Payload, cfg.Clients)
 	s.rpcSrv = rpc.NewServer()
 	if err := s.rpcSrv.RegisterName("Federation", &rpcHandler{s: s}); err != nil {
 		return nil, err
@@ -275,38 +286,36 @@ func (s *Server) Listen(addr string) (string, error) {
 		return "", err
 	}
 	s.listener = ln
-	s.wg.Add(1)
 	go func() {
-		defer s.wg.Done()
 		for {
 			conn, err := ln.Accept()
 			if err != nil {
 				return // listener closed
 			}
-			s.wg.Add(1)
-			go func() {
-				defer s.wg.Done()
-				s.rpcSrv.ServeConn(conn)
-			}()
+			go s.rpcSrv.ServeConn(conn)
 		}
 	}()
 	return ln.Addr().String(), nil
 }
 
-// Close stops accepting connections and unblocks in-flight rounds with an
-// error. Safe to call multiple times.
+// Close stops accepting connections, stops the round deadline and releases
+// every Sync blocked on the open barrier with a non-retryable "server closed"
+// error; later Syncs fail the same way. Safe to call multiple times.
 func (s *Server) Close() {
-	s.closedOnce.Do(func() {
-		if s.listener != nil {
-			s.listener.Close()
-		}
-		s.mu.Lock()
-		if s.timer != nil {
-			s.timer.Stop()
-			s.timer = nil
-		}
-		s.mu.Unlock()
-	})
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return
+	}
+	s.closed = true
+	if s.listener != nil {
+		s.listener.Close()
+	}
+	if s.timer != nil {
+		s.timer.Stop()
+		s.timer = nil
+	}
+	close(s.roundDone)
 }
 
 // Global returns a copy of the current global model.
@@ -318,6 +327,16 @@ func (s *Server) Rounds() int { return s.engine.Round() }
 // Reports returns one RoundInfo per completed round.
 func (s *Server) Reports() []RoundInfo { return s.engine.Reports() }
 
+// Comm returns the measured wire traffic accumulated by the server: scalar
+// counts and actual codec frame bytes in both directions.
+func (s *Server) Comm() fed.CommStats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	c := s.comm
+	c.Rounds = s.engine.Round()
+	return c
+}
+
 // rpcHandler is the net/rpc receiver (kept separate so Server's exported
 // methods don't have to fit the RPC signature shape).
 type rpcHandler struct{ s *Server }
@@ -325,8 +344,8 @@ type rpcHandler struct{ s *Server }
 // Join implements the registration RPC. A fresh join allocates the next
 // slot; a rejoin reclaims an existing slot after a client restart and
 // returns the current round so the restarted client resumes in step. The
-// payload handed out is the engine's late-join policy — the same rule that
-// serves an in-process fed.AddClient and a State resync.
+// payload handed out is the engine's out-of-band install rule — the same one
+// that serves an in-process fed.AddClient and a State resync.
 func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
 	s := h.s
 	s.mu.Lock()
@@ -343,43 +362,43 @@ func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
 		reply.ClientID = s.nextID
 		s.nextID++
 	}
-	if s.async != nil {
-		// The async join also clears the slot's dedup state, so a restarted
-		// client reusing its id is not blocked by its previous life's seqs.
-		reply.Round, reply.Global = s.async.Join(reply.ClientID)
-		reply.Async = true
-	} else {
-		reply.Round, reply.Global = s.engine.Join()
-	}
+	// The engine clears the slot's dedup state; the joiner installs the raw
+	// global out-of-band, so whatever else a previous life of this slot left
+	// behind — a delta reference, an uncollected result — is void too.
+	reply.Round, reply.Global = s.engine.Join(reply.ClientID)
+	reply.Async = s.cfg.Async
 	reply.Codec = s.cfg.Codec
-	// The joiner installs the raw global out-of-band, so any reference from
-	// a previous life of this slot is void.
 	delete(s.codecRefs, reply.ClientID)
 	delete(s.codecRefTags, reply.ClientID)
+	delete(s.retained, reply.ClientID)
 	gNetClients.Set(float64(s.nextID))
 	return nil
 }
 
-// encodeDown frames one downlink payload absolutely and returns a retained
-// copy of the frame plus the receiver's view of it — the decode the client
-// will install, which is what delta references must be taken from under the
-// lossy tiers. Safe for concurrent use.
-func (s *Server) encodeDown(p fed.Payload) ([]byte, fed.Payload) {
-	s.downMu.Lock()
-	defer s.downMu.Unlock()
-	frame := append([]byte(nil), s.downEnc.Encode(p)...)
-	dec, _, err := fedcore.DecodeFrame(frame, nil, nil)
-	if err != nil {
-		panic(fmt.Sprintf("fednet: self-encoded frame failed to decode: %v", err))
-	}
-	return frame, dec
+// State implements the resync RPC: a straggler that missed its round calls
+// it to adopt the current round index and global model, under the same
+// engine rule as a fresh joiner.
+func (h *rpcHandler) State(_ StateArgs, reply *StateReply) error {
+	reply.Round, reply.Global = h.s.engine.State()
+	return nil
 }
 
-// decodeUpload validates and decodes one uplink frame against the client's
-// delta reference. Errors carry the client-classifiable prefixes: a
-// malformed or wrong-length frame is msgBadUpload (rebuild and retry), a
-// reference-tag disagreement is msgRefMismatch (clear the reference and
-// retry absolutely).
+// checkLocked rejects calls to a closed server and unknown client ids.
+func (s *Server) checkLocked(clientID int) error {
+	if s.closed {
+		return errors.New(msgClosed)
+	}
+	if clientID < 0 || clientID >= s.cfg.Clients {
+		return fmt.Errorf("fednet: unknown client %d", clientID)
+	}
+	return nil
+}
+
+// decodeUpload is the one uplink path: it validates and decodes a frame
+// against the client's delta reference. Errors carry the client-classifiable prefixes: a malformed frame is msgBadUpload
+// (rebuild and retry), a reference-tag disagreement is msgRefMismatch (clear
+// the reference and retry absolutely). Payload length and finiteness are the
+// engine's to judge (Submit). Caller holds s.mu.
 func (s *Server) decodeUpload(clientID int, frame []byte) (fed.Payload, error) {
 	h, err := fedcore.PeekHeader(frame)
 	if err != nil {
@@ -387,11 +406,8 @@ func (s *Server) decodeUpload(clientID int, frame []byte) (fed.Payload, error) {
 	}
 	var ref fed.Payload
 	if h.Delta {
-		s.mu.Lock()
 		ref = s.codecRefs[clientID]
-		tag := s.codecRefTags[clientID]
-		s.mu.Unlock()
-		if ref == nil || tag != h.RefTag {
+		if ref == nil || s.codecRefTags[clientID] != h.RefTag {
 			return nil, fmt.Errorf("%s: client %d sent delta against tag %#x", msgRefMismatch, clientID, h.RefTag)
 		}
 	}
@@ -402,99 +418,82 @@ func (s *Server) decodeUpload(clientID int, frame []byte) (fed.Payload, error) {
 	return up, nil
 }
 
-// Comm returns the measured wire traffic accumulated by the server: scalar
-// counts and actual codec frame bytes in both directions.
-func (s *Server) Comm() fed.CommStats {
-	s.mu.Lock()
-	defer s.mu.Unlock()
-	c := s.comm
-	c.Rounds = s.engine.Round()
-	return c
+// accountUpload books one accepted uplink frame.
+func (s *Server) accountUpload(up fed.Payload, frame []byte) {
+	s.comm.UploadScalars += int64(len(up))
+	s.comm.UploadBytes += int64(len(frame))
+	fedcore.ObserveWireUpload(len(frame))
 }
 
-// State implements the resync RPC: a straggler that missed its round calls
-// it to adopt the current round index and global model, under the same
-// engine join policy as a fresh joiner.
-func (h *rpcHandler) State(_ StateArgs, reply *StateReply) error {
-	reply.Round, reply.Global = h.s.engine.Join()
-	return nil
+// badLength is the rejection for a payload of the wrong length.
+func badLength(got, want, clientID int) error {
+	return fmt.Errorf("%s: length %d, want %d (client %d)", msgBadUpload, got, want, clientID)
+}
+
+// frameDown is the one downlink path: it frames a payload absolutely
+// (encoding once per distinct payload), rotates the client's delta reference
+// to the decoded view — what the client will install, which is what
+// references must be taken from under the lossy tiers — under a fresh tag
+// when delta is on, and accounts the wire bytes. Caller holds s.mu.
+func (s *Server) frameDown(clientID int, p fed.Payload) (frame []byte, tag uint64) {
+	if len(s.downSrc) != len(p) || &s.downSrc[0] != &p[0] {
+		s.downFrame = append([]byte(nil), s.downEnc.Encode(p)...)
+		dec, _, err := fedcore.DecodeFrame(s.downFrame, nil, nil)
+		if err != nil {
+			panic(fmt.Sprintf("fednet: self-encoded frame failed to decode: %v", err))
+		}
+		s.downSrc, s.downDec = p, dec
+	}
+	if s.cfg.Codec.Delta {
+		s.refSeq++
+		tag = s.refSeq
+		s.codecRefs[clientID] = s.downDec
+		s.codecRefTags[clientID] = tag
+	}
+	s.comm.DownloadScalars += int64(len(p))
+	s.comm.DownloadBytes += int64(len(s.downFrame))
+	fedcore.ObserveWireDownload(len(s.downFrame))
+	fedcore.SetCompressionRatio(s.comm.CompressionRatio())
+	return s.downFrame, tag
+}
+
+// noteCommit books one commit in the server-side instruments.
+func (s *Server) noteCommit(report RoundInfo) {
+	mNetRounds.Inc()
+	if report.TimedOut {
+		mNetTimedOut.Inc()
+	}
+	gNetRound.Set(float64(report.Round + 1))
 }
 
 // Sync implements the round exchange RPC: the round barrier in sync mode, a
-// non-blocking staleness-weighted submission in async mode.
+// non-blocking staleness-weighted submission in async mode. The two share
+// the upload and downlink paths and the engine; they differ in what the
+// protocol pins — whether the reply waits for the commit, the order arrivals
+// reach the engine, and how long a result is retained (DESIGN §7).
 func (h *rpcHandler) Sync(args SyncArgs, reply *SyncReply) error {
-	if h.s.async != nil {
-		return h.syncAsync(args, reply)
+	if h.s.cfg.Async {
+		return h.s.syncAsync(args, reply)
 	}
-	s := h.s
-	s.mu.Lock()
-	if args.ClientID < 0 || args.ClientID >= s.cfg.Clients {
-		s.mu.Unlock()
-		return fmt.Errorf("fednet: unknown client %d", args.ClientID)
-	}
-	round := s.engine.Round()
-	if args.Round != round {
-		// A retry for the round that just completed: return the retained
-		// result if this client made it into that round, otherwise tell it
-		// the round passed so it resyncs.
-		if args.Round == s.lastRound {
-			res, ok := s.lastResults[args.ClientID]
-			s.mu.Unlock()
-			if ok {
-				*reply = res
-				return nil
-			}
-			return fmt.Errorf("%s: client %d missed round %d", msgRoundPassed, args.ClientID, args.Round)
-		}
-		if args.Round < round {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: client %d is on round %d, server on %d", msgRoundPassed, args.ClientID, args.Round, round)
-		}
-		s.mu.Unlock()
-		return fmt.Errorf("fednet: client %d is ahead on round %d, server on %d", args.ClientID, args.Round, round)
-	}
-	hd, herr := fedcore.PeekHeader(args.Frame)
-	if herr != nil {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: client %d: %v", msgBadUpload, args.ClientID, herr)
-	}
-	if expect := s.engine.PayloadLen(); hd.Dim != expect {
-		s.mu.Unlock()
-		return fmt.Errorf("%s: length %d, want %d (client %d)", msgBadUpload, hd.Dim, expect, args.ClientID)
-	}
-	if hd.Delta {
-		if ref, tag := s.codecRefs[args.ClientID], s.codecRefTags[args.ClientID]; ref == nil || tag != hd.RefTag {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: client %d sent delta against tag %#x", msgRefMismatch, args.ClientID, hd.RefTag)
-		}
-	}
-	if _, dup := s.pending[args.ClientID]; !dup {
-		// First-wins: a duplicate from a retrying client changes nothing.
-		up, _, derr := fedcore.DecodeFrame(args.Frame, s.codecRefs[args.ClientID], nil)
-		if derr != nil {
-			s.mu.Unlock()
-			return fmt.Errorf("%s: client %d: %v", msgBadUpload, args.ClientID, derr)
-		}
-		s.comm.UploadScalars += int64(len(up))
-		s.comm.UploadBytes += int64(len(args.Frame))
-		fedcore.ObserveWireUpload(len(args.Frame))
-		s.pending[args.ClientID] = up
-		if len(s.pending) == 1 && s.cfg.RoundTimeout > 0 {
-			s.timer = time.AfterFunc(s.cfg.RoundTimeout, func() { s.deadline(round) })
-		}
-	}
-	done := s.roundDone
-	if len(s.pending) == s.cfg.Clients {
-		s.closeRoundLocked(false)
-		close(done)
-	}
-	s.mu.Unlock()
+	return h.s.syncBarrier(args, reply)
+}
 
+// syncBarrier holds the caller until its round closes: on the last
+// registered client's arrival, or at the deadline armed by the first.
+func (s *Server) syncBarrier(args SyncArgs, reply *SyncReply) error {
+	round, done, err := s.arrive(args, reply)
+	if done == nil {
+		return err
+	}
 	<-done
 
 	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.lastRound != round {
+		// Woken by Close, not by the round.
+		return errors.New(msgClosed)
+	}
 	res, ok := s.lastResults[args.ClientID]
-	s.mu.Unlock()
 	if !ok {
 		return fmt.Errorf("fednet: no result for client %d", args.ClientID)
 	}
@@ -502,78 +501,169 @@ func (h *rpcHandler) Sync(args SyncArgs, reply *SyncReply) error {
 	return nil
 }
 
-// syncAsync is the async-mode Sync body: validate, submit to the buffered
-// engine (which may commit a round inside the call), and reply immediately —
-// the caller never waits out a barrier. The reply carries the client's
-// personalized payload when one is available (from the commit this
-// submission triggered, or retained from an earlier commit the client
-// participated in), otherwise the current global. Duplicate submissions
-// (retransmits after a lost reply) are answered idempotently the same way.
-func (h *rpcHandler) syncAsync(args SyncArgs, reply *SyncReply) error {
-	s := h.s
+// arrive admits one barrier Sync under the lock. It returns the open round
+// and the channel to wait on, or a nil channel when the call is already
+// answered: an error, or — for a retry of the round that just completed —
+// the retained result.
+func (s *Server) arrive(args SyncArgs, reply *SyncReply) (round int, done chan struct{}, err error) {
 	s.mu.Lock()
-	known := args.ClientID >= 0 && args.ClientID < s.cfg.Clients
-	s.mu.Unlock()
-	if !known {
-		return fmt.Errorf("fednet: unknown client %d", args.ClientID)
+	defer s.mu.Unlock()
+	if err := s.checkLocked(args.ClientID); err != nil {
+		return 0, nil, err
+	}
+	round = s.engine.Round()
+	if res, ok := s.lastResults[args.ClientID]; ok && args.Round == s.lastRound {
+		*reply = res
+		return round, nil, nil
+	}
+	switch {
+	case args.Round < round:
+		// The round closed without this client: it must resync.
+		return round, nil, fmt.Errorf("%s: client %d is on round %d, server on %d", msgRoundPassed, args.ClientID, args.Round, round)
+	case args.Round > round:
+		return round, nil, fmt.Errorf("fednet: client %d is ahead on round %d, server on %d", args.ClientID, args.Round, round)
+	}
+	if s.pending[args.ClientID] == nil {
+		// First-wins: a duplicate from a retrying client changes nothing.
+		up, err := s.decodeUpload(args.ClientID, args.Frame)
+		if err == nil && len(up) != s.engine.PayloadLen() {
+			err = badLength(len(up), s.engine.PayloadLen(), args.ClientID)
+		}
+		if err != nil {
+			return round, nil, err
+		}
+		s.accountUpload(up, args.Frame)
+		s.pending[args.ClientID] = up
+		if s.arrived++; s.arrived == 1 && s.cfg.RoundTimeout > 0 {
+			s.timer = time.AfterFunc(s.cfg.RoundTimeout, func() { s.deadline(round) })
+		}
+	}
+	done = s.roundDone
+	if s.arrived == s.cfg.Clients {
+		s.closeRoundLocked(false)
+	}
+	return round, done, nil
+}
+
+// deadline closes round r with whoever arrived, if it is still open.
+func (s *Server) deadline(r int) {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed || s.engine.Round() != r || s.arrived == 0 {
+		return // the round already closed on a full barrier
+	}
+	s.closeRoundLocked(true)
+}
+
+// closeRoundLocked closes the open barrier round: the pending arrivals are
+// submitted in ascending client id — so racing clients reach the engine in
+// registration order, as the in-process federation's do — the engine's
+// barrier trigger commits them (the commit-time draw picks K of the
+// arrivals: identity order at full participation, a seeded shuffle
+// otherwise, each participant at equal weight), deliverBarrier retains the
+// per-client replies, and the waiters are released. Caller holds s.mu.
+func (s *Server) closeRoundLocked(timedOut bool) {
+	round := s.engine.Round()
+	s.lastRound = round
+	for id, up := range s.pending {
+		// Lengths were checked on arrival; a non-finite upload is rejected
+		// here, counted in the report, and its client is answered with the
+		// global like any non-participant.
+		if up != nil {
+			_, _ = s.engine.Submit(id, round+1, round, up)
+		}
+	}
+	report, _ := s.engine.CloseRound(timedOut)
+	s.noteCommit(report)
+	clear(s.pending)
+	s.arrived = 0
+	if s.timer != nil {
+		s.timer.Stop()
+		s.timer = nil
+	}
+	close(s.roundDone)
+	s.roundDone = make(chan struct{})
+}
+
+// deliverBarrier is the barrier regime's Delivery: every arrival's reply —
+// its personalized payload if it was drawn, the new global otherwise — is
+// framed and retained until the next round supersedes it. Runs under s.mu
+// (held by closeRoundLocked) and the engine lock.
+func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
+	s.downSrc = nil
+	results := make(map[int]SyncReply, s.arrived)
+	for id, up := range s.pending {
+		if up == nil {
+			continue
+		}
+		p, participant := personalized[id]
+		if !participant {
+			p = global
+		}
+		res := SyncReply{Participant: participant, Round: s.lastRound + 1}
+		res.Frame, res.RefTag = s.frameDown(id, p)
+		results[id] = res
+	}
+	s.lastResults = results
+	return 0, 0
+}
+
+// retainPersonalized is the async regime's Delivery: participants collect
+// their personalized payloads on their next contact, so copies are retained
+// until then. Runs under s.mu (held by the submitter or Flush) and the engine
+// lock.
+func (s *Server) retainPersonalized(personalized map[int]fedcore.Payload, _ fedcore.Payload) (int, time.Duration) {
+	s.downSrc = nil
+	for id, p := range personalized {
+		s.retained[id] = append(fed.Payload(nil), p...)
+	}
+	return 0, 0
+}
+
+// answerLocked frames what the client should install now: its retained
+// personalized payload, consumed by the take, or else the current global.
+func (s *Server) answerLocked(clientID int) (frame []byte, tag uint64, participant bool) {
+	p, participant := s.retained[clientID]
+	if participant {
+		delete(s.retained, clientID)
+	} else {
+		p = s.engine.Global()
+	}
+	frame, tag = s.frameDown(clientID, p)
+	return frame, tag, participant
+}
+
+// syncAsync submits to the buffered engine (which may commit a round inside
+// the call) and replies immediately — the caller never waits out a barrier.
+// The reply carries the client's personalized payload when one is available
+// (from the commit this submission triggered, or retained from an earlier
+// commit the client participated in), otherwise the current global.
+// Duplicate submissions (retransmits after a lost reply) are answered
+// idempotently the same way.
+func (s *Server) syncAsync(args SyncArgs, reply *SyncReply) error {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkLocked(args.ClientID); err != nil {
+		return err
 	}
 	up, err := s.decodeUpload(args.ClientID, args.Frame)
 	if err != nil {
 		return err
 	}
-	res, err := s.async.Submit(args.ClientID, args.Round, args.Base, up)
-	if err != nil {
-		return fmt.Errorf("%s: length %d, want %d (client %d)", msgBadUpload, len(up), s.engine.PayloadLen(), args.ClientID)
+	res, err := s.engine.Submit(args.ClientID, args.Round, args.Base, up)
+	switch {
+	case res.Status == fedcore.SubmitNonFinite:
+		return fmt.Errorf("%s: non-finite values (client %d)", msgBadUpload, args.ClientID)
+	case err != nil:
+		return badLength(len(up), s.engine.PayloadLen(), args.ClientID)
 	}
-	s.mu.Lock()
-	s.comm.UploadScalars += int64(len(up))
-	s.comm.UploadBytes += int64(len(args.Frame))
-	s.mu.Unlock()
-	fedcore.ObserveWireUpload(len(args.Frame))
+	s.accountUpload(up, args.Frame)
 	if res.Committed != nil {
-		s.mu.Lock()
-		s.lastRound = res.Committed.Round
-		s.mu.Unlock()
-		mNetRounds.Inc()
-		gNetRound.Set(float64(res.Round))
+		s.noteCommit(*res.Committed)
 	}
 	reply.Round = res.Round
-	var payload fed.Payload
-	switch {
-	case res.Personalized != nil:
-		payload = res.Personalized
-		reply.Participant = true
-	default:
-		if p, ok := s.async.TakePersonal(args.ClientID); ok {
-			payload = p
-			reply.Participant = true
-		} else {
-			payload = s.engine.Global()
-		}
-	}
-	reply.Frame, reply.RefTag = s.deliverFrame(args.ClientID, payload)
+	reply.Frame, reply.RefTag, reply.Participant = s.answerLocked(args.ClientID)
 	return nil
-}
-
-// deliverFrame encodes one async/fetch downlink payload and, when delta is
-// on, rotates the client's reference to the decoded view under a fresh tag.
-func (s *Server) deliverFrame(clientID int, payload fed.Payload) ([]byte, uint64) {
-	frame, dec := s.encodeDown(payload)
-	var tag uint64
-	s.mu.Lock()
-	if s.cfg.Codec.Delta {
-		s.refSeq++
-		tag = s.refSeq
-		s.codecRefs[clientID] = dec
-		s.codecRefTags[clientID] = tag
-	}
-	s.comm.DownloadScalars += int64(len(payload))
-	s.comm.DownloadBytes += int64(len(frame))
-	ratio := s.comm.CompressionRatio()
-	s.mu.Unlock()
-	fedcore.ObserveWireDownload(len(frame))
-	fedcore.SetCompressionRatio(ratio)
-	return frame, tag
 }
 
 // Fetch implements the async pull RPC: when a round has committed since the
@@ -582,135 +672,32 @@ func (s *Server) deliverFrame(clientID int, payload fed.Payload) ([]byte, uint64
 // reject it — the barrier reply already delivers every result.
 func (h *rpcHandler) Fetch(args FetchArgs, reply *FetchReply) error {
 	s := h.s
-	if s.async == nil {
+	if !s.cfg.Async {
 		return fmt.Errorf("fednet: Fetch requires an async server")
 	}
-	if args.ClientID < 0 || args.ClientID >= s.cfg.Clients {
-		return fmt.Errorf("fednet: unknown client %d", args.ClientID)
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if err := s.checkLocked(args.ClientID); err != nil {
+		return err
 	}
-	round := s.engine.Round()
-	reply.Round = round
-	if round <= args.Base {
+	reply.Round = s.engine.Round()
+	if reply.Round <= args.Base {
 		return nil
 	}
 	reply.Has = true
-	var payload fed.Payload
-	if p, ok := s.async.TakePersonal(args.ClientID); ok {
-		payload, reply.Participant = p, true
-	} else {
-		payload = s.engine.Global()
-	}
-	reply.Frame, reply.RefTag = s.deliverFrame(args.ClientID, payload)
+	reply.Frame, reply.RefTag, reply.Participant = s.answerLocked(args.ClientID)
 	return nil
 }
 
-// Flush force-commits a partially filled async buffer (end of a run) so
-// trailing deltas are not lost. A no-op in sync mode or when the buffer is
-// empty.
+// Flush force-commits a partially filled buffer (end of a run) so trailing
+// deltas are not lost. A no-op when the buffer is empty — always, in sync
+// mode, where every round closes on its own.
 func (s *Server) Flush() (RoundInfo, bool) {
-	if s.async == nil {
-		return RoundInfo{}, false
-	}
-	report, ok := s.async.Flush()
-	if ok {
-		s.mu.Lock()
-		s.lastRound = report.Round
-		s.mu.Unlock()
-		mNetRounds.Inc()
-		gNetRound.Set(float64(s.engine.Round()))
-	}
-	return report, ok
-}
-
-// deadline closes round r with whoever arrived, if it is still open.
-func (s *Server) deadline(r int) {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if s.engine.Round() != r || len(s.pending) == 0 {
-		return // the round already closed on a full barrier
+	report, ok := s.engine.Flush()
+	if ok {
+		s.noteCommit(report)
 	}
-	done := s.roundDone
-	s.closeRoundLocked(true)
-	close(done)
-}
-
-// closeRoundLocked hands the arrived uploads to the engine and retains the
-// per-client results for the barrier release; the caller holds s.mu. The
-// engine owns selection and aggregation: at a full barrier the selection is
-// identical to the in-process fed.Federation (identity order at full
-// participation, seeded shuffle otherwise); on a timed-out round the K
-// participants are drawn from the arrivals only, each carrying equal
-// weight. This path pushes: everyone uploads, then K of the arrivals are
-// selected, so Selected ≤ Arrived in the report.
-func (s *Server) closeRoundLocked(timedOut bool) {
-	round := s.engine.Round()
-	arrived := make([]int, 0, len(s.pending))
-	for id := range s.pending {
-		arrived = append(arrived, id)
-	}
-	sort.Ints(arrived)
-
-	participants := s.engine.Select(arrived)
-	contribs := make([]fedcore.Contribution, len(participants))
-	for i, id := range participants {
-		contribs[i] = fedcore.Contribution{ID: id, Upload: s.pending[id]}
-	}
-	results := make(map[int]SyncReply, len(arrived))
-	report := s.engine.CompleteRound(contribs, fedcore.RoundStats{
-		Expected: s.cfg.Clients,
-		Selected: len(participants),
-		Arrived:  len(arrived),
-		TimedOut: timedOut,
-	}, func(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
-		// Retained results are encoded frames — the personalized payloads
-		// live in arena buffers the engine rewrites next round, and
-		// identical payloads (FedAvg/Momentum alias all participants to one
-		// model) share a single frame, so the common case encodes twice per
-		// round (participants' payload + the global) regardless of N.
-		var lastPtr *float64
-		var lastFrame []byte
-		var lastDec fed.Payload
-		frameOf := func(p fed.Payload) ([]byte, fed.Payload) {
-			if lastPtr != &p[0] {
-				lastFrame, lastDec = s.encodeDown(p)
-				lastPtr = &p[0]
-			}
-			return lastFrame, lastDec
-		}
-		for _, id := range arrived {
-			p, participant := personalized[id]
-			if !participant {
-				p = global
-			}
-			frame, dec := frameOf(p)
-			res := SyncReply{Frame: frame, Participant: participant, Round: round + 1}
-			if s.cfg.Codec.Delta {
-				s.refSeq++
-				res.RefTag = s.refSeq
-				s.codecRefs[id] = dec
-				s.codecRefTags[id] = s.refSeq
-			}
-			results[id] = res
-			s.comm.DownloadScalars += int64(len(p))
-			s.comm.DownloadBytes += int64(len(frame))
-			fedcore.ObserveWireDownload(len(frame))
-		}
-		fedcore.SetCompressionRatio(s.comm.CompressionRatio())
-		return 0, 0
-	})
-
-	s.lastRound = report.Round
-	s.lastResults = results
-	s.pending = map[int]fed.Payload{}
-	s.roundDone = make(chan struct{})
-	if s.timer != nil {
-		s.timer.Stop()
-		s.timer = nil
-	}
-
-	mNetRounds.Inc()
-	if timedOut {
-		mNetTimedOut.Inc()
-	}
-	gNetRound.Set(float64(s.engine.Round()))
+	return report, ok
 }
