@@ -7,21 +7,23 @@
 #                     harness), the tensor tests once more under
 #                     GOAMD64=v3, one iteration of each perf
 #                     microbenchmark, one smoke pass of the end-to-end
-#                     benchmark, a 20-VM cluster-scale smoke, a /metrics
-#                     endpoint smoke test, a 4-client barrier-federation
-#                     chaos smoke and a 16-client async-federation one
+#                     benchmark, every figure runner once at toy size, a
+#                     /metrics endpoint smoke test, a 4-client
+#                     barrier-federation chaos smoke and a 16-client
+#                     async-federation one
 #   make test       - plain test suite (tier-1 gate)
 #   make test-race  - federation layers + simulator invariants, race-enabled
 #   make fuzz-smoke - a short run of every fuzz target
 #   make bench      - full benchmark runs with allocation reporting
-#   make scale      - the full 20/500/5000-VM cluster-scale sweep
+#   make results    - regenerate results_all.txt, the record EXPERIMENTS.md
+#                     is scored from (under 2 min on 2 vCPUs)
 
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale scale-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke figs-smoke results metrics-smoke fed-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke scale-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
+ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke figs-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
 
 # gofmt -l prints the files it would rewrite; any output fails the gate.
 vet:
@@ -130,15 +132,28 @@ bench:
 bench-e2e-smoke:
 	$(GO) run ./benchmark -smoke -repeats 1 -out "$$(mktemp -d)"
 
-# Cluster-scale sweep smoke for ci: the 20-VM configuration only, with the
-# artifact routed to a scratch directory so the committed full-sweep
-# BENCH_ClusterScale.json (20/500/5000 VMs) is not clobbered.
-scale-smoke:
-	$(GO) run ./cmd/pfrl-bench -exp scale -scale-cap 20 -benchdir "$$(mktemp -d)"
+# Every figure, table and ablation runner once, end to end, at toy size,
+# plus the workflow extension's one entry point: the only ci step that
+# executes the -exp harness, so a runner that stops working is seen here and
+# not when someone next regenerates results_all.txt.
+figs-smoke:
+	$(GO) run ./cmd/pfrl-bench -exp all -tasks 20 -episodes 6 -comm 2
+	$(GO) run ./examples/workflows
 
-# The full 20/500/5000-VM sweep, regenerating BENCH_ClusterScale.json.
-scale:
-	$(GO) run ./cmd/pfrl-bench -exp scale -benchdir .
+# The official-size counterpart of figs-smoke: the full suite at the
+# EXPERIMENTS.md harness scale plus the headline Figure 15 run on three
+# seeds, under one header naming the tree, toolchain and machine (same seed
+# gives the same bits per CPU class only, so the record says where it was
+# made instead of being diffed in ci).
+results:
+	@tmp="$$(mktemp)" && { \
+		run() { echo "## pfrl-bench $$*" && $(GO) run ./cmd/pfrl-bench "$$@"; } && \
+		echo "# commit $$(git rev-parse --short HEAD)$$(git diff --quiet HEAD -- . ':!results_all.txt' || echo +dirty)  $$($(GO) version)  cpu \"$$(sed -n 's/^model name[^:]*: //p' /proc/cpuinfo | head -n 1)\"  GOMAXPROCS $${GOMAXPROCS:-$$(nproc)}" && \
+		run -exp all -tasks 80 -episodes 30 -comm 5 -seed 1 && \
+		for seed in 1 2 3; do \
+			run -exp fig15 -tasks 100 -episodes 40 -seed $$seed || exit 1; \
+		done; \
+	} > "$$tmp" && mv "$$tmp" results_all.txt
 
 # Workload-spec engine smoke for ci: every embedded preset must reproduce
 # its builtin model bit-for-bit, and a tiny spec-driven episode must run end

@@ -11,11 +11,10 @@
 //
 // Experiments: fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21
 // ablation (fig11 also prints figs 12–13; fig16 also prints figs 17–19).
-// The extra "scale" experiment sweeps the simulator over 20/500/5000-VM
-// clusters with streaming tasks and the fixed-width top-k observation and,
-// with -benchdir, writes BENCH_ClusterScale.json; "spec" runs one episode of
-// a declarative workload spec. Performance is measured by `go run
-// ./benchmark` (see benchmark/README.md), not here.
+// The extra "spec" experiment runs one episode of a declarative workload
+// spec. This is the only harness that produces a figure, ablation or
+// extension number; performance is measured by `go run ./benchmark` (see
+// benchmark/README.md), not here.
 package main
 
 import (
@@ -27,6 +26,7 @@ import (
 	"sort"
 	"strings"
 
+	"repro/internal/attn"
 	"repro/internal/core"
 	"repro/internal/obs"
 	"repro/internal/stats"
@@ -40,17 +40,27 @@ type benchConfig struct {
 	episodes     int
 	comm         int
 	smooth       int
-	scaleCap     int
 	csvDir       string
-	benchDir     string
 	workloadSpec string
+}
+
+// expIDs is the -exp usage string; run dispatches every id in it but "all".
+const expIDs = "fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21 ablation spec all"
+
+// expand resolves -exp all to the full figure suite (fig16 prints Figures
+// 16-19 and Table 4 in one pass); any other id runs alone.
+func expand(exp string) []string {
+	if exp == "all" {
+		return []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig15", "fig16", "fig20", "fig21", "ablation"}
+	}
+	return []string{exp}
 }
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfrl-bench: ")
 	var (
-		exp          = flag.String("exp", "", "experiment id (fig7 fig8 fig9 fig10 fig11 fig15 fig16 table4 fig20 fig21 ablation scale spec all)")
+		exp          = flag.String("exp", "", "experiment id ("+expIDs+")")
 		seed         = flag.Int64("seed", 1, "experiment seed")
 		scale        = flag.Int("scale", 4, "VM capacity divisor (1 = paper scale)")
 		tasks        = flag.Int("tasks", 100, "tasks per client (paper: 3500)")
@@ -58,11 +68,8 @@ func main() {
 		comm         = flag.Int("comm", 5, "communication frequency (paper: 15-25)")
 		smooth       = flag.Int("smooth", 5, "moving-average window for printed curves")
 		csvDir       = flag.String("csv", "", "also write raw curve series as CSV files into this directory")
-		benchDir     = flag.String("benchdir", "", "write the -exp scale result as BENCH_ClusterScale.json into this directory")
-		scaleCap     = flag.Int("scale-cap", 0, "skip cluster-scale sweep sizes above this VM count (0 = full sweep; CI smoke uses 20)")
 		events       = flag.String("events", "", "append JSONL training/federation events to this file (empty = disabled)")
-		workloadSpec = flag.String("workload-spec", "",
-			"declarative workload spec JSON for -exp spec; also redirects the -exp scale sweep's arrivals")
+		workloadSpec = flag.String("workload-spec", "", "declarative workload spec JSON for -exp spec")
 	)
 	flag.Parse()
 	if *exp == "" {
@@ -82,21 +89,14 @@ func main() {
 			}
 		}()
 	}
-	bc := benchConfig{seed: *seed, scale: *scale, tasks: *tasks, episodes: *episodes, comm: *comm, smooth: *smooth, scaleCap: *scaleCap, csvDir: *csvDir, benchDir: *benchDir, workloadSpec: *workloadSpec}
-	for _, dir := range []string{bc.csvDir, bc.benchDir} {
-		if dir != "" {
-			if err := os.MkdirAll(dir, 0o755); err != nil {
-				log.Fatal(err)
-			}
+	bc := benchConfig{seed: *seed, scale: *scale, tasks: *tasks, episodes: *episodes, comm: *comm, smooth: *smooth, csvDir: *csvDir, workloadSpec: *workloadSpec}
+	if bc.csvDir != "" {
+		if err := os.MkdirAll(bc.csvDir, 0o755); err != nil {
+			log.Fatal(err)
 		}
 	}
 
-	ids := []string{*exp}
-	if *exp == "all" {
-		// fig16 prints Figures 16-19 and Table 4 in one pass.
-		ids = []string{"fig7", "fig8", "fig9", "fig10", "fig11", "fig15", "fig16", "fig20", "fig21", "ablation"}
-	}
-	for _, id := range ids {
+	for _, id := range expand(*exp) {
 		fmt.Printf("==== %s ====\n", id)
 		if err := run(id, bc); err != nil {
 			log.Fatalf("%s: %v", id, err)
@@ -137,8 +137,6 @@ func run(id string, bc benchConfig) error {
 		return runFig21(bc)
 	case "ablation":
 		return runAblation(bc)
-	case "scale":
-		return runClusterScale(bc)
 	case "spec":
 		return runSpecEpisode(bc)
 	default:
@@ -148,7 +146,7 @@ func run(id string, bc benchConfig) error {
 
 func printCurves(smooth int, names []string, curves map[string][]float64) {
 	headers := append([]string{"episode"}, names...)
-	t := trace.NewTable(toIfaceStrings(headers)...)
+	t := trace.NewTable(headers...)
 	n := 0
 	smoothed := map[string][]float64{}
 	for _, name := range names {
@@ -175,8 +173,6 @@ func printCurves(smooth int, names []string, curves map[string][]float64) {
 	fmt.Print(t.String())
 }
 
-func toIfaceStrings(ss []string) []string { return ss }
-
 // writeCSV dumps raw (unsmoothed) curve series for plotting when -csv is
 // set; errors are fatal (a broken artifact is worse than no artifact).
 func (bc benchConfig) writeCSV(name string, curves map[string][]float64) {
@@ -197,8 +193,10 @@ func (bc benchConfig) writeCSV(name string, curves map[string][]float64) {
 	if err != nil {
 		log.Fatal(err)
 	}
-	defer f.Close()
 	if err := trace.WriteCSV(f, series...); err != nil {
+		log.Fatal(err)
+	}
+	if err := f.Close(); err != nil {
 		log.Fatal(err)
 	}
 	fmt.Printf("(wrote %s)\n", path)
@@ -299,6 +297,15 @@ func runFig11to13(bc benchConfig) error {
 	if err := trace.Heatmap(os.Stdout, res.Labels, res.Cosine); err != nil {
 		return err
 	}
+	// Clients 0 and 1 share one environment: the paper's claim is that only
+	// attention concentrates weight on that pair.
+	focus := func(name string, w [][]float64) {
+		fmt.Printf("focus %-10s %s->%s weight is %.2fx the mean off-diagonal\n",
+			name, res.Labels[0], res.Labels[1], attn.Focus(w, 0, 1))
+	}
+	focus("attention:", res.Attention)
+	focus("KL:", res.KL)
+	focus("cosine:", res.Cosine)
 	return nil
 }
 
@@ -419,6 +426,15 @@ func runAblation(bc benchConfig) error {
 			return err
 		}
 		t.AddRow(string(v), tailMean(curve))
+	}
+	// Attention head count of the full variant; the 0 above selects the
+	// default of 4, so heads=4 repeats the pfrl-dm row.
+	for _, heads := range []int{1, 4} {
+		curve, err := core.RunAblation(cfg, core.AblationFull, heads)
+		if err != nil {
+			return err
+		}
+		t.AddRow(fmt.Sprintf("heads=%d", heads), tailMean(curve))
 	}
 	fmt.Print(t.String())
 	return nil

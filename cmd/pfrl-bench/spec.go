@@ -12,13 +12,20 @@ import (
 // accounting: best-effort untracked, standard 8, critical 4.
 var specWaitTargets = [workload.NumSLOClasses]int{0, 8, 4}
 
-// loadCompiledSpec reads and compiles a declarative workload spec file.
-func loadCompiledSpec(path string) (*workload.Compiled, error) {
-	spec, err := workload.LoadSpec(path)
-	if err != nil {
-		return nil, err
+// referenceCluster is the 20-VM Table-3 capacity mix: 8:6:4:2 of small to
+// large machines.
+func referenceCluster() []cloudsim.VMSpec {
+	var specs []cloudsim.VMSpec
+	add := func(count, cpu int, mem float64) {
+		for i := 0; i < count; i++ {
+			specs = append(specs, cloudsim.VMSpec{CPU: cpu, Mem: mem})
+		}
 	}
-	return spec.Compile()
+	add(8, 8, 64)
+	add(6, 16, 128)
+	add(4, 32, 256)
+	add(2, 64, 512)
+	return specs
 }
 
 // runSpecEpisode streams one first-fit episode from the -workload-spec file
@@ -29,12 +36,16 @@ func runSpecEpisode(bc benchConfig) error {
 	if bc.workloadSpec == "" {
 		return fmt.Errorf("-exp spec requires -workload-spec <file.json>")
 	}
-	comp, err := loadCompiledSpec(bc.workloadSpec)
+	spec, err := workload.LoadSpec(bc.workloadSpec)
+	if err != nil {
+		return err
+	}
+	comp, err := spec.Compile()
 	if err != nil {
 		return err
 	}
 	n := 5 * bc.tasks
-	specs := scaleCluster(20)
+	specs := referenceCluster()
 	cfg := cloudsim.DefaultConfig(specs)
 	cfg.Objectives.SLOWaitTarget = specWaitTargets
 	env, err := cloudsim.NewEnvSource(cfg, cloudsim.NewSpecSource(comp, bc.seed, n, specs))
@@ -43,7 +54,12 @@ func runSpecEpisode(bc benchConfig) error {
 	}
 	fmt.Printf("Spec episode: %q, %d tasks on %d VMs, first-fit (wait targets: standard %d, critical %d slots)\n",
 		comp.Name, n, len(specs), specWaitTargets[workload.SLOStandard], specWaitTargets[workload.SLOCritical])
-	steps, _ := timedEpisode(env, cloudsim.FirstFit{}, 0)
+	steps := 0
+	for !env.Done() {
+		env.Step(cloudsim.FirstFit{}.SelectAction(env))
+		steps++
+	}
+	env.Drain()
 	m := env.Metrics()
 	fmt.Printf("completed %d/%d tasks in %d decisions; avg response %.2f, makespan %d, avg util %.3f\n",
 		m.Completed, m.Total, steps, m.AvgResponse, m.Makespan, m.AvgUtil)

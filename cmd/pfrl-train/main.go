@@ -23,7 +23,7 @@ func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfrl-train: ")
 	var (
-		algName  = flag.String("alg", "pfrl-dm", "algorithm: ppo | fedavg | mfpo | pfrl-dm")
+		algName  = flag.String("alg", "pfrl-dm", "algorithm: ppo | fedavg | mfpo | pfrl-dm | fedprox | secure-fedavg")
 		clients  = flag.String("clients", "table3", "client setup: table2 | table3")
 		scale    = flag.Int("scale", 4, "divide VM capacities by this factor (1 = paper scale)")
 		tasks    = flag.Int("tasks", 120, "tasks sampled per client (paper: 3500)")
@@ -106,12 +106,14 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		defer f.Close()
 		series := []trace.Series{trace.NewSeries(alg.String()+"-mean", res.MeanCurve)}
 		for _, c := range res.Clients {
 			series = append(series, trace.NewSeries(c.Name, c.Rewards))
 		}
 		if err := trace.WriteCSV(f, series...); err != nil {
+			log.Fatal(err)
+		}
+		if err := f.Close(); err != nil {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
@@ -128,7 +130,11 @@ func parseAlg(s string) (core.Algorithm, error) {
 		return core.AlgMFPO, nil
 	case "pfrl-dm", "pfrldm":
 		return core.AlgPFRLDM, nil
+	case "fedprox":
+		return core.AlgFedProx, nil
+	case "secure-fedavg":
+		return core.AlgSecureFedAvg, nil
 	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want ppo|fedavg|mfpo|pfrl-dm)", s)
+		return 0, fmt.Errorf("unknown algorithm %q (want ppo|fedavg|mfpo|pfrl-dm|fedprox|secure-fedavg)", s)
 	}
 }

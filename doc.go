@@ -8,14 +8,14 @@
 //   - Train a scheduler federation with any of the compared algorithms
 //     (PFRL-DM, MFPO, FedAvg, independent PPO) via TrainFederation.
 //   - Build standalone scheduling environments and agents for custom
-//     experiments via NewEnvironment and NewAgent.
+//     experiments via NewEnvironment, NewPPOAgent and NewDualCriticAgent.
 //   - Regenerate every figure and table of the paper via the runners in
-//     internal/core, the benches in bench_test.go, and the CLI tools in
-//     cmd/.
+//     internal/core, driven by cmd/pfrl-bench -exp <id> (the one harness;
+//     performance is measured by go run ./benchmark).
 //
 // Architecture (bottom-up):
 //
-//	internal/tensor    dense float64 matrices, goroutine-tiled matmul
+//	internal/tensor    dense float64 matrices, bit-exact SIMD kernels, buffer pool
 //	internal/autograd  tape-based reverse-mode autodiff
 //	internal/nn        MLPs, Adam/SGD, categorical policies, flat params
 //	internal/attn      multi-head attention / KL / cosine weight generators
@@ -24,6 +24,9 @@
 //	internal/rl        PPO and dual-critic PPO (§4.3)
 //	internal/fedcore   transport-agnostic federated round engine
 //	internal/fed       clients, in-process rounds, aggregators (§4.4-4.5)
+//	internal/fednet    the same rounds over TCP (net/rpc), swarm chaos harness
+//	internal/workflow  DAG-workflow environment (extension; examples/workflows)
+//	internal/obs       JSONL events, Prometheus registry, phase timers
 //	internal/core      experiment orchestration, one runner per figure
 //	internal/stats     Wilcoxon signed-rank test and descriptive stats
 //	internal/trace     result tables and CSV series

@@ -3,7 +3,7 @@
 // (internal/workload), the PPO / dual-critic agents (internal/rl), and the
 // federated layer (internal/fed) into the experiments reported in the
 // paper. Every figure and table in the evaluation has a runner here; the
-// bench harness and the CLI tools are thin wrappers around this package.
+// CLI tools are thin wrappers around this package.
 package core
 
 import (
@@ -14,9 +14,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
 	"repro/internal/fedcore"
-	"repro/internal/obs"
 	"repro/internal/rl"
-	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -331,38 +329,15 @@ type TrainResult struct {
 	// (the paper's Figure 8/15 convergence series).
 	MeanCurve []float64
 	Data      []ClientData
-	// PoolGets and PoolRecycled record the shared tensor pool's traffic
-	// (requests and free-list hits) during this Train call.
-	// Concurrent Train calls share the process-wide pool, so attribution is
-	// exact only for sequential runs (how the bench harness runs them).
-	PoolGets, PoolRecycled int64
 	// Participation is the number of uploads aggregated in each round
 	// (equals K every round unless faults dropped clients out).
 	Participation []int
 	// Faults counts the transport faults injected during the run (zero
 	// unless ExperimentConfig.Faults was active).
 	Faults fed.FaultStats
-	// Phases breaks the run's wall-clock down by pipeline stage
-	// (rollout/update/aggregate/comm), diffed from the process-wide phase
-	// timers like the pool stats: with Parallel clients the totals sum time
-	// across goroutines, and attribution is exact only for sequential Train
-	// calls (how the bench harness runs them).
-	Phases obs.PhaseTimes
 	// Comm is the federation's communication ledger: scalar counts plus
 	// measured wire bytes of every codec frame (zero for AlgPPO).
 	Comm fed.CommStats
-	// CompressionRatio is raw payload bytes over measured wire bytes for
-	// the whole run — 1.0 under the identity tier, >1 under quantization
-	// (0 for AlgPPO, which moves no payloads).
-	CompressionRatio float64
-}
-
-// recordPoolStats fills the pool-traffic fields from a Stats snapshot taken
-// when Train started.
-func (r *TrainResult) recordPoolStats(startGets, startHits int64) {
-	gets, hits := tensor.DefaultPool().Stats()
-	r.PoolGets = gets - startGets
-	r.PoolRecycled = hits - startHits
 }
 
 // BuildClients constructs the federated clients (environments + agents)
@@ -406,14 +381,10 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 		return nil, err
 	}
 	res := &TrainResult{Algorithm: alg, Clients: clients, Data: data}
-	startGets, startHits := tensor.DefaultPool().Stats()
-	phaseStart := obs.GlobalTimers().Snapshot()
 
 	if alg == AlgPPO {
 		trainIndependent(clients, cfg.Episodes, cfg.Parallel)
 		res.MeanCurve = fed.MeanRewardCurve(clients)
-		res.recordPoolStats(startGets, startHits)
-		res.Phases = obs.GlobalTimers().Snapshot().Sub(phaseStart)
 		return res, nil
 	}
 
@@ -474,10 +445,7 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 		res.Faults = faulty.Stats()
 	}
 	res.MeanCurve = fed.MeanRewardCurve(clients)
-	res.recordPoolStats(startGets, startHits)
-	res.Phases = obs.GlobalTimers().Snapshot().Sub(phaseStart)
 	res.Comm = f.Comm()
-	res.CompressionRatio = res.Comm.CompressionRatio()
 	return res, nil
 }
 

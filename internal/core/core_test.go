@@ -7,6 +7,7 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
 	"repro/internal/rl"
+	"repro/internal/tensor"
 	"repro/internal/workload"
 )
 
@@ -417,20 +418,21 @@ func TestTrainExtensionAlgorithms(t *testing.T) {
 // end-to-end: a full (tiny) training run must route its tensor traffic
 // through the shared pool and recycle most of it.
 func TestTrainReportsPoolTraffic(t *testing.T) {
-	res, err := Train(AlgPPO, tinyConfig(11))
-	if err != nil {
+	startGets, startHits := tensor.DefaultPool().Stats()
+	if _, err := Train(AlgPPO, tinyConfig(11)); err != nil {
 		t.Fatal(err)
 	}
-	if res.PoolGets == 0 {
+	gets, hits := tensor.DefaultPool().Stats()
+	gets, hits = gets-startGets, hits-startHits
+	if gets == 0 {
 		t.Fatal("Train recorded no tensor-pool traffic; the pooled path is not in use")
 	}
-	if res.PoolRecycled == 0 {
-		t.Fatalf("Train recycled nothing out of %d pool requests", res.PoolGets)
+	if hits == 0 {
+		t.Fatalf("Train recycled nothing out of %d pool requests", gets)
 	}
-	hitRate := float64(res.PoolRecycled) / float64(res.PoolGets)
+	hitRate := float64(hits) / float64(gets)
 	if hitRate < 0.5 {
-		t.Fatalf("pool hit rate %.2f, want >= 0.5 (gets=%d recycled=%d)",
-			hitRate, res.PoolGets, res.PoolRecycled)
+		t.Fatalf("pool hit rate %.2f, want >= 0.5 (gets=%d recycled=%d)", hitRate, gets, hits)
 	}
 }
 

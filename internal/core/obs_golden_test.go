@@ -64,7 +64,9 @@ func TestInstrumentedTrainingIsBitIdentical(t *testing.T) {
 	var events bytes.Buffer
 	sink := obs.NewJSONL(&events)
 	prev := obs.SetSink(sink)
+	phaseStart := obs.GlobalTimers().Snapshot()
 	instr, err := Train(AlgPFRLDM, goldenObsConfig())
+	phases := obs.GlobalTimers().Snapshot().Sub(phaseStart)
 	obs.SetSink(prev)
 	if err != nil {
 		t.Fatal(err)
@@ -110,8 +112,8 @@ func TestInstrumentedTrainingIsBitIdentical(t *testing.T) {
 	if !sawEpisode || !sawRound {
 		t.Fatalf("event stream missing episode/round events (episode=%v round=%v)", sawEpisode, sawRound)
 	}
-	if instr.Phases.Rollout <= 0 || instr.Phases.Update <= 0 ||
-		instr.Phases.Aggregate <= 0 || instr.Phases.Total() <= 0 {
-		t.Fatalf("phase timers not populated: %+v", instr.Phases)
+	if phases.Rollout <= 0 || phases.Update <= 0 ||
+		phases.Aggregate <= 0 || phases.Total() <= 0 {
+		t.Fatalf("phase timers not populated: %+v", phases)
 	}
 }

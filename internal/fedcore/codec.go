@@ -292,9 +292,6 @@ type Encoder struct {
 // NewEncoder returns an encoder for the given codec configuration.
 func NewEncoder(cfg CodecConfig) *Encoder { return &Encoder{cfg: cfg} }
 
-// Config returns the encoder's codec configuration.
-func (e *Encoder) Config() CodecConfig { return e.cfg }
-
 // SetRef installs the delta reference — the payload this encoder's client
 // just installed, under the tag both ends agreed on. The payload is copied.
 func (e *Encoder) SetRef(tag uint64, p []float64) {

@@ -192,13 +192,6 @@ func (m *MLP) Params() []*Parameter {
 // Sizes returns a copy of the layer size list.
 func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
 
-// CloneArchitecture returns a new MLP with identical shape and freshly
-// initialized weights drawn from rng.
-func (m *MLP) CloneArchitecture(rng *rand.Rand, name string) *MLP {
-	outGain := 1.0 // the gain only affects initialization; any value is valid here
-	return NewMLP(rng, name, m.sizes, m.Act, outGain)
-}
-
 // Clone returns a deep copy of the MLP (same architecture and weights).
 func (m *MLP) Clone(name string) *MLP {
 	rng := rand.New(rand.NewSource(0))

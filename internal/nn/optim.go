@@ -6,17 +6,6 @@ import (
 	"repro/internal/tensor"
 )
 
-// Optimizer advances model parameters using their accumulated gradients.
-type Optimizer interface {
-	// Step applies one update from the current gradients, consuming them:
-	// all gradients are zero after Step, so the next backward pass can
-	// accumulate without a separate ZeroGrad sweep.
-	Step()
-	// ZeroGrad clears all gradients (for discarding a backward pass without
-	// applying it; Step already leaves gradients clear).
-	ZeroGrad()
-}
-
 // SGD is plain stochastic gradient descent with optional momentum.
 type SGD struct {
 	params   []*Parameter

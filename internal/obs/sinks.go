@@ -100,14 +100,3 @@ func (m *MemorySink) Events() []Event {
 	defer m.mu.Unlock()
 	return append([]Event(nil), m.events...)
 }
-
-// ByType filters the retained events by type tag.
-func (m *MemorySink) ByType(typ string) []Event {
-	var out []Event
-	for _, e := range m.Events() {
-		if e.Type == typ {
-			out = append(out, e)
-		}
-	}
-	return out
-}

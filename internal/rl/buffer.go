@@ -61,9 +61,6 @@ func (b *Buffer) Steps() []Transition { return b.steps }
 // per-transition Truncated/Bootstrap fields govern. Reset clears it.
 func (b *Buffer) SetTailValue(v float64) { b.tailValue = v }
 
-// TailValue returns the bootstrap value installed by SetTailValue.
-func (b *Buffer) TailValue() float64 { return b.tailValue }
-
 // Returns computes the discounted return-to-go G_t for every step,
 // resetting at episode boundaries (Done flags). Truncated boundaries and an
 // open (non-Done) tail bootstrap with the recorded critic estimates; only

@@ -52,11 +52,3 @@ func (p *PPO) EnableProximal(mu float64) {
 	p.prox.Mu = mu
 	p.prox.SetRef(p.Actor, p.Critic)
 }
-
-// RefreshProximalRef re-captures the reference point (call after a global
-// model download). A no-op unless EnableProximal was called.
-func (p *PPO) RefreshProximalRef() {
-	if p.prox.Mu != 0 {
-		p.prox.SetRef(p.Actor, p.Critic)
-	}
-}

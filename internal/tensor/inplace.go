@@ -5,11 +5,11 @@ import (
 	"math"
 )
 
-// This file holds the destination-passing ("Into") variants of the
-// allocating operations in tensor.go. Each computes exactly the same values
-// in exactly the same floating-point order as its allocating counterpart, so
-// results are bitwise identical — the property the pooled autograd tape and
-// the nn inference fast path rely on (and that the tests assert).
+// This file holds the destination-passing ("Into") kernels: the one loop per
+// elementwise, broadcast, reduction and softmax operation. The allocating
+// methods of the same name in tensor.go call them on a fresh matrix, so the
+// pooled autograd tape, the nn inference fast path and the allocating API
+// cannot drift apart.
 //
 // Unless documented otherwise, dst may alias the receiver or the operand:
 // every kernel below either reads src[i] strictly before writing dst[i], or

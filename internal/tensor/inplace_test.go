@@ -21,27 +21,6 @@ func bitwiseEqual(t *testing.T, op string, got, want *Matrix) {
 	}
 }
 
-func TestIntoVariantsMatchAllocating(t *testing.T) {
-	rng := rand.New(rand.NewSource(7))
-	a := RandNormal(rng, 6, 9, 0, 1)
-	b := RandNormal(rng, 6, 9, 0.5, 2)
-	bias := RandNormal(rng, 1, 9, 0, 1)
-	dst := func() *Matrix { return New(6, 9) }
-
-	bitwiseEqual(t, "AddInto", a.AddInto(b, dst()), a.Add(b))
-	bitwiseEqual(t, "SubInto", a.SubInto(b, dst()), a.Sub(b))
-	bitwiseEqual(t, "MulElemInto", a.MulElemInto(b, dst()), a.MulElem(b))
-	bitwiseEqual(t, "DivElemInto", a.DivElemInto(b, dst()), a.DivElem(b))
-	bitwiseEqual(t, "ScaleInto", a.ScaleInto(3.7, dst()), a.Scale(3.7))
-	bitwiseEqual(t, "AddScalarInto", a.AddScalarInto(-1.25, dst()), a.AddScalar(-1.25))
-	bitwiseEqual(t, "ApplyInto", a.ApplyInto(math.Tanh, dst()), a.Apply(math.Tanh))
-	bitwiseEqual(t, "AddRowBroadcastInto", a.AddRowBroadcastInto(bias, dst()), a.AddRowBroadcast(bias))
-	bitwiseEqual(t, "SumRowsInto", a.SumRowsInto(New(6, 1)), a.SumRows())
-	bitwiseEqual(t, "SumColsInto", a.SumColsInto(New(1, 9)), a.SumCols())
-	bitwiseEqual(t, "SoftmaxRowsInto", a.SoftmaxRowsInto(dst()), a.SoftmaxRows())
-	bitwiseEqual(t, "LogSoftmaxRowsInto", a.LogSoftmaxRowsInto(dst()), a.LogSoftmaxRows())
-}
-
 func TestIntoVariantsAllowAliasedDst(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	src := RandNormal(rng, 5, 5, 0, 1)

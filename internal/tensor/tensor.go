@@ -149,14 +149,7 @@ func (m *Matrix) assertSameShape(b *Matrix, op string) {
 }
 
 // Add returns m + b elementwise.
-func (m *Matrix) Add(b *Matrix) *Matrix {
-	m.assertSameShape(b, "Add")
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + b.Data[i]
-	}
-	return out
-}
+func (m *Matrix) Add(b *Matrix) *Matrix { return m.AddInto(b, New(m.Rows, m.Cols)) }
 
 // AddInPlace sets m = m + b and returns m.
 func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
@@ -190,43 +183,16 @@ func (m *Matrix) AddScaledInPlace(b *Matrix, s float64) *Matrix {
 }
 
 // Sub returns m - b elementwise.
-func (m *Matrix) Sub(b *Matrix) *Matrix {
-	m.assertSameShape(b, "Sub")
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v - b.Data[i]
-	}
-	return out
-}
+func (m *Matrix) Sub(b *Matrix) *Matrix { return m.SubInto(b, New(m.Rows, m.Cols)) }
 
 // MulElem returns the elementwise (Hadamard) product m ∘ b.
-func (m *Matrix) MulElem(b *Matrix) *Matrix {
-	m.assertSameShape(b, "MulElem")
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v * b.Data[i]
-	}
-	return out
-}
+func (m *Matrix) MulElem(b *Matrix) *Matrix { return m.MulElemInto(b, New(m.Rows, m.Cols)) }
 
 // DivElem returns the elementwise quotient m / b.
-func (m *Matrix) DivElem(b *Matrix) *Matrix {
-	m.assertSameShape(b, "DivElem")
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v / b.Data[i]
-	}
-	return out
-}
+func (m *Matrix) DivElem(b *Matrix) *Matrix { return m.DivElemInto(b, New(m.Rows, m.Cols)) }
 
 // Scale returns s*m.
-func (m *Matrix) Scale(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = s * v
-	}
-	return out
-}
+func (m *Matrix) Scale(s float64) *Matrix { return m.ScaleInto(s, New(m.Rows, m.Cols)) }
 
 // ScaleInPlace sets m = s*m and returns m.
 func (m *Matrix) ScaleInPlace(s float64) *Matrix {
@@ -237,22 +203,10 @@ func (m *Matrix) ScaleInPlace(s float64) *Matrix {
 }
 
 // AddScalar returns m + s applied elementwise.
-func (m *Matrix) AddScalar(s float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = v + s
-	}
-	return out
-}
+func (m *Matrix) AddScalar(s float64) *Matrix { return m.AddScalarInto(s, New(m.Rows, m.Cols)) }
 
 // Apply returns f applied elementwise to m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i, v := range m.Data {
-		out.Data[i] = f(v)
-	}
-	return out
-}
+func (m *Matrix) Apply(f func(float64) float64) *Matrix { return m.ApplyInto(f, New(m.Rows, m.Cols)) }
 
 // ApplyInPlace applies f elementwise in place and returns m.
 func (m *Matrix) ApplyInPlace(f func(float64) float64) *Matrix {
@@ -276,18 +230,7 @@ func (m *Matrix) T() *Matrix {
 
 // AddRowBroadcast returns m with the 1 x Cols row vector b added to each row.
 func (m *Matrix) AddRowBroadcast(b *Matrix) *Matrix {
-	if b.Rows != 1 || b.Cols != m.Cols {
-		panic(fmt.Sprintf("tensor: AddRowBroadcast wants 1x%d, got %dx%d", m.Cols, b.Rows, b.Cols))
-	}
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Data[i*m.Cols : (i+1)*m.Cols]
-		dst := out.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range src {
-			dst[j] = v + b.Data[j]
-		}
-	}
-	return out
+	return m.AddRowBroadcastInto(b, New(m.Rows, m.Cols))
 }
 
 // Sum returns the sum of all elements.
@@ -336,29 +279,10 @@ func (m *Matrix) Min() float64 {
 }
 
 // SumRows returns a Rows x 1 column vector whose i-th entry is the sum of row i.
-func (m *Matrix) SumRows() *Matrix {
-	out := New(m.Rows, 1)
-	for i := 0; i < m.Rows; i++ {
-		s := 0.0
-		for _, v := range m.Row(i) {
-			s += v
-		}
-		out.Data[i] = s
-	}
-	return out
-}
+func (m *Matrix) SumRows() *Matrix { return m.SumRowsInto(New(m.Rows, 1)) }
 
 // SumCols returns a 1 x Cols row vector whose j-th entry is the sum of column j.
-func (m *Matrix) SumCols() *Matrix {
-	out := New(1, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			out.Data[j] += v
-		}
-	}
-	return out
-}
+func (m *Matrix) SumCols() *Matrix { return m.SumColsInto(New(1, m.Cols)) }
 
 // Norm2 returns the Frobenius (L2) norm of m.
 func (m *Matrix) Norm2() float64 {
@@ -382,54 +306,10 @@ func (m *Matrix) Dot(b *Matrix) float64 {
 
 // SoftmaxRows returns a matrix whose rows are the softmax of the rows of m,
 // computed with the max-subtraction trick for numerical stability.
-func (m *Matrix) SoftmaxRows() *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		mx := src[0]
-		for _, v := range src[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		for j, v := range src {
-			e := math.Exp(v - mx)
-			dst[j] = e
-			sum += e
-		}
-		inv := 1.0 / sum
-		for j := range dst {
-			dst[j] *= inv
-		}
-	}
-	return out
-}
+func (m *Matrix) SoftmaxRows() *Matrix { return m.SoftmaxRowsInto(New(m.Rows, m.Cols)) }
 
 // LogSoftmaxRows returns log(softmax) per row, computed stably.
-func (m *Matrix) LogSoftmaxRows() *Matrix {
-	out := New(m.Rows, m.Cols)
-	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		dst := out.Row(i)
-		mx := src[0]
-		for _, v := range src[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		for _, v := range src {
-			sum += math.Exp(v - mx)
-		}
-		lse := mx + math.Log(sum)
-		for j, v := range src {
-			dst[j] = v - lse
-		}
-	}
-	return out
-}
+func (m *Matrix) LogSoftmaxRows() *Matrix { return m.LogSoftmaxRowsInto(New(m.Rows, m.Cols)) }
 
 // ApproxEqual reports whether m and b have the same shape and all elements
 // differ by at most tol.

@@ -1,7 +1,6 @@
 package workflow
 
 import (
-	"fmt"
 	"sort"
 
 	"repro/internal/cloudsim"
@@ -266,10 +265,3 @@ func (e *Env) WorkflowRecords() []WorkflowRecord {
 
 // TotalStages returns the number of stages across all workflows.
 func (e *Env) TotalStages() int { return e.total }
-
-// String summarizes progress for debugging.
-func (e *Env) String() string {
-	placed := len(e.inner.Records())
-	return fmt.Sprintf("workflow.Env{t=%d placed=%d/%d queue=%d}",
-		e.inner.Now(), placed, e.total, e.inner.QueueLen())
-}
