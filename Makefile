@@ -74,12 +74,16 @@ race:
 
 # The federation layers carry the concurrency-heavy fault-tolerance tests
 # (round deadlines, retries, rejoin) and the shared round engine behind both
-# paths; internal/rl carries the concurrent actor/critic update pipeline and
-# its batched-vs-reference and concurrent-vs-sequential update goldens;
+# paths; internal/rl carries the actor/critic lanes of the PPO update and
+# its batched-vs-reference and lanes-vs-sequential update goldens;
 # internal/cloudsim carries the simulator invariant harness (randomized
-# episodes at 20 and 500 VMs). Run all of them race-enabled on every merge.
+# episodes at 20 and 500 VMs). Run all of them race-enabled on every merge,
+# and the two tests that put goroutines inside or around an update ten times
+# over: a join that lets a shuffle overlap the critic lane is a race the
+# detector only reports on the runs where the two actually overlap.
 test-race:
 	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
+	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
 
 # The tensor kernels are pinned bit-for-bit against the scalar Go code and
 # math.Tanh as the toolchain compiles them; GOAMD64=v3 is the build where
@@ -113,7 +117,9 @@ bench-env:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh env
 
 # The PPOUpdate slice of the allocation guard alone — the fast pre-merge
-# check for changes touching the update pipeline.
+# check for changes touching the update pipeline. It prints the paper-width
+# and the narrow-width update at 1, 2 and 4 procs side by side (no timing
+# gate: run-to-run drift on a shared box exceeds any useful threshold).
 bench-update:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh update
 

@@ -74,17 +74,30 @@ func benchBuffer(env *SyntheticEnv, agent *PPO, buf *Buffer, minSteps int) {
 }
 
 // BenchmarkPPOUpdate measures one full PPO update (4 epochs x minibatches of
-// 64 over 256 transitions) with the pooled tape and pooled staging buffers.
+// 64 over 256 transitions) at the paper's width and at the narrow width of
+// the benchmark's fig15_table2 workload, where a minibatch step is short
+// enough that the unit of actor/critic parallelism decides whether a second
+// core pays. Run with -cpu 1,2 to read the sequential path beside the lanes.
 func BenchmarkPPOUpdate(b *testing.B) {
-	env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 3)
-	agent := benchAgent(4)
-	var buf Buffer
-	benchBuffer(env, agent, &buf, 256)
-	agent.Update(&buf) // warm the tape spare list and the tensor pool
-	b.ReportAllocs()
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		agent.Update(&buf)
+	for _, w := range []struct {
+		name              string
+		stateDim, actions int
+	}{
+		{"paper", benchStateDim, benchActions},
+		{"narrow", 60, 6},
+	} {
+		b.Run(w.name, func(b *testing.B) {
+			env := NewSyntheticEnv(w.stateDim, w.actions, benchHorizon, 3)
+			agent := NewPPO(DefaultConfig(w.stateDim, w.actions), rand.New(rand.NewSource(4)))
+			var buf Buffer
+			benchBuffer(env, agent, &buf, 256)
+			agent.Update(&buf) // warm the tape spare list and the tensor pool
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				agent.Update(&buf)
+			}
+		})
 	}
 }
 

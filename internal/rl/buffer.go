@@ -10,6 +10,9 @@ import "math"
 
 // Transition is one step of experience.
 type Transition struct {
+	// State is the observation the action was taken on. Recorded by
+	// CollectEpisode it is a view of the Buffer's own storage, valid until
+	// the Buffer's Reset.
 	State   []float64
 	Action  int
 	Reward  float64
@@ -36,18 +39,56 @@ type Buffer struct {
 	// tailValue bootstraps a batch whose final transition is not Done — a
 	// mid-episode batch cut without an environment signal (see SetTailValue).
 	tailValue float64
+
+	// chunks is the state storage CollectEpisode records into: fixed-size
+	// blocks, so a stored row is never moved and nothing is over-grown.
+	// chunks[:chunk] are full, chunks[chunk] is being filled; Reset rewinds
+	// and the next episode overwrites the same memory.
+	chunks [][]float64
+	chunk  int
+	// obs is the observation scratch CollectEpisode hands to env.Observe,
+	// kept across episodes.
+	obs []float64
 }
 
-// Add appends one transition.
+// stateChunkRows is how many observations one storage chunk holds. Small
+// enough that rounding a short episode up to whole chunks costs little when
+// a hundred clients each hold a buffer (at 256 rows swarm_104_async's peak
+// RSS rose 4 %; at 64 it does not move), large enough that a long episode is
+// a few dozen chunks.
+const stateChunkRows = 64
+
+// Add appends one transition. The buffer stores t.State as given; the
+// caller must not reuse that slice while the transition is held.
 func (b *Buffer) Add(t Transition) { b.steps = append(b.steps, t) }
+
+// storeState copies state into the buffer's own storage and returns the
+// copy, a view that stays valid until Reset.
+func (b *Buffer) storeState(state []float64) []float64 {
+	d := len(state)
+	for b.chunk < len(b.chunks) && len(b.chunks[b.chunk])+d > cap(b.chunks[b.chunk]) {
+		b.chunk++
+	}
+	if b.chunk == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]float64, 0, stateChunkRows*d))
+	}
+	c := append(b.chunks[b.chunk], state...)
+	b.chunks[b.chunk] = c
+	return c[len(c)-d : len(c) : len(c)]
+}
 
 // Len returns the number of stored transitions.
 func (b *Buffer) Len() int { return len(b.steps) }
 
-// Reset clears the buffer, retaining capacity.
+// Reset clears the buffer, retaining capacity. State views handed out by
+// earlier Steps calls are invalid afterwards: their storage is reused.
 func (b *Buffer) Reset() {
 	b.steps = b.steps[:0]
 	b.tailValue = 0
+	for i := range b.chunks {
+		b.chunks[i] = b.chunks[i][:0]
+	}
+	b.chunk = 0
 }
 
 // Steps exposes the stored transitions (read-only use expected).

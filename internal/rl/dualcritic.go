@@ -6,6 +6,7 @@ import (
 
 	"repro/internal/autograd"
 	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // DualCriticPPO is the client-side algorithm of PFRL-DM (§4.3). It keeps
@@ -103,8 +104,10 @@ func (d *DualCriticPPO) RefreshAlpha(buf *Buffer) {
 	if buf.Len() == 0 {
 		return
 	}
-	lPhi := CriticMSE(d.LocalCritic, buf, d.Cfg.Gamma)
-	lPsi := CriticMSE(d.PublicCritic, buf, d.Cfg.Gamma)
+	states, returns := stageEpisode(buf, d.Cfg.Gamma)
+	lPhi := stagedMSE(d.LocalCritic, states, returns)
+	lPsi := stagedMSE(d.PublicCritic, states, returns)
+	tensor.Put(states)
 	d.LastLocalLoss, d.LastPublicLoss = lPhi, lPsi
 	if d.FixedAlpha >= 0 && d.FixedAlpha <= 1 {
 		d.Alpha = d.FixedAlpha

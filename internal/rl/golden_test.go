@@ -1,15 +1,26 @@
 package rl
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/autograd"
 	"repro/internal/nn"
 	"repro/internal/tensor"
 )
+
+// forceLanes pins ppoUpdate to the lanes (on) or to the sequential path for
+// the rest of the test, whatever GOMAXPROCS is.
+func forceLanes(t *testing.T, on bool) {
+	t.Helper()
+	prev := useLanes
+	useLanes = func() bool { return on }
+	t.Cleanup(func() { useLanes = prev })
+}
 
 // ppoUpdateReference is a frozen verbatim copy of the pre-pipeline ppoUpdate
 // loop: one op per tape node (no fused surrogate), a single shared tape,
@@ -227,12 +238,11 @@ func collectBuffer(t *testing.T, stateDim, numActions, minSteps int, seed int64)
 // pipeline (fused surrogate head, hoisted scratch, dual tapes) produces
 // parameters and statistics bitwise identical to the frozen pre-change
 // sequential update, across several rounds so Adam state and scratch reuse
-// are exercised. Runs with concurrency forced off so the only variable is
-// the pipeline restructure itself; TestConcurrentUpdateMatchesSequential
-// covers the concurrent path.
+// are exercised. Runs on the sequential path so the only variable is the
+// pipeline restructure itself; TestConcurrentUpdateMatchesSequential covers
+// the lanes.
 func TestBatchedUpdateMatchesReference(t *testing.T) {
-	prev := SetUpdateConcurrency(ConcurrencyOff)
-	defer SetUpdateConcurrency(prev)
+	forceLanes(t, false)
 
 	const stateDim, numActions = 24, 5
 	t.Run("ppo", func(t *testing.T) {
@@ -298,49 +308,130 @@ func TestBatchedUpdateMatchesReference(t *testing.T) {
 	})
 }
 
+// laneCases are the update configurations the lanes golden runs: every
+// feature that puts state on the critic lane or decides at the join.
+var laneCases = []struct {
+	name string
+	// build returns a fresh agent and its networks, actor first; calling it
+	// twice gives bit-identical twins.
+	build func() (Agent, []nn.Module)
+	// stopsEarly marks a case whose TargetKL must end the epoch loop before
+	// the last epoch.
+	stopsEarly bool
+}{
+	{name: "ppo", build: func() (Agent, []nn.Module) {
+		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(55)))
+		return p, []nn.Module{p.Actor, p.Critic}
+	}},
+	{name: "dual-critic", build: func() (Agent, []nn.Module) {
+		d := NewDualCriticPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(56)))
+		return d, []nn.Module{d.Actor, d.LocalCritic, d.PublicCritic}
+	}},
+	{name: "value-clip-and-target-kl", stopsEarly: true, build: func() (Agent, []nn.Module) {
+		cfg := DefaultConfig(laneStateDim, laneActions)
+		cfg.ValueClip = 0.3
+		cfg.TargetKL = 1e-9
+		p := NewPPO(cfg, rand.New(rand.NewSource(57)))
+		return p, []nn.Module{p.Actor, p.Critic}
+	}},
+	{name: "fedprox", build: func() (Agent, []nn.Module) {
+		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(58)))
+		p.EnableProximal(0.1)
+		return p, []nn.Module{p.Actor, p.Critic}
+	}},
+}
+
+const laneStateDim, laneActions = 24, 5
+
+// bufferOfLen returns a buffer of exactly n collected transitions.
+func bufferOfLen(t *testing.T, n int, seed int64) *Buffer {
+	t.Helper()
+	var buf Buffer
+	for _, tr := range collectBuffer(t, laneStateDim, laneActions, n, seed).Steps()[:n] {
+		buf.Add(tr)
+	}
+	return &buf
+}
+
 // TestConcurrentUpdateMatchesSequential pins golden property (c): running
-// the actor and critic steps concurrently (separate tapes, disjoint
-// parameters) is bitwise identical to the sequential order, regardless of
-// GOMAXPROCS. Exercised under -race by make test-race.
+// the actor and the critic(s) of an epoch on two lanes that join at the
+// epoch boundary is bitwise identical to running the actor epoch and then
+// the critic epoch on one goroutine — parameters, statistics and the
+// agent's RNG position (the next SelectAction draw) — for every update
+// feature that lives on the critic lane or decides at the join, at buffer
+// lengths around the minibatch boundary, over three rounds so Adam state and
+// scratch reuse are exercised. Exercised under -race by make test-race,
+// where a join that lets the next shuffle overlap the critic lane is a
+// reported race on the shuffle index.
 func TestConcurrentUpdateMatchesSequential(t *testing.T) {
-	const stateDim, numActions = 24, 5
-	seq := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(55)))
-	con := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(55)))
-	prev := SetUpdateConcurrency(ConcurrencyOff)
-	defer SetUpdateConcurrency(prev)
-	for round := 0; round < 3; round++ {
-		buf := collectBuffer(t, stateDim, numActions, 150, int64(60+round))
-		SetUpdateConcurrency(ConcurrencyOff)
-		ws := seq.Update(buf)
-		SetUpdateConcurrency(ConcurrencyOn)
-		gs := con.Update(buf)
-		requireStatsEqual(t, "concurrency stats", ws, gs)
-		requireParamsEqual(t, "concurrency actor", seq.Actor, con.Actor)
-		requireParamsEqual(t, "concurrency critic", seq.Critic, con.Critic)
+	probe := make([]float64, laneStateDim)
+	for i := range probe {
+		probe[i] = float64(i%5) - 2
+	}
+	for _, tc := range laneCases {
+		for _, n := range []int{1, 63, 64, 65, 150} {
+			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
+				seq, seqNets := tc.build()
+				lanes, laneNets := tc.build()
+				// full is lanes without the TargetKL stop: unless the stop
+				// fires before the last epoch, the two end bit-identical.
+				var full *PPO
+				if tc.stopsEarly {
+					a, _ := tc.build()
+					full = a.(*PPO)
+					full.Cfg.TargetKL = 0
+				}
+				for round := 0; round < 3; round++ {
+					buf := bufferOfLen(t, n, int64(60+round))
+					forceLanes(t, false)
+					ws := seq.Update(buf)
+					forceLanes(t, true)
+					gs := lanes.Update(buf)
+					requireStatsEqual(t, "lanes stats", ws, gs)
+					for i := range seqNets {
+						requireParamsEqual(t, fmt.Sprintf("lanes network %d", i), seqNets[i], laneNets[i])
+					}
+					wa, wl := seq.SelectAction(probe)
+					ga, gl := lanes.SelectAction(probe)
+					if wa != ga || math.Float64bits(wl) != math.Float64bits(gl) {
+						t.Fatalf("round %d: next draw differs: sequential (%d, %v) vs lanes (%d, %v)", round, wa, wl, ga, gl)
+					}
+					if full != nil {
+						full.Update(buf)
+						full.SelectAction(probe)
+					}
+				}
+				if full != nil && slices.Equal(nn.FlattenParams(full.Critic), nn.FlattenParams(laneNets[1])) {
+					t.Fatalf("TargetKL=%v never stopped an epoch loop early: the critic ends where it does without it", full.Cfg.TargetKL)
+				}
+			})
+		}
 	}
 }
 
 // TestPPOUpdateSteadyStateAllocs pins the hoisted-staging claim: after
 // warmup, a full PPO update allocates at most a handful of objects (the
-// critic closure and module slice built per call) — no per-minibatch or
-// per-epoch allocations survive.
+// critic closure and module slice built per call; on the lanes path also
+// the two channels and the lane goroutine) — no per-minibatch or per-epoch
+// allocations survive on either path.
 func TestPPOUpdateSteadyStateAllocs(t *testing.T) {
 	prevProcs := runtime.GOMAXPROCS(1) // deterministic pool reuse
 	defer runtime.GOMAXPROCS(prevProcs)
-	prev := SetUpdateConcurrency(ConcurrencyOff)
-	defer SetUpdateConcurrency(prev)
 
-	env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 3)
-	agent := benchAgent(4)
-	var buf Buffer
-	benchBuffer(env, agent, &buf, 256)
-	for i := 0; i < 2; i++ { // warm tapes, pool, and staging
-		agent.Update(&buf)
-	}
-	allocs := testing.AllocsPerRun(5, func() {
-		agent.Update(&buf)
-	})
-	if allocs > 16 {
-		t.Fatalf("PPO update allocates %.1f objects/op, want <= 16", allocs)
+	for _, lanes := range []bool{false, true} {
+		forceLanes(t, lanes)
+		env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 3)
+		agent := benchAgent(4)
+		var buf Buffer
+		benchBuffer(env, agent, &buf, 256)
+		for i := 0; i < 2; i++ { // warm tapes, pool, and staging
+			agent.Update(&buf)
+		}
+		allocs := testing.AllocsPerRun(5, func() {
+			agent.Update(&buf)
+		})
+		if allocs > 16 {
+			t.Fatalf("lanes=%v: PPO update allocates %.1f objects/op, want <= 16", lanes, allocs)
+		}
 	}
 }

@@ -186,26 +186,39 @@ func valueLoss(pred, targets, oldValues *autograd.Value, clip float64) *autograd
 }
 
 // CriticMSE evaluates a critic's mean squared error against the discounted
-// returns of the trajectories in buf — the loss probe used for the adaptive
-// α (Eq. 15) and for Figure 9.
+// returns of the trajectories in buf — the loss probe used for Figure 9.
 func CriticMSE(critic *nn.MLP, buf *Buffer, gamma float64) float64 {
-	steps := buf.Steps()
-	if len(steps) == 0 {
+	if buf.Len() == 0 {
 		return 0
 	}
-	returns := buf.Returns(gamma)
-	states := tensor.Get(len(steps), len(steps[0].State))
+	states, returns := stageEpisode(buf, gamma)
+	mse := stagedMSE(critic, states, returns)
+	tensor.Put(states)
+	return mse
+}
+
+// stageEpisode copies every state of buf into one pooled matrix (the caller
+// returns it with tensor.Put) and computes the discounted returns beside it,
+// so several critics can be probed on one staging (see RefreshAlpha).
+func stageEpisode(buf *Buffer, gamma float64) (states *tensor.Matrix, returns []float64) {
+	steps := buf.Steps()
+	states = tensor.Get(len(steps), len(steps[0].State))
 	for i, s := range steps {
 		copy(states.Row(i), s.State)
 	}
-	v := tensor.Get(len(steps), 1)
+	return states, buf.Returns(gamma)
+}
+
+// stagedMSE is the critic's mean squared error against returns on the
+// staged states.
+func stagedMSE(critic *nn.MLP, states *tensor.Matrix, returns []float64) float64 {
+	v := tensor.Get(states.Rows, 1)
 	critic.Infer(v, states)
 	mse := 0.0
 	for i := range returns {
 		d := v.Data[i] - returns[i]
 		mse += d * d
 	}
-	tensor.Put(states)
 	tensor.Put(v)
 	return mse / float64(len(returns))
 }

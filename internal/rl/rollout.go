@@ -90,7 +90,7 @@ var (
 func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 	total := 0.0
 	steps := uint64(0)
-	state := env.Observe(nil)
+	state := env.Observe(buf.obs)
 	for !env.Done() {
 		action, logp := agent.SelectAction(state)
 		value := agent.Value(state)
@@ -98,8 +98,9 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 		total += reward
 		steps++
 		done := env.Done()
+		// The copy is taken here, before the next Observe overwrites state.
 		tr := Transition{
-			State:   append([]float64(nil), state...),
+			State:   buf.storeState(state),
 			Action:  action,
 			Reward:  reward,
 			LogProb: logp,
@@ -109,8 +110,6 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 		if !done {
 			state = env.Observe(state)
 		} else if t, ok := env.(Truncator); ok && t.Truncated() {
-			// tr.State is already a private copy, so reusing the scratch
-			// buffer for the post-cut observation is safe.
 			state = env.Observe(state)
 			tr.Truncated = true
 			tr.Bootstrap = agent.Value(state)
@@ -118,6 +117,7 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 		}
 		buf.Add(tr)
 	}
+	buf.obs = state
 	mEnvSteps.Add(steps)
 	return total
 }

@@ -3,7 +3,6 @@ package rl
 import (
 	"math/rand"
 	"runtime"
-	"sync/atomic"
 
 	"repro/internal/autograd"
 	"repro/internal/nn"
@@ -11,53 +10,23 @@ import (
 	"repro/internal/tensor"
 )
 
-// UpdateConcurrency selects whether ppoUpdate overlaps the actor and the
-// critic optimization of each minibatch on separate goroutines. The two
-// steps touch disjoint parameter sets and run on separate pooled tapes, so
-// overlapping them changes wall-clock time only — results stay bitwise
-// identical (pinned by TestConcurrentUpdateMatchesSequential).
-type UpdateConcurrency int32
-
-const (
-	// ConcurrencyAuto overlaps when GOMAXPROCS > 1 (the default): on a
-	// single-P runtime the extra goroutine only adds scheduling overhead.
-	ConcurrencyAuto UpdateConcurrency = iota
-	// ConcurrencyOn forces the overlapped pipeline.
-	ConcurrencyOn
-	// ConcurrencyOff forces the sequential actor-then-critic order.
-	ConcurrencyOff
-)
-
-var updateConcurrency atomic.Int32
-
-// SetUpdateConcurrency installs the actor/critic overlap mode and returns
-// the previous one. Safe to call concurrently with running updates; each
-// Update samples the mode once at its start.
-func SetUpdateConcurrency(mode UpdateConcurrency) UpdateConcurrency {
-	return UpdateConcurrency(updateConcurrency.Swap(int32(mode)))
-}
-
-func concurrentUpdateEnabled() bool {
-	switch UpdateConcurrency(updateConcurrency.Load()) {
-	case ConcurrencyOn:
-		return true
-	case ConcurrencyOff:
-		return false
-	default:
-		return runtime.GOMAXPROCS(0) > 1
-	}
-}
+// useLanes decides whether ppoUpdate runs the critic on its own lane. A
+// second goroutine pays only when a second P can run it, which the runtime
+// reports; it is a variable so the in-package goldens can force either path.
+var useLanes = func() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // updateScratch owns every reusable buffer of the batched update pipeline,
 // hoisting all per-call staging out of ppoUpdate so a steady-state Update
-// performs no per-minibatch allocations: the shuffle index, the minibatch
-// action/staging matrices, the GAE output slices, and the two pooled tapes
-// (actor and critic get separate tapes so their graph builds can proceed
-// concurrently). Each agent embeds one; it is not safe for concurrent use,
-// matching the agents' one-goroutine-per-agent contract.
+// performs no per-minibatch allocations: the shuffle index, the GAE output
+// slices, and one set of minibatch staging plus a pooled tape per lane — the
+// actor lane and the critic lane each stage their own copy of a minibatch's
+// states, so neither ever reads what the other writes. Each agent embeds
+// one; it is not safe for concurrent use, matching the agents'
+// one-goroutine-per-agent contract.
 type updateScratch struct {
-	idx     []int
-	actions []int
+	// idx is the epoch's shuffle: written between epochs by the caller only,
+	// read by both lanes during one.
+	idx []int
 
 	// adv/targets receive the GAE pass (agent-owned so GAEInto can reuse
 	// them across Update calls).
@@ -65,10 +34,16 @@ type updateScratch struct {
 
 	// Minibatch staging, allocated at MiniBatch rows and viewed down for the
 	// final partial batch. Rewritten fully for every batch.
-	states, oldLogp, advantage, target, oldValue *tensor.Matrix
-	stagedRows                                   int
+	stagedRows int
 
-	actorTape, criticTape *autograd.Tape
+	// Actor lane.
+	actorStates, oldLogp, advantage *tensor.Matrix
+	actions                         []int
+	actorTape                       *autograd.Tape
+
+	// Critic lane.
+	criticStates, target, oldValue *tensor.Matrix
+	criticTape                     *autograd.Tape
 }
 
 // ensure sizes the scratch for a buffer of n transitions under the given
@@ -85,10 +60,11 @@ func (st *updateScratch) ensure(n, mb, stateDim int) {
 	if cap(st.actions) < mb {
 		st.actions = make([]int, mb)
 	}
-	if st.states == nil || st.states.Cols != stateDim || st.stagedRows < mb {
-		st.states = tensor.New(mb, stateDim)
+	if st.actorStates == nil || st.actorStates.Cols != stateDim || st.stagedRows < mb {
+		st.actorStates = tensor.New(mb, stateDim)
 		st.oldLogp = tensor.New(mb, 1)
 		st.advantage = tensor.New(mb, 1)
+		st.criticStates = tensor.New(mb, stateDim)
 		st.target = tensor.New(mb, 1)
 		st.oldValue = tensor.New(mb, 1)
 		st.stagedRows = mb
@@ -143,15 +119,21 @@ type ppoUpdateSpec struct {
 var mPPOUpdates = obs.DefaultRegistry().Counter("pfrl_ppo_updates_total",
 	"PPO gradient updates completed (all agents)")
 
-// ppoUpdate runs the batched clipped-PPO optimization over the buffer: for
-// every epoch, shuffle, stage each minibatch once into the agent's scratch,
-// then run the actor step (fused surrogate head, actor tape) and the critic
-// step (critic tape) — concurrently when enabled, since the two touch
-// disjoint parameters. Numerics are bitwise identical to the historical
-// one-op-per-node sequential loop (TestBatchedUpdateMatchesReference).
+// ppoUpdate runs the batched clipped-PPO optimization over the buffer. Each
+// epoch shuffles once and is then run by two lanes that share nothing but
+// the read-only shuffle, buffer and GAE slices: the actor lane (actorEpoch,
+// on the caller's goroutine) and the critic lane (criticEpoch). The two
+// touch disjoint parameters, so when a second P is available the critic
+// lane runs on a goroutine that lives for this one call and the lanes meet
+// once per epoch; otherwise the caller runs the actor epoch and then the
+// critic epoch. The epoch is the unit because one minibatch step costs
+// about what a goroutine wake-up does. Either way every network sees its
+// minibatches in the same order and the shuffle follows the join, so
+// numerics, loss sums and RNG draws are bitwise identical to the historical
+// one-op-per-node interleaved loop (TestBatchedUpdateMatchesReference,
+// TestConcurrentUpdateMatchesSequential).
 func ppoUpdate(s ppoUpdateSpec) UpdateStats {
-	steps := s.buf.Steps()
-	n := len(steps)
+	n := s.buf.Len()
 	if n == 0 {
 		return UpdateStats{}
 	}
@@ -163,126 +145,136 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 		idx[i] = i
 	}
 
-	// With concurrency enabled, a per-Update worker goroutine runs the
-	// critic step of each staged minibatch while the main goroutine runs the
-	// actor step. The channel send publishes the freshly staged batch to the
-	// worker; the receive of the critic loss joins before the next batch is
-	// staged, so the scratch views are never written while the worker reads.
-	var jobs chan struct{}
-	var cres chan float64
-	if concurrentUpdateEnabled() && len(s.criticModules) > 0 {
-		jobs = make(chan struct{})
-		cres = make(chan float64)
+	// The send publishes the fresh shuffle to the critic lane; the receive
+	// of its loss sum joins the epoch before idx is written again. The
+	// result is buffered so the lane can deliver and exit even when the
+	// caller has gone (a panic on the actor lane).
+	var epochs chan struct{}
+	var criticSums chan float64
+	if useLanes() && len(s.criticModules) > 0 {
+		epochs = make(chan struct{})
+		criticSums = make(chan float64, 1)
 		go func() {
-			for range jobs {
-				cres <- criticStep(&s)
+			for range epochs {
+				criticSums <- criticEpoch(&s)
 			}
 		}()
-		defer close(jobs)
+		defer close(epochs)
 	}
 
+	batches := float64((n + s.cfg.MiniBatch - 1) / s.cfg.MiniBatch)
 	var stats UpdateStats
 	for epoch := 0; epoch < s.cfg.UpdateEpochs; epoch++ {
 		s.rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		epochActor, epochCritic, epochEntropy := 0.0, 0.0, 0.0
-		epochKL, epochClip := 0.0, 0.0
-		batches := 0
-		for lo := 0; lo < n; lo += s.cfg.MiniBatch {
-			hi := lo + s.cfg.MiniBatch
-			if hi > n {
-				hi = n
-			}
-			bsz := hi - lo
-			states := viewRows(st.states, bsz)
-			oldLogp := viewRows(st.oldLogp, bsz)
-			advantage := viewRows(st.advantage, bsz)
-			target := viewRows(st.target, bsz)
-			oldValue := viewRows(st.oldValue, bsz)
-			actions := st.actions[:bsz]
-			for bi := 0; bi < bsz; bi++ {
-				t := idx[lo+bi]
-				copy(states.Row(bi), steps[t].State)
-				actions[bi] = steps[t].Action
-				oldLogp.Data[bi] = steps[t].LogProb
-				advantage.Data[bi] = s.adv[t]
-				target.Data[bi] = s.targets[t]
-				oldValue.Data[bi] = steps[t].Value
-			}
-
-			var closs float64
-			if jobs != nil {
-				jobs <- struct{}{} // critic optimizes this batch concurrently
-			}
-
-			// --- Actor step: L = -E[min(r·A, clip(r)·A)] - c·H(π) ---
-			// Gradients are already zero here: parameters start with cleared
-			// grads and Optimizer.Step consumes them, so no ZeroGrads sweep.
-			at := st.actorTape
-			at.Reset()
-			logits := s.actor.Forward(at, at.Const(states))
-			res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, s.cfg.Clip, s.cfg.EntCoef)
-			res.Loss.Backward()
-			if s.prox != nil {
-				s.prox.Apply(s.actor)
-			}
-			nn.ClipGradNorm(s.actor, s.cfg.MaxGradNorm)
-			s.actorOpt.Step()
-			epochActor += -res.Objective
-			epochEntropy += res.Entropy
-			// Approximate KL(π_old ‖ π_new) = E[log π_old − log π_new], and
-			// the clip fraction: how often the surrogate actually clipped.
-			klBatch, clipped := 0.0, 0
-			for bi := 0; bi < bsz; bi++ {
-				klBatch += oldLogp.Data[bi] - res.ActLogp[bi]
-				if r := res.Ratio[bi]; r < 1-s.cfg.Clip || r > 1+s.cfg.Clip {
-					clipped++
-				}
-			}
-			epochKL += klBatch / float64(bsz)
-			epochClip += float64(clipped) / float64(bsz)
-
-			if jobs != nil {
-				closs = <-cres
-			} else {
-				closs = criticStep(&s)
-			}
-			epochCritic += closs
-			batches++
+		if epochs != nil {
+			epochs <- struct{}{}
 		}
-		if batches > 0 {
-			stats = UpdateStats{
-				ActorLoss:  epochActor / float64(batches),
-				CriticLoss: epochCritic / float64(batches),
-				Entropy:    epochEntropy / float64(batches),
-				ApproxKL:   epochKL / float64(batches),
-				ClipFrac:   epochClip / float64(batches),
-			}
+		actor := actorEpoch(&s)
+		var critic float64
+		if epochs != nil {
+			critic = <-criticSums
+		} else {
+			critic = criticEpoch(&s)
 		}
-		if s.cfg.TargetKL > 0 && batches > 0 && stats.ApproxKL > s.cfg.TargetKL {
+		stats = UpdateStats{
+			ActorLoss:  actor.loss / batches,
+			CriticLoss: critic / batches,
+			Entropy:    actor.entropy / batches,
+			ApproxKL:   actor.kl / batches,
+			ClipFrac:   actor.clip / batches,
+		}
+		if s.cfg.TargetKL > 0 && stats.ApproxKL > s.cfg.TargetKL {
 			break // the policy moved far enough; further epochs overfit the batch
 		}
 	}
 	return stats
 }
 
-// criticStep runs one critic optimization over the currently staged
-// minibatch (the scratch views) on the critic tape, and returns the loss.
-// It touches only the critic modules and the critic tape, so it may run
-// concurrently with the actor step of the same batch.
-func criticStep(s *ppoUpdateSpec) float64 {
+// actorSums accumulates one epoch's actor-lane statistics in minibatch order.
+type actorSums struct{ loss, entropy, kl, clip float64 }
+
+// actorEpoch stages and optimizes every actor minibatch of the current
+// shuffle on the actor tape: L = -E[min(r·A, clip(r)·A)] - c·H(π). It
+// touches only the actor, its optimizer and the actor-lane scratch.
+func actorEpoch(s *ppoUpdateSpec) actorSums {
 	st := s.scratch
-	// Critic grads are zero on entry for the same reason as the actor's:
-	// each cm.opt.Step() below consumes them.
-	ct := st.criticTape
-	ct.Reset()
-	closs := s.criticLoss(ct, ct.Const(st.states), ct.Const(st.target), ct.Const(st.oldValue))
-	closs.Backward()
-	for _, cm := range s.criticModules {
-		if s.prox != nil {
-			s.prox.Apply(cm.net)
+	steps := s.buf.Steps()
+	var sums actorSums
+	for lo := 0; lo < len(steps); lo += s.cfg.MiniBatch {
+		bsz := min(s.cfg.MiniBatch, len(steps)-lo)
+		states := viewRows(st.actorStates, bsz)
+		oldLogp := viewRows(st.oldLogp, bsz)
+		advantage := viewRows(st.advantage, bsz)
+		actions := st.actions[:bsz]
+		for bi, t := range st.idx[lo : lo+bsz] {
+			copy(states.Row(bi), steps[t].State)
+			actions[bi] = steps[t].Action
+			oldLogp.Data[bi] = steps[t].LogProb
+			advantage.Data[bi] = s.adv[t]
 		}
-		nn.ClipGradNorm(cm.net, s.cfg.MaxGradNorm)
-		cm.opt.Step()
+
+		// Gradients are already zero here: parameters start with cleared
+		// grads and Optimizer.Step consumes them, so no ZeroGrads sweep.
+		at := st.actorTape
+		at.Reset()
+		logits := s.actor.Forward(at, at.Const(states))
+		res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, s.cfg.Clip, s.cfg.EntCoef)
+		res.Loss.Backward()
+		if s.prox != nil {
+			s.prox.Apply(s.actor)
+		}
+		nn.ClipGradNorm(s.actor, s.cfg.MaxGradNorm)
+		s.actorOpt.Step()
+		sums.loss += -res.Objective
+		sums.entropy += res.Entropy
+		// Approximate KL(π_old ‖ π_new) = E[log π_old − log π_new], and
+		// the clip fraction: how often the surrogate actually clipped.
+		klBatch, clipped := 0.0, 0
+		for bi := 0; bi < bsz; bi++ {
+			klBatch += oldLogp.Data[bi] - res.ActLogp[bi]
+			if r := res.Ratio[bi]; r < 1-s.cfg.Clip || r > 1+s.cfg.Clip {
+				clipped++
+			}
+		}
+		sums.kl += klBatch / float64(bsz)
+		sums.clip += float64(clipped) / float64(bsz)
 	}
-	return closs.Item()
+	return sums
+}
+
+// criticEpoch stages and optimizes every critic minibatch of the current
+// shuffle on the critic tape and returns the summed loss. It touches only
+// the critic modules, their optimizers and the critic-lane scratch, so it
+// may run concurrently with actorEpoch over the same shuffle.
+func criticEpoch(s *ppoUpdateSpec) float64 {
+	st := s.scratch
+	steps := s.buf.Steps()
+	sum := 0.0
+	for lo := 0; lo < len(steps); lo += s.cfg.MiniBatch {
+		bsz := min(s.cfg.MiniBatch, len(steps)-lo)
+		states := viewRows(st.criticStates, bsz)
+		target := viewRows(st.target, bsz)
+		oldValue := viewRows(st.oldValue, bsz)
+		for bi, t := range st.idx[lo : lo+bsz] {
+			copy(states.Row(bi), steps[t].State)
+			target.Data[bi] = s.targets[t]
+			oldValue.Data[bi] = steps[t].Value
+		}
+
+		// Critic grads are zero on entry for the same reason as the actor's:
+		// each cm.opt.Step() below consumes them.
+		ct := st.criticTape
+		ct.Reset()
+		closs := s.criticLoss(ct, ct.Const(states), ct.Const(target), ct.Const(oldValue))
+		closs.Backward()
+		for _, cm := range s.criticModules {
+			if s.prox != nil {
+				s.prox.Apply(cm.net)
+			}
+			nn.ClipGradNorm(cm.net, s.cfg.MaxGradNorm)
+			cm.opt.Step()
+		}
+		sum += closs.Item()
+	}
+	return sum
 }

@@ -3,9 +3,11 @@
 # budget:
 #   - BenchmarkEnvStep / BenchmarkRolloutStep must report 0 allocs/op (the
 #     simulator core and the inference fast path are allocation-free), and
-#   - BenchmarkPPOUpdate must stay within PPO_ALLOC_BUDGET allocs/op (the
-#     batched update pipeline keeps steady-state staging in agent-owned
-#     scratch; the few remaining allocs are per-Update bookkeeping), and
+#   - every BenchmarkPPOUpdate row (paper and narrow width, at 1, 2 and 4
+#     procs: the sequential path beside the actor/critic lanes) must stay
+#     within PPO_ALLOC_BUDGET allocs/op (the batched update pipeline keeps
+#     steady-state staging in agent-owned scratch; the few remaining allocs
+#     are per-Update bookkeeping), and
 #   - BenchmarkFedAggregate must report 0 allocs/op (the federation data
 #     plane — codec encode/decode plus pooled aggregation — reuses encoder
 #     scratch and the payload arena every round).
@@ -39,7 +41,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "env" ]; then
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "update" ]; then
 	"$GO" test ./internal/rl/ -run '^$' \
-		-bench 'BenchmarkPPOUpdate' \
+		-bench 'BenchmarkPPOUpdate' -cpu 1,2,4 \
 		-benchtime "$PPO_BENCHTIME" -benchmem | tee -a "$out"
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
