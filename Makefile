@@ -49,19 +49,24 @@ metrics-smoke:
 	./scripts/metrics_smoke.sh
 
 # The barrier regime end to end: a 4-client demo federation over loopback
-# fednet with a round deadline and the fault injector on from the very first
-# install (the join), everything seeded. The async regime's counterpart is
-# swarm-smoke below.
+# fednet with a round deadline, the lossy delta codec and the fault injector
+# on from the very first install (the join), everything seeded. The async
+# regime's counterpart is swarm-smoke below.
 fed-smoke:
 	$(GO) run ./cmd/pfrl-node -mode demo -clients 4 -rounds 2 -comm 1 -tasks 20 \
-		-retries 8 -round-timeout 5s -seed 42 -fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
+		-retries 8 -round-timeout 5s -seed 42 -codec i8 -codec-delta \
+		-fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
 
 # A 16-client buffered-async swarm over loopback fednet with the fault
-# injector on: drops, duplicates, and corruptions all active, everything
-# seeded. Guards the asynchronous federation path end to end.
+# injector on — drops, duplicates, and corruptions all active, everything
+# seeded — on the codec the swarm_104_async benchmark runs (int8, delta
+# references), so every failed install crosses the wire session's
+# clear-and-go-absolute rule. Guards the asynchronous federation path end to
+# end.
 swarm-smoke:
 	$(GO) run ./cmd/pfrl-node -mode swarm -clients 16 -rounds 2 -buffer 4 \
-		-staleness-bound 2 -seed 42 -fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
+		-staleness-bound 2 -seed 42 -codec i8 -codec-delta \
+		-fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
 
 build:
 	$(GO) build ./...
@@ -124,7 +129,9 @@ bench-update:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh update
 
 # The federation data-plane slice of the allocation guard: one steady-state
-# round (K encodes, K decodes, pooled aggregation) must allocate nothing.
+# round through the product's wire session (K client-end encodes, K
+# server-end decodes, pooled aggregation, one frame, K reference rotations, K
+# installs) must allocate nothing, on the identity tier and on i8+delta.
 bench-agg:
 	GO="$(GO)" BENCHTIME="$${BENCHTIME:-50x}" ./scripts/bench_alloc_guard.sh agg
 

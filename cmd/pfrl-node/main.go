@@ -20,7 +20,6 @@ import (
 	"os"
 	"strings"
 	"sync"
-	"time"
 
 	"repro/internal/cloudsim"
 	"repro/internal/core"
@@ -124,15 +123,20 @@ func main() {
 		opts.Rejoin, opts.RejoinID = true, *rejoin
 	}
 
-	acfg := asyncConfig{on: *async, stalenessBound: *stalenessBound, buffer: *buffer}
+	// The server-side flags, for the two modes that boot an aggregation
+	// server; startServer fills in the initial global and the aggregator.
+	scfg := fednet.ServerConfig{
+		Clients: *clients, K: *k, Seed: *seed, RoundTimeout: *roundTimeout,
+		Async: *async, StalenessBound: *stalenessBound, Buffer: *buffer, Codec: codec,
+	}
 
 	switch *mode {
 	case "server":
-		err = runServer(*addr, *clients, *k, *seed, *roundTimeout, acfg, codec)
+		err = runServer(*addr, scfg)
 	case "client":
 		err = runClient(*addr, *dataset, *tasks, *rounds, *comm, *seed, opts, faults)
 	case "demo":
-		err = runDemo(*clients, *k, *rounds, *comm, *tasks, *seed, *roundTimeout, opts, faults, acfg, codec)
+		err = runDemo(scfg, *rounds, *comm, *tasks, opts, faults)
 	case "swarm":
 		err = runSwarm(*clients, *k, *rounds, *comm, *tasks, *seed, *stalenessBound, *buffer, *retries, faults, codec)
 	default:
@@ -198,54 +202,46 @@ func localTasks(spec core.ClientSpec, tasks int, rng *rand.Rand) ([]workload.Tas
 	return cloudsim.ClampTasks(comp.Sample(rng, tasks), spec.VMs), nil
 }
 
-// asyncConfig carries the asynchronous-federation flags into each mode.
-type asyncConfig struct {
-	on             bool
-	stalenessBound int
-	buffer         int
-}
-
-func runServer(addr string, clients, k int, seed int64, roundTimeout time.Duration, acfg asyncConfig, codec fedcore.CodecConfig) error {
-	// The server needs ψ_G^(0) with the federation's network shape.
-	spec, err := specFor("google", seed)
+// startServer boots the aggregation server of server and demo mode on addr
+// and prints its banner (what it is, where, N, K, the regime's knobs, then
+// tail). cfg carries the flags; ψ_G^(0) comes from a throw-away client built
+// from ref, which gives it the federation's network shape, and K defaults to
+// the paper's N/2.
+func startServer(cfg fednet.ServerConfig, what, addr string, ref core.ClientSpec, refSeed int64, tail string) (*fednet.Server, string, error) {
+	local, err := buildLocal(ref, 10, refSeed)
 	if err != nil {
-		return err
+		return nil, "", err
 	}
-	ref, err := buildLocal(spec, 10, seed)
+	if cfg.InitialGlobal, err = (fed.PublicCriticTransport{}).Upload(local); err != nil {
+		return nil, "", err
+	}
+	cfg.Aggregator = fed.NewAttention(cfg.Seed)
+	if cfg.K <= 0 {
+		cfg.K = fedcore.DefaultK(cfg.Clients)
+	}
+	srv, err := fednet.NewServer(cfg)
 	if err != nil {
-		return err
-	}
-	transport := fed.PublicCriticTransport{}
-	initial, err := transport.Upload(ref)
-	if err != nil {
-		return err
-	}
-	if k <= 0 {
-		k = fedcore.DefaultK(clients)
-	}
-	srv, err := fednet.NewServer(fednet.ServerConfig{
-		Clients: clients, K: k, Seed: seed,
-		InitialGlobal:  initial,
-		Aggregator:     fed.NewAttention(seed),
-		RoundTimeout:   roundTimeout,
-		Async:          acfg.on,
-		StalenessBound: acfg.stalenessBound,
-		Buffer:         acfg.buffer,
-		Codec:          codec,
-	})
-	if err != nil {
-		return err
+		return nil, "", err
 	}
 	bound, err := srv.Listen(addr)
 	if err != nil {
+		return nil, "", err
+	}
+	regime := fmt.Sprintf("round-timeout=%v", cfg.RoundTimeout)
+	if cfg.Async {
+		what, regime = "async "+what, fmt.Sprintf("staleness-bound=%d, buffer=%d", cfg.StalenessBound, cfg.Buffer)
+	}
+	fmt.Printf("%s on %s: N=%d, K=%d, %s%s\n", what, bound, cfg.Clients, cfg.K, regime, tail)
+	return srv, bound, nil
+}
+
+func runServer(addr string, cfg fednet.ServerConfig) error {
+	spec, err := specFor("google", cfg.Seed)
+	if err != nil {
 		return err
 	}
-	if acfg.on {
-		fmt.Printf("async aggregation server on %s (N=%d, K=%d, staleness-bound=%d, buffer=%d); Ctrl-C to stop\n",
-			bound, clients, k, acfg.stalenessBound, acfg.buffer)
-	} else {
-		fmt.Printf("aggregation server on %s (N=%d, K=%d, round-timeout=%v); Ctrl-C to stop\n",
-			bound, clients, k, roundTimeout)
+	if _, _, err := startServer(cfg, "aggregation server", addr, spec, cfg.Seed, "; Ctrl-C to stop"); err != nil {
+		return err
 	}
 	select {} // serve forever
 }
@@ -301,48 +297,18 @@ func printStats(rc *fednet.RemoteClient) {
 		rc.ID(), st.Retries, st.Timeouts, st.Resyncs)
 }
 
-func runDemo(clients, k, rounds, comm, tasks int, seed int64, roundTimeout time.Duration, opts fednet.Options, faults fed.FaultSpec, acfg asyncConfig, codec fedcore.CodecConfig) error {
+func runDemo(cfg fednet.ServerConfig, rounds, comm, tasks int, opts fednet.Options, faults fed.FaultSpec) error {
 	specs := core.ScaleSpecs(core.Table3Specs(), 4)
-	if clients > len(specs) {
-		clients = len(specs)
+	if cfg.Clients > len(specs) {
+		cfg.Clients = len(specs)
 	}
-	ref, err := buildLocal(specs[0], 10, seed+999)
-	if err != nil {
-		return err
-	}
-	transport := fed.PublicCriticTransport{}
-	initial, err := transport.Upload(ref)
-	if err != nil {
-		return err
-	}
-	if k <= 0 {
-		k = fedcore.DefaultK(clients)
-	}
-	srv, err := fednet.NewServer(fednet.ServerConfig{
-		Clients: clients, K: k, Seed: seed,
-		InitialGlobal:  initial,
-		Aggregator:     fed.NewAttention(seed),
-		RoundTimeout:   roundTimeout,
-		Async:          acfg.on,
-		StalenessBound: acfg.stalenessBound,
-		Buffer:         acfg.buffer,
-		Codec:          codec,
-	})
-	if err != nil {
-		return err
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
+	clients, seed := cfg.Clients, cfg.Seed
+	srv, addr, err := startServer(cfg, "demo federation", "127.0.0.1:0", specs[0], seed+999,
+		fmt.Sprintf("; %d rounds x %d episodes\n", rounds, comm))
 	if err != nil {
 		return err
 	}
 	defer srv.Close()
-	if acfg.on {
-		fmt.Printf("async demo federation on %s: %d clients, K=%d, %d rounds x %d episodes, staleness-bound=%d, buffer=%d\n\n",
-			addr, clients, k, rounds, comm, acfg.stalenessBound, acfg.buffer)
-	} else {
-		fmt.Printf("demo federation on %s: %d clients, K=%d, %d rounds x %d episodes, round-timeout=%v\n\n",
-			addr, clients, k, rounds, comm, roundTimeout)
-	}
 
 	var wg sync.WaitGroup
 	locals := make([]*fed.Client, clients)
@@ -378,7 +344,7 @@ func runDemo(clients, k, rounds, comm, tasks int, seed int64, roundTimeout time.
 			return fmt.Errorf("client %d: %w", i, err)
 		}
 	}
-	if acfg.on {
+	if cfg.Async {
 		// Commit whatever is left in the buffer and let every client pull
 		// the final round before reporting.
 		if rep, ok := srv.Flush(); ok {

@@ -9,7 +9,6 @@ package core
 import (
 	"fmt"
 	"math/rand"
-	"sync"
 
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
@@ -383,7 +382,7 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 	res := &TrainResult{Algorithm: alg, Clients: clients, Data: data}
 
 	if alg == AlgPPO {
-		trainIndependent(clients, cfg.Episodes, cfg.Parallel)
+		fed.TrainClients(clients, cfg.Episodes, cfg.Parallel)
 		res.MeanCurve = fed.MeanRewardCurve(clients)
 		return res, nil
 	}
@@ -447,23 +446,4 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 	res.MeanCurve = fed.MeanRewardCurve(clients)
 	res.Comm = f.Comm()
 	return res, nil
-}
-
-// trainIndependent trains clients without any federation.
-func trainIndependent(clients []*fed.Client, episodes int, parallel bool) {
-	if !parallel {
-		for _, c := range clients {
-			c.TrainEpisodes(episodes)
-		}
-		return
-	}
-	var wg sync.WaitGroup
-	for _, c := range clients {
-		wg.Add(1)
-		go func(c *fed.Client) {
-			defer wg.Done()
-			c.TrainEpisodes(episodes)
-		}(c)
-	}
-	wg.Wait()
 }

@@ -278,7 +278,7 @@ func RunWeightHeatmaps(cfg ExperimentConfig) (*HeatmapResult, error) {
 	if _, err := fed.New(clients, transport, fed.FedAvg{}, fed.Options{K: len(clients), CommEvery: 1, Seed: runCfg.Seed}); err != nil {
 		return nil, err
 	}
-	trainIndependent(clients, runCfg.Episodes, runCfg.Parallel)
+	fed.TrainClients(clients, runCfg.Episodes, runCfg.Parallel)
 
 	uploads := make([][]float64, len(clients))
 	labels := make([]string, len(clients))

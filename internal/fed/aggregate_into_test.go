@@ -168,7 +168,12 @@ func mallocsPerRun(runs int, f func()) uint64 {
 
 // TestBarrierRoundSteadyStateAllocs holds a whole barrier round on the
 // engine — K Submits staged into the pooled buffers, the close, the commit —
-// to zero allocations once warm.
+// to zero allocations once warm, and then the same round through a real
+// Federation.RunRound (wire session included, both guard codecs) to what the
+// adapter allocates per round whatever K is: the pull-side draw's copy of the
+// candidates and the exported Global and Reports mirrors. Anything per client
+// — a decode buffer, a reference, a frame, the install closure — would show
+// as K more.
 func TestBarrierRoundSteadyStateAllocs(t *testing.T) {
 	const k, dim = 8, benchDim
 	uploads := randomUploads(18, k, dim)
@@ -193,4 +198,44 @@ func TestBarrierRoundSteadyStateAllocs(t *testing.T) {
 	if e.Round() != 21 {
 		t.Fatalf("%d rounds committed, want 21", e.Round())
 	}
+
+	const perRound = 3
+	for _, c := range wireCodecs {
+		t.Run(c.name, func(t *testing.T) {
+			tr := &stubTransport{uploads: uploads, models: make([]Payload, k)}
+			clients := make([]*Client, k)
+			for i := range clients {
+				// No agent, no buffer: the loss probes read 0, and their
+				// per-commit appends are given room so they never grow.
+				clients[i] = &Client{ID: i, CriticLossPre: make([]float64, 0, 32), CriticLossPost: make([]float64, 0, 32)}
+				tr.models[i] = make(Payload, dim)
+			}
+			f, err := New(clients, tr, FedAvg{}, Options{K: k, Seed: 1, Codec: c.codec})
+			if err != nil {
+				t.Fatal(err)
+			}
+			f.CommEvery = 0 // no local training: the round is the data plane alone
+			if n := mallocsPerRun(20, func() {
+				if err := f.RunRound(); err != nil {
+					t.Fatal(err)
+				}
+			}); n > perRound {
+				t.Fatalf("warm RunRound allocates %v/op at K=%d; want at most %d, none of them per client", n, k, perRound)
+			}
+			if want := int64(21 * k * fedcore.FrameLen(c.codec.Tier, dim)); f.Rounds != 21 || f.Comm().UploadBytes != want || f.Comm().DownloadBytes != want {
+				t.Fatalf("rounds %d comm %+v, want 21 rounds of %d frames each way", f.Rounds, f.Comm(), k)
+			}
+		})
+	}
 }
+
+// stubTransport uploads fixed payloads and installs into plain vectors, so a
+// Federation round runs without agents.
+type stubTransport struct {
+	uploads, models []Payload
+}
+
+func (*stubTransport) Name() string                          { return "stub" }
+func (s *stubTransport) Upload(c *Client) (Payload, error)   { return s.uploads[c.ID], nil }
+func (s *stubTransport) Download(c *Client, p Payload) error { copy(s.models[c.ID], p); return nil }
+func (s *stubTransport) PayloadSize(c *Client) int           { return len(s.uploads[c.ID]) }

@@ -1,46 +1,10 @@
 package fed
 
-// CommStats accounts for the data exchanged between the clients and the
-// server: scalar counts for the §5.2 communication-cost comparison (PFRL-DM
-// transmits only public critics; FedAvg/MFPO move full actor+critic models,
-// roughly 3x the volume for the paper's architecture) and measured wire
-// bytes from the codec frames those scalars actually crossed the wire in.
-type CommStats struct {
-	// Rounds is the number of aggregation rounds accounted.
-	Rounds int
-	// UploadScalars / DownloadScalars are cumulative float64 counts across
-	// all clients and rounds.
-	UploadScalars   int64
-	DownloadScalars int64
-	// UploadBytes / DownloadBytes are the measured codec frame lengths of
-	// the same traffic — what the tier actually put on the wire, header
-	// included.
-	UploadBytes   int64
-	DownloadBytes int64
-}
+import "repro/internal/fedcore"
 
-// Total returns the total scalars moved in both directions.
-func (s CommStats) Total() int64 { return s.UploadScalars + s.DownloadScalars }
-
-// Bytes returns the measured wire volume: the sum of the codec frame
-// lengths, as counted at transmission time (no longer the 8-byte/scalar
-// assumption — see RawBytes for that figure).
-func (s CommStats) Bytes() int64 { return s.UploadBytes + s.DownloadBytes }
-
-// RawBytes returns the uncompressed volume the same traffic would occupy at
-// 8 bytes per float64 scalar — the denominator-free baseline the seed-era
-// Bytes reported.
-func (s CommStats) RawBytes() int64 { return s.Total() * 8 }
-
-// CompressionRatio returns RawBytes/Bytes — how many times smaller the wire
-// traffic was than raw float64 encoding (1 when nothing has been measured;
-// slightly below 1 for the identity tier, which pays the frame header).
-func (s CommStats) CompressionRatio() float64 {
-	if s.Bytes() == 0 {
-		return 1
-	}
-	return float64(s.RawBytes()) / float64(s.Bytes())
-}
+// CommStats is the wire session's traffic ledger (scalar counts and measured
+// frame bytes), counted by the server end of the wire.
+type CommStats = fedcore.CommStats
 
 // Comm returns the federation's cumulative communication statistics.
-func (f *Federation) Comm() CommStats { return f.comm }
+func (f *Federation) Comm() CommStats { return f.wire.Comm() }

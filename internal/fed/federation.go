@@ -38,9 +38,8 @@ type Federation struct {
 	// CommEvery is the communication frequency: episodes of local training
 	// between aggregations.
 	CommEvery int
-	// Parallel trains clients in concurrent goroutines within a segment.
-	// Results are identical either way: clients are independent and each
-	// agent owns its RNG.
+	// Parallel trains clients in concurrent goroutines within a segment
+	// (see TrainClients).
 	Parallel bool
 
 	// Global mirrors the engine's stored payload ψ_G (or the full model for
@@ -54,44 +53,22 @@ type Federation struct {
 	// Reports mirrors the engine's participation records.
 	Reports []RoundReport
 
-	comm CommStats
-
-	// Wire codec state. Every payload crossing the in-process "wire" is
-	// framed and decoded through the same fedcore codec the networked path
-	// uses, so CommStats measures real frame bytes and the lossy tiers
-	// affect training identically on both paths. upEnc holds one uplink
-	// encoder per client (delta reference + error-feedback residual);
-	// downEnc is the shared stateless downlink framer. refs/refTags are the
-	// server-side delta references (the last model each client installed);
-	// the remaining fields are pooled scratch so steady-state rounds
-	// allocate nothing.
-	codec   fedcore.CodecConfig
-	upEnc   []*fedcore.Encoder
-	downEnc *fedcore.Encoder
-	refs    []Payload
-	refTags []uint64
-	refSeq  uint64
-	upBufs  []Payload
-	downBuf Payload
-
-	// Downlink frame cache: with FedAvg/Momentum every participant receives
-	// the same payload (the aggregators alias it), so one encode serves the
-	// whole delivery loop. Keyed by payload identity, reset per commit.
-	downPtr   *float64
-	downLen   int
-	downFrame int
+	// The wire session: every payload crosses the in-process "wire" through
+	// the two ends the networked path puts an RPC between, so CommStats
+	// measures real frame bytes and the lossy and delta tiers affect training
+	// identically on both paths.
+	wire *fedcore.WireServer
+	ends []*fedcore.WireClient
 
 	// all is 0..N-1, the pull-side draw's candidates.
 	all []int
 
 	// Submission bookkeeping: per-client monotone submission counters (the
 	// dedup key), per-client base rounds (the round whose global each client
-	// last installed — the staleness anchor), the number of committed rounds
-	// (mirrors Engine.Round without locking inside deliveries), and the
-	// error a delivery callback surfaced.
+	// last installed — the staleness anchor), and the error a delivery
+	// callback surfaced.
 	clientSeq  []int
 	clientBase []int
-	committed  int
 	deliverErr error
 }
 
@@ -141,11 +118,8 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 		Agg:       agg,
 		CommEvery: commEvery,
 		Parallel:  opts.Parallel,
-		codec:     opts.Codec,
+		wire:      fedcore.NewWireServer(opts.Codec),
 	}
-	// Downlink frames are absolute and stateless (no residual) so one
-	// encoder serves every client and identical payloads encode once.
-	f.downEnc = fedcore.NewEncoder(fedcore.CodecConfig{Tier: opts.Codec.Tier, NoErrorFeedback: true})
 	for _, c := range clients {
 		f.addSlot(c, 0)
 	}
@@ -168,16 +142,18 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 	return f, nil
 }
 
-// trainSegment runs CommEvery local episodes on every client.
-func (f *Federation) trainSegment(episodes int) {
-	if !f.Parallel {
-		for _, c := range f.Clients {
+// TrainClients runs the given number of local episodes on every client, in
+// one goroutine per client when parallel. Results are identical either way:
+// clients are independent and each agent owns its RNG.
+func TrainClients(clients []*Client, episodes int, parallel bool) {
+	if !parallel {
+		for _, c := range clients {
 			c.TrainEpisodes(episodes)
 		}
 		return
 	}
 	var wg sync.WaitGroup
-	for _, c := range f.Clients {
+	for _, c := range clients {
 		wg.Add(1)
 		go func(c *Client) {
 			defer wg.Done()
@@ -205,7 +181,7 @@ func (f *Federation) trainSegment(episodes int) {
 // download error is reported after the commit (the aggregation itself
 // already happened).
 func (f *Federation) RunRound() error {
-	f.trainSegment(f.CommEvery)
+	TrainClients(f.Clients, f.CommEvery, f.Parallel)
 
 	selected := f.Engine.Select(f.all)
 	f.deliverErr = nil
@@ -220,11 +196,7 @@ func (f *Federation) RunRound() error {
 		case err != nil:
 			return fmt.Errorf("fed: round %d upload from client %d: %w", f.Rounds, f.Clients[idx].ID, err)
 		}
-		f.comm.UploadScalars += int64(len(u))
-		f.clientSeq[idx]++
-		// A rejected upload (ErrBadUpload) is already counted by the engine;
-		// the client simply sits this round out.
-		_, _ = f.Engine.Submit(idx, f.clientSeq[idx], f.clientBase[idx], f.recvUpload(idx, u))
+		f.submit(idx, u)
 		if f.deliverErr != nil {
 			break
 		}
@@ -235,65 +207,34 @@ func (f *Federation) RunRound() error {
 	return f.deliverErr
 }
 
-// recvUpload moves one upload across the simulated wire: the client's
-// encoder frames it (delta + error feedback per the codec config), the frame
-// bytes are accounted, and the server-side decode — against the delta
-// reference both ends agreed on at the last delivery — becomes the
-// contribution the engine aggregates. Under the identity tier the decode is
-// bit-exact, which is the degradation pin. The returned payload is the
-// pooled per-client decode buffer, valid until this client's next upload.
-func (f *Federation) recvUpload(idx int, u Payload) Payload {
-	if len(u) == 0 {
-		// Nothing to frame; the engine rejects zero-length uploads itself.
-		return u
+// submit moves one upload across the wire — the client end frames it (delta
+// and error feedback per the codec), the server end decodes it against the
+// reference the two share — and hands the decode to the engine. Under the
+// identity tier the decode is bit-exact, which is the degradation pin. An
+// upload the engine rejects (ErrBadUpload) is counted in its report, not in
+// CommStats; its client sits the round out.
+func (f *Federation) submit(idx int, u Payload) {
+	up := u
+	if len(u) > 0 { // nothing to frame; the engine rejects an empty upload itself
+		var err error
+		if up, err = f.wire.Decode(idx, f.ends[idx].Encode(u)); err != nil {
+			// The client end knows the outcome of every install in this
+			// process: a bug, not a network condition.
+			panic(fmt.Sprintf("fed: wire desync on client %d upload: %v", idx, err))
+		}
 	}
-	frame := f.upEnc[idx].Encode(u)
-	f.comm.UploadBytes += int64(len(frame))
-	fedcore.ObserveWireUpload(len(frame))
-	dec, h, err := fedcore.DecodeFrame(frame, f.refs[idx], f.upBufs[idx])
-	if err == nil && h.Delta && h.RefTag != f.refTags[idx] {
-		err = fedcore.ErrRefMismatch
+	f.clientSeq[idx]++
+	if _, err := f.Engine.Submit(idx, f.clientSeq[idx], f.clientBase[idx], up); err == nil {
+		f.wire.Accepted(idx)
 	}
-	if err != nil {
-		// Both codec ends live in this struct and update in lockstep, so a
-		// decode failure here is a bug, not a network condition.
-		panic(fmt.Sprintf("fed: codec desync on client %d upload: %v", idx, err))
-	}
-	f.upBufs[idx] = dec
-	return dec
-}
-
-// sendDown moves one payload across the simulated downlink: an absolute
-// stateless frame, cached by payload identity so the aggregators' aliased
-// personalized payloads (FedAvg, Momentum — every participant gets the same
-// model) encode once per commit. Returns the client-side decode and the
-// frame length; the decode is the shared downlink buffer, valid until the
-// next distinct payload is framed.
-func (f *Federation) sendDown(payload Payload) (Payload, int) {
-	if len(payload) == 0 {
-		return payload, 0
-	}
-	if f.downPtr == &payload[0] && f.downLen == len(payload) {
-		return f.downBuf, f.downFrame
-	}
-	frame := f.downEnc.Encode(payload)
-	dec, _, err := fedcore.DecodeFrame(frame, nil, f.downBuf)
-	if err != nil {
-		panic(fmt.Sprintf("fed: codec desync on downlink: %v", err))
-	}
-	f.downBuf = dec
-	f.downPtr, f.downLen, f.downFrame = &payload[0], len(payload), len(frame)
-	return dec, len(frame)
 }
 
 // deliverCommit distributes one committed round's results: participants
 // receive their personalized payloads, everyone else the new global. It is
 // the engine's Delivery callback and runs under the engine lock, so it must
-// not call back into the engine — the committed-round counter mirrors
-// Engine.Round for that reason.
+// not call back into the engine — the round count comes from the wire.
 func (f *Federation) deliverCommit(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
-	f.committed++
-	f.downPtr = nil // arena buffers are rewritten per commit; drop the cache
+	committed := f.wire.NextRound()
 	drops := 0
 	var commDur time.Duration
 	for idx, c := range f.Clients {
@@ -302,35 +243,23 @@ func (f *Federation) deliverCommit(personalized map[int]fedcore.Payload, global 
 		if !ok {
 			payload = global
 		}
-		wire, frameLen := f.sendDown(payload)
+		_, view, tag := f.wire.Frame(idx, payload)
 		callStart := time.Now()
-		err := f.Transport.Download(c, wire)
+		err := f.ends[idx].Install(view, tag, func(p Payload) error { return f.Transport.Download(c, p) })
 		commDur += time.Since(callStart)
 		switch {
 		case errors.Is(err, ErrInjectedFault):
 			drops++
 		case err != nil:
-			f.deliverErr = fmt.Errorf("fed: round %d download to client %d: %w", f.committed-1, c.ID, err)
+			f.deliverErr = fmt.Errorf("fed: round %d download to client %d: %w", committed-1, c.ID, err)
 			return drops, commDur
 		default:
-			f.comm.DownloadScalars += int64(len(payload))
-			f.comm.DownloadBytes += int64(frameLen)
-			fedcore.ObserveWireDownload(frameLen)
 			// The client installed this commit's global: its next delta is
-			// fresh relative to round f.committed.
-			f.clientBase[idx] = f.committed
-			if f.codec.Delta {
-				// Both ends saw this install: it becomes the client's next
-				// delta reference, under a fresh tag.
-				f.refSeq++
-				f.upEnc[idx].SetRef(f.refSeq, wire)
-				f.refs[idx] = append(f.refs[idx][:0], wire...)
-				f.refTags[idx] = f.refSeq
-			}
+			// fresh relative to it.
+			f.clientBase[idx] = committed
 		}
 		c.CriticLossPost = append(c.CriticLossPost, c.probeCriticLoss())
 	}
-	fedcore.SetCompressionRatio(f.comm.CompressionRatio())
 	return drops, commDur
 }
 
@@ -339,7 +268,6 @@ func (f *Federation) syncMirrors() {
 	f.Global = f.Engine.Global()
 	f.Rounds = f.Engine.Round()
 	f.Reports = f.Engine.Reports()
-	f.comm.Rounds = f.Rounds
 }
 
 // RunEpisodes trains for the given number of episodes per client,
@@ -355,7 +283,7 @@ func (f *Federation) RunEpisodes(episodes int) error {
 		}
 	}
 	if rem := episodes % f.CommEvery; rem > 0 {
-		f.trainSegment(rem)
+		TrainClients(f.Clients, rem, f.Parallel)
 	}
 	// Commit any trailing partial buffer so deltas submitted after the last
 	// commit are not lost. A no-op when every submission already committed —
@@ -381,16 +309,12 @@ func (f *Federation) AddClient(c *Client) error {
 
 // addSlot appends client c and its per-client state. Its installs so far
 // were out-of-band raw payloads (the constructor's initial sync, a join —
-// matching the networked path's JoinReply), so it starts with a fresh
-// encoder and no delta reference: its first uplink is absolute. base is the
-// round whose global it holds.
+// matching the networked path's JoinReply), so it starts with a fresh client
+// end: its first uplink is absolute. base is the round whose global it holds.
 func (f *Federation) addSlot(c *Client, base int) {
 	f.all = append(f.all, len(f.Clients))
 	f.Clients = append(f.Clients, c)
-	f.upEnc = append(f.upEnc, fedcore.NewEncoder(f.codec))
-	f.refs = append(f.refs, nil)
-	f.refTags = append(f.refTags, 0)
-	f.upBufs = append(f.upBufs, nil)
+	f.ends = append(f.ends, fedcore.NewWireClient(f.wire.Codec()))
 	f.clientSeq = append(f.clientSeq, 0)
 	f.clientBase = append(f.clientBase, base)
 }

@@ -37,8 +37,8 @@ import (
 // win is accuracy: post-round parameter drift has a far smaller dynamic
 // range than absolute parameters, so the per-block scales shrink and the
 // lossy tiers bite less. The decoder adds the same reference back, which is
-// why RefTag must match on both ends (the adapters fall back to absolute
-// encoding on a mismatch rather than silently corrupting the round).
+// why RefTag must match on both ends (the wire session, wire.go, falls back
+// to absolute encoding on a mismatch rather than corrupting the round).
 //
 // Error feedback is client-side Encoder state: the residual r accumulates
 // what quantization discarded, and each Encode transmits v + r instead of v,
@@ -152,8 +152,8 @@ func bodyLen(tier Tier, dim int) int {
 func FrameLen(tier Tier, dim int) int { return frameHeader + bodyLen(tier, dim) }
 
 // Frame decode errors. ErrBadFrame covers every malformed-frame condition;
-// ErrRefMismatch is the delta-reference disagreement the adapters recover
-// from by re-encoding absolutely.
+// ErrRefMismatch is the delta-reference disagreement the wire session
+// (wire.go) recovers from by re-encoding absolutely.
 var (
 	ErrBadFrame    = errors.New("fedcore: bad payload frame")
 	ErrRefMismatch = errors.New("fedcore: delta frame references an unknown payload")
@@ -295,17 +295,12 @@ func NewEncoder(cfg CodecConfig) *Encoder { return &Encoder{cfg: cfg} }
 // SetRef installs the delta reference — the payload this encoder's client
 // just installed, under the tag both ends agreed on. The payload is copied.
 func (e *Encoder) SetRef(tag uint64, p []float64) {
-	if cap(e.ref) < len(p) {
-		e.ref = make([]float64, len(p))
-	}
-	e.ref = e.ref[:len(p)]
-	copy(e.ref, p)
+	e.ref = append(e.ref[:0], p...)
 	e.refTag = tag
 	e.hasRef = true
 }
 
-// ClearRef drops the delta reference; the next Encode is absolute. Called
-// after an out-of-band model install (join, resync) or a reported mismatch.
+// ClearRef drops the delta reference; the next Encode is absolute.
 func (e *Encoder) ClearRef() { e.hasRef = false }
 
 // Encode frames one payload. The returned slice is the encoder's internal

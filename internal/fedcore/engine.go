@@ -23,6 +23,9 @@
 //     and the new global (everyone else) to the adapter, which owns how they
 //     reach clients and whether they are retained — the engine keeps no
 //     per-adapter state.
+//   - Payloads reach Submit and leave Delivery through the wire session
+//     (wire.go): WireServer and WireClient are the only code that frames,
+//     keeps delta references or counts traffic.
 //
 // Because both adapters drive the same engine with the same seed, an
 // in-process run and a loopback networked run are bit-identical (the

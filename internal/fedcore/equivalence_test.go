@@ -13,6 +13,7 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fed"
+	"repro/internal/fedcore"
 	"repro/internal/fednet"
 )
 
@@ -62,6 +63,7 @@ func runLoopback(t *testing.T, cfg core.ExperimentConfig, rounds int) (*fednet.S
 		Seed:          cfg.Seed,
 		InitialGlobal: initial,
 		Aggregator:    fed.NewAttention(cfg.Seed),
+		Codec:         cfg.Codec,
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -111,10 +113,40 @@ func samePayload(a, b fed.Payload) bool {
 	return true
 }
 
+// TestCrossPathEquivalenceGolden runs the K < N identity case — every round
+// consumes the selection RNG — and, at K = N, every codec shape the wire
+// session has: lossless and lossy tiers, with and without delta references.
+// The codec rows run at K = N because at K < N the pull path encodes only the
+// K drawn uplinks per round and the push path all N, so the clients'
+// error-feedback residuals legitimately differ; at K = N both paths move the
+// same frames, so the measured wire bytes must match too — a rotation one
+// adapter skips shows in the globals, a frame one adapter counts and the
+// other does not shows in the bytes.
 func TestCrossPathEquivalenceGolden(t *testing.T) {
-	cfg := equivConfig(42)
-	rounds := cfg.Episodes / cfg.CommEvery
+	for _, tc := range []struct {
+		name   string
+		k      int
+		rounds int
+		codec  fedcore.CodecConfig
+	}{
+		{"identity_K2", 2, 2, fedcore.CodecConfig{}},
+		{"identity", 4, 4, fedcore.CodecConfig{}},
+		{"f32", 4, 4, fedcore.CodecConfig{Tier: fedcore.TierF32}},
+		{"i8", 4, 4, fedcore.CodecConfig{Tier: fedcore.TierI8}},
+		{"i8+delta", 4, 4, fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}},
+		{"i16+delta", 4, 4, fedcore.CodecConfig{Tier: fedcore.TierI16, Delta: true}},
+		{"identity+delta", 4, 4, fedcore.CodecConfig{Tier: fedcore.TierIdentity, Delta: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := equivConfig(42)
+			cfg.K, cfg.Codec = tc.k, tc.codec
+			cfg.CommEvery = cfg.Episodes / tc.rounds
+			crossPathEquivalence(t, cfg, tc.rounds)
+		})
+	}
+}
 
+func crossPathEquivalence(t *testing.T, cfg core.ExperimentConfig, rounds int) {
 	inRes, err := core.Train(core.AlgPFRLDM, cfg)
 	if err != nil {
 		t.Fatal(err)
@@ -137,6 +169,12 @@ func TestCrossPathEquivalenceGolden(t *testing.T) {
 			t.Fatalf("episode %d: mean reward %v (in-process) vs %v (networked)",
 				i, inRes.MeanCurve[i], netCurve[i])
 		}
+	}
+
+	// At K = N both paths put the same frames on the wire.
+	if inComm, netComm := inRes.Comm, srv.Comm(); cfg.K == len(netClients) &&
+		(inComm.UploadBytes == 0 || inComm.UploadBytes != netComm.UploadBytes || inComm.DownloadBytes != netComm.DownloadBytes) {
+		t.Fatalf("wire bytes diverged:\n in-process %+v\n networked  %+v", inComm, netComm)
 	}
 
 	// Matching per-round reports on the path-independent fields. Arrived is

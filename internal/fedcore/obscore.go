@@ -2,11 +2,10 @@ package fedcore
 
 import "repro/internal/obs"
 
-// Round-engine metrics, registered once into the default registry and served
-// by pfrl-node's -metrics-addr endpoint. They moved here from internal/fed
-// with their names intact when the round state machine was extracted: both
-// federation paths now feed the same instruments, so an in-process run and a
-// networked server report rounds identically.
+// Round-engine and wire metrics, registered once into the default registry
+// and served by pfrl-node's -metrics-addr endpoint. Both federation paths feed
+// the same instruments, so an in-process run and a networked server report
+// rounds and traffic identically.
 var (
 	coreReg = obs.DefaultRegistry()
 
@@ -38,9 +37,8 @@ var (
 		"accepted async arrivals currently buffered toward the next commit")
 
 	// Data-plane wire instruments: measured frame bytes as produced by the
-	// payload codec, not scalar-count estimates. Both federation paths count
-	// through these, so the compression ratio on the endpoint reflects
-	// whatever tier the run was configured with.
+	// payload codec, not scalar-count estimates, so the ratio on the endpoint
+	// reflects the configured tier. WireServer is the only writer.
 	mWireUpload = coreReg.Counter("pfrl_fed_wire_upload_bytes_total",
 		"measured wire bytes of accepted client upload frames")
 	mWireDownload = coreReg.Counter("pfrl_fed_wire_download_bytes_total",
@@ -48,12 +46,3 @@ var (
 	gCompression = coreReg.Gauge("pfrl_fed_compression_ratio",
 		"cumulative raw payload bytes over measured wire bytes (1.0 = uncompressed)")
 )
-
-// ObserveWireUpload counts n measured bytes of an accepted upload frame.
-func ObserveWireUpload(n int) { mWireUpload.Add(uint64(n)) }
-
-// ObserveWireDownload counts n measured bytes of a delivered download frame.
-func ObserveWireDownload(n int) { mWireDownload.Add(uint64(n)) }
-
-// SetCompressionRatio refreshes the cumulative compression-ratio gauge.
-func SetCompressionRatio(r float64) { gCompression.Set(r) }

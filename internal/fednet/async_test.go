@@ -8,25 +8,18 @@ import (
 	"testing"
 
 	"repro/internal/fed"
+	"repro/internal/fedcore"
+	"repro/internal/obs"
 )
 
 // startAsyncServer boots an async-mode server (staleness unbounded unless
 // bound given) and returns it with its address.
 func startAsyncServer(t *testing.T, n, k, bound, buffer int, agg fed.Aggregator, initial fed.Payload) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
+	return startConfigured(t, ServerConfig{
 		Clients: n, K: k, Seed: 42, InitialGlobal: initial, Aggregator: agg,
 		Async: true, StalenessBound: bound, Buffer: buffer,
 	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	addr, err := srv.Listen("127.0.0.1:0")
-	if err != nil {
-		t.Fatal(err)
-	}
-	t.Cleanup(srv.Close)
-	return srv, addr
 }
 
 // rawJoin registers a bare RPC connection as the next client slot.
@@ -121,47 +114,137 @@ func (d *dropOnceDownload) Download(c *fed.Client, p fed.Payload) error {
 }
 
 // TestAsyncClientRetryIsIdempotent drives the dedup through the real client
-// retry machinery: client 0's first Sync succeeds server-side but the local
-// install fails (a lost reply, injected via the fault-transport error), so
-// syncRound retries the whole exchange — same seq — and the server must
-// answer without double-applying the delta.
+// retry machinery: client 0's Sync succeeds server-side but the local install
+// fails (injected via the fault-transport error), so syncRound retries the
+// whole exchange — same seq — and the server must answer without
+// double-applying the delta. One failed install costs exactly one retry on
+// every codec: in the delta row the client holds a reference when the install
+// fails (one clean round and a fetch come first), the server has already
+// rotated past it when it framed the reply, and the wire's client end clears
+// it at once instead of spending a second retry on a mismatch it can foresee.
 func TestAsyncClientRetryIsIdempotent(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		codec fedcore.CodecConfig
+	}{
+		{"identity", fedcore.CodecConfig{}},
+		{"i8+delta", fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			transport := fed.PublicCriticTransport{}
+			locals := []*fed.Client{newLocalClient(t, 0, 5), newLocalClient(t, 1, 6)}
+			srv, addr := startConfigured(t, ServerConfig{
+				Clients: 2, K: 2, Seed: 42, InitialGlobal: mustUpload(t, transport, locals[0]), Aggregator: fed.FedAvg{},
+				Async: true, StalenessBound: -1, Buffer: 2, Codec: tc.codec,
+			})
+
+			faulty := &dropOnceDownload{Transport: transport}
+			rc0, err := DialOptions(addr, locals[0], faulty, Options{Retries: 3})
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc0.Close()
+			rc1, err := Dial(addr, locals[1], transport)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer rc1.Close()
+
+			commits := 1
+			if tc.codec.Delta {
+				// A clean round, committed by rc1's arrival; rc0 collects its
+				// result now so the armed drop hits the next Sync's install.
+				commits = 2
+				for _, rc := range []*RemoteClient{rc0, rc1} {
+					if err := rc.RunRounds(1, 1); err != nil {
+						t.Fatal(err)
+					}
+				}
+				if got, err := rc0.Fetch(); err != nil || !got {
+					t.Fatalf("fetch of the clean round: installed=%v err=%v", got, err)
+				}
+			}
+			faulty.arm(1)
+
+			// rc0's exchange: Sync accepted (buffered), Download fails, retry
+			// resends the same seq → duplicate → idempotent reply → install
+			// succeeds.
+			if err := rc0.RunRounds(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			if rc0.Stats().Retries != 1 {
+				t.Fatalf("retries %d, want exactly 1", rc0.Stats().Retries)
+			}
+			// rc1 fills the buffer and commits.
+			if err := rc1.RunRounds(1, 1); err != nil {
+				t.Fatal(err)
+			}
+			reports := srv.Reports()
+			if len(reports) != commits {
+				t.Fatalf("%d rounds committed, want %d (the retransmit must not advance the buffer)", len(reports), commits)
+			}
+			if rep := reports[commits-1]; rep.Arrived != 2 || rep.DupDrops != 1 {
+				t.Fatalf("commit report %+v, want 2 arrivals and 1 dup drop", rep)
+			}
+		})
+	}
+}
+
+// TestLostReplyRecoversThroughRefMismatch is the failure the client cannot
+// foresee: the server framed a reply — rotating the client's delta reference
+// — that the client never saw. The next uplink is a delta against a tag the
+// server no longer holds; the server answers msgRefMismatch, the client goes
+// absolute, and the round lands on the one retry it is allowed.
+func TestLostReplyRecoversThroughRefMismatch(t *testing.T) {
 	transport := fed.PublicCriticTransport{}
-	locals := []*fed.Client{newLocalClient(t, 0, 5), newLocalClient(t, 1, 6)}
-	initial := mustUpload(t, transport, locals[0])
-	srv, addr := startAsyncServer(t, 2, 2, -1, 2, fed.FedAvg{}, initial)
-
-	faulty := &dropOnceDownload{Transport: transport}
-	rc0, err := DialOptions(addr, locals[0], faulty, Options{Retries: 3})
+	local := newLocalClient(t, 0, 5)
+	srv, addr := startConfigured(t, ServerConfig{
+		Clients: 1, K: 1, Seed: 42, InitialGlobal: mustUpload(t, transport, local), Aggregator: fed.FedAvg{},
+		Async: true, StalenessBound: -1, Codec: fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true},
+	})
+	rc, err := DialOptions(addr, local, transport, Options{Retries: 1})
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rc0.Close()
-	faulty.arm(1)
-	rc1, err := Dial(addr, locals[1], transport)
+	defer rc.Close()
+	// One clean round: the reply is tagged, the client adopts it.
+	if err := rc.RunRounds(1, 1); err != nil {
+		t.Fatal(err)
+	}
+
+	// The lost reply: a second connection fetches on the client's behalf, so
+	// the server frames (and rotates) for client 0 and the client never knows.
+	conn, err := rpc.Dial("tcp", addr)
 	if err != nil {
 		t.Fatal(err)
 	}
-	defer rc1.Close()
+	defer conn.Close()
+	var lost FetchReply
+	if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: rc.ID(), Base: -1}, &lost); err != nil || lost.RefTag == 0 {
+		t.Fatalf("stand-in fetch: tag %#x err %v, want a tagged reply", lost.RefTag, err)
+	}
 
-	// rc0's exchange: Sync accepted (buffered), Download fails, retry
-	// resends seq 1 → duplicate → idempotent reply → install succeeds.
-	if err := rc0.RunRounds(1, 1); err != nil {
-		t.Fatal(err)
+	sink := &obs.MemorySink{}
+	defer obs.SetSink(obs.SetSink(sink))
+	if err := rc.RunRounds(1, 1); err != nil {
+		t.Fatalf("round after the lost reply: %v", err)
 	}
-	if rc0.Stats().Retries != 1 {
-		t.Fatalf("retries %d, want exactly 1", rc0.Stats().Retries)
+	if rc.Stats().Retries != 1 || srv.Rounds() != 2 {
+		t.Fatalf("retries %d rounds %d, want the round to land on its one retry", rc.Stats().Retries, srv.Rounds())
 	}
-	// rc1 fills the buffer and commits.
-	if err := rc1.RunRounds(1, 1); err != nil {
-		t.Fatal(err)
+	var causes []string
+	for _, ev := range sink.Events() {
+		if ev.Type != "rpc_retry" {
+			continue
+		}
+		for _, f := range ev.Fields() {
+			if f.Key == "error" {
+				causes = append(causes, f.Str)
+			}
+		}
 	}
-	reports := srv.Reports()
-	if len(reports) != 1 {
-		t.Fatalf("%d rounds committed, want 1 (the retransmit must not advance the buffer)", len(reports))
-	}
-	if rep := reports[0]; rep.Arrived != 2 || rep.DupDrops != 1 {
-		t.Fatalf("commit report %+v, want 2 arrivals and 1 dup drop", rep)
+	if len(causes) != 1 || !serverSaid(errors.New(causes[0]), msgRefMismatch) {
+		t.Fatalf("retry causes %q, want exactly one %q", causes, msgRefMismatch)
 	}
 }
 

@@ -71,11 +71,8 @@ type RemoteClient struct {
 	rng   *rand.Rand
 	stats ClientStats
 
-	// Wire codec state: the uplink encoder (configured from the server's
-	// JoinReply — delta reference and error-feedback residual live here) and
-	// the pooled downlink decode buffer.
-	enc *fedcore.Encoder
-	dec fed.Payload
+	// wire is the client end of the wire session (codec from the JoinReply).
+	wire *fedcore.WireClient
 }
 
 // Dial connects to the server, registers, and installs the initial global
@@ -110,7 +107,7 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 		conn.Close()
 		return nil, fmt.Errorf("fednet: join: %w", err)
 	}
-	c.enc = fedcore.NewEncoder(reply.Codec)
+	c.wire = fedcore.NewWireClient(reply.Codec)
 	c.id = reply.ClientID
 	// The bootstrap global goes through the caller's transport, which may
 	// inject faults: retry like any other install.
@@ -192,8 +189,7 @@ func retryable(err error) (retry, redial bool) {
 	}
 	var srvErr rpc.ServerError
 	if errors.As(err, &srvErr) {
-		msg := err.Error()
-		return strings.Contains(msg, msgBadUpload) || strings.Contains(msg, msgRefMismatch), false
+		return serverSaid(err, msgBadUpload) || serverSaid(err, msgRefMismatch), false
 	}
 	var netErr net.Error
 	if errors.As(err, &netErr) {
@@ -202,16 +198,10 @@ func retryable(err error) (retry, redial bool) {
 	return false, false
 }
 
-// roundPassed reports whether the server aggregated this round without us.
-func roundPassed(err error) bool {
-	return err != nil && strings.Contains(err.Error(), msgRoundPassed)
-}
-
-// refMismatch reports whether the server rejected a delta frame because the
-// two ends disagree on the reference (a lost reply); the recovery is to
-// clear the local reference and retry absolutely.
-func refMismatch(err error) bool {
-	return err != nil && strings.Contains(err.Error(), msgRefMismatch)
+// serverSaid reports whether err carries one of the server's message
+// prefixes (net/rpc flattens server-side errors to strings).
+func serverSaid(err error, msg string) bool {
+	return err != nil && strings.Contains(err.Error(), msg)
 }
 
 // backoff sleeps for an exponentially growing, jittered delay before retry
@@ -271,18 +261,19 @@ func (c *RemoteClient) retry(step string, once func() error) error {
 	}
 }
 
-// syncRound uploads, exchanges, and installs the returned payload. A delta
-// reference the server disowned (a lost reply) is cleared so the retry goes
-// absolute; a round the server closed without us is recovered via resync.
+// syncRound uploads, exchanges, and installs the returned payload. When the
+// server disowns our delta reference (a lost reply) the wire is told, so the
+// retry goes absolute; a round the server closed without us is recovered via
+// resync.
 func (c *RemoteClient) syncRound() error {
 	err := c.retry("sync", func() error {
 		err := c.syncOnce()
-		if refMismatch(err) {
-			c.enc.ClearRef()
+		if serverSaid(err, msgRefMismatch) {
+			c.wire.Desynced()
 		}
 		return err
 	})
-	if roundPassed(err) {
+	if serverSaid(err, msgRoundPassed) {
 		return c.resync()
 	}
 	return err
@@ -300,7 +291,7 @@ func (c *RemoteClient) syncOnce() error {
 		return err
 	}
 	var reply SyncReply
-	args := SyncArgs{ClientID: c.id, Round: c.round, Frame: c.enc.Encode(upload), Base: c.base}
+	args := SyncArgs{ClientID: c.id, Round: c.round, Frame: c.wire.Encode(upload), Base: c.base}
 	if err := c.call("Federation.Sync", args, &reply); err != nil {
 		return err
 	}
@@ -312,24 +303,15 @@ func (c *RemoteClient) syncOnce() error {
 	return nil
 }
 
-// install decodes one downlink frame into the pooled buffer, loads it into
-// the local model, and — once the install actually succeeded — adopts it as
-// the delta reference when the server tagged it. A failed install leaves the
-// reference untouched, so a retried exchange stays consistent with the
-// server's bookkeeping (which only advances when a reply is acted on).
+// install moves one downlink frame across the client end of the wire into
+// the local model. Whether the payload becomes the delta reference is the
+// wire's rule (only once the install succeeded; a failed one clears it).
 func (c *RemoteClient) install(frame []byte, refTag uint64) error {
-	dec, _, err := fedcore.DecodeFrame(frame, nil, c.dec)
+	p, err := c.wire.Decode(frame)
 	if err != nil {
 		return fmt.Errorf("fednet: bad downlink frame: %w", err)
 	}
-	c.dec = dec
-	if err := c.Transport.Download(c.Local, dec); err != nil {
-		return err
-	}
-	if refTag != 0 {
-		c.enc.SetRef(refTag, dec)
-	}
-	return nil
+	return c.wire.Install(p, refTag, func(p fed.Payload) error { return c.Transport.Download(c.Local, p) })
 }
 
 // Fetch pulls any model state committed since this client's last install —
@@ -370,7 +352,7 @@ func (c *RemoteClient) resync() error {
 		}
 		// A raw out-of-band install: the server has no record of it, so the
 		// next uplink must be absolute.
-		c.enc.ClearRef()
+		c.wire.Desynced()
 		c.round = state.Round
 		c.stats.Resyncs++
 		mNetResyncs.Inc()

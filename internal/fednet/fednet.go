@@ -26,15 +26,16 @@
 // told so and re-downloads the current global model via State instead of
 // poisoning the round counter.
 //
-// The round policy itself — what an acceptable upload is, seeded K-of-N
-// selection, partial aggregation, report bookkeeping, the late-join rule —
-// is not implemented here: the
-// server is a thin adapter over the shared round engine (internal/fedcore),
-// the same state machine that backs the in-process fed.Federation. The
-// design trades throughput for reproducibility: uploads are aggregated in
-// registration order and participant selection is seeded, so a fednet round
-// is bit-identical to an in-process round with the same inputs (asserted by
-// the cross-path equivalence golden test in internal/fedcore).
+// Neither the round policy (what an acceptable upload is, seeded K-of-N
+// selection, partial aggregation, report bookkeeping, the late-join rule) nor
+// the wire session (framing, delta references, traffic counting) is
+// implemented here: Server and RemoteClient are thin adapters over the round
+// engine and the two ends of the wire in internal/fedcore, the types that
+// back the in-process fed.Federation. The design trades throughput for
+// reproducibility: uploads are aggregated in registration order and
+// participant selection is seeded, so a fednet round is bit-identical to an
+// in-process round with the same inputs (asserted by the cross-path
+// equivalence golden test in internal/fedcore).
 package fednet
 
 import (
@@ -90,9 +91,9 @@ type JoinReply struct {
 	Codec    fedcore.CodecConfig
 }
 
-// SyncArgs submits one round's upload as a codec frame (fedcore.Encoder on
-// the client, fedcore.DecodeFrame on the server — measured wire bytes, not
-// gob-encoded float64 slices).
+// SyncArgs submits one round's upload as a codec frame (the wire's client end
+// encodes, its server end decodes — measured wire bytes, not gob-encoded
+// float64 slices).
 //
 // In sync mode Round is the server round the client believes it is
 // submitting to (the barrier alignment check). In async mode there is no
@@ -224,37 +225,20 @@ type Server struct {
 	// engine's payloads live in arena buffers rewritten next commit.
 	retained map[int]fed.Payload
 
-	// Wire codec state: the per-client delta references — the decoded
-	// payload each client last had delivered, under the tag the reply
-	// carried — and the tag sequence. comm accumulates measured traffic.
-	codecRefs    map[int]fed.Payload
-	codecRefTags map[int]uint64
-	refSeq       uint64
-	comm         fed.CommStats
-
-	// Downlink framer, absolute and stateless so identical payloads produce
-	// identical frames, plus a one-entry cache keyed by payload identity:
-	// FedAvg/Momentum alias every participant to one model, so the common
-	// barrier round encodes twice (participants' payload + the global)
-	// regardless of N. Holding downSrc keeps its address from being reused;
-	// every commit resets the cache because arena buffers are rewritten.
-	downEnc   *fedcore.Encoder
-	downSrc   fed.Payload
-	downFrame []byte
-	downDec   fed.Payload
+	// wire is the server end of the wire session: the per-client delta
+	// references, uplink decode, downlink framing, measured traffic.
+	wire *fedcore.WireServer
 }
 
 // NewServer builds a server; it does not listen yet. Round policy (K
 // resolution, aggregator and initial-model validation) is the engine's.
 func NewServer(cfg ServerConfig) (*Server, error) {
 	s := &Server{
-		cfg:          cfg,
-		roundDone:    make(chan struct{}),
-		lastRound:    -1,
-		retained:     map[int]fed.Payload{},
-		codecRefs:    map[int]fed.Payload{},
-		codecRefTags: map[int]uint64{},
-		downEnc:      fedcore.NewEncoder(fedcore.CodecConfig{Tier: cfg.Codec.Tier, NoErrorFeedback: true}),
+		cfg:       cfg,
+		roundDone: make(chan struct{}),
+		lastRound: -1,
+		retained:  map[int]fed.Payload{},
+		wire:      fedcore.NewWireServer(cfg.Codec),
 	}
 	deliver := s.deliverBarrier
 	if cfg.Async {
@@ -332,9 +316,7 @@ func (s *Server) Reports() []RoundInfo { return s.engine.Reports() }
 func (s *Server) Comm() fed.CommStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	c := s.comm
-	c.Rounds = s.engine.Round()
-	return c
+	return s.wire.Comm()
 }
 
 // rpcHandler is the net/rpc receiver (kept separate so Server's exported
@@ -368,8 +350,7 @@ func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
 	reply.Round, reply.Global = s.engine.Join(reply.ClientID)
 	reply.Async = s.cfg.Async
 	reply.Codec = s.cfg.Codec
-	delete(s.codecRefs, reply.ClientID)
-	delete(s.codecRefTags, reply.ClientID)
+	s.wire.Forget(reply.ClientID)
 	delete(s.retained, reply.ClientID)
 	gNetClients.Set(float64(s.nextID))
 	return nil
@@ -394,67 +375,16 @@ func (s *Server) checkLocked(clientID int) error {
 	return nil
 }
 
-// decodeUpload is the one uplink path: it validates and decodes a frame
-// against the client's delta reference. Errors carry the client-classifiable prefixes: a malformed frame is msgBadUpload
-// (rebuild and retry), a reference-tag disagreement is msgRefMismatch (clear
-// the reference and retry absolutely). Payload length and finiteness are the
-// engine's to judge (Submit). Caller holds s.mu.
-func (s *Server) decodeUpload(clientID int, frame []byte) (fed.Payload, error) {
-	h, err := fedcore.PeekHeader(frame)
-	if err != nil {
-		return nil, fmt.Errorf("%s: client %d: %v", msgBadUpload, clientID, err)
+// uploadErr gives a rejected upload the prefix the client classifies it by:
+// msgRefMismatch for a delta against a reference the wire does not hold (go
+// absolute and retry), msgBadUpload for everything else — a malformed frame,
+// a wrong length, a non-finite value (rebuild and retry).
+func uploadErr(clientID int, cause error) error {
+	msg := msgBadUpload
+	if errors.Is(cause, fedcore.ErrRefMismatch) {
+		msg = msgRefMismatch
 	}
-	var ref fed.Payload
-	if h.Delta {
-		ref = s.codecRefs[clientID]
-		if ref == nil || s.codecRefTags[clientID] != h.RefTag {
-			return nil, fmt.Errorf("%s: client %d sent delta against tag %#x", msgRefMismatch, clientID, h.RefTag)
-		}
-	}
-	up, _, err := fedcore.DecodeFrame(frame, ref, nil)
-	if err != nil {
-		return nil, fmt.Errorf("%s: client %d: %v", msgBadUpload, clientID, err)
-	}
-	return up, nil
-}
-
-// accountUpload books one accepted uplink frame.
-func (s *Server) accountUpload(up fed.Payload, frame []byte) {
-	s.comm.UploadScalars += int64(len(up))
-	s.comm.UploadBytes += int64(len(frame))
-	fedcore.ObserveWireUpload(len(frame))
-}
-
-// badLength is the rejection for a payload of the wrong length.
-func badLength(got, want, clientID int) error {
-	return fmt.Errorf("%s: length %d, want %d (client %d)", msgBadUpload, got, want, clientID)
-}
-
-// frameDown is the one downlink path: it frames a payload absolutely
-// (encoding once per distinct payload), rotates the client's delta reference
-// to the decoded view — what the client will install, which is what
-// references must be taken from under the lossy tiers — under a fresh tag
-// when delta is on, and accounts the wire bytes. Caller holds s.mu.
-func (s *Server) frameDown(clientID int, p fed.Payload) (frame []byte, tag uint64) {
-	if len(s.downSrc) != len(p) || &s.downSrc[0] != &p[0] {
-		s.downFrame = append([]byte(nil), s.downEnc.Encode(p)...)
-		dec, _, err := fedcore.DecodeFrame(s.downFrame, nil, nil)
-		if err != nil {
-			panic(fmt.Sprintf("fednet: self-encoded frame failed to decode: %v", err))
-		}
-		s.downSrc, s.downDec = p, dec
-	}
-	if s.cfg.Codec.Delta {
-		s.refSeq++
-		tag = s.refSeq
-		s.codecRefs[clientID] = s.downDec
-		s.codecRefTags[clientID] = tag
-	}
-	s.comm.DownloadScalars += int64(len(p))
-	s.comm.DownloadBytes += int64(len(s.downFrame))
-	fedcore.ObserveWireDownload(len(s.downFrame))
-	fedcore.SetCompressionRatio(s.comm.CompressionRatio())
-	return s.downFrame, tag
+	return fmt.Errorf("%s: client %d: %v", msg, clientID, cause)
 }
 
 // noteCommit books one commit in the server-side instruments.
@@ -525,14 +455,14 @@ func (s *Server) arrive(args SyncArgs, reply *SyncReply) (round int, done chan s
 	}
 	if s.pending[args.ClientID] == nil {
 		// First-wins: a duplicate from a retrying client changes nothing.
-		up, err := s.decodeUpload(args.ClientID, args.Frame)
-		if err == nil && len(up) != s.engine.PayloadLen() {
-			err = badLength(len(up), s.engine.PayloadLen(), args.ClientID)
+		up, err := s.wire.Decode(args.ClientID, args.Frame)
+		if want := s.engine.PayloadLen(); err == nil && len(up) != want {
+			err = fmt.Errorf("length %d, want %d", len(up), want)
 		}
 		if err != nil {
-			return round, nil, err
+			return round, nil, uploadErr(args.ClientID, err)
 		}
-		s.accountUpload(up, args.Frame)
+		s.wire.Accepted(args.ClientID)
 		s.pending[args.ClientID] = up
 		if s.arrived++; s.arrived == 1 && s.cfg.RoundTimeout > 0 {
 			s.timer = time.AfterFunc(s.cfg.RoundTimeout, func() { s.deadline(round) })
@@ -590,7 +520,7 @@ func (s *Server) closeRoundLocked(timedOut bool) {
 // framed and retained until the next round supersedes it. Runs under s.mu
 // (held by closeRoundLocked) and the engine lock.
 func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
-	s.downSrc = nil
+	s.wire.NextRound()
 	results := make(map[int]SyncReply, s.arrived)
 	for id, up := range s.pending {
 		if up == nil {
@@ -600,9 +530,9 @@ func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fed
 		if !participant {
 			p = global
 		}
-		res := SyncReply{Participant: participant, Round: s.lastRound + 1}
-		res.Frame, res.RefTag = s.frameDown(id, p)
-		results[id] = res
+		// Retained across rounds, so copied out of the wire's buffer.
+		frame, _, tag := s.wire.Frame(id, p)
+		results[id] = SyncReply{Frame: append([]byte(nil), frame...), RefTag: tag, Participant: participant, Round: s.lastRound + 1}
 	}
 	s.lastResults = results
 	return 0, 0
@@ -613,7 +543,7 @@ func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fed
 // until then. Runs under s.mu (held by the submitter or Flush) and the engine
 // lock.
 func (s *Server) retainPersonalized(personalized map[int]fedcore.Payload, _ fedcore.Payload) (int, time.Duration) {
-	s.downSrc = nil
+	s.wire.NextRound()
 	for id, p := range personalized {
 		s.retained[id] = append(fed.Payload(nil), p...)
 	}
@@ -621,7 +551,8 @@ func (s *Server) retainPersonalized(personalized map[int]fedcore.Payload, _ fedc
 }
 
 // answerLocked frames what the client should install now: its retained
-// personalized payload, consumed by the take, or else the current global.
+// personalized payload, consumed by the take, or else the current global. The
+// frame is sent after the lock is released, so copied out of the wire's buffer.
 func (s *Server) answerLocked(clientID int) (frame []byte, tag uint64, participant bool) {
 	p, participant := s.retained[clientID]
 	if participant {
@@ -629,8 +560,8 @@ func (s *Server) answerLocked(clientID int) (frame []byte, tag uint64, participa
 	} else {
 		p = s.engine.Global()
 	}
-	frame, tag = s.frameDown(clientID, p)
-	return frame, tag, participant
+	frame, _, tag = s.wire.Frame(clientID, p)
+	return append([]byte(nil), frame...), tag, participant
 }
 
 // syncAsync submits to the buffered engine (which may commit a round inside
@@ -646,18 +577,18 @@ func (s *Server) syncAsync(args SyncArgs, reply *SyncReply) error {
 	if err := s.checkLocked(args.ClientID); err != nil {
 		return err
 	}
-	up, err := s.decodeUpload(args.ClientID, args.Frame)
+	up, err := s.wire.Decode(args.ClientID, args.Frame)
 	if err != nil {
-		return err
+		return uploadErr(args.ClientID, err)
 	}
 	res, err := s.engine.Submit(args.ClientID, args.Round, args.Base, up)
 	switch {
 	case res.Status == fedcore.SubmitNonFinite:
-		return fmt.Errorf("%s: non-finite values (client %d)", msgBadUpload, args.ClientID)
+		return uploadErr(args.ClientID, errors.New("non-finite values"))
 	case err != nil:
-		return badLength(len(up), s.engine.PayloadLen(), args.ClientID)
+		return uploadErr(args.ClientID, fmt.Errorf("length %d, want %d", len(up), s.engine.PayloadLen()))
 	}
-	s.accountUpload(up, args.Frame)
+	s.wire.Accepted(args.ClientID)
 	if res.Committed != nil {
 		s.noteCommit(*res.Committed)
 	}

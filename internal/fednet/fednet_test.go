@@ -61,9 +61,15 @@ func testDecode(t *testing.T, frame []byte) fed.Payload {
 // returns its address.
 func startServer(t *testing.T, n, k int, agg fed.Aggregator, initial fed.Payload) (*Server, string) {
 	t.Helper()
-	srv, err := NewServer(ServerConfig{
+	return startConfigured(t, ServerConfig{
 		Clients: n, K: k, Seed: 42, InitialGlobal: initial, Aggregator: agg,
 	})
+}
+
+// startConfigured boots a server from a full config.
+func startConfigured(t *testing.T, cfg ServerConfig) (*Server, string) {
+	t.Helper()
+	srv, err := NewServer(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -101,7 +101,7 @@ func BenchmarkPPOUpdate(b *testing.B) {
 	}
 }
 
-// TestConcurrentClientsSharedPool mirrors core.trainIndependent: several
+// TestConcurrentClientsSharedPool mirrors fed.TrainClients: several
 // clients, each with its own agent and environment, collect and update
 // concurrently while sharing the process-wide tensor pool. Run under -race
 // in CI; any unsynchronized pool or tape reuse across goroutines fails there.

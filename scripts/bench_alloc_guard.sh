@@ -8,9 +8,11 @@
 #     within PPO_ALLOC_BUDGET allocs/op (the batched update pipeline keeps
 #     steady-state staging in agent-owned scratch; the few remaining allocs
 #     are per-Update bookkeeping), and
-#   - BenchmarkFedAggregate must report 0 allocs/op (the federation data
-#     plane — codec encode/decode plus pooled aggregation — reuses encoder
-#     scratch and the payload arena every round).
+#   - every BenchmarkFedAggregate row must report 0 allocs/op (the
+#     federation data plane — the wire session's two ends plus pooled
+#     aggregation, on the identity tier and on i8+delta — reuses encoder
+#     scratch, per-client decode buffers and references, and the payload
+#     arena every round).
 #
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
