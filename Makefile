@@ -7,7 +7,8 @@
 #                     harness), the tensor tests once more under
 #                     GOAMD64=v3, one iteration of each perf
 #                     microbenchmark, one smoke pass of the end-to-end
-#                     benchmark, every figure runner once at toy size, a
+#                     benchmark, every figure runner twice at toy size
+#                     (the two outputs must be identical), a
 #                     /metrics endpoint smoke test, a 4-client
 #                     barrier-federation chaos smoke and a 16-client
 #                     async-federation one
@@ -145,12 +146,19 @@ bench:
 bench-e2e-smoke:
 	$(GO) run ./benchmark -smoke -repeats 1 -out "$$(mktemp -d)"
 
-# Every figure, table and ablation runner once, end to end, at toy size,
+# Every figure, table and ablation runner twice, end to end, at toy size,
 # plus the workflow extension's one entry point: the only ci step that
 # executes the -exp harness, so a runner that stops working is seen here and
-# not when someone next regenerates results_all.txt.
+# not when someone next regenerates results_all.txt — and the two passes must
+# print the same bytes (same seed, same bits: the harness's own determinism
+# check, next to the benchmark's and the swarm's).
 figs-smoke:
-	$(GO) run ./cmd/pfrl-bench -exp all -tasks 20 -episodes 6 -comm 2
+	@a="$$(mktemp)" b="$$(mktemp)"; trap 'rm -f "$$a" "$$b"' EXIT; \
+	for out in "$$a" "$$b"; do \
+		$(GO) run ./cmd/pfrl-bench -exp all -tasks 20 -episodes 6 -comm 2 > "$$out" || exit 1; \
+	done; \
+	cat "$$a"; \
+	cmp "$$a" "$$b" || { echo "figs-smoke: two passes of -exp all differ"; exit 1; }
 	$(GO) run ./examples/workflows
 
 # The official-size counterpart of figs-smoke: the full suite at the

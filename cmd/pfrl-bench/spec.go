@@ -54,15 +54,9 @@ func runSpecEpisode(bc benchConfig) error {
 	}
 	fmt.Printf("Spec episode: %q, %d tasks on %d VMs, first-fit (wait targets: standard %d, critical %d slots)\n",
 		comp.Name, n, len(specs), specWaitTargets[workload.SLOStandard], specWaitTargets[workload.SLOCritical])
-	steps := 0
-	for !env.Done() {
-		env.Step(cloudsim.FirstFit{}.SelectAction(env))
-		steps++
-	}
-	env.Drain()
-	m := env.Metrics()
+	m := cloudsim.RunEpisode(env, cloudsim.FirstFit{})
 	fmt.Printf("completed %d/%d tasks in %d decisions; avg response %.2f, makespan %d, avg util %.3f\n",
-		m.Completed, m.Total, steps, m.AvgResponse, m.Makespan, m.AvgUtil)
+		m.Completed, m.Total, m.Steps, m.AvgResponse, m.Makespan, m.AvgUtil)
 	t := trace.NewTable("slo class", "completed", "avg wait", "wait p50", "wait p95", "violations")
 	for _, s := range m.PerSLO {
 		t.AddRow(s.Class.String(), s.Completed, s.AvgWait, s.WaitP50, s.WaitP95, s.Violations)

@@ -171,11 +171,19 @@ func specFor(dataset string, seed int64) (core.ClientSpec, error) {
 	return core.ClientSpec{}, fmt.Errorf("unknown dataset %q (try: google, alibaba-2017, hpc-hf, kvm-2019, k8s, ...)", dataset)
 }
 
+// buildLocal builds a node's client. Its tasks come from the -workload-spec
+// file when given, otherwise from the client's builtin dataset model.
 func buildLocal(spec core.ClientSpec, tasks int, seed int64) (*fed.Client, error) {
 	envCfg := federationEnv(spec)
 	envCfg.MaxSteps = 5 * tasks
-	rng := rand.New(rand.NewSource(seed))
-	ts, err := localTasks(spec, tasks, rng)
+	if *workloadSpecFlag != "" {
+		ws, err := workload.LoadSpec(*workloadSpecFlag)
+		if err != nil {
+			return nil, err
+		}
+		spec.Workload = ws
+	}
+	ts, err := core.SampleTasks(spec, rand.New(rand.NewSource(seed)), tasks)
 	if err != nil {
 		return nil, err
 	}
@@ -183,23 +191,6 @@ func buildLocal(spec core.ClientSpec, tasks int, seed int64) (*fed.Client, error
 		rl.DefaultConfig(cloudsim.StateDim(envCfg), cloudsim.NumActions(envCfg)),
 		rand.New(rand.NewSource(seed*7919+13)))
 	return fed.NewClient(int(seed), spec.Name, envCfg, ts, agent)
-}
-
-// localTasks draws a node's task set: from the -workload-spec file when
-// given, otherwise from the client's builtin dataset model.
-func localTasks(spec core.ClientSpec, tasks int, rng *rand.Rand) ([]workload.Task, error) {
-	if *workloadSpecFlag == "" {
-		return cloudsim.ClampTasks(workload.SampleDataset(spec.Dataset, rng, tasks), spec.VMs), nil
-	}
-	ws, err := workload.LoadSpec(*workloadSpecFlag)
-	if err != nil {
-		return nil, err
-	}
-	comp, err := ws.Compile()
-	if err != nil {
-		return nil, err
-	}
-	return cloudsim.ClampTasks(comp.Sample(rng, tasks), spec.VMs), nil
 }
 
 // startServer boots the aggregation server of server and demo mode on addr

@@ -85,7 +85,7 @@ func main() {
 	fmt.Println("\nPer-client greedy evaluation on held-out test tasks:")
 	et := trace.NewTable("client", "dataset", "resp", "makespan", "util", "loadbal", "done")
 	for i, c := range res.Clients {
-		m := c.Evaluate(res.Data[i].Test)
+		m := c.Evaluate(res.Data[i].Test, nil)
 		et.AddRow(c.Name, res.Data[i].Spec.Dataset.String(), m.AvgResponse, m.Makespan,
 			m.AvgUtil, m.AvgLoadBal, fmt.Sprintf("%d/%d", m.Completed, m.Total))
 	}
@@ -93,10 +93,11 @@ func main() {
 
 	if *hybrid {
 		fmt.Println("\nHybrid-workload evaluation (20% native / 80% foreign):")
-		he := core.EvalHybrid(res, cfg, 0.2)
-		ht := trace.NewTable("client", "resp", "makespan", "util", "loadbal")
+		he := core.EvalHybrid(res, cfg, 0.2, nil)
+		ht := trace.NewTable("client", "resp", "makespan", "util", "loadbal", "done")
 		for i := range he.Clients {
-			ht.AddRow(he.Clients[i], he.AvgResponse[i], he.Makespan[i], he.AvgUtil[i], he.AvgLoadBal[i])
+			ht.AddRow(he.Clients[i], he.AvgResponse[i], he.Makespan[i], he.AvgUtil[i], he.AvgLoadBal[i],
+				fmt.Sprintf("%d/%d", he.Completed[i], he.Total[i]))
 		}
 		fmt.Print(ht.String())
 	}

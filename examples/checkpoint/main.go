@@ -27,7 +27,10 @@ func main() {
 	tasks := cloudsim.ClampTasks(workload.SampleDataset(workload.KVM2019, rng, 50), vms)
 	train, test := workload.Split(tasks, 0.6)
 
-	env := cloudsim.MustNewEnv(cfg, train)
+	env, err := cloudsim.NewEnv(cfg, train)
+	if err != nil {
+		log.Fatal(err)
+	}
 	rlCfg := rl.DefaultConfig(env.StateDim(), env.NumActions())
 	rlCfg.ActorLR, rlCfg.CriticLR = 1e-3, 1e-3
 	agent := rl.NewDualCriticPPO(rlCfg, rand.New(rand.NewSource(2)))
@@ -62,11 +65,12 @@ func main() {
 	reloaded := loaded.(*rl.DualCriticPPO)
 	fmt.Printf("reloaded agent: alpha=%.3f\n", reloaded.Alpha)
 
-	evalWith := func(a rl.MaskedAgent) cloudsim.Metrics {
-		e := cloudsim.MustNewEnv(cfg, test)
-		rl.EvaluateEpisodeMasked(e, a)
-		e.Drain()
-		return e.Metrics()
+	evalWith := func(a rl.Agent) cloudsim.Metrics {
+		m, err := cloudsim.Evaluate(cfg, test, cloudsim.Greedy("scheduler", a.GreedyAction))
+		if err != nil {
+			log.Fatal(err)
+		}
+		return m
 	}
 	m1 := evalWith(agent)
 	m2 := evalWith(reloaded)

@@ -48,12 +48,7 @@ func specDemo(seed int64) *workload.Spec {
 	if err != nil {
 		log.Fatal(err)
 	}
-	policy := cloudsim.FirstFit{}
-	for !env.Done() {
-		env.Step(policy.SelectAction(env))
-	}
-	env.Drain()
-	m := env.Metrics()
+	m := cloudsim.RunEpisode(env, cloudsim.FirstFit{})
 	fmt.Printf("spec %q: first-fit over %d tasks on %d VMs (avg response %.1f slots)\n",
 		comp.Name, m.Completed, len(vms), m.AvgResponse)
 	t := trace.NewTable("slo class", "completed", "avg wait", "wait p95", "violations")
@@ -89,7 +84,7 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		evals[alg] = core.EvalHybrid(res, cfg, 0.2)
+		evals[alg] = core.EvalHybrid(res, cfg, 0.2, nil)
 		fmt.Printf("  %-8s trained; hybrid mean response %.1f slots\n",
 			alg, stats.Mean(evals[alg].AvgResponse))
 	}

@@ -56,24 +56,24 @@ func main() {
 		}
 	}
 
-	// Evaluate everyone on the held-out tasks. The PPO agent is deployed
-	// with the feasibility guard (it never submits a placement the
-	// admission check would reject), like any production scheduler.
+	// Evaluate everyone on the held-out tasks, through the same function.
+	// The PPO agent is deployed with the feasibility guard (it never submits
+	// a placement the admission check would reject), like any production
+	// scheduler.
 	fmt.Println("\ngreedy evaluation on held-out tasks:")
 	t := trace.NewTable("scheduler", "avg response", "makespan", "utilization", "load balance")
-	evalEnv := cloudsim.MustNewEnv(cfg, test)
-	rl.EvaluateEpisodeMasked(evalEnv, agent)
-	evalEnv.Drain()
-	m := evalEnv.Metrics()
-	t.AddRow("PPO (trained)", m.AvgResponse, m.Makespan, m.AvgUtil, m.AvgLoadBal)
 	for _, p := range []cloudsim.Policy{
+		cloudsim.Greedy("PPO (trained)", agent.GreedyAction),
 		cloudsim.FirstFit{},
 		cloudsim.BestFit{},
 		cloudsim.WorstFit{},
 		cloudsim.RandomFit{Rng: rand.New(rand.NewSource(3))},
 	} {
-		hm := cloudsim.RunEpisode(cloudsim.MustNewEnv(cfg, test), p)
-		t.AddRow(p.Name(), hm.AvgResponse, hm.Makespan, hm.AvgUtil, hm.AvgLoadBal)
+		m, err := cloudsim.Evaluate(cfg, test, p)
+		if err != nil {
+			log.Fatal(err)
+		}
+		t.AddRow(p.Name(), m.AvgResponse, m.Makespan, m.AvgUtil, m.AvgLoadBal)
 	}
 	fmt.Print(t.String())
 }

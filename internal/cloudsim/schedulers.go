@@ -1,10 +1,15 @@
 package cloudsim
 
-import "math/rand"
+import (
+	"math/rand"
 
-// Policy selects the next action given the environment. Heuristic policies
-// here are used as sanity baselines and in the examples; the RL agents in
-// internal/rl implement the same contract through their own rollout loops.
+	"repro/internal/workload"
+)
+
+// Policy selects the next action given the environment. It is the one
+// scheduler contract: the heuristics below are the floor of the Figure 16–19
+// tables, and a learned agent enters through Greedy, so every scheduler is
+// driven by RunEpisode and scored by Evaluate.
 type Policy interface {
 	// SelectAction returns an action index in [0, env.NumActions()).
 	SelectAction(env *Env) int
@@ -203,6 +208,32 @@ func (p *RoundRobin) SelectAction(env *Env) int {
 	return env.WaitAction()
 }
 
+// greedy is the Policy behind Greedy.
+type greedy struct {
+	name   string
+	choose func(state []float64, mask []bool) int
+	state  []float64
+}
+
+// Greedy adapts a learned agent to Policy: at every decision the environment
+// is observed afresh and choose picks among the placements it can admit
+// (plus Wait). Training stays unmasked — agents learn feasibility through the
+// Eq. (9) penalties, as in the paper — but a deployed scheduler never submits
+// a placement its admission check would reject. Taking a function value
+// (rl.Agent's GreedyAction) keeps this package free of internal/rl.
+func Greedy(name string, choose func(state []float64, mask []bool) int) Policy {
+	return &greedy{name: name, choose: choose}
+}
+
+// Name implements Policy.
+func (g *greedy) Name() string { return g.name }
+
+// SelectAction implements Policy.
+func (g *greedy) SelectAction(env *Env) int {
+	g.state = env.Observe(g.state)
+	return g.choose(g.state, env.FeasibleActions())
+}
+
 // RunEpisode drives env with policy until the episode ends, drains running
 // tasks, and returns the final metrics.
 func RunEpisode(env *Env, policy Policy) Metrics {
@@ -211,4 +242,20 @@ func RunEpisode(env *Env, policy Policy) Metrics {
 	}
 	env.Drain()
 	return env.Metrics()
+}
+
+// Evaluate runs policy over tasks in a fresh environment and returns the
+// drained metrics: the one evaluation every reported §5.1 measure comes from,
+// for heuristics and learned agents alike. An evaluation never inherits a
+// training step cap: cfg.MaxSteps is ignored in favour of NewEnv's default
+// horizon, so a cap that bounds training episodes cannot cut the schedule
+// being scored. Metrics.Completed < Total then means the policy itself left
+// tasks unscheduled.
+func Evaluate(cfg Config, tasks []workload.Task, policy Policy) (Metrics, error) {
+	cfg.MaxSteps = 0
+	env, err := NewEnv(cfg, tasks)
+	if err != nil {
+		return Metrics{}, err
+	}
+	return RunEpisode(env, policy), nil
 }

@@ -154,3 +154,52 @@ func TestRunEpisodeDeterministic(t *testing.T) {
 		})
 	}
 }
+
+// scripted plays a fixed action list, then waits forever.
+type scripted struct {
+	actions []int
+	next    int
+}
+
+func (*scripted) Name() string { return "scripted" }
+
+func (p *scripted) SelectAction(env *Env) int {
+	if p.next == len(p.actions) {
+		return env.WaitAction()
+	}
+	p.next++
+	return p.actions[p.next-1]
+}
+
+// TestRunEpisodeUnfinishedTaskHandComputed pins what Metrics says when a
+// policy leaves a task queued until the step cap — today's survivorship
+// semantics: response time and makespan average over the placed tasks only,
+// and the task that never ran appears solely as Completed < Total. A change
+// that charges unfinished tasks must change exactly these expectations.
+//
+// Two VMs {2 vCPU, 4 GiB}; t0 {1, 2 GiB, 2 slots} goes to VM0 and t1 {2, 4 GiB,
+// 3 slots} to VM1, both at slot 0 (a placement does not advance time); t2
+// fits VM0 but the policy waits. MaxSteps 4 ends the decisions at slot 2 with
+// t1 still running, and the drain runs slot 3. Slot samples (mean
+// utilization, Eq. 4 imbalance), taken at reset and after every advance:
+// slot 0 idle (0, 0); slot 1 VM0 half full, VM1 full (0.75, 0.25); slot 2 t0
+// gone (0.5, 0.5); slot 3 idle (0, 0).
+func TestRunEpisodeUnfinishedTaskHandComputed(t *testing.T) {
+	cfg := DefaultConfig([]VMSpec{{CPU: 2, Mem: 4}, {CPU: 2, Mem: 4}})
+	cfg.MaxSteps = 4
+	env := MustNewEnv(cfg, []workload.Task{
+		{ID: 0, CPU: 1, Mem: 2, Duration: 2},
+		{ID: 1, CPU: 2, Mem: 4, Duration: 3},
+		{ID: 2, CPU: 1, Mem: 1, Duration: 1},
+	})
+	m := RunEpisode(env, &scripted{actions: []int{0, 1}})
+	if m.Completed != 2 || m.Total != 3 || m.Steps != 4 {
+		t.Fatalf("completed %d/%d in %d steps, want 2/3 in 4", m.Completed, m.Total, m.Steps)
+	}
+	if m.AvgResponse != 2.5 || m.Makespan != 3 {
+		t.Fatalf("avg response %v, makespan %d; want (2+3)/2 = 2.5 and 3", m.AvgResponse, m.Makespan)
+	}
+	if m.AvgUtil != 1.25/4 || m.AvgLoadBal != 0.75/4 {
+		t.Fatalf("avg util %v, avg load balance %v; want 1.25/4 and 0.75/4", m.AvgUtil, m.AvgLoadBal)
+	}
+}

@@ -136,27 +136,13 @@ func ScaleSpecs(specs []ClientSpec, scale int) []ClientSpec {
 		for j, v := range s.VMs {
 			if scale > 1 {
 				v.CPU = max(1, v.CPU/scale)
-				v.Mem = maxf(0.5, v.Mem/float64(scale))
+				v.Mem = max(0.5, v.Mem/float64(scale))
 			}
 			ns.VMs[j] = v
 		}
 		out[i] = ns
 	}
 	return out
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-func maxf(a, b float64) float64 {
-	if a > b {
-		return a
-	}
-	return b
 }
 
 // FederationCaps computes the federation-wide observation constants shared
@@ -273,16 +259,55 @@ func DefaultExperiment(seed int64) ExperimentConfig {
 	}
 }
 
-// rlConfig builds the agent hyperparameters for a state/action space.
-func (c ExperimentConfig) rlConfig(stateDim, numActions int) rl.Config {
-	cfg := rl.DefaultConfig(stateDim, numActions)
+// envConfig is the one client-environment recipe: spec's cluster under the
+// federation caps, the training step cap, and the SLO reward shaping.
+func (c ExperimentConfig) envConfig(caps FederationCaps, spec ClientSpec) cloudsim.Config {
+	envCfg := caps.EnvConfig(spec)
+	if c.EpisodeStepCap > 0 {
+		envCfg.MaxSteps = c.EpisodeStepCap
+	}
+	envCfg.Objectives.SLOWaitCost = c.SLOWaitCost
+	envCfg.Objectives.SLOWaitTarget = c.SLOWaitTarget
+	return envCfg
+}
+
+// newClient is the one client recipe: an agent of alg's kind (dual-critic
+// for PFRL-DM, PPO otherwise) with cfg's learning rates, initialized from
+// seed, in an environment over tasks.
+func (c ExperimentConfig) newClient(alg Algorithm, id int, name string, envCfg cloudsim.Config, tasks []workload.Task, seed int64) (*fed.Client, error) {
+	rlCfg := rl.DefaultConfig(cloudsim.StateDim(envCfg), cloudsim.NumActions(envCfg))
 	if c.ActorLR > 0 {
-		cfg.ActorLR = c.ActorLR
+		rlCfg.ActorLR = c.ActorLR
 	}
 	if c.CriticLR > 0 {
-		cfg.CriticLR = c.CriticLR
+		rlCfg.CriticLR = c.CriticLR
 	}
-	return cfg
+	rng := rand.New(rand.NewSource(seed))
+	var agent rl.Agent
+	if alg == AlgPFRLDM {
+		agent = rl.NewDualCriticPPO(rlCfg, rng)
+	} else {
+		agent = rl.NewPPO(rlCfg, rng)
+	}
+	return fed.NewClient(id, name, envCfg, tasks, agent)
+}
+
+// SampleTasks is the one task-sample recipe: n tasks from spec's dataset
+// model (3500 per client at paper scale, §5.1) or, when spec.Workload is
+// set, from its compiled declarative spec, clamped to spec's cluster. It
+// fails only when the workload spec does not compile.
+func SampleTasks(spec ClientSpec, rng *rand.Rand, n int) ([]workload.Task, error) {
+	var tasks []workload.Task
+	if spec.Workload != nil {
+		comp, err := spec.Workload.Compile()
+		if err != nil {
+			return nil, err
+		}
+		tasks = comp.Sample(rng, n)
+	} else {
+		tasks = workload.SampleDataset(spec.Dataset, rng, n)
+	}
+	return cloudsim.ClampTasks(tasks, spec.VMs), nil
 }
 
 // ClientData bundles one client's sampled train/test splits.
@@ -292,26 +317,16 @@ type ClientData struct {
 	Test  []workload.Task
 }
 
-// SampleClientData draws each client's tasks from its dataset model (3500
-// per client at paper scale, §5.1) or, when ClientSpec.Workload is set, from
-// its compiled declarative spec, clamps them to the client's cluster, and
-// splits train/test. It fails only when a client's workload spec does not
-// compile.
+// SampleClientData draws each client's tasks (SampleTasks, seeded per
+// client) and splits them train/test.
 func SampleClientData(cfg ExperimentConfig) ([]ClientData, error) {
 	out := make([]ClientData, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
 		rng := rand.New(rand.NewSource(cfg.Seed + int64(i)*7919))
-		var tasks []workload.Task
-		if spec.Workload != nil {
-			comp, err := spec.Workload.Compile()
-			if err != nil {
-				return nil, fmt.Errorf("core: client %d (%s): %w", i, spec.Name, err)
-			}
-			tasks = comp.Sample(rng, cfg.TasksPerClient)
-		} else {
-			tasks = workload.SampleDataset(spec.Dataset, rng, cfg.TasksPerClient)
+		tasks, err := SampleTasks(spec, rng, cfg.TasksPerClient)
+		if err != nil {
+			return nil, fmt.Errorf("core: client %d (%s): %w", i, spec.Name, err)
 		}
-		tasks = cloudsim.ClampTasks(tasks, spec.VMs)
 		train, test := workload.Split(tasks, cfg.TrainFrac)
 		out[i] = ClientData{Spec: spec, Train: train, Test: test}
 	}
@@ -345,22 +360,7 @@ func BuildClients(alg Algorithm, cfg ExperimentConfig, data []ClientData) ([]*fe
 	caps := CapsFor(cfg.Specs)
 	clients := make([]*fed.Client, len(data))
 	for i, d := range data {
-		envCfg := caps.EnvConfig(d.Spec)
-		if cfg.EpisodeStepCap > 0 {
-			envCfg.MaxSteps = cfg.EpisodeStepCap
-		}
-		envCfg.Objectives.SLOWaitCost = cfg.SLOWaitCost
-		envCfg.Objectives.SLOWaitTarget = cfg.SLOWaitTarget
-		dim := cloudsim.StateDim(envCfg)
-		actions := cloudsim.NumActions(envCfg)
-		agentRng := rand.New(rand.NewSource(cfg.Seed + 104729*int64(i+1)))
-		var agent rl.Agent
-		if alg == AlgPFRLDM {
-			agent = rl.NewDualCriticPPO(cfg.rlConfig(dim, actions), agentRng)
-		} else {
-			agent = rl.NewPPO(cfg.rlConfig(dim, actions), agentRng)
-		}
-		c, err := fed.NewClient(i, d.Spec.Name, envCfg, d.Train, agent)
+		c, err := cfg.newClient(alg, i, d.Spec.Name, cfg.envConfig(caps, d.Spec), d.Train, cfg.Seed+104729*int64(i+1))
 		if err != nil {
 			return nil, err
 		}
@@ -371,6 +371,19 @@ func BuildClients(alg Algorithm, cfg ExperimentConfig, data []ClientData) ([]*fe
 
 // Train runs one full training under the given algorithm.
 func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
+	r, err := setup(alg, cfg)
+	if err != nil {
+		return nil, err
+	}
+	if err := r.train(cfg, nil); err != nil {
+		return nil, err
+	}
+	return r, nil
+}
+
+// setup is Train up to the first episode: the sampled data and the clients
+// built over it.
+func setup(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 	data, err := SampleClientData(cfg)
 	if err != nil {
 		return nil, err
@@ -379,44 +392,48 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 	if err != nil {
 		return nil, err
 	}
-	res := &TrainResult{Algorithm: alg, Clients: clients, Data: data}
+	return &TrainResult{Algorithm: alg, Clients: clients, Data: data}, nil
+}
 
-	if alg == AlgPPO {
-		fed.TrainClients(clients, cfg.Episodes, cfg.Parallel)
-		res.MeanCurve = fed.MeanRewardCurve(clients)
-		return res, nil
-	}
-
+// federate is the one federation assembly: r's algorithm picks the
+// transport and the aggregator (agg, when non-nil, replaces the latter — the
+// ablation and Figure 10 runners' only lever), K defaults per algorithm, and
+// every federation option of cfg is carried over, the fault injector
+// included (as the federation's Transport) when cfg.Faults is active.
+func (r *TrainResult) federate(cfg ExperimentConfig, agg fed.Aggregator) (*fed.Federation, error) {
 	var transport fed.Transport
-	var agg fed.Aggregator
-	switch alg {
+	var algAgg fed.Aggregator
+	switch r.Algorithm {
 	case AlgFedAvg:
-		transport, agg = fed.ActorCriticTransport{}, fed.FedAvg{}
+		transport, algAgg = fed.ActorCriticTransport{}, fed.FedAvg{}
 	case AlgMFPO:
 		beta := cfg.MFPOBeta
 		if beta == 0 {
 			beta = 0.5
 		}
-		transport, agg = fed.ActorCriticTransport{}, fed.NewMomentum(beta)
+		transport, algAgg = fed.ActorCriticTransport{}, fed.NewMomentum(beta)
 	case AlgFedProx:
-		transport, agg = fed.FedProxTransport{Mu: 0.01}, fed.FedAvg{}
+		transport, algAgg = fed.FedProxTransport{Mu: 0.01}, fed.FedAvg{}
 	case AlgSecureFedAvg:
-		transport, agg = fed.ActorCriticTransport{}, fed.NewSecureFedAvg(cfg.Seed)
+		transport, algAgg = fed.ActorCriticTransport{}, fed.NewSecureFedAvg(cfg.Seed)
 	case AlgPFRLDM:
-		transport, agg = fed.PublicCriticTransport{}, fed.NewAttention(cfg.Seed)
+		transport, algAgg = fed.PublicCriticTransport{}, fed.NewAttention(cfg.Seed)
 	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", alg)
+		return nil, fmt.Errorf("core: unknown algorithm %v", r.Algorithm)
+	}
+	if agg == nil {
+		agg = algAgg
 	}
 	// cfg.K wins when set; otherwise the baselines aggregate everyone and
 	// PFRL-DM uses the paper's K = N/2 default. The engine clamps to [1, N].
 	k := cfg.K
 	if k <= 0 {
-		k = len(clients)
-		if alg == AlgPFRLDM {
-			k = fedcore.DefaultK(len(clients))
+		k = len(r.Clients)
+		if r.Algorithm == AlgPFRLDM {
+			k = fedcore.DefaultK(len(r.Clients))
 		}
 	}
-	f, err := fed.New(clients, transport, agg, fed.Options{
+	f, err := fed.New(r.Clients, transport, agg, fed.Options{
 		K: k, CommEvery: cfg.CommEvery, Seed: cfg.Seed, Parallel: cfg.Parallel,
 		Async: cfg.Async, StalenessBound: cfg.StalenessBound, Buffer: cfg.Buffer,
 		Codec: cfg.Codec,
@@ -427,23 +444,36 @@ func Train(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 	// Faults model network flakiness during training rounds; the initial
 	// provisioning sync in fed.New stays clean, so even an always-drop spec
 	// yields a (degenerate) run instead of a setup failure.
-	var faulty *fed.FaultyTransport
 	if cfg.Faults.Active() {
-		faulty = fed.NewFaultyTransport(transport, cfg.Faults)
-		f.Transport = faulty
+		f.Transport = fed.NewFaultyTransport(transport, cfg.Faults)
+	}
+	return f, nil
+}
+
+// train runs cfg.Episodes on r's clients — independently for AlgPPO, through
+// the federate assembly otherwise — and fills in the run's outcome.
+func (r *TrainResult) train(cfg ExperimentConfig, agg fed.Aggregator) error {
+	if r.Algorithm == AlgPPO {
+		fed.TrainClients(r.Clients, cfg.Episodes, cfg.Parallel)
+		r.MeanCurve = fed.MeanRewardCurve(r.Clients)
+		return nil
+	}
+	f, err := r.federate(cfg, agg)
+	if err != nil {
+		return err
 	}
 	if err := f.RunEpisodes(cfg.Episodes); err != nil {
-		return nil, err
+		return err
 	}
-	res.Federation = f
-	res.Participation = make([]int, len(f.Reports))
+	r.Federation = f
+	r.Participation = make([]int, len(f.Reports))
 	for i, rep := range f.Reports {
-		res.Participation[i] = rep.Participants
+		r.Participation[i] = rep.Participants
 	}
-	if faulty != nil {
-		res.Faults = faulty.Stats()
+	if faulty, ok := f.Transport.(*fed.FaultyTransport); ok {
+		r.Faults = faulty.Stats()
 	}
-	res.MeanCurve = fed.MeanRewardCurve(clients)
-	res.Comm = f.Comm()
-	return res, nil
+	r.MeanCurve = fed.MeanRewardCurve(r.Clients)
+	r.Comm = f.Comm()
+	return nil
 }

@@ -1,11 +1,15 @@
 package core
 
 import (
+	"bytes"
 	"math"
+	"reflect"
+	"strings"
 	"testing"
 
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
+	"repro/internal/obs"
 	"repro/internal/rl"
 	"repro/internal/tensor"
 	"repro/internal/workload"
@@ -203,8 +207,8 @@ func TestEvalHybridDeterministicTestSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := EvalHybrid(r1, cfg, 0.2)
-	e2 := EvalHybrid(r1, cfg, 0.2)
+	e1 := EvalHybrid(r1, cfg, 0.2, nil)
+	e2 := EvalHybrid(r1, cfg, 0.2, nil)
 	if len(e1.AvgResponse) != len(cfg.Specs) {
 		t.Fatal("per-client metrics missing")
 	}
@@ -216,11 +220,20 @@ func TestEvalHybridDeterministicTestSets(t *testing.T) {
 			t.Fatalf("utilization out of range: %v", e1.AvgUtil[i])
 		}
 	}
+	// The floor faces the same test sets, and first-fit — which never waits
+	// while a VM fits — schedules all of them within the evaluation horizon.
+	floor := EvalHybrid(r1, cfg, 0.2, cloudsim.FirstFit{})
+	for i := range floor.Total {
+		if floor.Total[i] != e1.Total[i] || floor.Completed[i] != floor.Total[i] {
+			t.Fatalf("client %d: first-fit completed %d/%d of the agent's %d tasks",
+				i, floor.Completed[i], floor.Total[i], e1.Total[i])
+		}
+	}
 }
 
 func TestBuildWilcoxonTable(t *testing.T) {
-	mk := func(alg Algorithm, base float64) *HybridEval {
-		e := &HybridEval{Algorithm: alg}
+	mk := func(base float64) *HybridEval {
+		e := &HybridEval{}
 		for i := 0; i < 10; i++ {
 			v := base + float64(i)
 			e.AvgResponse = append(e.AvgResponse, v)
@@ -231,10 +244,10 @@ func TestBuildWilcoxonTable(t *testing.T) {
 		return e
 	}
 	evals := map[Algorithm]*HybridEval{
-		AlgPFRLDM: mk(AlgPFRLDM, 0),
-		AlgPPO:    mk(AlgPPO, 5),
-		AlgFedAvg: mk(AlgFedAvg, 7),
-		AlgMFPO:   mk(AlgMFPO, 3),
+		AlgPFRLDM: mk(0),
+		AlgPPO:    mk(5),
+		AlgFedAvg: mk(7),
+		AlgMFPO:   mk(3),
 	}
 	tbl, err := BuildWilcoxonTable(evals)
 	if err != nil {
@@ -248,7 +261,7 @@ func TestBuildWilcoxonTable(t *testing.T) {
 	if math.Abs(tbl.P[0][0]-want) > 1e-9 {
 		t.Fatalf("p=%v, want %v", tbl.P[0][0], want)
 	}
-	if _, err := BuildWilcoxonTable(map[Algorithm]*HybridEval{AlgPPO: mk(AlgPPO, 1)}); err == nil {
+	if _, err := BuildWilcoxonTable(map[Algorithm]*HybridEval{AlgPPO: mk(1)}); err == nil {
 		t.Fatal("missing PFRL-DM should error")
 	}
 }
@@ -348,6 +361,27 @@ func TestRunIsoHeter(t *testing.T) {
 				t.Fatalf("degenerate response time %v", v)
 			}
 		}
+	}
+
+	// Figure 7 trains through the one training loop, so -events sees it:
+	// one "episode" event per client, training set and episode, and the
+	// sink changes no number.
+	var events bytes.Buffer
+	sink := obs.NewJSONL(&events)
+	prev := obs.SetSink(sink)
+	instr, err := RunIsoHeter(cfg)
+	obs.SetSink(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := sink.Err(); err != nil {
+		t.Fatal(err)
+	}
+	if got, want := strings.Count(events.String(), `"type":"episode"`), n*2*cfg.Episodes; got != want {
+		t.Fatalf("instrumented Figure 7 run emitted %d episode events, want %d", got, want)
+	}
+	if !reflect.DeepEqual(res, instr) {
+		t.Fatalf("event sink moved Figure 7:\n%+v\n%+v", res, instr)
 	}
 }
 

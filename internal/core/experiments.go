@@ -7,7 +7,6 @@ import (
 	"repro/internal/attn"
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
-	"repro/internal/fedcore"
 	"repro/internal/nn"
 	"repro/internal/rl"
 	"repro/internal/stats"
@@ -55,12 +54,7 @@ func RunIsoHeter(cfg ExperimentConfig) (*IsoHeterResult, error) {
 	res := &IsoHeterResult{}
 	for i, d := range data {
 		res.Clients = append(res.Clients, d.Spec.Name)
-		envCfg := caps.EnvConfig(d.Spec)
-		if cfg.EpisodeStepCap > 0 {
-			envCfg.MaxSteps = cfg.EpisodeStepCap
-		}
-		dim := cloudsim.StateDim(envCfg)
-		actions := cloudsim.NumActions(envCfg)
+		envCfg := cfg.envConfig(caps, d.Spec)
 		mixRng := rand.New(rand.NewSource(cfg.Seed + int64(i)*31 + 5))
 
 		// Same-size training budgets for a fair comparison.
@@ -69,40 +63,22 @@ func RunIsoHeter(cfg ExperimentConfig) (*IsoHeterResult, error) {
 		heterTest := cloudsim.ClampTasks(
 			workload.Subsample(mixRng, heterTestPool, len(d.Test)), d.Spec.VMs)
 
-		train := func(tasks []workload.Task, seedOff int64) (*rl.PPO, error) {
-			agent := rl.NewPPO(cfg.rlConfig(dim, actions),
-				rand.New(rand.NewSource(cfg.Seed+seedOff)))
-			env, err := cloudsim.NewEnv(envCfg, tasks)
+		// One PPO scheduler per training set, each scored on both test sets.
+		var resp [2][2]float64 // [iso-, heter-trained][iso-, heter-test]
+		for k, train := range [2][]workload.Task{d.Train, heterTrain} {
+			c, err := cfg.newClient(AlgPPO, i, d.Spec.Name, envCfg, train, cfg.Seed+int64(i)*1009+int64(k+1))
 			if err != nil {
 				return nil, err
 			}
-			for ep := 0; ep < cfg.Episodes; ep++ {
-				env.Reset(tasks)
-				var buf rl.Buffer
-				rl.CollectEpisode(env, agent, &buf)
-				agent.Update(&buf)
+			c.TrainEpisodes(cfg.Episodes)
+			for j, test := range [2][]workload.Task{d.Test, heterTest} {
+				resp[k][j] = c.Evaluate(test, nil).AvgResponse
 			}
-			return agent, nil
 		}
-		evalResponse := func(agent *rl.PPO, tasks []workload.Task) float64 {
-			env := cloudsim.MustNewEnv(envCfg, tasks)
-			rl.EvaluateEpisodeMasked(env, agent)
-			env.Drain()
-			return env.Metrics().AvgResponse
-		}
-
-		isoAgent, err := train(d.Train, int64(i)*1009+1)
-		if err != nil {
-			return nil, err
-		}
-		heterAgent, err := train(heterTrain, int64(i)*1009+2)
-		if err != nil {
-			return nil, err
-		}
-		res.IsoTrainIsoTest = append(res.IsoTrainIsoTest, evalResponse(isoAgent, d.Test))
-		res.IsoTrainHeterTest = append(res.IsoTrainHeterTest, evalResponse(isoAgent, heterTest))
-		res.HeterTrainIsoTest = append(res.HeterTrainIsoTest, evalResponse(heterAgent, d.Test))
-		res.HeterTrainHeterTest = append(res.HeterTrainHeterTest, evalResponse(heterAgent, heterTest))
+		res.IsoTrainIsoTest = append(res.IsoTrainIsoTest, resp[0][0])
+		res.IsoTrainHeterTest = append(res.IsoTrainHeterTest, resp[0][1])
+		res.HeterTrainIsoTest = append(res.HeterTrainIsoTest, resp[1][0])
+		res.HeterTrainHeterTest = append(res.HeterTrainHeterTest, resp[1][1])
 	}
 	return res, nil
 }
@@ -210,28 +186,22 @@ func RunWeightConfigs(cfg ExperimentConfig) (WeightConfigResult, error) {
 	}
 
 	out := WeightConfigResult{}
-	for ci, conf := range configs {
+	for _, conf := range configs {
 		runCfg := cfg
 		runCfg.Specs = conf.specs
+		// A static 4×4 weight matrix needs all four uploads in every round:
+		// full participation, the barrier trigger, a clean transport.
+		runCfg.K, runCfg.Async, runCfg.Faults = len(conf.specs), false, fed.FaultSpec{}
 		// Twin clients must sample independent task sets: SampleClientData
 		// already derives per-index seeds, which differ for C1 and C1'.
-		data, err := SampleClientData(runCfg)
+		r, err := setup(AlgFedAvg, runCfg)
 		if err != nil {
 			return nil, err
 		}
-		clients, err := BuildClients(AlgFedAvg, runCfg, data)
-		if err != nil {
+		if err := r.train(runCfg, fed.StaticWeights{W: conf.w}); err != nil {
 			return nil, err
 		}
-		f, err := fed.New(clients, fed.ActorCriticTransport{}, fed.StaticWeights{W: conf.w},
-			fed.Options{K: len(clients), CommEvery: runCfg.CommEvery, Seed: runCfg.Seed + int64(ci), Parallel: runCfg.Parallel})
-		if err != nil {
-			return nil, err
-		}
-		if err := f.RunEpisodes(runCfg.Episodes); err != nil {
-			return nil, err
-		}
-		out[conf.name] = append([]float64(nil), clients[0].Rewards...)
+		out[conf.name] = r.Clients[0].Rewards
 	}
 	return out, nil
 }
@@ -264,26 +234,22 @@ func RunWeightHeatmaps(cfg ExperimentConfig) (*HeatmapResult, error) {
 	runCfg := cfg
 	runCfg.Specs = specs
 
-	data, err := SampleClientData(runCfg)
+	r, err := setup(AlgPFRLDM, runCfg)
 	if err != nil {
 		return nil, err
 	}
-	clients, err := BuildClients(AlgPFRLDM, runCfg, data)
-	if err != nil {
+	// Shared starting point, as in federated training (assembling the
+	// federation performs the initial sync); no aggregation rounds — we only
+	// watch the local drift.
+	if _, err := r.federate(runCfg, nil); err != nil {
 		return nil, err
 	}
-	// Shared starting point, as in federated training (fed.New performs the
-	// initial sync); no aggregation rounds — we only watch the local drift.
-	transport := fed.PublicCriticTransport{}
-	if _, err := fed.New(clients, transport, fed.FedAvg{}, fed.Options{K: len(clients), CommEvery: 1, Seed: runCfg.Seed}); err != nil {
-		return nil, err
-	}
-	fed.TrainClients(clients, runCfg.Episodes, runCfg.Parallel)
+	fed.TrainClients(r.Clients, runCfg.Episodes, runCfg.Parallel)
 
-	uploads := make([][]float64, len(clients))
-	labels := make([]string, len(clients))
-	for i, c := range clients {
-		if uploads[i], err = transport.Upload(c); err != nil {
+	uploads := make([][]float64, len(r.Clients))
+	labels := make([]string, len(r.Clients))
+	for i, c := range r.Clients {
+		if uploads[i], err = (fed.PublicCriticTransport{}).Upload(c); err != nil {
 			return nil, err
 		}
 		labels[i] = specs[i].Name
@@ -300,21 +266,27 @@ func RunWeightHeatmaps(cfg ExperimentConfig) (*HeatmapResult, error) {
 // Figures 16–19 and Table 4 — hybrid-workload generalization (§5.3)
 // ---------------------------------------------------------------------------
 
-// HybridEval holds per-client evaluation metrics for one algorithm.
+// HybridEval holds per-client evaluation metrics for one scheduler.
 type HybridEval struct {
-	Algorithm   Algorithm
 	Clients     []string
 	AvgResponse []float64
 	Makespan    []float64
 	AvgUtil     []float64
 	AvgLoadBal  []float64
+	// Completed / Total are each client's scheduling coverage. The four
+	// metrics above average over completed tasks only, so they compare
+	// schedulers only where Completed == Total.
+	Completed []int
+	Total     []int
 }
 
 // EvalHybrid evaluates a trained run on the §5.3 hybrid test sets: per
 // client, 20% of tasks keep the native distribution and 80% are drawn from
-// the other clients' datasets; VM specifications stay fixed.
-func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64) *HybridEval {
-	he := &HybridEval{Algorithm: r.Algorithm}
+// the other clients' datasets; VM specifications stay fixed. A non-nil floor
+// is scored in place of each client's agent — a heuristic on the same test
+// sets and environments, the floor any learned policy must beat.
+func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64, floor cloudsim.Policy) *HybridEval {
+	he := &HybridEval{}
 	nTest := int(float64(cfg.TasksPerClient) * (1 - cfg.TrainFrac))
 	if nTest < 10 {
 		nTest = 10
@@ -327,17 +299,19 @@ func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64) *Hybri
 				others = append(others, d.Spec.Dataset)
 			}
 		}
-		// The hybrid set depends only on (seed, client), not the algorithm,
-		// so all algorithms face identical test conditions.
+		// The hybrid set depends only on (seed, client), not the scheduler,
+		// so all of them face identical test conditions.
 		mixRng := rand.New(rand.NewSource(cfg.Seed + 7907*int64(i+1)))
 		mix := cloudsim.ClampTasks(
 			workload.HybridMix(mixRng, spec.Dataset, others, nTest, nativeFrac), spec.VMs)
-		m := c.Evaluate(mix)
+		m := c.Evaluate(mix, floor)
 		he.Clients = append(he.Clients, spec.Name)
 		he.AvgResponse = append(he.AvgResponse, m.AvgResponse)
 		he.Makespan = append(he.Makespan, float64(m.Makespan))
 		he.AvgUtil = append(he.AvgUtil, m.AvgUtil)
 		he.AvgLoadBal = append(he.AvgLoadBal, m.AvgLoadBal)
+		he.Completed = append(he.Completed, m.Completed)
+		he.Total = append(he.Total, m.Total)
 	}
 	return he
 }
@@ -419,23 +393,16 @@ func RunNewAgent(cfg ExperimentConfig, warmupEpisodes, joinEpisodes int) (*NewAg
 	f := r.Federation
 
 	// Clone client 1's environment definition with fresh task samples.
-	caps := CapsFor(cfg.Specs)
 	spec := cfg.Specs[0]
-	spec.Name = spec.Name + "-new"
-	joinRng := rand.New(rand.NewSource(cfg.Seed + 424243))
-	tasks := cloudsim.ClampTasks(
-		workload.SampleDataset(spec.Dataset, joinRng, cfg.TasksPerClient), spec.VMs)
-	train, _ := workload.Split(tasks, cfg.TrainFrac)
-	envCfg := caps.EnvConfig(spec)
-	if cfg.EpisodeStepCap > 0 {
-		envCfg.MaxSteps = cfg.EpisodeStepCap
+	spec.Name += "-new"
+	tasks, err := SampleTasks(spec, rand.New(rand.NewSource(cfg.Seed+424243)), cfg.TasksPerClient)
+	if err != nil {
+		return nil, fmt.Errorf("core: joiner (%s): %w", spec.Name, err)
 	}
-	dim := cloudsim.StateDim(envCfg)
-	actions := cloudsim.NumActions(envCfg)
+	train, _ := workload.Split(tasks, cfg.TrainFrac)
+	envCfg := cfg.envConfig(CapsFor(cfg.Specs), spec)
 
-	joiner := rl.NewDualCriticPPO(cfg.rlConfig(dim, actions),
-		rand.New(rand.NewSource(cfg.Seed+515151)))
-	jc, err := fed.NewClient(len(f.Clients), spec.Name, envCfg, train, joiner)
+	jc, err := cfg.newClient(AlgPFRLDM, len(f.Clients), spec.Name, envCfg, train, cfg.Seed+515151)
 	if err != nil {
 		return nil, err
 	}
@@ -444,6 +411,7 @@ func RunNewAgent(cfg ExperimentConfig, warmupEpisodes, joinEpisodes int) (*NewAg
 	}
 	// Joining bootstrap: the server model also seeds the local critic so the
 	// newcomer starts with a trained value function.
+	joiner := jc.Agent.(*rl.DualCriticPPO)
 	if err := nn.CopyParams(joiner.LocalCritic, joiner.PublicCritic); err != nil {
 		return nil, err
 	}
@@ -451,18 +419,13 @@ func RunNewAgent(cfg ExperimentConfig, warmupEpisodes, joinEpisodes int) (*NewAg
 		return nil, err
 	}
 
-	fresh := rl.NewPPO(cfg.rlConfig(dim, actions), rand.New(rand.NewSource(cfg.Seed+616161)))
-	fc, err := fed.NewClient(999, spec.Name+"-fresh", envCfg, train, fresh)
+	fc, err := cfg.newClient(AlgPPO, 999, spec.Name+"-fresh", envCfg, train, cfg.Seed+616161)
 	if err != nil {
 		return nil, err
 	}
 	fc.TrainEpisodes(joinEpisodes)
 
-	joined := append([]float64(nil), jc.Rewards...)
-	if len(joined) > joinEpisodes {
-		joined = joined[:joinEpisodes]
-	}
-	return &NewAgentResult{Joined: joined, Fresh: append([]float64(nil), fc.Rewards...)}, nil
+	return &NewAgentResult{Joined: jc.Rewards, Fresh: fc.Rewards}, nil
 }
 
 // ---------------------------------------------------------------------------
@@ -506,17 +469,15 @@ const (
 	AblationFixedAlpha AblationVariant = "fixed-alpha"
 )
 
-// RunAblation trains one PFRL-DM variant and returns its mean reward curve.
+// RunAblation trains one PFRL-DM variant and returns its mean reward curve:
+// Train(AlgPFRLDM) with a pinned α per agent and/or another aggregator
+// (attentionHeads > 0 overrides the attention aggregator's head count).
 func RunAblation(cfg ExperimentConfig, variant AblationVariant, attentionHeads int) ([]float64, error) {
-	data, err := SampleClientData(cfg)
+	r, err := setup(AlgPFRLDM, cfg)
 	if err != nil {
 		return nil, err
 	}
-	clients, err := BuildClients(AlgPFRLDM, cfg, data)
-	if err != nil {
-		return nil, err
-	}
-	for _, c := range clients {
+	for _, c := range r.Clients {
 		d := c.Agent.(*rl.DualCriticPPO)
 		switch variant {
 		case AblationNoDualCritic:
@@ -525,27 +486,17 @@ func RunAblation(cfg ExperimentConfig, variant AblationVariant, attentionHeads i
 			d.FixedAlpha = 0.5
 		}
 	}
-	var agg fed.Aggregator
-	if variant == AblationNoAttention {
+	var agg fed.Aggregator // nil keeps PFRL-DM's own attention aggregator
+	switch {
+	case variant == AblationNoAttention:
 		agg = fed.FedAvg{}
-	} else {
+	case attentionHeads > 0:
 		a := fed.NewAttention(cfg.Seed)
-		if attentionHeads > 0 {
-			a.Gen.Heads = attentionHeads
-		}
+		a.Gen.Heads = attentionHeads
 		agg = a
 	}
-	k := cfg.K
-	if k <= 0 {
-		k = fedcore.DefaultK(len(clients))
-	}
-	f, err := fed.New(clients, fed.PublicCriticTransport{}, agg,
-		fed.Options{K: k, CommEvery: cfg.CommEvery, Seed: cfg.Seed, Parallel: cfg.Parallel})
-	if err != nil {
+	if err := r.train(cfg, agg); err != nil {
 		return nil, err
 	}
-	if err := f.RunEpisodes(cfg.Episodes); err != nil {
-		return nil, err
-	}
-	return fed.MeanRewardCurve(clients), nil
+	return r.MeanCurve, nil
 }

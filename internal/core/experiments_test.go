@@ -1,6 +1,12 @@
 package core
 
-import "testing"
+import (
+	"fmt"
+	"testing"
+
+	"repro/internal/fedcore"
+	"repro/internal/obs"
+)
 
 // Tiny-config smoke tests for the experiment runners that were previously
 // exercised only through the CLI. Each runner is checked for curve lengths
@@ -59,6 +65,33 @@ func TestRunAblationSmoke(t *testing.T) {
 			t.Fatalf("%s: %v", variant, err)
 		}
 		sameCurve(t, string(variant), a, b)
+	}
+}
+
+// TestRunAblationIsTrain pins the ablation runner to the one federation
+// assembly: its unmodified variant is Train(AlgPFRLDM), bit for bit, and it
+// inherits the federation options Train does — under a lossy delta codec it
+// moves Train's wire bytes (a second, hand-assembled federation ran identity
+// there; at this size the reward curve alone cannot tell, no sampled action
+// flips).
+func TestRunAblationIsTrain(t *testing.T) {
+	wire := obs.DefaultRegistry().Counter("pfrl_fed_wire_upload_bytes_total", "")
+	for _, codec := range []fedcore.CodecConfig{{}, {Tier: fedcore.TierI8, Delta: true}} {
+		cfg := tinyConfig(6)
+		cfg.Codec = codec
+		r, err := Train(AlgPFRLDM, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		before := wire.Value()
+		curve, err := RunAblation(cfg, AblationFull, 0)
+		if err != nil {
+			t.Fatal(err)
+		}
+		sameCurve(t, fmt.Sprintf("ablation vs train, codec %+v", codec), r.MeanCurve, curve)
+		if got := int64(wire.Value() - before); got != r.Comm.UploadBytes {
+			t.Fatalf("codec %+v: ablation uploaded %d wire bytes, Train %d", codec, got, r.Comm.UploadBytes)
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package core
 
 import (
+	"reflect"
 	"strings"
 	"testing"
 
@@ -92,5 +93,41 @@ func TestSpecDrivenTrainBadSpec(t *testing.T) {
 	}
 	if !strings.Contains(err.Error(), "client 1") || !strings.Contains(err.Error(), cfg.Specs[1].Name) {
 		t.Fatalf("error %q does not name the failing client", err)
+	}
+}
+
+// TestRunNewAgentUsesClientRecipe pins the Figure 20 joiner to the shared
+// sample and environment recipes. The from-scratch baseline's curve depends
+// only on the joiner's task set and environment, so: a joiner cloned from a
+// client whose spec is dataset X's preset must train exactly as one cloned
+// from a client with builtin dataset X (a joiner that ignored
+// ClientSpec.Workload would sample the builtin Dataset instead), and SLO
+// reward shaping must reach its environment.
+func TestRunNewAgentUsesClientRecipe(t *testing.T) {
+	fresh := func(edit func(*ExperimentConfig)) []float64 {
+		cfg := tinyConfig(9)
+		edit(&cfg)
+		r, err := RunNewAgent(cfg, 2, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		return r.Fresh
+	}
+	builtin := fresh(func(cfg *ExperimentConfig) { cfg.Specs[0].Dataset = workload.HPCHF })
+	viaSpec := fresh(func(cfg *ExperimentConfig) {
+		spec, err := workload.PresetSpec(workload.HPCHF)
+		if err != nil {
+			t.Fatal(err)
+		}
+		cfg.Specs[0].Workload = spec // Dataset stays Google
+	})
+	sameCurve(t, "joiner from a workload spec vs its builtin dataset", builtin, viaSpec)
+
+	shaped := fresh(func(cfg *ExperimentConfig) {
+		cfg.Specs[0].Dataset = workload.HPCHF
+		cfg.SLOWaitCost = [workload.NumSLOClasses]float64{0.01, 0.01, 0.01}
+	})
+	if reflect.DeepEqual(builtin, shaped) {
+		t.Fatalf("SLO wait cost did not reach the joiner's environment: %v", shaped)
 	}
 }

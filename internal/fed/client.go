@@ -133,19 +133,20 @@ func (c *Client) TrainEpisodes(n int) {
 	}
 }
 
-// Evaluate runs one greedy episode over the given task set and returns the
-// environment metrics. The training environment configuration is reused.
-// Agents that support it are evaluated with the deployment-time
-// feasibility guard (see rl.EvaluateEpisodeMasked).
-func (c *Client) Evaluate(tasks []workload.Task) cloudsim.Metrics {
-	env := cloudsim.MustNewEnv(c.Env.Config(), tasks)
-	if ma, ok := c.Agent.(rl.MaskedAgent); ok {
-		rl.EvaluateEpisodeMasked(env, ma)
-	} else {
-		rl.EvaluateEpisode(env, c.Agent)
+// Evaluate scores a scheduler on the given task set under the client's
+// environment configuration, through the one evaluation function
+// (cloudsim.Evaluate): policy or, when nil, the client's own agent — greedy,
+// with the deployment-time feasibility guard.
+func (c *Client) Evaluate(tasks []workload.Task, policy cloudsim.Policy) cloudsim.Metrics {
+	if policy == nil {
+		policy = cloudsim.Greedy(c.Name, c.Agent.GreedyAction)
 	}
-	env.Drain()
-	return env.Metrics()
+	m, err := cloudsim.Evaluate(c.Env.Config(), tasks, policy)
+	if err != nil {
+		// c.Env was built from this very configuration.
+		panic(fmt.Sprintf("fed: client %d: evaluate: %v", c.ID, err))
+	}
+	return m
 }
 
 // probeCriticLoss measures the critic MSE used by the Figure-9 probes:

@@ -426,9 +426,25 @@ func TestEngineSelectSubset(t *testing.T) {
 
 func TestEvaluateProducesMetrics(t *testing.T) {
 	c := newPPOClient(t, 0, 70)
-	m := c.Evaluate(smallTasks(71, 8))
+	m := c.Evaluate(smallTasks(71, 8), nil)
 	if m.Total != 8 {
 		t.Fatalf("eval total %d", m.Total)
+	}
+
+	// An evaluation never inherits the client's training step cap: under a
+	// cap of 5 decisions the same evaluations still run to completion, for
+	// the client's agent and for a heuristic alike.
+	cfg := smallConfig()
+	cfg.MaxSteps = 5
+	capped, err := NewClient(1, "capped", cfg, c.Tasks, c.Agent)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := capped.Evaluate(smallTasks(71, 8), nil); got != m {
+		t.Fatalf("evaluation under a training cap of 5:\n%+v\nwithout:\n%+v", got, m)
+	}
+	if ff := capped.Evaluate(smallTasks(71, 8), cloudsim.FirstFit{}); ff.Completed != ff.Total || ff.Steps <= 5 {
+		t.Fatalf("first-fit under a training cap of 5: %d/%d tasks in %d steps", ff.Completed, ff.Total, ff.Steps)
 	}
 }
 

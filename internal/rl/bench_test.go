@@ -124,7 +124,7 @@ func TestConcurrentClientsSharedPool(t *testing.T) {
 					t.Errorf("client %d: negative entropy %v", seed, stats.Entropy)
 				}
 				env.Reset()
-				EvaluateEpisodeMasked(env, agent)
+				EvaluateEpisodeMasked(env, agent.GreedyAction)
 			}
 		}(int64(c + 10))
 	}

@@ -38,7 +38,7 @@ func (e *stampEnv) FeasibleActions() []bool { return []bool{true} }
 type stampAgent struct{}
 
 func (stampAgent) SelectAction(state []float64) (int, float64) { return 0, -state[0] }
-func (stampAgent) GreedyAction([]float64) int                  { return 0 }
+func (stampAgent) GreedyAction([]float64, []bool) int          { return 0 }
 func (stampAgent) Value(state []float64) float64               { return state[0] }
 func (stampAgent) Update(*Buffer) UpdateStats                  { return UpdateStats{} }
 

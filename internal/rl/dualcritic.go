@@ -74,14 +74,9 @@ func (d *DualCriticPPO) SelectAction(state []float64) (action int, logProb float
 	return a, dist.LogProb(a)
 }
 
-// GreedyAction returns argmax_a π(a|state).
-func (d *DualCriticPPO) GreedyAction(state []float64) int {
-	return d.inf.policyDist(d.Actor, state, d.Cfg.NumActions, nil).Argmax()
-}
-
-// GreedyMaskedAction returns the most probable action among those allowed
-// by mask (see PPO.GreedyMaskedAction).
-func (d *DualCriticPPO) GreedyMaskedAction(state []float64, mask []bool) int {
+// GreedyAction returns the most probable action among those allowed by mask
+// (see PPO.GreedyAction).
+func (d *DualCriticPPO) GreedyAction(state []float64, mask []bool) int {
 	return d.inf.policyDist(d.Actor, state, d.Cfg.NumActions, mask).Argmax()
 }
 

@@ -56,7 +56,7 @@ func (s *inferScratch) value2Buf() *tensor.Matrix {
 
 // policyDist refreshes the reusable categorical from the actor's logits for
 // the given state and returns it. This is the shared core of
-// SelectAction/GreedyAction/GreedyMaskedAction on both agent types.
+// SelectAction/GreedyAction on both agent types.
 func (s *inferScratch) policyDist(actor *nn.MLP, state []float64, numActions int, mask []bool) *nn.Categorical {
 	x := s.setState(state)
 	logits := actor.Infer(s.logitsBuf(numActions), x)

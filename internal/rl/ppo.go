@@ -128,15 +128,11 @@ func (p *PPO) SelectAction(state []float64) (action int, logProb float64) {
 	return a, dist.LogProb(a)
 }
 
-// GreedyAction returns argmax_a π(a|state) (used for evaluation).
-func (p *PPO) GreedyAction(state []float64) int {
-	return p.inf.policyDist(p.Actor, state, p.Cfg.NumActions, nil).Argmax()
-}
-
-// GreedyMaskedAction returns the most probable action among those allowed
-// by mask — the deployment-time feasibility guard (a production scheduler
-// never submits a placement the admission check would reject).
-func (p *PPO) GreedyMaskedAction(state []float64, mask []bool) int {
+// GreedyAction returns the most probable action among those allowed by mask
+// (nil allows all) — with an environment's feasibility mask, the
+// deployment-time guard: a production scheduler never submits a placement
+// the admission check would reject.
+func (p *PPO) GreedyAction(state []float64, mask []bool) int {
 	return p.inf.policyDist(p.Actor, state, p.Cfg.NumActions, mask).Argmax()
 }
 

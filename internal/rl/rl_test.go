@@ -449,11 +449,17 @@ func TestDualCriticImprovesOnSmallWorkload(t *testing.T) {
 	}
 }
 
+// unmasked is agent's greedy choice with the feasibility mask dropped: the
+// nil mask allows every action.
+func unmasked(agent Agent) func([]float64, []bool) int {
+	return func(state []float64, _ []bool) int { return agent.GreedyAction(state, nil) }
+}
+
 func TestEvaluateEpisodeDeterministic(t *testing.T) {
 	agent := NewPPO(DefaultConfig(smallEnv(18, 10).StateDim(), smallEnv(18, 10).NumActions()), rand.New(rand.NewSource(19)))
 	e1, e2 := smallEnv(18, 10), smallEnv(18, 10)
-	r1 := EvaluateEpisode(e1, agent)
-	r2 := EvaluateEpisode(e2, agent)
+	r1 := EvaluateEpisodeMasked(e1, unmasked(agent))
+	r2 := EvaluateEpisodeMasked(e2, unmasked(agent))
 	e1.Drain()
 	e2.Drain()
 	if r1 != r2 || e1.Metrics() != e2.Metrics() {
@@ -488,7 +494,7 @@ func TestEvaluateEpisodeMaskedNeverInvalid(t *testing.T) {
 	// the environment's forced waits.
 	env := smallEnv(30, 20)
 	agent := NewPPO(DefaultConfig(env.StateDim(), env.NumActions()), rand.New(rand.NewSource(31)))
-	EvaluateEpisodeMasked(env, agent)
+	EvaluateEpisodeMasked(env, agent.GreedyAction)
 	env.Drain()
 	m := env.Metrics()
 	if m.Completed != m.Total {
@@ -502,8 +508,8 @@ func TestMaskedBeatsUnmaskedForUntrainedAgent(t *testing.T) {
 	// lower response time and full completion.
 	agent := NewPPO(DefaultConfig(smallEnv(32, 20).StateDim(), smallEnv(32, 20).NumActions()), rand.New(rand.NewSource(33)))
 	envM, envU := smallEnv(32, 20), smallEnv(32, 20)
-	EvaluateEpisodeMasked(envM, agent)
-	EvaluateEpisode(envU, agent)
+	EvaluateEpisodeMasked(envM, agent.GreedyAction)
+	EvaluateEpisodeMasked(envU, unmasked(agent))
 	envM.Drain()
 	envU.Drain()
 	mMasked, mUnmasked := envM.Metrics(), envU.Metrics()

@@ -30,8 +30,9 @@ type Environment interface {
 type Agent interface {
 	// SelectAction samples from the current policy.
 	SelectAction(state []float64) (action int, logProb float64)
-	// GreedyAction returns the mode of the policy (evaluation).
-	GreedyAction(state []float64) int
+	// GreedyAction returns the most probable action among those mask allows
+	// (evaluation); a nil mask allows every action.
+	GreedyAction(state []float64, mask []bool) int
 	// Value estimates V(state) with the agent's critic(s).
 	Value(state []float64) float64
 	// Update consumes an on-policy buffer and improves the networks.
@@ -51,20 +52,10 @@ type Truncator interface {
 	Truncated() bool
 }
 
-// MaskedAgent is an Agent whose greedy action can be restricted to the
-// environment's feasible set.
-type MaskedAgent interface {
-	Agent
-	// GreedyMaskedAction returns argmax over allowed actions.
-	GreedyMaskedAction(state []float64, mask []bool) int
-}
-
 // Compile-time interface checks.
 var (
-	_ Agent       = (*PPO)(nil)
-	_ Agent       = (*DualCriticPPO)(nil)
-	_ MaskedAgent = (*PPO)(nil)
-	_ MaskedAgent = (*DualCriticPPO)(nil)
+	_ Agent = (*PPO)(nil)
+	_ Agent = (*DualCriticPPO)(nil)
 )
 
 // Rollout metrics, shared via the default registry. Counter bumps are single
@@ -122,31 +113,17 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 	return total
 }
 
-// EvaluateEpisode runs one greedy episode (no exploration, no recording)
-// and returns the total reward.
-func EvaluateEpisode(env Environment, agent Agent) float64 {
+// EvaluateEpisodeMasked runs one greedy episode (no exploration, no
+// recording) and returns the total reward: at every step choose — an agent's
+// GreedyAction, or any function of the same shape — sees the observation and
+// the environment's feasibility mask. It is the greedy loop for environments
+// that are not a bare *cloudsim.Env (workflow DAGs, the synthetic benchmark
+// env); cloudsim task sets are evaluated by cloudsim.Evaluate.
+func EvaluateEpisodeMasked(env Environment, choose func(state []float64, mask []bool) int) float64 {
 	total := 0.0
 	state := env.Observe(nil)
 	for !env.Done() {
-		total += env.Step(agent.GreedyAction(state))
-		if !env.Done() {
-			state = env.Observe(state)
-		}
-	}
-	return total
-}
-
-// EvaluateEpisodeMasked runs one greedy episode with the deployment-time
-// feasibility guard: the policy only chooses among placements the
-// environment can actually admit (plus Wait). Training remains unmasked —
-// agents learn feasibility through the Eq. (9) penalties, as in the paper —
-// but a deployed scheduler never submits a placement its admission check
-// would reject, so evaluation uses the guard.
-func EvaluateEpisodeMasked(env Environment, agent MaskedAgent) float64 {
-	total := 0.0
-	state := env.Observe(nil)
-	for !env.Done() {
-		total += env.Step(agent.GreedyMaskedAction(state, env.FeasibleActions()))
+		total += env.Step(choose(state, env.FeasibleActions()))
 		if !env.Done() {
 			state = env.Observe(state)
 		}

@@ -24,7 +24,7 @@ func TestSaveLoadPPO(t *testing.T) {
 		t.Fatalf("loaded %T", loadedAgent)
 	}
 	state := []float64{0.1, -0.2, 0.3, 0.4, -0.5, 0.6}
-	if a.GreedyAction(state) != b.GreedyAction(state) {
+	if a.GreedyAction(state, nil) != b.GreedyAction(state, nil) {
 		t.Fatal("policies disagree after round trip")
 	}
 	if a.Value(state) != b.Value(state) {

@@ -86,7 +86,7 @@ func TestPPOSolvesContextualBandit(t *testing.T) {
 	for i := 0; i < 4; i++ {
 		state := make([]float64, 4)
 		state[i] = 1
-		if agent.GreedyAction(state) == i {
+		if agent.GreedyAction(state, nil) == i {
 			correct++
 		}
 	}

@@ -40,21 +40,12 @@ func NewFederatedClient(id int, name string, cfg cloudsim.Config, wfs []Workflow
 	return c, nil
 }
 
-// EvaluateWorkflows runs one greedy (feasibility-guarded) episode over the
-// given workflow set and returns the per-workflow records and stage
+// EvaluateWorkflows drives env to the end of its episode with choose — an
+// agent's GreedyAction (feasibility-guarded), or a heuristic reading
+// env.Inner() — drains it, and returns the per-workflow records and stage
 // metrics.
-func EvaluateWorkflows(cfg cloudsim.Config, wfs []Workflow, agent rl.MaskedAgent) ([]WorkflowRecord, cloudsim.Metrics, error) {
-	env, err := NewEnv(cfg, wfs)
-	if err != nil {
-		return nil, cloudsim.Metrics{}, err
-	}
-	state := env.Observe(nil)
-	for !env.Done() {
-		env.Step(agent.GreedyMaskedAction(state, env.FeasibleActions()))
-		if !env.Done() {
-			state = env.Observe(state)
-		}
-	}
+func EvaluateWorkflows(env *Env, choose func(state []float64, mask []bool) int) ([]WorkflowRecord, cloudsim.Metrics) {
+	rl.EvaluateEpisodeMasked(env, choose)
 	env.Drain()
-	return env.WorkflowRecords(), env.Metrics(), nil
+	return env.WorkflowRecords(), env.Metrics()
 }

@@ -70,10 +70,11 @@ func TestEvaluateWorkflows(t *testing.T) {
 	wfs := ClampToVMs(Generate(rng, gen, 3), cfg.VMs)
 	agent := rl.NewPPO(rl.DefaultConfig(cloudsim.StateDim(cfg), cfg.PadVMs+1),
 		rand.New(rand.NewSource(7)))
-	recs, m, err := EvaluateWorkflows(cfg, wfs, agent)
+	env, err := NewEnv(cfg, wfs)
 	if err != nil {
 		t.Fatal(err)
 	}
+	recs, m := EvaluateWorkflows(env, agent.GreedyAction)
 	if len(recs) != 3 {
 		t.Fatalf("workflows completed %d/3", len(recs))
 	}
