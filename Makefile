@@ -10,8 +10,9 @@
 #                     benchmark, every figure runner twice at toy size
 #                     (the two outputs must be identical), a
 #                     /metrics endpoint smoke test, a 4-client
-#                     barrier-federation chaos smoke and a 16-client
-#                     async-federation one
+#                     barrier-federation chaos smoke, a 16-client
+#                     async-federation one and a spec-driven federation on
+#                     the ranked top-k layout
 #   make test       - plain test suite (tier-1 gate)
 #   make test-race  - federation layers + simulator invariants, race-enabled
 #   make fuzz-smoke - a short run of every fuzz target
@@ -116,9 +117,9 @@ bench-smoke:
 	$(GO) test ./internal/rl/ -run xxx -bench 'BenchmarkRolloutStep|BenchmarkPPOUpdate' -benchtime=1x -benchmem
 
 # Simulator-core and rollout benchmarks under the allocation guard: fails
-# if BenchmarkEnvStep or BenchmarkRolloutStep report any allocs/op. Runs a
-# short fixed iteration count in ci; override with BENCHTIME=2s for a full
-# measurement.
+# if BenchmarkEnvStep (per-VM and ranked slot views) or BenchmarkRolloutStep
+# report any allocs/op. Runs a short fixed iteration count in ci; override
+# with BENCHTIME=2s for a full measurement.
 bench-env:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh env
 
@@ -176,9 +177,13 @@ results:
 		done; \
 	} > "$$tmp" && mv "$$tmp" results_all.txt
 
-# Workload-spec engine smoke for ci: every embedded preset must reproduce
-# its builtin model bit-for-bit, and a tiny spec-driven episode must run end
-# to end with the per-SLO-class breakdown.
+# Workload-spec engine smoke for ci: a two-client demo federation draws its
+# tasks from a two-tenant spec on the ranked top-k layout with the aggregate
+# block on (the one ci step that trains on that layout), and a tiny
+# spec-driven episode runs end to end with the per-SLO-class breakdown. The
+# presets are the builtin datasets now, pinned by digest in
+# internal/workload's tests rather than compared here.
 spec-smoke:
-	$(GO) run ./cmd/workload-stats -validate-presets -n 500
+	$(GO) run ./cmd/pfrl-node -mode demo -clients 2 -rounds 1 -comm 1 -tasks 20 -seed 42 \
+		-topk 4 -util-buckets 4 -workload-spec examples/hybridworkloads/twoclient.json
 	$(GO) run ./cmd/pfrl-bench -exp spec -workload-spec examples/hybridworkloads/twoclient.json -tasks 40

@@ -18,6 +18,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"sync"
 
@@ -30,51 +31,84 @@ import (
 	"repro/internal/workload"
 )
 
-// Scalable-environment knobs, shared by every mode's env construction (see
+// Scalable-environment knobs, shared by every env this command builds (see
 // federationEnv). They must match across the federation: the policy
-// network's input width and action count derive from them.
+// network's input width and action count derive from them. Swarm mode builds
+// its own environments (fednet.RunSwarm) and reads none of these.
 var (
 	topkFlag = flag.Int("topk", 0,
-		"scalable observation: top-k candidate VM slots (0 = per-VM observation)")
+		"server/client/demo: scalable observation, top-k candidate VM slots (0 = per-VM observation)")
 	utilBucketsFlag = flag.Int("util-buckets", 0,
-		"scalable observation: aggregate utilization histogram buckets (requires -topk)")
+		"server/client/demo: scalable observation, aggregate utilization histogram buckets (requires -topk)")
 	oversubFlag = flag.Float64("oversub", 0,
-		"vCPU/memory oversubscription ratio (0 or 1 = off)")
+		"server/client/demo: vCPU/memory oversubscription ratio (0 or 1 = off)")
 	workloadSpecFlag = flag.String("workload-spec", "",
-		"client/demo/swarm: draw tasks from this declarative workload spec JSON instead of the -dataset builtin")
+		"client/demo: draw tasks from this declarative workload spec JSON instead of the builtin dataset")
 )
+
+// nodeModes are the values -mode takes.
+var nodeModes = []string{"server", "client", "demo", "swarm"}
+
+// flagModes returns the modes a flag's help names before its first colon
+// ("client/demo: ..."), or nil for a flag every mode reads. The help text is
+// the one table of which mode honours which flag.
+func flagModes(f *flag.Flag) []string {
+	prefix, _, _ := strings.Cut(f.Usage, ":")
+	modes := strings.Split(prefix, "/")
+	for _, m := range modes {
+		if !slices.Contains(nodeModes, m) {
+			return nil
+		}
+	}
+	return modes
+}
+
+// checkModeFlags rejects every flag that was set on the command line but that
+// mode does not read, instead of running to completion without it.
+func checkModeFlags(fs *flag.FlagSet, mode string) error {
+	var unread []string
+	fs.Visit(func(f *flag.Flag) {
+		if modes := flagModes(f); modes != nil && !slices.Contains(modes, mode) {
+			unread = append(unread, fmt.Sprintf("-%s (honoured by: %s)", f.Name, strings.Join(modes, ", ")))
+		}
+	})
+	if unread == nil {
+		return nil
+	}
+	return fmt.Errorf("-mode %s does not read %s", mode, strings.Join(unread, ", "))
+}
 
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfrl-node: ")
 	var (
 		mode    = flag.String("mode", "demo", "server | client | demo | swarm")
-		addr    = flag.String("addr", "127.0.0.1:0", "server address (server: bind; client: dial)")
-		clients = flag.Int("clients", 4, "server/demo: expected number of clients")
-		k       = flag.Int("k", 0, "participants per round (0 = N/2)")
-		rounds  = flag.Int("rounds", 6, "aggregation rounds")
-		comm    = flag.Int("comm", 5, "episodes per round")
-		tasks   = flag.Int("tasks", 80, "tasks per client")
+		addr    = flag.String("addr", "127.0.0.1:0", "server/client: address the server binds and the client dials")
+		clients = flag.Int("clients", 4, "server/demo/swarm: number of clients")
+		k       = flag.Int("k", 0, "server/demo/swarm: participants per round (0 = N/2)")
+		rounds  = flag.Int("rounds", 6, "client/demo/swarm: aggregation rounds")
+		comm    = flag.Int("comm", 5, "client/demo/swarm: episodes per round")
+		tasks   = flag.Int("tasks", 80, "client/demo/swarm: tasks per client")
 		dataset = flag.String("dataset", "google", "client: workload dataset name")
 		seed    = flag.Int64("seed", 1, "node seed")
 		// Fault-tolerance knobs.
 		roundTimeout = flag.Duration("round-timeout", 0,
 			"server/demo: aggregate with whoever arrived after this much waiting (0 = strict full barrier)")
 		retries = flag.Int("retries", 3,
-			"client/demo: retry attempts per step — join install, sync, fetch, resync (exponential backoff, seeded jitter)")
+			"client/demo/swarm: retry attempts per step — join install, sync, fetch, resync (exponential backoff, seeded jitter)")
 		rpcTimeout = flag.Duration("rpc-timeout", 0,
 			"client/demo: per-RPC deadline; set above -round-timeout plus a training segment (0 = none)")
 		faultSpec = flag.String("fault-spec", "",
-			"client/demo: injected transport faults, e.g. drop=0.1,delay=0.05:20ms,dup=0.02,corrupt=0.01,seed=7")
+			"client/demo/swarm: injected transport faults, e.g. drop=0.1,delay=0.05:20ms,dup=0.02,corrupt=0.01,seed=7")
 		rejoin = flag.Int("rejoin", -1,
 			"client: reclaim this client id after a restart instead of registering anew")
 		// Asynchronous-federation knobs.
 		async = flag.Bool("async", false,
-			"server/demo/swarm: commit on buffer fill (buffered asynchronous aggregation) instead of at the round barrier")
+			"server/demo: commit on buffer fill (buffered asynchronous aggregation) instead of at the round barrier; swarm always does")
 		stalenessBound = flag.Int("staleness-bound", -1,
-			"async: drop deltas staler than this many rounds (-1 = unbounded, 0 = fresh only)")
+			"server/demo/swarm: under async aggregation, drop deltas staler than this many rounds (-1 = unbounded, 0 = fresh only)")
 		buffer = flag.Int("buffer", 0,
-			"async: commit an aggregation round every B accepted arrivals (0 = K)")
+			"server/demo/swarm: under async aggregation, commit a round every B accepted arrivals (0 = K)")
 		// Data-plane knobs. The server owns the codec config: clients adopt
 		// it from the join reply, so only server/demo/swarm modes read these.
 		codecTier = flag.String("codec", "identity",
@@ -88,6 +122,13 @@ func main() {
 			"append JSONL training/federation events to this file (empty = disabled)")
 	)
 	flag.Parse()
+	if !slices.Contains(nodeModes, *mode) {
+		flag.Usage()
+		os.Exit(2)
+	}
+	if err := checkModeFlags(flag.CommandLine, *mode); err != nil {
+		log.Fatal(err)
+	}
 
 	tier, err := fedcore.ParseTier(*codecTier)
 	if err != nil {
@@ -139,9 +180,6 @@ func main() {
 		err = runDemo(scfg, *rounds, *comm, *tasks, opts, faults)
 	case "swarm":
 		err = runSwarm(*clients, *k, *rounds, *comm, *tasks, *seed, *stalenessBound, *buffer, *retries, faults, codec)
-	default:
-		flag.Usage()
-		os.Exit(2)
 	}
 	if err != nil {
 		log.Fatal(err)

@@ -10,7 +10,6 @@
 //	workload-stats -summary
 //	workload-stats -spec mix.json
 //	workload-stats -calibrate trace.csv [-spec mix.json]
-//	workload-stats -validate-presets
 package main
 
 import (
@@ -36,7 +35,6 @@ func main() {
 		bins      = flag.Int("bins", 10, "histogram bins for figures 2-3")
 		specFile  = flag.String("spec", "", "characterize this declarative workload spec (also the reference for -calibrate)")
 		calibrate = flag.String("calibrate", "", "compare this CSV trace against -spec (or a spec fitted from the trace)")
-		validate  = flag.Bool("validate-presets", false, "check every embedded preset spec matches its builtin model bit-for-bit")
 	)
 	flag.Parse()
 
@@ -48,8 +46,6 @@ func main() {
 		printFigure(*fig, *n, *seed, *bins)
 	case *summary:
 		printSummary(*n, *seed)
-	case *validate:
-		err = validatePresets(*n, *seed)
 	case *calibrate != "":
 		err = runCalibrate(*calibrate, *specFile, *seed)
 	case *specFile != "":

@@ -100,32 +100,3 @@ func runCalibrate(tracePath, specPath string, seed int64) error {
 	fmt.Print(t.String())
 	return nil
 }
-
-// validatePresets compiles every embedded preset spec and checks it
-// reproduces its builtin model's sample bit-for-bit — the shipped
-// equivalence gate behind `make spec-smoke`.
-func validatePresets(n int, seed int64) error {
-	for _, id := range workload.AllDatasets() {
-		spec, err := workload.PresetSpec(id)
-		if err != nil {
-			return err
-		}
-		comp, err := spec.Compile()
-		if err != nil {
-			return fmt.Errorf("preset %s: %w", id, err)
-		}
-		want := workload.SampleDataset(id, rand.New(rand.NewSource(seed)), n)
-		got := comp.Sample(rand.New(rand.NewSource(seed)), n)
-		if len(got) != len(want) {
-			return fmt.Errorf("preset %s: sampled %d tasks, builtin %d", id, len(got), len(want))
-		}
-		for i := range want {
-			if got[i] != want[i] {
-				return fmt.Errorf("preset %s: task %d diverges from builtin: %+v != %+v", id, i, got[i], want[i])
-			}
-		}
-	}
-	fmt.Printf("ok: %d presets compile and match their builtin models (%d tasks each, seed %d)\n",
-		len(workload.AllDatasets()), n, seed)
-	return nil
-}

@@ -127,32 +127,33 @@ func mustHead(env *Env) workload.Task {
 }
 
 // TestStepZeroAllocSteadyState pins the engine-side half of the rollout
-// fast path: after one warm episode, a full environment interaction —
-// Observe into a reused buffer, FeasibleActionsInto into a reused mask,
-// action choice, Step, and the in-place Reset at episode end — allocates
-// nothing.
+// fast path in both slot layouts: after one warm episode, a whole further
+// episode — Observe into a reused buffer, FeasibleActionsInto into a reused
+// mask, action choice and Step at every decision, then the in-place Reset
+// (candidate index included) — allocates nothing. The unit is the episode,
+// not the step: AllocsPerRun truncates, and a reset that allocated would
+// vanish when averaged over a few hundred steps.
 func TestStepZeroAllocSteadyState(t *testing.T) {
-	specs := benchCluster()
-	tasks := benchWorkload(specs, 200)
-	env := MustNewEnv(DefaultConfig(specs), tasks)
-	buf := make([]float64, env.StateDim())
-	mask := make([]bool, env.NumActions())
-	stepOnce := func() {
-		buf = env.Observe(buf)
-		mask = env.FeasibleActionsInto(mask)
-		env.Step(benchFirstFit(env))
-		if env.Done() {
-			env.Reset(tasks)
-		}
-	}
-	for !env.Done() { // warm episode: grow every internal buffer
-		buf = env.Observe(buf)
-		mask = env.FeasibleActionsInto(mask)
-		env.Step(benchFirstFit(env))
-	}
-	env.Reset(tasks)
-	if allocs := testing.AllocsPerRun(500, stepOnce); allocs != 0 {
-		t.Fatalf("env step allocates %.1f objects/op in steady state, want 0", allocs)
+	for _, v := range benchViews {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := v.cfg()
+			tasks := benchWorkload(cfg.VMs, 200)
+			env := MustNewEnv(cfg, tasks)
+			buf := make([]float64, env.StateDim())
+			mask := make([]bool, env.NumActions())
+			episode := func() {
+				for !env.Done() {
+					buf = env.Observe(buf)
+					mask = env.FeasibleActionsInto(mask)
+					env.Step(benchFirstFit(env))
+				}
+				env.Reset(tasks)
+			}
+			episode() // warm: grow every internal buffer
+			if allocs := testing.AllocsPerRun(3, episode); allocs != 0 {
+				t.Fatalf("a steady-state episode and its reset allocate %.0f objects, want 0", allocs)
+			}
+		})
 	}
 }
 
@@ -369,62 +370,131 @@ func TestSlotStatsHandComputed(t *testing.T) {
 	}
 }
 
-// TestObserveMatchesNaiveEncoding guards the prototype-copy Observe fast
-// path: on every step of a seeded episode, the encoded observation must be
-// bit-identical to a naive re-encoding that walks all positions.
-func TestObserveMatchesNaiveEncoding(t *testing.T) {
-	rng := rand.New(rand.NewSource(11))
-	cfg := DefaultConfig([]VMSpec{{CPU: 4, Mem: 16}, {CPU: 8, Mem: 32}})
-	cfg.PadVMs = 3 // one void VM slot
-	tasks := ClampTasks(workload.SampleDataset(workload.Alibaba2017, rng, 50), cfg.VMs)
-	env := MustNewEnv(cfg, tasks)
-
-	naive := func() []float64 {
-		out := make([]float64, env.StateDim())
-		off := 0
-		for i := 0; i < cfg.PadVMs; i++ {
-			if i < len(env.vms) {
-				out[off] = float64(env.vms[i].freeCPU) / float64(cfg.MaxCPU)
-				out[off+1] = env.vms[i].freeMem / cfg.MaxMem
-			} else {
-				out[off], out[off+1] = VoidMarker, VoidMarker
-			}
-			off += NumResources
+// naiveObserve re-encodes the observation position by position from the slot
+// view alone: slot s is whatever VM CandidateVM(s) names, void when it names
+// none. (The aggregate block is not part of the slot view; it is taken from
+// writeAgg so that an Observe that forgets to write it still fails.)
+func naiveObserve(env *Env) []float64 {
+	cfg := env.cfg
+	slots := env.WaitAction()
+	out := make([]float64, 0, env.StateDim())
+	for s := 0; s < slots; s++ {
+		if vi := env.CandidateVM(s); vi >= 0 {
+			out = append(out, float64(env.vms[vi].freeCPU)/float64(cfg.MaxCPU), env.vms[vi].freeMem/cfg.MaxMem)
+		} else {
+			out = append(out, VoidMarker, VoidMarker)
 		}
-		for i := 0; i < cfg.PadVMs; i++ {
-			for k := 0; k < cfg.PadVCPUs; k++ {
-				if i >= len(env.vms) || k >= env.vms[i].Spec.CPU {
-					out[off] = VoidMarker
-				} else {
-					out[off] = env.vms[i].progress(k, env.now)
-				}
-				off++
-			}
-		}
-		for q := 0; q < cfg.QueueDepth; q++ {
-			if q < env.QueueLen() {
-				tk := env.queue[env.qhead+q]
-				out[off] = float64(tk.CPU) / float64(cfg.MaxCPU)
-				out[off+1] = tk.Mem / cfg.MaxMem
-			} else {
-				out[off], out[off+1] = VoidMarker, VoidMarker
-			}
-			off += NumResources
-		}
-		return out
 	}
-
-	var buf []float64
-	p := FirstFit{}
-	for !env.Done() {
-		buf = env.Observe(buf)
-		want := naive()
-		for i := range want {
-			if buf[i] != want[i] {
-				t.Fatalf("observation mismatch at position %d: fast %v, naive %v", i, buf[i], want[i])
+	for s := 0; s < slots; s++ {
+		vi := env.CandidateVM(s)
+		for k := 0; k < cfg.PadVCPUs; k++ {
+			if vi < 0 || k >= env.vms[vi].capCPU {
+				out = append(out, VoidMarker)
+			} else {
+				out = append(out, env.vms[vi].progress(k, env.now))
 			}
 		}
-		env.Step(p.SelectAction(env))
+	}
+	for q := 0; q < cfg.QueueDepth; q++ {
+		if q < env.QueueLen() {
+			tk := env.queue[env.qhead+q]
+			out = append(out, float64(tk.CPU)/float64(cfg.MaxCPU), tk.Mem/cfg.MaxMem)
+		} else {
+			out = append(out, VoidMarker, VoidMarker)
+		}
+	}
+	if n := aggDim(cfg); n > 0 {
+		out = out[:len(out)+n]
+		env.writeAgg(out[len(out)-n:])
+	}
+	return out
+}
+
+// TestObserveMatchesNaiveEncoding pins the one Observe body and the one mask
+// to the slot view, in every layout: on every step of a seeded episode (a
+// mix of first-fit, random placements and waits) the observation written
+// into a reused, poisoned buffer must be bit-identical to the naive
+// re-encoding driven by CandidateVM — so a skipped void marker or a value
+// left over from the previous candidate set shows — and slot s must be
+// feasible exactly when CandidateVM(s) names a VM that fits the head task.
+func TestObserveMatchesNaiveEncoding(t *testing.T) {
+	small := []VMSpec{{CPU: 4, Mem: 16}, {CPU: 8, Mem: 32}}
+	views := []struct {
+		name   string
+		ranked bool
+		cfg    func() Config
+	}{
+		{"per-vm-void-slot", false, func() Config {
+			cfg := DefaultConfig(small)
+			cfg.PadVMs = 3
+			return cfg
+		}},
+		{"identity", false, func() Config {
+			cfg := DefaultConfig(small)
+			cfg.TopK = 3 // ≥ len(VMs): slot i = VM i, slot 2 void
+			return cfg
+		}},
+		{"ranked", true, func() Config {
+			cfg := DefaultConfig(goldenCluster())
+			cfg.TopK = 3
+			return cfg
+		}},
+		{"ranked-util-buckets", true, func() Config {
+			cfg := DefaultConfig(goldenCluster())
+			cfg.TopK = 3
+			cfg.UtilBuckets = 4
+			return cfg
+		}},
+		{"oversubscribed", false, func() Config {
+			cfg := DefaultConfig(small)
+			cfg.PadVMs = 3
+			cfg.Oversub = 1.5
+			cfg.PadVCPUs = 12 // ⌊8·1.5⌋ schedulable vCPUs on the larger VM
+			return cfg
+		}},
+	}
+	for _, v := range views {
+		t.Run(v.name, func(t *testing.T) {
+			cfg := v.cfg()
+			rng := rand.New(rand.NewSource(11))
+			tasks := ClampTasks(workload.SampleDataset(workload.Alibaba2017, rng, 50), cfg.VMs)
+			env := MustNewEnv(cfg, tasks)
+			if env.Ranked() != v.ranked {
+				t.Fatalf("Ranked() = %v, want %v", env.Ranked(), v.ranked)
+			}
+			buf := make([]float64, env.StateDim())
+			for step := 0; !env.Done(); step++ {
+				for i := range buf {
+					buf[i] = 7.5 // poison: every position must be written
+				}
+				buf = env.Observe(buf)
+				want := naiveObserve(env)
+				if len(buf) != len(want) {
+					t.Fatalf("step %d: observation length %d, naive %d", step, len(buf), len(want))
+				}
+				for i := range want {
+					if buf[i] != want[i] {
+						t.Fatalf("step %d: observation mismatch at position %d: fast %v, naive %v", step, i, buf[i], want[i])
+					}
+				}
+				head, hasHead := env.HeadTask()
+				mask := env.FeasibleActions()
+				for s := 0; s < env.WaitAction(); s++ {
+					vi := env.CandidateVM(s)
+					if fits := hasHead && vi >= 0 && env.vms[vi].Fits(head); mask[s] != fits {
+						t.Fatalf("step %d: mask[%d] = %v but CandidateVM = %d, fits = %v", step, s, mask[s], vi, fits)
+					}
+				}
+				if !mask[env.WaitAction()] {
+					t.Fatalf("step %d: Wait masked out", step)
+				}
+				action := FirstFit{}.SelectAction(env)
+				if rng.Intn(4) == 0 {
+					action = rng.Intn(env.NumActions())
+				}
+				env.Step(action)
+			}
+		})
 	}
 }
 

@@ -29,14 +29,14 @@ type Config struct {
 	// for the head task (plus aggregate utilization buckets, see
 	// UtilBuckets) and actions address candidate slots, so StateDim and
 	// NumActions stay constant as the cluster grows. 0 keeps the per-VM
-	// observation. TopK ≥ len(VMs) degrades to the identity mapping
-	// (candidate slot i = VM i) and runs the exact legacy code paths, so it
-	// is bit-identical to the per-VM engine with PadVMs = TopK.
+	// observation over PadVMs slots. TopK ≥ len(VMs) leaves nothing to rank:
+	// it is the per-VM layout over TopK slots (slot i = VM i), bit-identical
+	// to TopK = 0 with PadVMs = TopK.
 	TopK int
 	// UtilBuckets adds 2·UtilBuckets+3 aggregate features to a TopK
 	// observation: CPU and memory utilization histograms over all VMs plus
 	// total used-CPU, used-memory, and queue-length summaries. 0 disables
-	// the aggregate block (required for bit-identical TopK degradation).
+	// the aggregate block.
 	UtilBuckets int
 	// Oversub is the vCPU/memory oversubscription ratio: every VM
 	// advertises floor(CPU·Oversub) schedulable vCPUs and Mem·Oversub GiB.
@@ -235,14 +235,14 @@ type Env struct {
 
 	heap []completion // min-heap of outstanding task completions
 
-	mask     []bool    // scratch reused by FeasibleActions
-	obsProto []float64 // static observation template (see buildObsProto)
+	mask    []bool    // scratch reused by FeasibleActions
+	voidObs []float64 // all-VoidMarker observation every Observe starts from
 
 	completed  []TaskRecord
 	totalTasks int
 
-	// Mode flags, fixed at Reset.
-	ranked bool // candidate index active (0 < TopK < len(VMs))
+	// Layout flags, fixed at Reset.
+	ranked bool // slots are ranked candidates (0 < TopK < len(VMs)), else slot i = VM i
 	aggOn  bool // aggregate observation block active (TopK>0 && UtilBuckets>0)
 	hooks  bool // per-VM change hooks needed (ranked || aggOn)
 
@@ -252,14 +252,17 @@ type Env struct {
 	capCPUTot int
 	capMemTot float64
 
-	// Ranked-mode candidate cache (see Candidates).
+	// The slot → VM view (see Candidates): the one mapping Observe, the
+	// mask, Step and the heuristics read. idx and candValid serve the ranked
+	// layout, whose slots are re-collected whenever the head task or a VM's
+	// free capacity changes.
 	idx       *vmIndex
 	cand      []int32
 	candValid bool
 
-	// Ranked-mode incremental accumulators, maintained by the VM-change
-	// hooks so per-slot stats cost O(1) instead of a cluster scan. Legacy
-	// and identity modes keep the exact full scans for bit-identity.
+	// Ranked-layout incremental accumulators, maintained by the VM-change
+	// hooks so per-slot stats cost O(1) instead of a cluster scan. The
+	// per-VM layout keeps the exact full scans for bit-identity.
 	sumUtil        [NumResources]float64
 	sumRem         [NumResources]float64
 	sumRem2        [NumResources]float64
@@ -405,7 +408,6 @@ func (e *Env) resetWith(src TaskSource) {
 		e.capMemTot += vm.capMem
 	}
 
-	e.buildObsProto()
 	e.initScalableState()
 	e.utilSum = [NumResources]float64{}
 	e.loadBalSum = 0
@@ -416,17 +418,37 @@ func (e *Env) resetWith(src TaskSource) {
 	e.accumulateSlotStats()
 }
 
-// initScalableState (re)builds the candidate index, the incremental
-// whole-cluster accumulators, and the aggregate-observation histograms for
-// the freshly reset (all-idle) cluster.
+// initScalableState (re)builds the slot view, the all-void observation, the
+// candidate index, the incremental whole-cluster accumulators, and the
+// aggregate-observation histograms for the freshly reset (all-idle) cluster.
 func (e *Env) initScalableState() {
-	e.candValid = false
-	if e.cfg.TopK > 0 && cap(e.cand) < e.cfg.TopK {
-		e.cand = make([]int32, 0, e.cfg.TopK)
-	}
 	n := len(e.vms)
+	// Slot i = VM i, void past the cluster: the per-VM layout's view for the
+	// whole episode, and overwritten by the first Candidates call of the
+	// ranked one.
+	e.cand = e.cand[:0]
+	for s := 0; s < e.cfg.padSlots(); s++ {
+		vi := int32(-1)
+		if s < n {
+			vi = int32(s)
+		}
+		e.cand = append(e.cand, vi)
+	}
+	e.candValid = false
+	if dim := e.StateDim(); len(e.voidObs) != dim {
+		e.voidObs = make([]float64, dim)
+		for i := range e.voidObs {
+			e.voidObs[i] = VoidMarker
+		}
+	}
 	if e.ranked {
-		e.idx = newVMIndex(n, e.maxCapCPU, e.maxCapMem)
+		// The index's shape follows from the configuration alone, so one
+		// allocation serves every episode of this environment.
+		if e.idx == nil {
+			e.idx = newVMIndex(n, e.maxCapCPU, e.maxCapMem)
+		} else {
+			e.idx.clear()
+		}
 		for i, vm := range e.vms {
 			e.idx.add(i, cpuClassOf(vm.freeCPU), memClassOf(vm.freeMem))
 		}
@@ -629,8 +651,8 @@ func (e *Env) FeasibleActions() []bool {
 
 // FeasibleActionsInto writes the feasibility mask into dst (reallocating
 // when dst is too small) and returns the buffer, so rollout loops can stay
-// allocation-free. In ranked mode the mask covers candidate slots, which
-// are feasible by construction (void slots are not).
+// allocation-free. A slot is feasible when it holds a VM (see Candidates)
+// that fits the head task.
 func (e *Env) FeasibleActionsInto(dst []bool) []bool {
 	n := e.NumActions()
 	if cap(dst) < n {
@@ -641,34 +663,36 @@ func (e *Env) FeasibleActionsInto(dst []bool) []bool {
 		dst[i] = false
 	}
 	dst[e.WaitAction()] = true
-	head, ok := e.HeadTask()
-	if !ok {
-		return dst
-	}
-	if e.ranked {
-		for s, vi := range e.Candidates() {
-			dst[s] = vi >= 0
-		}
-		return dst
-	}
-	for i, vm := range e.vms {
-		dst[i] = vm.Fits(head)
+	head, slots := e.headSlots()
+	for s, vi := range slots {
+		dst[s] = e.slotFits(vi, head)
 	}
 	return dst
 }
 
-// anyFeasiblePlacement reports whether some real VM fits the head task.
-// Ranked mode reads the candidate cache instead of scanning the cluster.
-func (e *Env) anyFeasiblePlacement() bool {
+// headSlots returns the head task and the slot view to place it through, or
+// no slots at all when the queue is empty (nothing to place).
+func (e *Env) headSlots() (workload.Task, []int32) {
 	head, ok := e.HeadTask()
 	if !ok {
-		return false
+		return head, nil
 	}
-	if e.ranked {
-		return e.Candidates()[0] >= 0
-	}
-	for _, vm := range e.vms {
-		if vm.Fits(head) {
+	return head, e.Candidates()
+}
+
+// slotFits reports whether a slot's VM (vi from Candidates, -1 = void) can
+// run t now.
+func (e *Env) slotFits(vi int32, t workload.Task) bool {
+	return vi >= 0 && e.vms[vi].Fits(t)
+}
+
+// anyFeasiblePlacement reports whether some slot's VM fits the head task.
+// Every VM is behind a slot in the per-VM layout, and the ranked layout
+// leaves slot 0 void only when no VM in the cluster fits.
+func (e *Env) anyFeasiblePlacement() bool {
+	head, slots := e.headSlots()
+	for _, vi := range slots {
+		if e.slotFits(vi, head) {
 			return true
 		}
 	}
@@ -680,15 +704,15 @@ func (e *Env) anyFeasiblePlacement() bool {
 //   - Valid placement: the head task starts on the chosen VM now; reward
 //     Eq. (6); time does NOT advance, so the agent may keep scheduling
 //     within the slot.
-//   - Invalid placement (a void slot, a VM with insufficient free
-//     resources, or in ranked mode a void candidate slot): reward Eq. (9);
-//     the task stays queued and time advances one slot.
+//   - Invalid placement (a void slot, or a VM with insufficient free
+//     resources): reward Eq. (9); the task stays queued and time advances
+//     one slot.
 //   - Wait with a feasible VM available: the lazy penalty; time advances.
 //   - Wait with no feasible placement (or empty queue): reward 0; time
 //     advances.
 //
-// In ranked mode actions address candidate slots; the slot is resolved to
-// its VM against the current head task before the rules above apply.
+// Actions address slots; the slot is resolved to its VM through Candidates
+// before the rules above apply.
 //
 // Step panics if called after Done or with an out-of-range action.
 func (e *Env) Step(action int) float64 {
@@ -713,11 +737,8 @@ func (e *Env) Step(action int) float64 {
 		return reward
 	}
 
-	vmIdx := action
-	if e.ranked {
-		vmIdx = int(e.Candidates()[action])
-	}
-	if vmIdx < 0 || vmIdx >= len(e.vms) || !e.vms[vmIdx].Fits(head) {
+	vmIdx := int(e.Candidates()[action])
+	if vmIdx < 0 || !e.vms[vmIdx].Fits(head) {
 		// Invalid: denied and penalized by the target VM's utilization
 		// (Eq. 9). Void slots count as fully utilized.
 		reward := e.invalidPenalty(vmIdx)
@@ -773,10 +794,10 @@ func (e *Env) Step(action int) float64 {
 }
 
 // invalidPenalty implements Eq. (9): −e^{Σ_i w_i·util_i} for the denied VM.
-// vmIdx < 0 or beyond the cluster is a void slot, treated as fully utilized.
+// vmIdx < 0 is a void slot, treated as fully utilized.
 func (e *Env) invalidPenalty(vmIdx int) float64 {
 	s := 0.0
-	if vmIdx >= 0 && vmIdx < len(e.vms) {
+	if vmIdx >= 0 {
 		for i := 0; i < NumResources; i++ {
 			s += e.cfg.ResourceWeights[i] * e.vms[vmIdx].utilization(i)
 		}

@@ -71,8 +71,8 @@ func goldenCluster() []VMSpec {
 }
 
 // TestGoldenTopKIdentity: TopK ≥ len(VMs) (with no aggregate block) is the
-// identity candidate mapping and must be bit-identical to the per-VM
-// engine with PadVMs = TopK.
+// per-VM layout over TopK slots and must be bit-identical to TopK = 0 with
+// PadVMs = TopK.
 func TestGoldenTopKIdentity(t *testing.T) {
 	specs := goldenCluster()
 	for seed := int64(1); seed <= 5; seed++ {
@@ -89,24 +89,47 @@ func TestGoldenTopKIdentity(t *testing.T) {
 	}
 }
 
-// TestGoldenStreamingSampler: a SamplerSource must reproduce the
-// materialized ClampTasks(Sample(...)) episode bit-for-bit — same reward
-// stream, observations, metrics, and records.
+// TestGoldenStreamingSampler: the one stream-backed source, through either
+// constructor, must reproduce the materialized ClampTasks(Sample(...))
+// episode bit-for-bit — same reward stream, observations, metrics, and
+// records. The model row samples a builtin dataset, the spec row a
+// two-tenant spec whose stream is a k-way merge.
 func TestGoldenStreamingSampler(t *testing.T) {
 	specs := goldenCluster()
+	const n = 120
 	m := workload.Lookup(workload.Google)
-	for seed := int64(1); seed <= 5; seed++ {
-		const n = 120
-		tasks := ClampTasks(m.Sample(rand.New(rand.NewSource(seed)), n), specs)
-		cfg := DefaultConfig(specs)
-		env := MustNewEnv(cfg, tasks)
+	twoTenant := *m
+	twoTenant.Name, twoTenant.Arrival = "poisson-tenant", workload.ArrivalPoisson
+	comp := &workload.Compiled{Name: "two-tenant", Clients: []workload.CompiledClient{
+		{ID: "burst", Fraction: 0.6, Model: m},
+		{ID: "poisson", Fraction: 0.4, Model: &twoTenant},
+	}}
+	rows := []struct {
+		name   string
+		sample func(rng *rand.Rand) []workload.Task
+		source func(seed int64) *SamplerSource
+	}{
+		{"model",
+			func(rng *rand.Rand) []workload.Task { return m.Sample(rng, n) },
+			func(seed int64) *SamplerSource { return NewSamplerSource(m, seed, n, specs) }},
+		{"spec",
+			func(rng *rand.Rand) []workload.Task { return comp.Sample(rng, n) },
+			func(seed int64) *SamplerSource { return NewSpecSource(comp, seed, n, specs) }},
+	}
+	for _, row := range rows {
+		t.Run(row.name, func(t *testing.T) {
+			for seed := int64(1); seed <= 5; seed++ {
+				tasks := ClampTasks(row.sample(rand.New(rand.NewSource(seed))), specs)
+				cfg := DefaultConfig(specs)
+				env := MustNewEnv(cfg, tasks)
 
-		src := NewSamplerSource(m, seed, n, specs)
-		envS, err := NewEnvSource(cfg, src)
-		if err != nil {
-			t.Fatal(err)
-		}
-		driveLockstep(t, env, envS, seed*37)
+				envS, err := NewEnvSource(cfg, row.source(seed))
+				if err != nil {
+					t.Fatal(err)
+				}
+				driveLockstep(t, env, envS, seed*37)
+			}
+		})
 	}
 }
 

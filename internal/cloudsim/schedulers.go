@@ -17,20 +17,14 @@ type Policy interface {
 	Name() string
 }
 
-// candPrefixLen returns the number of feasible (non-void) candidate slots
-// in ranked mode. Non-void entries always form a prefix.
-func candPrefixLen(env *Env) int {
-	cand := env.Candidates()
-	n := 0
-	for n < len(cand) && cand[n] >= 0 {
-		n++
-	}
-	return n
-}
+// The heuristics read the cluster through the same slot view as a learned
+// agent (Env.Candidates): each walks the slots whose VM fits the head task and
+// returns a slot, so one body serves the per-VM layout (slot i = VM i) and
+// the ranked one (slots = the candidates the index surfaced, the only VMs
+// visible there). All wait when nothing fits or the queue is empty.
 
-// FirstFit places the head task on the lowest-indexed VM that fits it,
-// waiting when none does. In ranked mode it picks the candidate slot whose
-// VM index is lowest (the candidates are the only visible VMs).
+// FirstFit places the head task on the fitting slot whose VM index is
+// lowest — in the per-VM layout, the lowest-indexed VM that fits.
 type FirstFit struct{}
 
 // Name implements Policy.
@@ -38,105 +32,53 @@ func (FirstFit) Name() string { return "first-fit" }
 
 // SelectAction implements Policy.
 func (FirstFit) SelectAction(env *Env) int {
-	head, ok := env.HeadTask()
-	if !ok {
-		return env.WaitAction()
-	}
-	if env.Ranked() {
-		cand := env.Candidates()
-		best, slot := -1, -1
-		for s, vi := range cand {
-			if vi < 0 {
-				break
-			}
-			if best == -1 || int(vi) < best {
-				best, slot = int(vi), s
-			}
-		}
-		if slot == -1 {
-			return env.WaitAction()
-		}
-		return slot
-	}
-	for i, vm := range env.VMs() {
-		if vm.Fits(head) {
-			return i
+	head, slots := env.headSlots()
+	best, lowest := env.WaitAction(), int32(-1)
+	for s, vi := range slots {
+		if env.slotFits(vi, head) && (lowest == -1 || vi < lowest) {
+			best, lowest = s, vi
 		}
 	}
-	return env.WaitAction()
+	return best
 }
 
-// BestFit places the head task on the fitting VM with the least leftover
-// weighted capacity after placement (tightest fit), waiting when none fits.
-// In ranked mode candidate slot 0 is already the tightest-fitting candidate
-// (the index ranks by ascending free-capacity class), so BestFit takes it.
+// BestFit places the head task on the fitting slot with the least leftover
+// weighted capacity after placement (tightest fit); the earliest slot wins
+// ties.
 type BestFit struct{}
 
 // Name implements Policy.
 func (BestFit) Name() string { return "best-fit" }
 
 // SelectAction implements Policy.
-func (BestFit) SelectAction(env *Env) int {
-	head, ok := env.HeadTask()
-	if !ok {
-		return env.WaitAction()
-	}
-	if env.Ranked() {
-		if env.Candidates()[0] >= 0 {
-			return 0
-		}
-		return env.WaitAction()
-	}
-	cfg := env.Config()
-	best, bestScore := -1, 0.0
-	for i, vm := range env.VMs() {
-		if !vm.Fits(head) {
-			continue
-		}
-		leftCPU := float64(vm.FreeCPU()-head.CPU) / float64(cfg.MaxCPU)
-		leftMem := (vm.FreeMem() - head.Mem) / cfg.MaxMem
-		score := cfg.ResourceWeights[0]*leftCPU + cfg.ResourceWeights[1]*leftMem
-		if best == -1 || score < bestScore {
-			best, bestScore = i, score
-		}
-	}
-	if best == -1 {
-		return env.WaitAction()
-	}
-	return best
-}
+func (BestFit) SelectAction(env *Env) int { return leftoverFit(env, 1) }
 
-// WorstFit places the head task on the fitting VM with the most leftover
-// capacity (spreads load), waiting when none fits. In ranked mode it takes
-// the last feasible candidate slot — the loosest fit the index surfaced.
+// WorstFit places the head task on the fitting slot with the most leftover
+// capacity (spreads load); the earliest slot wins ties.
 type WorstFit struct{}
 
 // Name implements Policy.
 func (WorstFit) Name() string { return "worst-fit" }
 
 // SelectAction implements Policy.
-func (WorstFit) SelectAction(env *Env) int {
-	head, ok := env.HeadTask()
-	if !ok {
-		return env.WaitAction()
-	}
-	if env.Ranked() {
-		if n := candPrefixLen(env); n > 0 {
-			return n - 1
-		}
-		return env.WaitAction()
-	}
-	cfg := env.Config()
+func (WorstFit) SelectAction(env *Env) int { return leftoverFit(env, -1) }
+
+// leftoverFit returns the fitting slot that minimizes sign × the weighted
+// normalized capacity its VM would have left after taking the head task.
+func leftoverFit(env *Env, sign float64) int {
+	head, slots := env.headSlots()
+	cfg := &env.cfg
 	best, bestScore := -1, 0.0
-	for i, vm := range env.VMs() {
-		if !vm.Fits(head) {
+	for s, vi := range slots {
+		if !env.slotFits(vi, head) {
 			continue
 		}
-		leftCPU := float64(vm.FreeCPU()-head.CPU) / float64(cfg.MaxCPU)
-		leftMem := (vm.FreeMem() - head.Mem) / cfg.MaxMem
-		score := cfg.ResourceWeights[0]*leftCPU + cfg.ResourceWeights[1]*leftMem
-		if best == -1 || score > bestScore {
-			best, bestScore = i, score
+		vm := env.vms[vi]
+		leftCPU := float64(vm.freeCPU-head.CPU) / float64(cfg.MaxCPU)
+		leftMem := (vm.freeMem - head.Mem) / cfg.MaxMem
+		score := sign * (cfg.ResourceWeights[0]*leftCPU + cfg.ResourceWeights[1]*leftMem)
+		if best == -1 || score < bestScore {
+			best, bestScore = s, score
 		}
 	}
 	if best == -1 {
@@ -145,8 +87,8 @@ func (WorstFit) SelectAction(env *Env) int {
 	return best
 }
 
-// RandomFit places the head task on a uniformly random fitting VM,
-// waiting when none fits.
+// RandomFit places the head task on a uniformly random fitting slot. It
+// draws from Rng only when something fits.
 type RandomFit struct{ Rng *rand.Rand }
 
 // Name implements Policy.
@@ -154,30 +96,30 @@ func (RandomFit) Name() string { return "random-fit" }
 
 // SelectAction implements Policy.
 func (p RandomFit) SelectAction(env *Env) int {
-	head, ok := env.HeadTask()
-	if !ok {
-		return env.WaitAction()
-	}
-	if env.Ranked() {
-		if n := candPrefixLen(env); n > 0 {
-			return p.Rng.Intn(n)
-		}
-		return env.WaitAction()
-	}
-	var fits []int
-	for i, vm := range env.VMs() {
-		if vm.Fits(head) {
-			fits = append(fits, i)
+	head, slots := env.headSlots()
+	n := 0
+	for _, vi := range slots {
+		if env.slotFits(vi, head) {
+			n++
 		}
 	}
-	if len(fits) == 0 {
-		return env.WaitAction()
+	pick := -1
+	if n > 0 {
+		pick = p.Rng.Intn(n)
 	}
-	return fits[p.Rng.Intn(len(fits))]
+	for s, vi := range slots {
+		if env.slotFits(vi, head) {
+			if pick == 0 {
+				return s
+			}
+			pick--
+		}
+	}
+	return env.WaitAction()
 }
 
-// RoundRobin cycles placement across VMs, skipping to the next fitting VM;
-// it waits when nothing fits.
+// RoundRobin cycles placement across the slots, skipping to the next one
+// that fits.
 type RoundRobin struct{ next int }
 
 // Name implements Policy.
@@ -185,24 +127,12 @@ func (*RoundRobin) Name() string { return "round-robin" }
 
 // SelectAction implements Policy.
 func (p *RoundRobin) SelectAction(env *Env) int {
-	head, ok := env.HeadTask()
-	if !ok {
-		return env.WaitAction()
-	}
-	if env.Ranked() {
-		if n := candPrefixLen(env); n > 0 {
-			s := p.next % n
-			p.next = (s + 1) % n
+	head, slots := env.headSlots()
+	for k := range slots {
+		s := (p.next + k) % len(slots)
+		if env.slotFits(slots[s], head) {
+			p.next = (s + 1) % len(slots)
 			return s
-		}
-		return env.WaitAction()
-	}
-	n := len(env.VMs())
-	for k := 0; k < n; k++ {
-		i := (p.next + k) % n
-		if env.VMs()[i].Fits(head) {
-			p.next = (i + 1) % n
-			return i
 		}
 	}
 	return env.WaitAction()

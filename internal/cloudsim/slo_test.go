@@ -162,8 +162,8 @@ func TestSLOIndexClampsUnknownClasses(t *testing.T) {
 	}
 }
 
-// TestSpecSourceMatchesSample pins SpecSource against the materialized
-// ClampTasks(Compiled.Sample(...)) idiom.
+// TestSpecSourceMatchesSample pins NewSpecSource's source against the
+// materialized ClampTasks(Compiled.Sample(...)) idiom.
 func TestSpecSourceMatchesSample(t *testing.T) {
 	spec, err := workload.PresetSpec(workload.Google)
 	if err != nil {

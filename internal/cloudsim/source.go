@@ -65,24 +65,33 @@ func (s *SliceSource) Err() error { return nil }
 // Rewind restarts the source from the first task (for repeated episodes).
 func (s *SliceSource) Rewind() { s.pos = 0 }
 
-// SamplerSource draws tasks lazily from a workload model via
-// workload.Model.Stream, so the task sequence is bit-identical to
-// workload.Model.Sample with the same seed but the episode is generated one
-// task at a time. An optional clamp cluster applies ClampTask per task,
-// mirroring the ClampTasks(Sample(...)) idiom without the intermediate slice.
+// SamplerSource draws tasks lazily from a compiled workload spec via
+// workload.Compiled.Stream, so the task sequence is bit-identical to
+// Compiled.Sample (and, for a single model, workload.Model.Sample) with the
+// same seed but the episode is generated one task at a time. An optional
+// clamp cluster applies ClampTask per task, mirroring the
+// ClampTasks(Sample(...)) idiom without the intermediate slice.
 type SamplerSource struct {
-	model  *workload.Model
+	spec   *workload.Compiled
 	seed   int64
 	n      int
 	clamp  []VMSpec
-	stream *workload.Stream
+	stream workload.TaskStream
 }
 
 // NewSamplerSource returns a source emitting n tasks from the model under
-// the given seed. When clamp is non-nil, every task is clamped to fit at
-// least one of the given VMs (see ClampTask).
+// the given seed: the model is a one-client spec, which streams from the
+// caller's RNG directly. When clamp is non-nil, every task is clamped to fit
+// at least one of the given VMs (see ClampTask).
 func NewSamplerSource(m *workload.Model, seed int64, n int, clamp []VMSpec) *SamplerSource {
-	s := &SamplerSource{model: m, seed: seed, n: n, clamp: clamp}
+	one := &workload.Compiled{Name: m.Name, Clients: []workload.CompiledClient{{ID: m.Name, Fraction: 1, Model: m}}}
+	return NewSpecSource(one, seed, n, clamp)
+}
+
+// NewSpecSource returns a source emitting n tasks from the compiled spec
+// under the given seed, clamped like NewSamplerSource's.
+func NewSpecSource(spec *workload.Compiled, seed int64, n int, clamp []VMSpec) *SamplerSource {
+	s := &SamplerSource{spec: spec, seed: seed, n: n, clamp: clamp}
 	s.Rewind()
 	return s
 }
@@ -108,52 +117,6 @@ func (s *SamplerSource) Err() error { return nil }
 // Rewind restarts the stream from the seed, regenerating the identical task
 // sequence (for repeated episodes).
 func (s *SamplerSource) Rewind() {
-	s.stream = s.model.Stream(rand.New(rand.NewSource(s.seed)), s.n)
-}
-
-// SpecSource draws tasks lazily from a compiled workload spec via
-// workload.Compiled.Stream, so multi-tenant spec-driven episodes are
-// generated one task at a time, bit-identical to Compiled.Sample under the
-// same seed. An optional clamp cluster applies ClampTask per task, like
-// SamplerSource.
-type SpecSource struct {
-	spec   *workload.Compiled
-	seed   int64
-	n      int
-	clamp  []VMSpec
-	stream workload.TaskStream
-}
-
-// NewSpecSource returns a source emitting n tasks from the compiled spec
-// under the given seed. When clamp is non-nil, every task is clamped to fit
-// at least one of the given VMs (see ClampTask).
-func NewSpecSource(spec *workload.Compiled, seed int64, n int, clamp []VMSpec) *SpecSource {
-	s := &SpecSource{spec: spec, seed: seed, n: n, clamp: clamp}
-	s.Rewind()
-	return s
-}
-
-// Next implements TaskSource.
-func (s *SpecSource) Next() (workload.Task, bool) {
-	t, ok := s.stream.Next()
-	if !ok {
-		return workload.Task{}, false
-	}
-	if s.clamp != nil {
-		t = ClampTask(t, s.clamp)
-	}
-	return t, true
-}
-
-// Total implements TaskSource.
-func (s *SpecSource) Total() int { return s.n }
-
-// Err implements TaskSource: sampling never fails.
-func (s *SpecSource) Err() error { return nil }
-
-// Rewind restarts the stream from the seed, regenerating the identical
-// task sequence (for repeated episodes).
-func (s *SpecSource) Rewind() {
 	s.stream = s.spec.Stream(rand.New(rand.NewSource(s.seed)), s.n)
 }
 

@@ -106,6 +106,18 @@ func newVMIndex(n, maxCapCPU int, maxCapMem float64) *vmIndex {
 	return idx
 }
 
+// clear empties the index for the next episode, keeping its storage.
+func (idx *vmIndex) clear() {
+	for i := range idx.buckets {
+		b := &idx.buckets[i]
+		clear(b.words)
+		clear(b.summary)
+		b.count = 0
+	}
+	idx.cpuNonempty = 0
+	clear(idx.memNonempty)
+}
+
 func (idx *vmIndex) bucket(c, m int) *vmBucket { return &idx.buckets[c*idx.nMem+m] }
 
 // add registers VM i under its free-capacity classes.
@@ -152,13 +164,16 @@ func (b *vmBucket) appendVMs(dst []int32, max int, fits func(int) bool) []int32 
 	return dst
 }
 
-// Candidates returns the current candidate slot → VM index mapping, of
-// length Config.TopK, padded with -1 void slots past the feasible
-// candidates (the non-void entries always form a prefix). The slice is a
-// scratch buffer owned by the environment, valid until the next state
-// change; it is only meaningful in ranked mode (Ranked() true).
+// Candidates returns the slot → VM index view every reader of the cluster
+// goes through — Observe, the feasibility mask, Step's action resolution and
+// the heuristics — with -1 for void slots. In the per-VM layout slot i is VM i
+// and the slots past the cluster are void, for the whole episode. In the
+// ranked layout (Ranked) the Config.TopK slots hold the best-fitting feasible
+// VMs for the head task, void past the last one (the non-void entries always
+// form a prefix), re-collected after every state change. The slice is owned by
+// the environment and valid until the next state change.
 func (e *Env) Candidates() []int32 {
-	if e.candValid {
+	if !e.ranked || e.candValid {
 		return e.cand
 	}
 	k := e.cfg.TopK
@@ -200,20 +215,11 @@ func (idx *vmIndex) collect(dst []int32, k int, head workload.Task, vms []*VM) [
 	return dst
 }
 
-// Ranked reports whether the environment runs in ranked top-k mode: a
-// candidate index in front of a cluster larger than TopK. With TopK ≥
-// len(VMs) the candidate slots degenerate to the identity VM mapping and
-// the engine uses the exact legacy code paths (identity mode).
+// Ranked reports whether the slots are ranked candidates: a candidate index
+// in front of a cluster larger than TopK. With TopK = 0 or TopK ≥ len(VMs)
+// there is nothing to rank and the environment runs the per-VM layout.
 func (e *Env) Ranked() bool { return e.ranked }
 
-// CandidateVM maps an action in [0, TopK) to the VM index it addresses in
-// the current state, or -1 for a void slot. In identity mode slot i is VM i.
-func (e *Env) CandidateVM(slot int) int {
-	if e.ranked {
-		return int(e.Candidates()[slot])
-	}
-	if slot < len(e.vms) {
-		return slot
-	}
-	return -1
-}
+// CandidateVM maps a placement action to the VM index it addresses in the
+// current state, or -1 for a void slot.
+func (e *Env) CandidateVM(slot int) int { return int(e.Candidates()[slot]) }

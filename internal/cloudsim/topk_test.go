@@ -172,4 +172,22 @@ func TestRankedHeuristicSlots(t *testing.T) {
 	if got := (FirstFit{}).SelectAction(env); got != 1 {
 		t.Fatalf("FirstFit slot after re-rank = %d, want 1 (VM1)", got)
 	}
+
+	// Class rank and fit disagree: VM0 {7,7} and VM1 {4,4} share the class
+	// bucket (3,3), so the index orders them by VM index and the looser VM0
+	// sits in slot 0. For a {2,2} head the tightest fit is VM1 (leftover
+	// {2,2}) in slot 1 and the loosest is VM0 (leftover {5,5}) in slot 0:
+	// the heuristics follow their definition, not the slot order.
+	cfg := DefaultConfig([]VMSpec{{CPU: 7, Mem: 7}, {CPU: 4, Mem: 4}, {CPU: 16, Mem: 16}})
+	cfg.TopK = 2
+	env = MustNewEnv(cfg, []workload.Task{{ID: 0, Arrival: 0, CPU: 2, Mem: 2, Duration: 1}})
+	if cand := env.Candidates(); cand[0] != 0 || cand[1] != 1 {
+		t.Fatalf("mixed-rank candidates = %v, want [0 1]", cand)
+	}
+	if got := (BestFit{}).SelectAction(env); got != 1 {
+		t.Fatalf("BestFit slot = %d, want 1 (VM1 {4,4} is the tighter fit)", got)
+	}
+	if got := (WorstFit{}).SelectAction(env); got != 0 {
+		t.Fatalf("WorstFit slot = %d, want 0 (VM0 {7,7} is the looser fit)", got)
+	}
 }

@@ -74,36 +74,18 @@ func ExportCSV(w io.Writer, tasks []Task) error {
 }
 
 // ImportCSV reads a trace written by ExportCSV (or hand-authored with the
-// same header). Real cluster traces can be converted to this format to
-// drive the simulator with non-synthetic workloads.
+// same header) by draining a CSVStream, so the batch and streaming readers
+// accept and reject exactly the same traces. Real cluster traces can be
+// converted to this format to drive the simulator with non-synthetic
+// workloads.
 func ImportCSV(r io.Reader) ([]Task, error) {
-	cr := csv.NewReader(r)
-	header, err := cr.Read()
+	s, err := NewCSVStream(r)
 	if err != nil {
-		return nil, fmt.Errorf("workload: read CSV header: %w", err)
-	}
-	if err := validateCSVHeader(header); err != nil {
 		return nil, err
 	}
-	var tasks []Task
-	for line := 2; ; line++ {
-		rec, err := cr.Read()
-		if err == io.EOF {
-			break
-		}
-		if err != nil {
-			return nil, fmt.Errorf("workload: CSV line %d: %w", line, err)
-		}
-		t, err := parseCSVTask(rec)
-		if err != nil {
-			return nil, fmt.Errorf("workload: CSV line %d: %w", line, err)
-		}
-		tasks = append(tasks, t)
-	}
-	for i := 1; i < len(tasks); i++ {
-		if tasks[i].Arrival < tasks[i-1].Arrival {
-			return nil, fmt.Errorf("workload: CSV arrivals not sorted at row %d", i)
-		}
+	tasks := drain(s.Next, 0)
+	if s.Err() != nil {
+		return nil, s.Err()
 	}
 	return tasks, nil
 }

@@ -4,6 +4,8 @@ import (
 	"fmt"
 	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // FitSpec fits a single-client declarative spec to an observed trace: CPU
@@ -100,7 +102,7 @@ func FitSpec(name string, tasks []Task) (*Spec, error) {
 func quantileGrid(sorted []float64, points int) []float64 {
 	grid := make([]float64, points)
 	for i := range grid {
-		grid[i] = percentileSorted(sorted, float64(i)/float64(points-1))
+		grid[i] = stats.Percentile(sorted, float64(i)/float64(points-1))
 	}
 	return grid
 }
@@ -145,8 +147,8 @@ func Calibrate(trace, sampled []Task) CalibrationReport {
 		sort.Float64s(b)
 		dim := CalibrationDim{Name: d.name, KS: ksDistance(a, b)}
 		for _, q := range CalibrationQuantiles {
-			dim.TraceQ = append(dim.TraceQ, percentileSorted(a, q))
-			dim.SampledQ = append(dim.SampledQ, percentileSorted(b, q))
+			dim.TraceQ = append(dim.TraceQ, stats.Percentile(a, q))
+			dim.SampledQ = append(dim.SampledQ, stats.Percentile(b, q))
 		}
 		rep.Dims = append(rep.Dims, dim)
 	}

@@ -1,101 +1,5 @@
 package workload
 
-import "math"
-
-// builtinModels parameterizes the ten datasets. The shapes follow the
-// paper's characterization (Figs 2–5, Table 1):
-//
-//   - Google 2011: overwhelmingly tiny requests (<1–2 cores), sub-minute to
-//     minutes runtimes, very high and bursty arrival rate.
-//   - Alibaba-2017/2018: co-located batch+service mix; small-to-mid
-//     requests, moderate runtimes; 2018 skews larger and longer.
-//   - HPC-KS/HF/WZ: few large parallel jobs; multi-core requests,
-//     long runtimes, low arrival rates. The three centers differ in scale
-//     (Table 1: 8–40 CPUs, up to ~990 GiB memory nodes).
-//   - KVM-2019/2020: education-project VMs on OpenStack; mid requests,
-//     strongly diurnal arrivals; 2020 runs somewhat larger instances.
-//   - CERIT-SC: mixed scientific cloud; broad request spread, heavy-tailed
-//     runtimes.
-//   - K8S: small containers (fractions of cores rounded up to 1–4),
-//     short-to-mid runtimes with a heavy tail, high arrival rate.
-//
-// Service classes reflect each source's tenant expectations: the HPC
-// centers and the scientific cloud submit best-effort batch jobs, the
-// cloud/VM traces run standard interactive services, and the Kubernetes
-// containers are latency-critical.
-var builtinModels = map[DatasetID]*Model{
-	Google: {
-		ID: Google, Name: "Google", SLO: SLOStandard,
-		CPUChoices: []int{1, 1, 2, 4}, CPUWeights: []float64{0.55, 0.25, 0.15, 0.05},
-		MemPerCPU: 2.0, MemSpread: 0.60, MemMin: 0.25, MemMax: 64,
-		DurMu: math.Log(6), DurSigma: 1.0, DurMin: 1, DurMax: 200,
-		RatePerSlot: 1.4, DiurnalAmp: 0.35, DiurnalPeriod: 144, Burstiness: 0.25,
-	},
-	Alibaba2017: {
-		ID: Alibaba2017, Name: "Alibaba-2017", SLO: SLOStandard,
-		CPUChoices: []int{1, 2, 4, 8}, CPUWeights: []float64{0.30, 0.40, 0.22, 0.08},
-		MemPerCPU: 3.0, MemSpread: 0.45, MemMin: 0.5, MemMax: 96,
-		DurMu: math.Log(15), DurSigma: 0.9, DurMin: 1, DurMax: 400,
-		RatePerSlot: 0.9, DiurnalAmp: 0.50, DiurnalPeriod: 144, Burstiness: 0.40,
-	},
-	Alibaba2018: {
-		ID: Alibaba2018, Name: "Alibaba-2018", SLO: SLOStandard,
-		CPUChoices: []int{2, 4, 8, 16}, CPUWeights: []float64{0.30, 0.35, 0.25, 0.10},
-		MemPerCPU: 4.0, MemSpread: 0.40, MemMin: 1, MemMax: 128,
-		DurMu: math.Log(25), DurSigma: 1.0, DurMin: 2, DurMax: 500,
-		RatePerSlot: 0.7, DiurnalAmp: 0.45, DiurnalPeriod: 144, Burstiness: 0.45,
-	},
-	HPCKS: {
-		ID: HPCKS, Name: "HPC-KS", SLO: SLOBestEffort,
-		CPUChoices: []int{4, 8, 16, 32}, CPUWeights: []float64{0.20, 0.35, 0.30, 0.15},
-		MemPerCPU: 6.0, MemSpread: 0.35, MemMin: 4, MemMax: 256,
-		DurMu: math.Log(80), DurSigma: 1.1, DurMin: 5, DurMax: 900,
-		RatePerSlot: 0.22, DiurnalAmp: 0.15, DiurnalPeriod: 144, Burstiness: 0.70,
-	},
-	HPCHF: {
-		ID: HPCHF, Name: "HPC-HF", SLO: SLOBestEffort,
-		CPUChoices: []int{8, 16, 32}, CPUWeights: []float64{0.40, 0.40, 0.20},
-		MemPerCPU: 8.0, MemSpread: 0.30, MemMin: 8, MemMax: 384,
-		DurMu: math.Log(120), DurSigma: 0.9, DurMin: 10, DurMax: 1200,
-		RatePerSlot: 0.15, DiurnalAmp: 0.10, DiurnalPeriod: 144, Burstiness: 0.80,
-	},
-	HPCWZ: {
-		ID: HPCWZ, Name: "HPC-WZ", SLO: SLOBestEffort,
-		CPUChoices: []int{2, 4, 8, 16}, CPUWeights: []float64{0.25, 0.35, 0.25, 0.15},
-		MemPerCPU: 10.0, MemSpread: 0.40, MemMin: 4, MemMax: 320,
-		DurMu: math.Log(60), DurSigma: 1.2, DurMin: 3, DurMax: 800,
-		RatePerSlot: 0.30, DiurnalAmp: 0.20, DiurnalPeriod: 144, Burstiness: 0.60,
-	},
-	KVM2019: {
-		ID: KVM2019, Name: "KVM-2019", SLO: SLOStandard,
-		CPUChoices: []int{1, 2, 4, 8}, CPUWeights: []float64{0.25, 0.35, 0.30, 0.10},
-		MemPerCPU: 2.5, MemSpread: 0.40, MemMin: 0.5, MemMax: 64,
-		DurMu: math.Log(40), DurSigma: 1.1, DurMin: 2, DurMax: 600,
-		RatePerSlot: 0.45, DiurnalAmp: 0.70, DiurnalPeriod: 144, Burstiness: 0.35,
-	},
-	KVM2020: {
-		ID: KVM2020, Name: "KVM-2020", SLO: SLOStandard,
-		CPUChoices: []int{2, 4, 8, 16}, CPUWeights: []float64{0.25, 0.35, 0.28, 0.12},
-		MemPerCPU: 3.5, MemSpread: 0.40, MemMin: 1, MemMax: 96,
-		DurMu: math.Log(55), DurSigma: 1.0, DurMin: 2, DurMax: 700,
-		RatePerSlot: 0.40, DiurnalAmp: 0.65, DiurnalPeriod: 144, Burstiness: 0.40,
-	},
-	CERITSC: {
-		ID: CERITSC, Name: "CERIT-SC", SLO: SLOBestEffort,
-		CPUChoices: []int{1, 2, 4, 8, 16}, CPUWeights: []float64{0.20, 0.25, 0.25, 0.20, 0.10},
-		MemPerCPU: 4.5, MemSpread: 0.55, MemMin: 0.5, MemMax: 192,
-		DurMu: math.Log(35), DurSigma: 1.3, DurMin: 1, DurMax: 1000,
-		RatePerSlot: 0.55, DiurnalAmp: 0.30, DiurnalPeriod: 144, Burstiness: 0.45,
-	},
-	K8S: {
-		ID: K8S, Name: "K8S", SLO: SLOCritical,
-		CPUChoices: []int{1, 1, 2, 4}, CPUWeights: []float64{0.45, 0.30, 0.18, 0.07},
-		MemPerCPU: 1.5, MemSpread: 0.50, MemMin: 0.25, MemMax: 32,
-		DurMu: math.Log(10), DurSigma: 1.4, DurMin: 1, DurMax: 600,
-		RatePerSlot: 1.1, DiurnalAmp: 0.25, DiurnalPeriod: 144, Burstiness: 0.30,
-	},
-}
-
 // MachineSpec mirrors one row of the paper's Table 1 (machine specifications
 // of the source clusters).
 type MachineSpec struct {

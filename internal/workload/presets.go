@@ -5,12 +5,34 @@ import (
 	"embed"
 	"fmt"
 	"strings"
+	"sync"
 )
 
-// The ten builtin datasets, shipped as declarative preset specs. Each
-// preset compiles to exactly its builtinModels entry, so spec-driven runs
-// of a preset are bit-identical to the legacy generator (pinned by
-// TestPresetSpecsMatchBuiltins).
+// The ten builtin datasets are declarative preset specs: specs/*.json is
+// their one definition, and Lookup serves the models they compile to. The
+// shapes follow the paper's characterization (Figs 2–5, Table 1):
+//
+//   - Google 2011: overwhelmingly tiny requests (<1–2 cores), sub-minute to
+//     minutes runtimes, very high and bursty arrival rate.
+//   - Alibaba-2017/2018: co-located batch+service mix; small-to-mid
+//     requests, moderate runtimes; 2018 skews larger and longer.
+//   - HPC-KS/HF/WZ: few large parallel jobs; multi-core requests,
+//     long runtimes, low arrival rates. The three centers differ in scale
+//     (Table 1: 8–40 CPUs, up to ~990 GiB memory nodes).
+//   - KVM-2019/2020: education-project VMs on OpenStack; mid requests,
+//     strongly diurnal arrivals; 2020 runs somewhat larger instances.
+//   - CERIT-SC: mixed scientific cloud; broad request spread, heavy-tailed
+//     runtimes.
+//   - K8S: small containers (fractions of cores rounded up to 1–4),
+//     short-to-mid runtimes with a heavy tail, high arrival rate.
+//
+// Service classes reflect each source's tenant expectations: the HPC
+// centers and the scientific cloud submit best-effort batch jobs, the
+// cloud/VM traces run standard interactive services, and the Kubernetes
+// containers are latency-critical.
+//
+// The task streams the presets generate are frozen by digest in
+// TestPresetSpecsMatchBuiltins: editing a preset field moves every figure.
 //
 //go:embed specs/*.json
 var presetFS embed.FS
@@ -46,4 +68,40 @@ func PresetSpec(id DatasetID) (*Spec, error) {
 		return nil, fmt.Errorf("workload: preset %s: %w", id, err)
 	}
 	return s, nil
+}
+
+// presetModels are the ten presets compiled onto the Model machinery, built
+// on first use (parsing and compiling all ten costs about a millisecond).
+var presetModels struct {
+	once sync.Once
+	byID [NumDatasets]Model
+}
+
+// compilePresets fills presetModels. The presets are embedded and pinned by
+// tests, so a preset that fails to compile is a build defect, not input.
+func compilePresets() {
+	for _, id := range AllDatasets() {
+		spec, err := PresetSpec(id)
+		if err != nil {
+			panic(err)
+		}
+		comp, err := spec.Compile()
+		if err != nil || len(comp.Clients) != 1 {
+			panic(fmt.Sprintf("workload: preset %s: want one client (compile error: %v)", id, err))
+		}
+		m := *comp.Clients[0].Model
+		m.Name = id.String()
+		presetModels.byID[id] = m
+	}
+}
+
+// Lookup returns the built-in model for a dataset ID: a copy of its compiled
+// preset, named after the dataset.
+func Lookup(id DatasetID) *Model {
+	if id < 0 || int(id) >= NumDatasets {
+		panic(fmt.Sprintf("workload: unknown dataset %v", id))
+	}
+	presetModels.once.Do(compilePresets)
+	m := presetModels.byID[id]
+	return &m
 }

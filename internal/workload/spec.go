@@ -16,8 +16,7 @@ import (
 // are rejected) and compile into the Model generator machinery, so
 // everything downstream of Sample/Stream — ClampTasks, TaskSource, the
 // simulator — consumes spec-driven traffic unchanged. The ten builtin
-// datasets ship as preset specs (see PresetSpec) that reproduce their
-// legacy models bit-identically.
+// datasets are preset specs (see PresetSpec, Lookup).
 type Spec struct {
 	Name    string       `json:"name"`
 	Clients []SpecClient `json:"clients"`
@@ -277,24 +276,9 @@ func (c *Compiled) counts(n int) []int {
 	return counts
 }
 
-// Sample draws n tasks from the compiled spec. A single-client spec
-// delegates directly to its model with the caller's RNG — this is what
-// makes the shipped presets reproduce the builtin generators bit-for-bit.
-// Multi-client specs seed one child RNG per client from the caller's RNG
-// (in client order), sample each client's share, and Combine the sets:
-// arrival-ordered with ties in client order, rebased, IDs renumbered.
-func (c *Compiled) Sample(rng *rand.Rand, n int) []Task {
-	if len(c.Clients) == 1 {
-		return c.Clients[0].Model.Sample(rng, n)
-	}
-	counts := c.counts(n)
-	sets := make([][]Task, len(c.Clients))
-	for i, cl := range c.Clients {
-		crng := rand.New(rand.NewSource(rng.Int63()))
-		sets[i] = cl.Model.Sample(crng, counts[i])
-	}
-	return Combine(sets...)
-}
+// Sample draws n tasks from the compiled spec by draining Stream, exactly as
+// Model.Sample drains Model.Stream.
+func (c *Compiled) Sample(rng *rand.Rand, n int) []Task { return drain(c.Stream(rng, n).Next, n) }
 
 // TaskStream is a lazy generator over a finite task sequence. *Stream
 // implements it, as do compiled multi-client specs.
@@ -305,10 +289,13 @@ type TaskStream interface {
 	Remaining() int
 }
 
-// Stream returns a lazy generator over n tasks that emits exactly the
-// sequence Sample returns (pinned by TestSpecStreamMatchesSample): the
-// per-client streams are merged by (arrival, client order) — the same
-// ordering Combine's stable sort produces — with arrivals rebased against
+// Stream returns a lazy generator over n tasks. A single-client spec
+// delegates directly to its model with the caller's RNG — this is what makes
+// a preset's stream its builtin dataset's. Multi-client specs seed one child
+// RNG per client from the caller's RNG (in client order), give each client
+// its share of n, and merge the per-client streams by (arrival, client
+// order) — the ordering a stable sort of the concatenated samples produces
+// (pinned by TestSpecStreamMatchesSample) — with arrivals rebased against
 // the earliest first peek and IDs renumbered on emission.
 func (c *Compiled) Stream(rng *rand.Rand, n int) TaskStream {
 	if len(c.Clients) == 1 {

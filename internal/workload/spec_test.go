@@ -1,15 +1,42 @@
 package workload
 
 import (
+	"fmt"
+	"hash"
+	"hash/fnv"
 	"math"
 	"math/rand"
 	"strings"
 	"testing"
 )
 
-// TestPresetSpecsMatchBuiltins is the degradation golden for the spec
-// engine: every shipped preset spec must reproduce its legacy builtin
-// model's task stream bit-identically, through both Sample and Stream.
+// presetDigests freeze the ten datasets: FNV-1a over every field of the
+// compiled model (each float printed to the bit) and over every field of 300
+// sampled tasks × seeds 1, 7, 42. They were computed at commit d9490b9 from
+// the Go literals the presets replaced, so "the ten datasets did not move"
+// stays pinned now that specs/*.json is their only definition.
+var presetDigests = map[DatasetID]struct{ model, tasks uint64 }{
+	Google:      {0xacb1176fa3854594, 0xf420573073e18727},
+	Alibaba2017: {0x163d2836b933d026, 0xb8da47ff9e40144c},
+	Alibaba2018: {0x52bae7923e8c3830, 0x777cef9d51e7ed21},
+	HPCKS:       {0xafcd1f8402223149, 0xcc76bbf02bee92ba},
+	HPCHF:       {0x2d3f5fc4bcbbe875, 0x7d0ff2289073fec0},
+	HPCWZ:       {0xf519324da87d1dd3, 0x04b609a4a87e87e3},
+	KVM2019:     {0x0ef9b23e9c5ab4a3, 0xe6ab26c461302cc3},
+	KVM2020:     {0x12e614f40fbf8fb4, 0x1a6699fccd53d7d1},
+	CERITSC:     {0x8e44af9fd9b65f1a, 0x0213169de6b47f56},
+	K8S:         {0x416e0c479247b3de, 0x8166cfa223fdf908},
+}
+
+func hashTask(h hash.Hash64, tk Task) {
+	fmt.Fprintf(h, "%d,%d,%d,%x,%d,%d,%d;", tk.ID, tk.Arrival, tk.CPU,
+		math.Float64bits(tk.Mem), tk.Duration, tk.Source, tk.SLO)
+}
+
+// TestPresetSpecsMatchBuiltins pins every shipped preset against the frozen
+// digests of the builtin dataset it defines: the model Lookup serves, and
+// the task stream through Lookup's SampleDataset, the compiled spec's Sample
+// and its Stream. A preset field that moves by one ulp moves the model digest.
 func TestPresetSpecsMatchBuiltins(t *testing.T) {
 	for _, id := range AllDatasets() {
 		spec, err := PresetSpec(id)
@@ -23,29 +50,39 @@ func TestPresetSpecsMatchBuiltins(t *testing.T) {
 		if len(comp.Clients) != 1 {
 			t.Fatalf("%v: preset has %d clients, want 1", id, len(comp.Clients))
 		}
+		want := presetDigests[id]
+		model := fnv.New64a()
+		fmt.Fprintf(model, "%+v", *Lookup(id))
+		if got := model.Sum64(); got != want.model {
+			t.Errorf("%v: model digest %#016x, want %#016x: %+v", id, got, want.model, *Lookup(id))
+		}
+		dataset, sample, stream := fnv.New64a(), fnv.New64a(), fnv.New64a()
 		for _, seed := range []int64{1, 7, 42} {
-			want := SampleDataset(id, rand.New(rand.NewSource(seed)), 300)
-			got := comp.Sample(rand.New(rand.NewSource(seed)), 300)
-			if len(got) != len(want) {
-				t.Fatalf("%v seed %d: Sample emitted %d tasks, want %d", id, seed, len(got), len(want))
+			for _, tk := range SampleDataset(id, rand.New(rand.NewSource(seed)), 300) {
+				hashTask(dataset, tk)
 			}
-			for i := range want {
-				if got[i] != want[i] {
-					t.Fatalf("%v seed %d: Sample task %d = %+v, want %+v", id, seed, i, got[i], want[i])
-				}
+			got := comp.Sample(rand.New(rand.NewSource(seed)), 300)
+			if len(got) != 300 {
+				t.Fatalf("%v seed %d: Sample emitted %d tasks, want 300", id, seed, len(got))
+			}
+			for _, tk := range got {
+				hashTask(sample, tk)
 			}
 			st := comp.Stream(rand.New(rand.NewSource(seed)), 300)
-			for i := range want {
+			for i := 0; i < 300; i++ {
 				tk, ok := st.Next()
 				if !ok {
 					t.Fatalf("%v seed %d: Stream ended at task %d", id, seed, i)
 				}
-				if tk != want[i] {
-					t.Fatalf("%v seed %d: Stream task %d = %+v, want %+v", id, seed, i, tk, want[i])
-				}
+				hashTask(stream, tk)
 			}
 			if _, ok := st.Next(); ok {
-				t.Fatalf("%v seed %d: Stream emitted more than %d tasks", id, seed, len(want))
+				t.Fatalf("%v seed %d: Stream emitted more than 300 tasks", id, seed)
+			}
+		}
+		for path, h := range map[string]hash.Hash64{"SampleDataset": dataset, "Sample": sample, "Stream": stream} {
+			if got := h.Sum64(); got != want.tasks {
+				t.Errorf("%v: %s task digest %#016x, want %#016x", id, path, got, want.tasks)
 			}
 		}
 	}
@@ -204,15 +241,37 @@ func TestMultiClientSpecDeterminism(t *testing.T) {
 	}
 }
 
-// TestSpecStreamMatchesSample pins the multi-client merge stream against
-// the Combine-based Sample path, bit for bit.
+// referenceSpecSample is the batch construction Compiled.Sample used before
+// it became a drain of Stream, kept here as the reference the merge stream is
+// pinned against: one child RNG per client seeded from the caller's RNG in
+// client order, each client's share sampled whole, and the sets Combined
+// (stable arrival sort, rebased, IDs renumbered).
+func referenceSpecSample(c *Compiled, rng *rand.Rand, n int) []Task {
+	counts := c.counts(n)
+	sets := make([][]Task, len(c.Clients))
+	for i, cl := range c.Clients {
+		crng := rand.New(rand.NewSource(rng.Int63()))
+		sets[i] = cl.Model.Sample(crng, counts[i])
+	}
+	return Combine(sets...)
+}
+
+// TestSpecStreamMatchesSample pins the multi-client merge stream (and Sample,
+// its drain) against the per-client Sample + Combine reference, bit for bit.
 func TestSpecStreamMatchesSample(t *testing.T) {
 	comp, err := twoClientTestSpec().Compile()
 	if err != nil {
 		t.Fatal(err)
 	}
 	for _, seed := range []int64{3, 11, 77} {
-		want := comp.Sample(rand.New(rand.NewSource(seed)), 500)
+		want := referenceSpecSample(comp, rand.New(rand.NewSource(seed)), 500)
+		if len(want) != 500 {
+			t.Fatalf("seed %d: reference sampled %d tasks, want 500", seed, len(want))
+		}
+		drained := comp.Sample(rand.New(rand.NewSource(seed)), 500)
+		if len(drained) != len(want) {
+			t.Fatalf("seed %d: Sample emitted %d tasks, want %d", seed, len(drained), len(want))
+		}
 		st := comp.Stream(rand.New(rand.NewSource(seed)), 500)
 		if st.Remaining() != 500 {
 			t.Fatalf("seed %d: Remaining = %d, want 500", seed, st.Remaining())
@@ -224,6 +283,9 @@ func TestSpecStreamMatchesSample(t *testing.T) {
 			}
 			if tk != want[i] {
 				t.Fatalf("seed %d: task %d = %+v, want %+v", seed, i, tk, want[i])
+			}
+			if drained[i] != want[i] {
+				t.Fatalf("seed %d: Sample task %d = %+v, want %+v", seed, i, drained[i], want[i])
 			}
 		}
 		if _, ok := st.Next(); ok {

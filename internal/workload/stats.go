@@ -1,8 +1,9 @@
 package workload
 
 import (
-	"math"
 	"sort"
+
+	"repro/internal/stats"
 )
 
 // Characterization summarizes one sampled task set the way the paper's
@@ -42,9 +43,9 @@ func Characterize(name string, tasks []Task) Characterization {
 			lastArrival = t.Arrival
 		}
 	}
-	c.CPUMean, c.CPUP50, c.CPUP95 = meanP50P95(cpus)
-	c.MemMean, c.MemP50, c.MemP95 = meanP50P95(mems)
-	c.DurMean, c.DurP50, c.DurP95 = meanP50P95(durs)
+	c.CPUMean, c.CPUP50, c.CPUP95 = stats.Mean(cpus), stats.Percentile(cpus, 0.50), stats.Percentile(cpus, 0.95)
+	c.MemMean, c.MemP50, c.MemP95 = stats.Mean(mems), stats.Percentile(mems, 0.50), stats.Percentile(mems, 0.95)
+	c.DurMean, c.DurP50, c.DurP95 = stats.Mean(durs), stats.Percentile(durs, 0.50), stats.Percentile(durs, 0.95)
 	c.MakespanSlots = lastArrival
 	if lastArrival > 0 {
 		c.RatePerSlot = float64(len(tasks)) / float64(lastArrival+1)
@@ -58,36 +59,6 @@ func Characterize(name string, tasks []Task) Characterization {
 		}
 	}
 	return c
-}
-
-func meanP50P95(v []float64) (mean, p50, p95 float64) {
-	if len(v) == 0 {
-		return 0, 0, 0
-	}
-	s := append([]float64(nil), v...)
-	sort.Float64s(s)
-	total := 0.0
-	for _, x := range s {
-		total += x
-	}
-	mean = total / float64(len(s))
-	p50 = percentileSorted(s, 0.50)
-	p95 = percentileSorted(s, 0.95)
-	return mean, p50, p95
-}
-
-func percentileSorted(sorted []float64, q float64) float64 {
-	if len(sorted) == 0 {
-		return math.NaN()
-	}
-	pos := q * float64(len(sorted)-1)
-	lo := int(math.Floor(pos))
-	hi := int(math.Ceil(pos))
-	if lo == hi {
-		return sorted[lo]
-	}
-	frac := pos - float64(lo)
-	return sorted[lo]*(1-frac) + sorted[hi]*frac
 }
 
 // HourlyArrivalRates buckets arrivals into windows of bucketSlots and

@@ -213,8 +213,8 @@ func weibullSample(rng *rand.Rand, shape, scale float64) float64 {
 // CSVStream replays a trace in the ExportCSV format one task at a time, so
 // arbitrarily large traces can drive the simulator without loading them into
 // memory. Malformed records and arrival-order regressions stop the stream
-// deterministically: Next returns false and Err reports the problem, exactly
-// the rejections ImportCSV applies in batch (pinned by FuzzCSVStream).
+// deterministically: Next returns false and Err reports the problem.
+// ImportCSV is a drain of this reader.
 type CSVStream struct {
 	cr          *csv.Reader
 	line        int

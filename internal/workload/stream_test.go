@@ -3,6 +3,7 @@ package workload
 import (
 	"bytes"
 	"fmt"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -154,9 +155,12 @@ func TestCSVStreamMidStreamFailure(t *testing.T) {
 	}
 }
 
-// FuzzCSVStream cross-checks the streaming CSV reader against ImportCSV on
-// arbitrary input: both must accept (with identical tasks) or both must
-// reject — the stream may simply stop earlier, at the first offending row.
+// FuzzCSVStream holds the streaming CSV reader to its own contract on
+// arbitrary input — every emitted task is well-formed, arrivals never
+// regress, a stopped stream stays stopped with a stable Err — and holds
+// ImportCSV, its drain, to it: the batch reader accepts exactly the traces
+// the stream reads to a clean EOF, with exactly the stream's tasks.
+// (FuzzCSVTrace covers the batch entry point's export/import round trip.)
 func FuzzCSVStream(f *testing.F) {
 	var buf bytes.Buffer
 	if err := ExportCSV(&buf, []Task{
@@ -168,6 +172,7 @@ func FuzzCSVStream(f *testing.F) {
 	f.Add(buf.String())
 	f.Add("id,arrival,cpu,mem_gib,duration,source\n0,5,1,1,1,0\n1,2,1,1,1,0\n")
 	f.Add("id,arrival,cpu,mem_gib,duration,source\nx,0,1,1,1,0\n")
+	f.Add("id,arrival,cpu,mem_gib,duration,source\n0,0,1,1,1,0\n1,1,1,NaN,1,0\n2,2,1,1,1,0\n")
 	f.Add("wrong,header\n")
 	f.Add("")
 
@@ -186,22 +191,35 @@ func FuzzCSVStream(f *testing.F) {
 			if !ok {
 				break
 			}
+			if task.Arrival < 0 || task.CPU < 1 || !(task.Mem > 0) || math.IsInf(task.Mem, 1) ||
+				task.Duration < 1 || task.SLO < 0 || int(task.SLO) >= NumSLOClasses {
+				t.Fatalf("stream emitted malformed task %+v", task)
+			}
+			if n := len(tasks); n > 0 && task.Arrival < tasks[n-1].Arrival {
+				t.Fatalf("stream emitted arrival regression at row %d: %d after %d", n, task.Arrival, tasks[n-1].Arrival)
+			}
 			tasks = append(tasks, task)
 		}
-		if impErr == nil {
-			if s.Err() != nil {
-				t.Fatalf("ImportCSV accepted but stream errored: %v", s.Err())
+		stopped := s.Err()
+		if _, ok := s.Next(); ok {
+			t.Fatal("stream resumed after stopping")
+		}
+		if s.Err() != stopped {
+			t.Fatalf("Err changed across calls: %v vs %v", stopped, s.Err())
+		}
+		if (impErr == nil) != (stopped == nil) {
+			t.Fatalf("ImportCSV error %v but stream error %v", impErr, stopped)
+		}
+		if impErr != nil {
+			return
+		}
+		if len(tasks) != len(imported) {
+			t.Fatalf("task counts differ: stream %d vs import %d", len(tasks), len(imported))
+		}
+		for i := range tasks {
+			if tasks[i] != imported[i] {
+				t.Fatalf("task %d differs: %+v vs %+v", i, tasks[i], imported[i])
 			}
-			if len(tasks) != len(imported) {
-				t.Fatalf("task counts differ: stream %d vs import %d", len(tasks), len(imported))
-			}
-			for i := range tasks {
-				if tasks[i] != imported[i] {
-					t.Fatalf("task %d differs: %+v vs %+v", i, tasks[i], imported[i])
-				}
-			}
-		} else if s.Err() == nil {
-			t.Fatalf("ImportCSV rejected (%v) but stream succeeded with %d tasks", impErr, len(tasks))
 		}
 	})
 }

@@ -314,27 +314,16 @@ func (m *Model) sampleDuration(rng *rand.Rand) int {
 // probability Burstiness·rate (capped), and batch sizes are geometric with
 // mean 1/Burstiness, so the marginal rate matches RatePerSlot while low
 // Burstiness yields heavy clumping. See ArrivalKind for the alternatives.
-func (m *Model) Sample(rng *rand.Rand, n int) []Task {
-	s := m.Stream(rng, n)
+func (m *Model) Sample(rng *rand.Rand, n int) []Task { return drain(m.Stream(rng, n).Next, n) }
+
+// drain materializes a stream by calling its Next until it stops; n sizes
+// the result when the length is known up front.
+func drain(next func() (Task, bool), n int) []Task {
 	tasks := make([]Task, 0, n)
-	for {
-		t, ok := s.Next()
-		if !ok {
-			break
-		}
+	for t, ok := next(); ok; t, ok = next() {
 		tasks = append(tasks, t)
 	}
 	return tasks
-}
-
-// Lookup returns the built-in model for a dataset ID.
-func Lookup(id DatasetID) *Model {
-	m, ok := builtinModels[id]
-	if !ok {
-		panic(fmt.Sprintf("workload: unknown dataset %v", id))
-	}
-	c := *m
-	return &c
 }
 
 // SampleDataset is shorthand for Lookup(id).Sample(rng, n).

@@ -284,18 +284,6 @@ func TestCharacterizeEmpty(t *testing.T) {
 	}
 }
 
-// TestMeanP50P95Empty pins the division-by-zero guard directly: an empty
-// vector yields zeros, not NaN.
-func TestMeanP50P95Empty(t *testing.T) {
-	mean, p50, p95 := meanP50P95(nil)
-	if mean != 0 || p50 != 0 || p95 != 0 {
-		t.Fatalf("meanP50P95(nil) = %v %v %v, want zeros", mean, p50, p95)
-	}
-	if math.IsNaN(mean) || math.IsNaN(p50) || math.IsNaN(p95) {
-		t.Fatal("meanP50P95(nil) produced NaN")
-	}
-}
-
 // TestHybridMixBoundaryFractions pins the rounding and clamping of the
 // native count: nNative = round(n*frac) with frac clamped to [0,1], so small
 // fractions are not truncated to zero and out-of-range fractions cannot
