@@ -64,11 +64,19 @@ fed-smoke:
 # seeded — on the codec the swarm_104_async benchmark runs (int8, delta
 # references), so every failed install crosses the wire session's
 # clear-and-go-absolute rule. Guards the asynchronous federation path end to
-# end.
+# end, and runs it twice — one proc, where the training segments take turns,
+# and the default, where they overlap: stdout is a function of the seed alone,
+# so the two must print the same bytes (the drive's wall-clock goes to stderr).
+SWARM_SMOKE = $(GO) run ./cmd/pfrl-node -mode swarm -clients 16 -rounds 2 -buffer 4 \
+	-staleness-bound 2 -seed 42 -codec i8 -codec-delta \
+	-fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
+
 swarm-smoke:
-	$(GO) run ./cmd/pfrl-node -mode swarm -clients 16 -rounds 2 -buffer 4 \
-		-staleness-bound 2 -seed 42 -codec i8 -codec-delta \
-		-fault-spec "drop=0.08,dup=0.08,corrupt=0.05"
+	@a="$$(mktemp)" b="$$(mktemp)"; trap 'rm -f "$$a" "$$b"' EXIT; \
+	GOMAXPROCS=1 $(SWARM_SMOKE) > "$$a" || exit 1; \
+	$(SWARM_SMOKE) > "$$b" || exit 1; \
+	cat "$$b"; \
+	cmp "$$a" "$$b" || { echo "swarm-smoke: GOMAXPROCS=1 and the default print different runs"; exit 1; }
 
 build:
 	$(GO) build ./...
@@ -85,12 +93,15 @@ race:
 # its batched-vs-reference and lanes-vs-sequential update goldens;
 # internal/cloudsim carries the simulator invariant harness (randomized
 # episodes at 20 and 500 VMs). Run all of them race-enabled on every merge,
-# and the two tests that put goroutines inside or around an update ten times
-# over: a join that lets a shuffle overlap the critic lane is a race the
-# detector only reports on the runs where the two actually overlap.
+# and the tests that put goroutines inside or around an update ten times
+# over: a join that lets a shuffle overlap the critic lane, or a swarm Sync
+# that overlaps its own client's training segment, is a race the detector
+# only reports on the runs where the two actually overlap (-short skips the
+# 104-client swarm, which the first line has run).
 test-race:
 	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
 	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
+	$(GO) test -race -short -count=10 -run 'TestSwarm' ./internal/fednet/
 
 # The tensor kernels are pinned bit-for-bit against the scalar Go code and
 # math.Tanh as the toolchain compiles them; GOAMD64=v3 is the build where

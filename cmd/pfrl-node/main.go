@@ -18,6 +18,7 @@ import (
 	"log"
 	"math/rand"
 	"os"
+	"runtime"
 	"slices"
 	"strings"
 	"sync"
@@ -402,7 +403,8 @@ func runDemo(cfg fednet.ServerConfig, rounds, comm, tasks int, opts fednet.Optio
 
 // runSwarm drives the deterministic many-client async chaos harness: N
 // in-process heterogeneous clients over loopback fednet, fault injector on,
-// everything seeded. Same seed, same output.
+// everything seeded. Same seed, same stdout at any GOMAXPROCS (make swarm-smoke
+// compares two); the drive's wall-clock, which is not, goes to stderr.
 func runSwarm(clients, k, rounds, comm, tasks int, seed int64, stalenessBound, buffer, retries int, faults fed.FaultSpec, codec fedcore.CodecConfig) error {
 	res, err := fednet.RunSwarm(fednet.SwarmConfig{
 		Clients:        clients,
@@ -431,6 +433,8 @@ func runSwarm(clients, k, rounds, comm, tasks int, seed int64, stalenessBound, b
 	fmt.Printf("  wire: %d bytes moved, %.2fx compression\n",
 		res.Comm.Bytes(), res.Comm.CompressionRatio())
 	fmt.Printf("  final mean reward: %.2f over %d params\n", res.MeanReward, len(res.Global))
+	fmt.Fprintf(os.Stderr, "  drive: %.2fs, %.1f rounds/s (GOMAXPROCS %d)\n",
+		res.Elapsed.Seconds(), float64(res.Rounds)/res.Elapsed.Seconds(), runtime.GOMAXPROCS(0))
 	return nil
 }
 

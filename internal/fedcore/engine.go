@@ -340,6 +340,15 @@ func (a *AsyncEngine) Round() int {
 	return a.round
 }
 
+// Headroom returns how many more accepted arrivals the buffer trigger takes
+// before it commits: B minus the arrivals held. Every submission adds at most
+// one, so the next Headroom()-1 of them cannot commit a round.
+func (a *AsyncEngine) Headroom() int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.buffer - len(a.buf)
+}
+
 // Global returns a copy of the stored global payload.
 func (a *AsyncEngine) Global() Payload {
 	_, global := a.State()

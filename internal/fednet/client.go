@@ -224,15 +224,27 @@ func (c *RemoteClient) backoff(n int) {
 // a Fetch, installing whatever the fleet committed while we trained.
 func (c *RemoteClient) RunRounds(rounds, commEvery int) error {
 	for r := 0; r < rounds; r++ {
-		if c.async {
-			if _, err := c.Fetch(); err != nil {
-				return fmt.Errorf("fednet: fetch before round %d: %w", c.round, err)
-			}
+		if err := c.fetchRound(); err != nil {
+			return err
 		}
 		c.Local.TrainEpisodes(commEvery)
 		if err := c.syncRound(); err != nil {
-			return fmt.Errorf("fednet: sync round %d: %w", c.round, err)
+			return err
 		}
+	}
+	return nil
+}
+
+// fetchRound opens a round — the step before the training segment, as
+// syncRound is the step after it; RunSwarm calls the two itself, with the
+// segment on a worker between them. Only the async protocol has an opening
+// step: the Fetch.
+func (c *RemoteClient) fetchRound() error {
+	if !c.async {
+		return nil
+	}
+	if _, err := c.Fetch(); err != nil {
+		return fmt.Errorf("fednet: fetch before round %d: %w", c.round, err)
 	}
 	return nil
 }
@@ -261,10 +273,10 @@ func (c *RemoteClient) retry(step string, once func() error) error {
 	}
 }
 
-// syncRound uploads, exchanges, and installs the returned payload. When the
-// server disowns our delta reference (a lost reply) the wire is told, so the
-// retry goes absolute; a round the server closed without us is recovered via
-// resync.
+// syncRound closes a round — the step after the training segment: it uploads,
+// exchanges, and installs the returned payload. When the server disowns our
+// delta reference (a lost reply) the wire is told, so the retry goes absolute;
+// a round the server closed without us is recovered via resync.
 func (c *RemoteClient) syncRound() error {
 	err := c.retry("sync", func() error {
 		err := c.syncOnce()
@@ -274,9 +286,12 @@ func (c *RemoteClient) syncRound() error {
 		return err
 	})
 	if serverSaid(err, msgRoundPassed) {
-		return c.resync()
+		err = c.resync()
 	}
-	return err
+	if err != nil {
+		return fmt.Errorf("fednet: sync round %d: %w", c.round, err)
+	}
+	return nil
 }
 
 // syncOnce is a single upload→exchange→download attempt. In sync mode the

@@ -1,17 +1,20 @@
 // Swarm harness: a deterministic many-client async federation run over a
 // loopback fednet deployment, with the fault injector on. The harness
-// serializes all client activity through a virtual-time scheduler — a heap
-// of (next activation, client id) pairs driven by per-client seeded pacing
-// RNGs — so a run is a pure function of its SwarmConfig: faults, retries,
-// staleness drops, and the committed globals all replay bit-identically
-// under the same seed. That determinism is what makes a 100+-client chaos
-// run assertable in CI.
+// serializes every RPC through a virtual-time scheduler — a heap of (next
+// activation, client id) pairs driven by per-client seeded pacing RNGs — and
+// overlaps only the local training segments, inside one commit window at a
+// time (see RunSwarm), so a run is a pure function of its SwarmConfig at any
+// GOMAXPROCS: faults, retries, staleness drops, and the committed globals all
+// replay bit-identically under the same seed. That determinism is what makes
+// a 100+-client chaos run assertable in CI.
 package fednet
 
 import (
 	"container/heap"
 	"fmt"
 	"math/rand"
+	"runtime"
+	"sync"
 	"time"
 
 	"repro/internal/cloudsim"
@@ -44,8 +47,9 @@ type SwarmConfig struct {
 	K int
 	// Buffer is the async commit buffer B (default: K).
 	Buffer int
-	// StalenessBound caps accepted staleness; negative means unbounded
-	// (the default), zero accepts only fresh deltas.
+	// StalenessBound caps accepted staleness. The zero value accepts only
+	// fresh deltas; negative means unbounded (pfrl-node's -staleness-bound
+	// defaults to -1).
 	StalenessBound int
 	// Rounds is how many (train, submit) rounds each client performs
 	// (default 2).
@@ -125,6 +129,13 @@ type swarmEvent struct {
 	rounds int // rounds completed so far
 }
 
+// swarmActivation is an activation between its Fetch and its Sync: trained
+// closes when a worker has finished the training segment.
+type swarmActivation struct {
+	swarmEvent
+	trained chan struct{}
+}
+
 type swarmHeap []swarmEvent
 
 func (h swarmHeap) Len() int { return len(h) }
@@ -184,10 +195,43 @@ func swarmClient(id int, seed int64, tasks int, pad swarmPad) (*fed.Client, erro
 // RunSwarm executes one deterministic swarm run: builds Clients
 // heterogeneous in-process clients, boots a loopback async server, wraps
 // every client transport in the seeded fault injector, and drives the fleet
-// through a serialized virtual-time schedule until every client has
-// finished its rounds. Shutdown flushes the partial buffer and runs a final
-// fetch pass so every client installs the last commit.
+// through a virtual-time schedule until every client has finished its
+// rounds. Shutdown flushes the partial buffer and runs a final fetch pass so
+// every client installs the last commit.
+//
+// The drive loop consumes the schedule a commit window at a time — the
+// activations that cannot see a commit between the first one's Fetch and the
+// last one's Sync. On the driving goroutine it runs the window's Fetches in
+// schedule order, handing each training segment to one of GOMAXPROCS workers,
+// then the window's Syncs in the same order, each as its training finishes.
+// Every RPC therefore reaches the server in the order a one-at-a-time drive
+// issues it, and the result is that drive's bit for bit (DESIGN §7 "Chaos at
+// scale" has the argument, TestSwarmWindowedMatchesSerial the check): only
+// downlink tag numbers, the interleaving of obs events and Elapsed may differ.
 func RunSwarm(cfg SwarmConfig) (*SwarmResult, error) {
+	return runSwarm(cfg, (*swarmFleet).drive)
+}
+
+// swarmFleet is what a drive loop works on: the dialled clients (rcs[i].Local
+// is client i), their server, and the virtual-time schedule — each client's
+// activations are paced by its own seeded RNG, and the heap serializes the
+// fleet into one deterministic interleave regardless of wall-clock behavior.
+type swarmFleet struct {
+	cfg    SwarmConfig
+	srv    *Server
+	rcs    []*RemoteClient
+	pacing []*rand.Rand
+	h      swarmHeap
+}
+
+// fail names the activation a drive loop gave up on.
+func (f *swarmFleet) fail(ev swarmEvent, err error) error {
+	return fmt.Errorf("fednet: swarm client %d round %d: %w", ev.id, ev.rounds, err)
+}
+
+// runSwarm is RunSwarm with the drive loop a parameter: the seam through which
+// the tests run the one-at-a-time reference drive over the same fleet.
+func runSwarm(cfg SwarmConfig, drive func(*swarmFleet) error) (*SwarmResult, error) {
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
@@ -252,27 +296,15 @@ func RunSwarm(cfg SwarmConfig) (*SwarmResult, error) {
 		faulties[i] = faulty
 	}
 
-	// Virtual-time schedule: each client's activations are paced by its own
-	// seeded RNG; the heap serializes the fleet into one deterministic
-	// interleave regardless of wall-clock behavior.
-	pacing := make([]*rand.Rand, cfg.Clients)
-	h := make(swarmHeap, 0, cfg.Clients)
+	f := &swarmFleet{cfg: cfg, srv: srv, rcs: rcs, pacing: make([]*rand.Rand, cfg.Clients), h: make(swarmHeap, 0, cfg.Clients)}
 	for i := range rcs {
-		pacing[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)*15485863))
-		h = append(h, swarmEvent{at: 1 + pacing[i].Int63n(97), id: i})
+		f.pacing[i] = rand.New(rand.NewSource(cfg.Seed + int64(i)*15485863))
+		f.h = append(f.h, swarmEvent{at: 1 + f.pacing[i].Int63n(97), id: i})
 	}
-	heap.Init(&h)
+	heap.Init(&f.h)
 	driveStart := time.Now()
-	for h.Len() > 0 {
-		ev := heap.Pop(&h).(swarmEvent)
-		if err := rcs[ev.id].RunRounds(1, cfg.CommEvery); err != nil {
-			return nil, fmt.Errorf("fednet: swarm client %d round %d: %w", ev.id, ev.rounds, err)
-		}
-		ev.rounds++
-		if ev.rounds < cfg.Rounds {
-			ev.at += 1 + pacing[ev.id].Int63n(97)
-			heap.Push(&h, ev)
-		}
+	if err := drive(f); err != nil {
+		return nil, err
 	}
 
 	res := &SwarmResult{Elapsed: time.Since(driveStart)}
@@ -291,8 +323,8 @@ func RunSwarm(cfg SwarmConfig) (*SwarmResult, error) {
 		res.StaleDrops += rep.StaleDrops
 		res.DupDrops += rep.DupDrops
 	}
-	for _, f := range faulties {
-		s := f.Stats()
+	for _, faulty := range faulties {
+		s := faulty.Stats()
 		res.Faults.Drops += s.Drops
 		res.Faults.Delays += s.Delays
 		res.Faults.Duplicates += s.Duplicates
@@ -302,4 +334,71 @@ func RunSwarm(cfg SwarmConfig) (*SwarmResult, error) {
 		res.MeanReward = curve[len(curve)-1]
 	}
 	return res, nil
+}
+
+// drive runs the schedule to its end, a commit window at a time (see
+// RunSwarm). It returns the first error in schedule order, and only once no
+// worker holds a client: the caller closes them next.
+func (f *swarmFleet) drive() error {
+	// A window holds a client at most once, so a send never blocks the driver.
+	// On an error return the deferred teardown drops the training segments no
+	// worker has started and waits out the ones in flight.
+	train := make(chan swarmActivation, len(f.rcs))
+	var workers sync.WaitGroup
+	for range runtime.GOMAXPROCS(0) {
+		workers.Add(1)
+		go func() {
+			defer workers.Done()
+			for a := range train {
+				f.rcs[a.id].Local.TrainEpisodes(f.cfg.CommEvery)
+				close(a.trained)
+			}
+		}()
+	}
+	defer func() {
+		close(train)
+		for range train {
+		}
+		workers.Wait()
+	}()
+
+	window := make([]swarmActivation, 0, len(f.rcs))
+	inWindow := make([]bool, len(f.rcs))
+	for f.h.Len() > 0 {
+		// The window is the next activations in heap order up to the one whose
+		// Sync can fill the buffer: each Sync adds at most one accepted arrival,
+		// so none before it commits, and between commits a Fetch reply reads
+		// nothing another client's Sync writes. A client recurring in the
+		// window cuts it: its next Fetch follows its own Sync. The successor is
+		// scheduled at the pop — its pacing draw does not depend on the round.
+		var fetchErr error
+		window = window[:0]
+		clear(inWindow)
+		room := max(1, f.srv.engine.Headroom())
+		for len(window) < room && f.h.Len() > 0 && !inWindow[f.h[0].id] {
+			ev := heap.Pop(&f.h).(swarmEvent)
+			if ev.rounds+1 < f.cfg.Rounds {
+				heap.Push(&f.h, swarmEvent{at: ev.at + 1 + f.pacing[ev.id].Int63n(97), id: ev.id, rounds: ev.rounds + 1})
+			}
+			if err := f.rcs[ev.id].fetchRound(); err != nil {
+				// The Syncs the window owes come first in schedule order.
+				fetchErr = f.fail(ev, err)
+				break
+			}
+			a := swarmActivation{ev, make(chan struct{})}
+			train <- a
+			window = append(window, a)
+			inWindow[ev.id] = true
+		}
+		for _, a := range window {
+			<-a.trained
+			if err := f.rcs[a.id].syncRound(); err != nil {
+				return f.fail(a.swarmEvent, err)
+			}
+		}
+		if fetchErr != nil {
+			return fetchErr
+		}
+	}
+	return nil
 }

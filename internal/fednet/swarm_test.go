@@ -1,10 +1,14 @@
 package fednet
 
 import (
+	"container/heap"
+	"runtime"
 	"strings"
 	"testing"
+	"time"
 
 	"repro/internal/fed"
+	"repro/internal/fedcore"
 	"repro/internal/obs"
 )
 
@@ -35,7 +39,7 @@ func sameSwarmResult(t *testing.T, a, b *SwarmResult) {
 	if a.Rounds != b.Rounds || a.Flushed != b.Flushed ||
 		a.Retries != b.Retries || a.Faults != b.Faults ||
 		a.StaleDrops != b.StaleDrops || a.DupDrops != b.DupDrops ||
-		a.MeanReward != b.MeanReward {
+		a.MeanReward != b.MeanReward || a.Comm != b.Comm {
 		t.Fatalf("swarm summaries diverged:\n a %+v\n b %+v", a, b)
 	}
 }
@@ -125,5 +129,125 @@ func TestSwarmHundredClients(t *testing.T) {
 	}
 	if before.String() == after.String() {
 		t.Fatal("swarm run left the obs registry untouched — staleness metrics not recorded")
+	}
+}
+
+// driveSerial is the reference drive: the schedule consumed one activation at
+// a time, each client's fetch, training segment and sync done before the next
+// client's begin. RunSwarm must produce its result bit for bit.
+func driveSerial(f *swarmFleet) error {
+	for f.h.Len() > 0 {
+		ev := heap.Pop(&f.h).(swarmEvent)
+		if err := f.rcs[ev.id].RunRounds(1, f.cfg.CommEvery); err != nil {
+			return f.fail(ev, err)
+		}
+		ev.rounds++
+		if ev.rounds < f.cfg.Rounds {
+			ev.at += 1 + f.pacing[ev.id].Int63n(97)
+			heap.Push(&f.h, ev)
+		}
+	}
+	return nil
+}
+
+// atGOMAXPROCS runs fn with the given proc count — RunSwarm's worker count —
+// and restores the old one.
+func atGOMAXPROCS(n int, fn func()) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(n))
+	fn()
+}
+
+// TestSwarmWindowedMatchesSerial is DESIGN §9 contract 1: at any GOMAXPROCS,
+// RunSwarm's windowed drive returns the one-at-a-time drive's SwarmResult,
+// Elapsed aside. The rows put the window through its edges: a client that
+// recurs before the buffer fills (the cut), a window of one, a buffer the
+// engine resolves itself (unset, and K above the fleet), both ends of the
+// staleness bound, every codec tier, faults on and off.
+func TestSwarmWindowedMatchesSerial(t *testing.T) {
+	delta := func(tier fedcore.Tier) fedcore.CodecConfig { return fedcore.CodecConfig{Tier: tier, Delta: true} }
+	for _, tc := range []struct {
+		name string
+		cfg  SwarmConfig
+	}{
+		{"clients below buffer", SwarmConfig{Clients: 3, Buffer: 5, StalenessBound: -1, Rounds: 3}},
+		{"buffer 1 fresh only f32", SwarmConfig{Clients: 2, Buffer: 1, Rounds: 2,
+			Codec: fedcore.CodecConfig{Tier: fedcore.TierF32}, Faults: swarmFaults()}},
+		{"buffer unset i16 delta", SwarmConfig{Clients: 6, K: 3, StalenessBound: 2, Rounds: 2,
+			Codec: delta(fedcore.TierI16), Faults: swarmFaults()}},
+		{"buffer unset k above fleet", SwarmConfig{Clients: 5, K: 9, StalenessBound: 1, Rounds: 2, Faults: swarmFaults()}},
+		{"unbounded staleness flushed", SwarmConfig{Clients: 7, K: 4, Buffer: 5, StalenessBound: -1, Rounds: 2,
+			Faults: swarmFaults()}},
+		{"chaos i8 delta", SwarmConfig{Clients: 10, Buffer: 5, StalenessBound: 2, Rounds: 2,
+			Codec: delta(fedcore.TierI8), Faults: swarmFaults()}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			tc.cfg.Seed, tc.cfg.Tasks = 42, 4
+			want, err := runSwarm(tc.cfg, driveSerial)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want.Rounds == 0 {
+				t.Fatal("reference drive committed no rounds")
+			}
+			t.Logf("%d rounds (flushed=%v), %d stale and %d duplicate drops, %d retries",
+				want.Rounds, want.Flushed, want.StaleDrops, want.DupDrops, want.Retries)
+			for _, procs := range []int{1, 4} {
+				atGOMAXPROCS(procs, func() {
+					got, err := RunSwarm(tc.cfg)
+					if err != nil {
+						t.Fatalf("GOMAXPROCS %d: %v", procs, err)
+					}
+					sameSwarmResult(t, want, got)
+				})
+			}
+		})
+	}
+}
+
+// TestSwarmErrorInScheduleOrder: a swarm that cannot finish fails as the
+// one-at-a-time drive does — on the first failing step in schedule order, a
+// Sync owed by the window before a later activation's Fetch — and returns
+// only once every training segment it started has finished.
+func TestSwarmErrorInScheduleOrder(t *testing.T) {
+	for _, tc := range []struct {
+		name  string
+		seed  int64
+		drop  float64
+		fails string
+	}{
+		{"every upload dropped", 11, 1, "sync round 0"},
+		{"fetch fails first", 16, 0.25, "fetch before round 2"},
+		// A later Fetch of the same window fails too, and is not the error.
+		{"sync before a failing fetch", 24, 0.25, "sync round 1"},
+		{"sync before a failing fetch, round 0", 69, 0.25, "sync round 0"},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			cfg := SwarmConfig{Clients: 8, Buffer: 4, StalenessBound: -1, Rounds: 4, CommEvery: 2, Tasks: 4,
+				Seed: tc.seed, Retries: 1, Faults: fed.FaultSpec{Drop: tc.drop}}
+			_, want := runSwarm(cfg, driveSerial)
+			if want == nil || !strings.Contains(want.Error(), tc.fails) {
+				t.Fatalf("reference drive: got %v, want a %q failure", want, tc.fails)
+			}
+			atGOMAXPROCS(4, func() {
+				var fleet *swarmFleet
+				res, err := runSwarm(cfg, func(f *swarmFleet) error { fleet = f; return f.drive() })
+				if res != nil || err == nil || err.Error() != want.Error() {
+					t.Fatalf("windowed drive failed with\n  %v\nthe one-at-a-time drive with\n  %v", err, want)
+				}
+				// A worker that outlived the call is still appending rewards:
+				// a data race on this read, and a count that moves.
+				episodes := func() (n int) {
+					for _, rc := range fleet.rcs {
+						n += len(rc.Local.Rewards)
+					}
+					return n
+				}
+				atReturn := episodes()
+				time.Sleep(20 * time.Millisecond)
+				if now := episodes(); now != atReturn {
+					t.Fatalf("training went on after RunSwarm returned: %d episodes, then %d", atReturn, now)
+				}
+			})
+		})
 	}
 }
