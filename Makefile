@@ -159,11 +159,14 @@ bench-e2e-smoke:
 	$(GO) run ./benchmark -smoke -repeats 1 -out "$$(mktemp -d)"
 
 # Every figure, table and ablation runner twice, end to end, at toy size,
-# plus the workflow extension's one entry point: the only ci step that
-# executes the -exp harness, so a runner that stops working is seen here and
-# not when someone next regenerates results_all.txt — and the two passes must
-# print the same bytes (same seed, same bits: the harness's own determinism
-# check, next to the benchmark's and the swarm's).
+# plus the workflow extension's one entry point and the two examples that
+# read an agent's public critic and α directly (a checkpoint round trip that
+# exits 1 if the reloaded policy schedules differently, and a PFRL-DM
+# federation): the only ci step that executes the -exp harness, so a runner
+# that stops working is seen here and not when someone next regenerates
+# results_all.txt — and the two passes must print the same bytes (same seed,
+# same bits: the harness's own determinism check, next to the benchmark's and
+# the swarm's).
 figs-smoke:
 	@a="$$(mktemp)" b="$$(mktemp)"; trap 'rm -f "$$a" "$$b"' EXIT; \
 	for out in "$$a" "$$b"; do \
@@ -172,6 +175,8 @@ figs-smoke:
 	cat "$$a"; \
 	cmp "$$a" "$$b" || { echo "figs-smoke: two passes of -exp all differ"; exit 1; }
 	$(GO) run ./examples/workflows
+	$(GO) run ./examples/checkpoint
+	$(GO) run ./examples/federation
 
 # The official-size counterpart of figs-smoke: the full suite at the
 # EXPERIMENTS.md harness scale plus the headline Figure 15 run on three

@@ -22,8 +22,12 @@ import (
 func main() {
 	log.SetFlags(0)
 	log.SetPrefix("pfrl-train: ")
+	var algs []string
+	for a := core.Algorithm(0); len(a.Spellings()) > 0; a++ {
+		algs = append(algs, a.Spellings()[0])
+	}
 	var (
-		algName  = flag.String("alg", "pfrl-dm", "algorithm: ppo | fedavg | mfpo | pfrl-dm | fedprox | secure-fedavg")
+		algName  = flag.String("alg", "pfrl-dm", "algorithm: "+strings.Join(algs, " | "))
 		clients  = flag.String("clients", "table3", "client setup: table2 | table3")
 		scale    = flag.Int("scale", 4, "divide VM capacities by this factor (1 = paper scale)")
 		tasks    = flag.Int("tasks", 120, "tasks sampled per client (paper: 3500)")
@@ -37,7 +41,7 @@ func main() {
 	)
 	flag.Parse()
 
-	alg, err := parseAlg(*algName)
+	alg, err := core.ParseAlgorithm(*algName)
 	if err != nil {
 		log.Fatal(err)
 	}
@@ -118,24 +122,5 @@ func main() {
 			log.Fatal(err)
 		}
 		fmt.Printf("\nwrote %s\n", *csvPath)
-	}
-}
-
-func parseAlg(s string) (core.Algorithm, error) {
-	switch strings.ToLower(s) {
-	case "ppo":
-		return core.AlgPPO, nil
-	case "fedavg":
-		return core.AlgFedAvg, nil
-	case "mfpo":
-		return core.AlgMFPO, nil
-	case "pfrl-dm", "pfrldm":
-		return core.AlgPFRLDM, nil
-	case "fedprox":
-		return core.AlgFedProx, nil
-	case "secure-fedavg":
-		return core.AlgSecureFedAvg, nil
-	default:
-		return 0, fmt.Errorf("unknown algorithm %q (want ppo|fedavg|mfpo|pfrl-dm|fedprox|secure-fedavg)", s)
 	}
 }

@@ -21,13 +21,13 @@
 //	internal/attn      multi-head attention / KL / cosine weight generators
 //	internal/workload  the ten modelled cluster trace distributions
 //	internal/cloudsim  the discrete-time cloud scheduling MDP (§4.1-4.2)
-//	internal/rl        PPO and dual-critic PPO (§4.3)
+//	internal/rl        the one PPO learner, plain or dual-critic (§4.3)
 //	internal/fedcore   transport-agnostic federated round engine
 //	internal/fed       clients, in-process rounds, aggregators (§4.4-4.5)
 //	internal/fednet    the same rounds over TCP (net/rpc), swarm chaos harness
 //	internal/workflow  DAG-workflow environment (extension; examples/workflows)
 //	internal/obs       JSONL events, Prometheus registry, phase timers
-//	internal/core      experiment orchestration, one runner per figure
+//	internal/core      the algorithm table, experiment orchestration, one runner per figure
 //	internal/stats     Wilcoxon signed-rank test and descriptive stats
 //	internal/trace     result tables and CSV series
 //

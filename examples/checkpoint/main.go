@@ -58,14 +58,13 @@ func main() {
 	}
 	fmt.Printf("saved checkpoint: %s (%d bytes, alpha=%.3f)\n", path, info.Size(), agent.Alpha)
 
-	loaded, err := rl.LoadAgentFile(path, rand.New(rand.NewSource(3)))
+	reloaded, err := rl.LoadAgentFile(path, rand.New(rand.NewSource(3)))
 	if err != nil {
 		log.Fatal(err)
 	}
-	reloaded := loaded.(*rl.DualCriticPPO)
 	fmt.Printf("reloaded agent: alpha=%.3f\n", reloaded.Alpha)
 
-	evalWith := func(a rl.Agent) cloudsim.Metrics {
+	evalWith := func(a *rl.PPO) cloudsim.Metrics {
 		m, err := cloudsim.Evaluate(cfg, test, cloudsim.Greedy("scheduler", a.GreedyAction))
 		if err != nil {
 			log.Fatal(err)

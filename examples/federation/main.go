@@ -13,7 +13,6 @@ import (
 
 	"repro/internal/core"
 	"repro/internal/fed"
-	"repro/internal/rl"
 	"repro/internal/stats"
 	"repro/internal/trace"
 )
@@ -47,7 +46,7 @@ func main() {
 	fmt.Println("\nfinal adaptive α per client (weight of the LOCAL critic, Eq. 15):")
 	at := trace.NewTable("client", "dataset", "alpha", "local critic loss", "public critic loss")
 	for i, c := range res.Clients {
-		d := c.Agent.(*rl.DualCriticPPO)
+		d := c.Agent
 		at.AddRow(c.Name, res.Data[i].Spec.Dataset.String(), d.Alpha, d.LastLocalLoss, d.LastPublicLoss)
 	}
 	fmt.Print(at.String())

@@ -72,12 +72,12 @@ func SampleWorkload(dataset workload.DatasetID, seed int64, n int) []Task {
 	return workload.SampleDataset(dataset, rand.New(rand.NewSource(seed)), n)
 }
 
-// NewPPOAgent builds an independent PPO agent for an environment.
+// NewPPOAgent builds a plain (single-critic) PPO agent for an environment.
 func NewPPOAgent(env *cloudsim.Env, seed int64) *rl.PPO {
 	return rl.NewPPO(rl.DefaultConfig(env.StateDim(), env.NumActions()), rand.New(rand.NewSource(seed)))
 }
 
 // NewDualCriticAgent builds a PFRL-DM client agent for an environment.
-func NewDualCriticAgent(env *cloudsim.Env, seed int64) *rl.DualCriticPPO {
+func NewDualCriticAgent(env *cloudsim.Env, seed int64) *rl.PPO {
 	return rl.NewDualCriticPPO(rl.DefaultConfig(env.StateDim(), env.NumActions()), rand.New(rand.NewSource(seed)))
 }

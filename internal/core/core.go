@@ -1,6 +1,6 @@
 // Package core orchestrates the PFRL-DM system end to end: it wires the
 // cloud-scheduling environments (internal/cloudsim), the workload models
-// (internal/workload), the PPO / dual-critic agents (internal/rl), and the
+// (internal/workload), the PPO agent, plain or dual-critic (internal/rl), and the
 // federated layer (internal/fed) into the experiments reported in the
 // paper. Every figure and table in the evaluation has a runner here; the
 // CLI tools are thin wrappers around this package.
@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"strings"
 
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
@@ -39,24 +40,82 @@ const (
 	AlgSecureFedAvg
 )
 
+// algorithmRow is what an Algorithm is.
+type algorithmRow struct {
+	name string
+	// spellings are the -alg names, lower case, the documented one first;
+	// the lower-cased display name is always one of them.
+	spellings []string
+	// dual gives the clients a public critic ψ beside their own.
+	dual bool
+	// transport is what travels; nil means nothing does (no federation).
+	transport fed.Transport
+	agg       func(cfg ExperimentConfig) fed.Aggregator
+	// defaultK is the number of the n clients aggregated per round when
+	// ExperimentConfig.K leaves it open.
+	defaultK func(n int) int
+}
+
+// algorithms is the one statement of what each Algorithm is; String,
+// ParseAlgorithm, newClient and federate read it, and README's algorithm
+// table is a rendering of it (TestAlgorithmTable).
+var algorithms = [...]algorithmRow{
+	AlgPPO:    {name: "PPO", spellings: []string{"ppo"}},
+	AlgFedAvg: {name: "FedAvg", spellings: []string{"fedavg"}, transport: fed.ActorCriticTransport{}, agg: plainMean, defaultK: everyone},
+	AlgMFPO: {name: "MFPO", spellings: []string{"mfpo"}, transport: fed.ActorCriticTransport{}, defaultK: everyone,
+		agg: func(cfg ExperimentConfig) fed.Aggregator {
+			beta := cfg.MFPOBeta
+			if beta == 0 {
+				beta = 0.5
+			}
+			return fed.NewMomentum(beta)
+		}},
+	// The paper's setting: only ψ travels, K = N/2.
+	AlgPFRLDM: {name: "PFRL-DM", spellings: []string{"pfrl-dm", "pfrldm"}, dual: true, transport: fed.PublicCriticTransport{}, defaultK: fedcore.DefaultK,
+		agg: func(cfg ExperimentConfig) fed.Aggregator { return fed.NewAttention(cfg.Seed) }},
+	AlgFedProx: {name: "FedProx", spellings: []string{"fedprox"}, transport: fed.FedProxTransport{Mu: 0.01}, agg: plainMean, defaultK: everyone},
+	AlgSecureFedAvg: {name: "SecureFedAvg", spellings: []string{"secure-fedavg", "securefedavg"}, transport: fed.ActorCriticTransport{}, defaultK: everyone,
+		agg: func(cfg ExperimentConfig) fed.Aggregator { return fed.NewSecureFedAvg(cfg.Seed) }},
+}
+
+func plainMean(ExperimentConfig) fed.Aggregator { return fed.FedAvg{} }
+
+func everyone(n int) int { return n }
+
+// row is a's row of the table; the zero row — no name, nothing travels — for
+// a value that is none of the constants.
+func (a Algorithm) row() algorithmRow {
+	if a < 0 || int(a) >= len(algorithms) {
+		return algorithmRow{}
+	}
+	return algorithms[a]
+}
+
 // String returns the algorithm's display name.
 func (a Algorithm) String() string {
-	switch a {
-	case AlgPPO:
-		return "PPO"
-	case AlgFedAvg:
-		return "FedAvg"
-	case AlgMFPO:
-		return "MFPO"
-	case AlgPFRLDM:
-		return "PFRL-DM"
-	case AlgFedProx:
-		return "FedProx"
-	case AlgSecureFedAvg:
-		return "SecureFedAvg"
-	default:
-		return fmt.Sprintf("Algorithm(%d)", int(a))
+	if name := a.row().name; name != "" {
+		return name
 	}
+	return fmt.Sprintf("Algorithm(%d)", int(a))
+}
+
+// Spellings returns a's -alg names, the documented one first; none for a
+// value that is not an algorithm.
+func (a Algorithm) Spellings() []string { return a.row().spellings }
+
+// ParseAlgorithm resolves an -alg spelling, in any case, to its Algorithm.
+// The error for an unknown name lists every algorithm's documented spelling.
+func ParseAlgorithm(s string) (Algorithm, error) {
+	var documented []string
+	for a, row := range algorithms {
+		for _, sp := range row.spellings {
+			if strings.EqualFold(s, sp) {
+				return Algorithm(a), nil
+			}
+		}
+		documented = append(documented, row.spellings[0])
+	}
+	return 0, fmt.Errorf("unknown algorithm %q (want %s)", s, strings.Join(documented, "|"))
 }
 
 // AllAlgorithms lists the paper's four compared schemes in presentation
@@ -271,9 +330,9 @@ func (c ExperimentConfig) envConfig(caps FederationCaps, spec ClientSpec) clouds
 	return envCfg
 }
 
-// newClient is the one client recipe: an agent of alg's kind (dual-critic
-// for PFRL-DM, PPO otherwise) with cfg's learning rates, initialized from
-// seed, in an environment over tasks.
+// newClient is the one client recipe: an agent of alg's kind (with or
+// without a public critic, per the table) with cfg's learning rates,
+// initialized from seed, in an environment over tasks.
 func (c ExperimentConfig) newClient(alg Algorithm, id int, name string, envCfg cloudsim.Config, tasks []workload.Task, seed int64) (*fed.Client, error) {
 	rlCfg := rl.DefaultConfig(cloudsim.StateDim(envCfg), cloudsim.NumActions(envCfg))
 	if c.ActorLR > 0 {
@@ -282,14 +341,11 @@ func (c ExperimentConfig) newClient(alg Algorithm, id int, name string, envCfg c
 	if c.CriticLR > 0 {
 		rlCfg.CriticLR = c.CriticLR
 	}
-	rng := rand.New(rand.NewSource(seed))
-	var agent rl.Agent
-	if alg == AlgPFRLDM {
-		agent = rl.NewDualCriticPPO(rlCfg, rng)
-	} else {
-		agent = rl.NewPPO(rlCfg, rng)
+	newAgent := rl.NewPPO
+	if alg.row().dual {
+		newAgent = rl.NewDualCriticPPO
 	}
-	return fed.NewClient(id, name, envCfg, tasks, agent)
+	return fed.NewClient(id, name, envCfg, tasks, newAgent(rlCfg, rand.New(rand.NewSource(seed))))
 }
 
 // SampleTasks is the one task-sample recipe: n tasks from spec's dataset
@@ -395,43 +451,24 @@ func setup(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 	return &TrainResult{Algorithm: alg, Clients: clients, Data: data}, nil
 }
 
-// federate is the one federation assembly: r's algorithm picks the
-// transport and the aggregator (agg, when non-nil, replaces the latter — the
-// ablation and Figure 10 runners' only lever), K defaults per algorithm, and
-// every federation option of cfg is carried over, the fault injector
-// included (as the federation's Transport) when cfg.Faults is active.
+// federate is the one federation assembly: r's row of the algorithm table
+// gives the transport, the aggregator (agg, when non-nil, replaces it — the
+// ablation and Figure 10 runners' only lever) and the default K, and every
+// federation option of cfg is carried over, the fault injector included (as
+// the federation's Transport) when cfg.Faults is active.
 func (r *TrainResult) federate(cfg ExperimentConfig, agg fed.Aggregator) (*fed.Federation, error) {
-	var transport fed.Transport
-	var algAgg fed.Aggregator
-	switch r.Algorithm {
-	case AlgFedAvg:
-		transport, algAgg = fed.ActorCriticTransport{}, fed.FedAvg{}
-	case AlgMFPO:
-		beta := cfg.MFPOBeta
-		if beta == 0 {
-			beta = 0.5
-		}
-		transport, algAgg = fed.ActorCriticTransport{}, fed.NewMomentum(beta)
-	case AlgFedProx:
-		transport, algAgg = fed.FedProxTransport{Mu: 0.01}, fed.FedAvg{}
-	case AlgSecureFedAvg:
-		transport, algAgg = fed.ActorCriticTransport{}, fed.NewSecureFedAvg(cfg.Seed)
-	case AlgPFRLDM:
-		transport, algAgg = fed.PublicCriticTransport{}, fed.NewAttention(cfg.Seed)
-	default:
-		return nil, fmt.Errorf("core: unknown algorithm %v", r.Algorithm)
+	row := r.Algorithm.row()
+	transport := row.transport
+	if transport == nil {
+		return nil, fmt.Errorf("core: %v does not federate", r.Algorithm)
 	}
 	if agg == nil {
-		agg = algAgg
+		agg = row.agg(cfg)
 	}
-	// cfg.K wins when set; otherwise the baselines aggregate everyone and
-	// PFRL-DM uses the paper's K = N/2 default. The engine clamps to [1, N].
+	// cfg.K wins when set. The engine clamps to [1, N].
 	k := cfg.K
 	if k <= 0 {
-		k = len(r.Clients)
-		if r.Algorithm == AlgPFRLDM {
-			k = fedcore.DefaultK(len(r.Clients))
-		}
+		k = row.defaultK(len(r.Clients))
 	}
 	f, err := fed.New(r.Clients, transport, agg, fed.Options{
 		K: k, CommEvery: cfg.CommEvery, Seed: cfg.Seed, Parallel: cfg.Parallel,

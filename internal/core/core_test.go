@@ -9,8 +9,8 @@ import (
 
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
+	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/rl"
 	"repro/internal/tensor"
 	"repro/internal/workload"
 )
@@ -149,9 +149,9 @@ func TestTrainAllAlgorithms(t *testing.T) {
 			t.Fatalf("%v: federation missing", alg)
 		}
 		for _, c := range r.Clients {
-			_, isDual := c.Agent.(*rl.DualCriticPPO)
+			isDual := c.Agent.PublicCritic != nil
 			if (alg == AlgPFRLDM) != isDual {
-				t.Fatalf("%v: wrong agent type %T", alg, c.Agent)
+				t.Fatalf("%v: wrong agent kind (dual-critic: %v)", alg, isDual)
 			}
 		}
 	}
@@ -508,5 +508,81 @@ func TestTrainReportsParticipationAndFaults(t *testing.T) {
 	}
 	if r.Faults.Drops == 0 {
 		t.Fatalf("fault counters %+v, want recorded drops", r.Faults)
+	}
+}
+
+// TestAlgorithmTable pins the one algorithm table against README's rendering
+// of it: every spelling parses (any case), an unknown one is refused with the
+// documented list, and a 2-client setup + federate yields the agent kind,
+// transport, payload and K the README row states.
+func TestAlgorithmTable(t *testing.T) {
+	readme := []struct {
+		alg       Algorithm
+		spellings []string
+		dual      bool
+		transport string // "" = nothing travels
+		psiOnly   bool   // payload is ψ alone, not actor + critic
+		agg       string
+		k         int // of N = 2
+	}{
+		{AlgPPO, []string{"ppo"}, false, "", false, "", 0},
+		{AlgFedAvg, []string{"fedavg"}, false, "actor+critic", false, "FedAvg", 2},
+		{AlgMFPO, []string{"mfpo"}, false, "actor+critic", false, "MFPO", 2},
+		{AlgPFRLDM, []string{"pfrl-dm", "pfrldm"}, true, "public-critic", true, "PFRL-DM", 1},
+		{AlgFedProx, []string{"fedprox"}, false, "fedprox(actor+critic)", false, "FedAvg", 2},
+		{AlgSecureFedAvg, []string{"secure-fedavg"}, false, "actor+critic", false, "secure-fedavg", 2},
+	}
+	if len(readme) != len(algorithms) {
+		t.Fatalf("README states %d algorithms, the table has %d", len(readme), len(algorithms))
+	}
+	for _, row := range readme {
+		for _, sp := range append([]string{row.alg.String()}, row.spellings...) {
+			for _, s := range []string{sp, strings.ToUpper(sp), strings.ToLower(sp)} {
+				if got, err := ParseAlgorithm(s); err != nil || got != row.alg {
+					t.Fatalf("ParseAlgorithm(%q) = %v, %v; want %v", s, got, err, row.alg)
+				}
+			}
+		}
+		if row.alg.Spellings()[0] != row.spellings[0] {
+			t.Fatalf("%v: documented spelling %q, README says %q", row.alg, row.alg.Spellings()[0], row.spellings[0])
+		}
+
+		cfg := tinyConfig(5)
+		cfg.Specs = cfg.Specs[:2]
+		r, err := setup(row.alg, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		agent := r.Clients[0].Agent
+		if dual := agent.PublicCritic != nil; dual != row.dual {
+			t.Fatalf("%v: dual-critic clients %v, README says %v", row.alg, dual, row.dual)
+		}
+		f, err := r.federate(cfg, nil)
+		if row.transport == "" {
+			if err == nil {
+				t.Fatalf("%v federated, README says nothing travels", row.alg)
+			}
+			continue
+		}
+		if err != nil {
+			t.Fatalf("%v: %v", row.alg, err)
+		}
+		want := nn.NumParams(agent.Actor) + nn.NumParams(agent.Critic)
+		if row.psiOnly {
+			want = nn.NumParams(agent.PublicCritic)
+		}
+		if f.Transport.Name() != row.transport || f.Agg.Name() != row.agg || f.K != row.k ||
+			f.Transport.PayloadSize(r.Clients[0]) != want {
+			t.Fatalf("%v: transport %q aggregator %q K %d payload %d; README says %q %q %d %d", row.alg,
+				f.Transport.Name(), f.Agg.Name(), f.K, f.Transport.PayloadSize(r.Clients[0]),
+				row.transport, row.agg, row.k, want)
+		}
+	}
+	_, err := ParseAlgorithm("sarsa")
+	if err == nil || !strings.Contains(err.Error(), "ppo|fedavg|mfpo|pfrl-dm|fedprox|secure-fedavg") {
+		t.Fatalf("unknown algorithm: %v, want an error listing the spellings", err)
+	}
+	if got := Algorithm(len(algorithms)).String(); got != "Algorithm(6)" {
+		t.Fatalf("out-of-table algorithm prints %q", got)
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"repro/internal/cloudsim"
 	"repro/internal/fed"
 	"repro/internal/nn"
-	"repro/internal/rl"
 	"repro/internal/stats"
 	"repro/internal/workload"
 )
@@ -411,8 +410,7 @@ func RunNewAgent(cfg ExperimentConfig, warmupEpisodes, joinEpisodes int) (*NewAg
 	}
 	// Joining bootstrap: the server model also seeds the local critic so the
 	// newcomer starts with a trained value function.
-	joiner := jc.Agent.(*rl.DualCriticPPO)
-	if err := nn.CopyParams(joiner.LocalCritic, joiner.PublicCritic); err != nil {
+	if err := nn.CopyParams(jc.Agent.Critic, jc.Agent.PublicCritic); err != nil {
 		return nil, err
 	}
 	if err := f.RunEpisodes(joinEpisodes); err != nil {
@@ -478,12 +476,11 @@ func RunAblation(cfg ExperimentConfig, variant AblationVariant, attentionHeads i
 		return nil, err
 	}
 	for _, c := range r.Clients {
-		d := c.Agent.(*rl.DualCriticPPO)
 		switch variant {
 		case AblationNoDualCritic:
-			d.FixedAlpha = 0
+			c.Agent.FixedAlpha = 0
 		case AblationFixedAlpha:
-			d.FixedAlpha = 0.5
+			c.Agent.FixedAlpha = 0.5
 		}
 	}
 	var agg fed.Aggregator // nil keeps PFRL-DM's own attention aggregator

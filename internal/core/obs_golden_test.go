@@ -8,7 +8,6 @@ import (
 	"repro/internal/fed"
 	"repro/internal/nn"
 	"repro/internal/obs"
-	"repro/internal/rl"
 )
 
 func goldenObsConfig() ExperimentConfig {
@@ -33,16 +32,10 @@ func flattenAgents(t *testing.T, clients []*fed.Client) []float64 {
 		}
 	}
 	for _, c := range clients {
-		switch a := c.Agent.(type) {
-		case *rl.DualCriticPPO:
-			collect(a.Actor)
-			collect(a.LocalCritic)
-			collect(a.PublicCritic)
-		case *rl.PPO:
-			collect(a.Actor)
-			collect(a.Critic)
-		default:
-			t.Fatalf("unexpected agent type %T", c.Agent)
+		collect(c.Agent.Actor)
+		collect(c.Agent.Critic)
+		if c.Agent.PublicCritic != nil {
+			collect(c.Agent.PublicCritic)
 		}
 	}
 	return out

@@ -8,8 +8,11 @@
 //
 // The layer is composed of orthogonal pieces:
 //
-//   - Transport: what travels between client and server. FedAvg/MFPO move
-//     the whole actor+critic; PFRL-DM moves only the public critic.
+//   - Transport: which of a client agent's networks travel between client
+//     and server, and what the client does after an install. FedAvg/MFPO
+//     move the whole actor+critic of a plain agent; PFRL-DM moves only the
+//     public critic of a dual-critic one. Every client holds the one agent
+//     type, *rl.PPO.
 //   - Aggregator: how the server combines uploads into per-client
 //     personalized payloads and a stored global payload for
 //     non-participants and late joiners.
@@ -44,7 +47,7 @@ type Client struct {
 	Name  string
 	Env   *cloudsim.Env
 	Tasks []workload.Task
-	Agent rl.Agent
+	Agent *rl.PPO
 
 	// TrainEnv, when non-nil, overrides the default task-set training
 	// loop — used for non-task environments such as workflow DAGs.
@@ -57,7 +60,8 @@ type Client struct {
 	// (the Figure-9 probes).
 	CriticLossPre  []float64
 	CriticLossPost []float64
-	// AlphaHistory records α after every episode for dual-critic agents.
+	// AlphaHistory records α after every episode for agents with a public
+	// critic.
 	AlphaHistory []float64
 
 	// LastBuf holds the most recent episode's trajectories for loss probes
@@ -67,7 +71,7 @@ type Client struct {
 
 // NewClient builds a federated client. The environment keeps cfg's
 // federation-wide padding so all clients share observation shapes.
-func NewClient(id int, name string, cfg cloudsim.Config, tasks []workload.Task, agent rl.Agent) (*Client, error) {
+func NewClient(id int, name string, cfg cloudsim.Config, tasks []workload.Task, agent *rl.PPO) (*Client, error) {
 	env, err := cloudsim.NewEnv(cfg, tasks)
 	if err != nil {
 		return nil, fmt.Errorf("fed: client %d: %w", id, err)
@@ -107,8 +111,9 @@ func (c *Client) TrainEpisodes(n int) {
 		hRollout.Observe(rolloutDur.Seconds())
 		hUpdate.Observe(updateDur.Seconds())
 		c.Rewards = append(c.Rewards, total)
-		if d, ok := c.Agent.(*rl.DualCriticPPO); ok {
-			c.AlphaHistory = append(c.AlphaHistory, d.Alpha)
+		dual := c.Agent.PublicCritic != nil
+		if dual {
+			c.AlphaHistory = append(c.AlphaHistory, c.Agent.Alpha)
 		}
 		if obs.Active() {
 			e := obs.E("episode").At(c.ID, -1, len(c.Rewards)-1).
@@ -121,8 +126,8 @@ func (c *Client) TrainEpisodes(n int) {
 				F("clip_frac", stats.ClipFrac).
 				F("rollout_seconds", rolloutDur.Seconds()).
 				F("update_seconds", updateDur.Seconds())
-			if d, ok := c.Agent.(*rl.DualCriticPPO); ok {
-				e.F("alpha", d.Alpha)
+			if dual {
+				e.F("alpha", c.Agent.Alpha)
 			}
 			if c.TrainEnv == nil {
 				m := c.Env.Metrics()
@@ -149,19 +154,17 @@ func (c *Client) Evaluate(tasks []workload.Task, policy cloudsim.Policy) cloudsi
 	return m
 }
 
-// probeCriticLoss measures the critic MSE used by the Figure-9 probes:
-// the blended critic for dual-critic agents, the single critic for PPO.
+// probeCriticLoss measures the critic MSE used by the Figure-9 probes on the
+// network that aggregation touches: the public critic alone for a
+// dual-critic agent (not the blend — Fig. 9 asks what a download did to the
+// critic it replaced), the single critic otherwise.
 func (c *Client) probeCriticLoss() float64 {
 	if c.LastBuf.Len() == 0 {
 		return 0
 	}
-	switch a := c.Agent.(type) {
-	case *rl.DualCriticPPO:
-		// Probe the network that aggregation touches: the public critic.
-		return rl.CriticMSE(a.PublicCritic, &c.LastBuf, a.Cfg.Gamma)
-	case *rl.PPO:
-		return rl.CriticMSE(a.Critic, &c.LastBuf, a.Cfg.Gamma)
-	default:
-		return 0
+	critic := c.Agent.Critic
+	if c.Agent.PublicCritic != nil {
+		critic = c.Agent.PublicCritic
 	}
+	return rl.CriticMSE(critic, &c.LastBuf, c.Agent.Cfg.Gamma)
 }

@@ -179,8 +179,8 @@ func TestActorCriticTransportRoundTrip(t *testing.T) {
 	if err := tr.Download(b, payload[:10]); err == nil {
 		t.Fatal("expected size error")
 	}
-	pa := a.Agent.(*rl.PPO)
-	pb := b.Agent.(*rl.PPO)
+	pa := a.Agent
+	pb := b.Agent
 	fa := nn.FlattenParams(pa.Actor)
 	fb := nn.FlattenParams(pb.Actor)
 	for i := range fa {
@@ -194,10 +194,10 @@ func TestPublicCriticTransportOnlyMovesPsi(t *testing.T) {
 	a := newDualClient(t, 0, 3)
 	b := newDualClient(t, 1, 4)
 	tr := PublicCriticTransport{}
-	da := a.Agent.(*rl.DualCriticPPO)
-	db := b.Agent.(*rl.DualCriticPPO)
+	da := a.Agent
+	db := b.Agent
 	actorBefore := nn.FlattenParams(db.Actor)
-	localBefore := nn.FlattenParams(db.LocalCritic)
+	localBefore := nn.FlattenParams(db.Critic)
 	if err := tr.Download(b, mustUpload(t, tr, a)); err != nil {
 		t.Fatal(err)
 	}
@@ -213,14 +213,14 @@ func TestPublicCriticTransportOnlyMovesPsi(t *testing.T) {
 			t.Fatal("actor must not travel")
 		}
 	}
-	for i, v := range nn.FlattenParams(db.LocalCritic) {
+	for i, v := range nn.FlattenParams(db.Critic) {
 		if v != localBefore[i] {
 			t.Fatal("local critic must not travel")
 		}
 	}
 	// Communication cost: the dual-critic transport moves fewer scalars
 	// than actor+critic would for the same architecture (§5.2 claim).
-	if tr.PayloadSize(a) >= nn.NumParams(da.Actor)+nn.NumParams(da.LocalCritic)+nn.NumParams(da.PublicCritic) {
+	if tr.PayloadSize(a) >= nn.NumParams(da.Actor)+nn.NumParams(da.Critic)+nn.NumParams(da.PublicCritic) {
 		t.Fatal("public-critic payload should be smaller than the full model")
 	}
 }

@@ -1,9 +1,11 @@
-// Package rl implements the reinforcement-learning agents of the paper:
-// clipped-surrogate PPO (Schulman et al. 2017, Eqs. 10–12 of the paper) and
-// the dual-critic PPO that is the client-side half of PFRL-DM (§4.3): a
-// local critic φ and a public critic ψ whose value estimates are blended
-// with an adaptive weight α derived from their respective losses (Eqs.
-// 14–15), both regressed toward the observed returns (Eqs. 16–17).
+// Package rl implements the paper's learner, one agent type (PPO):
+// clipped-surrogate PPO (Schulman et al. 2017, Eqs. 10–12 of the paper) with
+// the critic φ, and — built by NewDualCriticPPO, the client-side half of
+// PFRL-DM (§4.3) — a public critic ψ beside it, the two value estimates
+// blended with an adaptive weight α derived from their respective losses
+// (Eqs. 14–15), both regressed toward the observed returns (Eqs. 16–17).
+// Nothing outside the package asks an agent which kind it is: it reads
+// PublicCritic and Alpha.
 package rl
 
 import "math"

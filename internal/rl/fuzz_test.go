@@ -11,7 +11,7 @@ import (
 // construction of an architecture the checkpoint merely claims to carry.
 func FuzzLoadCheckpoint(f *testing.F) {
 	cfg := Config{StateDim: 4, NumActions: 3, Hidden: []int{8}}
-	for i, agent := range []Agent{
+	for i, agent := range []*PPO{
 		NewPPO(cfg, rand.New(rand.NewSource(1))),
 		NewDualCriticPPO(cfg, rand.New(rand.NewSource(2))),
 	} {
@@ -24,6 +24,7 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"format":"pfrl-dm/agent/v1","kind":"ppo","config":{"StateDim":-5,"NumActions":2}}`))
 	f.Add([]byte(`{"format":"pfrl-dm/agent/v1","kind":"ppo","config":{"StateDim":70000,"NumActions":70000}}`))
 	f.Add([]byte(`{"format":"pfrl-dm/agent/v1","kind":"dual-critic","config":{"StateDim":2,"NumActions":2},"actor":[1]}`))
+	f.Add(hostileMiniBatchCheckpoint(f))
 	f.Add([]byte(`{"format":"nope"}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))

@@ -13,13 +13,42 @@ import (
 	"repro/internal/tensor"
 )
 
-// forceLanes pins ppoUpdate to the lanes (on) or to the sequential path for
+// forceLanes pins the update to the lanes (on) or to the sequential path for
 // the rest of the test, whatever GOMAXPROCS is.
 func forceLanes(t *testing.T, on bool) {
 	t.Helper()
 	prev := useLanes
 	useLanes = func() bool { return on }
 	t.Cleanup(func() { useLanes = prev })
+}
+
+// criticModule pairs a critic network with its optimizer for the frozen
+// reference loop.
+type criticModule struct {
+	net *nn.MLP
+	opt *nn.Adam
+}
+
+// ppoUpdateSpec is the frozen reference loop's input: the shape the product
+// update took before it became methods on the agent.
+type ppoUpdateSpec struct {
+	cfg     Config
+	rng     *rand.Rand
+	buf     *Buffer
+	adv     []float64
+	targets []float64
+
+	actor    *nn.MLP
+	actorOpt *nn.Adam
+
+	// criticLoss builds the scalar critic loss; oldValues holds the
+	// collection-time value estimates (for PPO2-style value clipping).
+	criticLoss    func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value
+	criticModules []criticModule
+
+	// prox, when non-nil, applies FedProx regularization to every stepped
+	// module (see Proximal).
+	prox *Proximal
 }
 
 // ppoUpdateReference is a frozen verbatim copy of the pre-pipeline ppoUpdate
@@ -159,9 +188,9 @@ func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
 	})
 }
 
-// referenceDualUpdate mirrors DualCriticPPO.Update (without the trailing
+// referenceDualUpdate mirrors a dual-critic agent's Update (without the trailing
 // RefreshAlpha, which both callers run identically outside the loop).
-func referenceDualUpdate(d *DualCriticPPO, buf *Buffer) UpdateStats {
+func referenceDualUpdate(d *PPO, buf *Buffer) UpdateStats {
 	adv, targets := buf.GAE(d.Cfg.Gamma, d.Cfg.Lambda)
 	NormalizeInPlace(adv)
 	return ppoUpdateReference(ppoUpdateSpec{
@@ -173,14 +202,14 @@ func referenceDualUpdate(d *DualCriticPPO, buf *Buffer) UpdateStats {
 		actor:    d.Actor,
 		actorOpt: d.actorOpt,
 		criticLoss: func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value {
-			vl := d.LocalCritic.Forward(tape, states)
+			vl := d.Critic.Forward(tape, states)
 			vp := d.PublicCritic.Forward(tape, states)
 			lossL := valueLoss(vl, targets, oldValues, d.Cfg.ValueClip)
 			lossP := valueLoss(vp, targets, oldValues, d.Cfg.ValueClip)
 			return autograd.Add(lossL, lossP)
 		},
 		criticModules: []criticModule{
-			{net: d.LocalCritic, opt: d.localOpt},
+			{net: d.Critic, opt: d.criticOpt},
 			{net: d.PublicCritic, opt: d.publicOpt},
 		},
 	})
@@ -262,34 +291,11 @@ func TestBatchedUpdateMatchesReference(t *testing.T) {
 		pipe := NewDualCriticPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(101)))
 		for round := 0; round < 2; round++ {
 			buf := collectBuffer(t, stateDim, numActions, 150, int64(80+round))
-			adv, targets := buf.GAE(pipe.Cfg.Gamma, pipe.Cfg.Lambda)
-			NormalizeInPlace(adv)
-			st := &pipe.upd
 			ws := referenceDualUpdate(ref, buf)
-			gs := ppoUpdate(ppoUpdateSpec{
-				cfg:      pipe.Cfg,
-				rng:      pipe.rng,
-				scratch:  st,
-				buf:      buf,
-				adv:      adv,
-				targets:  targets,
-				actor:    pipe.Actor,
-				actorOpt: pipe.actorOpt,
-				criticLoss: func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value {
-					vl := pipe.LocalCritic.Forward(tape, states)
-					vp := pipe.PublicCritic.Forward(tape, states)
-					return autograd.Add(
-						valueLoss(vl, targets, oldValues, pipe.Cfg.ValueClip),
-						valueLoss(vp, targets, oldValues, pipe.Cfg.ValueClip))
-				},
-				criticModules: []criticModule{
-					{net: pipe.LocalCritic, opt: pipe.localOpt},
-					{net: pipe.PublicCritic, opt: pipe.publicOpt},
-				},
-			})
+			gs := pipe.Update(buf)
 			requireStatsEqual(t, "dual stats", ws, gs)
 			requireParamsEqual(t, "dual actor", ref.Actor, pipe.Actor)
-			requireParamsEqual(t, "dual local critic", ref.LocalCritic, pipe.LocalCritic)
+			requireParamsEqual(t, "dual local critic", ref.Critic, pipe.Critic)
 			requireParamsEqual(t, "dual public critic", ref.PublicCritic, pipe.PublicCritic)
 		}
 	})
@@ -314,27 +320,27 @@ var laneCases = []struct {
 	name string
 	// build returns a fresh agent and its networks, actor first; calling it
 	// twice gives bit-identical twins.
-	build func() (Agent, []nn.Module)
+	build func() (*PPO, []nn.Module)
 	// stopsEarly marks a case whose TargetKL must end the epoch loop before
 	// the last epoch.
 	stopsEarly bool
 }{
-	{name: "ppo", build: func() (Agent, []nn.Module) {
+	{name: "ppo", build: func() (*PPO, []nn.Module) {
 		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(55)))
 		return p, []nn.Module{p.Actor, p.Critic}
 	}},
-	{name: "dual-critic", build: func() (Agent, []nn.Module) {
+	{name: "dual-critic", build: func() (*PPO, []nn.Module) {
 		d := NewDualCriticPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(56)))
-		return d, []nn.Module{d.Actor, d.LocalCritic, d.PublicCritic}
+		return d, []nn.Module{d.Actor, d.Critic, d.PublicCritic}
 	}},
-	{name: "value-clip-and-target-kl", stopsEarly: true, build: func() (Agent, []nn.Module) {
+	{name: "value-clip-and-target-kl", stopsEarly: true, build: func() (*PPO, []nn.Module) {
 		cfg := DefaultConfig(laneStateDim, laneActions)
 		cfg.ValueClip = 0.3
 		cfg.TargetKL = 1e-9
 		p := NewPPO(cfg, rand.New(rand.NewSource(57)))
 		return p, []nn.Module{p.Actor, p.Critic}
 	}},
-	{name: "fedprox", build: func() (Agent, []nn.Module) {
+	{name: "fedprox", build: func() (*PPO, []nn.Module) {
 		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(58)))
 		p.EnableProximal(0.1)
 		return p, []nn.Module{p.Actor, p.Critic}
@@ -377,8 +383,7 @@ func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 				// fires before the last epoch, the two end bit-identical.
 				var full *PPO
 				if tc.stopsEarly {
-					a, _ := tc.build()
-					full = a.(*PPO)
+					full, _ = tc.build()
 					full.Cfg.TargetKL = 0
 				}
 				for round := 0; round < 3; round++ {

@@ -20,7 +20,7 @@ type inferScratch struct {
 	state  *tensor.Matrix // 1 x StateDim staging row
 	logits *tensor.Matrix // 1 x NumActions actor head output
 	value  *tensor.Matrix // 1 x 1 critic output
-	value2 *tensor.Matrix // 1 x 1 second critic output (dual-critic agents)
+	value2 *tensor.Matrix // 1 x 1 public critic output
 	dist   nn.Categorical
 }
 
@@ -56,7 +56,7 @@ func (s *inferScratch) value2Buf() *tensor.Matrix {
 
 // policyDist refreshes the reusable categorical from the actor's logits for
 // the given state and returns it. This is the shared core of
-// SelectAction/GreedyAction on both agent types.
+// SelectAction/GreedyAction.
 func (s *inferScratch) policyDist(actor *nn.MLP, state []float64, numActions int, mask []bool) *nn.Categorical {
 	x := s.setState(state)
 	logits := actor.Infer(s.logitsBuf(numActions), x)

@@ -1,6 +1,8 @@
 package rl
 
 import (
+	"errors"
+	"math"
 	"math/rand"
 
 	"repro/internal/autograd"
@@ -88,32 +90,80 @@ type UpdateStats struct {
 	ClipFrac   float64 // final-epoch fraction of ratios outside [1−ε, 1+ε]
 }
 
-// PPO is an independent clipped-surrogate PPO agent with a single critic —
-// the paper's baseline and the building block for FedAvg / MFPO clients.
+// PPO is the one learner: a clipped-surrogate PPO actor (Eqs. 10–12) with a
+// critic, and — for PFRL-DM's clients (§4.3) — an optional public critic
+// beside it:
+//
+//   - Critic (φ): the only critic of a plain agent (the paper's baseline and
+//     the FedAvg / MFPO client, where it travels with the actor); the local
+//     critic of a dual-critic one, which never leaves the client and
+//     preserves local experience.
+//   - PublicCritic (ψ): nil for a plain agent. Periodically replaced by the
+//     server's personalized aggregate; the only network of a dual-critic
+//     agent that travels.
+//
+// With ψ, state values blend the two: V(s) = α·V_φ(s) + (1−α)·V_ψ(s)
+// (Eq. 14), with α adapted from the critics' losses on the current
+// trajectory buffer via a two-way softmax (Eq. 15) so whichever critic
+// currently evaluates the client's environment better dominates. Both
+// critics are regressed toward the observed returns on every update
+// (Eqs. 16–17).
 type PPO struct {
-	Cfg    Config
-	Actor  *nn.MLP
-	Critic *nn.MLP
+	Cfg          Config
+	Actor        *nn.MLP
+	Critic       *nn.MLP
+	PublicCritic *nn.MLP
+
+	// Alpha is the current local-critic weight α ∈ [0,1]; it means nothing
+	// without a public critic.
+	Alpha float64
+
+	// FixedAlpha, when in [0,1], pins α to a constant instead of the
+	// adaptive Eq. (15) rule (the fixed-α ablation). Negative values
+	// (the default) keep α adaptive.
+	FixedAlpha float64
+
+	// Loss probes recorded by the most recent RefreshAlpha call.
+	LastLocalLoss  float64
+	LastPublicLoss float64
 
 	actorOpt  *nn.Adam
 	criticOpt *nn.Adam
+	publicOpt *nn.Adam
 	rng       *rand.Rand
 	prox      Proximal
 	inf       inferScratch
 	upd       updateScratch // batched update pipeline staging (see update.go)
 }
 
-// NewPPO builds an agent with freshly initialized networks.
-func NewPPO(cfg Config, rng *rand.Rand) *PPO {
+// NewPPO builds a plain agent — no public critic — with freshly initialized
+// networks.
+func NewPPO(cfg Config, rng *rand.Rand) *PPO { return newAgent(cfg, rng, false) }
+
+// NewDualCriticPPO builds a PFRL-DM client agent: NewPPO's actor and critic
+// from the same draws, then an independently initialized public critic; α
+// starts at 0.5.
+func NewDualCriticPPO(cfg Config, rng *rand.Rand) *PPO { return newAgent(cfg, rng, true) }
+
+// newAgent draws the networks in the order actor, φ, then ψ when dual, so a
+// plain and a dual-critic agent built from one seed share actor and φ bit
+// for bit (TestSharedInitAcrossKinds).
+func newAgent(cfg Config, rng *rand.Rand, dual bool) *PPO {
 	cfg = cfg.withDefaults()
 	p := &PPO{
-		Cfg:    cfg,
-		Actor:  nn.NewMLP(rng, "actor", cfg.actorSizes(), nn.ActTanh, 0.01),
-		Critic: nn.NewMLP(rng, "critic", cfg.criticSizes(), nn.ActTanh, 1.0),
-		rng:    rng,
+		Cfg:        cfg,
+		Actor:      nn.NewMLP(rng, "actor", cfg.actorSizes(), nn.ActTanh, 0.01),
+		Critic:     nn.NewMLP(rng, "critic", cfg.criticSizes(), nn.ActTanh, 1.0),
+		FixedAlpha: -1,
+		rng:        rng,
 	}
 	p.actorOpt = nn.NewAdam(p.Actor, cfg.ActorLR)
 	p.criticOpt = nn.NewAdam(p.Critic, cfg.CriticLR)
+	if dual {
+		p.PublicCritic = nn.NewMLP(rng, "critic.public", cfg.criticSizes(), nn.ActTanh, 1.0)
+		p.publicOpt = nn.NewAdam(p.PublicCritic, cfg.CriticLR)
+		p.Alpha = 0.5
+	}
 	return p
 }
 
@@ -136,35 +186,73 @@ func (p *PPO) GreedyAction(state []float64, mask []bool) int {
 	return p.inf.policyDist(p.Actor, state, p.Cfg.NumActions, mask).Argmax()
 }
 
-// Value returns the critic's estimate V(state).
+// Value returns the critic's estimate V(state): V_φ for a plain agent, the
+// blend of Eq. (14) with a public critic.
 func (p *PPO) Value(state []float64) float64 {
-	return p.Critic.Infer(p.inf.valueBuf(), p.inf.setState(state)).Data[0]
+	x := p.inf.setState(state)
+	v := p.Critic.Infer(p.inf.valueBuf(), x).Data[0]
+	if p.PublicCritic == nil {
+		return v
+	}
+	vp := p.PublicCritic.Infer(p.inf.value2Buf(), x).Data[0]
+	return p.Alpha*v + (1-p.Alpha)*vp
 }
 
-// Update runs the clipped PPO update (Eqs. 10–12) over the buffer on the
-// batched pipeline: GAE into agent-owned scratch, then the fused-surrogate
-// minibatch loop of ppoUpdate.
-func (p *PPO) Update(buf *Buffer) UpdateStats {
-	st := &p.upd
-	st.adv, st.targets = buf.GAEInto(p.Cfg.Gamma, p.Cfg.Lambda, st.adv, st.targets)
-	NormalizeInPlace(st.adv)
-	return ppoUpdate(ppoUpdateSpec{
-		cfg:      p.Cfg,
-		rng:      p.rng,
-		scratch:  st,
-		buf:      buf,
-		adv:      st.adv,
-		targets:  st.targets,
-		actor:    p.Actor,
-		actorOpt: p.actorOpt,
-		criticLoss: func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value {
-			return valueLoss(p.Critic.Forward(tape, states), targets, oldValues, p.Cfg.ValueClip)
-		},
-		criticModules: []criticModule{
-			{net: p.Critic, opt: p.criticOpt},
-		},
-		prox: &p.prox,
-	})
+// pinned reports whether FixedAlpha overrides the adaptive Eq. (15) rule.
+func (p *PPO) pinned() bool { return p.FixedAlpha >= 0 && p.FixedAlpha <= 1 }
+
+// RefreshAlpha recomputes α from the two critics' losses on buf (Eq. 15):
+//
+//	α = e^{−L_φ} / (e^{−L_φ} + e^{−L_ψ})
+//
+// The paper calls for this "each time the model parameters change": after
+// every local update and after receiving a global model. An empty buffer
+// leaves α unchanged, and so does an agent without a public critic.
+func (p *PPO) RefreshAlpha(buf *Buffer) {
+	if p.PublicCritic == nil || buf.Len() == 0 {
+		return
+	}
+	states, returns := stageEpisode(buf, p.Cfg.Gamma)
+	lPhi := stagedMSE(p.Critic, states, returns)
+	lPsi := stagedMSE(p.PublicCritic, states, returns)
+	tensor.Put(states)
+	p.LastLocalLoss, p.LastPublicLoss = lPhi, lPsi
+	if p.pinned() {
+		p.Alpha = p.FixedAlpha
+		return
+	}
+	// Eq. (15) applied to relative losses: raw value-MSE magnitudes depend
+	// on the return scale (hundreds in this environment), which would
+	// saturate the softmax into a hard 0/1 switch. Dividing both losses by
+	// their mean makes α scale-invariant while preserving the formula —
+	// equal losses still give α = 0.5 and the better critic still
+	// dominates smoothly.
+	scale := (lPhi + lPsi) / 2
+	if scale < 1e-12 {
+		p.Alpha = 0.5
+		return
+	}
+	ePhi := math.Exp(-lPhi / scale)
+	ePsi := math.Exp(-lPsi / scale)
+	p.Alpha = ePhi / (ePhi + ePsi)
+}
+
+// LoadPublicCritic installs a (personalized) public critic received from
+// the server, resets ψ's optimizer moments (its parameters jumped), and
+// refreshes α against buf when provided. A plain agent has no ψ to install
+// into and reports that.
+func (p *PPO) LoadPublicCritic(flat []float64, buf *Buffer) error {
+	if p.PublicCritic == nil {
+		return errors.New("rl: agent has no public critic")
+	}
+	if err := nn.LoadFlatParams(p.PublicCritic, flat); err != nil {
+		return err
+	}
+	p.publicOpt.Reset()
+	if buf != nil {
+		p.RefreshAlpha(buf)
+	}
+	return nil
 }
 
 // valueLoss builds the critic regression loss: plain MSE, or the PPO2

@@ -3,6 +3,7 @@ package rl
 import (
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"repro/internal/cloudsim"
@@ -328,6 +329,24 @@ func mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
+// TestSharedInitAcrossKinds pins the one constructor's draw order (actor, φ,
+// then ψ): a plain and a dual-critic agent built from the same seed and
+// config start from bit-equal actors and φ — what core.BuildClients gives the
+// compared algorithms, and what any paired PPO-vs-PFRL-DM statistic rests on.
+func TestSharedInitAcrossKinds(t *testing.T) {
+	cfg := DefaultConfig(6, 3)
+	plain := NewPPO(cfg, rand.New(rand.NewSource(21)))
+	dual := NewDualCriticPPO(cfg, rand.New(rand.NewSource(21)))
+	if plain.PublicCritic != nil || dual.PublicCritic == nil {
+		t.Fatal("NewPPO must build no public critic and NewDualCriticPPO one")
+	}
+	requireParamsEqual(t, "actor", plain.Actor, dual.Actor)
+	requireParamsEqual(t, "φ", plain.Critic, dual.Critic)
+	if slices.Equal(nn.FlattenParams(dual.Critic), nn.FlattenParams(dual.PublicCritic)) {
+		t.Fatal("ψ must be drawn after φ, not copied from it")
+	}
+}
+
 func TestDualCriticValueBlending(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	cfg := DefaultConfig(6, 3)
@@ -336,7 +355,7 @@ func TestDualCriticValueBlending(t *testing.T) {
 	for i := range state {
 		state[i] = rng.NormFloat64()
 	}
-	vl := d.LocalCritic.Predict(rowOf(state)).Data[0]
+	vl := d.Critic.Predict(rowOf(state)).Data[0]
 	vp := d.PublicCritic.Predict(rowOf(state)).Data[0]
 	d.Alpha = 0.3
 	want := 0.3*vl + 0.7*vp
@@ -375,7 +394,7 @@ func TestRefreshAlphaPrefersBetterCritic(t *testing.T) {
 		t.Fatal("loss probes inconsistent")
 	}
 	// And symmetric critics give α = 0.5.
-	if err := nnCopy(d.PublicCritic, d.LocalCritic); err != nil {
+	if err := nnCopy(d.PublicCritic, d.Critic); err != nil {
 		t.Fatal(err)
 	}
 	d.RefreshAlpha(&buf)
@@ -398,7 +417,7 @@ func TestPublicCriticRoundTrip(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	a := NewDualCriticPPO(DefaultConfig(5, 3), rng)
 	b := NewDualCriticPPO(DefaultConfig(5, 3), rng)
-	flat := a.PublicCriticParams()
+	flat := nn.FlattenParams(a.PublicCritic)
 	if err := b.LoadPublicCritic(flat, nil); err != nil {
 		t.Fatal(err)
 	}

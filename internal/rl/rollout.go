@@ -26,7 +26,9 @@ type Environment interface {
 	FeasibleActions() []bool
 }
 
-// Agent is the training-time contract shared by PPO and DualCriticPPO.
+// Agent is what a rollout asks of a learner. PPO is the one product
+// implementation; the interface is CollectEpisode's parameter so a test can
+// collect with a fake.
 type Agent interface {
 	// SelectAction samples from the current policy.
 	SelectAction(state []float64) (action int, logProb float64)
@@ -52,11 +54,7 @@ type Truncator interface {
 	Truncated() bool
 }
 
-// Compile-time interface checks.
-var (
-	_ Agent = (*PPO)(nil)
-	_ Agent = (*DualCriticPPO)(nil)
-)
+var _ Agent = (*PPO)(nil)
 
 // Rollout metrics, shared via the default registry. Counter bumps are single
 // atomic adds and happen at most once per step/episode, preserving the

@@ -2,6 +2,7 @@ package rl
 
 import (
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math/rand"
@@ -10,12 +11,15 @@ import (
 	"repro/internal/nn"
 )
 
-// agentCheckpoint is the on-disk representation of a trained agent.
+// agentCheckpoint is the on-disk representation of a trained agent. Format
+// v1 has two kinds: a plain agent keeps φ under "critic"; a dual-critic one
+// keeps it under "localCritic", beside ψ, α and — when pinned — the fixed α.
 type agentCheckpoint struct {
-	Format string  `json:"format"`
-	Kind   string  `json:"kind"` // "ppo" | "dual-critic"
-	Cfg    Config  `json:"config"`
-	Alpha  float64 `json:"alpha,omitempty"`
+	Format     string   `json:"format"`
+	Kind       string   `json:"kind"` // kindPlain | kindDual
+	Cfg        Config   `json:"config"`
+	Alpha      float64  `json:"alpha,omitempty"`
+	FixedAlpha *float64 `json:"fixedAlpha,omitempty"`
 
 	Actor        []float64 `json:"actor"`
 	Critic       []float64 `json:"critic,omitempty"`
@@ -23,36 +27,34 @@ type agentCheckpoint struct {
 	PublicCritic []float64 `json:"publicCritic,omitempty"`
 }
 
-const agentFormat = "pfrl-dm/agent/v1"
+const (
+	agentFormat = "pfrl-dm/agent/v1"
+	kindPlain   = "ppo"
+	kindDual    = "dual-critic"
+)
 
-// SaveAgent serializes a PPO or DualCriticPPO agent as JSON. Optimizer
-// moments are not persisted: a reloaded agent is for inference or
-// fine-tuning with fresh optimizer state.
-func SaveAgent(w io.Writer, agent Agent) error {
-	var ck agentCheckpoint
-	ck.Format = agentFormat
-	switch a := agent.(type) {
-	case *PPO:
-		ck.Kind = "ppo"
-		ck.Cfg = a.Cfg
-		ck.Actor = nn.FlattenParams(a.Actor)
+// SaveAgent serializes an agent as JSON. Optimizer moments are not
+// persisted: a reloaded agent is for inference or fine-tuning with fresh
+// optimizer state.
+func SaveAgent(w io.Writer, a *PPO) error {
+	ck := agentCheckpoint{Format: agentFormat, Kind: kindPlain, Cfg: a.Cfg, Actor: nn.FlattenParams(a.Actor)}
+	if a.PublicCritic == nil {
 		ck.Critic = nn.FlattenParams(a.Critic)
-	case *DualCriticPPO:
-		ck.Kind = "dual-critic"
-		ck.Cfg = a.Cfg
+	} else {
+		ck.Kind = kindDual
 		ck.Alpha = a.Alpha
-		ck.Actor = nn.FlattenParams(a.Actor)
-		ck.LocalCritic = nn.FlattenParams(a.LocalCritic)
+		if a.pinned() {
+			ck.FixedAlpha = &a.FixedAlpha
+		}
+		ck.LocalCritic = nn.FlattenParams(a.Critic)
 		ck.PublicCritic = nn.FlattenParams(a.PublicCritic)
-	default:
-		return fmt.Errorf("rl: cannot serialize agent type %T", agent)
 	}
 	return json.NewEncoder(w).Encode(ck)
 }
 
 // LoadAgent reconstructs an agent saved by SaveAgent. The returned agent
 // uses rng for its action sampling.
-func LoadAgent(r io.Reader, rng *rand.Rand) (Agent, error) {
+func LoadAgent(r io.Reader, rng *rand.Rand) (*PPO, error) {
 	var ck agentCheckpoint
 	if err := json.NewDecoder(r).Decode(&ck); err != nil {
 		return nil, fmt.Errorf("rl: decode agent checkpoint: %w", err)
@@ -60,10 +62,18 @@ func LoadAgent(r io.Reader, rng *rand.Rand) (Agent, error) {
 	if ck.Format != agentFormat {
 		return nil, fmt.Errorf("rl: unknown agent checkpoint format %q", ck.Format)
 	}
+	phi, dual := ck.Critic, false
+	switch ck.Kind {
+	case kindPlain:
+	case kindDual:
+		phi, dual = ck.LocalCritic, true
+	default:
+		return nil, fmt.Errorf("rl: unknown agent kind %q", ck.Kind)
+	}
 	// Validate the declared architecture and payload lengths before
-	// constructing anything: NewPPO/NewDualCriticPPO trust their Config,
-	// so a hostile checkpoint must be stopped here, with an error. The
-	// constructors apply withDefaults, so validate the defaulted shape.
+	// constructing anything: newAgent trusts its Config, so a hostile
+	// checkpoint must be stopped here, with an error. The constructor
+	// applies withDefaults, so validate the defaulted shape.
 	cfg := ck.Cfg.withDefaults()
 	actorN, err := nn.CheckSizes(cfg.actorSizes())
 	if err != nil {
@@ -73,54 +83,36 @@ func LoadAgent(r io.Reader, rng *rand.Rand) (Agent, error) {
 	if err != nil {
 		return nil, fmt.Errorf("rl: checkpoint critic: %w", err)
 	}
-	if len(ck.Actor) != actorN {
-		return nil, fmt.Errorf("rl: checkpoint carries %d actor params, architecture needs %d", len(ck.Actor), actorN)
-	}
-	checkCritic := func(name string, got []float64) error {
-		if len(got) != criticN {
-			return fmt.Errorf("rl: checkpoint carries %d %s params, architecture needs %d", len(got), name, criticN)
+	carried := func(name string, got []float64, want int) error {
+		if len(got) != want {
+			return fmt.Errorf("rl: checkpoint carries %d %s params, architecture needs %d", len(got), name, want)
 		}
 		return nil
 	}
-	switch ck.Kind {
-	case "ppo":
-		if err := checkCritic("critic", ck.Critic); err != nil {
-			return nil, err
-		}
-		a := NewPPO(ck.Cfg, rng)
-		if err := nn.LoadFlatParams(a.Actor, ck.Actor); err != nil {
-			return nil, err
-		}
-		if err := nn.LoadFlatParams(a.Critic, ck.Critic); err != nil {
-			return nil, err
-		}
-		return a, nil
-	case "dual-critic":
-		if err := checkCritic("local critic", ck.LocalCritic); err != nil {
-			return nil, err
-		}
-		if err := checkCritic("public critic", ck.PublicCritic); err != nil {
-			return nil, err
-		}
-		a := NewDualCriticPPO(ck.Cfg, rng)
-		a.Alpha = ck.Alpha
-		if err := nn.LoadFlatParams(a.Actor, ck.Actor); err != nil {
-			return nil, err
-		}
-		if err := nn.LoadFlatParams(a.LocalCritic, ck.LocalCritic); err != nil {
-			return nil, err
-		}
-		if err := nn.LoadFlatParams(a.PublicCritic, ck.PublicCritic); err != nil {
-			return nil, err
-		}
-		return a, nil
-	default:
-		return nil, fmt.Errorf("rl: unknown agent kind %q", ck.Kind)
+	err = errors.Join(carried("actor", ck.Actor, actorN), carried("critic", phi, criticN))
+	if dual {
+		err = errors.Join(err, carried("public critic", ck.PublicCritic, criticN))
 	}
+	if err != nil {
+		return nil, err
+	}
+	a := newAgent(ck.Cfg, rng, dual)
+	err = errors.Join(nn.LoadFlatParams(a.Actor, ck.Actor), nn.LoadFlatParams(a.Critic, phi))
+	if dual {
+		err = errors.Join(err, nn.LoadFlatParams(a.PublicCritic, ck.PublicCritic))
+		a.Alpha = ck.Alpha
+		if ck.FixedAlpha != nil {
+			a.FixedAlpha = *ck.FixedAlpha
+		}
+	}
+	if err != nil {
+		return nil, err
+	}
+	return a, nil
 }
 
 // SaveAgentFile writes an agent checkpoint to path.
-func SaveAgentFile(path string, agent Agent) error {
+func SaveAgentFile(path string, agent *PPO) error {
 	f, err := os.Create(path)
 	if err != nil {
 		return err
@@ -133,7 +125,7 @@ func SaveAgentFile(path string, agent Agent) error {
 }
 
 // LoadAgentFile reads an agent checkpoint from path.
-func LoadAgentFile(path string, rng *rand.Rand) (Agent, error) {
+func LoadAgentFile(path string, rng *rand.Rand) (*PPO, error) {
 	f, err := os.Open(path)
 	if err != nil {
 		return nil, err

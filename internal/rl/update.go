@@ -1,7 +1,6 @@
 package rl
 
 import (
-	"math/rand"
 	"runtime"
 
 	"repro/internal/autograd"
@@ -10,13 +9,13 @@ import (
 	"repro/internal/tensor"
 )
 
-// useLanes decides whether ppoUpdate runs the critic on its own lane. A
+// useLanes decides whether optimize runs the critic on its own lane. A
 // second goroutine pays only when a second P can run it, which the runtime
 // reports; it is a variable so the in-package goldens can force either path.
 var useLanes = func() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // updateScratch owns every reusable buffer of the batched update pipeline,
-// hoisting all per-call staging out of ppoUpdate so a steady-state Update
+// hoisting all per-call staging out of optimize so a steady-state Update
 // performs no per-minibatch allocations: the shuffle index, the GAE output
 // slices, and one set of minibatch staging plus a pooled tape per lane — the
 // actor lane and the critic lane each stage their own copy of a minibatch's
@@ -32,8 +31,9 @@ type updateScratch struct {
 	// them across Update calls).
 	adv, targets []float64
 
-	// Minibatch staging, allocated at MiniBatch rows and viewed down for the
-	// final partial batch. Rewritten fully for every batch.
+	// Minibatch staging, allocated at the largest batch seen so far (never
+	// more than MiniBatch rows) and viewed down for a partial batch.
+	// Rewritten fully for every batch.
 	stagedRows int
 
 	// Actor lane.
@@ -48,7 +48,10 @@ type updateScratch struct {
 
 // ensure sizes the scratch for a buffer of n transitions under the given
 // minibatch size and state dimension, allocating only on first use or growth.
+// No batch is larger than the buffer, so that is all it stages: MiniBatch
+// comes from a checkpoint and may be any number (DESIGN §9).
 func (st *updateScratch) ensure(n, mb, stateDim int) {
+	mb = min(mb, n)
 	if st.actorTape == nil {
 		st.actorTape = autograd.NewPooledTape(tensor.DefaultPool())
 		st.criticTape = autograd.NewPooledTape(tensor.DefaultPool())
@@ -80,67 +83,47 @@ func viewRows(m *tensor.Matrix, rows int) *tensor.Matrix {
 	return m
 }
 
-// criticModule pairs a critic network with its optimizer for the shared
-// update loop.
-type criticModule struct {
-	net *nn.MLP
-	opt *nn.Adam
-}
-
-// ppoUpdateSpec feeds the shared minibatch update loop used by both PPO and
-// DualCriticPPO. criticLoss produces the scalar loss to minimize for the
-// critic networks (a single MSE for PPO; the sum of the two independent
-// regressions of Eqs. 16–17 for the dual critic); every module in
-// criticModules is stepped.
-type ppoUpdateSpec struct {
-	cfg Config
-	rng *rand.Rand
-	// scratch is the agent-owned staging state; required.
-	scratch *updateScratch
-	buf     *Buffer
-	adv     []float64
-	targets []float64
-
-	actor    *nn.MLP
-	actorOpt *nn.Adam
-
-	// criticLoss builds the scalar critic loss; oldValues holds the
-	// collection-time value estimates (for PPO2-style value clipping).
-	criticLoss    func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value
-	criticModules []criticModule
-
-	// prox, when non-nil, applies FedProx regularization to every stepped
-	// module (see Proximal). Apply only reads shared state, so the actor and
-	// critic goroutines may both call it concurrently.
-	prox *Proximal
-}
-
 // mPPOUpdates counts completed gradient updates across all agents.
 var mPPOUpdates = obs.DefaultRegistry().Counter("pfrl_ppo_updates_total",
 	"PPO gradient updates completed (all agents)")
 
-// ppoUpdate runs the batched clipped-PPO optimization over the buffer. Each
-// epoch shuffles once and is then run by two lanes that share nothing but
-// the read-only shuffle, buffer and GAE slices: the actor lane (actorEpoch,
-// on the caller's goroutine) and the critic lane (criticEpoch). The two
-// touch disjoint parameters, so when a second P is available the critic
-// lane runs on a goroutine that lives for this one call and the lanes meet
-// once per epoch; otherwise the caller runs the actor epoch and then the
-// critic epoch. The epoch is the unit because one minibatch step costs
-// about what a goroutine wake-up does. Either way every network sees its
-// minibatches in the same order and the shuffle follows the join, so
-// numerics, loss sums and RNG draws are bitwise identical to the historical
-// one-op-per-node interleaved loop (TestBatchedUpdateMatchesReference,
-// TestConcurrentUpdateMatchesSequential).
-func ppoUpdate(s ppoUpdateSpec) UpdateStats {
-	n := s.buf.Len()
+// Update runs the clipped PPO update (Eqs. 10–12) over the buffer on the
+// batched pipeline: GAE into agent-owned scratch, then the fused-surrogate
+// minibatch loop of optimize. The actor uses advantages from the value
+// estimates recorded in buf at collection time (the blend of Eq. 14 for a
+// dual-critic agent), and with a public critic α is refreshed on the same
+// buffer afterwards.
+func (p *PPO) Update(buf *Buffer) UpdateStats {
+	st := &p.upd
+	st.adv, st.targets = buf.GAEInto(p.Cfg.Gamma, p.Cfg.Lambda, st.adv, st.targets)
+	NormalizeInPlace(st.adv)
+	stats := p.optimize(buf)
+	p.RefreshAlpha(buf)
+	return stats
+}
+
+// optimize runs the batched clipped-PPO optimization over the buffer against
+// the advantages and targets in p.upd. Each epoch shuffles once and is then
+// run by two lanes that share nothing but the read-only shuffle, buffer and
+// GAE slices: the actor lane (actorEpoch, on the caller's goroutine) and the
+// critic lane (criticEpoch). The two touch disjoint parameters, so when a
+// second P is available the critic lane runs on a goroutine that lives for
+// this one call and the lanes meet once per epoch; otherwise the caller runs
+// the actor epoch and then the critic epoch. The epoch is the unit because
+// one minibatch step costs about what a goroutine wake-up does. Either way
+// every network sees its minibatches in the same order and the shuffle
+// follows the join, so numerics, loss sums and RNG draws are bitwise
+// identical to the historical one-op-per-node interleaved loop
+// (TestBatchedUpdateMatchesReference, TestConcurrentUpdateMatchesSequential).
+func (p *PPO) optimize(buf *Buffer) UpdateStats {
+	n := buf.Len()
 	if n == 0 {
 		return UpdateStats{}
 	}
 	defer mPPOUpdates.Inc()
-	st := s.scratch
-	st.ensure(n, s.cfg.MiniBatch, s.cfg.StateDim)
-	idx := st.idx
+	cfg := &p.Cfg
+	p.upd.ensure(n, cfg.MiniBatch, cfg.StateDim)
+	idx := p.upd.idx
 	for i := range idx {
 		idx[i] = i
 	}
@@ -151,30 +134,30 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 	// caller has gone (a panic on the actor lane).
 	var epochs chan struct{}
 	var criticSums chan float64
-	if useLanes() && len(s.criticModules) > 0 {
+	if useLanes() {
 		epochs = make(chan struct{})
 		criticSums = make(chan float64, 1)
 		go func() {
 			for range epochs {
-				criticSums <- criticEpoch(&s)
+				criticSums <- p.criticEpoch(buf)
 			}
 		}()
 		defer close(epochs)
 	}
 
-	batches := float64((n + s.cfg.MiniBatch - 1) / s.cfg.MiniBatch)
+	batches := float64((n-1)/cfg.MiniBatch + 1)
 	var stats UpdateStats
-	for epoch := 0; epoch < s.cfg.UpdateEpochs; epoch++ {
-		s.rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
+	for epoch := 0; epoch < cfg.UpdateEpochs; epoch++ {
+		p.rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
 		if epochs != nil {
 			epochs <- struct{}{}
 		}
-		actor := actorEpoch(&s)
+		actor := p.actorEpoch(buf)
 		var critic float64
 		if epochs != nil {
 			critic = <-criticSums
 		} else {
-			critic = criticEpoch(&s)
+			critic = p.criticEpoch(buf)
 		}
 		stats = UpdateStats{
 			ActorLoss:  actor.loss / batches,
@@ -183,7 +166,7 @@ func ppoUpdate(s ppoUpdateSpec) UpdateStats {
 			ApproxKL:   actor.kl / batches,
 			ClipFrac:   actor.clip / batches,
 		}
-		if s.cfg.TargetKL > 0 && stats.ApproxKL > s.cfg.TargetKL {
+		if cfg.TargetKL > 0 && stats.ApproxKL > cfg.TargetKL {
 			break // the policy moved far enough; further epochs overfit the batch
 		}
 	}
@@ -196,12 +179,12 @@ type actorSums struct{ loss, entropy, kl, clip float64 }
 // actorEpoch stages and optimizes every actor minibatch of the current
 // shuffle on the actor tape: L = -E[min(r·A, clip(r)·A)] - c·H(π). It
 // touches only the actor, its optimizer and the actor-lane scratch.
-func actorEpoch(s *ppoUpdateSpec) actorSums {
-	st := s.scratch
-	steps := s.buf.Steps()
+func (p *PPO) actorEpoch(buf *Buffer) actorSums {
+	st, cfg := &p.upd, &p.Cfg
+	steps := buf.Steps()
 	var sums actorSums
-	for lo := 0; lo < len(steps); lo += s.cfg.MiniBatch {
-		bsz := min(s.cfg.MiniBatch, len(steps)-lo)
+	for lo := 0; lo < len(steps); lo += cfg.MiniBatch {
+		bsz := min(cfg.MiniBatch, len(steps)-lo)
 		states := viewRows(st.actorStates, bsz)
 		oldLogp := viewRows(st.oldLogp, bsz)
 		advantage := viewRows(st.advantage, bsz)
@@ -210,21 +193,17 @@ func actorEpoch(s *ppoUpdateSpec) actorSums {
 			copy(states.Row(bi), steps[t].State)
 			actions[bi] = steps[t].Action
 			oldLogp.Data[bi] = steps[t].LogProb
-			advantage.Data[bi] = s.adv[t]
+			advantage.Data[bi] = st.adv[t]
 		}
 
 		// Gradients are already zero here: parameters start with cleared
 		// grads and Optimizer.Step consumes them, so no ZeroGrads sweep.
 		at := st.actorTape
 		at.Reset()
-		logits := s.actor.Forward(at, at.Const(states))
-		res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, s.cfg.Clip, s.cfg.EntCoef)
+		logits := p.Actor.Forward(at, at.Const(states))
+		res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, cfg.Clip, cfg.EntCoef)
 		res.Loss.Backward()
-		if s.prox != nil {
-			s.prox.Apply(s.actor)
-		}
-		nn.ClipGradNorm(s.actor, s.cfg.MaxGradNorm)
-		s.actorOpt.Step()
+		p.step(p.Actor, p.actorOpt)
 		sums.loss += -res.Objective
 		sums.entropy += res.Entropy
 		// Approximate KL(π_old ‖ π_new) = E[log π_old − log π_new], and
@@ -232,7 +211,7 @@ func actorEpoch(s *ppoUpdateSpec) actorSums {
 		klBatch, clipped := 0.0, 0
 		for bi := 0; bi < bsz; bi++ {
 			klBatch += oldLogp.Data[bi] - res.ActLogp[bi]
-			if r := res.Ratio[bi]; r < 1-s.cfg.Clip || r > 1+s.cfg.Clip {
+			if r := res.Ratio[bi]; r < 1-cfg.Clip || r > 1+cfg.Clip {
 				clipped++
 			}
 		}
@@ -243,38 +222,53 @@ func actorEpoch(s *ppoUpdateSpec) actorSums {
 }
 
 // criticEpoch stages and optimizes every critic minibatch of the current
-// shuffle on the critic tape and returns the summed loss. It touches only
-// the critic modules, their optimizers and the critic-lane scratch, so it
-// may run concurrently with actorEpoch over the same shuffle.
-func criticEpoch(s *ppoUpdateSpec) float64 {
-	st := s.scratch
-	steps := s.buf.Steps()
+// shuffle on the critic tape and returns the summed loss: φ's regression,
+// plus ψ's when there is one — two independent regressions toward the return
+// targets at full strength (Eqs. 16–17), NOT one through the blended
+// prediction, which would starve whichever critic currently has low α weight
+// and degrade the uploads other clients aggregate. It touches only the
+// critics, their optimizers and the critic-lane scratch, so it may run
+// concurrently with actorEpoch over the same shuffle.
+func (p *PPO) criticEpoch(buf *Buffer) float64 {
+	st, cfg := &p.upd, &p.Cfg
+	steps := buf.Steps()
 	sum := 0.0
-	for lo := 0; lo < len(steps); lo += s.cfg.MiniBatch {
-		bsz := min(s.cfg.MiniBatch, len(steps)-lo)
+	for lo := 0; lo < len(steps); lo += cfg.MiniBatch {
+		bsz := min(cfg.MiniBatch, len(steps)-lo)
 		states := viewRows(st.criticStates, bsz)
 		target := viewRows(st.target, bsz)
 		oldValue := viewRows(st.oldValue, bsz)
 		for bi, t := range st.idx[lo : lo+bsz] {
 			copy(states.Row(bi), steps[t].State)
-			target.Data[bi] = s.targets[t]
+			target.Data[bi] = st.targets[t]
 			oldValue.Data[bi] = steps[t].Value
 		}
 
 		// Critic grads are zero on entry for the same reason as the actor's:
-		// each cm.opt.Step() below consumes them.
+		// each step below consumes them.
 		ct := st.criticTape
 		ct.Reset()
-		closs := s.criticLoss(ct, ct.Const(states), ct.Const(target), ct.Const(oldValue))
+		in, tg, old := ct.Const(states), ct.Const(target), ct.Const(oldValue)
+		closs := valueLoss(p.Critic.Forward(ct, in), tg, old, cfg.ValueClip)
+		if p.PublicCritic != nil {
+			closs = autograd.Add(closs, valueLoss(p.PublicCritic.Forward(ct, in), tg, old, cfg.ValueClip))
+		}
 		closs.Backward()
-		for _, cm := range s.criticModules {
-			if s.prox != nil {
-				s.prox.Apply(cm.net)
-			}
-			nn.ClipGradNorm(cm.net, s.cfg.MaxGradNorm)
-			cm.opt.Step()
+		p.step(p.Critic, p.criticOpt)
+		if p.PublicCritic != nil {
+			p.step(p.PublicCritic, p.publicOpt)
 		}
 		sum += closs.Item()
 	}
 	return sum
+}
+
+// step turns net's accumulated gradients into one optimizer step: the
+// FedProx pull toward the last global model when enabled (see Proximal;
+// Apply only reads shared state, so both lanes may call it), the global norm
+// clip, then Adam.
+func (p *PPO) step(net *nn.MLP, opt *nn.Adam) {
+	p.prox.Apply(net)
+	nn.ClipGradNorm(net, p.Cfg.MaxGradNorm)
+	opt.Step()
 }

@@ -27,7 +27,7 @@ func (a *EpisodeAdapter) Begin() { a.Env.Reset(a.wfs) }
 // the combination of the paper's framework with its stated future work.
 // The returned client's Evaluate method is not meaningful for workflows;
 // use EvaluateWorkflows instead.
-func NewFederatedClient(id int, name string, cfg cloudsim.Config, wfs []Workflow, agent rl.Agent) (*fed.Client, error) {
+func NewFederatedClient(id int, name string, cfg cloudsim.Config, wfs []Workflow, agent *rl.PPO) (*fed.Client, error) {
 	env, err := NewEnv(cfg, wfs)
 	if err != nil {
 		return nil, err
