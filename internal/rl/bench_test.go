@@ -4,6 +4,9 @@ import (
 	"math/rand"
 	"sync"
 	"testing"
+
+	"repro/internal/cloudsim"
+	"repro/internal/workload"
 )
 
 // Benchmark dimensions mirror the paper's scheduler workload: a ~538-feature
@@ -19,31 +22,82 @@ func benchAgent(seed int64) *PPO {
 }
 
 // rolloutStep performs the per-transition inference work of CollectEpisode:
-// observe, sample an action, estimate the value, step the environment.
-func rolloutStep(env *SyntheticEnv, agent *PPO, state []float64) []float64 {
+// observe, sample an action, estimate the value, step the environment, and
+// restart it when the episode ends.
+func rolloutStep(env Environment, restart func(), agent *PPO, state []float64) []float64 {
 	state = env.Observe(state)
 	action, _ := agent.SelectAction(state)
 	_ = agent.Value(state)
 	_ = env.Step(action)
 	if env.Done() {
-		env.Reset()
+		restart()
 	}
 	return state
 }
 
-// BenchmarkRolloutStep measures the zero-allocation inference fast path.
-// Expected steady state: 0 allocs/op (asserted by TestRolloutStepZeroAlloc).
+// benchTopKEnv is the stream_5000vm benchmark workload's environment at a
+// fifth of its size: the 20-VM Table-3 block (8, 6, 4 and 2 VMs of 8, 16, 32
+// and 64 vCPUs) repeated to 1000 VMs, the ranked top-8 observation with the
+// 10-bucket aggregate block (561 wide, every vCPU a candidate VM lacks
+// padded with -1), and a streamed Google-trace episode of 100k tasks.
+func benchTopKEnv(tb testing.TB) (*cloudsim.Env, func()) {
+	var specs []cloudsim.VMSpec
+	for len(specs) < 1000 {
+		for _, g := range []struct {
+			n, cpu int
+			mem    float64
+		}{{8, 8, 64}, {6, 16, 128}, {4, 32, 256}, {2, 64, 512}} {
+			for i := 0; i < g.n; i++ {
+				specs = append(specs, cloudsim.VMSpec{CPU: g.cpu, Mem: g.mem})
+			}
+		}
+	}
+	cfg := cloudsim.DefaultConfig(specs)
+	cfg.TopK = 8
+	cfg.UtilBuckets = 10
+	src := cloudsim.NewSamplerSource(workload.Lookup(workload.Google), 1, 100_000, cfg.VMs)
+	env, err := cloudsim.NewEnvSource(cfg, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return env, func() {
+		src.Rewind()
+		if err := env.ResetSource(src); err != nil {
+			tb.Fatal(err)
+		}
+	}
+}
+
+// BenchmarkRolloutStep measures the zero-allocation inference fast path
+// (0 allocs/op, asserted by TestRolloutStepZeroAlloc and make bench-env) on
+// two observations: synthetic, SyntheticEnv's dense random state at the
+// paper's width, and topk, a real cloudsim top-k observation whose -1 void
+// padding is the scalar the first layer's kernel subtracts instead of
+// multiplying. (topk's B/op is the episode's completed-task log growing by
+// doubling, not a per-step allocation.)
 func BenchmarkRolloutStep(b *testing.B) {
-	env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 1)
-	agent := benchAgent(2)
+	b.Run("synthetic", func(b *testing.B) {
+		env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 1)
+		benchRolloutSteps(b, env, env.Reset, benchAgent(2), 16)
+	})
+	b.Run("topk", func(b *testing.B) {
+		env, restart := benchTopKEnv(b)
+		agent := NewPPO(DefaultConfig(env.StateDim(), env.NumActions()), rand.New(rand.NewSource(2)))
+		benchRolloutSteps(b, env, restart, agent, 1000)
+	})
+}
+
+// benchRolloutSteps times b.N rollout steps after warm ones that fill the
+// agent scratch and the tensor pool (and, on a cluster, place some load).
+func benchRolloutSteps(b *testing.B, env Environment, restart func(), agent *PPO, warm int) {
 	var state []float64
-	for i := 0; i < 16; i++ { // warm the agent scratch and the tensor pool
-		state = rolloutStep(env, agent, state)
+	for i := 0; i < warm; i++ {
+		state = rolloutStep(env, restart, agent, state)
 	}
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		state = rolloutStep(env, agent, state)
+		state = rolloutStep(env, restart, agent, state)
 	}
 }
 
@@ -54,10 +108,10 @@ func TestRolloutStepZeroAlloc(t *testing.T) {
 	agent := benchAgent(2)
 	var state []float64
 	for i := 0; i < 16; i++ {
-		state = rolloutStep(env, agent, state)
+		state = rolloutStep(env, env.Reset, agent, state)
 	}
 	allocs := testing.AllocsPerRun(200, func() {
-		state = rolloutStep(env, agent, state)
+		state = rolloutStep(env, env.Reset, agent, state)
 	})
 	if allocs != 0 {
 		t.Fatalf("rollout step allocates %.1f objects/op, want 0", allocs)

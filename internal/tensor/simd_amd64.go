@@ -10,10 +10,12 @@ package tensor
 // where the scalar code rounds twice — FMA would change low-order bits and
 // break the repo's bit-reproducibility guarantee. (The one place FMA does
 // appear is tanhCols' exp core, where the scalar reference, math.Exp, uses
-// it too on the same CPU; see tanh_amd64.go.) Under that constraint the
-// SIMD kernels are bitwise identical to the scalar kernels (pinned by
-// TestMatMulSIMDMatchesScalar and friends), so enabling them never changes
-// a training run.
+// it too on the same CPU; see tanh_amd64.go.) Besides the zero-skip guard,
+// the matmul kernel also leaves out the multiply for a scalar of exactly -1,
+// whose product is exact: it subtracts b instead, which is the same bits.
+// Under those constraints the SIMD kernels are bitwise identical to the
+// scalar kernels (pinned by TestMatMulSIMDMatchesScalar and friends, and
+// FuzzMatMulMatchesScalar), so enabling them never changes a training run.
 
 // simdEnabled gates all assembly fast paths. It is true when the CPU and OS
 // support AVX-512F. Tests flip it via setSIMD to compare both paths.
@@ -46,9 +48,14 @@ func x86HasAVX512() bool
 // exactly like +0.0); MatMulTransB's dot products and AddScaledInPlace have
 // no such guard and pass false. Accumulators live in registers for the whole
 // k loop; per output element the operation sequence is add(mul(s,b)) in
-// k-ascending order — identical to the scalar loops. (Which of two
-// different NaN payloads survives an operation depends on x86 operand order
-// and is not part of the contract; NaN-ness is.)
+// k-ascending order — identical to the scalar loops. In the 64-wide column
+// panel a scalar whose bits are exactly -1.0 skips the multiply and
+// subtracts b: -1*b is exact for every b, and acc - b is acc + (-b) by
+// IEEE 754, so the result is the scalar loop's bit for bit (signed zeros and
+// Inf - Inf included). The -1 void markers that pad every observation are
+// what make it pay. (Which of two different NaN payloads survives an
+// operation depends on x86 operand order and is not part of the contract;
+// NaN-ness is.)
 //
 //go:noescape
 func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool)

@@ -28,6 +28,10 @@ no:
 	MOVB $0, ret+0(FP)
 	RET
 
+// The bit pattern of -1.0, compared against a scalar's raw bits.
+DATA negOne<>+0(SB)/8, $0xBFF0000000000000
+GLOBL negOne<>(SB), RODATA|NOPTR, $8
+
 // func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool)
 //
 // for r in [0,rows), t in [0,k):
@@ -40,6 +44,15 @@ no:
 // bit, so -0.0 is skipped too); without it R14 = 1 is OR-ed into the test so
 // the branch is never taken. No FMA anywhere: VMULPD then VADDPD round twice,
 // exactly like the Go code.
+//
+// In the 64-wide panel a scalar whose bits are exactly -1.0 is not
+// multiplied: the loop subtracts b, with no broadcast and no VMULPD. acc - b
+// is the same bits as acc + (-1*b), because -1*b is exact (a sign flip, for
+// every b including ±0, subnormals and ±Inf) and IEEE 754 defines x - y as
+// x + (-y), signed zeros and Inf - Inf = NaN included. Observations pad every
+// void position with -1, so it is most of the scalars a first layer sees, and
+// a 64-unit first layer is this panel. The other panels keep the plain
+// zero test: no workload sends them -1s.
 //
 // Columns are consumed in 64-wide panels (8 ZMM accumulators held across the
 // whole k loop — the repo's MLPs are 64 units wide, so the common case is a
@@ -89,6 +102,8 @@ row64:
 
 k64:
 	MOVQ (CX), AX
+	CMPQ AX, negOne<>(SB)
+	JEQ  neg64
 	SHLQ $1, AX // ±0.0 → ZF set → skip, matching the scalar guard
 	ORQ  R14, AX
 	JZ   skip64
@@ -109,6 +124,17 @@ k64:
 	VADDPD Z26, Z22, Z22
 	VMULPD 448(BX), Z4, Z27
 	VADDPD Z27, Z23, Z23
+	JMP  skip64
+
+neg64: // s = -1: acc - b
+	VSUBPD (BX), Z0, Z0
+	VSUBPD 64(BX), Z1, Z1
+	VSUBPD 128(BX), Z2, Z2
+	VSUBPD 192(BX), Z3, Z3
+	VSUBPD 256(BX), Z20, Z20
+	VSUBPD 320(BX), Z21, Z21
+	VSUBPD 384(BX), Z22, Z22
+	VSUBPD 448(BX), Z23, Z23
 
 skip64:
 	ADDQ R10, BX

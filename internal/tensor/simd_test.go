@@ -8,19 +8,49 @@ import (
 )
 
 // fillMixed fills data with a mix of ordinary values, exact zeros of both
-// signs, and denormals — the populations where a SIMD kernel could diverge
-// from the scalar one (zero-skip guards, flush-to-zero, signed-zero sums).
+// signs, denormals and exact ±1 — the populations where a SIMD kernel could
+// diverge from the scalar one (zero-skip guards, flush-to-zero, signed-zero
+// sums, the -1 scalars axpyRows subtracts without multiplying, and the +1
+// ones it must still multiply).
 func fillMixed(rng *rand.Rand, data []float64) {
 	for i := range data {
-		switch rng.Intn(10) {
+		switch rng.Intn(12) {
 		case 0:
 			data[i] = 0
 		case 1:
 			data[i] = math.Copysign(0, -1)
 		case 2:
 			data[i] = 5e-324 * float64(1+rng.Intn(100)) // subnormal
+		case 3:
+			data[i] = -1
+		case 4:
+			data[i] = 1
 		default:
 			data[i] = rng.NormFloat64()
+		}
+	}
+}
+
+// fillVoidRuns fills data the way cloudsim's Observe writes the per-vCPU
+// block of an observation: per 64-wide slot, a prefix of progress values in
+// (0,1] (a finished task reads exactly 1) and idle zeros, then a run of -1
+// void markers to the end of the slot. It pins the branch pattern a first
+// layer sees in production, runs rather than scattered singletons.
+func fillVoidRuns(rng *rand.Rand, data []float64) {
+	for start := 0; start < len(data); start += 64 {
+		slot := data[start:min(start+64, len(data))]
+		present := rng.Intn(len(slot) + 1)
+		for i := range slot {
+			switch {
+			case i >= present:
+				slot[i] = -1
+			case rng.Intn(4) == 0:
+				slot[i] = 0
+			case rng.Intn(8) == 0:
+				slot[i] = 1
+			default:
+				slot[i] = 1 - rng.Float64()
+			}
 		}
 	}
 }
@@ -62,76 +92,169 @@ func plantSpecials(rng *rand.Rand, data []float64) {
 }
 
 // forEachSIMDShape calls fn for every rows x inner x cols the kernels must
-// agree on: output widths through every panel combination (64-, 32-, masked
-// 8-wide and the cols%8 tail), inner dimensions around the k block, and row
-// counts around the four-row grouping of the masked panel.
-func forEachSIMDShape(fn func(rows, inner, cols int)) {
+// agree on, with the fill for the scalar operand m: output widths through
+// every panel combination (64-, 32-, masked 8-wide and the cols%8 tail),
+// inner dimensions around the k block, and row counts around the four-row
+// grouping of the masked panel, all on fillMixed; then the stream
+// workload's 561-wide top-k observation on fillVoidRuns, one state and a
+// minibatch of 64, and its weight gradient's shape (MatMulTransA's m is then
+// the 64 x 561 minibatch).
+func forEachSIMDShape(fn func(rows, inner, cols int, fillM func(*rand.Rand, []float64))) {
 	for _, cols := range []int{1, 2, 3, 4, 5, 6, 7, 8, 9, 15, 16, 17, 21, 63, 64, 65} {
 		for _, inner := range []int{1, 63, 64, 65, 130} {
 			for _, rows := range []int{1, 7, 8, 9, 64} {
-				fn(rows, inner, cols)
+				fn(rows, inner, cols, fillMixed)
 			}
 		}
 	}
-	fn(64, 538, 64) // the paper-scale first layer
-	fn(1, 200, 40)
-	fn(16, 3, 72)
+	fn(64, 538, 64, fillMixed) // the paper-scale first layer
+	fn(1, 200, 40, fillMixed)
+	fn(16, 3, 72, fillMixed)
+	fn(1, 561, 64, fillVoidRuns)
+	fn(64, 561, 64, fillVoidRuns)
+	fn(561, 64, 64, fillVoidRuns)
 }
 
-// checkProductSIMDMatchesScalar runs product (which must write out) with
-// SIMD off and on over every shape, once on fillMixed operands and once with
-// specials planted in both, and requires bit-identical outputs.
-func checkProductSIMDMatchesScalar(t *testing.T, seed int64, label string,
-	operands func(rows, inner, cols int) (m, b *Matrix), product func(m, b, out *Matrix)) {
+// simdProduct is one of the three matmul entry points over axpyRows:
+// operands allocates m and b for a rows x cols output over the shared
+// dimension inner, and run writes m's product with b into out.
+type simdProduct struct {
+	name     string
+	operands func(rows, inner, cols int) (m, b *Matrix)
+	run      func(m, b, out *Matrix)
+}
+
+var (
+	matMul = simdProduct{"MatMulInto",
+		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(inner, cols) },
+		func(m, b, out *Matrix) { m.MatMulInto(b, out) }}
+	// out = mᵀ·b is rows x cols, with the shared dim inner.
+	matMulTransA = simdProduct{"MatMulTransAInto",
+		func(rows, inner, cols int) (m, b *Matrix) { return New(inner, rows), New(inner, cols) },
+		func(m, b, out *Matrix) { m.MatMulTransAInto(b, out) }}
+	// out = m·bᵀ is rows x cols: b has one row per output column. Unlike
+	// the other two, a zero in m is multiplied, not skipped.
+	matMulTransB = simdProduct{"MatMulTransBInto",
+		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(cols, inner) },
+		func(m, b, out *Matrix) { m.MatMulTransBInto(b, out) }}
+)
+
+// requireProductMatchesScalar runs p on m and b with SIMD off and on, into
+// dirty destinations the product must not depend on, and requires
+// bit-identical outputs.
+func requireProductMatchesScalar(t *testing.T, label string, p simdProduct, m, b *Matrix, rows, cols int) {
+	t.Helper()
+	scalarOut := New(rows, cols)
+	simdOut := New(rows, cols)
+	scalarOut.Fill(math.Inf(-1))
+	simdOut.Fill(x86DefaultNaN)
+	prev := setSIMD(false)
+	p.run(m, b, scalarOut)
+	setSIMD(true)
+	p.run(m, b, simdOut)
+	setSIMD(prev)
+	requireBitIdentical(t, label, scalarOut.Data, simdOut.Data)
+}
+
+// checkProductSIMDMatchesScalar compares p's SIMD and scalar paths over
+// every shape, once on the shape's fill and once with specials planted in
+// both operands.
+func checkProductSIMDMatchesScalar(t *testing.T, seed int64, p simdProduct) {
 	t.Helper()
 	if !SIMDEnabled() {
 		t.Skip("no AVX-512 on this machine")
 	}
 	rng := rand.New(rand.NewSource(seed))
-	forEachSIMDShape(func(rows, inner, cols int) {
+	forEachSIMDShape(func(rows, inner, cols int, fillM func(*rand.Rand, []float64)) {
 		for _, specials := range []bool{false, true} {
-			m, b := operands(rows, inner, cols)
-			fillMixed(rng, m.Data)
+			m, b := p.operands(rows, inner, cols)
+			fillM(rng, m.Data)
 			fillMixed(rng, b.Data)
 			if specials {
 				plantSpecials(rng, m.Data)
 				plantSpecials(rng, b.Data)
 			}
-			scalarOut := New(rows, cols)
-			simdOut := New(rows, cols)
-			// Dirty destinations: the products must not depend on them.
-			scalarOut.Fill(math.Inf(-1))
-			simdOut.Fill(x86DefaultNaN)
-			prev := setSIMD(false)
-			product(m, b, scalarOut)
-			setSIMD(true)
-			product(m, b, simdOut)
-			setSIMD(prev)
-			requireBitIdentical(t, fmt.Sprintf("%s %dx%dx%d specials=%v", label, rows, inner, cols, specials),
-				scalarOut.Data, simdOut.Data)
+			requireProductMatchesScalar(t, fmt.Sprintf("%s %dx%dx%d specials=%v", p.name, rows, inner, cols, specials),
+				p, m, b, rows, cols)
 		}
 	})
 }
 
-func TestMatMulSIMDMatchesScalar(t *testing.T) {
-	checkProductSIMDMatchesScalar(t, 41, "MatMulInto",
-		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(inner, cols) },
-		func(m, b, out *Matrix) { m.MatMulInto(b, out) })
-}
+func TestMatMulSIMDMatchesScalar(t *testing.T) { checkProductSIMDMatchesScalar(t, 41, matMul) }
 
 func TestMatMulTransASIMDMatchesScalar(t *testing.T) {
-	// out = mᵀ·b is rows x cols, with the shared dim inner.
-	checkProductSIMDMatchesScalar(t, 42, "MatMulTransAInto",
-		func(rows, inner, cols int) (m, b *Matrix) { return New(inner, rows), New(inner, cols) },
-		func(m, b, out *Matrix) { m.MatMulTransAInto(b, out) })
+	checkProductSIMDMatchesScalar(t, 42, matMulTransA)
 }
 
 func TestMatMulTransBSIMDMatchesScalar(t *testing.T) {
-	// out = m·bᵀ is rows x cols: b has one row per output column. Unlike
-	// the other two, a zero in m is multiplied, not skipped.
-	checkProductSIMDMatchesScalar(t, 48, "MatMulTransBInto",
-		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(cols, inner) },
-		func(m, b, out *Matrix) { m.MatMulTransBInto(b, out) })
+	checkProductSIMDMatchesScalar(t, 48, matMulTransB)
+}
+
+// fuzzOperand maps one byte to an operand of FuzzMatMulMatchesScalar. The
+// low three bits pick the class — ±0, ±1 (-1 is the scalar axpyRows
+// subtracts without multiplying), a subnormal, ±Inf, the default NaN, or
+// (5–7) a normal value — the high bit is the sign and bits 3–6 the magnitude.
+func fuzzOperand(c byte) float64 {
+	sign := 1.0
+	if c&0x80 != 0 {
+		sign = -1
+	}
+	mag := float64(c >> 3 & 15)
+	switch c & 7 {
+	case 0:
+		return math.Copysign(0, sign)
+	case 1:
+		return sign
+	case 2:
+		return sign * 5e-324 * (1 + mag)
+	case 3:
+		return math.Inf(int(sign))
+	case 4:
+		return x86DefaultNaN
+	default:
+		return sign * (0.1 + 0.37*mag)
+	}
+}
+
+// FuzzMatMulMatchesScalar compares all three products' SIMD and scalar paths
+// bit for bit on shapes up to 70 x 130 x 70, operand element i of m reading
+// ops[i % len(ops)] and of b reading ops from the other end, so one input
+// steers both operands' patterns.
+func FuzzMatMulMatchesScalar(f *testing.F) {
+	if !SIMDEnabled() {
+		f.Skip("no AVX-512 on this machine")
+	}
+	finite := []byte{0x81, 0x81, 0x81, 0x01, 0x00, 0x06, 0x36, 0x81, 0x80, 0x02, 0x15}
+	specials := []byte{0x83, 0x03, 0x04, 0x81, 0x01, 0x00, 0x80, 0x8a, 0x5e, 0xa5}
+	for _, s := range []struct {
+		rows, inner, cols uint8 // each one less than the shape
+		ops               []byte
+	}{
+		{69, 129, 69, finite},    // 70x130x70: 64 + masked 6; 17 four-row groups + 2 rows; k blocks 64+64+2
+		{4, 63, 46, finite},      // 5x64x47: 32 + 8 + masked 7; one group + 1 row
+		{7, 8, 31, specials},     // 8x9x32: one 32 panel, two groups
+		{3, 64, 63, specials},    // 4x65x64: one 64 panel, k blocks 64+1
+		{2, 0, 7, specials},      // 3x1x8: one full masked panel, single rows, k = 1
+		{0, 0, 63, []byte{0x81}}, // 1x1x64: one 64 panel, s = -1
+	} {
+		f.Add(s.rows, s.inner, s.cols, s.ops)
+	}
+	f.Fuzz(func(t *testing.T, r, k, c uint8, ops []byte) {
+		if len(ops) == 0 {
+			return
+		}
+		rows, inner, cols := 1+int(r)%70, 1+int(k)%130, 1+int(c)%70
+		for _, p := range []simdProduct{matMul, matMulTransA, matMulTransB} {
+			m, b := p.operands(rows, inner, cols)
+			for i := range m.Data {
+				m.Data[i] = fuzzOperand(ops[i%len(ops)])
+			}
+			for i := range b.Data {
+				b.Data[i] = fuzzOperand(ops[len(ops)-1-i%len(ops)])
+			}
+			requireProductMatchesScalar(t, fmt.Sprintf("%s %dx%dx%d", p.name, rows, inner, cols), p, m, b, rows, cols)
+		}
+	})
 }
 
 func TestAddInPlaceSIMDMatchesScalar(t *testing.T) {
@@ -160,11 +283,12 @@ func TestAddScaledInPlaceSIMDMatchesScalar(t *testing.T) {
 	}
 	rng := rand.New(rand.NewSource(44))
 	for _, n := range []int{1, 8, 9, 33, 100, 537} {
-		for _, s := range []float64{1.7, -0.3, 0, math.Copysign(0, -1), 5e-324, math.Inf(1)} {
+		for _, s := range []float64{1.7, -0.3, 0, math.Copysign(0, -1), 5e-324, math.Inf(1), -1, 1} {
 			a := New(1, n)
 			b := New(1, n)
 			fillMixed(rng, a.Data)
 			fillMixed(rng, b.Data)
+			plantSpecials(rng, a.Data) // ±Inf in a meets ±1·Inf from b: Inf - Inf
 			plantSpecials(rng, b.Data) // s == 0 must still turn these into NaN
 			scalarA := cloneMatrix(a)
 			prev := setSIMD(false)
