@@ -99,7 +99,7 @@ race:
 # only reports on the runs where the two actually overlap (-short skips the
 # 104-client swarm, which the first line has run).
 test-race:
-	$(GO) test -race ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
+	$(GO) test -race ./internal/attn/... ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
 	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
 	$(GO) test -race -short -count=10 -run 'TestSwarm' ./internal/fednet/
 

@@ -27,6 +27,8 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
+	"sync"
 
 	"repro/internal/tensor"
 )
@@ -62,7 +64,8 @@ func NewAggregator(seed int64) *Aggregator {
 
 // Weights computes the K×K row-stochastic attention matrix for the given
 // client embeddings. All embeddings must share one length. It panics on
-// ragged or empty input (programmer error in the server).
+// ragged or empty input (programmer error in the server). It is safe for
+// concurrent use.
 func (a *Aggregator) Weights(embeddings [][]float64) [][]float64 {
 	k, dim := checkEmbeddings(embeddings)
 	x := prepare(embeddings, a.Center)
@@ -80,33 +83,155 @@ func (a *Aggregator) Weights(embeddings [][]float64) [][]float64 {
 	if temp <= 0 {
 		temp = 1
 	}
-	// Per-head temporaries come from the shared tensor pool: the projection
-	// alone is dim x dk (dim = the flattened critic, tens of thousands of
-	// floats), so K heads per round would otherwise churn sizable garbage
-	// every aggregation. The draws and kernels match the historical
-	// RandNormal/MatMul/Scale/SoftmaxRows path operation-for-operation, so
-	// the weights are bitwise unchanged.
-	p := tensor.Get(dim, dk)
+	proj := headProjections(projKey{a.Seed, heads, dim, dk})
+	// x·P is accumulated as (xᵀ)ᵀ·P a panel of P's rows at a time, each
+	// decoded into one pooled tile: the kernel adds every element's terms in
+	// ascending row order, as one x·P would (DESIGN §9 contract 6).
+	xt := tensor.DefaultPool().GetUninit(dim, k)
+	for i := 0; i < k; i++ {
+		for j, v := range x.Row(i) {
+			xt.Data[j*k+i] = v
+		}
+	}
+	tile := tensor.DefaultPool().GetUninit(panelRows, dk)
 	q := tensor.Get(k, dk)
 	scores := tensor.Get(k, k)
 	for h := 0; h < heads; h++ {
 		// Q and K share the head projection so scores approximate drift
 		// inner products (see package comment).
-		rng := rand.New(rand.NewSource(a.Seed*1_000_003 + int64(h)))
-		for i := range p.Data {
-			p.Data[i] = rng.NormFloat64()
+		q.Zero()
+		for j0 := 0; j0 < dim; j0 += panelRows {
+			j1 := min(j0+panelRows, dim)
+			xp := tensor.Matrix{Rows: j1 - j0, Cols: k, Data: xt.Data[j0*k : j1*k]}
+			pp := tensor.Matrix{Rows: j1 - j0, Cols: dk, Data: tile.Data[:(j1-j0)*dk]}
+			proj.decode(h, j0, j1, pp.Data)
+			q.AddMatMulTransAInPlace(&xp, &pp) // K x dk
 		}
-		x.MatMulInto(p, q) // K x dk
 		q.MatMulTransBInto(q, scores)
 		scores.ScaleInto(1/(math.Sqrt(float64(dk))*temp), scores)
 		scores.SoftmaxRowsInto(scores)
 		acc.AddInPlace(scores)
 	}
-	tensor.Put(p)
+	tensor.Put(xt)
+	tensor.Put(tile)
 	tensor.Put(q)
 	tensor.Put(scores)
 	acc.ScaleInPlace(1 / float64(heads))
 	return toRows(acc)
+}
+
+// panelRows is the height of the projection panels Weights decodes: the
+// tensor kernel's k block, so each panel is one pass of it over an
+// L1-resident tile.
+const panelRows = 64
+
+// projections holds one key's head matrices — head h is the dim × d_k
+// row-major sequence of NormFloat64 draws from the source seeded
+// seed·1 000 003 + h — in a compact exact form. A ziggurat draw that takes
+// the fast path returns float64(j)·scale[j&0x7F] for its one int32 draw j,
+// so it is stored as j (4 B instead of 8); the few that do not (rejections,
+// which cost more than one draw) are kept verbatim in side. Immutable once
+// built.
+type projections struct {
+	projKey
+	codes []int32 // heads·dim·dk; 0 where side holds the value
+	scale [128]float64
+	side  []sideValue // ascending at
+}
+
+// projKey is what fixes a projection set.
+type projKey struct {
+	seed           int64
+	heads, dim, dk int
+}
+
+// sideValue is a projection value kept verbatim: codes index at.
+type sideValue struct {
+	at int
+	v  float64
+}
+
+// cache is the process's one projection set. Weights replaces it when a
+// caller asks for another key; a reader that took the old set keeps using
+// it, since sets are never mutated.
+var cache struct {
+	sync.Mutex
+	set *projections
+}
+
+// headProjections returns the projection set for the key, building it (and
+// evicting the previous key) on a miss.
+func headProjections(key projKey) *projections {
+	cache.Lock()
+	defer cache.Unlock()
+	if p := cache.set; p == nil || p.projKey != key {
+		cache.set = drawProjections(key)
+	}
+	return cache.set
+}
+
+// drawSource passes a math/rand source through unchanged while counting
+// Int63 calls and keeping the last value, which tells drawProjections how
+// many draws a NormFloat64 took and, for one, what j was. It implements only
+// Source, so rand.Rand takes every draw through Int63, as it does from the
+// plain source for NormFloat64.
+type drawSource struct {
+	src   rand.Source
+	calls int
+	last  int64
+}
+
+func (s *drawSource) Int63() int64 {
+	s.calls++
+	s.last = s.src.Int63()
+	return s.last
+}
+
+func (s *drawSource) Seed(seed int64) { s.src.Seed(seed) }
+
+// drawProjections draws every head's values in order and encodes each one.
+// A bucket's scale is learned from its first single-draw value with j ≠ 0;
+// a value is coded only if its code decodes to the drawn value bitwise, so
+// exactness is checked per value here, not assumed from math/rand's tables.
+func drawProjections(key projKey) *projections {
+	p := &projections{projKey: key, codes: make([]int32, key.heads*key.dim*key.dk)}
+	var learned [128]bool
+	per := key.dim * key.dk
+	for h := 0; h < key.heads; h++ {
+		src := &drawSource{src: rand.NewSource(key.seed*1_000_003 + int64(h))}
+		rng := rand.New(src)
+		for i := h * per; i < (h+1)*per; i++ {
+			src.calls = 0
+			v := rng.NormFloat64()
+			if src.calls == 1 {
+				j := int32(uint32(src.last >> 31)) // rand.Rand.Uint32, as NormFloat64 draws it
+				b := j & 0x7F
+				if !learned[b] && j != 0 {
+					if s := float64(float32(v / float64(j))); float64(j)*s == v {
+						p.scale[b], learned[b] = s, true
+					}
+				}
+				if math.Float64bits(float64(j)*p.scale[b]) == math.Float64bits(v) {
+					p.codes[i] = j
+					continue
+				}
+			}
+			p.side = append(p.side, sideValue{at: i, v: v})
+		}
+	}
+	return p
+}
+
+// decode writes rows [j0, j1) of head h's projection into dst, row-major.
+func (p *projections) decode(h, j0, j1 int, dst []float64) {
+	lo := (h*p.dim + j0) * p.dk
+	hi := lo + (j1-j0)*p.dk
+	for i, c := range p.codes[lo:hi] {
+		dst[i] = float64(c) * p.scale[uint32(c)&0x7F]
+	}
+	for s := sort.Search(len(p.side), func(i int) bool { return p.side[i].at >= lo }); s < len(p.side) && p.side[s].at < hi; s++ {
+		dst[p.side[s].at-lo] = p.side[s].v
+	}
 }
 
 // CosineWeights is the Figure-13 baseline: softmax over pairwise cosine

@@ -1,10 +1,14 @@
 package attn
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
+	"sync"
 	"testing"
 	"testing/quick"
+
+	"repro/internal/tensor"
 )
 
 // syntheticEmbeddings builds K client embeddings that mimic federated
@@ -246,5 +250,184 @@ func TestPropAllGeneratorsRowStochastic(t *testing.T) {
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 15}); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// referenceWeights is Weights as it stood before the head projections were
+// cached: every call redraws each head's dim × d_k matrix from its seeded
+// source and forms x·P with one MatMulInto. It is the frozen reference the
+// cached, panel-by-panel Weights must equal bitwise (DESIGN §9 contract 6).
+func referenceWeights(a *Aggregator, embeddings [][]float64) [][]float64 {
+	k, dim := checkEmbeddings(embeddings)
+	x := prepare(embeddings, a.Center)
+	acc := tensor.New(k, k)
+	heads := max(a.Heads, 1)
+	dk := a.DK
+	if dk < 1 {
+		dk = 32
+	}
+	temp := a.Temperature
+	if temp <= 0 {
+		temp = 1
+	}
+	p := tensor.New(dim, dk)
+	q := tensor.New(k, dk)
+	scores := tensor.New(k, k)
+	for h := 0; h < heads; h++ {
+		rng := rand.New(rand.NewSource(a.Seed*1_000_003 + int64(h)))
+		for i := range p.Data {
+			p.Data[i] = rng.NormFloat64()
+		}
+		x.MatMulInto(p, q)
+		q.MatMulTransBInto(q, scores)
+		scores.ScaleInto(1/(math.Sqrt(float64(dk))*temp), scores)
+		scores.SoftmaxRowsInto(scores)
+		acc.AddInPlace(scores)
+	}
+	acc.ScaleInPlace(1 / float64(heads))
+	return toRows(acc)
+}
+
+// zeroPlantedEmbeddings is syntheticEmbeddings with zeros planted where the
+// kernels skip them: every fifth column equal across clients (zero after
+// centering), scattered zero entries, and, for K ≥ 3, one all-zero client
+// (a zero row when centering is off).
+func zeroPlantedEmbeddings(rng *rand.Rand, k, dim int) [][]float64 {
+	emb := syntheticEmbeddings(rng, k, dim, 1.0, 0.05)
+	for j := 0; j < dim; j += 5 {
+		for c := 1; c < k; c++ {
+			emb[c][j] = emb[0][j]
+		}
+	}
+	for n := 0; n < dim/7; n++ {
+		emb[rng.Intn(k)][rng.Intn(dim)] = 0
+	}
+	if k >= 3 {
+		clear(emb[k-1])
+	}
+	return emb
+}
+
+func requireSameWeights(t *testing.T, label string, want, got [][]float64) {
+	t.Helper()
+	for i := range want {
+		for j := range want[i] {
+			if math.Float64bits(want[i][j]) != math.Float64bits(got[i][j]) {
+				t.Fatalf("%s: w[%d][%d] = %v, reference %v", label, i, j, got[i][j], want[i][j])
+			}
+		}
+	}
+}
+
+// TestWeightsMatchesReference pins contract 6: for any dim on either side of
+// the 64-row decode panel (up to the fig15 and table3 critic widths), any K,
+// seed and aggregator shape, with zero drifts planted, SIMD on and off,
+// Weights returns the frozen reference's bits.
+func TestWeightsMatchesReference(t *testing.T) {
+	rng := rand.New(rand.NewSource(9))
+	for _, seed := range []int64{1, 7, -3} {
+		aggs := []*Aggregator{
+			NewAggregator(seed),
+			{Heads: 3, DK: 5, Seed: seed, Temperature: 1},
+		}
+		for _, dim := range []int{1, 63, 64, 65, 3969, 4225, 8833} {
+			for _, k := range []int{1, 2, 5, 8} {
+				emb := zeroPlantedEmbeddings(rng, k, dim)
+				for ai, a := range aggs {
+					want := referenceWeights(a, emb)
+					for _, simd := range []bool{false, true} {
+						prev := tensor.SetSIMD(simd)
+						got := a.Weights(emb)
+						tensor.SetSIMD(prev)
+						requireSameWeights(t, fmt.Sprintf("seed %d dim %d K %d aggregator %d simd=%v", seed, dim, k, ai, simd), want, got)
+					}
+				}
+			}
+		}
+	}
+}
+
+// TestProjectionCodesMatchDraws pins the compact form against the stream it
+// records: decoding every head, side list included, gives the values
+// NormFloat64 draws from a plain source seeded seed·1 000 003 + h, in order,
+// bitwise — so the recording source changes nothing about the stream.
+func TestProjectionCodesMatchDraws(t *testing.T) {
+	for _, key := range []projKey{{1, 4, 4225, 32}, {7, 3, 65, 5}, {-3, 1, 1, 1}} {
+		p := drawProjections(key)
+		row := make([]float64, key.dk)
+		for h := 0; h < key.heads; h++ {
+			rng := rand.New(rand.NewSource(key.seed*1_000_003 + int64(h)))
+			for j := 0; j < key.dim; j++ {
+				p.decode(h, j, j+1, row)
+				for c, got := range row {
+					if want := rng.NormFloat64(); math.Float64bits(got) != math.Float64bits(want) {
+						t.Fatalf("key %+v head %d [%d,%d] decodes to %v, drawn %v", key, h, j, c, got, want)
+					}
+				}
+			}
+		}
+		if n := key.heads * key.dim * key.dk; n > 100_000 {
+			if len(p.side) == 0 {
+				t.Fatalf("key %+v: no side values in %d draws; the side list goes untested", key, n)
+			}
+			t.Logf("key %+v: %d of %d values (%.2f %%) kept verbatim", key, len(p.side), n, 100*float64(len(p.side))/float64(n))
+		}
+	}
+}
+
+// TestWeightsConcurrentKeys runs Weights from four goroutines that alternate
+// two keys, so the process's cached set is replaced while other callers are
+// still reading the old one; every result must equal the reference.
+func TestWeightsConcurrentKeys(t *testing.T) {
+	rng := rand.New(rand.NewSource(10))
+	type call struct {
+		a    *Aggregator
+		emb  [][]float64
+		want [][]float64
+	}
+	calls := []call{
+		{a: NewAggregator(1), emb: zeroPlantedEmbeddings(rng, 5, 130)},
+		{a: NewAggregator(2), emb: zeroPlantedEmbeddings(rng, 5, 777)},
+	}
+	for i := range calls {
+		calls[i].want = referenceWeights(calls[i].a, calls[i].emb)
+	}
+	var wg sync.WaitGroup
+	errs := make(chan string, 4)
+	for g := 0; g < 4; g++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; n < 20; n++ {
+				c := calls[(g+n)%len(calls)]
+				got := c.a.Weights(c.emb)
+				for i := range c.want {
+					for j := range c.want[i] {
+						if math.Float64bits(got[i][j]) != math.Float64bits(c.want[i][j]) {
+							errs <- fmt.Sprintf("goroutine %d call %d: w[%d][%d] = %v, reference %v", g, n, i, j, got[i][j], c.want[i][j])
+							return
+						}
+					}
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	close(errs)
+	for e := range errs {
+		t.Error(e)
+	}
+}
+
+// BenchmarkWeights is one steady-state PFRL-DM aggregation's weight
+// computation at the swarm's payload: K = 8 critics of 4225 parameters.
+func BenchmarkWeights(b *testing.B) {
+	emb := syntheticEmbeddings(rand.New(rand.NewSource(11)), 8, 4225, 1.0, 0.05)
+	a := NewAggregator(1)
+	a.Weights(emb)
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		a.Weights(emb)
 	}
 }

@@ -124,13 +124,10 @@ func (a *Attention) Aggregate(uploads []Payload) ([]Payload, Payload) {
 // AggregateInto implements fedcore.IntoAggregator: the Eq. 21 mix writes
 // into arena-carved views and the Eq. 22 mean (ψ_G = mean of the
 // personalized models) into the arena global. The attention weight
-// computation is the larger part of the call, not the data plane: every
-// Weights redraws the heads × dim × d_k seed-constant projection values
-// (540 800 NormFloat64 at the swarm's payload) before its O(K·dim·d_k)
-// products — ≈ 5.8 ms at K = 8 against ≈ 0.18 ms for the mix (the benchmark's
-// attn.weights_us.k8 and fedcore.weighted_mix_us.k8). DESIGN §8 "Swarm drive"
-// records why they are not cached yet. Results are valid until the arena's
-// next round.
+// computation is the larger part of the call, not the data plane: its
+// O(K·dim·d_k) products read the heads × dim × d_k seed-constant projection
+// values, which attn draws once per process and decodes panel by panel (DESIGN
+// §8 "Swarm drive"). Results are valid until the arena's next round.
 func (a *Attention) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	w := a.Gen.Weights(uploads)
 	a.LastWeights = w

@@ -144,22 +144,43 @@ func (m *Matrix) MatMulTransA(b *Matrix) *Matrix {
 // first (the kernel accumulates), must have shape m.Cols x b.Cols, and must
 // not alias m or b.
 func (m *Matrix) MatMulTransAInto(b, dst *Matrix) *Matrix {
-	if m.Rows != b.Rows {
-		panic(fmt.Sprintf("tensor: MatMulTransA shape mismatch (%dx%d)ᵀ · %dx%d", m.Rows, m.Cols, b.Rows, b.Cols))
-	}
-	dst.assertShape(m.Cols, b.Cols, "MatMulTransAInto")
-	if aliases(dst, m) || aliases(dst, b) {
-		panic("tensor: MatMulTransAInto dst aliases an operand")
-	}
+	checkTransA(m, b, dst, "MatMulTransAInto")
 	dst.Zero()
-	if simdEnabled && len(dst.Data) > 0 && m.Rows > 0 {
+	accumulateTransA(dst, m, b)
+	return dst
+}
+
+// AddMatMulTransAInPlace accumulates m += aᵀ · b and returns m: the
+// non-zeroing form of MatMulTransAInto, with the same shape and alias rules
+// (m is the destination). Accumulating the row panels of a and b in
+// ascending order adds every output element's terms in exactly the order of
+// one MatMulTransAInto (or MatMulInto on aᵀ) over the whole operands, so a
+// caller can stream b a panel at a time and keep the bits.
+func (m *Matrix) AddMatMulTransAInPlace(a, b *Matrix) *Matrix {
+	checkTransA(a, b, m, "AddMatMulTransAInPlace")
+	accumulateTransA(m, a, b)
+	return m
+}
+
+func checkTransA(m, b, dst *Matrix, op string) {
+	if m.Rows != b.Rows {
+		panic(fmt.Sprintf("tensor: %s shape mismatch (%dx%d)ᵀ · %dx%d", op, m.Rows, m.Cols, b.Rows, b.Cols))
+	}
+	dst.assertShape(m.Cols, b.Cols, op)
+	if aliases(dst, m) || aliases(dst, b) {
+		panic("tensor: " + op + " dst aliases an operand")
+	}
+}
+
+// accumulateTransA adds mᵀ·b into out.
+func accumulateTransA(out, m, b *Matrix) {
+	if simdEnabled && len(out.Data) > 0 && m.Rows > 0 {
 		// Output row i reads column i of m with stride m.Cols, a strided
 		// scalar stream the out-of-order core hides well.
-		accumulateSIMD(dst, b, m.Data, m.Cols, 1, true)
+		accumulateSIMD(out, b, m.Data, m.Cols, 1, true)
 	} else {
-		matmulTransAScalar(dst, m, b)
+		matmulTransAScalar(out, m, b)
 	}
-	return dst
 }
 
 // matmulTransAScalar accumulates out += mᵀ·b with the k loop outermost, so

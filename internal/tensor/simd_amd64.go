@@ -18,13 +18,15 @@ package tensor
 // FuzzMatMulMatchesScalar), so enabling them never changes a training run.
 
 // simdEnabled gates all assembly fast paths. It is true when the CPU and OS
-// support AVX-512F. Tests flip it via setSIMD to compare both paths.
+// support AVX-512F. Tests flip it via SetSIMD to compare both paths.
 var simdEnabled = x86HasAVX512()
 
-// setSIMD overrides the runtime SIMD choice; it returns the previous value
-// so tests can restore it. Disabling always works; enabling on a machine
-// without AVX-512 would fault, so enable only re-arms the detected value.
-func setSIMD(on bool) bool {
+// SetSIMD overrides the runtime SIMD choice; it returns the previous value
+// so tests can restore it. It exists for tests, here and in packages whose
+// pins compare both paths (attn); nothing else calls it. Disabling always
+// works; enabling on a machine without AVX-512 would fault, so enable only
+// re-arms the detected value.
+func SetSIMD(on bool) bool {
 	prev := simdEnabled
 	simdEnabled = on && x86HasAVX512()
 	return prev

@@ -8,7 +8,8 @@ package tensor
 
 var simdEnabled = false
 
-func setSIMD(bool) bool { return false }
+// SetSIMD is the amd64 test toggle; here there is nothing to toggle.
+func SetSIMD(bool) bool { return false }
 
 // SIMDEnabled reports whether the AVX-512 fast paths are active.
 func SIMDEnabled() bool { return false }

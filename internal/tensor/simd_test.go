@@ -115,7 +115,7 @@ func forEachSIMDShape(fn func(rows, inner, cols int, fillM func(*rand.Rand, []fl
 	fn(561, 64, 64, fillVoidRuns)
 }
 
-// simdProduct is one of the three matmul entry points over axpyRows:
+// simdProduct is one of the four matmul entry points over axpyRows:
 // operands allocates m and b for a rows x cols output over the shared
 // dimension inner, and run writes m's product with b into out.
 type simdProduct struct {
@@ -137,7 +137,21 @@ var (
 	matMulTransB = simdProduct{"MatMulTransBInto",
 		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(cols, inner) },
 		func(m, b, out *Matrix) { m.MatMulTransBInto(b, out) }}
+	// out += mᵀ·b, accumulated onto accStart rather than into a zeroed out.
+	addMatMulTransA = simdProduct{"AddMatMulTransAInPlace",
+		matMulTransA.operands,
+		func(m, b, out *Matrix) {
+			for i := range out.Data {
+				out.Data[i] = accStart[i%len(accStart)]
+			}
+			out.AddMatMulTransAInPlace(m, b)
+		}}
 )
+
+// accStart is the destination AddMatMulTransAInPlace accumulates onto in the
+// SIMD pins: zeros of both signs (a -0 every term skips must stay -0), ±1, a
+// subnormal and ordinary values.
+var accStart = []float64{0, math.Copysign(0, -1), 1, -1, 0.37, -2.5, 5e-324, 3}
 
 // requireProductMatchesScalar runs p on m and b with SIMD off and on, into
 // dirty destinations the product must not depend on, and requires
@@ -148,11 +162,11 @@ func requireProductMatchesScalar(t *testing.T, label string, p simdProduct, m, b
 	simdOut := New(rows, cols)
 	scalarOut.Fill(math.Inf(-1))
 	simdOut.Fill(x86DefaultNaN)
-	prev := setSIMD(false)
+	prev := SetSIMD(false)
 	p.run(m, b, scalarOut)
-	setSIMD(true)
+	SetSIMD(true)
 	p.run(m, b, simdOut)
-	setSIMD(prev)
+	SetSIMD(prev)
 	requireBitIdentical(t, label, scalarOut.Data, simdOut.Data)
 }
 
@@ -190,6 +204,47 @@ func TestMatMulTransBSIMDMatchesScalar(t *testing.T) {
 	checkProductSIMDMatchesScalar(t, 48, matMulTransB)
 }
 
+func TestAddMatMulTransASIMDMatchesScalar(t *testing.T) {
+	checkProductSIMDMatchesScalar(t, 51, addMatMulTransA)
+}
+
+// TestAddMatMulTransAPanelsMatchOneShot pins the reason the accumulating
+// entry point exists: streaming the shared dimension through it a row panel
+// at a time — panel heights on both sides of the kernel's 64-row k block —
+// gives the bits of one MatMulTransAInto over the whole operands, and of
+// MatMulInto on the materialized transpose, with SIMD on and off.
+func TestAddMatMulTransAPanelsMatchOneShot(t *testing.T) {
+	rng := rand.New(rand.NewSource(52))
+	for _, simd := range []bool{false, true} {
+		prev := SetSIMD(simd)
+		for _, rows := range []int{1, 5, 8} {
+			for _, inner := range []int{1, 63, 64, 65, 130, 200} {
+				for _, cols := range []int{1, 32, 33} {
+					m, b := New(inner, rows), New(inner, cols)
+					fillMixed(rng, m.Data)
+					fillMixed(rng, b.Data)
+					plantSpecials(rng, m.Data)
+					plantSpecials(rng, b.Data)
+					want := m.MatMulTransAInto(b, New(rows, cols))
+					label := fmt.Sprintf("simd=%v %dx%dx%d", simd, rows, inner, cols)
+					requireBitIdentical(t, label+" MatMulInto(mᵀ)", want.Data, m.T().MatMulInto(b, New(rows, cols)).Data)
+					for _, h := range []int{1, 63, 64, 65} {
+						got := New(rows, cols)
+						for j0 := 0; j0 < inner; j0 += h {
+							j1 := min(j0+h, inner)
+							mp := &Matrix{Rows: j1 - j0, Cols: rows, Data: m.Data[j0*rows : j1*rows]}
+							bp := &Matrix{Rows: j1 - j0, Cols: cols, Data: b.Data[j0*cols : j1*cols]}
+							got.AddMatMulTransAInPlace(mp, bp)
+						}
+						requireBitIdentical(t, fmt.Sprintf("%s panels of %d", label, h), want.Data, got.Data)
+					}
+				}
+			}
+		}
+		SetSIMD(prev)
+	}
+}
+
 // fuzzOperand maps one byte to an operand of FuzzMatMulMatchesScalar. The
 // low three bits pick the class — ±0, ±1 (-1 is the scalar axpyRows
 // subtracts without multiplying), a subnormal, ±Inf, the default NaN, or
@@ -216,7 +271,7 @@ func fuzzOperand(c byte) float64 {
 	}
 }
 
-// FuzzMatMulMatchesScalar compares all three products' SIMD and scalar paths
+// FuzzMatMulMatchesScalar compares all four products' SIMD and scalar paths
 // bit for bit on shapes up to 70 x 130 x 70, operand element i of m reading
 // ops[i % len(ops)] and of b reading ops from the other end, so one input
 // steers both operands' patterns.
@@ -244,7 +299,7 @@ func FuzzMatMulMatchesScalar(f *testing.F) {
 			return
 		}
 		rows, inner, cols := 1+int(r)%70, 1+int(k)%130, 1+int(c)%70
-		for _, p := range []simdProduct{matMul, matMulTransA, matMulTransB} {
+		for _, p := range []simdProduct{matMul, matMulTransA, matMulTransB, addMatMulTransA} {
 			m, b := p.operands(rows, inner, cols)
 			for i := range m.Data {
 				m.Data[i] = fuzzOperand(ops[i%len(ops)])
@@ -268,11 +323,11 @@ func TestAddInPlaceSIMDMatchesScalar(t *testing.T) {
 		fillMixed(rng, a.Data)
 		fillMixed(rng, b.Data)
 		scalarA := cloneMatrix(a)
-		prev := setSIMD(false)
+		prev := SetSIMD(false)
 		scalarA.AddInPlace(b)
-		setSIMD(true)
+		SetSIMD(true)
 		a.AddInPlace(b)
-		setSIMD(prev)
+		SetSIMD(prev)
 		requireBitIdentical(t, "AddInPlace", scalarA.Data, a.Data)
 	}
 }
@@ -291,11 +346,11 @@ func TestAddScaledInPlaceSIMDMatchesScalar(t *testing.T) {
 			plantSpecials(rng, a.Data) // ±Inf in a meets ±1·Inf from b: Inf - Inf
 			plantSpecials(rng, b.Data) // s == 0 must still turn these into NaN
 			scalarA := cloneMatrix(a)
-			prev := setSIMD(false)
+			prev := SetSIMD(false)
 			scalarA.AddScaledInPlace(b, s)
-			setSIMD(true)
+			SetSIMD(true)
 			a.AddScaledInPlace(b, s)
-			setSIMD(prev)
+			SetSIMD(prev)
 			requireBitIdentical(t, "AddScaledInPlace", scalarA.Data, a.Data)
 		}
 	}
@@ -316,11 +371,11 @@ func TestAddTanhGradSIMDMatchesScalar(t *testing.T) {
 			y.Data[i] = math.Tanh(rng.NormFloat64()) // tanh outputs ∈ (-1,1)
 		}
 		scalarDst := cloneMatrix(dst)
-		prev := setSIMD(false)
+		prev := SetSIMD(false)
 		scalarDst.AddTanhGradInPlace(g, y)
-		setSIMD(true)
+		SetSIMD(true)
 		dst.AddTanhGradInPlace(g, y)
-		setSIMD(prev)
+		SetSIMD(prev)
 		requireBitIdentical(t, "AddTanhGradInPlace", scalarDst.Data, dst.Data)
 	}
 }
@@ -354,11 +409,11 @@ func TestAdamUpdateSIMDMatchesScalar(t *testing.T) {
 			g2 := append([]float64(nil), g...)
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
-			prev := setSIMD(false)
+			prev := SetSIMD(false)
 			AdamUpdate(p1, g1, m1, v1, lr, beta1, beta2, eps, bc1, bc2)
-			setSIMD(true)
+			SetSIMD(true)
 			AdamUpdate(p2, g2, m2, v2, lr, beta1, beta2, eps, bc1, bc2)
-			setSIMD(prev)
+			SetSIMD(prev)
 			for i := range g1 {
 				if g1[i] != 0 || g2[i] != 0 {
 					t.Fatalf("AdamUpdate left gradient residue at %d: scalar %v simd %v", i, g1[i], g2[i])
