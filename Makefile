@@ -118,7 +118,8 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzCSVTrace -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzCSVStream -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/workload
-	$(GO) test -run '^$$' -fuzz FuzzStreamInject -fuzztime 10s ./internal/cloudsim
+	$(GO) test -run '^$$' -fuzz FuzzStreamSource -fuzztime 10s ./internal/cloudsim
+	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s ./internal/fed
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/fedcore
 	$(GO) test -run '^$$' -fuzz FuzzTanhMatchesMath -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMatMulMatchesScalar -fuzztime 10s ./internal/tensor
@@ -160,14 +161,13 @@ bench-e2e-smoke:
 	$(GO) run ./benchmark -smoke -repeats 1 -out "$$(mktemp -d)"
 
 # Every figure, table and ablation runner twice, end to end, at toy size,
-# plus the workflow extension's one entry point and the two examples that
-# read an agent's public critic and α directly (a checkpoint round trip that
-# exits 1 if the reloaded policy schedules differently, and a PFRL-DM
-# federation): the only ci step that executes the -exp harness, so a runner
-# that stops working is seen here and not when someone next regenerates
-# results_all.txt — and the two passes must print the same bytes (same seed,
-# same bits: the harness's own determinism check, next to the benchmark's and
-# the swarm's).
+# plus the two examples that read an agent's public critic and α directly (a
+# checkpoint round trip that exits 1 if the reloaded policy schedules
+# differently, and a PFRL-DM federation): the only ci step that executes the
+# -exp harness, so a runner that stops working is seen here and not when
+# someone next regenerates results_all.txt — and the two passes must print
+# the same bytes (same seed, same bits: the harness's own determinism check,
+# next to the benchmark's and the swarm's).
 figs-smoke:
 	@a="$$(mktemp)" b="$$(mktemp)"; trap 'rm -f "$$a" "$$b"' EXIT; \
 	for out in "$$a" "$$b"; do \
@@ -175,7 +175,6 @@ figs-smoke:
 	done; \
 	cat "$$a"; \
 	cmp "$$a" "$$b" || { echo "figs-smoke: two passes of -exp all differ"; exit 1; }
-	$(GO) run ./examples/workflows
 	$(GO) run ./examples/checkpoint
 	$(GO) run ./examples/federation
 

@@ -25,7 +25,6 @@
 //	internal/fedcore   transport-agnostic federated round engine
 //	internal/fed       clients, in-process rounds, aggregators (§4.4-4.5)
 //	internal/fednet    the same rounds over TCP (net/rpc), swarm chaos harness
-//	internal/workflow  DAG-workflow environment (extension; examples/workflows)
 //	internal/obs       JSONL events, Prometheus registry, phase timers
 //	internal/core      the algorithm table, experiment orchestration, one runner per figure
 //	internal/stats     Wilcoxon signed-rank test and descriptive stats

@@ -1045,44 +1045,3 @@ func (e *Env) accumulateSlotStats() {
 	}
 	e.slots++
 }
-
-// Inject appends a task to the waiting queue with arrival time = Now. It
-// supports dynamic task sources — notably workflow DAGs, where a stage
-// becomes schedulable only when its dependencies complete (the paper's
-// stated future work). Malformed and over-capacity tasks (which no VM could
-// ever run) are rejected with an error and leave the environment untouched.
-// Injection also increments the episode's expected task count unless
-// ExpectTotal pre-announced it.
-func (e *Env) Inject(t workload.Task) error {
-	if err := validateTask(t); err != nil {
-		return err
-	}
-	if t.CPU > e.maxCapCPU || t.Mem > e.maxCapMem {
-		return fmt.Errorf("cloudsim: task %d (%d vCPU, %.3g GiB) exceeds every VM's capacity (max %d vCPU, %.3g GiB)",
-			t.ID, t.CPU, t.Mem, e.maxCapCPU, e.maxCapMem)
-	}
-	if t.Arrival < e.now {
-		t.Arrival = e.now
-	}
-	e.queue = append(e.queue, t)
-	e.candValid = false
-	// Keep Done meaningful: the expected count must cover every task the
-	// environment knows about. ExpectTotal may already have reserved
-	// headroom for this injection.
-	if known := e.QueueLen() + e.PendingLen() + len(e.completed); e.totalTasks < known {
-		e.totalTasks = known
-	}
-	return nil
-}
-
-// ExpectTotal declares the episode's true task count up front, so Done
-// stays false while future injections are still outstanding (e.g. workflow
-// stages whose dependencies have not completed yet). n must be at least
-// the number of tasks currently known to the environment.
-func (e *Env) ExpectTotal(n int) {
-	known := e.QueueLen() + e.PendingLen() + len(e.completed)
-	if n < known {
-		panic(fmt.Sprintf("cloudsim: ExpectTotal(%d) below known task count %d", n, known))
-	}
-	e.totalTasks = n
-}

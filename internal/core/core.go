@@ -269,20 +269,6 @@ type ExperimentConfig struct {
 	// MFPOBeta is the server-momentum coefficient for AlgMFPO
 	// (0 means the default, 0.5).
 	MFPOBeta float64
-	// Faults, when active, wraps the federation transport in a seeded
-	// fault injector (fed.FaultyTransport) — the chaos-testing knob for
-	// robustness experiments. Ignored by AlgPPO (no transport).
-	Faults fed.FaultSpec
-	// Async switches the federation to buffered asynchronous aggregation
-	// with staleness-weighted mixing (fedcore.AsyncEngine). Ignored by
-	// AlgPPO (no federation).
-	Async bool
-	// StalenessBound caps accepted staleness in async mode (negative =
-	// unbounded, zero = fresh only — with Buffer = K this degrades to the
-	// sync engine bit-identically).
-	StalenessBound int
-	// Buffer is the async commit trigger B; <= 0 resolves to K.
-	Buffer int
 	// SLOWaitCost / SLOWaitTarget are forwarded into every client's
 	// cloudsim.Config.Objectives, enabling per-service-class reward shaping
 	// and violation accounting. All-zero (the default) reproduces the
@@ -402,9 +388,6 @@ type TrainResult struct {
 	// Participation is the number of uploads aggregated in each round
 	// (equals K every round unless faults dropped clients out).
 	Participation []int
-	// Faults counts the transport faults injected during the run (zero
-	// unless ExperimentConfig.Faults was active).
-	Faults fed.FaultStats
 	// Comm is the federation's communication ledger: scalar counts plus
 	// measured wire bytes of every codec frame (zero for AlgPPO).
 	Comm fed.CommStats
@@ -454,8 +437,9 @@ func setup(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 // federate is the one federation assembly: r's row of the algorithm table
 // gives the transport, the aggregator (agg, when non-nil, replaces it — the
 // ablation and Figure 10 runners' only lever) and the default K, and every
-// federation option of cfg is carried over, the fault injector included (as
-// the federation's Transport) when cfg.Faults is active.
+// federation option of cfg is carried over. The federation is the barrier
+// regime over a clean transport; the async engine and the fault injector are
+// fed.Options and fed.FaultyTransport, set by whoever calls fed.New.
 func (r *TrainResult) federate(cfg ExperimentConfig, agg fed.Aggregator) (*fed.Federation, error) {
 	row := r.Algorithm.row()
 	transport := row.transport
@@ -470,21 +454,10 @@ func (r *TrainResult) federate(cfg ExperimentConfig, agg fed.Aggregator) (*fed.F
 	if k <= 0 {
 		k = row.defaultK(len(r.Clients))
 	}
-	f, err := fed.New(r.Clients, transport, agg, fed.Options{
+	return fed.New(r.Clients, transport, agg, fed.Options{
 		K: k, CommEvery: cfg.CommEvery, Seed: cfg.Seed, Parallel: cfg.Parallel,
-		Async: cfg.Async, StalenessBound: cfg.StalenessBound, Buffer: cfg.Buffer,
 		Codec: cfg.Codec,
 	})
-	if err != nil {
-		return nil, err
-	}
-	// Faults model network flakiness during training rounds; the initial
-	// provisioning sync in fed.New stays clean, so even an always-drop spec
-	// yields a (degenerate) run instead of a setup failure.
-	if cfg.Faults.Active() {
-		f.Transport = fed.NewFaultyTransport(transport, cfg.Faults)
-	}
-	return f, nil
 }
 
 // train runs cfg.Episodes on r's clients — independently for AlgPPO, through
@@ -506,9 +479,6 @@ func (r *TrainResult) train(cfg ExperimentConfig, agg fed.Aggregator) error {
 	r.Participation = make([]int, len(f.Reports))
 	for i, rep := range f.Reports {
 		r.Participation[i] = rep.Participants
-	}
-	if faulty, ok := f.Transport.(*fed.FaultyTransport); ok {
-		r.Faults = faulty.Stats()
 	}
 	r.MeanCurve = fed.MeanRewardCurve(r.Clients)
 	r.Comm = f.Comm()

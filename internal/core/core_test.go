@@ -470,8 +470,10 @@ func TestTrainReportsPoolTraffic(t *testing.T) {
 	}
 }
 
-func TestTrainReportsParticipationAndFaults(t *testing.T) {
-	// A fault-free run surfaces full participation and zero fault counts.
+// TestTrainReportsParticipation: a run surfaces its per-round participation,
+// full at the default K. (A round every upload of which is dropped is
+// fed:TestRunRoundSurvivesTotalDropOut.)
+func TestTrainReportsParticipation(t *testing.T) {
 	cfg := tinyConfig(17)
 	r, err := Train(AlgFedAvg, cfg)
 	if err != nil {
@@ -485,29 +487,6 @@ func TestTrainReportsParticipationAndFaults(t *testing.T) {
 		if p != len(cfg.Specs) {
 			t.Fatalf("round %d participation %d, want full %d", i, p, len(cfg.Specs))
 		}
-	}
-	if r.Faults.Total() != 0 {
-		t.Fatalf("fault counters %+v without an injector", r.Faults)
-	}
-
-	// With an always-drop injector every round still completes — with zero
-	// participants — and the injected events are counted on the result.
-	cfg = tinyConfig(17)
-	cfg.Faults = fed.FaultSpec{Drop: 1, Seed: 3}
-	r, err = Train(AlgFedAvg, cfg)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(r.Participation) != rounds {
-		t.Fatalf("faulty run participation length %d, want %d", len(r.Participation), rounds)
-	}
-	for i, p := range r.Participation {
-		if p != 0 {
-			t.Fatalf("round %d participation %d under total drop", i, p)
-		}
-	}
-	if r.Faults.Drops == 0 {
-		t.Fatalf("fault counters %+v, want recorded drops", r.Faults)
 	}
 }
 

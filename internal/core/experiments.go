@@ -189,8 +189,8 @@ func RunWeightConfigs(cfg ExperimentConfig) (WeightConfigResult, error) {
 		runCfg := cfg
 		runCfg.Specs = conf.specs
 		// A static 4×4 weight matrix needs all four uploads in every round:
-		// full participation, the barrier trigger, a clean transport.
-		runCfg.K, runCfg.Async, runCfg.Faults = len(conf.specs), false, fed.FaultSpec{}
+		// full participation.
+		runCfg.K = len(conf.specs)
 		// Twin clients must sample independent task sets: SampleClientData
 		// already derives per-index seeds, which differ for C1 and C1'.
 		r, err := setup(AlgFedAvg, runCfg)

@@ -32,9 +32,9 @@ import (
 )
 
 // EpisodeEnv is a training environment that can restart its episode from
-// the client's fixed training data. cloudsim task sets and workflow DAG
-// sets both adapt to it, so the federation is agnostic to the environment
-// flavour.
+// the client's fixed training data. It is the seam a caller wraps the
+// client's environment through — the end-to-end benchmark installs a timed
+// wrapper around Env as TrainEnv — without the federation knowing.
 type EpisodeEnv interface {
 	rl.Environment
 	// Begin resets the environment to the start of a training episode.
@@ -49,8 +49,8 @@ type Client struct {
 	Tasks []workload.Task
 	Agent *rl.PPO
 
-	// TrainEnv, when non-nil, overrides the default task-set training
-	// loop — used for non-task environments such as workflow DAGs.
+	// TrainEnv, when non-nil, replaces Env as the training environment and
+	// its Begin replaces Env.Reset(Tasks) at the start of every episode.
 	TrainEnv EpisodeEnv
 
 	// Rewards is the per-episode total-reward training curve.

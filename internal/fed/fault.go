@@ -27,7 +27,7 @@ type FaultSpec struct {
 	// Delay is the probability a call is stalled by DelayFor before
 	// proceeding (a straggler, not a failure).
 	Delay float64
-	// DelayFor is the injected stall duration (default 10ms when Delay>0).
+	// DelayFor is the injected stall duration (default 10ms when unset).
 	DelayFor time.Duration
 	// Duplicate is the probability the underlying operation runs twice —
 	// an at-least-once delivery double, exercising idempotency.
@@ -45,7 +45,9 @@ func (s FaultSpec) Active() bool {
 
 // ParseFaultSpec parses the CLI form "drop=0.1,delay=0.05:20ms,dup=0.02,
 // corrupt=0.01,seed=7". Every field is optional; an empty string is the
-// zero (inactive) spec.
+// zero (inactive) spec. Probabilities must be numbers in [0, 1] (NaN is
+// refused) summing to at most 1, and an explicit delay duration must be
+// positive; a bare delay=PROB leaves DelayFor to NewFaultyTransport's default.
 func ParseFaultSpec(s string) (FaultSpec, error) {
 	var spec FaultSpec
 	s = strings.TrimSpace(s)
@@ -65,7 +67,9 @@ func ParseFaultSpec(s string) (FaultSpec, error) {
 			// delay=PROB or delay=PROB:DURATION
 			prob, dur, hasDur := strings.Cut(val, ":")
 			if spec.Delay, err = parseProb(prob); err == nil && hasDur {
-				spec.DelayFor, err = time.ParseDuration(dur)
+				if spec.DelayFor, err = time.ParseDuration(dur); err == nil && spec.DelayFor <= 0 {
+					err = fmt.Errorf("duration %v is not positive", spec.DelayFor)
+				}
 			}
 		case "dup":
 			spec.Duplicate, err = parseProb(val)
@@ -91,7 +95,7 @@ func parseProb(s string) (float64, error) {
 	if err != nil {
 		return 0, err
 	}
-	if p < 0 || p > 1 {
+	if !(p >= 0 && p <= 1) { // also refuses NaN
 		return 0, fmt.Errorf("probability %v out of [0,1]", p)
 	}
 	return p, nil

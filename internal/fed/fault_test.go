@@ -26,6 +26,16 @@ func TestParseFaultSpec(t *testing.T) {
 		{"bogus=1", FaultSpec{}, true},
 		{"drop", FaultSpec{}, true},
 		{"seed=abc", FaultSpec{}, true},
+		// NaN compares false against both bounds and would disable every
+		// later draw; an explicit non-positive delay is an error, not the
+		// 10ms default.
+		{"drop=NaN", FaultSpec{}, true},
+		{"drop=nan,dup=0.1", FaultSpec{}, true},
+		{"delay=NaN:5ms", FaultSpec{}, true},
+		{"corrupt=+Inf", FaultSpec{}, true},
+		{"delay=0.1:-5ms", FaultSpec{}, true},
+		{"delay=0.1:0s", FaultSpec{}, true},
+		{"delay=0:-1s", FaultSpec{}, true},
 	}
 	for _, c := range cases {
 		got, err := ParseFaultSpec(c.in)
@@ -36,6 +46,42 @@ func TestParseFaultSpec(t *testing.T) {
 			t.Fatalf("ParseFaultSpec(%q) = %+v, want %+v", c.in, got, c.want)
 		}
 	}
+	// A bare delay probability keeps the documented 10ms stall.
+	spec, _ := ParseFaultSpec("delay=0.5")
+	if d := NewFaultyTransport(PublicCriticTransport{}, spec).Spec.DelayFor; d != 10*time.Millisecond {
+		t.Fatalf("bare delay stalls %v, want the 10ms default", d)
+	}
+}
+
+// FuzzParseFaultSpec: whatever ParseFaultSpec accepts is a schedule draw can
+// honour — every probability finite and in [0, 1], their sum at most 1, and
+// no negative stall.
+func FuzzParseFaultSpec(f *testing.F) {
+	for _, s := range []string{
+		"", "drop=0.1", "drop=0.1,delay=0.05:20ms,dup=0.02,corrupt=0.01,seed=7", "delay=0.5",
+		"drop=NaN", "drop=nan,dup=0.1", "delay=0.1:-5ms", "delay=0.1:0s", "drop=0.6,delay=0.6",
+	} {
+		f.Add(s)
+	}
+	f.Fuzz(func(t *testing.T, s string) {
+		spec, err := ParseFaultSpec(s)
+		if err != nil {
+			return
+		}
+		sum := 0.0
+		for _, p := range []float64{spec.Drop, spec.Delay, spec.Duplicate, spec.Corrupt} {
+			if math.IsNaN(p) || p < 0 || p > 1 {
+				t.Fatalf("ParseFaultSpec(%q) accepted probability %v: %+v", s, p, spec)
+			}
+			sum += p
+		}
+		if sum > 1 {
+			t.Fatalf("ParseFaultSpec(%q) accepted probabilities summing to %v", s, sum)
+		}
+		if spec.DelayFor < 0 {
+			t.Fatalf("ParseFaultSpec(%q) accepted a negative stall %v", s, spec.DelayFor)
+		}
+	})
 }
 
 func TestFaultSpecActive(t *testing.T) {

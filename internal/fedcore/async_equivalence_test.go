@@ -28,9 +28,10 @@ func compareReports(t *testing.T, label string, sync, async []fed.RoundReport) {
 	}
 }
 
-// TestAsyncDegradesToSyncInProcess runs the same seeded experiment through
-// core.Train twice — synchronous engine vs async engine at staleness-bound 0
-// and buffer = K — and requires bit-identical results.
+// TestAsyncDegradesToSyncInProcess runs the same seeded experiment twice —
+// core.Train on the synchronous engine, then the same clients through
+// fed.New on the async engine at staleness-bound 0 and buffer = K — and
+// requires bit-identical results.
 func TestAsyncDegradesToSyncInProcess(t *testing.T) {
 	cfg := equivConfig(42)
 
@@ -39,29 +40,33 @@ func TestAsyncDegradesToSyncInProcess(t *testing.T) {
 		t.Fatal(err)
 	}
 
-	acfg := cfg
-	acfg.Async = true
-	acfg.StalenessBound = 0
-	acfg.Buffer = cfg.K
-	asyncRes, err := core.Train(core.AlgPFRLDM, acfg)
+	clients := buildFedClients(t, cfg)
+	async, err := fed.New(clients, fed.PublicCriticTransport{}, fed.NewAttention(cfg.Seed), fed.Options{
+		K: cfg.K, CommEvery: cfg.CommEvery, Seed: cfg.Seed, Parallel: cfg.Parallel,
+		Async: true, StalenessBound: 0, Buffer: cfg.K,
+	})
 	if err != nil {
 		t.Fatal(err)
 	}
+	if err := async.RunEpisodes(cfg.Episodes); err != nil {
+		t.Fatal(err)
+	}
 
-	if !samePayload(syncRes.Federation.Global, asyncRes.Federation.Global) {
+	if !samePayload(syncRes.Federation.Global, async.Global) {
 		t.Fatal("global payloads diverged between sync and degraded-async runs")
 	}
-	if len(syncRes.MeanCurve) != len(asyncRes.MeanCurve) {
-		t.Fatalf("curve lengths %d vs %d", len(syncRes.MeanCurve), len(asyncRes.MeanCurve))
+	asyncCurve := fed.MeanRewardCurve(clients)
+	if len(syncRes.MeanCurve) != len(asyncCurve) {
+		t.Fatalf("curve lengths %d vs %d", len(syncRes.MeanCurve), len(asyncCurve))
 	}
 	for i := range syncRes.MeanCurve {
-		if syncRes.MeanCurve[i] != asyncRes.MeanCurve[i] {
+		if syncRes.MeanCurve[i] != asyncCurve[i] {
 			t.Fatalf("episode %d: mean reward %v (sync) vs %v (async)",
-				i, syncRes.MeanCurve[i], asyncRes.MeanCurve[i])
+				i, syncRes.MeanCurve[i], asyncCurve[i])
 		}
 	}
-	compareReports(t, "in-process", syncRes.Federation.Reports, asyncRes.Federation.Reports)
-	for _, rep := range asyncRes.Federation.Reports {
+	compareReports(t, "in-process", syncRes.Federation.Reports, async.Reports)
+	for _, rep := range async.Reports {
 		if rep.StaleDrops != 0 || rep.DupDrops != 0 {
 			t.Fatalf("degraded-async round carries drops: %+v", rep)
 		}

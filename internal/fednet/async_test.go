@@ -4,6 +4,7 @@ import (
 	"errors"
 	"fmt"
 	"net/rpc"
+	"strings"
 	"sync"
 	"testing"
 
@@ -348,6 +349,34 @@ func TestAsyncStaleSubmissionDropped(t *testing.T) {
 	reports := srv.Reports()
 	if last := reports[len(reports)-1]; last.StaleDrops != 1 {
 		t.Fatalf("stale drop not reported: %+v", last)
+	}
+}
+
+// TestUnjoinedClientRefused pins DESIGN §9 contract 15: an id inside the
+// configured fleet that no Join handed out is refused on both async RPCs —
+// nothing is decoded, submitted or counted.
+func TestUnjoinedClientRefused(t *testing.T) {
+	srv, addr := startAsyncServer(t, 2, 2, -1, 1, fed.FedAvg{}, fed.Payload{0, 0})
+	conn, err := rpc.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	if id := rawJoin(t, conn).ClientID; id != 0 {
+		t.Fatalf("first join got slot %d", id)
+	}
+	var reply SyncReply
+	err = conn.Call("Federation.Sync", SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}, &reply)
+	if err == nil || !strings.Contains(err.Error(), "unknown client") {
+		t.Fatalf("Sync as the unjoined id 1: err %v, want unknown client", err)
+	}
+	var fetch FetchReply
+	err = conn.Call("Federation.Fetch", FetchArgs{ClientID: 1, Base: -1}, &fetch)
+	if err == nil || !strings.Contains(err.Error(), "unknown client") {
+		t.Fatalf("Fetch as the unjoined id 1: err %v, want unknown client", err)
+	}
+	if reports := srv.Reports(); len(reports) != 0 {
+		t.Fatalf("an unjoined id's Sync was committed: %+v", reports)
 	}
 }
 

@@ -364,12 +364,14 @@ func (h *rpcHandler) State(_ StateArgs, reply *StateReply) error {
 	return nil
 }
 
-// checkLocked rejects calls to a closed server and unknown client ids.
+// checkLocked rejects calls to a closed server and ids no Join handed out:
+// an id inside the configured fleet that nobody joined is as unknown as one
+// outside it.
 func (s *Server) checkLocked(clientID int) error {
 	if s.closed {
 		return errors.New(msgClosed)
 	}
-	if clientID < 0 || clientID >= s.cfg.Clients {
+	if clientID < 0 || clientID >= s.nextID {
 		return fmt.Errorf("fednet: unknown client %d", clientID)
 	}
 	return nil

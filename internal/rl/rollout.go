@@ -47,7 +47,9 @@ type Agent interface {
 // reports Truncated(), the collector bootstraps the tail of the cut episode
 // with the critic's value of the successor state instead of zero — a zero
 // bootstrap at a cut writes off the entire continuation and biases every
-// advantage upstream of the boundary.
+// advantage upstream of the boundary. cloudsim.Env implements it (its
+// MaxSteps cap is a cut); the interface keeps the collector free of any
+// environment package.
 type Truncator interface {
 	// Truncated reports whether the current Done() is a horizon cut rather
 	// than a terminal. Only meaningful while Done() is true.
@@ -115,8 +117,8 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 // recording) and returns the total reward: at every step choose — an agent's
 // GreedyAction, or any function of the same shape — sees the observation and
 // the environment's feasibility mask. It is the greedy loop for environments
-// that are not a bare *cloudsim.Env (workflow DAGs, the synthetic benchmark
-// env); cloudsim task sets are evaluated by cloudsim.Evaluate.
+// that are not a bare *cloudsim.Env (the synthetic env of rl's tests and
+// benchmarks); cloudsim task sets are evaluated by cloudsim.Evaluate.
 func EvaluateEpisodeMasked(env Environment, choose func(state []float64, mask []bool) int) float64 {
 	total := 0.0
 	state := env.Observe(nil)
