@@ -161,9 +161,11 @@ bench-e2e-smoke:
 	$(GO) run ./benchmark -smoke -repeats 1 -out "$$(mktemp -d)"
 
 # Every figure, table and ablation runner twice, end to end, at toy size,
-# plus the two examples that read an agent's public critic and α directly (a
-# checkpoint round trip that exits 1 if the reloaded policy schedules
-# differently, and a PFRL-DM federation): the only ci step that executes the
+# plus every example: the two that read an agent's public critic and α
+# directly (a checkpoint round trip that exits 1 if the reloaded policy
+# schedules differently, and a PFRL-DM federation), the quickstart, the
+# Figure 20 newcomer and the hybrid-workload run — the one entry point that
+# sets the SLO wait cost and target. It is the only ci step that executes the
 # -exp harness, so a runner that stops working is seen here and not when
 # someone next regenerates results_all.txt — and the two passes must print
 # the same bytes (same seed, same bits: the harness's own determinism check,
@@ -177,6 +179,9 @@ figs-smoke:
 	cmp "$$a" "$$b" || { echo "figs-smoke: two passes of -exp all differ"; exit 1; }
 	$(GO) run ./examples/checkpoint
 	$(GO) run ./examples/federation
+	$(GO) run ./examples/quickstart
+	$(GO) run ./examples/newagent
+	$(GO) run ./examples/hybridworkloads
 
 # The official-size counterpart of figs-smoke: the full suite at the
 # EXPERIMENTS.md harness scale plus the headline Figure 15 run on three

@@ -2,54 +2,37 @@ package cloudsim
 
 import "repro/internal/workload"
 
-// The paper notes its reward "can be easily extended to accommodate other
-// optimization objectives, such as makespan, cost, energy consumption"
-// (§4.2). This file makes that concrete: a linear power model and a
-// per-slot billing model per VM, two additional reward terms, and the
-// corresponding episode metrics. Both default to "off" so the baseline
-// environment matches the paper exactly.
+// The paper's reward is Eq. (6) alone; §4.2 only notes it "can be easily
+// extended". What this file adds beside it is measurement, not reward: a
+// linear power model and a per-slot billing model per VM behind the episode
+// metrics Metrics.EnergyWattSlots and Metrics.Cost, and the per-SLO-class
+// wait cost and target.
 
-// PowerModel is the standard linear server power curve: a powered-on VM
-// draws IdleWatts plus (PeakWatts−IdleWatts)·cpuUtilization. VMs with no
-// running tasks are assumed scaled to zero (no draw) — the setting in
-// which placement policy actually moves the energy bill.
-type PowerModel struct {
-	IdleWatts float64
-	PeakWatts float64
-}
-
-// DefaultPowerModel approximates a commodity 2-socket server.
-func DefaultPowerModel() PowerModel { return PowerModel{IdleWatts: 100, PeakWatts: 300} }
+// The power model is the standard linear server power curve of a commodity
+// 2-socket server: a powered-on VM draws idleWatts plus
+// (peakWatts−idleWatts)·cpuUtilization. VMs with no running tasks are assumed
+// scaled to zero (no draw) — the setting in which placement policy actually
+// moves the energy bill.
+const (
+	idleWatts = 100.0
+	peakWatts = 300.0
+)
 
 // draw returns the instantaneous wattage for a VM at the given CPU
 // utilization; zero when the VM runs nothing.
-func (p PowerModel) draw(cpuUtil float64, busy bool) float64 {
+func draw(cpuUtil float64, busy bool) float64 {
 	if !busy {
 		return 0
 	}
-	return p.IdleWatts + (p.PeakWatts-p.IdleWatts)*cpuUtil
+	return idleWatts + (peakWatts-idleWatts)*cpuUtil
 }
 
-// ObjectiveWeights generalizes Eq. (6): the placement reward becomes
-//
-//	R = wR·R_res + wL·R_load + wE·R_energy + wC·R_cost
-//
-// with the weights normalized to sum 1. R_energy rewards placements that
-// add little marginal power (consolidating onto already-busy VMs);
-// R_cost rewards placements that avoid waking a billed VM. Zero-value
-// weights reproduce the paper's two-term reward via Config.Rho.
-//
-// The SLO fields shape and score placements per service class, outside the
-// normalized mix: SLOWaitCost subtracts cost·wait from every placement of a
-// task in that class, and SLOWaitTarget sets the per-class wait threshold
-// (in slots) behind Metrics.PerSLO violation counts. All-zero SLO fields
-// reproduce the unshaped reward and metrics bit-for-bit.
+// ObjectiveWeights holds the SLO shaping of the placement reward and the
+// per-class metrics: SLOWaitCost subtracts cost·wait from every placement of
+// a task in that class, and SLOWaitTarget sets the per-class wait threshold
+// (in slots) behind Metrics.PerSLO violation counts. All-zero fields
+// reproduce the paper's reward and metrics bit-for-bit.
 type ObjectiveWeights struct {
-	Response    float64
-	LoadBalance float64
-	Energy      float64
-	Cost        float64
-
 	SLOWaitCost   [workload.NumSLOClasses]float64
 	SLOWaitTarget [workload.NumSLOClasses]int
 }
@@ -63,65 +46,9 @@ func sloIndex(c workload.SLOClass) int {
 	return int(c)
 }
 
-// normalized returns the weights scaled to sum to 1; an all-zero value
-// falls back to the paper's (ρ, 1−ρ) pair.
-func (w ObjectiveWeights) normalized(rho float64) ObjectiveWeights {
-	sum := w.Response + w.LoadBalance + w.Energy + w.Cost
-	if sum <= 0 {
-		return ObjectiveWeights{Response: rho, LoadBalance: 1 - rho}
-	}
-	return ObjectiveWeights{
-		Response:    w.Response / sum,
-		LoadBalance: w.LoadBalance / sum,
-		Energy:      w.Energy / sum,
-		Cost:        w.Cost / sum,
-	}
-}
-
-// energyReward scores a placement by its marginal power draw: 1 for a
-// free placement (consolidation onto a busy VM adds only dynamic power),
-// approaching 0 for waking the largest idle VM.
-func (e *Env) energyReward(vm *VM, wasBusy bool, utilBefore, utilAfter float64) float64 {
-	pm := e.cfg.Power
-	marginal := pm.draw(utilAfter, true) - pm.draw(utilBefore, wasBusy)
-	if marginal < 0 {
-		marginal = 0
-	}
-	if pm.PeakWatts <= 0 {
-		return 1
-	}
-	r := 1 - marginal/pm.PeakWatts
-	if r < 0 {
-		r = 0
-	}
-	return r
-}
-
-// costReward scores a placement 1 when the VM was already billed (busy)
-// and proportionally less the pricier the VM it wakes.
-func (e *Env) costReward(vmIdx int, wasBusy bool) float64 {
-	if wasBusy {
-		return 1
-	}
-	maxPrice := 0.0
-	for i := range e.vms {
-		if p := e.vmPrice(i); p > maxPrice {
-			maxPrice = p
-		}
-	}
-	if maxPrice <= 0 {
-		return 1
-	}
-	return 1 - e.vmPrice(vmIdx)/maxPrice
-}
-
-// vmPrice returns the per-slot price of VM i. With no explicit price table
-// the price is proportional to capacity (CPU + Mem/8, a rough on-demand
-// pricing shape).
+// vmPrice returns the per-slot price of VM i: proportional to capacity
+// (CPU + Mem/8, a rough on-demand pricing shape).
 func (e *Env) vmPrice(i int) float64 {
-	if len(e.cfg.Prices) == len(e.vms) && len(e.cfg.Prices) > 0 {
-		return e.cfg.Prices[i]
-	}
 	spec := e.vms[i].Spec
 	return float64(spec.CPU) + spec.Mem/8
 }

@@ -214,7 +214,7 @@ func TestCachedStatsMatchScratchRecompute(t *testing.T) {
 		loadBalSum += scratchLoadBalance(cfg, env.vms)
 		for i, vm := range env.vms {
 			busy := vm.RunningTasks() > 0
-			energySum += cfg.Power.draw(scratchUtil(vm, 0), busy)
+			energySum += draw(scratchUtil(vm, 0), busy)
 			if busy {
 				costSum += env.vmPrice(i)
 			}

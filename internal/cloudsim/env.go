@@ -50,14 +50,9 @@ type Config struct {
 	ResourceWeights [NumResources]float64 // w_i in Eqs. (4), (9), (24)
 	LazyPenalty     float64               // negative constant for waiting despite a feasible VM
 
-	// Extended objectives (§4.2's "easily extended" reward). A zero-value
-	// Objectives reproduces the paper's two-term reward from Rho.
+	// Objectives is the per-SLO-class wait shaping; the zero value
+	// reproduces the paper's reward from Rho.
 	Objectives ObjectiveWeights
-	// Power models VM energy draw for the energy objective and metrics.
-	Power PowerModel
-	// Prices optionally gives per-VM per-slot prices (len must equal
-	// len(VMs)); when empty, prices are derived from capacity.
-	Prices []float64
 
 	// MaxSteps caps an episode (0 means a generous default of
 	// 50·len(tasks)+1000 steps; sources with unknown totals require an
@@ -79,7 +74,6 @@ func DefaultConfig(vms []VMSpec) Config {
 		Rho:             0.5,
 		ResourceWeights: [NumResources]float64{0.5, 0.5},
 		LazyPenalty:     -8,
-		Power:           DefaultPowerModel(),
 	}
 }
 
@@ -144,8 +138,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cloudsim: Rho must be in [0,1]")
 	case c.MaxCPU < 1 || c.MaxMem <= 0:
 		return fmt.Errorf("cloudsim: invalid normalization caps")
-	case len(c.Prices) > 0 && len(c.Prices) != len(c.VMs):
-		return fmt.Errorf("cloudsim: %d prices for %d VMs", len(c.Prices), len(c.VMs))
 	case c.TopK < 0:
 		return fmt.Errorf("cloudsim: TopK must be >= 0")
 	case c.UtilBuckets < 0:
@@ -283,10 +275,6 @@ type Env struct {
 	energySum  float64 // watt-slots across all VMs
 	costSum    float64 // price-slots across busy VMs
 	slots      int
-
-	// Last placement's component rewards (see placementReward).
-	lastRespReward float64
-	lastLoadReward float64
 
 	// Per-class wait scratch reused by Metrics, so repeated metric reads
 	// stay allocation-free once capacities are established.
@@ -754,8 +742,6 @@ func (e *Env) Step(action int) float64 {
 	eff := head
 	eff.Duration = vm.slowedDuration(head.CPU, head.Duration)
 	before := e.loadBalance()
-	wasBusy := vm.RunningTasks() > 0
-	utilBefore := vm.utilization(0)
 	e.preVMChange(vmIdx)
 	slot := vm.place(eff, e.now)
 	e.postVMChange(vmIdx)
@@ -767,7 +753,6 @@ func (e *Env) Step(action int) float64 {
 	})
 	e.popHead()
 	after := e.loadBalance()
-	utilAfter := vm.utilization(0)
 	// The record's Finish is known at placement time because the simulator
 	// is deterministic (fixed durations, no preemption).
 	e.completed = append(e.completed, TaskRecord{
@@ -776,16 +761,7 @@ func (e *Env) Step(action int) float64 {
 		Finish: e.now + eff.Duration,
 	})
 	reward := e.placementReward(eff, before, after)
-	w := e.cfg.Objectives.normalized(e.cfg.Rho)
-	if w.Energy != 0 || w.Cost != 0 {
-		// Extended objective mix: rescale the two paper terms into the
-		// normalized weight vector and add the energy/cost terms.
-		respTerm, loadTerm := e.lastRespReward, e.lastLoadReward
-		reward = w.Response*respTerm + w.LoadBalance*loadTerm +
-			w.Energy*e.energyReward(vm, wasBusy, utilBefore, utilAfter) +
-			w.Cost*e.costReward(vmIdx, wasBusy)
-	}
-	// SLO shaping: a per-class linear wait cost on top of the mix, guarded
+	// SLO shaping: a per-class linear wait cost on top of Eq. (6), guarded
 	// so the zero-cost default reproduces the unshaped reward bit-for-bit.
 	if cost := e.cfg.Objectives.SLOWaitCost[sloIndex(eff.SLO)]; cost != 0 {
 		reward -= cost * float64(e.now-eff.Arrival)
@@ -810,9 +786,7 @@ func (e *Env) invalidPenalty(vmIdx int) float64 {
 	return -math.Exp(s)
 }
 
-// placementReward implements Eqs. (6)–(8). The two component terms are
-// retained in lastRespReward / lastLoadReward so the extended-objective mix
-// can reuse them without recomputation.
+// placementReward implements Eqs. (6)–(8).
 func (e *Env) placementReward(t workload.Task, loadBefore, loadAfter float64) float64 {
 	wait := float64(e.now - t.Arrival)
 	run := float64(t.Duration)
@@ -831,7 +805,6 @@ func (e *Env) placementReward(t workload.Task, loadBefore, loadAfter float64) fl
 	if loadC > 0 {
 		rLoad = loadC
 	}
-	e.lastRespReward, e.lastLoadReward = rRes, rLoad
 	return e.cfg.Rho*rRes + (1-e.cfg.Rho)*rLoad
 }
 
@@ -1022,8 +995,7 @@ func (e *Env) accumulateSlotStats() {
 			e.utilSum[i] += e.sumUtil[i] / n
 		}
 		e.loadBalSum += e.loadBalanceFast()
-		pm := e.cfg.Power
-		e.energySum += float64(e.busyVMs)*pm.IdleWatts + (pm.PeakWatts-pm.IdleWatts)*e.sumBusyCPUUtil
+		e.energySum += float64(e.busyVMs)*idleWatts + (peakWatts-idleWatts)*e.sumBusyCPUUtil
 		e.costSum += e.sumBusyPrice
 		e.slots++
 		return
@@ -1038,7 +1010,7 @@ func (e *Env) accumulateSlotStats() {
 	e.loadBalSum += e.loadBalance()
 	for i, vm := range e.vms {
 		busy := vm.RunningTasks() > 0
-		e.energySum += e.cfg.Power.draw(vm.utilization(0), busy)
+		e.energySum += draw(vm.utilization(0), busy)
 		if busy {
 			e.costSum += e.vmPrice(i)
 		}

@@ -38,11 +38,11 @@ type Metrics struct {
 	Total     int
 	// Steps is the number of agent decisions taken.
 	Steps int
-	// EnergyWattSlots is the time-integrated power draw across VMs (the
-	// extended energy objective; watt·slots).
+	// EnergyWattSlots is the time-integrated power draw across VMs under
+	// the linear power model (energy.go; watt·slots).
 	EnergyWattSlots float64
-	// Cost is the accumulated per-slot billing of busy VMs (the extended
-	// cost objective; price·slots).
+	// Cost is the accumulated per-slot billing of busy VMs at
+	// capacity-derived prices (price·slots).
 	Cost float64
 	// PerSLO breaks queueing delay down by service class, indexed by
 	// workload.SLOClass.

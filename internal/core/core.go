@@ -438,8 +438,8 @@ func setup(alg Algorithm, cfg ExperimentConfig) (*TrainResult, error) {
 // gives the transport, the aggregator (agg, when non-nil, replaces it — the
 // ablation and Figure 10 runners' only lever) and the default K, and every
 // federation option of cfg is carried over. The federation is the barrier
-// regime over a clean transport; the async engine and the fault injector are
-// fed.Options and fed.FaultyTransport, set by whoever calls fed.New.
+// regime over a clean transport; the fault injector is fed.FaultyTransport,
+// set by whoever calls fed.New.
 func (r *TrainResult) federate(cfg ExperimentConfig, agg fed.Aggregator) (*fed.Federation, error) {
 	row := r.Algorithm.row()
 	transport := row.transport

@@ -26,9 +26,9 @@ type Federation struct {
 	Transport Transport
 	Agg       Aggregator
 
-	// Engine is the shared round state machine, built with the barrier
-	// trigger unless Options.Async; the networked fednet.Server wraps the
-	// same type, which is what keeps the two paths bit-identical.
+	// Engine is the shared round state machine, always on the barrier
+	// trigger; the networked fednet.Server wraps the same type, which is what
+	// keeps the two paths bit-identical.
 	Engine *fedcore.AsyncEngine
 
 	// K is the number of clients that participate in each aggregation
@@ -63,12 +63,7 @@ type Federation struct {
 	// all is 0..N-1, the pull-side draw's candidates.
 	all []int
 
-	// Submission bookkeeping: per-client monotone submission counters (the
-	// dedup key), per-client base rounds (the round whose global each client
-	// last installed — the staleness anchor), and the error a delivery
-	// callback surfaced.
-	clientSeq  []int
-	clientBase []int
+	// deliverErr is the error a delivery callback surfaced.
 	deliverErr error
 }
 
@@ -78,18 +73,6 @@ type Options struct {
 	CommEvery int
 	Seed      int64
 	Parallel  bool
-
-	// Async switches the engine's commit trigger from the segment barrier
-	// (every RunRound closes one round over whatever its selected clients
-	// uploaded) to buffered asynchronous aggregation: uploads are
-	// staleness-weighted and commits fire every Buffer accepted arrivals.
-	Async bool
-	// StalenessBound caps accepted staleness in async mode (negative =
-	// unbounded). Zero accepts only fresh deltas — with Buffer = K this
-	// reproduces the barrier bit-identically.
-	StalenessBound int
-	// Buffer is the async commit trigger B; <= 0 resolves to K.
-	Buffer int
 
 	// Codec selects the payload wire codec. The zero value (identity tier,
 	// absolute encoding) frames payloads bit-exactly — the degradation-pin
@@ -121,13 +104,11 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 		wire:      fedcore.NewWireServer(opts.Codec),
 	}
 	for _, c := range clients {
-		f.addSlot(c, 0)
+		f.addSlot(c)
 	}
 	f.Engine, err = fedcore.NewAsync(agg, initial, fedcore.AsyncOptions{
-		Options:        fedcore.Options{K: opts.K, Clients: len(clients), Seed: opts.Seed},
-		StalenessBound: opts.StalenessBound,
-		Buffer:         opts.Buffer,
-		Barrier:        !opts.Async,
+		Options: fedcore.Options{K: opts.K, Clients: len(clients), Seed: opts.Seed},
+		Barrier: true,
 	}, f.deliverCommit)
 	if err != nil {
 		return nil, fmt.Errorf("fed: %w", err)
@@ -164,13 +145,10 @@ func TrainClients(clients []*Client, episodes int, parallel bool) {
 }
 
 // RunRound performs one full round: a local-training segment, the engine's
-// pull-side draw of K participants, and one upload + Submit per drawn client.
-// Under the barrier trigger the round then closes over whatever arrived;
-// under the buffer trigger commits fire inside Submit whenever B accepted
-// arrivals are buffered, so one segment may commit zero rounds (after upload
-// drops) or the buffer may carry arrivals across segments when B ≠ K. At
-// every commit participants receive their personalized payloads and every
-// other client the stored global model (Algorithm 1, lines 13–15).
+// pull-side draw of K participants, one upload + Submit per drawn client, and
+// the barrier commit over whatever arrived. At the commit participants receive
+// their personalized payloads and every other client the stored global model
+// (Algorithm 1, lines 13–15).
 //
 // Transient transport faults (ErrInjectedFault) do not fail the round: a
 // client whose upload drops simply does not participate (corrupt-length and
@@ -197,11 +175,7 @@ func (f *Federation) RunRound() error {
 			return fmt.Errorf("fed: round %d upload from client %d: %w", f.Rounds, f.Clients[idx].ID, err)
 		}
 		f.submit(idx, u)
-		if f.deliverErr != nil {
-			break
-		}
 	}
-	// A no-op unless the engine runs the barrier trigger.
 	f.Engine.CloseRound(false)
 	f.syncMirrors()
 	return f.deliverErr
@@ -209,10 +183,12 @@ func (f *Federation) RunRound() error {
 
 // submit moves one upload across the wire — the client end frames it (delta
 // and error feedback per the codec), the server end decodes it against the
-// reference the two share — and hands the decode to the engine. Under the
-// identity tier the decode is bit-exact, which is the degradation pin. An
-// upload the engine rejects (ErrBadUpload) is counted in its report, not in
-// CommStats; its client sits the round out.
+// reference the two share — and hands the decode to the engine under the
+// arguments fednet's barrier server uses: seq round+1 (monotone per client)
+// and base round (which the barrier ignores). Under the identity tier the
+// decode is bit-exact, which is the degradation pin. An upload the engine
+// rejects (ErrBadUpload) is counted in its report, not in CommStats; its
+// client sits the round out.
 func (f *Federation) submit(idx int, u Payload) {
 	up := u
 	if len(u) > 0 { // nothing to frame; the engine rejects an empty upload itself
@@ -223,8 +199,8 @@ func (f *Federation) submit(idx int, u Payload) {
 			panic(fmt.Sprintf("fed: wire desync on client %d upload: %v", idx, err))
 		}
 	}
-	f.clientSeq[idx]++
-	if _, err := f.Engine.Submit(idx, f.clientSeq[idx], f.clientBase[idx], up); err == nil {
+	round := f.Engine.Round()
+	if _, err := f.Engine.Submit(idx, round+1, round, up); err == nil {
 		f.wire.Accepted(idx)
 	}
 }
@@ -253,10 +229,6 @@ func (f *Federation) deliverCommit(personalized map[int]fedcore.Payload, global 
 		case err != nil:
 			f.deliverErr = fmt.Errorf("fed: round %d download to client %d: %w", committed-1, c.ID, err)
 			return drops, commDur
-		default:
-			// The client installed this commit's global: its next delta is
-			// fresh relative to it.
-			f.clientBase[idx] = committed
 		}
 		c.CriticLossPost = append(c.CriticLossPost, c.probeCriticLoss())
 	}
@@ -285,38 +257,29 @@ func (f *Federation) RunEpisodes(episodes int) error {
 	if rem := episodes % f.CommEvery; rem > 0 {
 		TrainClients(f.Clients, rem, f.Parallel)
 	}
-	// Commit any trailing partial buffer so deltas submitted after the last
-	// commit are not lost. A no-op when every submission already committed —
-	// always, under the barrier trigger.
-	f.deliverErr = nil
-	if _, ok := f.Engine.Flush(); ok {
-		f.syncMirrors()
-	}
-	return f.deliverErr
+	return nil
 }
 
 // AddClient joins a new client mid-training (the Figure-20 scenario),
 // initializing it under the engine's late-join policy — the same rule a
 // fednet joiner or resyncing straggler gets: the current global payload.
 func (f *Federation) AddClient(c *Client) error {
-	round, global := f.Engine.Join(len(f.Clients))
+	_, global := f.Engine.Join(len(f.Clients))
 	if err := f.Transport.Download(c, global); err != nil {
 		return fmt.Errorf("fed: joining client %d: %w", c.ID, err)
 	}
-	f.addSlot(c, round)
+	f.addSlot(c)
 	return nil
 }
 
 // addSlot appends client c and its per-client state. Its installs so far
 // were out-of-band raw payloads (the constructor's initial sync, a join —
 // matching the networked path's JoinReply), so it starts with a fresh client
-// end: its first uplink is absolute. base is the round whose global it holds.
-func (f *Federation) addSlot(c *Client, base int) {
+// end: its first uplink is absolute.
+func (f *Federation) addSlot(c *Client) {
 	f.all = append(f.all, len(f.Clients))
 	f.Clients = append(f.Clients, c)
 	f.ends = append(f.ends, fedcore.NewWireClient(f.wire.Codec()))
-	f.clientSeq = append(f.clientSeq, 0)
-	f.clientBase = append(f.clientBase, base)
 }
 
 // MeanRewardCurve averages the clients' reward curves elementwise over the

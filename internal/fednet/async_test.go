@@ -3,10 +3,12 @@ package fednet
 import (
 	"errors"
 	"fmt"
+	"math"
 	"net/rpc"
 	"strings"
 	"sync"
 	"testing"
+	"time"
 
 	"repro/internal/fed"
 	"repro/internal/fedcore"
@@ -400,5 +402,121 @@ func TestFetchRejectedOnSyncServer(t *testing.T) {
 	var srvErr rpc.ServerError
 	if cerr := conn.Call("Federation.Fetch", FetchArgs{ClientID: 0}, &reply); !errors.As(cerr, &srvErr) {
 		t.Fatalf("unexpected error shape: %v", cerr)
+	}
+}
+
+// TestAsyncRejoinReportsServerRound: an async client's Round is the server
+// round it is in step with — the round of the last global it installed — not
+// its local submission seq, which restarts at 0 on every (re)join. A client
+// that rejoins after two commits reports round 2.
+func TestAsyncRejoinReportsServerRound(t *testing.T) {
+	transport := fed.PublicCriticTransport{}
+	local := newLocalClient(t, 0, 130)
+	srv, addr := startAsyncServer(t, 2, 2, -1, 1, fed.FedAvg{}, mustUpload(t, transport, local))
+	rc, err := Dial(addr, local, transport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rc.Round() != 0 {
+		t.Fatalf("fresh joiner at round %d, want 0", rc.Round())
+	}
+	// Buffer 1: each of the two syncs commits a round.
+	if err := rc.RunRounds(2, 1); err != nil {
+		t.Fatal(err)
+	}
+	if srv.Rounds() != 2 || rc.Round() != 2 {
+		t.Fatalf("server rounds %d, client round %d, want both 2", srv.Rounds(), rc.Round())
+	}
+	rc.Close()
+
+	rejoined, err := DialOptions(addr, newLocalClient(t, 0, 131), transport, Options{Rejoin: true, RejoinID: rc.ID()})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rejoined.Close()
+	if rejoined.Round() != 2 {
+		t.Fatalf("rejoined at round %d, want 2", rejoined.Round())
+	}
+}
+
+// nanUploads poisons the next n uploads with a NaN in their last scalar.
+type nanUploads struct {
+	fed.Transport
+	mu   sync.Mutex
+	left int
+}
+
+func (tr *nanUploads) Upload(c *fed.Client) (fed.Payload, error) {
+	p, err := tr.Transport.Upload(c)
+	if err != nil {
+		return nil, err
+	}
+	tr.mu.Lock()
+	defer tr.mu.Unlock()
+	if tr.left > 0 {
+		tr.left--
+		p[len(p)-1] = math.NaN()
+	}
+	return p, nil
+}
+
+// TestAsyncNonFiniteUploadRetried pins an async server's answer to a
+// non-finite upload over RPC (DESIGN §9 contract 13): the retryable
+// msgBadUpload, with the seq not consumed, so the client's rebuilt retry of
+// the same seq lands as a fresh arrival and fills the buffer.
+func TestAsyncNonFiniteUploadRetried(t *testing.T) {
+	transport := fed.PublicCriticTransport{}
+	locals := []*fed.Client{newLocalClient(t, 0, 140), newLocalClient(t, 1, 141)}
+	srv, addr := startAsyncServer(t, 2, 2, -1, 2, fed.FedAvg{}, mustUpload(t, transport, locals[0]))
+
+	// The bare RPC answer.
+	conn, err := rpc.Dial("tcp", addr)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer conn.Close()
+	id := rawJoin(t, conn).ClientID
+	poisoned := mustUpload(t, transport, locals[0])
+	poisoned[0] = math.Inf(1)
+	var reply SyncReply
+	err = conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: 1, Base: 0, Frame: testFrame(poisoned)}, &reply)
+	if retry, redial := retryable(err); !serverSaid(err, msgBadUpload) || !retry || redial {
+		t.Fatalf("non-finite Sync: err %v (retry %v, redial %v), want a retryable %q", err, retry, redial, msgBadUpload)
+	}
+	conn.Close()
+
+	// The client's retry loop: the rejoined slot's first upload is poisoned,
+	// its retry of the same seq is clean.
+	rc0, err := DialOptions(addr, locals[0], &nanUploads{Transport: transport, left: 1},
+		Options{Retries: 1, RetryBase: time.Millisecond, Seed: 5, Rejoin: true, RejoinID: id})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc0.Close()
+	rc1, err := Dial(addr, locals[1], transport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rc1.Close()
+	if err := rc0.RunRounds(1, 1); err != nil {
+		t.Fatalf("a non-finite upload must be retried, got %v", err)
+	}
+	if st := rc0.Stats(); st.Retries != 1 {
+		t.Fatalf("stats %+v, want exactly one retry", st)
+	}
+	if err := rc1.RunRounds(1, 1); err != nil {
+		t.Fatal(err)
+	}
+	reports := srv.Reports()
+	if len(reports) != 1 {
+		t.Fatalf("%d rounds committed, want 1: the retry must count as a fresh arrival", len(reports))
+	}
+	if rep := reports[0]; rep.Arrived != 2 || rep.Participants != 2 || rep.DupDrops != 0 || rep.UploadDrops != 2 {
+		t.Fatalf("commit report %+v, want 2 arrivals, no dup and the 2 rejections in UploadDrops", rep)
+	}
+	for d, v := range srv.Global() {
+		if math.IsNaN(v) || math.IsInf(v, 0) {
+			t.Fatalf("global[%d] = %v", d, v)
+		}
 	}
 }

@@ -129,8 +129,15 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 // ID returns the server-assigned client id.
 func (c *RemoteClient) ID() int { return c.id }
 
-// Round returns the next server round this client will sync.
-func (c *RemoteClient) Round() int { return c.round }
+// Round returns the next server round this client will sync. Under the async
+// protocol that is the round whose global it last installed (its staleness
+// base), not its local submission seq.
+func (c *RemoteClient) Round() int {
+	if c.async {
+		return c.base
+	}
+	return c.round
+}
 
 // Stats returns the client's fault-tolerance counters.
 func (c *RemoteClient) Stats() ClientStats { return c.stats }

@@ -3,6 +3,9 @@ package fednet
 import (
 	"errors"
 	"fmt"
+	"io"
+	"math"
+	"net"
 	"strings"
 	"sync"
 	"testing"
@@ -536,5 +539,205 @@ func TestJoinInstallRetriesInjectedFault(t *testing.T) {
 	// Without retries the strict protocol still surfaces the fault.
 	if _, err := Dial(addr, newLocalClient(t, 1, 127), &corruptFirstDownload{Transport: plain}); !errors.Is(err, fed.ErrInjectedFault) {
 		t.Fatalf("strict dial: err %v, want the injected fault", err)
+	}
+}
+
+// TestBarrierNonFiniteUploadSitsRoundOut pins a barrier server's answer to a
+// non-finite upload over RPC (DESIGN §9 contract 13): the upload is admitted
+// to the round, rejected at the engine's accept point when the round closes
+// and counted in the report's UploadDrops, and its client is answered like a
+// non-participant — with the new global, not an error.
+func TestBarrierNonFiniteUploadSitsRoundOut(t *testing.T) {
+	transport := fed.PublicCriticTransport{}
+	ref := newLocalClient(t, 99, 150)
+	srv, addr := startServer(t, 2, 2, fed.FedAvg{}, mustUpload(t, transport, ref))
+
+	rcs := make([]*RemoteClient, 2)
+	uploads := make([]fed.Payload, 2)
+	for i := range rcs {
+		local := newLocalClient(t, i, int64(i)+151)
+		rc, err := Dial(addr, local, transport)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer rc.Close()
+		rcs[i] = rc
+		uploads[i] = mustUpload(t, transport, local)
+	}
+	uploads[0][len(uploads[0])-1] = math.NaN()
+
+	replies := make([]SyncReply, 2)
+	var wg sync.WaitGroup
+	for i, rc := range rcs {
+		wg.Add(1)
+		go func(i int, rc *RemoteClient) {
+			defer wg.Done()
+			args := SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(uploads[i])}
+			if err := rc.rpc.Call("Federation.Sync", args, &replies[i]); err != nil {
+				t.Errorf("client %d: %v", i, err)
+			}
+		}(i, rc)
+	}
+	wg.Wait()
+	if t.Failed() {
+		return
+	}
+
+	reports := srv.Reports()
+	if len(reports) != 1 {
+		t.Fatalf("%d rounds, want 1", len(reports))
+	}
+	if rep := reports[0]; rep.UploadDrops != 1 || rep.Arrived != 2 || rep.Participants != 1 {
+		t.Fatalf("round report %+v, want the NaN upload in UploadDrops and 1 participant", rep)
+	}
+	if replies[0].Participant || !replies[1].Participant {
+		t.Fatalf("participant flags %v / %v, want the NaN client out and the clean one in",
+			replies[0].Participant, replies[1].Participant)
+	}
+	global := srv.Global()
+	got := testDecode(t, replies[0].Frame)
+	for d := range global {
+		if math.IsNaN(global[d]) || got[d] != global[d] {
+			t.Fatalf("NaN client's reply[%d] = %v, want the finite global %v", d, got[d], global[d])
+		}
+	}
+}
+
+// countingProxy forwards every TCP connection it accepts to target, counting
+// the connections and the client-to-server bytes of each, so a test sees a
+// client redial and knows when a request crossed the new connection.
+type countingProxy struct {
+	ln     net.Listener
+	target string
+	mu     sync.Mutex
+	sent   []int // client-to-server bytes per accepted connection
+}
+
+func startProxy(t *testing.T, target string) *countingProxy {
+	t.Helper()
+	ln, err := net.Listen("tcp", "127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := &countingProxy{ln: ln, target: target}
+	t.Cleanup(func() { ln.Close() })
+	go func() {
+		for {
+			in, err := ln.Accept()
+			if err != nil {
+				return
+			}
+			out, err := net.Dial("tcp", target)
+			if err != nil {
+				in.Close()
+				continue
+			}
+			p.mu.Lock()
+			idx := len(p.sent)
+			p.sent = append(p.sent, 0)
+			p.mu.Unlock()
+			go func() {
+				defer out.Close()
+				buf := make([]byte, 32<<10)
+				for {
+					n, err := in.Read(buf)
+					if n > 0 {
+						p.mu.Lock()
+						p.sent[idx] += n
+						p.mu.Unlock()
+						if _, werr := out.Write(buf[:n]); werr != nil {
+							return
+						}
+					}
+					if err != nil {
+						return
+					}
+				}
+			}()
+			go func() {
+				defer in.Close()
+				io.Copy(in, out)
+			}()
+		}
+	}()
+	return p
+}
+
+// conns returns the per-connection byte counts seen so far.
+func (p *countingProxy) conns() []int {
+	p.mu.Lock()
+	defer p.mu.Unlock()
+	return append([]int(nil), p.sent...)
+}
+
+// TestTimedOutSyncRedialsOntoItsRound pins the redial half of DESIGN §9
+// contract 7: a barrier Sync that times out while its round is still open is
+// retried over a new connection, the retry joins the same open round (the
+// server keeps the first upload), and once the round closes the client
+// installs exactly that round's reply — the abandoned call's late reply goes
+// to a closed connection and is never read.
+func TestTimedOutSyncRedialsOntoItsRound(t *testing.T) {
+	transport := fed.PublicCriticTransport{}
+	ref := newLocalClient(t, 99, 160)
+	srv, addr := startServer(t, 2, 2, fed.FedAvg{}, mustUpload(t, transport, ref))
+	proxy := startProxy(t, addr)
+
+	slow := newLocalClient(t, 0, 161)
+	rcSlow, err := DialOptions(proxy.ln.Addr().String(), slow, transport, Options{
+		CallTimeout: 500 * time.Millisecond,
+		Retries:     1, RetryBase: time.Millisecond, Seed: 6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcSlow.Close()
+	rcOther, err := Dial(addr, newLocalClient(t, 1, 162), transport)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer rcOther.Close()
+
+	done := make(chan error, 1)
+	go func() { done <- rcSlow.syncRound() }()
+	// The first call times out on the open barrier; wait until the retry has
+	// sent its Sync over a second connection.
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		if c := proxy.conns(); len(c) == 2 && c[1] > 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("no redialled Sync; proxy connections %v", proxy.conns())
+		}
+	}
+	if srv.Rounds() != 0 {
+		t.Fatal("the round closed before the second client arrived")
+	}
+	if err := rcOther.syncRound(); err != nil {
+		t.Fatal(err)
+	}
+	if err := <-done; err != nil {
+		t.Fatalf("the redialled Sync should install its round's reply, got %v", err)
+	}
+
+	if st := rcSlow.Stats(); st.Timeouts != 1 || st.Retries != 1 {
+		t.Fatalf("stats %+v, want 1 timeout and 1 retry", st)
+	}
+	if rcSlow.Round() != 1 {
+		t.Fatalf("client round %d, want 1", rcSlow.Round())
+	}
+	global := srv.Global()
+	if rep := srv.Reports()[0]; rep.Arrived != 2 || rep.Participants != 2 {
+		t.Fatalf("round report %+v, want both clients in", rep)
+	}
+	// One accepted upload per client: the retry did not count twice.
+	if got, want := srv.Comm().UploadScalars, int64(2*len(global)); got != want {
+		t.Fatalf("server accepted %d upload scalars, want %d (one upload per client)", got, want)
+	}
+	// FedAvg hands every participant the new global.
+	got := mustUpload(t, transport, slow)
+	for d := range global {
+		if got[d] != global[d] {
+			t.Fatalf("redialled client's params diverge from its round's reply at %d", d)
+		}
 	}
 }

@@ -402,7 +402,7 @@ func (s *Server) noteCommit(report RoundInfo) {
 // non-blocking staleness-weighted submission in async mode. The two share
 // the upload and downlink paths and the engine; they differ in what the
 // protocol pins — whether the reply waits for the commit, the order arrivals
-// reach the engine, and how long a result is retained (DESIGN §7).
+// reach the engine, and how long a result is retained (DESIGN §9 contract 16).
 func (h *rpcHandler) Sync(args SyncArgs, reply *SyncReply) error {
 	if h.s.cfg.Async {
 		return h.s.syncAsync(args, reply)

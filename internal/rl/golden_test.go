@@ -5,7 +5,6 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
-	"slices"
 	"testing"
 
 	"repro/internal/autograd"
@@ -41,9 +40,8 @@ type ppoUpdateSpec struct {
 	actor    *nn.MLP
 	actorOpt *nn.Adam
 
-	// criticLoss builds the scalar critic loss; oldValues holds the
-	// collection-time value estimates (for PPO2-style value clipping).
-	criticLoss    func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value
+	// criticLoss builds the scalar critic loss.
+	criticLoss    func(tape *autograd.Tape, states, targets *autograd.Value) *autograd.Value
 	criticModules []criticModule
 
 	// prox, when non-nil, applies FedProx regularization to every stepped
@@ -88,7 +86,6 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			oldLogp := tensor.Get(bsz, 1)
 			advantage := tensor.Get(bsz, 1)
 			target := tensor.Get(bsz, 1)
-			oldValue := tensor.Get(bsz, 1)
 			for bi := 0; bi < bsz; bi++ {
 				t := idx[lo+bi]
 				copy(states.Row(bi), steps[t].State)
@@ -96,7 +93,6 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 				oldLogp.Data[bi] = steps[t].LogProb
 				advantage.Data[bi] = s.adv[t]
 				target.Data[bi] = s.targets[t]
-				oldValue.Data[bi] = steps[t].Value
 			}
 
 			nn.ZeroGrads(s.actor)
@@ -135,7 +131,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 				nn.ZeroGrads(cm.net)
 			}
 			tape.Reset()
-			closs := s.criticLoss(tape, tape.Const(states), tape.Const(target), tape.Const(oldValue))
+			closs := s.criticLoss(tape, tape.Const(states), tape.Const(target))
 			closs.Backward()
 			for _, cm := range s.criticModules {
 				if s.prox != nil {
@@ -149,7 +145,6 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			tensor.Put(oldLogp)
 			tensor.Put(advantage)
 			tensor.Put(target)
-			tensor.Put(oldValue)
 			batches++
 		}
 		if batches > 0 {
@@ -160,9 +155,6 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 				ApproxKL:   epochKL / float64(batches),
 				ClipFrac:   epochClip / float64(batches),
 			}
-		}
-		if s.cfg.TargetKL > 0 && batches > 0 && stats.ApproxKL > s.cfg.TargetKL {
-			break
 		}
 	}
 	return stats
@@ -180,8 +172,8 @@ func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
 		targets:  targets,
 		actor:    p.Actor,
 		actorOpt: p.actorOpt,
-		criticLoss: func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value {
-			return valueLoss(p.Critic.Forward(tape, states), targets, oldValues, p.Cfg.ValueClip)
+		criticLoss: func(tape *autograd.Tape, states, targets *autograd.Value) *autograd.Value {
+			return valueLoss(p.Critic.Forward(tape, states), targets)
 		},
 		criticModules: []criticModule{{net: p.Critic, opt: p.criticOpt}},
 		prox:          &p.prox,
@@ -201,12 +193,10 @@ func referenceDualUpdate(d *PPO, buf *Buffer) UpdateStats {
 		targets:  targets,
 		actor:    d.Actor,
 		actorOpt: d.actorOpt,
-		criticLoss: func(tape *autograd.Tape, states, targets, oldValues *autograd.Value) *autograd.Value {
+		criticLoss: func(tape *autograd.Tape, states, targets *autograd.Value) *autograd.Value {
 			vl := d.Critic.Forward(tape, states)
 			vp := d.PublicCritic.Forward(tape, states)
-			lossL := valueLoss(vl, targets, oldValues, d.Cfg.ValueClip)
-			lossP := valueLoss(vp, targets, oldValues, d.Cfg.ValueClip)
-			return autograd.Add(lossL, lossP)
+			return autograd.Add(valueLoss(vl, targets), valueLoss(vp, targets))
 		},
 		criticModules: []criticModule{
 			{net: d.Critic, opt: d.criticOpt},
@@ -299,31 +289,15 @@ func TestBatchedUpdateMatchesReference(t *testing.T) {
 			requireParamsEqual(t, "dual public critic", ref.PublicCritic, pipe.PublicCritic)
 		}
 	})
-	t.Run("value-clip-and-target-kl", func(t *testing.T) {
-		cfg := DefaultConfig(stateDim, numActions)
-		cfg.ValueClip = 0.3
-		cfg.TargetKL = 0.02
-		ref := NewPPO(cfg, rand.New(rand.NewSource(103)))
-		pipe := NewPPO(cfg, rand.New(rand.NewSource(103)))
-		buf := collectBuffer(t, stateDim, numActions, 150, 90)
-		ws := referencePPOUpdate(ref, buf)
-		gs := pipe.Update(buf)
-		requireStatsEqual(t, "clip/kl stats", ws, gs)
-		requireParamsEqual(t, "clip/kl actor", ref.Actor, pipe.Actor)
-		requireParamsEqual(t, "clip/kl critic", ref.Critic, pipe.Critic)
-	})
 }
 
 // laneCases are the update configurations the lanes golden runs: every
-// feature that puts state on the critic lane or decides at the join.
+// feature that puts state on the critic lane.
 var laneCases = []struct {
 	name string
 	// build returns a fresh agent and its networks, actor first; calling it
 	// twice gives bit-identical twins.
 	build func() (*PPO, []nn.Module)
-	// stopsEarly marks a case whose TargetKL must end the epoch loop before
-	// the last epoch.
-	stopsEarly bool
 }{
 	{name: "ppo", build: func() (*PPO, []nn.Module) {
 		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(55)))
@@ -332,13 +306,6 @@ var laneCases = []struct {
 	{name: "dual-critic", build: func() (*PPO, []nn.Module) {
 		d := NewDualCriticPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(56)))
 		return d, []nn.Module{d.Actor, d.Critic, d.PublicCritic}
-	}},
-	{name: "value-clip-and-target-kl", stopsEarly: true, build: func() (*PPO, []nn.Module) {
-		cfg := DefaultConfig(laneStateDim, laneActions)
-		cfg.ValueClip = 0.3
-		cfg.TargetKL = 1e-9
-		p := NewPPO(cfg, rand.New(rand.NewSource(57)))
-		return p, []nn.Module{p.Actor, p.Critic}
 	}},
 	{name: "fedprox", build: func() (*PPO, []nn.Module) {
 		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(58)))
@@ -364,7 +331,7 @@ func bufferOfLen(t *testing.T, n int, seed int64) *Buffer {
 // epoch boundary is bitwise identical to running the actor epoch and then
 // the critic epoch on one goroutine — parameters, statistics and the
 // agent's RNG position (the next SelectAction draw) — for every update
-// feature that lives on the critic lane or decides at the join, at buffer
+// feature that lives on the critic lane, at buffer
 // lengths around the minibatch boundary, over three rounds so Adam state and
 // scratch reuse are exercised. Exercised under -race by make test-race,
 // where a join that lets the next shuffle overlap the critic lane is a
@@ -379,13 +346,6 @@ func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 			t.Run(fmt.Sprintf("%s/n=%d", tc.name, n), func(t *testing.T) {
 				seq, seqNets := tc.build()
 				lanes, laneNets := tc.build()
-				// full is lanes without the TargetKL stop: unless the stop
-				// fires before the last epoch, the two end bit-identical.
-				var full *PPO
-				if tc.stopsEarly {
-					full, _ = tc.build()
-					full.Cfg.TargetKL = 0
-				}
 				for round := 0; round < 3; round++ {
 					buf := bufferOfLen(t, n, int64(60+round))
 					forceLanes(t, false)
@@ -401,13 +361,6 @@ func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 					if wa != ga || math.Float64bits(wl) != math.Float64bits(gl) {
 						t.Fatalf("round %d: next draw differs: sequential (%d, %v) vs lanes (%d, %v)", round, wa, wl, ga, gl)
 					}
-					if full != nil {
-						full.Update(buf)
-						full.SelectAction(probe)
-					}
-				}
-				if full != nil && slices.Equal(nn.FlattenParams(full.Critic), nn.FlattenParams(laneNets[1])) {
-					t.Fatalf("TargetKL=%v never stopped an epoch loop early: the critic ends where it does without it", full.Cfg.TargetKL)
 				}
 			})
 		}

@@ -28,16 +28,6 @@ type Config struct {
 	UpdateEpochs int
 	MiniBatch    int
 	MaxGradNorm  float64 // 0 disables clipping
-
-	// ValueClip, when positive, clips the critic's new predictions to
-	// within ±ValueClip of the collection-time value estimates and takes
-	// the elementwise max of the clipped and unclipped losses (PPO2-style
-	// value clipping; 0 disables, the paper's setting).
-	ValueClip float64
-	// TargetKL, when positive, stops the epoch loop early once the
-	// approximate KL(π_old ‖ π_new) of an epoch exceeds it (standard PPO
-	// safeguard; 0 disables, the paper's setting).
-	TargetKL float64
 }
 
 // DefaultConfig returns the paper's hyperparameters for a given
@@ -255,18 +245,10 @@ func (p *PPO) LoadPublicCritic(flat []float64, buf *Buffer) error {
 	return nil
 }
 
-// valueLoss builds the critic regression loss: plain MSE, or the PPO2
-// clipped form max(MSE(v), MSE(vOld + clip(v−vOld, ±ε))) when clip > 0.
-func valueLoss(pred, targets, oldValues *autograd.Value, clip float64) *autograd.Value {
-	plain := autograd.Square(autograd.Sub(pred, targets))
-	if clip <= 0 {
-		return autograd.Mean(plain)
-	}
-	clipped := autograd.Add(oldValues, autograd.Clamp(autograd.Sub(pred, oldValues), -clip, clip))
-	clippedSq := autograd.Square(autograd.Sub(clipped, targets))
-	// Elementwise max(a,b) = −min(−a,−b).
-	worst := autograd.Neg(autograd.Minimum(autograd.Neg(plain), autograd.Neg(clippedSq)))
-	return autograd.Mean(worst)
+// valueLoss builds the critic regression loss: the mean squared error
+// against the return targets.
+func valueLoss(pred, targets *autograd.Value) *autograd.Value {
+	return autograd.Mean(autograd.Square(autograd.Sub(pred, targets)))
 }
 
 // CriticMSE evaluates a critic's mean squared error against the discounted

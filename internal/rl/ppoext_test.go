@@ -12,29 +12,10 @@ func TestValueLossPlainMatchesMSE(t *testing.T) {
 	tape := autograd.NewTape()
 	pred := tape.Const(tensor.ColVector([]float64{1, 2, 3}))
 	target := tape.Const(tensor.ColVector([]float64{2, 2, 5}))
-	old := tape.Const(tensor.ColVector([]float64{0, 0, 0}))
-	got := valueLoss(pred, target, old, 0).Item()
+	got := valueLoss(pred, target).Item()
 	want := (1.0 + 0 + 4) / 3
 	if got != want {
 		t.Fatalf("plain value loss %v, want %v", got, want)
-	}
-}
-
-func TestValueLossClippedIsPessimistic(t *testing.T) {
-	// pred moved far from old value; with a small clip the clipped branch
-	// must dominate (higher loss).
-	tape := autograd.NewTape()
-	pred := tape.Const(tensor.ColVector([]float64{5}))
-	target := tape.Const(tensor.ColVector([]float64{5}))
-	old := tape.Const(tensor.ColVector([]float64{0}))
-	plain := valueLoss(pred, target, old, 0).Item() // exact fit: 0
-	clipped := valueLoss(pred, target, old, 0.5).Item()
-	if plain != 0 {
-		t.Fatalf("plain loss %v", plain)
-	}
-	// Clipped prediction is 0.5, so loss is (0.5-5)^2 = 20.25.
-	if clipped != 20.25 {
-		t.Fatalf("clipped loss %v, want 20.25", clipped)
 	}
 }
 
@@ -42,9 +23,8 @@ func TestValueLossGradient(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	predM := tensor.RandNormal(rng, 4, 1, 0, 1)
 	targetM := tensor.RandNormal(rng, 4, 1, 0, 1)
-	oldM := tensor.RandNormal(rng, 4, 1, 0, 1)
 	build := func(tp *autograd.Tape, x *autograd.Value) *autograd.Value {
-		return valueLoss(x, tp.Const(targetM), tp.Const(oldM), 0.3)
+		return valueLoss(x, tp.Const(targetM))
 	}
 	tape := autograd.NewTape()
 	x := tape.Var(predM)
@@ -55,40 +35,7 @@ func TestValueLossGradient(t *testing.T) {
 		return build(tp, tp.Const(predM)).Item()
 	})
 	if err := autograd.MaxGradError(analytic, numeric); err > 1e-5 {
-		t.Fatalf("clipped value loss gradient error %v", err)
-	}
-}
-
-func TestTargetKLStopsEpochsEarly(t *testing.T) {
-	// With a huge LR the policy moves a lot per epoch; a tiny TargetKL must
-	// keep the recorded ApproxKL near the trigger point instead of letting
-	// 8 epochs pile up drift.
-	mkBuf := func() *Buffer {
-		var buf Buffer
-		rng := rand.New(rand.NewSource(2))
-		for i := 0; i < 64; i++ {
-			s := make([]float64, 4)
-			for j := range s {
-				s[j] = rng.NormFloat64()
-			}
-			buf.Add(Transition{State: s, Action: rng.Intn(3),
-				Reward: rng.NormFloat64(), LogProb: -1.1, Done: i == 63})
-		}
-		return &buf
-	}
-	run := func(targetKL float64) float64 {
-		cfg := DefaultConfig(4, 3)
-		cfg.ActorLR = 5e-2
-		cfg.UpdateEpochs = 8
-		cfg.TargetKL = targetKL
-		agent := NewPPO(cfg, rand.New(rand.NewSource(3)))
-		stats := agent.Update(mkBuf())
-		return stats.ApproxKL
-	}
-	free := run(0)
-	capped := run(1e-4)
-	if capped >= free {
-		t.Fatalf("TargetKL did not stop early: capped %v vs free %v", capped, free)
+		t.Fatalf("value loss gradient error %v", err)
 	}
 }
 

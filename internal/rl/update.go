@@ -42,8 +42,8 @@ type updateScratch struct {
 	actorTape                       *autograd.Tape
 
 	// Critic lane.
-	criticStates, target, oldValue *tensor.Matrix
-	criticTape                     *autograd.Tape
+	criticStates, target *tensor.Matrix
+	criticTape           *autograd.Tape
 }
 
 // ensure sizes the scratch for a buffer of n transitions under the given
@@ -69,7 +69,6 @@ func (st *updateScratch) ensure(n, mb, stateDim int) {
 		st.advantage = tensor.New(mb, 1)
 		st.criticStates = tensor.New(mb, stateDim)
 		st.target = tensor.New(mb, 1)
-		st.oldValue = tensor.New(mb, 1)
 		st.stagedRows = mb
 	}
 }
@@ -166,9 +165,6 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 			ApproxKL:   actor.kl / batches,
 			ClipFrac:   actor.clip / batches,
 		}
-		if cfg.TargetKL > 0 && stats.ApproxKL > cfg.TargetKL {
-			break // the policy moved far enough; further epochs overfit the batch
-		}
 	}
 	return stats
 }
@@ -237,21 +233,19 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 		bsz := min(cfg.MiniBatch, len(steps)-lo)
 		states := viewRows(st.criticStates, bsz)
 		target := viewRows(st.target, bsz)
-		oldValue := viewRows(st.oldValue, bsz)
 		for bi, t := range st.idx[lo : lo+bsz] {
 			copy(states.Row(bi), steps[t].State)
 			target.Data[bi] = st.targets[t]
-			oldValue.Data[bi] = steps[t].Value
 		}
 
 		// Critic grads are zero on entry for the same reason as the actor's:
 		// each step below consumes them.
 		ct := st.criticTape
 		ct.Reset()
-		in, tg, old := ct.Const(states), ct.Const(target), ct.Const(oldValue)
-		closs := valueLoss(p.Critic.Forward(ct, in), tg, old, cfg.ValueClip)
+		in, tg := ct.Const(states), ct.Const(target)
+		closs := valueLoss(p.Critic.Forward(ct, in), tg)
 		if p.PublicCritic != nil {
-			closs = autograd.Add(closs, valueLoss(p.PublicCritic.Forward(ct, in), tg, old, cfg.ValueClip))
+			closs = autograd.Add(closs, valueLoss(p.PublicCritic.Forward(ct, in), tg))
 		}
 		closs.Backward()
 		p.step(p.Critic, p.criticOpt)
