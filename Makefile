@@ -106,9 +106,11 @@ test-race:
 # The tensor kernels are pinned bit-for-bit against the scalar Go code and
 # math.Tanh as the toolchain compiles them; GOAMD64=v3 is the build where
 # that compilation is allowed to differ (fused multiply-add), so the pins run
-# there too. On v3 the tanh kernel is compiled out (see tanh_amd64.go).
+# there too, with the autograd and nn pins built on them (the fused dense
+# layer against its composition, the direct gradient path against the
+# temporary one). On v3 the tanh kernel is compiled out (see tanh_amd64.go).
 test-v3:
-	GOAMD64=v3 $(GO) test ./internal/tensor/
+	GOAMD64=v3 $(GO) test ./internal/tensor/ ./internal/autograd/ ./internal/nn/
 
 # Short deterministic-budget run of every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one run per target).

@@ -4,16 +4,17 @@
 // A Tape records every operation in execution order; because operations are
 // appended as they run, iterating the tape in reverse is a valid topological
 // order for backpropagation. The engine supports exactly the operator set
-// needed by the PPO agents and the attention aggregator in this repository:
-// dense layers, pointwise nonlinearities, softmax/log-softmax, the clipped
-// surrogate objective (elementwise min and clamp), and scalar reductions.
+// needed by the PPO agents in this repository: the fused dense layer,
+// pointwise nonlinearities, softmax/log-softmax, the clipped surrogate
+// objective (elementwise min and clamp), and scalar reductions.
 //
 // Typical usage:
 //
 //	tape := autograd.NewTape()
 //	x := tape.Const(batch)                     // input, no gradient
 //	w := tape.Param(weights, weightGrads)      // leaf with external grad buffer
-//	y := autograd.Tanh(autograd.MatMul(x, w))
+//	b := tape.Param(bias, biasGrads)
+//	y := autograd.Tanh(autograd.Linear(x, w, b))
 //	loss := autograd.Mean(autograd.Square(autograd.Sub(y, target)))
 //	loss.Backward()                            // weightGrads now holds dLoss/dW
 //
@@ -58,7 +59,7 @@ type Value struct {
 	// Backward dispatches statically. Reset wipes them with the rest of the
 	// struct. Ops off the update hot path still use `back`.
 	op                           opcode
-	srcA, srcB                   *Value
+	srcA, srcB, srcC             *Value
 	aux0, aux1, aux2, aux3, aux4 *tensor.Matrix
 	auxS0                        float64
 	auxIdx                       []int
@@ -126,6 +127,16 @@ func (t *Tape) alloc(rows, cols int) *tensor.Matrix {
 	return tensor.New(rows, cols)
 }
 
+// allocUninit is alloc for a caller that writes every element before it
+// reads any: a recycled pool buffer keeps its old contents, so the zeroing
+// pass is skipped.
+func (t *Tape) allocUninit(rows, cols int) *tensor.Matrix {
+	if t.pool != nil {
+		return t.pool.GetUninit(rows, cols)
+	}
+	return tensor.New(rows, cols)
+}
+
 // release returns a matrix obtained from alloc once no live node references
 // it (backward temporaries). Unpooled tapes leave it to the GC.
 func (t *Tape) release(m *tensor.Matrix) {
@@ -159,9 +170,10 @@ func (t *Tape) node(data *tensor.Matrix, requiresGrad, ownsData bool, back func(
 }
 
 // opNode allocates a tape-owned output matrix and registers it; the common
-// entry point for operator forward passes.
+// entry point for operator forward passes. Every operator writes its whole
+// output, so the matrix comes uninitialised.
 func (t *Tape) opNode(rows, cols int, requiresGrad bool) *Value {
-	return t.node(t.alloc(rows, cols), requiresGrad, true, nil)
+	return t.node(t.allocUninit(rows, cols), requiresGrad, true, nil)
 }
 
 // Const registers data as a constant leaf: no gradient is computed for it.
@@ -180,6 +192,15 @@ func (t *Tape) Var(data *tensor.Matrix) *Value {
 // into the caller-provided buffer grad (shape must match). This lets
 // optimizers own their gradient storage across steps; Reset never recycles
 // a Param's gradient buffer.
+//
+// Which path a Linear backward takes depends on the buffer, checked when
+// that backward runs: if every element is +0 — a fresh nn.NewParameter,
+// and after nn.ZeroGrads or Adam.Step, which clear it — the weight and bias
+// gradients are written straight into grad; otherwise (a second Backward
+// with no step in between, or any other contents) each goes through a
+// temporary that is then added, as the composed ops did. Both paths leave
+// the same bits: a product summed from +0 is never -0, so +0 + product is
+// the product.
 func (t *Tape) Param(data, grad *tensor.Matrix) *Value {
 	if !data.SameShape(grad) {
 		panic(fmt.Sprintf("autograd: Param grad shape %dx%d != data shape %dx%d",
@@ -199,20 +220,56 @@ func (v *Value) ensureGrad() *tensor.Matrix {
 	return v.Grad
 }
 
-// accum adds delta into v's gradient if v participates in differentiation.
-func (v *Value) accum(delta *tensor.Matrix) {
-	if !v.requiresGrad {
-		return
-	}
-	v.ensureGrad().AddInPlace(delta)
+// freshGrad allocates v's gradient buffer uninitialised, for a caller that
+// is about to write all of it.
+func (v *Value) freshGrad() *tensor.Matrix {
+	v.Grad = v.tape.allocUninit(v.Data.Rows, v.Data.Cols)
+	v.ownsGrad = true
+	return v.Grad
 }
 
-// accumScaled adds s*delta into v's gradient if v participates.
+// accum adds delta into v's gradient if v participates in differentiation.
+func (v *Value) accum(delta *tensor.Matrix) { v.accumScaled(delta, 1) }
+
+// accumScaled adds s*delta into v's gradient if v participates. A first
+// contribution is written as +0 + s*delta, the bits of adding it to a
+// zeroed buffer, without the zeroing pass.
 func (v *Value) accumScaled(delta *tensor.Matrix, s float64) {
 	if !v.requiresGrad {
 		return
 	}
-	v.ensureGrad().AddScaledInPlace(delta, s)
+	if v.Grad == nil {
+		v.freshGrad().SetScaled(delta, s)
+		return
+	}
+	if s == 1 {
+		v.Grad.AddInPlace(delta)
+		return
+	}
+	v.Grad.AddScaledInPlace(delta, s)
+}
+
+// productTarget returns where a gradient term summed from +0 — a product or
+// a column sum, which is never -0 — is written for v: v's gradient buffer
+// itself when it is fresh or holds only +0, because +0 + term is then the
+// term's bits; otherwise a temporary, which addProduct adds in and releases.
+func (v *Value) productTarget() *tensor.Matrix {
+	switch {
+	case v.Grad == nil:
+		return v.freshGrad()
+	case v.Grad.AllPositiveZero():
+		return v.Grad
+	}
+	return v.tape.allocUninit(v.Data.Rows, v.Data.Cols)
+}
+
+// addProduct completes productTarget: a temporary is added into v's
+// gradient and released.
+func (v *Value) addProduct(term *tensor.Matrix) {
+	if term != v.Grad {
+		v.Grad.AddInPlace(term)
+		v.tape.release(term)
+	}
 }
 
 // Item returns the sole element of a 1x1 value. It panics otherwise.

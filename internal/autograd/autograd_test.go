@@ -30,15 +30,18 @@ func checkGrad(t *testing.T, name string, input *tensor.Matrix, build func(tp *T
 	}
 }
 
+// TestGradMatMul gradchecks the product half of Linear: x·w's gradients
+// with respect to x and to w.
 func TestGradMatMul(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := tensor.RandNormal(rng, 3, 4, 0, 1)
 	b := tensor.RandNormal(rng, 4, 2, 0, 1)
+	bias := tensor.RandNormal(rng, 1, 2, 0, 1)
 	checkGrad(t, "matmul-left", a, func(tp *Tape, x *Value) *Value {
-		return Sum(MatMul(x, tp.Const(b)))
+		return Sum(Square(Linear(x, tp.Const(b), tp.Const(bias))))
 	})
 	checkGrad(t, "matmul-right", b, func(tp *Tape, x *Value) *Value {
-		return Sum(MatMul(tp.Const(a), x))
+		return Sum(Square(Linear(tp.Const(a), x, tp.Const(bias))))
 	})
 }
 
@@ -51,15 +54,15 @@ func TestGradAddSubMulDiv(t *testing.T) {
 	checkGrad(t, "mul", a, func(tp *Tape, x *Value) *Value { return Sum(Mul(x, tp.Const(b))) })
 }
 
+// TestGradAddRow gradchecks the bias half of Linear: the gradient with
+// respect to the row added to every row of the product.
 func TestGradAddRow(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := tensor.RandNormal(rng, 4, 3, 0, 1)
+	w := tensor.RandNormal(rng, 3, 3, 0, 1)
 	bias := tensor.RandNormal(rng, 1, 3, 0, 1)
-	checkGrad(t, "addrow-main", a, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(AddRow(x, tp.Const(bias))))
-	})
 	checkGrad(t, "addrow-bias", bias, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(AddRow(tp.Const(a), x)))
+		return Sum(Square(Linear(tp.Const(a), tp.Const(w), x)))
 	})
 }
 
@@ -144,8 +147,8 @@ func TestGradMLPChain(t *testing.T) {
 	target := tensor.RandNormal(rng, 5, 1, 0, 1)
 
 	build := func(tp *Tape, params map[string]*Value) *Value {
-		h := Tanh(AddRow(MatMul(tp.Const(x), params["w1"]), params["b1"]))
-		y := AddRow(MatMul(h, params["w2"]), params["b2"])
+		h := Tanh(Linear(tp.Const(x), params["w1"], params["b1"]))
+		y := Linear(h, params["w2"], params["b2"])
 		return Mean(Square(Sub(y, tp.Const(target))))
 	}
 	mats := map[string]*tensor.Matrix{"w1": w1, "b1": b1, "w2": w2, "b2": b2}
@@ -290,8 +293,9 @@ func TestPropGradcheckRandomGraphs(t *testing.T) {
 		rows, in, hidden := 1+r.Intn(3), 1+r.Intn(4), 1+r.Intn(4)
 		x := tensor.RandNormal(r, rows, in, 0, 1)
 		w := tensor.RandNormal(r, in, hidden, 0, 1)
+		bias := tensor.New(1, hidden)
 		build := func(tp *Tape, wv *Value) *Value {
-			h := Tanh(MatMul(tp.Const(x), wv))
+			h := Tanh(Linear(tp.Const(x), wv, tp.Const(bias)))
 			return Mean(Square(h))
 		}
 		tape := NewTape()
@@ -325,8 +329,8 @@ func BenchmarkForwardBackwardMLP(b *testing.B) {
 		g2.Zero()
 		gb2.Zero()
 		tp := NewTape()
-		h := Tanh(AddRow(MatMul(tp.Const(x), tp.Param(w1, g1)), tp.Param(b1, gb1)))
-		y := AddRow(MatMul(h, tp.Param(w2, g2)), tp.Param(b2, gb2))
+		h := Tanh(Linear(tp.Const(x), tp.Param(w1, g1), tp.Param(b1, gb1)))
+		y := Linear(h, tp.Param(w2, g2), tp.Param(b2, gb2))
 		Mean(Square(y)).Backward()
 	}
 }

@@ -11,10 +11,9 @@ type opcode uint8
 
 const (
 	opNone opcode = iota
-	opMatMul
+	opLinear
 	opAdd
 	opSub
-	opAddRow
 	opScale
 	opTanh
 	opSquare
@@ -27,36 +26,14 @@ const (
 func opBackward(n *Value) {
 	t := n.tape
 	switch n.op {
-	case opMatMul:
-		a, b := n.srcA, n.srcB
-		g := n.Grad
-		if a.requiresGrad {
-			tmp := t.alloc(a.Data.Rows, a.Data.Cols)
-			g.MatMulTransBInto(b.Data, tmp)
-			a.accum(tmp)
-			t.release(tmp)
-		}
-		if b.requiresGrad {
-			tmp := t.alloc(b.Data.Rows, b.Data.Cols)
-			a.Data.MatMulTransAInto(g, tmp)
-			b.accum(tmp)
-			t.release(tmp)
-		}
+	case opLinear:
+		linearBackward(n)
 	case opAdd:
 		n.srcA.accum(n.Grad)
 		n.srcB.accum(n.Grad)
 	case opSub:
 		n.srcA.accum(n.Grad)
 		n.srcB.accumScaled(n.Grad, -1)
-	case opAddRow:
-		a, bias := n.srcA, n.srcB
-		a.accum(n.Grad)
-		if bias.requiresGrad {
-			tmp := t.alloc(1, n.Data.Cols)
-			n.Grad.SumColsInto(tmp)
-			bias.accum(tmp)
-			t.release(tmp)
-		}
 	case opScale:
 		n.srcA.accumScaled(n.Grad, n.auxS0)
 	case opTanh:
@@ -67,13 +44,13 @@ func opBackward(n *Value) {
 		}
 	case opSquare:
 		a := n.srcA
-		tmp := t.alloc(n.Data.Rows, n.Data.Cols)
+		tmp := t.allocUninit(n.Data.Rows, n.Data.Cols)
 		n.Grad.MulElemInto(a.Data, tmp)
 		a.accumScaled(tmp, 2)
 		t.release(tmp)
 	case opMean:
 		a := n.srcA
-		tmp := t.alloc(a.Data.Rows, a.Data.Cols)
+		tmp := t.allocUninit(a.Data.Rows, a.Data.Cols)
 		tmp.Fill(n.Grad.Data[0] / float64(len(a.Data.Data)))
 		a.accum(tmp)
 		t.release(tmp)
@@ -108,6 +85,34 @@ func opBackward(n *Value) {
 	}
 }
 
+// linearBackward is Linear's backward, in the order the composed
+// AddRow(MatMul(x, w), b) ran it: the bias, then x, then w. Each gradient is
+// a sum started at +0 (tensor.SumColsInto, MatMulTransBInto,
+// MatMulTransAInto), written straight into its buffer when productTarget
+// allows. The composition's products read the MatMul node's gradient,
+// +0 + g, where this reads g: they differ only where g is -0, and a ±0
+// operand adds a ±0 term to a sum that is never -0, which leaves it as it
+// was either way.
+func linearBackward(n *Value) {
+	x, w, b := n.srcA, n.srcB, n.srcC
+	g := n.Grad
+	if b.requiresGrad {
+		db := b.productTarget()
+		g.SumColsInto(db)
+		b.addProduct(db)
+	}
+	if x.requiresGrad {
+		dx := x.productTarget()
+		g.MatMulTransBInto(w.Data, dx)
+		x.addProduct(dx)
+	}
+	if w.requiresGrad {
+		dw := w.productTarget()
+		x.Data.MatMulTransAInto(g, dw)
+		w.addProduct(dw)
+	}
+}
+
 // surrogateBackward is the two-phase backward of ClippedSurrogateLoss; see
 // fused.go for the derivation and the slot layout.
 func surrogateBackward(out *Value) {
@@ -132,12 +137,12 @@ func surrogateBackward(out *Value) {
 	mFill := objG / float64(n)
 	minvG := 0 + mFill
 
-	rowG := t.alloc(1, a)
+	rowG := t.allocUninit(1, a)
 	grow := rowG.Data
 
 	// Phase A: the SoftmaxRows backward of the entropy product — the first
 	// accumulation into logits.Grad in the composed graph.
-	dA := t.alloc(n, a)
+	dA := t.allocUninit(n, a)
 	for i := 0; i < n; i++ {
 		lrow := logp.Data[i*a : (i+1)*a]
 		prow := probs.Data[i*a : (i+1)*a]
@@ -158,7 +163,7 @@ func surrogateBackward(out *Value) {
 
 	// Phase B: the LogSoftmaxRows backward over logp's combined gradient —
 	// entropy product plus the picked-action surrogate chain.
-	dB := t.alloc(n, a)
+	dB := t.allocUninit(n, a)
 	for i := 0; i < n; i++ {
 		mask := int(masks.Data[i])
 		var m1g, m2g float64

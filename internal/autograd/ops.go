@@ -13,12 +13,18 @@ import (
 // backward pass recycles a handful of scratch matrices instead of allocating
 // per node.
 
-// MatMul returns a·b with gradients da += g·bᵀ and db += aᵀ·g.
-func MatMul(a, b *Value) *Value {
-	t := sameTape(a, b)
-	out := t.opNode(a.Data.Rows, b.Data.Cols, a.requiresGrad || b.requiresGrad)
-	a.Data.MatMulInto(b.Data, out.Data)
-	out.op, out.srcA, out.srcB = opMatMul, a, b
+// Linear returns the dense layer x·w + b, b a 1 x Cols row added to every
+// row, as one node: the forward is tensor.MatMulBiasInto, and the backward
+// writes db = column sums of g, dx = g·wᵀ and dw = xᵀ·g. Forward and
+// gradients have the bits of the composition it replaces — the product,
+// then the bias added to each row, with each gradient formed in a zeroed
+// temporary and added in (TestLinearMatchesComposedOps).
+func Linear(x, w, b *Value) *Value {
+	t := sameTape(x, w)
+	sameTape(x, b)
+	out := t.opNode(x.Data.Rows, w.Data.Cols, x.requiresGrad || w.requiresGrad || b.requiresGrad)
+	x.Data.MatMulBiasInto(w.Data, b.Data, out.Data)
+	out.op, out.srcA, out.srcB, out.srcC = opLinear, x, w, b
 	return out
 }
 
@@ -59,15 +65,6 @@ func Mul(a, b *Value) *Value {
 			t.release(tmp)
 		}
 	}
-	return out
-}
-
-// AddRow adds a 1xC bias row vector to every row of a (a dense layer bias).
-func AddRow(a, bias *Value) *Value {
-	t := sameTape(a, bias)
-	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad || bias.requiresGrad)
-	a.Data.AddRowBroadcastInto(bias.Data, out.Data)
-	out.op, out.srcA, out.srcB = opAddRow, a, bias
 	return out
 }
 

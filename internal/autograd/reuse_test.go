@@ -19,8 +19,8 @@ func buildLoss(tape *Tape, x, w1, b1, w2, b2 *tensor.Matrix, g1, gb1, g2, gb2 *t
 	w2v := tape.Param(w2, g2)
 	b2v := tape.Param(b2, gb2)
 
-	h := Tanh(AddRow(MatMul(xc, w1v), b1v))
-	logits := AddRow(MatMul(h, w2v), b2v)
+	h := Tanh(Linear(xc, w1v, b1v))
+	logits := Linear(h, w2v, b2v)
 	logp := LogSoftmaxRows(logits)
 	picked := PickCols(logp, idx)
 	ratio := Exp(Sub(picked, Scale(picked, 0.5))) // synthetic old-logp
@@ -91,13 +91,14 @@ func TestPooledTapeSteadyStateDoesNotGrow(t *testing.T) {
 	tape := NewPooledTape(pool)
 	x := tensor.Full(3, 4, 1)
 	w := tensor.Full(4, 2, 0.5)
+	bias := tensor.New(1, 2)
 	g := tensor.New(4, 2)
 
 	var lens []int
 	for i := 0; i < 5; i++ {
 		tape.Reset()
 		g.Zero()
-		loss := Mean(Square(MatMul(tape.Const(x), tape.Param(w, g))))
+		loss := Mean(Square(Linear(tape.Const(x), tape.Param(w, g), tape.Const(bias))))
 		loss.Backward()
 		lens = append(lens, tape.Len())
 	}

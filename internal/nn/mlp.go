@@ -41,9 +41,9 @@ func NewLinear(rng *rand.Rand, name string, in, out int, gain float64) *Linear {
 	}
 }
 
-// Forward computes x·W + b on the tape.
+// Forward computes x·W + b on the tape, as one autograd.Linear node.
 func (l *Linear) Forward(tape *autograd.Tape, x *autograd.Value) *autograd.Value {
-	return autograd.AddRow(autograd.MatMul(x, l.W.Node(tape)), l.B.Node(tape))
+	return autograd.Linear(x, l.W.Node(tape), l.B.Node(tape))
 }
 
 // Params returns the layer's parameters.
@@ -102,11 +102,11 @@ func (m *MLP) Forward(tape *autograd.Tape, x *autograd.Value) *autograd.Value {
 // the pass allocates nothing. The output is written into dst (which must be
 // x.Rows x output-size) and returned; a nil dst is allocated fresh.
 //
-// Infer computes exactly the same kernels in the same order as Forward, so
-// its outputs are bitwise identical to the tape-based pass (asserted in
-// tests). Distinct MLPs may Infer concurrently (the pool is thread-safe),
-// but a single MLP must not be shared across goroutines mid-call with a
-// shared dst.
+// Infer computes exactly the same kernels in the same order as Forward —
+// one MatMulBiasInto per layer, the activation in place — so its outputs are
+// bitwise identical to the tape-based pass (asserted in tests). Distinct
+// MLPs may Infer concurrently (the pool is thread-safe), but a single MLP
+// must not be shared across goroutines mid-call with a shared dst.
 func (m *MLP) Infer(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
 	outDim := m.sizes[len(m.sizes)-1]
 	if dst == nil {
@@ -120,10 +120,9 @@ func (m *MLP) Infer(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
 		if last {
 			out = dst
 		} else {
-			out = tensor.Get(x.Rows, m.sizes[i+1])
+			out = tensor.DefaultPool().GetUninit(x.Rows, m.sizes[i+1])
 		}
-		cur.MatMulInto(l.W.Data, out)
-		out.AddRowBroadcastInto(l.B.Data, out)
+		cur.MatMulBiasInto(l.W.Data, l.B.Data, out)
 		if !last {
 			out.TanhInto(out)
 		}

@@ -60,7 +60,9 @@ func NumParams(m Module) int {
 
 // ClipGradNorm rescales all gradients of m so their global L2 norm is at
 // most maxNorm, and returns the pre-clipping norm. maxNorm <= 0 disables
-// clipping.
+// clipping. The sum of squares stays one scalar loop in parameter order (its
+// order is part of the bits); the rescale is elementwise, so it takes the
+// SIMD ScaleInPlace.
 func ClipGradNorm(m Module, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range m.Params() {

@@ -34,6 +34,72 @@ func TestLinearBiasApplied(t *testing.T) {
 	}
 }
 
+// TestLinearAccumulatesIntoDirtyGrad: a second Backward on the same
+// parameters with no optimizer step in between adds onto the first through a
+// temporary per weight and bias, leaving G1 + G2 — the bits the composed ops
+// left — and a ZeroGrads or an Adam.Step in between re-arms the direct path,
+// seen as the tape drawing no temporaries for them.
+func TestLinearAccumulatesIntoDirtyGrad(t *testing.T) {
+	rng := rand.New(rand.NewSource(7))
+	m := NewMLP(rng, "net", []int{60, 64, 6}, ActTanh, 0.01)
+	xa := tensor.RandNormal(rng, 17, 60, 0, 1)
+	xb := tensor.RandNormal(rng, 17, 60, 0, 1)
+	pool := tensor.NewPool()
+	tape := autograd.NewPooledTape(pool)
+	// backward runs one graph on x and returns how many matrices it drew.
+	backward := func(x *tensor.Matrix) int64 {
+		tape.Reset()
+		before, _ := pool.Stats()
+		autograd.Mean(autograd.Square(m.Forward(tape, tape.Const(x)))).Backward()
+		after, _ := pool.Stats()
+		return after - before
+	}
+	grads := func() []*tensor.Matrix {
+		var gs []*tensor.Matrix
+		for _, p := range m.Params() {
+			gs = append(gs, p.Grad.Clone())
+		}
+		return gs
+	}
+	requireGrads := func(label string, want []*tensor.Matrix) {
+		t.Helper()
+		for i, p := range m.Params() {
+			for j, w := range want[i].Data {
+				if math.Float64bits(w) != math.Float64bits(p.Grad.Data[j]) {
+					t.Fatalf("%s: %s[%d] = %v, want %v", label, p.Name, j, p.Grad.Data[j], w)
+				}
+			}
+		}
+	}
+
+	direct := backward(xa)
+	ga := grads()
+	ZeroGrads(m)
+	backward(xb)
+	gb := grads()
+	ZeroGrads(m)
+
+	backward(xa)
+	if got, want := backward(xb), direct+int64(len(m.Params())); got != want {
+		t.Fatalf("backward onto dirty grads drew %d matrices, want %d (one temporary per parameter)", got, want)
+	}
+	sum := make([]*tensor.Matrix, len(ga))
+	for i := range ga {
+		sum[i] = ga[i].Clone().AddInPlace(gb[i])
+	}
+	requireGrads("two backwards", sum)
+
+	ZeroGrads(m)
+	if got := backward(xa); got != direct {
+		t.Fatalf("after ZeroGrads backward drew %d matrices, want the direct path's %d", got, direct)
+	}
+	requireGrads("after ZeroGrads", ga)
+	NewAdam(m, 1e-3).Step()
+	if got := backward(xa); got != direct {
+		t.Fatalf("after Adam.Step backward drew %d matrices, want the direct path's %d", got, direct)
+	}
+}
+
 func TestMLPShapesAndSizes(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	m := NewMLP(rng, "net", []int{10, 64, 64, 5}, ActTanh, 0.01)

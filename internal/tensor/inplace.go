@@ -97,15 +97,6 @@ func (m *Matrix) ScaleInto(s float64, dst *Matrix) *Matrix {
 	return dst
 }
 
-// AddScalarInto sets dst = m + s elementwise and returns dst.
-func (m *Matrix) AddScalarInto(s float64, dst *Matrix) *Matrix {
-	dst.assertShape(m.Rows, m.Cols, "AddScalarInto")
-	for i, v := range m.Data {
-		dst.Data[i] = v + s
-	}
-	return dst
-}
-
 // ApplyInto sets dst = f(m) elementwise and returns dst.
 func (m *Matrix) ApplyInto(f func(float64) float64, dst *Matrix) *Matrix {
 	dst.assertShape(m.Rows, m.Cols, "ApplyInto")
@@ -157,20 +148,17 @@ func (m *Matrix) SumRowsInto(dst *Matrix) *Matrix {
 }
 
 // SumColsInto sets the 1 x Cols dst to per-column sums of m and returns dst.
-// dst must not alias m.
+// Each sum starts at +0 and adds the rows in order; the SIMD path adds a
+// whole row per step, which is the same sequence per column. dst must not
+// alias m.
 func (m *Matrix) SumColsInto(dst *Matrix) *Matrix {
 	dst.assertShape(1, m.Cols, "SumColsInto")
 	if aliases(m, dst) {
 		panic("tensor: SumColsInto dst aliases m")
 	}
-	for i := range dst.Data {
-		dst.Data[i] = 0
-	}
+	dst.Zero()
 	for i := 0; i < m.Rows; i++ {
-		row := m.Row(i)
-		for j, v := range row {
-			dst.Data[j] += v
-		}
+		addVec(dst.Data, m.Row(i))
 	}
 	return dst
 }

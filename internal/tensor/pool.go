@@ -15,7 +15,10 @@ const poolBuckets = 26 // up to 2^25 elements ≈ 256 MiB of float64
 //
 // Matrices returned by Get are always fully zeroed, even when recycled, so a
 // dirty buffer released by one computation can never leak stale values into
-// the next (in particular into accumulating kernels such as MatMulInto).
+// the next (in particular into accumulating kernels such as
+// AddMatMulTransAInPlace). GetUninit skips that pass for callers that write
+// every element first: the autograd tape's op outputs and gradient
+// temporaries, the products' scratch, MLP.Infer's activations.
 //
 // A Pool is safe for concurrent use; the zero value is ready to use.
 // Put-ting a matrix while any reference to it is still live is a caller bug,
@@ -70,9 +73,10 @@ func (p *Pool) Get(rows, cols int) *Matrix {
 
 // GetUninit returns a rows x cols matrix whose contents are unspecified: a
 // recycled buffer keeps whatever values its previous owner left behind. Only
-// callers that overwrite every element before reading any (e.g. the
-// transpose scratch in MatMulTransBInto) may use it; everything else goes
-// through Get, which zeroes defensively.
+// callers that overwrite every element before reading any (the transpose
+// scratch in MatMulTransBInto, a product's destination — the products never
+// read it) may use it; everything else goes through Get, which zeroes
+// defensively.
 func (p *Pool) GetUninit(rows, cols int) *Matrix {
 	m, _ := p.get(rows, cols)
 	return m

@@ -43,8 +43,9 @@ func TestPoolReshapesAcrossGets(t *testing.T) {
 }
 
 // TestDirtyRecycledBufferMatMulInto is the aliasing regression guard: a
-// buffer released with stale values must not leak them into MatMulInto's
-// accumulation when recycled as a destination.
+// buffer released with stale values must not leak them into MatMulInto when
+// recycled as a destination — not even through GetUninit, which keeps them:
+// no product reads its destination.
 func TestDirtyRecycledBufferMatMulInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := RandNormal(rng, 5, 7, 0, 1)
@@ -55,7 +56,7 @@ func TestDirtyRecycledBufferMatMulInto(t *testing.T) {
 	dirty := p.Get(5, 3)
 	dirty.Fill(1e9) // poison
 	p.Put(dirty)
-	dst := p.Get(5, 3)
+	dst := p.GetUninit(5, 3)
 	a.MatMulInto(b, dst)
 	for i := range want.Data {
 		if dst.Data[i] != want.Data[i] {

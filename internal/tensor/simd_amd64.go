@@ -13,7 +13,9 @@ package tensor
 // it too on the same CPU; see tanh_amd64.go.) Besides the zero-skip guard,
 // the matmul kernel also leaves out the multiply for a scalar of exactly -1,
 // whose product is exact: it subtracts b instead, which is the same bits.
-// Under those constraints the SIMD kernels are bitwise identical to the
+// Accumulators started at +0 in registers hold what a zeroed destination
+// would, and the bias epilogue is the one add AddRowBroadcastInto makes on
+// the stored sum. Under those constraints the SIMD kernels are bitwise identical to the
 // scalar kernels (pinned by TestMatMulSIMDMatchesScalar and friends, and
 // FuzzMatMulMatchesScalar), so enabling them never changes a training run.
 
@@ -47,10 +49,14 @@ func x86HasAVX512() bool
 // With skipZeros, scalars equal to zero are skipped entirely, matching the
 // `if mv == 0 { continue }` guard in the scalar MatMul/MatMulTransA kernels
 // (the test is on the value bits shifted left by one, so -0.0 is skipped
-// exactly like +0.0); MatMulTransB's dot products and AddScaledInPlace have
-// no such guard and pass false. Accumulators live in registers for the whole
-// k loop; per output element the operation sequence is add(mul(s,b)) in
-// k-ascending order — identical to the scalar loops. In the 64-wide column
+// exactly like +0.0); MatMulTransB's dot products and the scaled-add kernels
+// have no such guard and pass false. Accumulators live in registers for the
+// whole k loop; per output element the operation sequence is add(mul(s,b))
+// in k-ascending order — identical to the scalar loops. Without accumulate
+// they start at +0 instead of at dst's values, so dst is only written: the
+// sums of a zeroed dst without the zeroing pass. A non-nil bias (cols wide)
+// is added to every row's sums once, just before the store: the one rounding
+// of AddRowBroadcastInto on the stored product. In the 64-wide column
 // panel a scalar whose bits are exactly -1.0 skips the multiply and
 // subtracts b: -1*b is exact for every b, and acc - b is acc + (-b) by
 // IEEE 754, so the result is the scalar loop's bit for bit (signed zeros and
@@ -60,12 +66,23 @@ func x86HasAVX512() bool
 // NaN-ness is.)
 //
 //go:noescape
-func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool)
+func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool)
 
 // vecAdd computes dst[0:n] += src[0:n] for n a positive multiple of 8.
 //
 //go:noescape
 func vecAdd(dst, src *float64, n int)
+
+// vecScale computes dst[0:n] *= s for n a positive multiple of 8.
+//
+//go:noescape
+func vecScale(dst *float64, s float64, n int)
+
+// vecAllZero reports whether every one of n elements at src has the bits of
+// +0, for n a positive multiple of 8.
+//
+//go:noescape
+func vecAllZero(src *float64, n int) bool
 
 // tanhGradCols computes dst[0:n] += grad * (1 - y*y) for n a positive
 // multiple of 8 — the fused tanh backward, bitwise identical to the separate

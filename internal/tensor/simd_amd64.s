@@ -32,7 +32,7 @@ no:
 DATA negOne<>+0(SB)/8, $0xBFF0000000000000
 GLOBL negOne<>(SB), RODATA|NOPTR, $8
 
-// func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool)
+// func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool)
 //
 // for r in [0,rows), t in [0,k):
 //	dst[r*dstStride : +cols] += s[r*sRowStride + t*sStride] * b[t*bStride : +cols]
@@ -44,6 +44,12 @@ GLOBL negOne<>(SB), RODATA|NOPTR, $8
 // bit, so -0.0 is skipped too); without it R14 = 1 is OR-ed into the test so
 // the branch is never taken. No FMA anywhere: VMULPD then VADDPD round twice,
 // exactly like the Go code.
+//
+// Without accumulate the accumulators start at +0 in registers (VPXORQ) and
+// dst is only written: the same sums as loading a zeroed dst, without the
+// caller's zeroing pass. With a non-nil bias, bias[0:cols] is added to every
+// row's accumulators once, after the k loop and just before the store — the
+// single rounding AddRowBroadcastInto applies to the stored sum.
 //
 // In the 64-wide panel a scalar whose bits are exactly -1.0 is not
 // multiplied: the loop subtracts b, with no broadcast and no VMULPD. acc - b
@@ -65,29 +71,32 @@ GLOBL negOne<>(SB), RODATA|NOPTR, $8
 // (a 64x1 critic head would be nothing else), so four rows share each pass
 // over b and their chains overlap.
 //
-// dst, cols and dstStride are advanced in their argument slots.
-TEXT ·axpyRows(SB), NOSPLIT, $0-81
+// dst, bias (when non-nil), cols and dstStride are advanced in their
+// argument slots.
+TEXT ·axpyRows(SB), NOSPLIT, $0-90
 	MOVQ b+8(FP), SI
-	MOVQ k+24(FP), R8
-	MOVQ bStride+48(FP), R10
-	MOVQ sStride+56(FP), R11
-	MOVQ sRowStride+72(FP), R9
-	MOVBQZX skipZeros+80(FP), R14
+	MOVQ k+32(FP), R8
+	MOVQ bStride+56(FP), R10
+	MOVQ sStride+64(FP), R11
+	MOVQ sRowStride+80(FP), R9
+	MOVBQZX skipZeros+88(FP), R14
 	XORQ $1, R14 // 1 = keep zero scalars
 	SHLQ $3, R10 // b row stride in bytes
 	SHLQ $3, R11 // s stride in bytes
 	SHLQ $3, R9  // s row stride in bytes
 	LEAQ (R9)(R9*2), R12
-	SHLQ $3, dstStride+64(FP)
+	SHLQ $3, dstStride+72(FP)
 
 panel64: // 8 ZMM accumulators = 64 columns per pass
-	CMPQ cols+32(FP), $64
+	CMPQ cols+40(FP), $64
 	JLT  panel32
 	MOVQ dst+0(FP), DI
 	MOVQ s+16(FP), DX
-	MOVQ rows+40(FP), R15
+	MOVQ rows+48(FP), R15
 
 row64:
+	CMPB accumulate+89(FP), $0
+	JEQ  zero64
 	VMOVUPD (DI), Z0
 	VMOVUPD 64(DI), Z1
 	VMOVUPD 128(DI), Z2
@@ -96,6 +105,19 @@ row64:
 	VMOVUPD 320(DI), Z21
 	VMOVUPD 384(DI), Z22
 	VMOVUPD 448(DI), Z23
+	JMP  start64
+
+zero64:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+	VPXORQ Z20, Z20, Z20
+	VPXORQ Z21, Z21, Z21
+	VPXORQ Z22, Z22, Z22
+	VPXORQ Z23, Z23, Z23
+
+start64:
 	MOVQ SI, BX  // &b[panel start]
 	MOVQ DX, CX  // &s[row start]
 	MOVQ R8, R13 // k countdown
@@ -141,6 +163,19 @@ skip64:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k64
+	MOVQ bias+24(FP), AX
+	TESTQ AX, AX
+	JZ   store64
+	VADDPD (AX), Z0, Z0
+	VADDPD 64(AX), Z1, Z1
+	VADDPD 128(AX), Z2, Z2
+	VADDPD 192(AX), Z3, Z3
+	VADDPD 256(AX), Z20, Z20
+	VADDPD 320(AX), Z21, Z21
+	VADDPD 384(AX), Z22, Z22
+	VADDPD 448(AX), Z23, Z23
+
+store64:
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, 128(DI)
@@ -149,27 +184,43 @@ skip64:
 	VMOVUPD Z21, 320(DI)
 	VMOVUPD Z22, 384(DI)
 	VMOVUPD Z23, 448(DI)
-	ADDQ dstStride+64(FP), DI
+	ADDQ dstStride+72(FP), DI
 	ADDQ R9, DX
 	DECQ R15
 	JNZ  row64
 	ADDQ $512, SI
 	ADDQ $512, dst+0(FP)
-	SUBQ $64, cols+32(FP)
+	MOVQ bias+24(FP), AX // a non-nil bias moves with the columns
+	LEAQ 512(AX), BX
+	TESTQ AX, AX
+	CMOVQNE BX, AX
+	MOVQ AX, bias+24(FP)
+	SUBQ $64, cols+40(FP)
 	JMP  panel64
 
 panel32: // 4 ZMM accumulators = 32 columns per pass
-	CMPQ cols+32(FP), $32
+	CMPQ cols+40(FP), $32
 	JLT  panel8
 	MOVQ dst+0(FP), DI
 	MOVQ s+16(FP), DX
-	MOVQ rows+40(FP), R15
+	MOVQ rows+48(FP), R15
 
 row32:
+	CMPB accumulate+89(FP), $0
+	JEQ  zero32
 	VMOVUPD (DI), Z0
 	VMOVUPD 64(DI), Z1
 	VMOVUPD 128(DI), Z2
 	VMOVUPD 192(DI), Z3
+	JMP  start32
+
+zero32:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+start32:
 	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
@@ -194,21 +245,35 @@ skip32:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k32
+	MOVQ bias+24(FP), AX
+	TESTQ AX, AX
+	JZ   store32
+	VADDPD (AX), Z0, Z0
+	VADDPD 64(AX), Z1, Z1
+	VADDPD 128(AX), Z2, Z2
+	VADDPD 192(AX), Z3, Z3
+
+store32:
 	VMOVUPD Z0, (DI)
 	VMOVUPD Z1, 64(DI)
 	VMOVUPD Z2, 128(DI)
 	VMOVUPD Z3, 192(DI)
-	ADDQ dstStride+64(FP), DI
+	ADDQ dstStride+72(FP), DI
 	ADDQ R9, DX
 	DECQ R15
 	JNZ  row32
 	ADDQ $256, SI
 	ADDQ $256, dst+0(FP)
-	SUBQ $32, cols+32(FP)
+	MOVQ bias+24(FP), AX
+	LEAQ 256(AX), BX
+	TESTQ AX, AX
+	CMOVQNE BX, AX
+	MOVQ AX, bias+24(FP)
+	SUBQ $32, cols+40(FP)
 	JMP  panel32
 
 panel8: // single ZMM under K1 = the panel's min(8, cols left) columns
-	MOVQ cols+32(FP), CX
+	MOVQ cols+40(FP), CX
 	TESTQ CX, CX
 	JLE  done
 	MOVL $0xFF, AX
@@ -222,17 +287,32 @@ mask8:
 	KMOVW AX, K1
 	MOVQ dst+0(FP), DI
 	MOVQ s+16(FP), DX
-	MOVQ rows+40(FP), R15
+	MOVQ rows+48(FP), R15
+	MOVQ bias+24(FP), AX
+	TESTQ AX, AX
+	JZ   rows4
+	VMOVUPD.Z (AX), K1, Z9 // the panel's bias lanes, for every row
 
 rows4: // four rows per pass: s rows at CX, CX+R9, CX+2*R9, CX+R12
 	CMPQ R15, $4
 	JLT  rows1
-	MOVQ dstStride+64(FP), AX
+	CMPB accumulate+89(FP), $0
+	JEQ  zero8x4
+	MOVQ dstStride+72(FP), AX
 	LEAQ (AX)(AX*2), BX
 	VMOVUPD.Z (DI), K1, Z0
 	VMOVUPD.Z (DI)(AX*1), K1, Z1
 	VMOVUPD.Z (DI)(AX*2), K1, Z2
 	VMOVUPD.Z (DI)(BX*1), K1, Z3
+	JMP  start8x4
+
+zero8x4:
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	VPXORQ Z2, Z2, Z2
+	VPXORQ Z3, Z3, Z3
+
+start8x4:
 	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
@@ -279,7 +359,15 @@ skip8d:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k8x4
-	MOVQ dstStride+64(FP), AX
+	CMPQ bias+24(FP), $0
+	JEQ  store8x4
+	VADDPD Z9, Z0, Z0
+	VADDPD Z9, Z1, Z1
+	VADDPD Z9, Z2, Z2
+	VADDPD Z9, Z3, Z3
+
+store8x4:
+	MOVQ dstStride+72(FP), AX
 	LEAQ (AX)(AX*2), BX
 	VMOVUPD Z0, K1, (DI)
 	VMOVUPD Z1, K1, (DI)(AX*1)
@@ -293,7 +381,15 @@ skip8d:
 rows1: // the last rows%4 rows, one per pass
 	TESTQ R15, R15
 	JZ   next8
+	CMPB accumulate+89(FP), $0
+	JEQ  zero8
 	VMOVUPD.Z (DI), K1, Z0
+	JMP  start8
+
+zero8:
+	VPXORQ Z0, Z0, Z0
+
+start8:
 	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
@@ -313,8 +409,13 @@ skip8:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k8
+	CMPQ bias+24(FP), $0
+	JEQ  store8
+	VADDPD Z9, Z0, Z0
+
+store8:
 	VMOVUPD Z0, K1, (DI)
-	ADDQ dstStride+64(FP), DI
+	ADDQ dstStride+72(FP), DI
 	ADDQ R9, DX
 	DECQ R15
 	JMP  rows1
@@ -322,7 +423,12 @@ skip8:
 next8:
 	ADDQ $64, SI
 	ADDQ $64, dst+0(FP)
-	SUBQ $8, cols+32(FP)
+	MOVQ bias+24(FP), AX
+	LEAQ 64(AX), BX
+	TESTQ AX, AX
+	CMOVQNE BX, AX
+	MOVQ AX, bias+24(FP)
+	SUBQ $8, cols+40(FP)
 	JMP  panel8
 
 done:
@@ -368,6 +474,83 @@ add8:
 	JMP  add8
 
 addDone:
+	VZEROUPPER
+	RET
+
+// func vecScale(dst *float64, s float64, n int)
+//
+// dst[0:n] *= s, n a positive multiple of 8 — one correctly rounded
+// multiply per element, as the scalar loop.
+TEXT ·vecScale(SB), NOSPLIT, $0-24
+	MOVQ dst+0(FP), DI
+	VBROADCASTSD s+8(FP), Z4
+	MOVQ n+16(FP), CX
+	XORQ R12, R12
+
+scale32:
+	CMPQ CX, $32
+	JLT  scale8
+	VMULPD (DI)(R12*1), Z4, Z0
+	VMULPD 64(DI)(R12*1), Z4, Z1
+	VMULPD 128(DI)(R12*1), Z4, Z2
+	VMULPD 192(DI)(R12*1), Z4, Z3
+	VMOVUPD Z0, (DI)(R12*1)
+	VMOVUPD Z1, 64(DI)(R12*1)
+	VMOVUPD Z2, 128(DI)(R12*1)
+	VMOVUPD Z3, 192(DI)(R12*1)
+	ADDQ $256, R12
+	SUBQ $32, CX
+	JMP  scale32
+
+scale8:
+	TESTQ CX, CX
+	JZ    scaleDone
+	VMULPD (DI)(R12*1), Z4, Z0
+	VMOVUPD Z0, (DI)(R12*1)
+	ADDQ $64, R12
+	SUBQ $8, CX
+	JMP  scale8
+
+scaleDone:
+	VZEROUPPER
+	RET
+
+// func vecAllZero(src *float64, n int) bool
+//
+// Reports whether all n elements at src have the bits of +0 (OR of every
+// quadword is zero), n a positive multiple of 8.
+TEXT ·vecAllZero(SB), NOSPLIT, $0-17
+	MOVQ src+0(FP), SI
+	MOVQ n+8(FP), CX
+	VPXORQ Z0, Z0, Z0
+	VPXORQ Z1, Z1, Z1
+	XORQ R12, R12
+
+or32:
+	CMPQ CX, $32
+	JLT  or8
+	VPORQ (SI)(R12*1), Z0, Z0
+	VPORQ 64(SI)(R12*1), Z1, Z1
+	VPORQ 128(SI)(R12*1), Z0, Z0
+	VPORQ 192(SI)(R12*1), Z1, Z1
+	ADDQ $256, R12
+	SUBQ $32, CX
+	JMP  or32
+
+or8:
+	TESTQ CX, CX
+	JZ    orDone
+	VPORQ (SI)(R12*1), Z0, Z0
+	ADDQ $64, R12
+	SUBQ $8, CX
+	JMP  or8
+
+orDone:
+	VPORQ Z1, Z0, Z0
+	VPTESTMQ Z0, Z0, K1 // K1 bit i = lane i has a set bit
+	KMOVW K1, AX
+	TESTL AX, AX
+	SETEQ ret+16(FP)
 	VZEROUPPER
 	RET
 

@@ -2,6 +2,8 @@
 
 package tensor
 
+import "math"
+
 // Non-amd64 builds have no SIMD fast path; the portable scalar kernels are
 // always used. These stubs keep the call sites compiling and, as a safety
 // net, implement the same semantics in pure Go.
@@ -16,9 +18,14 @@ func SIMDEnabled() bool { return false }
 
 func x86HasAVX512() bool { return false }
 
-func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros bool) {
+func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool) {
 	for r := 0; r < rows; r++ {
 		dstS := unsafeSlice(offsetPtr(dst, r*dstStride), cols)
+		if !accumulate {
+			for j := range dstS {
+				dstS[j] = 0
+			}
+		}
 		for t := 0; t < k; t++ {
 			sv := *offsetPtr(s, r*sRowStride+t*sStride)
 			if skipZeros && sv == 0 {
@@ -29,6 +36,11 @@ func axpyRows(dst, b, s *float64, k, cols, rows, bStride, sStride, dstStride, sR
 				dstS[j] += sv * bRow[j]
 			}
 		}
+		if bias != nil {
+			for j, bv := range unsafeSlice(bias, cols) {
+				dstS[j] += bv
+			}
+		}
 	}
 }
 
@@ -37,6 +49,22 @@ func vecAdd(dst, src *float64, n int) {
 	for i := range d {
 		d[i] += sl[i]
 	}
+}
+
+func vecScale(dst *float64, s float64, n int) {
+	d := unsafeSlice(dst, n)
+	for i := range d {
+		d[i] *= s
+	}
+}
+
+func vecAllZero(src *float64, n int) bool {
+	for _, v := range unsafeSlice(src, n) {
+		if math.Float64bits(v) != 0 {
+			return false
+		}
+	}
+	return true
 }
 
 func tanhGradCols(dst, grad, y *float64, n int) {

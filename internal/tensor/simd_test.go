@@ -137,6 +137,13 @@ var (
 	matMulTransB = simdProduct{"MatMulTransBInto",
 		func(rows, inner, cols int) (m, b *Matrix) { return New(rows, inner), New(cols, inner) },
 		func(m, b, out *Matrix) { m.MatMulTransBInto(b, out) }}
+	// out = m·b + bias, the bias row being b's first row: the fused dense
+	// layer, whose scalar path is MatMulInto then AddRowBroadcastInto.
+	matMulBias = simdProduct{"MatMulBiasInto",
+		matMul.operands,
+		func(m, b, out *Matrix) {
+			m.MatMulBiasInto(b, &Matrix{Rows: 1, Cols: b.Cols, Data: b.Data[:b.Cols]}, out)
+		}}
 	// out += mᵀ·b, accumulated onto accStart rather than into a zeroed out.
 	addMatMulTransA = simdProduct{"AddMatMulTransAInPlace",
 		matMulTransA.operands,
@@ -195,6 +202,11 @@ func checkProductSIMDMatchesScalar(t *testing.T, seed int64, p simdProduct) {
 }
 
 func TestMatMulSIMDMatchesScalar(t *testing.T) { checkProductSIMDMatchesScalar(t, 41, matMul) }
+
+// TestMatMulBiasSIMDMatchesScalar pins the bias epilogue: added once, after
+// the last k panel (inner 130 takes three), in every panel and the masked
+// four-row groups, it gives the bits of the stored product plus the bias.
+func TestMatMulBiasSIMDMatchesScalar(t *testing.T) { checkProductSIMDMatchesScalar(t, 53, matMulBias) }
 
 func TestMatMulTransASIMDMatchesScalar(t *testing.T) {
 	checkProductSIMDMatchesScalar(t, 42, matMulTransA)
@@ -271,7 +283,7 @@ func fuzzOperand(c byte) float64 {
 	}
 }
 
-// FuzzMatMulMatchesScalar compares all four products' SIMD and scalar paths
+// FuzzMatMulMatchesScalar compares all five products' SIMD and scalar paths
 // bit for bit on shapes up to 70 x 130 x 70, operand element i of m reading
 // ops[i % len(ops)] and of b reading ops from the other end, so one input
 // steers both operands' patterns.
@@ -299,7 +311,7 @@ func FuzzMatMulMatchesScalar(f *testing.F) {
 			return
 		}
 		rows, inner, cols := 1+int(r)%70, 1+int(k)%130, 1+int(c)%70
-		for _, p := range []simdProduct{matMul, matMulTransA, matMulTransB, addMatMulTransA} {
+		for _, p := range []simdProduct{matMul, matMulBias, matMulTransA, matMulTransB, addMatMulTransA} {
 			m, b := p.operands(rows, inner, cols)
 			for i := range m.Data {
 				m.Data[i] = fuzzOperand(ops[i%len(ops)])
@@ -353,6 +365,99 @@ func TestAddScaledInPlaceSIMDMatchesScalar(t *testing.T) {
 			SetSIMD(prev)
 			requireBitIdentical(t, "AddScaledInPlace", scalarA.Data, a.Data)
 		}
+	}
+}
+
+// TestSetScaledSIMDMatchesScalar pins SetScaled, SIMD and scalar, against
+// what it replaces: Zero followed by AddScaledInPlace. Specials and the
+// scalars ±0, ±1 and a subnormal cover -0 products, 0·Inf and underflow.
+func TestSetScaledSIMDMatchesScalar(t *testing.T) {
+	rng := rand.New(rand.NewSource(54))
+	for _, n := range []int{1, 7, 8, 9, 33, 64, 65, 537} {
+		for _, s := range []float64{1, -1, 1.7, 0, math.Copysign(0, -1), 5e-324, math.Inf(1)} {
+			b := New(1, n)
+			fillMixed(rng, b.Data)
+			plantSpecials(rng, b.Data)
+			want := New(1, n).AddScaledInPlace(b, s)
+			for _, simd := range []bool{false, true} {
+				prev := SetSIMD(simd)
+				got := New(1, n)
+				got.Fill(x86DefaultNaN) // never read
+				got.SetScaled(b, s)
+				SetSIMD(prev)
+				requireBitIdentical(t, fmt.Sprintf("SetScaled simd=%v n=%d s=%v", simd, n, s), want.Data, got.Data)
+			}
+		}
+	}
+}
+
+func TestScaleInPlaceSIMDMatchesScalar(t *testing.T) {
+	if !SIMDEnabled() {
+		t.Skip("no AVX-512 on this machine")
+	}
+	rng := rand.New(rand.NewSource(55))
+	for _, n := range []int{1, 7, 8, 9, 31, 32, 33, 64, 100, 537} {
+		for _, s := range []float64{0.37, -1, 0, math.Copysign(0, -1), 1e-300, math.Inf(-1)} {
+			a := New(1, n)
+			fillMixed(rng, a.Data)
+			plantSpecials(rng, a.Data)
+			scalarA := cloneMatrix(a)
+			prev := SetSIMD(false)
+			scalarA.ScaleInPlace(s)
+			SetSIMD(true)
+			a.ScaleInPlace(s)
+			SetSIMD(prev)
+			requireBitIdentical(t, fmt.Sprintf("ScaleInPlace n=%d s=%v", n, s), scalarA.Data, a.Data)
+		}
+	}
+}
+
+// TestSumColsSIMDMatchesScalar pins the row-at-a-time column sum (the bias
+// gradient) to the scalar loop: same +0 start, same row order per column.
+func TestSumColsSIMDMatchesScalar(t *testing.T) {
+	if !SIMDEnabled() {
+		t.Skip("no AVX-512 on this machine")
+	}
+	rng := rand.New(rand.NewSource(56))
+	for _, rows := range []int{1, 2, 17, 64, 65} {
+		for _, cols := range []int{1, 6, 8, 9, 63, 64, 65} {
+			m := New(rows, cols)
+			fillMixed(rng, m.Data)
+			plantSpecials(rng, m.Data)
+			scalarOut, simdOut := New(1, cols), New(1, cols)
+			simdOut.Fill(x86DefaultNaN)
+			prev := SetSIMD(false)
+			m.SumColsInto(scalarOut)
+			SetSIMD(true)
+			m.SumColsInto(simdOut)
+			SetSIMD(prev)
+			requireBitIdentical(t, fmt.Sprintf("SumColsInto %dx%d", rows, cols), scalarOut.Data, simdOut.Data)
+		}
+	}
+}
+
+// TestAllPositiveZero plants one non-(+0) element — -0, the smallest
+// subnormal, NaN, 1 — at every position of +0 buffers of every tail length,
+// and checks both paths see it (and see the clean buffer as clean).
+func TestAllPositiveZero(t *testing.T) {
+	for _, simd := range []bool{false, true} {
+		prev := SetSIMD(simd)
+		for _, n := range []int{0, 1, 7, 8, 9, 31, 32, 33, 64, 65, 100} {
+			m := New(1, n)
+			if !m.AllPositiveZero() {
+				t.Fatalf("simd=%v n=%d: a zeroed buffer reads as dirty", simd, n)
+			}
+			for _, v := range []float64{math.Copysign(0, -1), 5e-324, x86DefaultNaN, 1} {
+				for i := range m.Data {
+					m.Data[i] = v
+					if m.AllPositiveZero() {
+						t.Fatalf("simd=%v n=%d: %v at %d reads as clean", simd, n, v, i)
+					}
+					m.Data[i] = 0
+				}
+			}
+		}
+		SetSIMD(prev)
 	}
 }
 

@@ -130,6 +130,26 @@ func (m *Matrix) Fill(v float64) {
 	}
 }
 
+// AllPositiveZero reports whether every element of m has the bits of +0 —
+// what Zero leaves; a -0 does not count.
+func (m *Matrix) AllPositiveZero() bool {
+	d := m.Data
+	if simdEnabled {
+		if n8 := len(d) &^ 7; n8 > 0 {
+			if !vecAllZero(&d[0], n8) {
+				return false
+			}
+			d = d[n8:]
+		}
+	}
+	for _, v := range d {
+		if math.Float64bits(v) != 0 {
+			return false
+		}
+	}
+	return true
+}
+
 // SameShape reports whether m and b have identical dimensions.
 func (m *Matrix) SameShape(b *Matrix) bool { return m.Rows == b.Rows && m.Cols == b.Cols }
 
@@ -145,17 +165,23 @@ func (m *Matrix) Add(b *Matrix) *Matrix { return m.AddInto(b, New(m.Rows, m.Cols
 // AddInPlace sets m = m + b and returns m.
 func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
 	m.assertSameShape(b, "AddInPlace")
+	addVec(m.Data, b.Data)
+	return m
+}
+
+// addVec sets dst[i] += src[i] for every i < len(dst), through vecAdd on
+// the longest multiple-of-8 prefix when SIMD is on.
+func addVec(dst, src []float64) {
 	i := 0
 	if simdEnabled {
-		if n8 := len(m.Data) &^ 7; n8 > 0 {
-			vecAdd(&m.Data[0], &b.Data[0], n8)
+		if n8 := len(dst) &^ 7; n8 > 0 {
+			vecAdd(&dst[0], &src[0], n8)
 			i = n8
 		}
 	}
-	for ; i < len(m.Data); i++ {
-		m.Data[i] += b.Data[i]
+	for ; i < len(dst); i++ {
+		dst[i] += src[i]
 	}
-	return m
 }
 
 // AddScaledInPlace sets m = m + s*b and returns m.
@@ -164,11 +190,27 @@ func (m *Matrix) AddScaledInPlace(b *Matrix, s float64) *Matrix {
 	if simdEnabled && len(m.Data) > 0 {
 		// Zero scalars are kept: the scalar loop's `x += 0*v` can flip a
 		// -0.0 element to +0.0 and turns an infinite v into NaN.
-		axpyRows(&m.Data[0], &b.Data[0], &s, 1, len(m.Data), 1, 0, 0, 0, 0, false)
+		axpyRows(&m.Data[0], &b.Data[0], &s, nil, 1, len(m.Data), 1, 0, 0, 0, 0, false, true)
 		return m
 	}
 	for i, v := range b.Data {
 		m.Data[i] += s * v
+	}
+	return m
+}
+
+// SetScaled sets m = +0 + s*b elementwise and returns m: bit for bit what
+// Zero followed by AddScaledInPlace(b, s) leaves (the +0 turns a -0 product
+// into +0), in one pass that never reads m. With s = 1 it is the bits
+// AddInPlace(b) leaves on a zeroed m. m must not alias b.
+func (m *Matrix) SetScaled(b *Matrix, s float64) *Matrix {
+	m.assertSameShape(b, "SetScaled")
+	if simdEnabled && len(m.Data) > 0 {
+		axpyRows(&m.Data[0], &b.Data[0], &s, nil, 1, len(m.Data), 1, 0, 0, 0, 0, false, false)
+		return m
+	}
+	for i, v := range b.Data {
+		m.Data[i] = 0 + s*v
 	}
 	return m
 }
@@ -179,16 +221,21 @@ func (m *Matrix) Sub(b *Matrix) *Matrix { return m.SubInto(b, New(m.Rows, m.Cols
 // Scale returns s*m.
 func (m *Matrix) Scale(s float64) *Matrix { return m.ScaleInto(s, New(m.Rows, m.Cols)) }
 
-// ScaleInPlace sets m = s*m and returns m.
+// ScaleInPlace sets m = s*m and returns m. Each element is one multiply, so
+// the SIMD prefix has the scalar loop's bits.
 func (m *Matrix) ScaleInPlace(s float64) *Matrix {
-	for i := range m.Data {
+	i := 0
+	if simdEnabled {
+		if n8 := len(m.Data) &^ 7; n8 > 0 {
+			vecScale(&m.Data[0], s, n8)
+			i = n8
+		}
+	}
+	for ; i < len(m.Data); i++ {
 		m.Data[i] *= s
 	}
 	return m
 }
-
-// AddScalar returns m + s applied elementwise.
-func (m *Matrix) AddScalar(s float64) *Matrix { return m.AddScalarInto(s, New(m.Rows, m.Cols)) }
 
 // Apply returns f applied elementwise to m.
 func (m *Matrix) Apply(f func(float64) float64) *Matrix { return m.ApplyInto(f, New(m.Rows, m.Cols)) }

@@ -291,9 +291,6 @@ func TestApplyAndScalar(t *testing.T) {
 	if got := m.Apply(math.Sqrt); !got.ApproxEqual(FromSlice(1, 3, []float64{1, 2, 3}), 1e-12) {
 		t.Fatalf("Apply: %v", got)
 	}
-	if got := m.AddScalar(1); !got.ApproxEqual(FromSlice(1, 3, []float64{2, 5, 10}), 0) {
-		t.Fatalf("AddScalar: %v", got)
-	}
 }
 
 func TestStringDoesNotPanic(t *testing.T) {
