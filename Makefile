@@ -93,14 +93,16 @@ race:
 # its batched-vs-reference and lanes-vs-sequential update goldens;
 # internal/cloudsim carries the simulator invariant harness (randomized
 # episodes at 20 and 500 VMs). Run all of them race-enabled on every merge,
-# and the tests that put goroutines inside or around an update ten times
-# over: a join that lets a shuffle overlap the critic lane, or a swarm Sync
+# and the tests that put goroutines inside or around an update, or around
+# a client build (core's parallel BuildClients against its serial one), ten
+# times over: a join that lets a shuffle overlap the critic lane, or a swarm Sync
 # that overlaps its own client's training segment, is a race the detector
 # only reports on the runs where the two actually overlap (-short skips the
 # 104-client swarm, which the first line has run).
 test-race:
 	$(GO) test -race ./internal/attn/... ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
 	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
+	$(GO) test -race -count=10 -run 'TestBuildClientsParallelMatchesSerial' ./internal/core/
 	$(GO) test -race -short -count=10 -run 'TestSwarm' ./internal/fednet/
 
 # The tensor kernels are pinned bit-for-bit against the scalar Go code and
@@ -125,6 +127,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/fedcore
 	$(GO) test -run '^$$' -fuzz FuzzTanhMatchesMath -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMatMulMatchesScalar -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzOrthogonalScaled -fuzztime 10s ./internal/tensor
 
 # One iteration of each microbenchmark: catches panics/regressions in the
 # bench harness itself without paying for a full measurement run.

@@ -9,6 +9,7 @@ package core
 import (
 	"fmt"
 	"math/rand"
+	"runtime"
 	"strings"
 
 	"repro/internal/cloudsim"
@@ -249,8 +250,11 @@ type ExperimentConfig struct {
 	CommEvery      int
 	// K is the number of clients aggregated per round (0 means N/2,
 	// the paper's setting for PFRL-DM; FedAvg/MFPO always use all N).
-	K        int
-	Seed     int64
+	K    int
+	Seed int64
+	// Parallel builds the clients on GOMAXPROCS goroutines and trains
+	// them in one goroutine each (fed.Fan); the results are the serial
+	// run's, bit for bit.
 	Parallel bool
 	// ActorLR / CriticLR override the paper defaults when non-zero (the
 	// scaled-down suites use slightly larger rates to converge in fewer
@@ -388,16 +392,24 @@ type TrainResult struct {
 }
 
 // BuildClients constructs the federated clients (environments + agents)
-// for an algorithm.
+// for an algorithm: on GOMAXPROCS goroutines when cfg.Parallel, in order
+// otherwise, with the same clients either way — each is seeded by its index
+// alone — and, when some fail, the error of the lowest index.
 func BuildClients(alg Algorithm, cfg ExperimentConfig, data []ClientData) ([]*fed.Client, error) {
 	caps := CapsFor(cfg.Specs)
 	clients := make([]*fed.Client, len(data))
-	for i, d := range data {
+	workers := 1
+	if cfg.Parallel {
+		workers = runtime.GOMAXPROCS(0)
+	}
+	err := fed.Fan(len(data), workers, func(i int) error {
+		d := data[i]
 		c, err := cfg.newClient(alg, i, d.Spec.Name, cfg.envConfig(caps, d.Spec), d.Train, cfg.Seed+104729*int64(i+1))
-		if err != nil {
-			return nil, err
-		}
 		clients[i] = c
+		return err
+	})
+	if err != nil {
+		return nil, err
 	}
 	return clients, nil
 }

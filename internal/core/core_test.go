@@ -565,3 +565,67 @@ func TestAlgorithmTable(t *testing.T) {
 		t.Fatalf("out-of-table algorithm prints %q", got)
 	}
 }
+
+// TestBuildClientsParallelMatchesSerial pins the parallel client build to
+// the serial one for every algorithm row: the same actor, φ and ψ bits, the
+// same tasks and the same environment configuration per client. With two
+// clients broken, both builds return the lower one's error.
+func TestBuildClientsParallelMatchesSerial(t *testing.T) {
+	cfg := DefaultExperiment(9)
+	cfg.TasksPerClient = 20
+	data, err := SampleClientData(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	params := func(m *nn.MLP) []float64 {
+		if m == nil {
+			return nil
+		}
+		return nn.FlattenParams(m)
+	}
+	for _, alg := range AllAlgorithms() {
+		build := func(parallel bool) []*fed.Client {
+			c := cfg
+			c.Parallel = parallel
+			clients, err := BuildClients(alg, c, data)
+			if err != nil {
+				t.Fatalf("%v parallel %v: %v", alg, parallel, err)
+			}
+			return clients
+		}
+		serial, parallel := build(false), build(true)
+		for i, s := range serial {
+			p := parallel[i]
+			for _, net := range []struct {
+				name string
+				s, p *nn.MLP
+			}{{"actor", s.Agent.Actor, p.Agent.Actor}, {"φ", s.Agent.Critic, p.Agent.Critic}, {"ψ", s.Agent.PublicCritic, p.Agent.PublicCritic}} {
+				sp, pp := params(net.s), params(net.p)
+				if len(sp) != len(pp) {
+					t.Fatalf("%v client %d %s: %d parameters serial, %d parallel", alg, i, net.name, len(sp), len(pp))
+				}
+				for k := range sp {
+					if math.Float64bits(sp[k]) != math.Float64bits(pp[k]) {
+						t.Fatalf("%v client %d %s: parameter %d is %v serial, %v parallel", alg, i, net.name, k, sp[k], pp[k])
+					}
+				}
+			}
+			if s.ID != p.ID || s.Name != p.Name || !reflect.DeepEqual(s.Tasks, p.Tasks) ||
+				!reflect.DeepEqual(s.Env.Config(), p.Env.Config()) {
+				t.Fatalf("%v client %d: id, name, tasks or environment differ between the builds", alg, i)
+			}
+		}
+	}
+
+	broken := append([]ClientData(nil), data...)
+	broken[3].Spec.VMs = nil
+	broken[6].Spec.VMs = []cloudsim.VMSpec{{CPU: 1}}
+	for _, parallel := range []bool{false, true} {
+		c := cfg
+		c.Parallel = parallel
+		clients, err := BuildClients(AlgPFRLDM, c, broken)
+		if clients != nil || err == nil || !strings.HasPrefix(err.Error(), "fed: client 3:") {
+			t.Fatalf("parallel %v: %d clients, error %v; want client 3's", parallel, len(clients), err)
+		}
+	}
+}

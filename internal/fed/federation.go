@@ -125,7 +125,9 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 
 // TrainClients runs the given number of local episodes on every client, in
 // one goroutine per client when parallel. Results are identical either way:
-// clients are independent and each agent owns its RNG.
+// clients are independent and each agent owns its RNG. The serial loop stays
+// out of Fan: the closure Fan takes is a heap allocation, and a warm barrier
+// round allocates nothing per segment (TestBarrierRoundSteadyStateAllocs).
 func TrainClients(clients []*Client, episodes int, parallel bool) {
 	if !parallel {
 		for _, c := range clients {
@@ -133,15 +135,48 @@ func TrainClients(clients []*Client, episodes int, parallel bool) {
 		}
 		return
 	}
+	Fan(len(clients), len(clients), func(i int) error {
+		clients[i].TrainEpisodes(episodes)
+		return nil
+	})
+}
+
+// Fan calls fn(i) for every i in [0, n): in ascending order on the calling
+// goroutine when workers <= 1, and otherwise on min(workers, n) goroutines,
+// the w-th taking i = w, w+workers, …. fn stores what it makes by index, so
+// the outcome is the serial loop's whenever the calls are independent. The
+// error returned is that of the lowest i that failed — the one the serial
+// loop, which stops there, returns — and comes after every call has
+// returned. It is the one fan-out of client work: training
+// (TrainClients) and construction (core.BuildClients, the fednet swarm).
+func Fan(n, workers int, fn func(i int) error) error {
+	if workers <= 1 || n <= 1 {
+		for i := range n {
+			if err := fn(i); err != nil {
+				return err
+			}
+		}
+		return nil
+	}
+	workers = min(workers, n)
+	errs := make([]error, n)
 	var wg sync.WaitGroup
-	for _, c := range clients {
+	for w := range workers {
 		wg.Add(1)
-		go func(c *Client) {
+		go func() {
 			defer wg.Done()
-			c.TrainEpisodes(episodes)
-		}(c)
+			for i := w; i < n; i += workers {
+				errs[i] = fn(i)
+			}
+		}()
 	}
 	wg.Wait()
+	for _, err := range errs {
+		if err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 // RunRound performs one full round: a local-training segment, the engine's

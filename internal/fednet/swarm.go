@@ -235,14 +235,19 @@ func runSwarm(cfg SwarmConfig, drive func(*swarmFleet) error) (*SwarmResult, err
 	if err := cfg.defaults(); err != nil {
 		return nil, err
 	}
+	// The clients are built on as many goroutines as the drive trains on;
+	// each is seeded by its id alone.
 	pad := swarmPads()
 	clients := make([]*fed.Client, cfg.Clients)
-	for i := range clients {
+	if err := fed.Fan(cfg.Clients, runtime.GOMAXPROCS(0), func(i int) error {
 		c, err := swarmClient(i, cfg.Seed+int64(i)*1000003, cfg.Tasks, pad)
 		if err != nil {
-			return nil, fmt.Errorf("fednet: swarm client %d: %w", i, err)
+			return fmt.Errorf("fednet: swarm client %d: %w", i, err)
 		}
 		clients[i] = c
+		return nil
+	}); err != nil {
+		return nil, err
 	}
 
 	transport := fed.PublicCriticTransport{}

@@ -75,6 +75,22 @@ func tanhGradCols(dst, grad, y *float64, n int) {
 	}
 }
 
+func gsProject(x, r *float64, rows, n int) {
+	xs := unsafeSlice(x, n*gsLanes)
+	for j := 0; j < rows; j++ {
+		rj := unsafeSlice(offsetPtr(r, j*n), n)
+		for l := 0; l < gsLanes; l++ {
+			dot := 0.0
+			for k, v := range rj {
+				dot += xs[k*gsLanes+l] * v
+			}
+			for k, v := range rj {
+				xs[k*gsLanes+l] -= dot * v
+			}
+		}
+	}
+}
+
 func adamCols(p, grad, m, v *float64, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
 	adamScalar(unsafeSlice(p, n), unsafeSlice(grad, n), unsafeSlice(m, n), unsafeSlice(v, n), lr, beta1, beta2, eps, bc1, bc2)
 }

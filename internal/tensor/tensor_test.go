@@ -398,17 +398,6 @@ func TestPropScaleLinear(t *testing.T) {
 	}
 }
 
-func TestXavierBounds(t *testing.T) {
-	rng := rand.New(rand.NewSource(6))
-	m := XavierUniform(rng, 30, 50)
-	a := math.Sqrt(6.0 / 80.0)
-	for _, v := range m.Data {
-		if v < -a || v >= a {
-			t.Fatalf("Xavier value %v outside [-%v,%v)", v, a, a)
-		}
-	}
-}
-
 func TestOrthogonalRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
 	m := OrthogonalScaled(rng, 4, 16, 1.0)
@@ -426,14 +415,6 @@ func TestOrthogonalRows(t *testing.T) {
 				t.Fatalf("rows %d,%d not orthogonal: %v", i, j, dot)
 			}
 		}
-	}
-}
-
-func TestRandUniformRange(t *testing.T) {
-	rng := rand.New(rand.NewSource(9))
-	m := RandUniform(rng, 10, 10, -2, 3)
-	if m.Min() < -2 || m.Max() >= 3 {
-		t.Fatalf("uniform out of range: [%v,%v]", m.Min(), m.Max())
 	}
 }
 
