@@ -104,6 +104,7 @@ test-race:
 	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
 	$(GO) test -race -count=10 -run 'TestBuildClientsParallelMatchesSerial' ./internal/core/
 	$(GO) test -race -short -count=10 -run 'TestSwarm' ./internal/fednet/
+	$(GO) test -race -count=10 -run 'TestAsyncRepliesFrameCommittedGlobal' ./internal/fednet/
 
 # The tensor kernels are pinned bit-for-bit against the scalar Go code and
 # math.Tanh as the toolchain compiles them; GOAMD64=v3 is the build where
@@ -151,7 +152,9 @@ bench-update:
 # The federation data-plane slice of the allocation guard: one steady-state
 # round through the product's wire session (K client-end encodes, K
 # server-end decodes, pooled aggregation, one frame, K reference rotations, K
-# installs) must allocate nothing, on the identity tier and on i8+delta.
+# installs) must allocate nothing, on the identity tier and on i8+delta; an
+# async server's non-participant reply (BenchmarkAsyncReply) allocates only
+# the frame copy it sends after the lock.
 bench-agg:
 	GO="$(GO)" BENCHTIME="$${BENCHTIME:-50x}" ./scripts/bench_alloc_guard.sh agg
 

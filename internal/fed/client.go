@@ -157,14 +157,16 @@ func (c *Client) Evaluate(tasks []workload.Task, policy cloudsim.Policy) cloudsi
 // probeCriticLoss measures the critic MSE used by the Figure-9 probes on the
 // network that aggregation touches: the public critic alone for a
 // dual-critic agent (not the blend — Fig. 9 asks what a download did to the
-// critic it replaced), the single critic otherwise.
+// critic it replaced), the single critic otherwise. It reads the agent's
+// memoized losses, so a probe of a critic that has not changed since the last
+// α refresh computes nothing.
 func (c *Client) probeCriticLoss() float64 {
 	if c.LastBuf.Len() == 0 {
 		return 0
 	}
-	critic := c.Agent.Critic
+	local, public := c.Agent.CriticLosses(&c.LastBuf)
 	if c.Agent.PublicCritic != nil {
-		critic = c.Agent.PublicCritic
+		return public
 	}
-	return rl.CriticMSE(critic, &c.LastBuf, c.Agent.Cfg.Gamma)
+	return local
 }

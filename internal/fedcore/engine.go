@@ -355,6 +355,17 @@ func (a *AsyncEngine) Global() Payload {
 	return global
 }
 
+// GlobalView returns the stored global payload itself, not a copy. It is
+// read-only and valid until the next commit rewrites it in place, so only an
+// adapter that holds the lock its commits run under may use it — fednet's
+// Server frames its replies from it under Server.mu; everyone else takes
+// Global's copy.
+func (a *AsyncEngine) GlobalView() Payload {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	return a.global
+}
+
 // PayloadLen returns the expected upload length (the global payload's).
 func (a *AsyncEngine) PayloadLen() int {
 	a.mu.Lock()

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"math"
 	"net/rpc"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -517,6 +518,166 @@ func TestAsyncNonFiniteUploadRetried(t *testing.T) {
 	for d, v := range srv.Global() {
 		if math.IsNaN(v) || math.IsInf(v, 0) {
 			t.Fatalf("global[%d] = %v", d, v)
+		}
+	}
+}
+
+// spreadAggregator personalizes visibly: the global is the uploads' mean and
+// participant i receives the mean shifted by i+1, so a reply shows whether it
+// carried a personalized payload or the global, and of which commit.
+type spreadAggregator struct{}
+
+func (spreadAggregator) Name() string { return "spread" }
+
+func (spreadAggregator) Aggregate(uploads []fed.Payload) ([]fed.Payload, fed.Payload) {
+	global := make(fed.Payload, len(uploads[0]))
+	for _, u := range uploads {
+		for j, v := range u {
+			global[j] += v / float64(len(uploads))
+		}
+	}
+	personalized := make([]fed.Payload, len(uploads))
+	for i := range uploads {
+		personalized[i] = make(fed.Payload, len(global))
+		for j, v := range global {
+			personalized[i][j] = v + float64(i+1)
+		}
+	}
+	return personalized, global
+}
+
+// committed is one commit as the engine delivered it, copied.
+type committed struct {
+	global       fed.Payload
+	personalized map[int]fed.Payload
+}
+
+// asyncReply is one Sync or Fetch answer, decoded.
+type asyncReply struct {
+	client, round int
+	participant   bool
+	payload       fed.Payload
+	what          string
+}
+
+// TestAsyncRepliesFrameCommittedGlobal pins that an async reply framed from
+// the engine's stored global without a copy carries what was committed: eight
+// clients Sync and Fetch concurrently across several commits, and every reply
+// decodes to the client's personalized payload from the last commit it took
+// part in, or else to the global committed at the reply's round — never to a
+// payload a later commit rewrote under the frame.
+func TestAsyncRepliesFrameCommittedGlobal(t *testing.T) {
+	// K below the buffer: the submission that triggers a commit is often not
+	// drawn, so its reply frames the fresh global first thing after the
+	// commit — the frame a stale encode-once cache would get wrong.
+	const clients, syncs, k, buffer = 8, 6, 2, 4
+	initial := fed.Payload{0, 0, 0}
+	srv, err := NewServer(ServerConfig{
+		Clients: clients, K: k, Seed: 42, InitialGlobal: initial, Aggregator: spreadAggregator{},
+		Async: true, StalenessBound: -1, Buffer: buffer,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Re-build the engine with a delivery that records each commit before
+	// the server retains it, then listen.
+	var commits []committed
+	engine, err := fedcore.NewAsync(spreadAggregator{}, initial, fedcore.AsyncOptions{
+		Options:        fedcore.Options{K: k, Clients: clients, Seed: 42},
+		StalenessBound: -1,
+		Buffer:         buffer,
+	}, func(personalized map[int]fedcore.Payload, global fedcore.Payload) (int, time.Duration) {
+		c := committed{global: append(fed.Payload(nil), global...), personalized: map[int]fed.Payload{}}
+		for id, p := range personalized {
+			c.personalized[id] = append(fed.Payload(nil), p...)
+		}
+		commits = append(commits, c)
+		return srv.retainPersonalized(personalized, global)
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	srv.engine = engine
+	addr, err := srv.Listen("127.0.0.1:0")
+	if err != nil {
+		t.Fatal(err)
+	}
+	t.Cleanup(srv.Close)
+
+	var mu sync.Mutex
+	var replies []asyncReply
+	var wg sync.WaitGroup
+	for c := 0; c < clients; c++ {
+		conn, err := rpc.Dial("tcp", addr)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer conn.Close()
+		id := rawJoin(t, conn).ClientID
+		wg.Add(1)
+		go func(conn *rpc.Client, id int) {
+			defer wg.Done()
+			base := 0
+			for seq := 1; seq <= syncs; seq++ {
+				up := fed.Payload{float64(id), float64(seq), float64(id * seq)}
+				var sr SyncReply
+				if err := conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: seq, Base: base, Frame: testFrame(up)}, &sr); err != nil {
+					t.Error(err)
+					return
+				}
+				p, _, err := fedcore.DecodeFrame(sr.Frame, nil, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				replies = append(replies, asyncReply{id, sr.Round, sr.Participant, p, "sync"})
+				mu.Unlock()
+				base = sr.Round
+
+				var fr FetchReply
+				if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: id, Base: base - 1}, &fr); err != nil {
+					t.Error(err)
+					return
+				}
+				if !fr.Has {
+					continue
+				}
+				p, _, err = fedcore.DecodeFrame(fr.Frame, nil, nil)
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				mu.Lock()
+				replies = append(replies, asyncReply{id, fr.Round, fr.Participant, p, "fetch"})
+				mu.Unlock()
+				base = fr.Round
+			}
+		}(conn, id)
+	}
+	wg.Wait()
+
+	srv.mu.Lock() // commits was written under it
+	defer srv.mu.Unlock()
+	if len(commits) < 3 {
+		t.Fatalf("%d commits, want at least 3", len(commits))
+	}
+	globalAt := func(round int) fed.Payload {
+		if round == 0 {
+			return initial
+		}
+		return commits[round-1].global
+	}
+	for _, r := range replies {
+		want := globalAt(r.round)
+		if r.participant {
+			want = nil
+			for c := r.round - 1; c >= 0 && want == nil; c-- {
+				want = commits[c].personalized[r.client]
+			}
+		}
+		if want == nil || !slices.Equal(r.payload, want) {
+			t.Fatalf("client %d %s at round %d (participant %v) installed %v, want %v", r.client, r.what, r.round, r.participant, r.payload, want)
 		}
 	}
 }

@@ -1,0 +1,52 @@
+package fednet
+
+import (
+	"testing"
+
+	"repro/internal/fed"
+	"repro/internal/fedcore"
+)
+
+// BenchmarkAsyncReply answers one non-participant Fetch in-process on the
+// swarm's codec (i8 + delta), after a commit: the reply frames the committed
+// global in place, so its one allocation is the copy of the frame that is sent
+// after the lock is released (make bench-agg holds it to 1 alloc/op).
+func BenchmarkAsyncReply(b *testing.B) {
+	const clients, dim = 4, 4227
+	initial := make(fed.Payload, dim)
+	s, err := NewServer(ServerConfig{
+		Clients: clients, K: 2, Buffer: 2, Seed: 1, InitialGlobal: initial,
+		Aggregator: fed.FedAvg{}, Async: true, StalenessBound: -1,
+		Codec: fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true},
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	h := &rpcHandler{s: s}
+	for i := 0; i < clients; i++ {
+		if err := h.Join(JoinArgs{Name: "bench"}, &JoinReply{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	enc := fedcore.NewEncoder(fedcore.CodecConfig{Tier: fedcore.TierI8})
+	for id := 0; id < 2; id++ {
+		up := make(fed.Payload, dim)
+		for j := range up {
+			up[j] = float64(id+1) * 1e-3 * float64(j%17)
+		}
+		if err := h.Sync(SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.Rounds() != 1 {
+		b.Fatalf("%d commits, want 1", s.Rounds())
+	}
+	var reply FetchReply
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if err := h.Fetch(FetchArgs{ClientID: clients - 1, Base: 0}, &reply); err != nil || !reply.Has || reply.Participant {
+			b.Fatalf("fetch: %+v, %v", reply, err)
+		}
+	}
+}

@@ -219,15 +219,23 @@ type Server struct {
 	lastRound   int
 	lastResults map[int]SyncReply
 
-	// Async regime: personalized payloads of commits their owner has not
-	// collected yet (push transports have no open reply to carry them),
-	// consumed by the owner's next Sync or Fetch. Entries are copies: the
-	// engine's payloads live in arena buffers rewritten next commit.
-	retained map[int]fed.Payload
+	// Async regime, by client id: the personalized payload of a commit its
+	// owner has not collected yet (push transports have no open reply to
+	// carry it), consumed by the owner's next Sync or Fetch. Each is a copy —
+	// the engine's payloads live in arena buffers rewritten next commit —
+	// into a buffer the client's slot keeps across commits.
+	retained []retainedPayload
 
 	// wire is the server end of the wire session: the per-client delta
 	// references, uplink decode, downlink framing, measured traffic.
 	wire *fedcore.WireServer
+}
+
+// retainedPayload is one client's retained-result slot: p holds an
+// uncollected personalized payload while held is set.
+type retainedPayload struct {
+	p    fed.Payload
+	held bool
 }
 
 // NewServer builds a server; it does not listen yet. Round policy (K
@@ -237,7 +245,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		roundDone: make(chan struct{}),
 		lastRound: -1,
-		retained:  map[int]fed.Payload{},
 		wire:      fedcore.NewWireServer(cfg.Codec),
 	}
 	deliver := s.deliverBarrier
@@ -255,6 +262,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.engine = engine
 	s.pending = make([]fed.Payload, cfg.Clients)
+	s.retained = make([]retainedPayload, cfg.Clients)
 	s.rpcSrv = rpc.NewServer()
 	if err := s.rpcSrv.RegisterName("Federation", &rpcHandler{s: s}); err != nil {
 		return nil, err
@@ -351,7 +359,7 @@ func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
 	reply.Async = s.cfg.Async
 	reply.Codec = s.cfg.Codec
 	s.wire.Forget(reply.ClientID)
-	delete(s.retained, reply.ClientID)
+	s.retained[reply.ClientID].held = false
 	gNetClients.Set(float64(s.nextID))
 	return nil
 }
@@ -542,25 +550,29 @@ func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fed
 
 // retainPersonalized is the async regime's Delivery: participants collect
 // their personalized payloads on their next contact, so copies are retained
-// until then. Runs under s.mu (held by the submitter or Flush) and the engine
-// lock.
+// until then, each in its client's slot buffer. Runs under s.mu (held by the
+// submitter or Flush) and the engine lock.
 func (s *Server) retainPersonalized(personalized map[int]fedcore.Payload, _ fedcore.Payload) (int, time.Duration) {
 	s.wire.NextRound()
 	for id, p := range personalized {
-		s.retained[id] = append(fed.Payload(nil), p...)
+		r := &s.retained[id]
+		r.p, r.held = append(r.p[:0], p...), true
 	}
 	return 0, 0
 }
 
 // answerLocked frames what the client should install now: its retained
-// personalized payload, consumed by the take, or else the current global. The
-// frame is sent after the lock is released, so copied out of the wire's buffer.
+// personalized payload, consumed by the take, or else the committed global,
+// framed in place — commits run only under s.mu, which the caller holds, so
+// the engine's GlobalView cannot change under the frame. The frame is sent
+// after the lock is released, so copied out of the wire's buffer.
 func (s *Server) answerLocked(clientID int) (frame []byte, tag uint64, participant bool) {
-	p, participant := s.retained[clientID]
+	r := &s.retained[clientID]
+	p, participant := r.p, r.held
 	if participant {
-		delete(s.retained, clientID)
+		r.held = false
 	} else {
-		p = s.engine.Global()
+		p = s.engine.GlobalView()
 	}
 	frame, _, tag = s.wire.Frame(clientID, p)
 	return append([]byte(nil), frame...), tag, participant

@@ -17,6 +17,9 @@ type Parameter struct {
 	Name string
 	Data *tensor.Matrix
 	Grad *tensor.Matrix
+
+	// writes counts the writes nn made to Data (see Generation).
+	writes uint64
 }
 
 // NewParameter wraps data as a named parameter with a zeroed gradient.
@@ -56,6 +59,20 @@ func NumParams(m Module) int {
 		n += p.NumElems()
 	}
 	return n
+}
+
+// Generation returns m's parameter generation: a counter that grows with
+// every write nn makes to m's parameters — an optimizer step, LoadFlatParams,
+// CopyParams, a checkpoint load — and never rewinds (an optimizer's step
+// count does, on Reset). A value computed from m's parameters is still valid
+// while Generation returns what it returned then. A write made to a
+// Parameter's Data outside nn is not counted.
+func Generation(m Module) uint64 {
+	g := uint64(0)
+	for _, p := range m.Params() {
+		g += p.writes
+	}
+	return g
 }
 
 // ClipGradNorm rescales all gradients of m so their global L2 norm is at
@@ -101,6 +118,7 @@ func LoadFlatParams(m Module, flat []float64) error {
 	for _, p := range m.Params() {
 		n := p.NumElems()
 		copy(p.Data.Data, flat[off:off+n])
+		p.writes++
 		off += n
 	}
 	return nil
@@ -118,6 +136,7 @@ func CopyParams(dst, src Module) error {
 			return fmt.Errorf("nn: CopyParams shape mismatch at %d (%s vs %s)", i, dp[i].Name, sp[i].Name)
 		}
 		dp[i].Data.CopyFrom(sp[i].Data)
+		dp[i].writes++
 	}
 	return nil
 }

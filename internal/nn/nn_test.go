@@ -208,6 +208,46 @@ func TestLoadFlatParamsLengthError(t *testing.T) {
 	}
 }
 
+// TestGenerationCountsEveryWriter pins the counter a memo of a network's
+// outputs is keyed on: every nn path that writes parameters advances it, a
+// refused write and an optimizer Reset do not, and it never rewinds.
+func TestGenerationCountsEveryWriter(t *testing.T) {
+	rng := rand.New(rand.NewSource(8))
+	m := NewMLP(rng, "m", []int{2, 3, 1}, ActTanh, 1.0)
+	src := NewMLP(rng, "src", []int{2, 3, 1}, ActTanh, 1.0)
+	opt := NewAdam(m, 1e-3)
+	last := Generation(m)
+	advanced := func(what string, want bool) {
+		t.Helper()
+		g := Generation(m)
+		if (g > last) != want || g < last {
+			t.Fatalf("%s: generation %d -> %d, advance want %v", what, last, g, want)
+		}
+		last = g
+	}
+	advanced("construction", false)
+	opt.Step()
+	advanced("Adam.Step", true)
+	opt.Reset()
+	advanced("Adam.Reset", false)
+	if err := LoadFlatParams(m, FlattenParams(src)); err != nil {
+		t.Fatal(err)
+	}
+	advanced("LoadFlatParams", true)
+	if err := LoadFlatParams(m, make([]float64, 3)); err == nil {
+		t.Fatal("expected length error")
+	}
+	advanced("refused LoadFlatParams", false)
+	if err := CopyParams(m, src); err != nil {
+		t.Fatal(err)
+	}
+	advanced("CopyParams", true)
+	if err := CopyParams(m, NewMLP(rng, "c", []int{2, 4, 1}, ActTanh, 1.0)); err == nil {
+		t.Fatal("expected shape mismatch error")
+	}
+	advanced("refused CopyParams", false)
+}
+
 func TestCopyParams(t *testing.T) {
 	rng := rand.New(rand.NewSource(9))
 	a := NewMLP(rng, "a", []int{3, 5, 2}, ActTanh, 1.0)

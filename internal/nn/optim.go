@@ -45,6 +45,7 @@ func (a *Adam) Step() {
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for i, p := range a.params {
 		tensor.AdamUpdate(p.Data.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
+		p.writes++
 	}
 }
 
@@ -56,7 +57,8 @@ func (a *Adam) ZeroGrad() {
 }
 
 // Reset clears the optimizer's moment estimates and step count, e.g. after
-// parameters are overwritten by a federated aggregation round.
+// parameters are overwritten by a federated aggregation round. The
+// parameters' Generation is not rewound.
 func (a *Adam) Reset() {
 	a.step = 0
 	for i := range a.m {

@@ -48,6 +48,11 @@ type Buffer struct {
 	// obs is the observation scratch CollectEpisode hands to env.Observe,
 	// kept across episodes.
 	obs []float64
+
+	// gen counts Add and Reset calls: a value computed from the buffer's
+	// transitions (a critic's loss, see PPO.CriticLosses) is still valid
+	// while gen is unchanged.
+	gen uint64
 }
 
 // stateChunkRows is how many observations one storage chunk holds. Small
@@ -59,7 +64,10 @@ const stateChunkRows = 64
 
 // Add appends one transition. The buffer stores t.State as given; the
 // caller must not reuse that slice while the transition is held.
-func (b *Buffer) Add(t Transition) { b.steps = append(b.steps, t) }
+func (b *Buffer) Add(t Transition) {
+	b.steps = append(b.steps, t)
+	b.gen++
+}
 
 // storeState copies state into the buffer's own storage and returns the
 // copy, a view that stays valid until Reset.
@@ -87,9 +95,12 @@ func (b *Buffer) Reset() {
 		b.chunks[i] = b.chunks[i][:0]
 	}
 	b.chunk = 0
+	b.gen++
 }
 
-// Steps exposes the stored transitions (read-only use expected).
+// Steps exposes the stored transitions. They are read-only: a write through
+// the slice is invisible to the buffer's generation, so a loss already
+// computed from it would be served stale.
 func (b *Buffer) Steps() []Transition { return b.steps }
 
 // Returns computes the discounted return-to-go G_t for every step,
@@ -97,8 +108,15 @@ func (b *Buffer) Steps() []Transition { return b.steps }
 // bootstrap with the recorded critic estimates; true terminals and an open
 // (non-Done) batch tail contribute a zero continuation.
 func (b *Buffer) Returns(gamma float64) []float64 {
+	return b.ReturnsInto(gamma, nil)
+}
+
+// ReturnsInto is Returns writing into dst, which is grown as needed and
+// returned resliced to the buffer length — the allocation-free variant the
+// critic losses call with agent-owned scratch, shaped like GAEInto.
+func (b *Buffer) ReturnsInto(gamma float64, dst []float64) []float64 {
 	n := len(b.steps)
-	g := make([]float64, n)
+	g := growFloats(dst, n)
 	acc := 0.0
 	for i := n - 1; i >= 0; i-- {
 		s := b.steps[i]

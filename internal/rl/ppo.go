@@ -117,6 +117,9 @@ type PPO struct {
 	LastLocalLoss  float64
 	LastPublicLoss float64
 
+	// localLoss and publicLoss memoize CriticLosses for φ and ψ.
+	localLoss, publicLoss lossMemo
+
 	actorOpt  *nn.Adam
 	criticOpt *nn.Adam
 	publicOpt *nn.Adam
@@ -196,16 +199,15 @@ func (p *PPO) pinned() bool { return p.FixedAlpha >= 0 && p.FixedAlpha <= 1 }
 //	α = e^{−L_φ} / (e^{−L_φ} + e^{−L_ψ})
 //
 // The paper calls for this "each time the model parameters change": after
-// every local update and after receiving a global model. An empty buffer
-// leaves α unchanged, and so does an agent without a public critic.
+// every local update and after receiving a global model. The losses come
+// from CriticLosses, so after an install only ψ's is computed afresh. An
+// empty buffer leaves α unchanged, and so does an agent without a public
+// critic.
 func (p *PPO) RefreshAlpha(buf *Buffer) {
 	if p.PublicCritic == nil || buf.Len() == 0 {
 		return
 	}
-	states, returns := stageEpisode(buf, p.Cfg.Gamma)
-	lPhi := stagedMSE(p.Critic, states, returns)
-	lPsi := stagedMSE(p.PublicCritic, states, returns)
-	tensor.Put(states)
+	lPhi, lPsi := p.CriticLosses(buf)
 	p.LastLocalLoss, p.LastPublicLoss = lPhi, lPsi
 	if p.pinned() {
 		p.Alpha = p.FixedAlpha
@@ -225,6 +227,51 @@ func (p *PPO) RefreshAlpha(buf *Buffer) {
 	ePhi := math.Exp(-lPhi / scale)
 	ePsi := math.Exp(-lPsi / scale)
 	p.Alpha = ePhi / (ePhi + ePsi)
+}
+
+// lossKey names what a critic loss was computed from: the network at its
+// nn.Generation and the buffer at its generation (γ is fixed with Cfg).
+type lossKey struct {
+	net    *nn.MLP
+	netGen uint64
+	buf    *Buffer
+	bufGen uint64
+}
+
+// lossMemo is one critic's last computed loss under its key.
+type lossMemo struct {
+	key  lossKey
+	loss float64
+}
+
+// CriticLosses returns the mean squared error of φ and — with a public
+// critic — of ψ against the discounted returns of buf: the losses of Eq. (15)
+// and of the Fig. 9 probe. Each is computed once per (network generation,
+// buffer generation) and then read from a memo, so the φ half of the α
+// refresh after an install, and a probe of a critic that has not changed
+// since, cost nothing; the memo's value is the fresh computation's, bit for
+// bit. A plain agent's public loss, and both losses on an empty buffer, are 0.
+func (p *PPO) CriticLosses(buf *Buffer) (local, public float64) {
+	if buf.Len() == 0 {
+		return 0, 0
+	}
+	staleReturns := true
+	loss := func(m *lossMemo, net *nn.MLP) float64 {
+		k := lossKey{net, nn.Generation(net), buf, buf.gen}
+		if m.key != k {
+			if staleReturns {
+				p.upd.returns = buf.ReturnsInto(p.Cfg.Gamma, p.upd.returns)
+				staleReturns = false
+			}
+			*m = lossMemo{k, criticMSE(net, buf.Steps(), p.upd.returns)}
+		}
+		return m.loss
+	}
+	local = loss(&p.localLoss, p.Critic)
+	if p.PublicCritic != nil {
+		public = loss(&p.publicLoss, p.PublicCritic)
+	}
+	return local, public
 }
 
 // LoadPublicCritic installs a (personalized) public critic received from
@@ -252,39 +299,43 @@ func valueLoss(pred, targets *autograd.Value) *autograd.Value {
 }
 
 // CriticMSE evaluates a critic's mean squared error against the discounted
-// returns of the trajectories in buf — the loss probe used for Figure 9.
+// returns of the trajectories in buf, with nothing memoized.
 func CriticMSE(critic *nn.MLP, buf *Buffer, gamma float64) float64 {
 	if buf.Len() == 0 {
 		return 0
 	}
-	states, returns := stageEpisode(buf, gamma)
-	mse := stagedMSE(critic, states, returns)
-	tensor.Put(states)
-	return mse
+	return criticMSE(critic, buf.Steps(), buf.Returns(gamma))
 }
 
-// stageEpisode copies every state of buf into one pooled matrix (the caller
-// returns it with tensor.Put) and computes the discounted returns beside it,
-// so several critics can be probed on one staging (see RefreshAlpha).
-func stageEpisode(buf *Buffer, gamma float64) (states *tensor.Matrix, returns []float64) {
-	steps := buf.Steps()
-	states = tensor.Get(len(steps), len(steps[0].State))
-	for i, s := range steps {
-		copy(states.Row(i), s.State)
-	}
-	return states, buf.Returns(gamma)
-}
+// lossBlockRows is how many states criticMSE stages at once: a minibatch's
+// worth.
+const lossBlockRows = 64
 
-// stagedMSE is the critic's mean squared error against returns on the
-// staged states.
-func stagedMSE(critic *nn.MLP, states *tensor.Matrix, returns []float64) float64 {
-	v := tensor.Get(states.Rows, 1)
-	critic.Infer(v, states)
+// criticMSE is the critic's mean squared error against returns over steps,
+// evaluated lossBlockRows states at a time through one pooled staging block.
+// A row's prediction does not depend on the rows beside it and the squared
+// errors add in row order, so the result is the bits of one Infer over the
+// whole buffer, while the staging stays a minibatch's size however long the
+// buffer is (a whole-buffer staging at table3_parallel's ≈ 450-step episodes
+// takes ≈ 768 KB of pool buckets per client updating at once).
+func criticMSE(critic *nn.MLP, steps []Transition, returns []float64) float64 {
+	rows := min(len(steps), lossBlockRows)
+	states := tensor.DefaultPool().GetUninit(rows, len(steps[0].State))
+	v := tensor.DefaultPool().GetUninit(rows, 1)
 	mse := 0.0
-	for i := range returns {
-		d := v.Data[i] - returns[i]
-		mse += d * d
+	for lo := 0; lo < len(steps); lo += rows {
+		n := min(rows, len(steps)-lo)
+		block, pred := viewRows(states, n), viewRows(v, n)
+		for i := range n {
+			copy(block.Row(i), steps[lo+i].State)
+		}
+		critic.Infer(pred, block)
+		for i, y := range pred.Data {
+			d := y - returns[lo+i]
+			mse += d * d
+		}
 	}
+	tensor.Put(states)
 	tensor.Put(v)
-	return mse / float64(len(returns))
+	return mse / float64(len(steps))
 }

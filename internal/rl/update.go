@@ -28,15 +28,18 @@ type updateScratch struct {
 	idx []int
 
 	// adv/targets receive the GAE pass (agent-owned so GAEInto can reuse
-	// them across Update calls).
-	adv, targets []float64
+	// them across Update calls); returns receives the discounted returns
+	// CriticLosses scores the critics against.
+	adv, targets, returns []float64
 
 	// Minibatch staging, allocated at the largest batch seen so far (never
 	// more than MiniBatch rows) and viewed down for a partial batch.
 	// Rewritten fully for every batch.
 	stagedRows int
 
-	// Actor lane.
+	// Actor lane. The staging matrices stay agent-owned: drawn from the
+	// pool, their 64×StateDim shape rounds up to the next power-of-two
+	// bucket. The tapes hold pooled matrices only while optimize runs.
 	actorStates, oldLogp, advantage *tensor.Matrix
 	actions                         []int
 	actorTape                       *autograd.Tape
@@ -166,6 +169,12 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 			ClipFrac:   actor.clip / batches,
 		}
 	}
+	// Both lanes have joined: hand the last minibatch's tape matrices back
+	// to the pool now rather than at this agent's next Update. Parked on
+	// every idle agent of a swarm, they would be the largest per-client
+	// share of its heap (DESIGN §8 "Per-client footprint").
+	p.upd.actorTape.Reset()
+	p.upd.criticTape.Reset()
 	return stats
 }
 

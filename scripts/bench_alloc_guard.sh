@@ -12,13 +12,16 @@
 #     federation data plane — the wire session's two ends plus pooled
 #     aggregation, on the identity tier and on i8+delta — reuses encoder
 #     scratch, per-client decode buffers and references, and the payload
-#     arena every round).
+#     arena every round), and
+#   - BenchmarkAsyncReply must stay within 1 alloc/op (an async server answers
+#     a non-participant by framing the committed global in place; the one
+#     alloc is the frame copy that is sent after the lock is released).
 #
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
 #   env    only the zero-alloc env/rollout guards (`make bench-env`)
 #   update only the PPOUpdate budget guard (`make bench-update`)
-#   agg    only the federation data-plane guard (`make bench-agg`)
+#   agg    only the federation data-plane guards (`make bench-agg`)
 #
 # BENCHTIME defaults to a short fixed iteration count so `make ci` stays
 # fast; run with BENCHTIME=2s for a full measurement.
@@ -50,6 +53,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 	"$GO" test ./internal/fed/ -run '^$' \
 		-bench 'BenchmarkFedAggregate' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+	"$GO" test ./internal/fednet/ -run '^$' \
+		-bench 'BenchmarkAsyncReply' \
+		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 fi
 
 awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
@@ -69,11 +75,19 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 		}
 	}
 }
+/^BenchmarkAsyncReply/ {
+	for (i = 2; i <= NF; i++) {
+		if ($i == "allocs/op" && $(i-1) + 0 > 1) {
+			printf "FAIL: %s reports %s allocs/op (budget 1)\n", $1, $(i-1)
+			bad = 1
+		}
+	}
+}
 END { exit bad }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, AsyncReply within 1" ;;
 env) echo "bench-alloc-guard: EnvStep/RolloutStep are allocation-free" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
-agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free" ;;
+agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op" ;;
 esac
