@@ -118,7 +118,6 @@ test-v3:
 # Short deterministic-budget run of every fuzz target (go test allows one
 # -fuzz pattern per invocation, hence one run per target).
 fuzz-smoke:
-	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/nn
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/rl
 	$(GO) test -run '^$$' -fuzz FuzzCSVTrace -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzCSVStream -fuzztime 10s ./internal/workload

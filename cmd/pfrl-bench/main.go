@@ -359,13 +359,21 @@ func runHybridAndTable4(bc benchConfig) error {
 		rows = append(rows, row{name, e, fmt.Sprintf("%d/%d", done, total), fmt.Sprintf("%d/%d", short, len(e.Total))})
 	}
 	for _, alg := range core.AllAlgorithms() {
-		evals[alg] = core.EvalHybrid(results[alg], cfg, 0.2, nil)
-		addRow(alg.String(), evals[alg])
+		e, err := core.EvalHybrid(results[alg], cfg, 0.2, nil)
+		if err != nil {
+			return err
+		}
+		evals[alg] = e
+		addRow(alg.String(), e)
 	}
 	// The floor any learned policy must beat: the heuristics on the same
 	// hybrid test sets and environments, through the same evaluation.
 	for _, p := range []cloudsim.Policy{cloudsim.FirstFit{}, cloudsim.BestFit{}} {
-		addRow(p.Name(), core.EvalHybrid(results[core.AlgPFRLDM], cfg, 0.2, p))
+		e, err := core.EvalHybrid(results[core.AlgPFRLDM], cfg, 0.2, p)
+		if err != nil {
+			return err
+		}
+		addRow(p.Name(), e)
 	}
 	metrics := []struct {
 		fig  string

@@ -89,7 +89,10 @@ func main() {
 	fmt.Println("\nPer-client greedy evaluation on held-out test tasks:")
 	et := trace.NewTable("client", "dataset", "resp", "makespan", "util", "loadbal", "done")
 	for i, c := range res.Clients {
-		m := c.Evaluate(res.Data[i].Test, nil)
+		m, err := c.Evaluate(res.Data[i].Test, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		et.AddRow(c.Name, res.Data[i].Spec.Dataset.String(), m.AvgResponse, m.Makespan,
 			m.AvgUtil, m.AvgLoadBal, fmt.Sprintf("%d/%d", m.Completed, m.Total))
 	}
@@ -97,7 +100,10 @@ func main() {
 
 	if *hybrid {
 		fmt.Println("\nHybrid-workload evaluation (20% native / 80% foreign):")
-		he := core.EvalHybrid(res, cfg, 0.2, nil)
+		he, err := core.EvalHybrid(res, cfg, 0.2, nil)
+		if err != nil {
+			log.Fatal(err)
+		}
 		ht := trace.NewTable("client", "resp", "makespan", "util", "loadbal", "done")
 		for i := range he.Clients {
 			ht.AddRow(he.Clients[i], he.AvgResponse[i], he.Makespan[i], he.AvgUtil[i], he.AvgLoadBal[i],

@@ -84,7 +84,9 @@ func main() {
 		if err != nil {
 			log.Fatal(err)
 		}
-		evals[alg] = core.EvalHybrid(res, cfg, 0.2, nil)
+		if evals[alg], err = core.EvalHybrid(res, cfg, 0.2, nil); err != nil {
+			log.Fatal(err)
+		}
 		fmt.Printf("  %-8s trained; hybrid mean response %.1f slots\n",
 			alg, stats.Mean(evals[alg].AvgResponse))
 	}

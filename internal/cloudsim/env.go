@@ -49,8 +49,7 @@ type Config struct {
 	Objectives ObjectiveWeights
 
 	// MaxSteps caps an episode (0 means a generous default of
-	// 50·len(tasks)+1000 steps; sources with unknown totals require an
-	// explicit cap).
+	// 50·len(tasks)+1000 steps).
 	MaxSteps int
 }
 
@@ -192,7 +191,6 @@ type Env struct {
 	srcDone     bool
 	srcErr      error
 	pulled      int // tasks pulled from src (including the peek)
-	knownTotal  int // src.Total() at reset; -1 when unknown
 	lastArrival int
 
 	queue []workload.Task // waiting queue (FIFO); qhead..len are waiting
@@ -204,7 +202,7 @@ type Env struct {
 	voidObs []float64 // all-VoidMarker observation every Observe starts from
 
 	completed  []TaskRecord
-	totalTasks int
+	totalTasks int // src.Total() at reset: the offered count
 
 	// Layout flags, fixed at Reset.
 	ranked bool // slots are ranked candidates (0 < TopK < len(VMs)), else slot i = VM i
@@ -280,19 +278,17 @@ func MustNewEnv(cfg Config, tasks []workload.Task) *Env {
 	return e
 }
 
-// NewEnvSource creates an environment fed by a streaming task source. When
-// the source's total is unknown (Total() < 0), Config.MaxSteps must be set:
-// the step cap is the only guaranteed episode bound.
+// NewEnvSource creates an environment fed by a streaming task source, which
+// must report its exact length (Total() ≥ 0).
 func NewEnvSource(cfg Config, src TaskSource) (*Env, error) {
 	if err := cfg.Validate(); err != nil {
 		return nil, err
 	}
+	if err := checkTotal(src); err != nil {
+		return nil, err
+	}
 	if cfg.MaxSteps == 0 {
-		n := src.Total()
-		if n < 0 {
-			return nil, fmt.Errorf("cloudsim: source with unknown total requires an explicit MaxSteps")
-		}
-		cfg.MaxSteps = 50*n + 1000
+		cfg.MaxSteps = 50*src.Total() + 1000
 	}
 	e := &Env{cfg: cfg}
 	e.resetWith(src)
@@ -311,13 +307,21 @@ func (e *Env) Reset(tasks []workload.Task) {
 
 // ResetSource reinitializes the environment on a caller-provided streaming
 // source. The source must be freshly positioned (rewind reusable sources
-// before passing them). Sources with unknown totals require the
-// environment's MaxSteps cap to already be set.
+// before passing them) and report its exact length, as for NewEnvSource.
 func (e *Env) ResetSource(src TaskSource) error {
-	if src.Total() < 0 && e.cfg.MaxSteps == 0 {
-		return fmt.Errorf("cloudsim: source with unknown total requires an explicit MaxSteps")
+	if err := checkTotal(src); err != nil {
+		return err
 	}
 	e.resetWith(src)
+	return nil
+}
+
+// checkTotal refuses a source that does not report its length: an episode is
+// a finite task set, and Done and Metrics.Total are read against it.
+func checkTotal(src TaskSource) error {
+	if n := src.Total(); n < 0 {
+		return fmt.Errorf("cloudsim: source reports total %d; an episode needs its exact length", n)
+	}
 	return nil
 }
 
@@ -341,11 +345,7 @@ func (e *Env) resetWith(src TaskSource) {
 	e.completed = e.completed[:0]
 
 	e.src = src
-	e.knownTotal = src.Total()
-	e.totalTasks = 0
-	if e.knownTotal > 0 {
-		e.totalTasks = e.knownTotal
-	}
+	e.totalTasks = src.Total()
 	e.srcDone = false
 	e.srcErr = nil
 	e.hasPeek = false
@@ -514,18 +514,15 @@ func (e *Env) Now() int { return e.now }
 // QueueLen returns the number of waiting tasks.
 func (e *Env) QueueLen() int { return len(e.queue) - e.qhead }
 
-// PendingLen returns the number of tasks known to be on their way but not
-// yet arrived: the peeked task plus, for known-total sources, whatever the
-// source has not emitted yet. Unknown-total sources report only the peek.
+// PendingLen returns the number of tasks on their way but not yet arrived:
+// the peeked task plus whatever the source has not emitted yet.
 func (e *Env) PendingLen() int {
 	p := 0
 	if e.hasPeek {
 		p++
 	}
-	if !e.srcDone && e.knownTotal >= 0 {
-		if rem := e.knownTotal - e.pulled; rem > 0 {
-			p += rem
-		}
+	if !e.srcDone {
+		p += e.totalTasks - e.pulled
 	}
 	return p
 }
@@ -572,32 +569,20 @@ func (e *Env) NumActions() int { return NumActions(e.cfg) }
 // WaitAction returns the index encoding the paper's action −1 (do nothing).
 func (e *Env) WaitAction() int { return e.NumActions() - 1 }
 
-// Done reports whether the episode has ended: all tasks completed, or the
-// step cap was hit. With an unknown-total source the episode stays open
-// while the source may still emit tasks.
-func (e *Env) Done() bool {
-	if e.step >= e.cfg.MaxSteps {
-		return true
-	}
-	if e.knownTotal < 0 && !e.srcDone {
-		return false
-	}
-	return len(e.completed) == e.totalTasks
-}
+// Done reports whether the episode has ended: every task it will ever admit
+// has been scheduled, or the step cap was hit.
+func (e *Env) Done() bool { return e.step >= e.cfg.MaxSteps || e.exhausted() }
 
 // Truncated reports whether the episode ended on the MaxSteps cap with work
 // still outstanding — a horizon cut, not a terminal. The scheduling MDP
 // would have kept running, so value estimation should bootstrap the tail
 // (see rl.Truncator) instead of treating the unfinished tasks as worthless.
-func (e *Env) Truncated() bool {
-	if e.step < e.cfg.MaxSteps {
-		return false
-	}
-	if e.knownTotal < 0 && !e.srcDone {
-		return true
-	}
-	return len(e.completed) != e.totalTasks
-}
+func (e *Env) Truncated() bool { return e.step >= e.cfg.MaxSteps && !e.exhausted() }
+
+// exhausted reports that no task is left to schedule: the source is done
+// (drained, or shut down by srcFail), the peek holds nothing and the queue
+// is empty.
+func (e *Env) exhausted() bool { return e.srcDone && !e.hasPeek && e.QueueLen() == 0 }
 
 // FeasibleActions returns a mask over the action space: placements that fit
 // the head task, plus Wait (always allowed). With an empty queue only Wait
@@ -898,14 +883,12 @@ func validateTask(t workload.Task) error {
 }
 
 // srcFail shuts the task source down deterministically: no further pulls,
-// and the episode's expected total shrinks to the tasks already admitted,
-// so Done() is reachable over exactly the pre-failure work.
+// so Done() is reachable over exactly the pre-failure work. The offered
+// total stands: Metrics reports the tasks the failure cost as unscheduled.
 func (e *Env) srcFail(err error) {
 	e.srcErr = err
 	e.srcDone = true
 	e.hasPeek = false
-	e.knownTotal = -1
-	e.totalTasks = len(e.completed) + e.QueueLen()
 }
 
 // admitArrivals pulls tasks from the source through the one-task peek
@@ -924,9 +907,13 @@ func (e *Env) admitArrivals() {
 				e.srcDone = true
 				if err := e.src.Err(); err != nil {
 					e.srcFail(err)
-				} else if e.knownTotal >= 0 && e.pulled < e.knownTotal {
-					e.srcFail(fmt.Errorf("cloudsim: source ended after %d of %d tasks", e.pulled, e.knownTotal))
+				} else if e.pulled < e.totalTasks {
+					e.srcFail(fmt.Errorf("cloudsim: source ended after %d of %d tasks", e.pulled, e.totalTasks))
 				}
+				return
+			}
+			if e.pulled == e.totalTasks {
+				e.srcFail(fmt.Errorf("cloudsim: source emitted more than its %d tasks", e.totalTasks))
 				return
 			}
 			if err := validateTask(t); err != nil {
@@ -938,9 +925,6 @@ func (e *Env) admitArrivals() {
 				return
 			}
 			e.pulled++
-			if e.knownTotal < 0 {
-				e.totalTasks++
-			}
 			e.lastArrival = t.Arrival
 			e.peek = t
 			e.hasPeek = true

@@ -57,12 +57,15 @@ func FuzzStreamSource(f *testing.F) {
 			t.Fatalf("NewEnvSource: %v", err)
 		}
 		rng := rand.New(rand.NewSource(seed))
-		for !env.Done() {
+		for !checkDone(t, env) {
 			env.Step(rng.Intn(env.NumActions()))
 			checkStepInvariants(t, env)
 		}
 		env.Drain()
 		checkStepInvariants(t, env)
+		if m := env.Metrics(); m.Total != len(script) {
+			t.Fatalf("Metrics.Total %d, script offered %d", m.Total, len(script))
+		}
 
 		// Source shutdown is deterministic: an error implies the script's
 		// first violation was reached with exactly the valid prefix pulled,

@@ -58,7 +58,7 @@ func invariantRun(t *testing.T, env *Env, pick func(*Env, *rand.Rand) int, rng *
 
 	prevPulled, prevPlaced := 0, 0
 	steps := 0
-	for !env.Done() {
+	for !checkDone(t, env) {
 		env.Step(pick(env, rng))
 		steps++
 		// Cursor monotonicity: pulls and placements never regress.
@@ -99,6 +99,25 @@ func invariantRun(t *testing.T, env *Env, pick func(*Env, *rand.Rand) int, rng *
 	if !env.Truncated() && env.SourceErr() == nil && len(env.completed) != env.totalTasks {
 		t.Fatalf("episode done with %d of %d tasks placed", len(env.completed), env.totalTasks)
 	}
+	if m := env.Metrics(); m.Total != env.src.Total() {
+		t.Fatalf("Metrics.Total %d, source offered %d", m.Total, env.src.Total())
+	}
+}
+
+// checkDone asserts the episode contract — the episode ends on the step cap
+// or once nothing is left to schedule (source done, peek empty, queue empty),
+// and is truncated only on the cap — and returns Done.
+func checkDone(t *testing.T, env *Env) bool {
+	t.Helper()
+	capped := env.step >= env.cfg.MaxSteps
+	exhausted := env.srcDone && !env.hasPeek && env.QueueLen() == 0
+	if got := env.Done(); got != (capped || exhausted) {
+		t.Fatalf("step %d: Done %v, want cap %v || exhausted %v", env.step, got, capped, exhausted)
+	}
+	if got := env.Truncated(); got != (capped && !exhausted) {
+		t.Fatalf("step %d: Truncated %v, want cap %v && !exhausted %v", env.step, got, capped, exhausted)
+	}
+	return env.Done()
 }
 
 // checkStepInvariants asserts the per-VM resource-accounting invariants:
@@ -341,56 +360,68 @@ func TestInvariants500VMs(t *testing.T) {
 }
 
 // TestInvariantsStreamingSource runs the harness over a streaming sampler
-// source (tasks never materialized) including an unknown-total CSV-style
-// wrapper, exercising the peek/pull path under random actions.
+// source (tasks never materialized), exercising the peek/pull path under
+// random actions.
 func TestInvariantsStreamingSource(t *testing.T) {
 	specs := benchCluster()
 	cfg := invariantConfigs(specs)["ranked"]
 	m := workload.Lookup(workload.Google)
 	for seed := int64(1); seed <= 3; seed++ {
-		src := NewSamplerSource(m, seed, 200, specs)
-		env, err := NewEnvSource(cfg, src)
+		env, err := NewEnvSource(cfg, NewSamplerSource(m, seed, 200, specs))
 		if err != nil {
 			t.Fatal(err)
 		}
 		invariantRun(t, env, pickFeasible, rand.New(rand.NewSource(seed)), 25)
-
-		// Same source via an unknown-total wrapper: requires MaxSteps.
-		src.Rewind()
-		cfgU := cfg
-		cfgU.MaxSteps = 20000
-		envU, err := NewEnvSource(cfgU, unknownTotal{src})
-		if err != nil {
-			t.Fatal(err)
-		}
-		invariantRun(t, envU, pickFeasible, rand.New(rand.NewSource(seed)), 25)
-		if envU.SourceErr() != nil {
-			t.Fatalf("unexpected source error: %v", envU.SourceErr())
+		if env.SourceErr() != nil {
+			t.Fatalf("unexpected source error: %v", env.SourceErr())
 		}
 	}
 }
 
-// unknownTotal masks a source's total, modeling CSV-style streams.
-type unknownTotal struct{ src TaskSource }
+// claimedTotal reports n as its length, whatever it emits.
+type claimedTotal struct {
+	TaskSource
+	n int
+}
 
-func (u unknownTotal) Next() (workload.Task, bool) { return u.src.Next() }
-func (u unknownTotal) Total() int                  { return -1 }
-func (u unknownTotal) Err() error                  { return u.src.Err() }
+func (c claimedTotal) Total() int { return c.n }
 
-// TestUnknownTotalRequiresMaxSteps pins the guard: an unknown-total source
-// without a step cap is a configuration error, not a hang.
-func TestUnknownTotalRequiresMaxSteps(t *testing.T) {
+// TestNegativeTotalRefused pins the one guard on a source's length: a source
+// that does not report its exact length is refused by both entry points,
+// whatever the step cap.
+func TestNegativeTotalRefused(t *testing.T) {
 	specs := benchCluster()
 	cfg := DefaultConfig(specs)
-	src := NewSamplerSource(workload.Lookup(workload.Google), 1, 10, specs)
-	if _, err := NewEnvSource(cfg, unknownTotal{src}); err == nil {
-		t.Fatal("NewEnvSource accepted an unknown-total source without MaxSteps")
+	cfg.MaxSteps = 20000
+	src := claimedTotal{NewSamplerSource(workload.Lookup(workload.Google), 1, 10, specs), -1}
+	if _, err := NewEnvSource(cfg, src); err == nil {
+		t.Fatal("NewEnvSource accepted a source with a negative total")
 	}
-	// Envs built through NewEnv/NewEnvSource always carry a materialized
-	// MaxSteps, so resetting one onto an unknown-total source is fine.
 	env := MustNewEnv(cfg, nil)
-	if err := env.ResetSource(unknownTotal{src}); err != nil {
-		t.Fatalf("ResetSource with a materialized MaxSteps: %v", err)
+	if err := env.ResetSource(src); err == nil {
+		t.Fatal("ResetSource accepted a source with a negative total")
+	}
+}
+
+// TestSourceLengthMismatchShutsDown: a source that emits fewer or more tasks
+// than its Total broke the length contract, so the episode shuts it down as
+// on a malformed pull — SourceErr set, the tasks within the claim scheduled —
+// and Metrics.Total stays the claimed count.
+func TestSourceLengthMismatchShutsDown(t *testing.T) {
+	specs := []VMSpec{{CPU: 8, Mem: 16}}
+	tasks := ClampTasks(workload.Lookup(workload.Google).Sample(rand.New(rand.NewSource(3)), 6), specs)
+	for _, claim := range []int{len(tasks) + 1, len(tasks) - 1} {
+		env, err := NewEnvSource(DefaultConfig(specs), claimedTotal{NewSliceSource(tasks), claim})
+		if err != nil {
+			t.Fatal(err)
+		}
+		m := RunEpisode(env, FirstFit{})
+		if env.SourceErr() == nil {
+			t.Fatalf("claim %d of %d emitted: no source error", claim, len(tasks))
+		}
+		if want := min(claim, len(tasks)); m.Total != claim || m.Completed != want {
+			t.Fatalf("claim %d of %d emitted: coverage %d/%d, want %d/%d", claim, len(tasks), m.Completed, m.Total, want, claim)
+		}
 	}
 }
 
@@ -436,16 +467,27 @@ func TestSourceFailureShutsDownDeterministically(t *testing.T) {
 			if got := len(env.Records()); got != 1 {
 				t.Fatalf("placed %d tasks, want exactly the 1 valid pre-failure task", got)
 			}
+			checkCoverageShort(t, env.Metrics(), len(tc.tasks))
 		})
 	}
 }
 
+// checkCoverageShort asserts what a source failure leaves in the metrics:
+// Total is still the offered count, and the tasks the failure cost show as
+// unscheduled.
+func checkCoverageShort(t *testing.T, m Metrics, offered int) {
+	t.Helper()
+	if m.Total != offered || m.Completed >= m.Total {
+		t.Fatalf("coverage %d/%d after a source failure, want fewer than the %d offered", m.Completed, m.Total, offered)
+	}
+}
+
 // scriptedSource replays a fixed script without validation (unlike
-// SliceSource it can carry malformed tasks) and claims an unknown total so
-// validation failures are attributable to the environment, with totals
-// recomputed by srcFail. A non-nil err is what it reports once the script
-// runs out: a stream failing to read its next task, as a trace reader does
-// on a malformed row.
+// SliceSource it can carry malformed tasks), so validation failures are
+// attributable to the environment. A non-nil err is what it reports once the
+// script runs out: a stream failing to read its next task, as a trace reader
+// does on a malformed row. Total is the script's length, that unreadable
+// row included.
 type scriptedSource struct {
 	tasks []workload.Task
 	pos   int
@@ -461,11 +503,17 @@ func (s *scriptedSource) Next() (workload.Task, bool) {
 	return t, true
 }
 
-func (s *scriptedSource) Total() int { return -1 }
+func (s *scriptedSource) Total() int {
+	if s.err != nil {
+		return len(s.tasks) + 1
+	}
+	return len(s.tasks)
+}
+
 func (s *scriptedSource) Err() error { return s.err }
 
-// failingSource errors mid-stream, exercising the Err() branch of the
-// admit loop.
+// failingSource offers three tasks and errors reading the third, exercising
+// the Err() branch of the admit loop.
 type failingSource struct{ emitted int }
 
 func (s *failingSource) Next() (workload.Task, bool) {
@@ -476,7 +524,7 @@ func (s *failingSource) Next() (workload.Task, bool) {
 	return workload.Task{ID: s.emitted, Arrival: 0, CPU: 1, Mem: 1, Duration: 1}, true
 }
 
-func (s *failingSource) Total() int { return -1 }
+func (s *failingSource) Total() int { return 3 }
 func (s *failingSource) Err() error {
 	if s.emitted >= 2 {
 		return fmt.Errorf("backing store went away")
@@ -505,9 +553,10 @@ func TestSourceMidStreamFailure(t *testing.T) {
 	for name, source := range cases {
 		t.Run(name, func(t *testing.T) {
 			run := func() ([]TaskRecord, error) {
+				src := source()
 				cfg := DefaultConfig(specs)
 				cfg.MaxSteps = 500
-				env, err := NewEnvSource(cfg, source())
+				env, err := NewEnvSource(cfg, src)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -516,6 +565,7 @@ func TestSourceMidStreamFailure(t *testing.T) {
 					checkStepInvariants(t, env)
 				}
 				env.Drain()
+				checkCoverageShort(t, env.Metrics(), src.Total())
 				return append([]TaskRecord(nil), env.Records()...), env.SourceErr()
 			}
 			recs, srcErr := run()
@@ -558,4 +608,5 @@ func TestSourceErrPropagates(t *testing.T) {
 	if len(env.Records()) != 2 {
 		t.Fatalf("placed %d tasks, want the 2 emitted before the failure", len(env.Records()))
 	}
+	checkCoverageShort(t, env.Metrics(), 3)
 }

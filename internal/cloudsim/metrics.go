@@ -32,8 +32,9 @@ type Metrics struct {
 	// AvgLoadBal is Eq. (25): the time-averaged Eq. (4) imbalance
 	// (lower is better).
 	AvgLoadBal float64
-	// Completed and Total report scheduling coverage; Completed < Total
-	// means the episode hit its step cap with tasks still queued.
+	// Completed and Total report scheduling coverage: Total is the offered
+	// task count, and Completed < Total means the episode hit its step cap
+	// with tasks outstanding, or its source failed (Env.SourceErr).
 	Completed int
 	Total     int
 	// Steps is the number of agent decisions taken.

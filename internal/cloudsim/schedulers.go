@@ -180,12 +180,15 @@ func RunEpisode(env *Env, policy Policy) Metrics {
 // training step cap: cfg.MaxSteps is ignored in favour of NewEnv's default
 // horizon, so a cap that bounds training episodes cannot cut the schedule
 // being scored. Metrics.Completed < Total then means the policy itself left
-// tasks unscheduled.
+// tasks unscheduled. A malformed or out-of-order task list is an error
+// (Env.SourceErr): the metrics returned with it cover only the tasks admitted
+// before the fault.
 func Evaluate(cfg Config, tasks []workload.Task, policy Policy) (Metrics, error) {
 	cfg.MaxSteps = 0
 	env, err := NewEnv(cfg, tasks)
 	if err != nil {
 		return Metrics{}, err
 	}
-	return RunEpisode(env, policy), nil
+	m := RunEpisode(env, policy)
+	return m, env.SourceErr()
 }

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"math"
 	"math/rand"
 	"testing"
 
@@ -201,5 +202,52 @@ func TestRunEpisodeUnfinishedTaskHandComputed(t *testing.T) {
 	}
 	if m.AvgUtil != 1.25/4 || m.AvgLoadBal != 0.75/4 {
 		t.Fatalf("avg util %v, avg load balance %v; want 1.25/4 and 0.75/4", m.AvgUtil, m.AvgLoadBal)
+	}
+}
+
+// TestEvaluateReportsSourceErrors pins Evaluate's error contract: a task list
+// the environment rejects mid-episode — a zero duration, a NaN memory request,
+// an arrival that regresses — is an error, with Total still the offered count;
+// a valid list scores exactly as a fresh environment driven by RunEpisode.
+func TestEvaluateReportsSourceErrors(t *testing.T) {
+	cfg := DefaultConfig(heuristicCluster())
+	corrupt := func(i int, f func(*workload.Task)) []workload.Task {
+		tasks := heuristicTasks()
+		for j := range tasks {
+			tasks[j].Arrival = j
+		}
+		f(&tasks[i])
+		return tasks
+	}
+	cases := []struct {
+		name  string
+		tasks []workload.Task
+	}{
+		{"zero-duration", corrupt(2, func(t *workload.Task) { t.Duration = 0 })},
+		{"nan-memory", corrupt(2, func(t *workload.Task) { t.Mem = math.NaN() })},
+		{"arrival-regression", corrupt(2, func(t *workload.Task) { t.Arrival = 0 })},
+	}
+	for _, tc := range cases {
+		t.Run(tc.name, func(t *testing.T) {
+			m, err := Evaluate(cfg, tc.tasks, FirstFit{})
+			if err == nil {
+				t.Fatal("malformed task list scored without an error")
+			}
+			if m.Completed != 2 || m.Total != len(tc.tasks) {
+				t.Fatalf("coverage %d/%d, want the 2 tasks before the fault of %d offered", m.Completed, m.Total, len(tc.tasks))
+			}
+		})
+	}
+	for _, p := range []Policy{FirstFit{}, BestFit{}} {
+		got, err := Evaluate(cfg, heuristicTasks(), p)
+		if err != nil {
+			t.Fatalf("%s: valid task list: %v", p.Name(), err)
+		}
+		if want := RunEpisode(MustNewEnv(cfg, heuristicTasks()), p); got != want {
+			t.Fatalf("%s: Evaluate %+v, RunEpisode %+v", p.Name(), got, want)
+		}
+		if got.Completed != got.Total || got.Total != len(heuristicTasks()) {
+			t.Fatalf("%s: coverage %d/%d", p.Name(), got.Completed, got.Total)
+		}
 	}
 }

@@ -15,10 +15,9 @@ import (
 // requests (CPU ≥ 1, finite Mem > 0, Duration ≥ 1, Arrival ≥ 0) — the
 // environment re-validates every pull and shuts the source down
 // deterministically on the first violation (see Env.SourceErr). Total
-// reports the number of tasks the source will emit, or -1 when unknown
-// (an open-ended stream); unknown-total sources require an
-// explicit Config.MaxSteps. Err reports why Next returned false early, nil
-// after a clean end.
+// reports the exact number of tasks the source offers — an episode is a
+// finite task set, and the environment refuses a negative total. Err reports
+// why Next returned false early, nil after a clean end.
 type TaskSource interface {
 	Next() (workload.Task, bool)
 	Total() int
@@ -60,9 +59,6 @@ func (s *SliceSource) Total() int { return len(s.tasks) }
 
 // Err implements TaskSource: a slice never fails.
 func (s *SliceSource) Err() error { return nil }
-
-// Rewind restarts the source from the first task (for repeated episodes).
-func (s *SliceSource) Rewind() { s.pos = 0 }
 
 // SamplerSource draws tasks lazily from a compiled workload spec via
 // workload.Compiled.Stream, so the task sequence is bit-identical to

@@ -207,8 +207,14 @@ func TestEvalHybridDeterministicTestSets(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e1 := EvalHybrid(r1, cfg, 0.2, nil)
-	e2 := EvalHybrid(r1, cfg, 0.2, nil)
+	e1, err := EvalHybrid(r1, cfg, 0.2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e2, err := EvalHybrid(r1, cfg, 0.2, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(e1.AvgResponse) != len(cfg.Specs) {
 		t.Fatal("per-client metrics missing")
 	}
@@ -222,7 +228,10 @@ func TestEvalHybridDeterministicTestSets(t *testing.T) {
 	}
 	// The floor faces the same test sets, and first-fit — which never waits
 	// while a VM fits — schedules all of them within the evaluation horizon.
-	floor := EvalHybrid(r1, cfg, 0.2, cloudsim.FirstFit{})
+	floor, err := EvalHybrid(r1, cfg, 0.2, cloudsim.FirstFit{})
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := range floor.Total {
 		if floor.Total[i] != e1.Total[i] || floor.Completed[i] != floor.Total[i] {
 			t.Fatalf("client %d: first-fit completed %d/%d of the agent's %d tasks",

@@ -71,7 +71,11 @@ func RunIsoHeter(cfg ExperimentConfig) (*IsoHeterResult, error) {
 			}
 			c.TrainEpisodes(cfg.Episodes)
 			for j, test := range [2][]workload.Task{d.Test, heterTest} {
-				resp[k][j] = c.Evaluate(test, nil).AvgResponse
+				m, err := c.Evaluate(test, nil)
+				if err != nil {
+					return nil, err
+				}
+				resp[k][j] = m.AvgResponse
 			}
 		}
 		res.IsoTrainIsoTest = append(res.IsoTrainIsoTest, resp[0][0])
@@ -284,7 +288,7 @@ type HybridEval struct {
 // the other clients' datasets; VM specifications stay fixed. A non-nil floor
 // is scored in place of each client's agent — a heuristic on the same test
 // sets and environments, the floor any learned policy must beat.
-func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64, floor cloudsim.Policy) *HybridEval {
+func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64, floor cloudsim.Policy) (*HybridEval, error) {
 	he := &HybridEval{}
 	nTest := int(float64(cfg.TasksPerClient) * (1 - cfg.TrainFrac))
 	if nTest < 10 {
@@ -303,7 +307,10 @@ func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64, floor 
 		mixRng := rand.New(rand.NewSource(cfg.Seed + 7907*int64(i+1)))
 		mix := cloudsim.ClampTasks(
 			workload.HybridMix(mixRng, spec.Dataset, others, nTest, nativeFrac), spec.VMs)
-		m := c.Evaluate(mix, floor)
+		m, err := c.Evaluate(mix, floor)
+		if err != nil {
+			return nil, err
+		}
 		he.Clients = append(he.Clients, spec.Name)
 		he.AvgResponse = append(he.AvgResponse, m.AvgResponse)
 		he.Makespan = append(he.Makespan, float64(m.Makespan))
@@ -312,7 +319,7 @@ func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64, floor 
 		he.Completed = append(he.Completed, m.Completed)
 		he.Total = append(he.Total, m.Total)
 	}
-	return he
+	return he, nil
 }
 
 // WilcoxonTable reproduces Table 4: the pair-wise Wilcoxon signed-rank

@@ -141,17 +141,17 @@ func (c *Client) TrainEpisodes(n int) {
 // Evaluate scores a scheduler on the given task set under the client's
 // environment configuration, through the one evaluation function
 // (cloudsim.Evaluate): policy or, when nil, the client's own agent — greedy,
-// with the deployment-time feasibility guard.
-func (c *Client) Evaluate(tasks []workload.Task, policy cloudsim.Policy) cloudsim.Metrics {
+// with the deployment-time feasibility guard. A malformed or out-of-order
+// task list is reported as cloudsim.Evaluate reports it.
+func (c *Client) Evaluate(tasks []workload.Task, policy cloudsim.Policy) (cloudsim.Metrics, error) {
 	if policy == nil {
 		policy = cloudsim.Greedy(c.Name, c.Agent.GreedyAction)
 	}
 	m, err := cloudsim.Evaluate(c.Env.Config(), tasks, policy)
 	if err != nil {
-		// c.Env was built from this very configuration.
-		panic(fmt.Sprintf("fed: client %d: evaluate: %v", c.ID, err))
+		return m, fmt.Errorf("fed: client %d: evaluate: %w", c.ID, err)
 	}
-	return m
+	return m, nil
 }
 
 // probeCriticLoss measures the critic MSE used by the Figure-9 probes on the

@@ -426,7 +426,10 @@ func TestEngineSelectSubset(t *testing.T) {
 
 func TestEvaluateProducesMetrics(t *testing.T) {
 	c := newPPOClient(t, 0, 70)
-	m := c.Evaluate(smallTasks(71, 8), nil)
+	m, err := c.Evaluate(smallTasks(71, 8), nil)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if m.Total != 8 {
 		t.Fatalf("eval total %d", m.Total)
 	}
@@ -440,11 +443,18 @@ func TestEvaluateProducesMetrics(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if got := capped.Evaluate(smallTasks(71, 8), nil); got != m {
-		t.Fatalf("evaluation under a training cap of 5:\n%+v\nwithout:\n%+v", got, m)
+	if got, err := capped.Evaluate(smallTasks(71, 8), nil); err != nil || got != m {
+		t.Fatalf("evaluation under a training cap of 5 (err %v):\n%+v\nwithout:\n%+v", err, got, m)
 	}
-	if ff := capped.Evaluate(smallTasks(71, 8), cloudsim.FirstFit{}); ff.Completed != ff.Total || ff.Steps <= 5 {
+	if ff, err := capped.Evaluate(smallTasks(71, 8), cloudsim.FirstFit{}); err != nil || ff.Completed != ff.Total || ff.Steps <= 5 {
 		t.Fatalf("first-fit under a training cap of 5: %d/%d tasks in %d steps", ff.Completed, ff.Total, ff.Steps)
+	}
+
+	// A malformed task list is reported, not scored over its valid prefix.
+	bad := smallTasks(71, 8)
+	bad[3].Duration = 0
+	if _, err := c.Evaluate(bad, nil); err == nil {
+		t.Fatal("evaluation of a zero-duration task reported no error")
 	}
 }
 

@@ -204,6 +204,6 @@ func (c *WireClient) Install(p Payload, tag uint64, load func(Payload) error) er
 }
 
 // Desynced records that the ends no longer share a reference — the client
-// installed a payload out of band (a State resync), or the server end
+// installed a payload out of band (a rejoin resync), or the server end
 // answered ErrRefMismatch — so the next uplink is absolute.
 func (c *WireClient) Desynced() { c.enc.ClearRef() }

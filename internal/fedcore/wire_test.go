@@ -165,7 +165,7 @@ func TestWireSessionReferenceProtocol(t *testing.T) {
 			}
 			w.wantDelta("after the install returned", next(), tag6, view6)
 
-			// Out-of-band install (a State resync): the server end has no
+			// Out-of-band install (a rejoin resync): the server end has no
 			// record of it, the client end goes absolute.
 			w.cli.Desynced()
 			w.wantAbsolute("after an out-of-band install", next())

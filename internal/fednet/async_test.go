@@ -30,7 +30,7 @@ func startAsyncServer(t *testing.T, n, k, bound, buffer int, agg fed.Aggregator,
 func rawJoin(t *testing.T, conn *rpc.Client) JoinReply {
 	t.Helper()
 	var reply JoinReply
-	if err := conn.Call("Federation.Join", JoinArgs{Name: "raw"}, &reply); err != nil {
+	if err := conn.Call("Federation.Join", JoinArgs{}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	return reply

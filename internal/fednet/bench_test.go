@@ -24,7 +24,7 @@ func BenchmarkAsyncReply(b *testing.B) {
 	}
 	h := &rpcHandler{s: s}
 	for i := 0; i < clients; i++ {
-		if err := h.Join(JoinArgs{Name: "bench"}, &JoinReply{}); err != nil {
+		if err := h.Join(JoinArgs{}, &JoinReply{}); err != nil {
 			b.Fatal(err)
 		}
 	}

@@ -50,7 +50,7 @@ type ClientStats struct {
 	Retries int
 	// Timeouts is how many RPCs exceeded CallTimeout.
 	Timeouts int
-	// Resyncs is how many rounds were missed and recovered via State.
+	// Resyncs is how many rounds were missed and recovered by a rejoin.
 	Resyncs int
 }
 
@@ -98,7 +98,7 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 	}
 	c.rpc = conn
 	var reply JoinReply
-	args := JoinArgs{Name: local.Name, Rejoin: opts.Rejoin, ClientID: opts.RejoinID}
+	args := JoinArgs{Rejoin: opts.Rejoin, ClientID: opts.RejoinID}
 	if err := c.call("Federation.Join", args, &reply); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("fednet: join: %w", err)
@@ -363,22 +363,22 @@ func (c *RemoteClient) Fetch() (installed bool, err error) {
 // Async reports whether the server runs asynchronous rounds.
 func (c *RemoteClient) Async() bool { return c.async }
 
-// resync recovers from a missed round: fetch the server's current state
-// and install the global payload, leaving the round counter aligned with
-// the server instead of poisoned behind it.
+// resync recovers from a missed round: rejoin our slot and install the
+// current global payload, leaving the round counter aligned with the server
+// instead of poisoned behind it.
 func (c *RemoteClient) resync() error {
 	return c.retry("resync", func() error {
-		var state StateReply
-		if err := c.call("Federation.State", StateArgs{}, &state); err != nil {
+		var reply JoinReply
+		if err := c.call("Federation.Join", JoinArgs{Rejoin: true, ClientID: c.id}, &reply); err != nil {
 			return err
 		}
-		if err := c.Transport.Download(c.Local, state.Global); err != nil {
+		if err := c.Transport.Download(c.Local, reply.Global); err != nil {
 			return err
 		}
-		// A raw out-of-band install: the server has no record of it, so the
-		// next uplink must be absolute.
+		// A raw out-of-band install: the server forgot our reference on the
+		// rejoin, so the next uplink must be absolute.
 		c.wire.Desynced()
-		c.round = state.Round
+		c.round = reply.Round
 		c.stats.Resyncs++
 		mNetResyncs.Inc()
 		if obs.Active() {

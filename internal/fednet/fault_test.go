@@ -12,6 +12,7 @@ import (
 	"time"
 
 	"repro/internal/fed"
+	"repro/internal/fedcore"
 )
 
 // recordingTransport remembers the last successful upload per client so
@@ -247,17 +248,20 @@ func TestRetainedResultAfterLostReply(t *testing.T) {
 	}
 }
 
-// TestStragglerResyncsViaState: a client that missed its round entirely is
-// told the round passed, re-downloads the current global via State, and
-// continues with an aligned round counter instead of a poisoned one.
-func TestStragglerResyncsViaState(t *testing.T) {
+// TestStragglerResyncsViaRejoin: a client that missed its round entirely is
+// told the round passed, rejoins its slot to re-download the current global,
+// and continues with an aligned round counter instead of a poisoned one. The
+// rejoin voids the delta reference at both ends of the wire, so the
+// straggler's next upload is absolute and lands with no retry.
+func TestStragglerResyncsViaRejoin(t *testing.T) {
 	transport := fed.PublicCriticTransport{}
 	ref := newLocalClient(t, 99, 95)
 	srv, err := NewServer(ServerConfig{
 		Clients: 2, K: 2, Seed: 42,
 		InitialGlobal: mustUpload(t, transport, ref),
 		Aggregator:    fed.FedAvg{},
-		RoundTimeout:  100 * time.Millisecond,
+		RoundTimeout:  300 * time.Millisecond,
+		Codec:         fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true},
 	})
 	if err != nil {
 		t.Fatal(err)
@@ -281,23 +285,43 @@ func TestStragglerResyncsViaState(t *testing.T) {
 	}
 	defer rcSlow.Close()
 
-	// The fast client runs round 0 alone; the deadline closes it.
+	// Round 0 closes on the full barrier (no training, so both arrive well
+	// inside the deadline): each client installs its reply as its delta
+	// reference, under the tag the server end holds.
+	var wg sync.WaitGroup
+	errs := make([]error, 2)
+	for i, rc := range []*RemoteClient{rcFast, rcSlow} {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			errs[i] = rc.RunRounds(1, 0)
+		}()
+	}
+	wg.Wait()
+	if err := errors.Join(errs...); err != nil {
+		t.Fatal(err)
+	}
+	srv.mu.Lock()
+	tag := srv.lastResults[rcSlow.ID()].RefTag
+	srv.mu.Unlock()
+	if tag == 0 {
+		t.Fatal("straggler was sent no delta reference in round 0")
+	}
+
+	// The fast client runs round 1 alone; the deadline closes it.
 	if err := rcFast.RunRounds(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	if srv.Rounds() != 1 {
+	if srv.Rounds() != 2 {
 		t.Fatalf("rounds %d", srv.Rounds())
 	}
 
-	// The straggler now tries round 0, learns it passed, and resyncs.
+	// The straggler now tries round 1, learns it passed, and rejoins.
 	if err := rcSlow.RunRounds(1, 1); err != nil {
 		t.Fatalf("straggler should recover, got %v", err)
 	}
-	if rcSlow.Round() != 1 {
-		t.Fatalf("straggler round %d, want 1 (server-aligned)", rcSlow.Round())
-	}
-	if st := rcSlow.Stats(); st.Resyncs != 1 {
-		t.Fatalf("straggler stats %+v, want one resync", st)
+	if rcSlow.Round() != 2 {
+		t.Fatalf("straggler round %d, want 2 (server-aligned)", rcSlow.Round())
 	}
 	got := mustUpload(t, transport, slow)
 	global := srv.Global()
@@ -305,6 +329,29 @@ func TestStragglerResyncsViaState(t *testing.T) {
 		if got[d] != global[d] {
 			t.Fatal("straggler did not adopt the current global payload")
 		}
+	}
+	enc := fedcore.NewEncoder(fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true})
+	enc.SetRef(tag, got)
+	srv.mu.Lock()
+	_, err = srv.wire.Decode(rcSlow.ID(), enc.Encode(got))
+	srv.mu.Unlock()
+	if !errors.Is(err, fedcore.ErrRefMismatch) {
+		t.Fatalf("a delta against the pre-rejoin reference decoded with %v, want a mismatch", err)
+	}
+
+	// Round 2: the server end holds no reference, so a delta upload would be
+	// refused as a mismatch — fatal under the zero-retry Options. The
+	// straggler's upload is accepted on the first attempt, so it went
+	// absolute, and it is aggregated.
+	if err := rcSlow.RunRounds(1, 1); err != nil {
+		t.Fatalf("straggler's next upload: %v", err)
+	}
+	reports := srv.Reports()
+	if len(reports) != 3 || reports[2].Arrived != 1 || reports[2].Participants != 1 {
+		t.Fatalf("round 2 report %+v, want the straggler's upload aggregated", reports[len(reports)-1])
+	}
+	if st := rcSlow.Stats(); st.Resyncs != 1 || st.Retries != 0 {
+		t.Fatalf("straggler stats %+v, want one resync and no retry", st)
 	}
 }
 

@@ -23,8 +23,9 @@
 // from a retrying client is accepted and first-wins), the results of the
 // most recently completed round are retained so a client whose reply was
 // lost can re-fetch it, and a straggler that missed its round entirely is
-// told so and re-downloads the current global model via State instead of
-// poisoning the round counter.
+// told so and rejoins its slot — the Join a restarted client makes — to
+// re-download the current global model instead of poisoning the round
+// counter.
 //
 // Neither the round policy (what an acceptable upload is, seeded K-of-N
 // selection, partial aggregation, report bookkeeping, the late-join rule) nor
@@ -54,7 +55,7 @@ import (
 // server-side errors to strings, so the client classifies them by prefix.
 const (
 	// msgRoundPassed tells a straggler its round aggregated without it;
-	// the client must resync via State instead of retrying.
+	// the client must resync by rejoining its slot instead of retrying.
 	msgRoundPassed = "fednet: round passed"
 	// msgBadUpload flags a corrupt-length upload; the client should
 	// rebuild the payload and retry.
@@ -70,9 +71,8 @@ const (
 
 // JoinArgs registers a client with the server.
 type JoinArgs struct {
-	Name string
-	// Rejoin reclaims the slot ClientID after a client restart instead of
-	// allocating a fresh one.
+	// Rejoin reclaims the slot ClientID — after a client restart, or a
+	// round missed — instead of allocating a fresh one.
 	Rejoin   bool
 	ClientID int
 }
@@ -138,16 +138,6 @@ type FetchReply struct {
 	Participant bool
 	Round       int
 	Has         bool
-}
-
-// StateArgs requests the server's current round state.
-type StateArgs struct{}
-
-// StateReply carries the current round index and global model — the rejoin
-// path for clients that missed a round.
-type StateReply struct {
-	Round  int
-	Global fed.Payload
 }
 
 // RoundInfo records one completed aggregation round. It is the engine's
@@ -332,10 +322,10 @@ func (s *Server) Comm() fed.CommStats {
 type rpcHandler struct{ s *Server }
 
 // Join implements the registration RPC. A fresh join allocates the next
-// slot; a rejoin reclaims an existing slot after a client restart and
-// returns the current round so the restarted client resumes in step. The
-// payload handed out is the engine's out-of-band install rule — the same one
-// that serves an in-process fed.AddClient and a State resync.
+// slot; a rejoin reclaims an existing slot — after a client restart, or a
+// round the barrier closed without it — and returns the current round so the
+// client resumes in step. The payload handed out is the engine's out-of-band
+// install rule, the same one that serves an in-process fed.AddClient.
 func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
 	s := h.s
 	s.mu.Lock()
@@ -361,14 +351,6 @@ func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
 	s.wire.Forget(reply.ClientID)
 	s.retained[reply.ClientID].held = false
 	gNetClients.Set(float64(s.nextID))
-	return nil
-}
-
-// State implements the resync RPC: a straggler that missed its round calls
-// it to adopt the current round index and global model, under the same
-// engine rule as a fresh joiner.
-func (h *rpcHandler) State(_ StateArgs, reply *StateReply) error {
-	reply.Round, reply.Global = h.s.engine.State()
 	return nil
 }
 

@@ -28,5 +28,5 @@ var (
 	mNetTimeouts = netReg.Counter("pfrl_fednet_client_rpc_timeouts_total",
 		"client RPCs that exceeded CallTimeout")
 	mNetResyncs = netReg.Counter("pfrl_fednet_client_resyncs_total",
-		"missed rounds recovered via the State RPC")
+		"missed rounds recovered by rejoining the slot")
 )

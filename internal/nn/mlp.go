@@ -10,7 +10,7 @@ import (
 
 // Activation selects the nonlinearity between MLP layers. The paper trains
 // tanh MLPs (§3.1) and ActTanh is the one value; the type stays because
-// checkpoints and NewMLP's callers name it.
+// NewMLP's callers name it.
 type Activation int
 
 // ActTanh is the hidden activation of every network in the paper.
@@ -82,6 +82,40 @@ func NewMLP(rng *rand.Rand, name string, sizes []int, act Activation, outGain fl
 			NewLinear(rng, fmt.Sprintf("%s.l%d", name, i), sizes[i], sizes[i+1], gain))
 	}
 	return m
+}
+
+// Limits on externally declared architectures (an agent checkpoint, see
+// rl.LoadAgent). A malformed or hostile declaration must fail fast with an
+// error — never panic inside NewMLP or allocate unbounded memory on the say-so
+// of outside input.
+const (
+	// MaxCheckpointDim bounds any single layer width.
+	MaxCheckpointDim = 1 << 16
+	// MaxCheckpointParams bounds the total parameter count (1M ≈ 8 MB of
+	// weights — far above any architecture in this repo).
+	MaxCheckpointParams = 1 << 20
+)
+
+// CheckSizes validates an externally declared MLP architecture and returns
+// its total parameter count. Deserializers call it before constructing
+// anything.
+func CheckSizes(sizes []int) (int, error) {
+	if len(sizes) < 2 {
+		return 0, fmt.Errorf("nn: %d layer sizes, need at least 2", len(sizes))
+	}
+	for i, s := range sizes {
+		if s < 1 || s > MaxCheckpointDim {
+			return 0, fmt.Errorf("nn: layer size %d at index %d out of [1, %d]", s, i, MaxCheckpointDim)
+		}
+	}
+	var total int64
+	for i := 0; i+1 < len(sizes); i++ {
+		total += int64(sizes[i]+1) * int64(sizes[i+1])
+	}
+	if total > MaxCheckpointParams {
+		return 0, fmt.Errorf("nn: architecture declares %d params, cap %d", total, MaxCheckpointParams)
+	}
+	return int(total), nil
 }
 
 // Forward runs the network on the tape. x must be N x sizes[0].

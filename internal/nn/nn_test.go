@@ -426,3 +426,35 @@ func TestZeroGradsClearsAll(t *testing.T) {
 		}
 	}
 }
+
+// TestCheckSizes pins the guard every deserializer runs before building a
+// declared architecture: too few layers, a width outside [1,
+// MaxCheckpointDim] or a parameter count above MaxCheckpointParams is an
+// error, and each cap itself is accepted.
+func TestCheckSizes(t *testing.T) {
+	cases := []struct {
+		name   string
+		sizes  []int
+		params int // -1: refused
+	}{
+		{"no layers", nil, -1},
+		{"one layer", []int{2}, -1},
+		{"zero width", []int{3, 0, 2}, -1},
+		{"negative width", []int{2, -1}, -1},
+		{"width above cap", []int{MaxCheckpointDim + 1, 1}, -1},
+		{"width at cap", []int{MaxCheckpointDim, 1}, MaxCheckpointDim + 1},
+		{"params above cap", []int{1024, 1024}, -1},
+		{"params at cap", []int{1023, 1024}, MaxCheckpointParams},
+		{"widest square", []int{MaxCheckpointDim, MaxCheckpointDim}, -1},
+		{"small", []int{3, 4, 2}, 4*4 + 5*2},
+	}
+	for _, tc := range cases {
+		got, err := CheckSizes(tc.sizes)
+		switch {
+		case tc.params < 0 && err == nil:
+			t.Errorf("%s: %v accepted with %d params", tc.name, tc.sizes, got)
+		case tc.params >= 0 && (err != nil || got != tc.params):
+			t.Errorf("%s: %v = %d, %v; want %d params", tc.name, tc.sizes, got, err, tc.params)
+		}
+	}
+}
