@@ -104,7 +104,7 @@ test-race:
 	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
 	$(GO) test -race -count=10 -run 'TestBuildClientsParallelMatchesSerial' ./internal/core/
 	$(GO) test -race -short -count=10 -run 'TestSwarm' ./internal/fednet/
-	$(GO) test -race -count=10 -run 'TestAsyncRepliesFrameCommittedGlobal' ./internal/fednet/
+	$(GO) test -race -count=10 -run 'TestAsyncRepliesFrameCommittedGlobal|TestTimedOutReplyKeepsItsStorage' ./internal/fednet/
 
 # The tensor kernels are pinned bit-for-bit against the scalar Go code and
 # math.Tanh as the toolchain compiles them; GOAMD64=v3 is the build where
@@ -125,6 +125,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzStreamSource -fuzztime 10s ./internal/cloudsim
 	$(GO) test -run '^$$' -fuzz FuzzParseFaultSpec -fuzztime 10s ./internal/fed
 	$(GO) test -run '^$$' -fuzz FuzzDecodeFrame -fuzztime 10s ./internal/fedcore
+	$(GO) test -run '^$$' -fuzz FuzzRPCCodec -fuzztime 10s ./internal/fednet
 	$(GO) test -run '^$$' -fuzz FuzzTanhMatchesMath -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMatMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzOrthogonalScaled -fuzztime 10s ./internal/tensor
@@ -153,7 +154,9 @@ bench-update:
 # server-end decodes, pooled aggregation, one frame, K reference rotations, K
 # installs) must allocate nothing, on the identity tier and on i8+delta; an
 # async server's non-participant reply (BenchmarkAsyncReply) allocates only
-# the frame copy it sends after the lock.
+# the frame copy it sends after the lock; one loopback Sync through the binary
+# RPC codec (BenchmarkRPCSync) stays within net/rpc's own per-call
+# bookkeeping plus that copy.
 bench-agg:
 	GO="$(GO)" BENCHTIME="$${BENCHTIME:-50x}" ./scripts/bench_alloc_guard.sh agg
 

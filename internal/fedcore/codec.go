@@ -148,6 +148,11 @@ func bodyLen(tier Tier, dim int) int {
 // scalars occupies at the given tier.
 func FrameLen(tier Tier, dim int) int { return frameHeader + bodyLen(tier, dim) }
 
+// MaxFrameLen is the longest frame PeekHeader accepts: an identity-tier
+// payload of the largest dim. A transport can refuse a longer frame before
+// reading it.
+const MaxFrameLen = frameHeader + 8*maxFrameDim
+
 // Frame decode errors. ErrBadFrame covers every malformed-frame condition;
 // ErrRefMismatch is the delta-reference disagreement the wire session
 // (wire.go) recovers from by re-encoding absolutely.

@@ -26,6 +26,18 @@ func startAsyncServer(t *testing.T, n, k, bound, buffer int, agg fed.Aggregator,
 	})
 }
 
+// dialRaw opens a bare RPC connection to addr on the fednet wire format,
+// closed when the test ends.
+func dialRaw(tb testing.TB, addr string) *rpc.Client {
+	tb.Helper()
+	conn, err := dialRPC(addr)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	tb.Cleanup(func() { conn.Close() })
+	return conn
+}
+
 // rawJoin registers a bare RPC connection as the next client slot.
 func rawJoin(t *testing.T, conn *rpc.Client) JoinReply {
 	t.Helper()
@@ -46,11 +58,7 @@ func TestAsyncServerDedupesRetransmits(t *testing.T) {
 
 	conns := make([]*rpc.Client, 2)
 	for i := range conns {
-		conn, err := rpc.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+		conn := dialRaw(t, addr)
 		if reply := rawJoin(t, conn); !reply.Async {
 			t.Fatal("join did not report async mode")
 		}
@@ -218,11 +226,7 @@ func TestLostReplyRecoversThroughRefMismatch(t *testing.T) {
 
 	// The lost reply: a second connection fetches on the client's behalf, so
 	// the server frames (and rotates) for client 0 and the client never knows.
-	conn, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, addr)
 	var lost FetchReply
 	if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: rc.ID(), Base: -1}, &lost); err != nil || lost.RefTag == 0 {
 		t.Fatalf("stand-in fetch: tag %#x err %v, want a tagged reply", lost.RefTag, err)
@@ -261,11 +265,7 @@ func TestAsyncFetchDeliversCommittedResults(t *testing.T) {
 
 	conns := make([]*rpc.Client, 2)
 	for i := range conns {
-		conn, err := rpc.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+		conn := dialRaw(t, addr)
 		rawJoin(t, conn)
 		conns[i] = conn
 	}
@@ -316,11 +316,7 @@ func TestAsyncStaleSubmissionDropped(t *testing.T) {
 
 	conns := make([]*rpc.Client, 2)
 	for i := range conns {
-		conn, err := rpc.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+		conn := dialRaw(t, addr)
 		rawJoin(t, conn)
 		conns[i] = conn
 	}
@@ -360,16 +356,12 @@ func TestAsyncStaleSubmissionDropped(t *testing.T) {
 // nothing is decoded, submitted or counted.
 func TestUnjoinedClientRefused(t *testing.T) {
 	srv, addr := startAsyncServer(t, 2, 2, -1, 1, fed.FedAvg{}, fed.Payload{0, 0})
-	conn, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, addr)
 	if id := rawJoin(t, conn).ClientID; id != 0 {
 		t.Fatalf("first join got slot %d", id)
 	}
 	var reply SyncReply
-	err = conn.Call("Federation.Sync", SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}, &reply)
+	err := conn.Call("Federation.Sync", SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}, &reply)
 	if err == nil || !strings.Contains(err.Error(), "unknown client") {
 		t.Fatalf("Sync as the unjoined id 1: err %v, want unknown client", err)
 	}
@@ -390,11 +382,7 @@ func TestFetchRejectedOnSyncServer(t *testing.T) {
 	local := newLocalClient(t, 0, 9)
 	initial := mustUpload(t, transport, local)
 	_, addr := startServer(t, 1, 1, fed.FedAvg{}, initial)
-	conn, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, addr)
 	rawJoin(t, conn)
 	var reply FetchReply
 	if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: 0}, &reply); err == nil {
@@ -471,16 +459,12 @@ func TestAsyncNonFiniteUploadRetried(t *testing.T) {
 	srv, addr := startAsyncServer(t, 2, 2, -1, 2, fed.FedAvg{}, mustUpload(t, transport, locals[0]))
 
 	// The bare RPC answer.
-	conn, err := rpc.Dial("tcp", addr)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer conn.Close()
+	conn := dialRaw(t, addr)
 	id := rawJoin(t, conn).ClientID
 	poisoned := mustUpload(t, transport, locals[0])
 	poisoned[0] = math.Inf(1)
 	var reply SyncReply
-	err = conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: 1, Base: 0, Frame: testFrame(poisoned)}, &reply)
+	err := conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: 1, Base: 0, Frame: testFrame(poisoned)}, &reply)
 	if retry, redial := retryable(err); !serverSaid(err, msgBadUpload) || !retry || redial {
 		t.Fatalf("non-finite Sync: err %v (retry %v, redial %v), want a retryable %q", err, retry, redial, msgBadUpload)
 	}
@@ -608,11 +592,7 @@ func TestAsyncRepliesFrameCommittedGlobal(t *testing.T) {
 	var replies []asyncReply
 	var wg sync.WaitGroup
 	for c := 0; c < clients; c++ {
-		conn, err := rpc.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
-		}
-		defer conn.Close()
+		conn := dialRaw(t, addr)
 		id := rawJoin(t, conn).ClientID
 		wg.Add(1)
 		go func(conn *rpc.Client, id int) {

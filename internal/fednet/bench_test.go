@@ -50,3 +50,66 @@ func BenchmarkAsyncReply(b *testing.B) {
 		}
 	}
 }
+
+// BenchmarkRPCSync is one loopback Sync on the swarm's codec (i8 + delta)
+// answered with the committed global: a non-participant retransmits a
+// submission the server already holds, so every call crosses the wire both
+// ways — a delta upload decoded against the client's reference, the global
+// framed in place — without filling the engine's buffer. make bench-agg
+// holds it to an allocs/op budget.
+func BenchmarkRPCSync(b *testing.B) {
+	const clients, dim = 4, 4227
+	codec := fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}
+	s, err := NewServer(ServerConfig{
+		Clients: clients, K: 2, Buffer: 2, Seed: 1, InitialGlobal: make(fed.Payload, dim),
+		Aggregator: fed.FedAvg{}, Async: true, StalenessBound: -1, Codec: codec,
+	})
+	if err != nil {
+		b.Fatal(err)
+	}
+	addr, err := s.Listen("127.0.0.1:0")
+	if err != nil {
+		b.Fatal(err)
+	}
+	b.Cleanup(s.Close)
+	conn := dialRaw(b, addr)
+	for i := 0; i < clients; i++ {
+		if err := conn.Call("Federation.Join", JoinArgs{}, &JoinReply{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	enc := fedcore.NewEncoder(fedcore.CodecConfig{Tier: fedcore.TierI8})
+	up := make(fed.Payload, dim)
+	for id := 0; id < 2; id++ {
+		for j := range up {
+			up[j] = float64(id+1) * 1e-3 * float64(j%17)
+		}
+		if err := conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
+			b.Fatal(err)
+		}
+	}
+	if s.Rounds() != 1 {
+		b.Fatalf("%d commits, want 1", s.Rounds())
+	}
+	wire := fedcore.NewWireClient(codec)
+	install := func(reply *SyncReply) {
+		p, err := wire.Decode(reply.Frame)
+		if err == nil {
+			err = wire.Install(p, reply.RefTag, func(fed.Payload) error { return nil })
+		}
+		if err != nil || reply.Participant {
+			b.Fatalf("reply %+v: %v", reply, err)
+		}
+	}
+	var reply SyncReply
+	args := SyncArgs{ClientID: clients - 1, Round: 1, Base: 1}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		args.Frame = wire.Encode(up)
+		if err := conn.Call("Federation.Sync", args, &reply); err != nil {
+			b.Fatal(err)
+		}
+		install(&reply)
+	}
+}

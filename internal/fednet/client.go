@@ -73,6 +73,10 @@ type RemoteClient struct {
 
 	// wire is the client end of the wire session (codec from the JoinReply).
 	wire *fedcore.WireClient
+	// down is the storage the next Sync or Fetch reply's frame is read
+	// into: the last reply's, which install has decoded out of by then. A
+	// call that times out keeps it (see call).
+	down []byte
 }
 
 // DialOptions connects to the server, registers, and installs the initial
@@ -92,7 +96,7 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 		opts:      opts,
 		rng:       rand.New(rand.NewSource(opts.Seed)),
 	}
-	conn, err := rpc.Dial("tcp", addr)
+	conn, err := dialRPC(addr)
 	if err != nil {
 		return nil, fmt.Errorf("fednet: dial %s: %w", addr, err)
 	}
@@ -141,6 +145,9 @@ func (c *RemoteClient) Stats() ClientStats { return c.stats }
 // call issues one RPC, bounded by CallTimeout when set. On timeout the
 // connection is closed (a stale late reply must not leak into a future
 // call's budget) and the caller is expected to reconnect before retrying.
+// The abandoned call keeps its reply's storage: its late reply may still be
+// read into it while the connection closes, so the next reply gets fresh
+// storage (DESIGN §9 contract 21).
 func (c *RemoteClient) call(method string, args, reply any) error {
 	if c.opts.CallTimeout <= 0 {
 		return c.rpc.Call(method, args, reply)
@@ -160,6 +167,7 @@ func (c *RemoteClient) call(method string, args, reply any) error {
 				F("timeout_seconds", c.opts.CallTimeout.Seconds()))
 		}
 		c.rpc.Close()
+		c.down = nil
 		return fmt.Errorf("%w: %s after %v", ErrRPCTimeout, method, c.opts.CallTimeout)
 	}
 }
@@ -167,7 +175,7 @@ func (c *RemoteClient) call(method string, args, reply any) error {
 // reconnect tears down the connection and dials a fresh one.
 func (c *RemoteClient) reconnect() error {
 	c.rpc.Close()
-	conn, err := rpc.Dial("tcp", c.addr)
+	conn, err := dialRPC(c.addr)
 	if err != nil {
 		return fmt.Errorf("fednet: redial %s: %w", c.addr, err)
 	}
@@ -315,11 +323,12 @@ func (c *RemoteClient) syncOnce() error {
 	if err != nil {
 		return err
 	}
-	var reply SyncReply
+	reply := SyncReply{Frame: c.down}
 	args := SyncArgs{ClientID: c.id, Round: c.round, Frame: c.wire.Encode(upload), Base: c.base}
 	if err := c.call("Federation.Sync", args, &reply); err != nil {
 		return err
 	}
+	c.down = reply.Frame
 	if err := c.install(reply.Frame, reply.RefTag); err != nil {
 		return err
 	}
@@ -347,9 +356,12 @@ func (c *RemoteClient) install(frame []byte, refTag uint64) error {
 // advanced base makes the server answer "nothing new").
 func (c *RemoteClient) Fetch() (installed bool, err error) {
 	err = c.retry("fetch", func() error {
-		var reply FetchReply
-		if err := c.call("Federation.Fetch", FetchArgs{ClientID: c.id, Base: c.base}, &reply); err != nil || !reply.Has {
+		reply := FetchReply{Frame: c.down}
+		if err := c.call("Federation.Fetch", FetchArgs{ClientID: c.id, Base: c.base}, &reply); err != nil {
 			return err
+		}
+		if c.down = reply.Frame; !reply.Has {
+			return nil
 		}
 		if err := c.install(reply.Frame, reply.RefTag); err != nil {
 			return err

@@ -1,8 +1,8 @@
 // Package fednet runs the federated layer over a real network: a TCP
-// aggregation server (stdlib net/rpc with gob encoding) and remote clients
-// that train locally and exchange only model payloads — the paper's
-// cross-provider collaboration made literal, with no workload data ever
-// leaving a client (§1, §3.4).
+// aggregation server (stdlib net/rpc on the binary wire format of codec.go)
+// and remote clients that train locally and exchange only model payloads —
+// the paper's cross-provider collaboration made literal, with no workload
+// data ever leaving a client (§1, §3.4).
 //
 // Protocol (one barrier round; ServerConfig.Async replaces the barrier by
 // submit-and-return plus a Fetch RPC, see SyncArgs and FetchArgs):
@@ -92,8 +92,8 @@ type JoinReply struct {
 }
 
 // SyncArgs submits one round's upload as a codec frame (the wire's client end
-// encodes, its server end decodes — measured wire bytes, not gob-encoded
-// float64 slices).
+// encodes, its server end decodes — measured wire bytes, carried by the RPC
+// format as they are).
 //
 // In sync mode Round is the server round the client believes it is
 // submitting to (the barrier alignment check). In async mode there is no
@@ -274,10 +274,22 @@ func (s *Server) Listen(addr string) (string, error) {
 			if err != nil {
 				return // listener closed
 			}
-			go s.rpcSrv.ServeConn(conn)
+			go s.serveConn(conn)
 		}
 	}()
 	return ln.Addr().String(), nil
+}
+
+// serveConn serves one connection, or refuses it — one text line, nothing
+// decoded — when it does not open with the wire format's preface.
+func (s *Server) serveConn(conn net.Conn) {
+	codec, err := newServerCodec(conn)
+	if err != nil {
+		_, _ = fmt.Fprintln(conn, err) // best effort: the peer may not read it
+		_ = conn.Close()
+		return
+	}
+	s.rpcSrv.ServeCodec(codec)
 }
 
 // Close stops accepting connections, stops the round deadline and releases

@@ -15,7 +15,12 @@
 #     arena every round), and
 #   - BenchmarkAsyncReply must stay within 1 alloc/op (an async server answers
 #     a non-participant by framing the committed global in place; the one
-#     alloc is the frame copy that is sent after the lock is released).
+#     alloc is the frame copy that is sent after the lock is released), and
+#   - BenchmarkRPCSync — one loopback Sync through the binary RPC codec —
+#     must stay within 10 allocs/op: net/rpc's own per-call bookkeeping
+#     (the Call and its channel, the boxed arguments, the reflected argument
+#     and reply, the handler's call) plus that frame copy. The codec itself
+#     reads uploads and replies into reused buffers and allocates nothing.
 #
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
@@ -54,7 +59,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 		-bench 'BenchmarkFedAggregate' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 	"$GO" test ./internal/fednet/ -run '^$' \
-		-bench 'BenchmarkAsyncReply' \
+		-bench 'BenchmarkAsyncReply|BenchmarkRPCSync' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 fi
 
@@ -83,11 +88,19 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 		}
 	}
 }
+/^BenchmarkRPCSync/ {
+	for (i = 2; i <= NF; i++) {
+		if ($i == "allocs/op" && $(i-1) + 0 > 10) {
+			printf "FAIL: %s reports %s allocs/op (budget 10)\n", $1, $(i-1)
+			bad = 1
+		}
+	}
+}
 END { exit bad }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, AsyncReply within 1" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, AsyncReply within 1, RPCSync within 10" ;;
 env) echo "bench-alloc-guard: EnvStep/RolloutStep are allocation-free" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
-agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op" ;;
+agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op, RPCSync within 10" ;;
 esac
