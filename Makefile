@@ -101,7 +101,7 @@ race:
 # 104-client swarm, which the first line has run).
 test-race:
 	$(GO) test -race ./internal/attn/... ./internal/fedcore/... ./internal/fed/... ./internal/fednet/... ./internal/rl/... ./internal/cloudsim/...
-	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool' ./internal/rl/
+	$(GO) test -race -count=10 -run 'TestConcurrentUpdate|TestConcurrentClientsSharedPool|TestChunkValuesMatchPerState' ./internal/rl/
 	$(GO) test -race -count=10 -run 'TestBuildClientsParallelMatchesSerial' ./internal/core/
 	$(GO) test -race -short -count=10 -run 'TestSwarm' ./internal/fednet/
 	$(GO) test -race -count=10 -run 'TestAsyncRepliesFrameCommittedGlobal|TestTimedOutReplyKeepsItsStorage' ./internal/fednet/

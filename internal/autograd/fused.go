@@ -73,8 +73,7 @@ func ClippedSurrogateLoss(logits *Value, actions []int, oldLogp, advantage *tens
 	actLogp := t.allocScratch(n, 1)
 	masks := t.allocScratch(n, 1) // surrogateFromA | surrogateInside bits
 
-	logits.Data.LogSoftmaxRowsInto(logp)
-	logits.Data.SoftmaxRowsInto(probs)
+	logits.Data.SoftmaxPairInto(probs, logp)
 
 	minSum := 0.0
 	for i := 0; i < n; i++ {

@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"math/rand"
 	"sync"
 	"testing"
@@ -21,13 +22,12 @@ func benchAgent(seed int64) *PPO {
 	return NewPPO(DefaultConfig(benchStateDim, benchActions), rand.New(rand.NewSource(seed)))
 }
 
-// rolloutStep performs the per-transition inference work of CollectEpisode:
-// observe, sample an action, estimate the value, step the environment, and
-// restart it when the episode ends.
+// rolloutStep performs the per-transition decision work of CollectEpisode:
+// observe, sample an action, step the environment, and restart it when the
+// episode ends. (The values are estimated per stored chunk, off this path.)
 func rolloutStep(env Environment, restart func(), agent *PPO, state []float64) []float64 {
 	state = env.Observe(state)
 	action, _ := agent.SelectAction(state)
-	_ = agent.Value(state)
 	_ = env.Step(action)
 	if env.Done() {
 		restart()
@@ -102,21 +102,88 @@ func benchRolloutSteps(b *testing.B, env Environment, restart func(), agent *PPO
 }
 
 // TestRolloutStepZeroAlloc pins the headline tentpole claim: after warmup, a
-// full rollout step (Observe + SelectAction + Value + Step) allocates nothing.
+// full rollout step (Observe + SelectAction + Step) allocates nothing, with
+// the value lane forced off and on — the lane setting must not reach the
+// decision path.
 func TestRolloutStepZeroAlloc(t *testing.T) {
-	env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 1)
-	agent := benchAgent(2)
-	var state []float64
-	for i := 0; i < 16; i++ {
-		state = rolloutStep(env, env.Reset, agent, state)
-	}
-	allocs := testing.AllocsPerRun(200, func() {
-		state = rolloutStep(env, env.Reset, agent, state)
-	})
-	if allocs != 0 {
-		t.Fatalf("rollout step allocates %.1f objects/op, want 0", allocs)
+	for _, lanes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lanes=%v", lanes), func(t *testing.T) {
+			forceLanes(t, lanes)
+			env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 1)
+			agent := benchAgent(2)
+			var state []float64
+			for i := 0; i < 16; i++ {
+				state = rolloutStep(env, env.Reset, agent, state)
+			}
+			allocs := testing.AllocsPerRun(200, func() {
+				state = rolloutStep(env, env.Reset, agent, state)
+			})
+			if allocs != 0 {
+				t.Fatalf("rollout step allocates %.1f objects/op, want 0", allocs)
+			}
+		})
 	}
 }
+
+// BenchmarkCollectEpisode measures collecting one 96-step episode into a
+// warm buffer (0 allocs/op, asserted by make bench-env): a full chunk, which
+// the value lane takes when a second P can run it (-cpu 2), and a tail. It
+// runs on synthetic, SyntheticEnv at the paper's width, and on topk, the
+// cluster of BenchmarkRolloutStep cut into 96-step windows.
+func BenchmarkCollectEpisode(b *testing.B) {
+	const steps = 3 * stateChunkRows / 2
+	b.Run("synthetic", func(b *testing.B) {
+		env := NewSyntheticEnv(benchStateDim, benchActions, steps, 1)
+		benchCollect(b, env, env.Reset, benchAgent(2))
+	})
+	b.Run("topk", func(b *testing.B) {
+		cluster, restart := benchTopKEnv(b)
+		env := &windowEnv{Env: cluster, restart: restart, steps: steps}
+		agent := NewPPO(DefaultConfig(env.StateDim(), env.NumActions()), rand.New(rand.NewSource(2)))
+		benchCollect(b, env, env.next, agent)
+	})
+}
+
+// benchCollect times b.N episodes, each reset by reset and collected into
+// one buffer, after a hundred warm ones: enough for the runtime's per-P
+// lists of exited goroutines to fill with value lanes, and on a cluster to
+// place its steady load, so its VMs' task lists stop growing.
+func benchCollect(b *testing.B, env Environment, reset func(), agent *PPO) {
+	var buf Buffer
+	collect := func() {
+		buf.Reset()
+		reset()
+		CollectEpisode(env, agent, &buf)
+	}
+	for range 100 {
+		collect()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for range b.N {
+		collect()
+	}
+}
+
+// windowEnv cuts a cluster's long episode into truncated episodes of steps
+// steps; the cluster runs on across windows and restarts only when its own
+// episode ends.
+type windowEnv struct {
+	*cloudsim.Env
+	restart  func()
+	steps, t int
+}
+
+func (w *windowEnv) next() {
+	w.t = 0
+	if w.Env.Done() {
+		w.restart()
+	}
+}
+
+func (w *windowEnv) Step(action int) float64 { w.t++; return w.Env.Step(action) }
+func (w *windowEnv) Done() bool              { return w.t >= w.steps || w.Env.Done() }
+func (w *windowEnv) Truncated() bool         { return w.t >= w.steps || w.Env.Truncated() }
 
 // benchBuffer fills buf with full episodes until it holds at least minSteps
 // transitions.

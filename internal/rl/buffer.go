@@ -42,12 +42,16 @@ type Buffer struct {
 	// chunks is the state storage CollectEpisode records into: fixed-size
 	// blocks, so a stored row is never moved and nothing is over-grown.
 	// chunks[:chunk] are full, chunks[chunk] is being filled; Reset rewinds
-	// and the next episode overwrites the same memory.
+	// and the next episode overwrites the same memory. chunks[chunk][mark:]
+	// are the rows stored since the last takeRows.
 	chunks [][]float64
 	chunk  int
+	mark   int
 	// obs is the observation scratch CollectEpisode hands to env.Observe,
 	// kept across episodes.
 	obs []float64
+	// values estimates the states of the episode being collected.
+	values valueLane
 
 	// gen counts Add and Reset calls: a value computed from the buffer's
 	// transitions (a critic's loss, see PPO.CriticLosses) is still valid
@@ -70,18 +74,34 @@ func (b *Buffer) Add(t Transition) {
 }
 
 // storeState copies state into the buffer's own storage and returns the
-// copy, a view that stays valid until Reset.
-func (b *Buffer) storeState(state []float64) []float64 {
+// copy, a view that stays valid until Reset, and whether the copy filled
+// its chunk. A full chunk is never written again before Reset, so once
+// takeRows has returned its rows they may be read from another goroutine.
+func (b *Buffer) storeState(state []float64) (row []float64, full bool) {
 	d := len(state)
 	for b.chunk < len(b.chunks) && len(b.chunks[b.chunk])+d > cap(b.chunks[b.chunk]) {
 		b.chunk++
+		b.mark = 0
 	}
 	if b.chunk == len(b.chunks) {
 		b.chunks = append(b.chunks, make([]float64, 0, stateChunkRows*d))
 	}
 	c := append(b.chunks[b.chunk], state...)
 	b.chunks[b.chunk] = c
-	return c[len(c)-d : len(c) : len(c)]
+	return c[len(c)-d : len(c) : len(c)], len(c)+d > cap(c)
+}
+
+// takeRows returns the states stored since the last takeRows (or Reset), a
+// row-major block of the current chunk. CollectEpisode takes them when a
+// chunk fills and at the episode's end, so they never span two chunks.
+func (b *Buffer) takeRows() []float64 {
+	if b.chunk == len(b.chunks) {
+		return nil
+	}
+	c := b.chunks[b.chunk]
+	rows := c[b.mark:len(c):len(c)]
+	b.mark = len(c)
+	return rows
 }
 
 // Len returns the number of stored transitions.
@@ -94,7 +114,7 @@ func (b *Buffer) Reset() {
 	for i := range b.chunks {
 		b.chunks[i] = b.chunks[i][:0]
 	}
-	b.chunk = 0
+	b.chunk, b.mark = 0, 0
 	b.gen++
 }
 

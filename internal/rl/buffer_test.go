@@ -1,7 +1,14 @@
 package rl
 
 import (
+	"fmt"
+	"math"
+	"math/rand"
+	"runtime"
 	"testing"
+
+	"repro/internal/nn"
+	"repro/internal/tensor"
 )
 
 // stampEnv's observation at step i is base+i in every feature, written into
@@ -39,8 +46,16 @@ type stampAgent struct{}
 
 func (stampAgent) SelectAction(state []float64) (int, float64) { return 0, -state[0] }
 func (stampAgent) GreedyAction([]float64, []bool) int          { return 0 }
-func (stampAgent) Value(state []float64) float64               { return state[0] }
+func (stampAgent) Estimator() ValueEstimator                   { return stampValues{} }
 func (stampAgent) Update(*Buffer) UpdateStats                  { return UpdateStats{} }
+
+type stampValues struct{}
+
+func (stampValues) Values(dst []float64, states *tensorMatrix) {
+	for i := range states.Rows {
+		dst[i] = states.Row(i)[0]
+	}
+}
 
 // requireStamps checks that steps record, in order, the observations
 // base, base+1, ... in every feature.
@@ -102,18 +117,139 @@ func TestCollectEpisodeStoresEachObservation(t *testing.T) {
 
 // TestCollectEpisodeZeroAllocOnWarmBuffer extends the zero-allocation
 // rollout contract from the inference path to the collector: once a Buffer
-// has held an episode, collecting the next one into it allocates nothing.
+// has held an episode, collecting the next one into it allocates nothing —
+// with the states valued on the caller and on the value lane.
 func TestCollectEpisodeZeroAllocOnWarmBuffer(t *testing.T) {
-	env := NewSyntheticEnv(benchStateDim, benchActions, 3*stateChunkRows/2, 1)
-	agent := benchAgent(2)
-	var buf Buffer
-	collect := func() {
-		buf.Reset()
-		env.Reset()
-		CollectEpisode(env, agent, &buf)
+	for _, lanes := range []bool{false, true} {
+		t.Run(fmt.Sprintf("lanes=%v", lanes), func(t *testing.T) {
+			forceLanes(t, lanes)
+			env := NewSyntheticEnv(benchStateDim, benchActions, 3*stateChunkRows/2, 1)
+			agent := benchAgent(2)
+			var buf Buffer
+			collect := func() {
+				buf.Reset()
+				env.Reset()
+				CollectEpisode(env, agent, &buf)
+			}
+			collect()
+			if allocs := testing.AllocsPerRun(5, collect); allocs != 0 {
+				t.Fatalf("collecting a %d-step episode into a warm buffer allocates %.1f objects, want 0", buf.Len(), allocs)
+			}
+		})
 	}
-	collect()
-	if allocs := testing.AllocsPerRun(5, collect); allocs != 0 {
-		t.Fatalf("collecting a %d-step episode into a warm buffer allocates %.1f objects, want 0", buf.Len(), allocs)
+}
+
+// shiftEnv is a SyntheticEnv that ends on a terminal instead of a cut when
+// terminal is set, and that moves agent's α at every step: an episode's
+// values are the agent's as CollectEpisode found it, so none may see the
+// move. With yield set every step yields, so that on one P a running value
+// lane values each block it is handed before the rollout stores another
+// state; without it, the lane runs only when the rollout waits for it.
+type shiftEnv struct {
+	*SyntheticEnv
+	terminal, yield bool
+	agent           *PPO
+}
+
+func (e *shiftEnv) Step(action int) float64 {
+	e.agent.Alpha = 0.5*e.agent.Alpha + 0.25
+	if e.yield {
+		runtime.Gosched()
+	}
+	return e.SyntheticEnv.Step(action)
+}
+
+func (e *shiftEnv) Truncated() bool { return !e.terminal && e.SyntheticEnv.Truncated() }
+
+// TestChunkValuesMatchPerState pins the chunked valuation of CollectEpisode:
+// every Value and Bootstrap carries the bits of one-state Infer calls on a
+// frozen copy of the agent's critics and α — for a plain agent, a dual one
+// at α ≠ ½ and a pinned one; for episodes of 1, 63, 64, 65 and 200 steps
+// appended to one buffer (so most start mid-chunk), ending on a cut or a
+// terminal, collected into fresh storage and then again over a Reset
+// buffer's stale rows; with the lane forced off, and forced on at one P —
+// valuing each block as soon as it is handed one, before the rollout writes
+// anything further, or only when the rollout waits for it, after later Adds
+// — and at two.
+func TestChunkValuesMatchPerState(t *testing.T) {
+	const stateDim, actions = 24, 5
+	lengths := []int{1, 63, 64, 65, 200}
+	for _, mode := range []struct {
+		lanes bool
+		procs int
+		yield bool
+	}{{false, 1, true}, {true, 1, true}, {true, 1, false}, {true, 2, true}} {
+		for _, kind := range []string{"plain", "dual", "pinned"} {
+			t.Run(fmt.Sprintf("lanes=%v/procs=%d/yield=%v/%s", mode.lanes, mode.procs, mode.yield, kind), func(t *testing.T) {
+				forceLanes(t, mode.lanes)
+				defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(mode.procs))
+				cfg := DefaultConfig(stateDim, actions)
+				rng := rand.New(rand.NewSource(21))
+				agent := NewPPO(cfg, rng)
+				if kind != "plain" {
+					agent = NewDualCriticPPO(cfg, rng)
+					agent.Alpha = 0.3
+				}
+				if kind == "pinned" {
+					agent.FixedAlpha = 0.8
+				}
+				var buf Buffer
+				for pass := range 2 {
+					buf.Reset()
+					for i, n := range lengths {
+						if pass == 1 {
+							n = lengths[len(lengths)-1-i]
+						}
+						if kind == "pinned" {
+							agent.RefreshAlpha(&buf) // α = FixedAlpha once buf holds a step
+						}
+						env := &shiftEnv{NewSyntheticEnv(stateDim, actions, n, int64(100*pass+i)), i%2 == 1, mode.yield, agent}
+						frozen := frozenValues(agent)
+						first := buf.Len()
+						CollectEpisode(env, agent, &buf)
+						episode := buf.Steps()[first:]
+						if len(episode) != n {
+							t.Fatalf("pass %d: collected %d steps, want %d", pass, len(episode), n)
+						}
+						for j, s := range episode {
+							requireSameBits(t, fmt.Sprintf("pass %d, %d-step episode, step %d value", pass, n, j), s.Value, frozen(s.State))
+						}
+						last := episode[n-1]
+						if last.Truncated == env.terminal {
+							t.Fatalf("%d-step episode: Truncated=%v on a terminal=%v env", n, last.Truncated, env.terminal)
+						}
+						if last.Truncated {
+							requireSameBits(t, fmt.Sprintf("pass %d, %d-step episode bootstrap", pass, n), last.Bootstrap, frozen(env.Observe(nil)))
+						}
+					}
+				}
+			})
+		}
+	}
+}
+
+// frozenValues copies agent's critics and α and returns the per-state
+// estimate of the copy: one Infer per network on a one-row matrix.
+func frozenValues(agent *PPO) func(state []float64) float64 {
+	critic, alpha := agent.Critic.Clone("frozen"), agent.Alpha
+	var public *nn.MLP
+	if agent.PublicCritic != nil {
+		public = agent.PublicCritic.Clone("frozen.public")
+	}
+	return func(state []float64) float64 {
+		x := tensor.RowVector(state)
+		v := critic.Infer(nil, x).Data[0]
+		if public == nil {
+			return v
+		}
+		vp := public.Infer(nil, x).Data[0]
+		return alpha*v + (1-alpha)*vp
+	}
+}
+
+func requireSameBits(t *testing.T, what string, got, want float64) {
+	t.Helper()
+	if math.Float64bits(got) != math.Float64bits(want) {
+		t.Fatalf("%s: %v (%#x), want the per-state %v (%#x)", what, got, math.Float64bits(got), want, math.Float64bits(want))
 	}
 }

@@ -14,6 +14,13 @@ func tensorRowVector(v []float64) *tensorMatrix { return tensor.RowVector(v) }
 
 func nnCopy(dst, src nn.Module) error { return nn.CopyParams(dst, src) }
 
+// valueOf is agent's estimate of one state.
+func valueOf(agent Agent, state []float64) float64 {
+	var v [1]float64
+	agent.Estimator().Values(v[:], tensor.RowVector(state))
+	return v[0]
+}
+
 // trainCriticStep accumulates one MSE gradient of critic vs. buffer returns.
 func trainCriticStep(critic *nn.MLP, buf *Buffer) {
 	steps := buf.Steps()

@@ -126,6 +126,7 @@ type PPO struct {
 	rng       *rand.Rand
 	prox      Proximal
 	inf       inferScratch
+	val       valueScratch
 	upd       updateScratch // batched update pipeline staging (see update.go)
 }
 
@@ -162,9 +163,9 @@ func newAgent(cfg Config, rng *rand.Rand, dual bool) *PPO {
 
 // SelectAction samples an action from π(·|state) and returns it with its
 // log-probability under the current policy. It runs on the zero-allocation
-// inference fast path: the gradient-free MLP.Infer plus the agent's reusable
-// scratch buffers (see inferScratch), producing logits bitwise identical to
-// the tape-based forward pass.
+// inference fast path: the gradient-free MLP.Infer on a view of state plus
+// the agent's reusable scratch (see inferScratch), producing logits bitwise
+// identical to the tape-based forward pass.
 func (p *PPO) SelectAction(state []float64) (action int, logProb float64) {
 	dist := p.inf.policyDist(p.Actor, state, p.Cfg.NumActions, nil)
 	a := dist.Sample(p.rng)
@@ -179,16 +180,15 @@ func (p *PPO) GreedyAction(state []float64, mask []bool) int {
 	return p.inf.policyDist(p.Actor, state, p.Cfg.NumActions, mask).Argmax()
 }
 
-// Value returns the critic's estimate V(state): V_φ for a plain agent, the
-// blend of Eq. (14) with a public critic.
-func (p *PPO) Value(state []float64) float64 {
-	x := p.inf.setState(state)
-	v := p.Critic.Infer(p.inf.valueBuf(), x).Data[0]
-	if p.PublicCritic == nil {
-		return v
-	}
-	vp := p.PublicCritic.Infer(p.inf.value2Buf(), x).Data[0]
-	return p.Alpha*v + (1-p.Alpha)*vp
+// Estimator returns the agent's value function as it stands: φ, and ψ
+// blended with the current α when there is a public critic (Eq. 14). It
+// reads α, and which networks the critics are, now; their weights are read
+// when Values runs, so no Update or install may run while it is in use. It
+// shares its scratch with the next Estimator call, and none with
+// SelectAction or GreedyAction.
+func (p *PPO) Estimator() ValueEstimator {
+	p.val.critic, p.val.public, p.val.alpha = p.Critic, p.PublicCritic, p.Alpha
+	return &p.val
 }
 
 // pinned reports whether FixedAlpha overrides the adaptive Eq. (15) rule.

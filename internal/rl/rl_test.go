@@ -169,7 +169,7 @@ func TestCollectEpisodeRecordsTruncation(t *testing.T) {
 	if !last.Done || !last.Truncated {
 		t.Fatalf("horizon cut must be a truncated terminal: %+v", last)
 	}
-	if want := agent.Value(env.Observe(nil)); last.Bootstrap != want {
+	if want := valueOf(agent, env.Observe(nil)); last.Bootstrap != want {
 		t.Fatalf("bootstrap %v, want critic value %v of the post-cut state", last.Bootstrap, want)
 	}
 	for i, s := range steps[:len(steps)-1] {
@@ -358,11 +358,11 @@ func TestDualCriticValueBlending(t *testing.T) {
 	vp := d.PublicCritic.Predict(rowOf(state)).Data[0]
 	d.Alpha = 0.3
 	want := 0.3*vl + 0.7*vp
-	if got := d.Value(state); math.Abs(got-want) > 1e-12 {
+	if got := valueOf(d, state); math.Abs(got-want) > 1e-12 {
 		t.Fatalf("blended value %v, want %v", got, want)
 	}
 	d.Alpha = 1
-	if got := d.Value(state); math.Abs(got-vl) > 1e-12 {
+	if got := valueOf(d, state); math.Abs(got-vl) > 1e-12 {
 		t.Fatal("alpha=1 should be pure local critic")
 	}
 }

@@ -1,6 +1,9 @@
 package rl
 
-import "repro/internal/obs"
+import (
+	"repro/internal/obs"
+	"repro/internal/tensor"
+)
 
 // Environment is the MDP contract the agents train against. cloudsim.Env
 // implements it; any other discrete-action environment (a different
@@ -35,10 +38,20 @@ type Agent interface {
 	// GreedyAction returns the most probable action among those mask allows
 	// (evaluation); a nil mask allows every action.
 	GreedyAction(state []float64, mask []bool) int
-	// Value estimates V(state) with the agent's critic(s).
-	Value(state []float64) float64
+	// Estimator returns the agent's value function as it stands now.
+	// CollectEpisode takes one per episode and values the episode's states
+	// with it, possibly on another goroutine while SelectAction runs: it
+	// must read nothing SelectAction writes.
+	Estimator() ValueEstimator
 	// Update consumes an on-policy buffer and improves the networks.
 	Update(buf *Buffer) UpdateStats
+}
+
+// ValueEstimator estimates state values a block at a time.
+type ValueEstimator interface {
+	// Values writes V(s) of every row of states into dst[:states.Rows]. It
+	// must not write states.
+	Values(dst []float64, states *tensor.Matrix)
 }
 
 // Truncator is an optional Environment refinement that distinguishes a
@@ -76,26 +89,34 @@ var (
 // If env implements Truncator and the episode ends on a horizon cut, the
 // final transition carries Truncated=true and Bootstrap=V(s_{T+1}) from the
 // agent's critic, so advantage estimation does not write off the cut tail.
-// The extra Value call runs on the gradient-free inference path and touches
-// no RNG, so collection remains bitwise deterministic.
+//
+// No step waits for a value: GAE reads them only after the episode. The
+// rollout runs Observe, SelectAction and Step, and the states are valued
+// with the estimator the agent gave at the start, one stored chunk at a
+// time (see valueLane). Every Value and the Bootstrap carry the bits of a
+// one-state call, and valuing draws no random numbers, so collection stays
+// bitwise deterministic.
 func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 	total := 0.0
 	steps := uint64(0)
+	next := buf.Len() // the first transition not yet handed for valuation
 	state := env.Observe(buf.obs)
+	lane := &buf.values
+	lane.est = agent.Estimator()
+	defer lane.join() // a panic must not leave the lane waiting
 	for !env.Done() {
 		action, logp := agent.SelectAction(state)
-		value := agent.Value(state)
 		reward := env.Step(action)
 		total += reward
 		steps++
 		done := env.Done()
 		// The copy is taken here, before the next Observe overwrites state.
+		row, full := buf.storeState(state)
 		tr := Transition{
-			State:   buf.storeState(state),
+			State:   row,
 			Action:  action,
 			Reward:  reward,
 			LogProb: logp,
-			Value:   value,
 			Done:    done,
 		}
 		if !done {
@@ -103,14 +124,136 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 		} else if t, ok := env.(Truncator); ok && t.Truncated() {
 			state = env.Observe(state)
 			tr.Truncated = true
-			tr.Bootstrap = agent.Value(state)
 			mTruncations.Inc()
 		}
+		if len(buf.steps) == cap(buf.steps) {
+			lane.join() // Add moves the transitions the lane writes into
+		}
 		buf.Add(tr)
+		if full && !done {
+			lane.add(valueBlock{buf.takeRows(), buf.steps[next:]})
+			next = buf.Len()
+		}
 	}
 	buf.obs = state
+	lane.finish(valueBlock{buf.takeRows(), buf.steps[next:]})
+	if last := len(buf.steps) - 1; steps > 0 && buf.steps[last].Truncated {
+		buf.steps[last].Bootstrap = lane.bootstrap(state)
+	}
 	mEnvSteps.Add(steps)
 	return total
+}
+
+// valueBlock is a run of stored states, row-major, and the transitions
+// whose Value their estimates fill.
+type valueBlock struct {
+	states []float64
+	steps  []Transition
+}
+
+// valueLane values one episode's states, a block of stored rows at a time,
+// with one MLP.Infer per network on a view of the Buffer's chunk storage,
+// and writes each estimate into its transition. When a second P can run it
+// (useLanes, the rule the update's critic lane follows), the first full
+// chunk starts a goroutine that values this and every later block while the
+// rollout goes on, and finish joins it; otherwise the caller values each
+// block as its chunk fills. A block's states are read-only from hand-off
+// until Reset: storeState never writes a full chunk again. Its transitions'
+// Value fields are the lane's until the join, and the collector joins
+// before an Add could move them and before CollectEpisode returns. Once the
+// Buffer and the agent are warm neither path allocates.
+type valueLane struct {
+	est  ValueEstimator
+	view tensor.Matrix // the states being valued
+	out  []float64     // their estimates
+
+	running bool
+	blocks  chan valueBlock // blocks handed to the running lane; a zero block ends it
+	done    chan struct{}
+}
+
+// laneDepth is how many blocks may wait for the lane before the rollout
+// blocks on the hand-off; it values a chunk far faster than the rollout
+// fills one.
+const laneDepth = 4
+
+// laneStart passes a value lane to the goroutine started for it; any such
+// goroutine may take any lane. runValueLane takes no arguments, so a go
+// statement needs no closure and starting it allocates nothing once the
+// runtime has an exited goroutine to reuse. The buffer lets a collector
+// hand its lane over without waiting for the new goroutine to be scheduled,
+// sixteen at once (table3_parallel runs ten clients); every send follows
+// its own go statement, so a sender blocked on a full channel is always
+// released.
+var laneStart = make(chan *valueLane, 16)
+
+func runValueLane() {
+	l := <-laneStart
+	for b := <-l.blocks; b.steps != nil; b = <-l.blocks {
+		l.estimate(b)
+	}
+	l.done <- struct{}{}
+}
+
+// add values a full chunk's block: on the lane, started here if a second P
+// can run it, or on the caller.
+func (l *valueLane) add(b valueBlock) {
+	if !l.running && useLanes() {
+		if l.blocks == nil {
+			l.blocks = make(chan valueBlock, laneDepth)
+			l.done = make(chan struct{}, 1)
+		}
+		l.running = true
+		go runValueLane()
+		laneStart <- l
+	}
+	if l.running {
+		l.blocks <- b
+		return
+	}
+	l.estimate(b)
+}
+
+// finish values the episode's last block, where the running lane or the
+// caller values the others, and joins the lane.
+func (l *valueLane) finish(b valueBlock) {
+	if len(b.steps) > 0 {
+		if l.running {
+			l.blocks <- b
+		} else {
+			l.estimate(b)
+		}
+	}
+	l.join()
+}
+
+// join waits until the running lane has valued every block handed to it.
+func (l *valueLane) join() {
+	if l.running {
+		l.blocks <- valueBlock{}
+		<-l.done
+		l.running = false
+	}
+}
+
+// estimate writes the estimate of each of b's states into its transition.
+func (l *valueLane) estimate(b valueBlock) {
+	n := len(b.steps)
+	if cap(l.out) < n {
+		l.out = make([]float64, n)
+	}
+	l.view = tensor.Matrix{Rows: n, Cols: len(b.states) / n, Data: b.states}
+	l.est.Values(l.out[:n], &l.view)
+	for i, v := range l.out[:n] {
+		b.steps[i].Value = v
+	}
+}
+
+// bootstrap returns the estimate of the state after a cut episode, on the
+// caller once the lane has joined; the episode's blocks have sized out.
+func (l *valueLane) bootstrap(state []float64) float64 {
+	l.est.Values(l.out[:1], rowView(&l.view, state))
+	return l.out[0]
 }
 
 // EvaluateEpisodeMasked runs one greedy episode (no exploration, no

@@ -27,7 +27,7 @@ func TestSaveLoadPPO(t *testing.T) {
 	if a.GreedyAction(state, nil) != b.GreedyAction(state, nil) {
 		t.Fatal("policies disagree after round trip")
 	}
-	if a.Value(state) != b.Value(state) {
+	if valueOf(a, state) != valueOf(b, state) {
 		t.Fatal("critics disagree after round trip")
 	}
 }
@@ -51,7 +51,7 @@ func TestSaveLoadDualCritic(t *testing.T) {
 		t.Fatalf("alpha %v", b.Alpha)
 	}
 	state := []float64{0.1, 0.2, 0.3, 0.4, 0.5}
-	if a.Value(state) != b.Value(state) {
+	if valueOf(a, state) != valueOf(b, state) {
 		t.Fatal("blended values disagree after round trip")
 	}
 	// A pinned α (the ablation rungs) survives the round trip, an adaptive
@@ -109,7 +109,7 @@ func TestLoadedCheckpointUpdatesWhateverItsMiniBatch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		state := []float64{0.1 * float64(i), 0.2, -0.3, 0.4}
 		action, logp := a.SelectAction(state)
-		buf.Add(Transition{State: state, Action: action, LogProb: logp, Value: a.Value(state), Reward: 1, Done: i == 7})
+		buf.Add(Transition{State: state, Action: action, LogProb: logp, Value: valueOf(a, state), Reward: 1, Done: i == 7})
 	}
 	stats := a.Update(&buf)
 	if math.IsNaN(stats.CriticLoss) || math.IsInf(stats.CriticLoss, 0) || stats.CriticLoss <= 0 {
@@ -144,7 +144,7 @@ func TestAgentFileRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []float64{1, 2, 3}
-	if loaded.Value(state) != a.Value(state) {
+	if valueOf(loaded, state) != valueOf(a, state) {
 		t.Fatal("file round trip mismatch")
 	}
 	if _, err := LoadAgentFile(filepath.Join(dir, "missing.json"), rand.New(rand.NewSource(7))); err == nil {

@@ -168,24 +168,7 @@ func (m *Matrix) SumColsInto(dst *Matrix) *Matrix {
 func (m *Matrix) SoftmaxRowsInto(dst *Matrix) *Matrix {
 	dst.assertShape(m.Rows, m.Cols, "SoftmaxRowsInto")
 	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		out := dst.Row(i)
-		mx := src[0]
-		for _, v := range src[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		for j, v := range src {
-			e := math.Exp(v - mx)
-			out[j] = e
-			sum += e
-		}
-		inv := 1.0 / sum
-		for j := range out {
-			out[j] *= inv
-		}
+		softmaxRow(m.Row(i), dst.Row(i), nil)
 	}
 	return dst
 }
@@ -195,22 +178,57 @@ func (m *Matrix) SoftmaxRowsInto(dst *Matrix) *Matrix {
 func (m *Matrix) LogSoftmaxRowsInto(dst *Matrix) *Matrix {
 	dst.assertShape(m.Rows, m.Cols, "LogSoftmaxRowsInto")
 	for i := 0; i < m.Rows; i++ {
-		src := m.Row(i)
-		out := dst.Row(i)
-		mx := src[0]
-		for _, v := range src[1:] {
-			if v > mx {
-				mx = v
-			}
-		}
-		sum := 0.0
-		for _, v := range src {
-			sum += math.Exp(v - mx)
-		}
-		lse := mx + math.Log(sum)
-		for j, v := range src {
-			out[j] = v - lse
-		}
+		softmaxRow(m.Row(i), nil, dst.Row(i))
 	}
 	return dst
+}
+
+// SoftmaxPairInto writes the row-wise softmax of m into probs and its
+// log-softmax into logp in one pass over each row: the bits of
+// SoftmaxRowsInto and LogSoftmaxRowsInto, each exp computed once. Neither
+// output may alias m or the other.
+func (m *Matrix) SoftmaxPairInto(probs, logp *Matrix) {
+	probs.assertShape(m.Rows, m.Cols, "SoftmaxPairInto")
+	logp.assertShape(m.Rows, m.Cols, "SoftmaxPairInto")
+	if aliases(probs, m) || aliases(logp, m) || aliases(probs, logp) {
+		panic("tensor: SoftmaxPairInto outputs alias an operand")
+	}
+	for i := 0; i < m.Rows; i++ {
+		softmaxRow(m.Row(i), probs.Row(i), logp.Row(i))
+	}
+}
+
+// softmaxRow is the one softmax body: it writes src's softmax into probs and
+// its log-softmax into logp, skipping a nil output. Both share the row max
+// mx, the terms e = exp(v−mx) and their sum, added in column order; a
+// probability is e·(1/sum) and a log-probability v − (mx + log sum). An
+// output may alias src only when the other is nil: the log-probabilities
+// read src after the terms are written.
+func softmaxRow(src, probs, logp []float64) {
+	mx := src[0]
+	for _, v := range src[1:] {
+		if v > mx {
+			mx = v
+		}
+	}
+	sum := 0.0
+	for j, v := range src {
+		e := math.Exp(v - mx)
+		if probs != nil {
+			probs[j] = e
+		}
+		sum += e
+	}
+	if logp != nil {
+		lse := mx + math.Log(sum)
+		for j, v := range src {
+			logp[j] = v - lse
+		}
+	}
+	if probs != nil {
+		inv := 1.0 / sum
+		for j := range probs {
+			probs[j] *= inv
+		}
+	}
 }

@@ -87,3 +87,67 @@ func TestMatMulIntoRejectsAliasedDst(t *testing.T) {
 	}()
 	a.MatMulInto(a, a)
 }
+
+// TestSoftmaxPairMatchesSeparate pins the one softmax body: SoftmaxPairInto,
+// SoftmaxRowsInto and LogSoftmaxRowsInto all give the bits of the two
+// separate row loops they replaced (frozen below), on random rows and on the
+// edges — ties for the max, ±1e3 magnitudes whose exps underflow, −Inf
+// entries (a masked logit), an all −Inf row, and 1-column rows.
+func TestSoftmaxPairMatchesSeparate(t *testing.T) {
+	softmaxRef := func(src, out []float64) {
+		mx := src[0]
+		for _, v := range src[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		sum := 0.0
+		for j, v := range src {
+			e := math.Exp(v - mx)
+			out[j] = e
+			sum += e
+		}
+		inv := 1.0 / sum
+		for j := range out {
+			out[j] *= inv
+		}
+	}
+	logSoftmaxRef := func(src, out []float64) {
+		mx := src[0]
+		for _, v := range src[1:] {
+			if v > mx {
+				mx = v
+			}
+		}
+		sum := 0.0
+		for _, v := range src {
+			sum += math.Exp(v - mx)
+		}
+		lse := mx + math.Log(sum)
+		for j, v := range src {
+			out[j] = v - lse
+		}
+	}
+	inf := math.Inf(-1)
+	rng := rand.New(rand.NewSource(17))
+	cases := map[string]*Matrix{
+		"random":  RandNormal(rng, 7, 9, 0, 3),
+		"ties":    FromSlice(2, 4, []float64{1, 3, 3, -2, 0, 0, 0, 0}),
+		"large":   FromSlice(2, 3, []float64{1e3, -1e3, 999.5, -1e3, -1e3, -999}),
+		"neg-inf": FromSlice(2, 3, []float64{inf, 0.5, inf, inf, inf, inf}),
+		"one-col": FromSlice(3, 1, []float64{0.25, -1e3, inf}),
+	}
+	for name, m := range cases {
+		wantP, wantL := New(m.Rows, m.Cols), New(m.Rows, m.Cols)
+		for i := 0; i < m.Rows; i++ {
+			softmaxRef(m.Row(i), wantP.Row(i))
+			logSoftmaxRef(m.Row(i), wantL.Row(i))
+		}
+		probs, logp := New(m.Rows, m.Cols), New(m.Rows, m.Cols)
+		m.SoftmaxPairInto(probs, logp)
+		bitwiseEqual(t, name+" pair probs", probs, wantP)
+		bitwiseEqual(t, name+" pair logp", logp, wantL)
+		bitwiseEqual(t, name+" SoftmaxRowsInto", m.SoftmaxRowsInto(New(m.Rows, m.Cols)), wantP)
+		bitwiseEqual(t, name+" LogSoftmaxRowsInto", m.LogSoftmaxRowsInto(New(m.Rows, m.Cols)), wantL)
+	}
+}

@@ -3,6 +3,9 @@
 # budget:
 #   - BenchmarkEnvStep / BenchmarkRolloutStep must report 0 allocs/op (the
 #     simulator core and the inference fast path are allocation-free), and
+#     so must every BenchmarkCollectEpisode row (an episode collected into a
+#     warm buffer, at 1 and 2 procs: its states valued on the caller and on
+#     the value lane), and
 #   - every BenchmarkPPOUpdate row (paper and narrow width, at 1, 2 and 4
 #     procs: the sequential path beside the actor/critic lanes) must stay
 #     within PPO_ALLOC_BUDGET allocs/op (the batched update pipeline keeps
@@ -24,7 +27,7 @@
 #
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
-#   env    only the zero-alloc env/rollout guards (`make bench-env`)
+#   env    only the zero-alloc env/rollout/collector guards (`make bench-env`)
 #   update only the PPOUpdate budget guard (`make bench-update`)
 #   agg    only the federation data-plane guards (`make bench-agg`)
 #
@@ -48,6 +51,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "env" ]; then
 	"$GO" test ./internal/rl/ -run '^$' \
 		-bench 'BenchmarkRolloutStep' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+	"$GO" test ./internal/rl/ -run '^$' \
+		-bench 'BenchmarkCollectEpisode' -cpu 1,2 \
+		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "update" ]; then
 	"$GO" test ./internal/rl/ -run '^$' \
@@ -64,7 +70,7 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 fi
 
 awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
-/^Benchmark(EnvStep|RolloutStep|FedAggregate)/ {
+/^Benchmark(EnvStep|RolloutStep|CollectEpisode|FedAggregate)/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "allocs/op" && $(i-1) != "0") {
 			printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(i-1)
@@ -99,8 +105,8 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 END { exit bad }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, AsyncReply within 1, RPCSync within 10" ;;
-env) echo "bench-alloc-guard: EnvStep/RolloutStep are allocation-free" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, AsyncReply within 1, RPCSync within 10" ;;
+env) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode are allocation-free" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
 agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op, RPCSync within 10" ;;
 esac
