@@ -128,6 +128,7 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzRPCCodec -fuzztime 10s ./internal/fednet
 	$(GO) test -run '^$$' -fuzz FuzzTanhMatchesMath -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMatMulMatchesScalar -fuzztime 10s ./internal/tensor
+	$(GO) test -run '^$$' -fuzz FuzzMatMulTransATied -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzOrthogonalScaled -fuzztime 10s ./internal/tensor
 
 # One iteration of each microbenchmark: catches panics/regressions in the
@@ -143,8 +144,9 @@ bench-env:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh env
 
 # The PPOUpdate slice of the allocation guard alone — the fast pre-merge
-# check for changes touching the update pipeline. It prints the paper-width
-# and the narrow-width update at 1, 2 and 4 procs side by side (no timing
+# check for changes touching the update pipeline. It prints the paper-width,
+# the narrow-width and the padded (a per-VM cluster whose void inputs tie
+# first-layer rows) update at 1, 2 and 4 procs side by side (no timing
 # gate: run-to-run drift on a shared box exceeds any useful threshold).
 bench-update:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh update

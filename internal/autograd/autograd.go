@@ -63,6 +63,10 @@ type Value struct {
 	aux0, aux1, aux2, aux3, aux4 *tensor.Matrix
 	auxS0                        float64
 	auxIdx                       []int
+
+	// ties is a ConstTied leaf's list of repeated columns, read by the
+	// backward of the Linear it feeds.
+	ties []int
 }
 
 // Tape records operations for reverse-mode differentiation. A Tape is not
@@ -180,6 +184,18 @@ func (t *Tape) opNode(rows, cols int, requiresGrad bool) *Value {
 // The matrix is NOT copied; callers must not mutate it while the tape is live.
 func (t *Tape) Const(data *tensor.Matrix) *Value {
 	return t.node(data, false, false, nil)
+}
+
+// ConstTied is Const for data whose columns repeat: ties lists, ascending,
+// each column i that holds the bits of column i−1 in every row (see
+// tensor.NarrowTies). A Linear fed by it computes its weight gradient
+// through tensor.MatMulTransATiedInto, which copies the tied rows instead of
+// recomputing them, with the same bits. Neither data nor ties is copied;
+// the caller must not change either while the tape is live.
+func (t *Tape) ConstTied(data *tensor.Matrix, ties []int) *Value {
+	v := t.node(data, false, false, nil)
+	v.ties = ties
+	return v
 }
 
 // Var registers data as a differentiable leaf whose gradient is allocated

@@ -88,11 +88,11 @@ func opBackward(n *Value) {
 // linearBackward is Linear's backward, in the order the composed
 // AddRow(MatMul(x, w), b) ran it: the bias, then x, then w. Each gradient is
 // a sum started at +0 (tensor.SumColsInto, MatMulTransBInto,
-// MatMulTransAInto), written straight into its buffer when productTarget
-// allows. The composition's products read the MatMul node's gradient,
-// +0 + g, where this reads g: they differ only where g is -0, and a ±0
-// operand adds a ±0 term to a sum that is never -0, which leaves it as it
-// was either way.
+// MatMulTransATiedInto, which is MatMulTransAInto unless x is a ConstTied
+// leaf), written straight into its buffer when productTarget allows. The
+// composition's products read the MatMul node's gradient, +0 + g, where
+// this reads g: they differ only where g is -0, and a ±0 operand adds a ±0
+// term to a sum that is never -0, which leaves it as it was either way.
 func linearBackward(n *Value) {
 	x, w, b := n.srcA, n.srcB, n.srcC
 	g := n.Grad
@@ -108,7 +108,7 @@ func linearBackward(n *Value) {
 	}
 	if w.requiresGrad {
 		dw := w.productTarget()
-		x.Data.MatMulTransAInto(g, dw)
+		x.Data.MatMulTransATiedInto(g, dw, x.ties)
 		w.addProduct(dw)
 	}
 }

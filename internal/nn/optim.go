@@ -19,6 +19,9 @@ type Adam struct {
 	step int
 	m    []*tensor.Matrix
 	v    []*tensor.Matrix
+	// tied is tensor.AdamUpdateRows' step scratch, one row of the widest
+	// parameter.
+	tied []float64
 }
 
 // NewAdam returns an Adam optimizer with standard betas (0.9, 0.999).
@@ -27,24 +30,29 @@ func NewAdam(mod Module, lr float64) *Adam {
 	a := &Adam{params: ps, LR: lr, Beta1: 0.9, Beta2: 0.999, Eps: 1e-8}
 	a.m = make([]*tensor.Matrix, len(ps))
 	a.v = make([]*tensor.Matrix, len(ps))
+	cols := 0
 	for i, p := range ps {
 		a.m[i] = tensor.New(p.Data.Rows, p.Data.Cols)
 		a.v[i] = tensor.New(p.Data.Rows, p.Data.Cols)
+		cols = max(cols, p.Data.Cols)
 	}
+	a.tied = make([]float64, cols)
 	return a
 }
 
 // Step applies one Adam update from current gradients and clears them in
-// the same pass (tensor.AdamUpdate consumes the gradient, saving the
-// per-minibatch ZeroGrads sweep). The element-wise rule lives in
-// tensor.AdamUpdate so it can use the SIMD fast path; the update is bitwise
+// the same pass (the kernel consumes the gradient, saving the per-minibatch
+// ZeroGrads sweep). The element-wise rule lives in tensor.AdamUpdateRows so
+// it can use the SIMD fast path and step a run of tied rows once — a
+// padded first layer's, whose gradients, m and v repeat row to row (m and v
+// start tied at zero, here and after Reset); the update is bitwise
 // identical to the historical per-element loop here.
 func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for i, p := range a.params {
-		tensor.AdamUpdate(p.Data.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
+		tensor.AdamUpdateRows(p.Data.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, a.tied, p.Data.Cols, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
 		p.writes++
 	}
 }

@@ -185,12 +185,35 @@ func (w *windowEnv) Step(action int) float64 { w.t++; return w.Env.Step(action) 
 func (w *windowEnv) Done() bool              { return w.t >= w.steps || w.Env.Done() }
 func (w *windowEnv) Truncated() bool         { return w.t >= w.steps || w.Env.Truncated() }
 
-// benchBuffer fills buf with full episodes until it holds at least minSteps
-// transitions.
-func benchBuffer(env *SyntheticEnv, agent *PPO, buf *Buffer, minSteps int) {
+// benchBuffer fills buf with full episodes, each started by reset, until it
+// holds at least minSteps transitions.
+func benchBuffer(env Environment, reset func(), agent *PPO, buf *Buffer, minSteps int) {
 	for buf.Len() < minSteps {
-		env.Reset()
+		reset()
 		CollectEpisode(env, agent, buf)
+	}
+}
+
+// benchPaddedEnv is one table3_parallel client as the benchmark runs it:
+// Table 3's Client 8 at a quarter of its capacity (four 4-vCPU VMs and one
+// of 16) under that federation's caps, 7 VM slots of 16 vCPUs — 136 inputs,
+// of which the two absent VMs' slots and every vCPU a VM lacks are −1 in
+// every observation — on 120 KVM-2020 tasks.
+func benchPaddedEnv(tb testing.TB) (*cloudsim.Env, func()) {
+	specs := []cloudsim.VMSpec{{CPU: 4, Mem: 32}, {CPU: 4, Mem: 32}, {CPU: 4, Mem: 32}, {CPU: 4, Mem: 32}, {CPU: 16, Mem: 128}}
+	cfg := cloudsim.DefaultConfig(specs)
+	cfg.PadVMs, cfg.PadVCPUs, cfg.MaxCPU, cfg.MaxMem = 7, 16, 16, 128
+	cfg.MaxSteps = 600
+	src := cloudsim.NewSamplerSource(workload.Lookup(workload.KVM2020), 1, 120, cfg.VMs)
+	env, err := cloudsim.NewEnvSource(cfg, src)
+	if err != nil {
+		tb.Fatal(err)
+	}
+	return env, func() {
+		src.Rewind()
+		if err := env.ResetSource(src); err != nil {
+			tb.Fatal(err)
+		}
 	}
 }
 
@@ -198,20 +221,33 @@ func benchBuffer(env *SyntheticEnv, agent *PPO, buf *Buffer, minSteps int) {
 // 64 over 256 transitions) at the paper's width and at the narrow width of
 // the benchmark's fig15_table2 workload, where a minibatch step is short
 // enough that the unit of actor/critic parallelism decides whether a second
-// core pays. Run with -cpu 1,2 to read the sequential path beside the lanes.
+// core pays, both on dense Gaussian states, and on padded, a per-VM cluster
+// at table3_parallel's width whose void inputs tie first-layer rows. Run
+// with -cpu 1,2 to read the sequential path beside the lanes.
 func BenchmarkPPOUpdate(b *testing.B) {
+	synthetic := func(stateDim, actions int) func(testing.TB) (Environment, func()) {
+		return func(testing.TB) (Environment, func()) {
+			env := NewSyntheticEnv(stateDim, actions, benchHorizon, 3)
+			return env, env.Reset
+		}
+	}
 	for _, w := range []struct {
-		name              string
-		stateDim, actions int
+		name string
+		env  func(testing.TB) (Environment, func())
 	}{
-		{"paper", benchStateDim, benchActions},
-		{"narrow", 60, 6},
+		{"paper", synthetic(benchStateDim, benchActions)},
+		{"narrow", synthetic(60, 6)},
+		{"padded", func(tb testing.TB) (Environment, func()) {
+			cluster, restart := benchPaddedEnv(tb)
+			env := &windowEnv{Env: cluster, restart: restart, steps: benchHorizon}
+			return env, env.next
+		}},
 	} {
 		b.Run(w.name, func(b *testing.B) {
-			env := NewSyntheticEnv(w.stateDim, w.actions, benchHorizon, 3)
-			agent := NewPPO(DefaultConfig(w.stateDim, w.actions), rand.New(rand.NewSource(4)))
+			env, reset := w.env(b)
+			agent := NewPPO(DefaultConfig(env.StateDim(), env.NumActions()), rand.New(rand.NewSource(4)))
 			var buf Buffer
-			benchBuffer(env, agent, &buf, 256)
+			benchBuffer(env, reset, agent, &buf, 256)
 			agent.Update(&buf) // warm the tape spare list and the tensor pool
 			b.ReportAllocs()
 			b.ResetTimer()

@@ -22,6 +22,7 @@ type SyntheticEnv struct {
 	state    []float64
 	feasible []bool
 	weights  []float64 // numActions x stateDim scoring vectors, row-major
+	voids    [][2]int  // [lo, hi) positions that read −1 in every state
 }
 
 // NewSyntheticEnv builds an environment with the given observation length,
@@ -43,6 +44,18 @@ func NewSyntheticEnv(stateDim, numActions, horizon int, seed int64) *SyntheticEn
 	return e
 }
 
+// NewPaddedSyntheticEnv is NewSyntheticEnv with an observation padded the
+// way a small cluster's is under federation-wide caps (§4.1): fixed runs of
+// −1 at the start, in the middle and at the end of every state, so the
+// first layers' weight-gradient rows for those inputs are tied. stateDim is
+// at least 24.
+func NewPaddedSyntheticEnv(stateDim, numActions, horizon int, seed int64) *SyntheticEnv {
+	e := NewSyntheticEnv(stateDim, numActions, horizon, seed)
+	e.voids = [][2]int{{0, 3}, {9, 14}, {stateDim - 4, stateDim}}
+	e.Reset()
+	return e
+}
+
 // Reset starts a new episode.
 func (e *SyntheticEnv) Reset() {
 	e.t = 0
@@ -53,6 +66,11 @@ func (e *SyntheticEnv) Reset() {
 func (e *SyntheticEnv) refresh() {
 	for i := range e.state {
 		e.state[i] = e.rng.NormFloat64()
+	}
+	for _, v := range e.voids {
+		for i := v[0]; i < v[1]; i++ {
+			e.state[i] = -1
+		}
 	}
 	// Rotate one infeasible action per step so masked evaluation paths get
 	// exercised without ever masking everything.

@@ -5,6 +5,7 @@ import (
 	"math"
 	"math/rand"
 	"runtime"
+	"slices"
 	"testing"
 
 	"repro/internal/autograd"
@@ -240,10 +241,13 @@ func requireParamsEqual(t *testing.T, label string, want, got nn.Module) {
 
 // collectBuffer fills buf with at least minSteps transitions using a
 // dedicated collector agent, so the agents under test keep identical rng
-// streams for their updates.
-func collectBuffer(t *testing.T, stateDim, numActions, minSteps int, seed int64) *Buffer {
+// streams for their updates; padded collects from NewPaddedSyntheticEnv.
+func collectBuffer(t *testing.T, padded bool, stateDim, numActions, minSteps int, seed int64) *Buffer {
 	t.Helper()
 	env := NewSyntheticEnv(stateDim, numActions, 32, seed)
+	if padded {
+		env = NewPaddedSyntheticEnv(stateDim, numActions, 32, seed)
+	}
 	collector := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(seed)))
 	var buf Buffer
 	for buf.Len() < minSteps {
@@ -259,36 +263,44 @@ func collectBuffer(t *testing.T, stateDim, numActions, minSteps int, seed int64)
 // sequential update, across several rounds so Adam state and scratch reuse
 // are exercised. Runs on the sequential path so the only variable is the
 // pipeline restructure itself; TestConcurrentUpdateMatchesSequential covers
-// the lanes.
+// the lanes. The padded variants collect from NewPaddedSyntheticEnv: the
+// pipeline's first layers then take their weight gradients through the tie
+// list, while the reference's plain Const inputs take the plain product.
 func TestBatchedUpdateMatchesReference(t *testing.T) {
 	forceLanes(t, false)
 
 	const stateDim, numActions = 24, 5
-	t.Run("ppo", func(t *testing.T) {
-		ref := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(99)))
-		pipe := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(99)))
-		for round := 0; round < 3; round++ {
-			buf := collectBuffer(t, stateDim, numActions, 150, int64(70+round))
-			ws := referencePPOUpdate(ref, buf)
-			gs := pipe.Update(buf)
-			requireStatsEqual(t, "ppo stats", ws, gs)
-			requireParamsEqual(t, "ppo actor", ref.Actor, pipe.Actor)
-			requireParamsEqual(t, "ppo critic", ref.Critic, pipe.Critic)
+	for _, padded := range []bool{false, true} {
+		suffix := ""
+		if padded {
+			suffix = "-padded"
 		}
-	})
-	t.Run("dual-critic", func(t *testing.T) {
-		ref := NewDualCriticPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(101)))
-		pipe := NewDualCriticPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(101)))
-		for round := 0; round < 2; round++ {
-			buf := collectBuffer(t, stateDim, numActions, 150, int64(80+round))
-			ws := referenceDualUpdate(ref, buf)
-			gs := pipe.Update(buf)
-			requireStatsEqual(t, "dual stats", ws, gs)
-			requireParamsEqual(t, "dual actor", ref.Actor, pipe.Actor)
-			requireParamsEqual(t, "dual local critic", ref.Critic, pipe.Critic)
-			requireParamsEqual(t, "dual public critic", ref.PublicCritic, pipe.PublicCritic)
-		}
-	})
+		t.Run("ppo"+suffix, func(t *testing.T) {
+			ref := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(99)))
+			pipe := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(99)))
+			for round := 0; round < 3; round++ {
+				buf := collectBuffer(t, padded, stateDim, numActions, 150, int64(70+round))
+				ws := referencePPOUpdate(ref, buf)
+				gs := pipe.Update(buf)
+				requireStatsEqual(t, "ppo stats", ws, gs)
+				requireParamsEqual(t, "ppo actor", ref.Actor, pipe.Actor)
+				requireParamsEqual(t, "ppo critic", ref.Critic, pipe.Critic)
+			}
+		})
+		t.Run("dual-critic"+suffix, func(t *testing.T) {
+			ref := NewDualCriticPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(101)))
+			pipe := NewDualCriticPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(101)))
+			for round := 0; round < 2; round++ {
+				buf := collectBuffer(t, padded, stateDim, numActions, 150, int64(80+round))
+				ws := referenceDualUpdate(ref, buf)
+				gs := pipe.Update(buf)
+				requireStatsEqual(t, "dual stats", ws, gs)
+				requireParamsEqual(t, "dual actor", ref.Actor, pipe.Actor)
+				requireParamsEqual(t, "dual local critic", ref.Critic, pipe.Critic)
+				requireParamsEqual(t, "dual public critic", ref.PublicCritic, pipe.PublicCritic)
+			}
+		})
+	}
 }
 
 // laneCases are the update configurations the lanes golden runs: every
@@ -298,6 +310,8 @@ var laneCases = []struct {
 	// build returns a fresh agent and its networks, actor first; calling it
 	// twice gives bit-identical twins.
 	build func() (*PPO, []nn.Module)
+	// padded collects the case's buffers from NewPaddedSyntheticEnv.
+	padded bool
 }{
 	{name: "ppo", build: func() (*PPO, []nn.Module) {
 		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(55)))
@@ -312,15 +326,23 @@ var laneCases = []struct {
 		p.EnableProximal(0.1)
 		return p, []nn.Module{p.Actor, p.Critic}
 	}},
+	{name: "ppo-padded", padded: true, build: func() (*PPO, []nn.Module) {
+		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(59)))
+		return p, []nn.Module{p.Actor, p.Critic}
+	}},
+	{name: "dual-critic-padded", padded: true, build: func() (*PPO, []nn.Module) {
+		d := NewDualCriticPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(60)))
+		return d, []nn.Module{d.Actor, d.Critic, d.PublicCritic}
+	}},
 }
 
 const laneStateDim, laneActions = 24, 5
 
 // bufferOfLen returns a buffer of exactly n collected transitions.
-func bufferOfLen(t *testing.T, n int, seed int64) *Buffer {
+func bufferOfLen(t *testing.T, padded bool, n int, seed int64) *Buffer {
 	t.Helper()
 	var buf Buffer
-	for _, tr := range collectBuffer(t, laneStateDim, laneActions, n, seed).Steps()[:n] {
+	for _, tr := range collectBuffer(t, padded, laneStateDim, laneActions, n, seed).Steps()[:n] {
 		buf.Add(tr)
 	}
 	return &buf
@@ -331,11 +353,11 @@ func bufferOfLen(t *testing.T, n int, seed int64) *Buffer {
 // epoch boundary is bitwise identical to running the actor epoch and then
 // the critic epoch on one goroutine — parameters, statistics and the
 // agent's RNG position (the next SelectAction draw) — for every update
-// feature that lives on the critic lane, at buffer
-// lengths around the minibatch boundary, over three rounds so Adam state and
-// scratch reuse are exercised. Exercised under -race by make test-race,
-// where a join that lets the next shuffle overlap the critic lane is a
-// reported race on the shuffle index.
+// feature that lives on the critic lane, and on padded buffers, whose tie
+// list both lanes read, at buffer lengths around the minibatch boundary,
+// over three rounds so Adam state and scratch reuse are exercised.
+// Exercised under -race by make test-race, where a join that lets the next
+// shuffle overlap the critic lane is a reported race on the shuffle index.
 func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 	probe := make([]float64, laneStateDim)
 	for i := range probe {
@@ -347,7 +369,7 @@ func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 				seq, seqNets := tc.build()
 				lanes, laneNets := tc.build()
 				for round := 0; round < 3; round++ {
-					buf := bufferOfLen(t, n, int64(60+round))
+					buf := bufferOfLen(t, tc.padded, n, int64(60+round))
 					forceLanes(t, false)
 					ws := seq.Update(buf)
 					forceLanes(t, true)
@@ -367,6 +389,65 @@ func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 	}
 }
 
+// bruteStateTies lists the columns c ≥ 1 whose bits equal column c−1's in
+// every state of buf, by direct comparison.
+func bruteStateTies(buf *Buffer, stateDim int) []int {
+	ties := []int{}
+	for c := 1; c < stateDim; c++ {
+		tied := true
+		for _, tr := range buf.Steps() {
+			tied = tied && math.Float64bits(tr.State[c]) == math.Float64bits(tr.State[c-1])
+		}
+		if tied {
+			ties = append(ties, c)
+		}
+	}
+	return ties
+}
+
+// TestUpdateTieListMatchesScan pins the per-Update tie list: it is the
+// brute-force scan of the buffer's states, and the next Update rebuilds it
+// after Buffer.Add, a write through Steps or Buffer.Reset changes them.
+func TestUpdateTieListMatchesScan(t *testing.T) {
+	const stateDim, numActions = laneStateDim, laneActions
+	agent := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(61)))
+	check := func(label string, buf *Buffer, want []int) {
+		t.Helper()
+		agent.Update(buf)
+		got := agent.upd.ties
+		if brute := bruteStateTies(buf, stateDim); !slices.Equal(got, brute) {
+			t.Fatalf("%s: tie list %v, brute-force scan %v", label, got, brute)
+		}
+		if want != nil && !slices.Equal(got, want) {
+			t.Fatalf("%s: tie list %v, want %v", label, got, want)
+		}
+	}
+
+	buf := collectBuffer(t, true, stateDim, numActions, 100, 62)
+	check("padded", buf, []int{1, 2, 10, 11, 12, 13, 21, 22, 23})
+
+	// An added state whose void run at 9–13 is broken at column 11 unties
+	// columns 11 and 12.
+	odd := slices.Clone(buf.Steps()[0].State)
+	odd[11] = 0.5
+	buf.Add(Transition{State: odd, Action: 0})
+	check("after Add", buf, []int{1, 2, 10, 13, 21, 22, 23})
+
+	// A write through Steps, which moves no generation, is seen too:
+	// breaking the void run at 0–2 in one state unties columns 1 and 2.
+	buf.Steps()[0].State[1] = 0.25
+	check("after a write through Steps", buf, []int{10, 13, 21, 22, 23})
+
+	// Reset and a dense refill: nothing is tied any more.
+	buf.Reset()
+	env := NewSyntheticEnv(stateDim, numActions, 32, 63)
+	for buf.Len() < 100 {
+		env.Reset()
+		CollectEpisode(env, agent, buf)
+	}
+	check("after Reset", buf, []int{})
+}
+
 // TestPPOUpdateSteadyStateAllocs pins the hoisted-staging claim: after
 // warmup, a full PPO update allocates at most a handful of objects (the
 // critic closure and module slice built per call; on the lanes path also
@@ -381,7 +462,7 @@ func TestPPOUpdateSteadyStateAllocs(t *testing.T) {
 		env := NewSyntheticEnv(benchStateDim, benchActions, benchHorizon, 3)
 		agent := benchAgent(4)
 		var buf Buffer
-		benchBuffer(env, agent, &buf, 256)
+		benchBuffer(env, env.Reset, agent, &buf, 256)
 		for i := 0; i < 2; i++ { // warm tapes, pool, and staging
 			agent.Update(&buf)
 		}

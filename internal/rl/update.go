@@ -47,6 +47,38 @@ type updateScratch struct {
 	// Critic lane.
 	criticStates, target *tensor.Matrix
 	criticTape           *autograd.Tape
+
+	// ties lists the state columns whose bits equal their left
+	// neighbour's in every state of the buffer being optimized: padded
+	// observation positions (§4.1) are −1 in every state a client sees.
+	// Rebuilt by every optimize call before the lanes fork and read-only
+	// while they run, it goes into both first layers with the staged
+	// states (autograd.ConstTied).
+	ties []int
+}
+
+// tiedColumns rebuilds the tie list from buf's states (see ties): every
+// column starts as a candidate, each state narrows the list, and a state
+// of another width (an Add from outside the collector) empties it.
+func (st *updateScratch) tiedColumns(buf *Buffer, stateDim int) {
+	if cap(st.ties) < stateDim {
+		st.ties = make([]int, 0, stateDim)
+	}
+	ties := st.ties[:0]
+	for i := 1; i < stateDim; i++ {
+		ties = append(ties, i)
+	}
+	for _, tr := range buf.Steps() {
+		if len(ties) == 0 {
+			break
+		}
+		if len(tr.State) != stateDim {
+			ties = ties[:0]
+			break
+		}
+		ties = tensor.NarrowTies(ties, tr.State)
+	}
+	st.ties = ties
 }
 
 // ensure sizes the scratch for a buffer of n transitions under the given
@@ -125,6 +157,7 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 	defer mPPOUpdates.Inc()
 	cfg := &p.Cfg
 	p.upd.ensure(n, cfg.MiniBatch, cfg.StateDim)
+	p.upd.tiedColumns(buf, cfg.StateDim)
 	idx := p.upd.idx
 	for i := range idx {
 		idx[i] = i
@@ -205,7 +238,7 @@ func (p *PPO) actorEpoch(buf *Buffer) actorSums {
 		// grads and Optimizer.Step consumes them, so no ZeroGrads sweep.
 		at := st.actorTape
 		at.Reset()
-		logits := p.Actor.Forward(at, at.Const(states))
+		logits := p.Actor.Forward(at, at.ConstTied(states, st.ties))
 		res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, cfg.Clip, cfg.EntCoef)
 		res.Loss.Backward()
 		p.step(p.Actor, p.actorOpt)
@@ -251,7 +284,7 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 		// each step below consumes them.
 		ct := st.criticTape
 		ct.Reset()
-		in, tg := ct.Const(states), ct.Const(target)
+		in, tg := ct.ConstTied(states, st.ties), ct.Const(target)
 		closs := valueLoss(p.Critic.Forward(ct, in), tg)
 		if p.PublicCritic != nil {
 			closs = autograd.Add(closs, valueLoss(p.PublicCritic.Forward(ct, in), tg))

@@ -1,6 +1,9 @@
 package tensor
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // The products run serially on the calling goroutine: the cores are already
 // taken one level up, by the actor/critic update overlap and the client
@@ -177,6 +180,68 @@ func (m *Matrix) MatMulTransAInto(b, dst *Matrix) *Matrix {
 	checkTransA(m, b, dst, "MatMulTransAInto")
 	productTransA(dst, m, b, false)
 	return dst
+}
+
+// MatMulTransATiedInto is MatMulTransAInto for an m whose columns repeat:
+// ties lists, ascending, each column i ≥ 1 that holds the bits of column
+// i−1 in every row of m, and the caller vouches for it (NarrowTies builds
+// such a list). Output row i of mᵀ·b reads only column i of m and b, so a
+// tied column's row has its left neighbour's bits: the kernel computes the
+// rows between ties, one productSIMD per untied stretch, and copies each
+// tied row from the row above, in ascending order so a run copies down.
+// The result is MatMulTransAInto's bit for bit; an empty list is that call.
+// The scalar path computes every row.
+func (m *Matrix) MatMulTransATiedInto(b, dst *Matrix, ties []int) *Matrix {
+	checkTransA(m, b, dst, "MatMulTransATiedInto")
+	prev := 0
+	for _, c := range ties {
+		if c <= prev || c >= m.Cols {
+			panic(fmt.Sprintf("tensor: MatMulTransATiedInto tie %d out of order or outside [1,%d)", c, m.Cols))
+		}
+		prev = c
+	}
+	if len(ties) == 0 || !simdEnabled || len(dst.Data) == 0 || m.Rows == 0 {
+		productTransA(dst, m, b, false)
+		return dst
+	}
+	lo := 0
+	for _, c := range ties {
+		if c > lo {
+			transARows(dst, m, b, lo, c)
+		}
+		lo = c + 1
+	}
+	if lo < m.Cols {
+		transARows(dst, m, b, lo, m.Cols)
+	}
+	p := b.Cols
+	for _, c := range ties {
+		copy(dst.Data[c*p:(c+1)*p], dst.Data[(c-1)*p:c*p])
+	}
+	return dst
+}
+
+// transARows writes rows [lo,hi) of mᵀ·b into out: productTransA's SIMD
+// call on a view of those rows and of the columns of m they read.
+func transARows(out, m, b *Matrix, lo, hi int) {
+	p := b.Cols
+	seg := Matrix{Rows: hi - lo, Cols: p, Data: out.Data[lo*p : hi*p]}
+	productSIMD(&seg, b, m.Data[lo:], m.Cols, 1, true, false, nil)
+}
+
+// NarrowTies keeps the entries i of ties at which row[i] has the bits of
+// row[i-1] and returns the shortened list, written over ties. Starting from
+// every column 1 … n−1 and narrowing by each row of a matrix leaves the
+// list MatMulTransATiedInto takes. Bits, not ==: +0 and −0 differ, and a
+// NaN matches only a NaN with its payload.
+func NarrowTies(ties []int, row []float64) []int {
+	kept := ties[:0]
+	for _, i := range ties {
+		if math.Float64bits(row[i]) == math.Float64bits(row[i-1]) {
+			kept = append(kept, i)
+		}
+	}
+	return kept
 }
 
 // AddMatMulTransAInPlace accumulates m += aᵀ · b and returns m: the

@@ -105,7 +105,24 @@ func gsProject(x, r *float64, rows, n int)
 // multiple of 8), transcribing the exact float op order of the scalar rule
 // in adamScalar, and clears grad in the same pass. All ops involved (mul,
 // add, sub, div, sqrt) are correctly rounded under IEEE-754, so the vector
-// lanes match the scalar loop bitwise.
+// lanes match the scalar loop bitwise. It stores each element's step (the
+// amount subtracted from p) at step, which advances stepStride elements
+// per element: 1 keeps them all (the first row of a tied run in
+// AdamUpdateRows), 0 writes them over one 8-element block.
 //
 //go:noescape
-func adamCols(p, grad, m, v *float64, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+
+// adamTiedRows finishes a tied run after adamCols stepped its first
+// row: each of the rows−1 rows that follow, stride elements apart, takes
+// p -= step over its first n elements (a positive multiple of 8), row 0's
+// new m and v, and a cleared gradient.
+//
+//go:noescape
+func adamTiedRows(p, grad, m, v, step *float64, n, stride, rows int)
+
+// rowsEqual3 reports whether the rows stride elements after grad, m and v
+// hold their bits over the first n elements (a positive multiple of 8).
+//
+//go:noescape
+func rowsEqual3(grad, m, v *float64, n, stride int) bool

@@ -586,7 +586,7 @@ tanhDone:
 	VZEROUPPER
 	RET
 
-// func adamCols(p, grad, m, v *float64, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+// func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
 //
 // Element-wise Adam, transcribing adamScalar's float op order exactly:
 //
@@ -598,21 +598,28 @@ tanhDone:
 // already resident from the load, and the zero stores hide under the div/sqrt
 // latency, so the caller saves a separate full-gradient memset sweep.
 //
+// Each 8-lane block's step, (lr*(m'/bc1)) / (sqrt(v'/bc2) + eps), is also
+// stored at step, which advances stepStride elements per element: 1 keeps
+// every step (the first row of a tied run), 0 overwrites one 8-lane block.
+//
 // mul/add/sub/div/sqrt are all correctly rounded, so lanes == scalar loop.
-TEXT ·adamCols(SB), NOSPLIT, $0-104
+TEXT ·adamCols(SB), NOSPLIT, $0-120
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
 	MOVQ v+24(FP), R9
-	MOVQ n+32(FP), CX
-	VBROADCASTSD beta1+40(FP), Z10
-	VBROADCASTSD c1+48(FP), Z11
-	VBROADCASTSD beta2+56(FP), Z12
-	VBROADCASTSD c2+64(FP), Z13
-	VBROADCASTSD bc1+72(FP), Z14
-	VBROADCASTSD bc2+80(FP), Z15
-	VBROADCASTSD lr+88(FP), Z16
-	VBROADCASTSD eps+96(FP), Z17
+	MOVQ step+32(FP), R10
+	MOVQ stepStride+40(FP), R11
+	SHLQ $6, R11            // bytes per 8-lane block
+	MOVQ n+48(FP), CX
+	VBROADCASTSD beta1+56(FP), Z10
+	VBROADCASTSD c1+64(FP), Z11
+	VBROADCASTSD beta2+72(FP), Z12
+	VBROADCASTSD c2+80(FP), Z13
+	VBROADCASTSD bc1+88(FP), Z14
+	VBROADCASTSD bc2+96(FP), Z15
+	VBROADCASTSD lr+104(FP), Z16
+	VBROADCASTSD eps+112(FP), Z17
 	VXORPD X9, X9, X9       // zero block stored back over the consumed gradient
 	XORQ R12, R12
 
@@ -664,6 +671,10 @@ adamLoop16:
 	VMULPD Z22, Z16, Z22
 	VDIVPD Z7, Z6, Z6          // step
 	VDIVPD Z23, Z22, Z22
+	VMOVUPD Z6, (R10)
+	ADDQ R11, R10
+	VMOVUPD Z22, (R10)
+	ADDQ R11, R10
 	VSUBPD Z6, Z3, Z3          // p - step
 	VSUBPD Z22, Z21, Z21
 	VMOVUPD Z3, (DI)(R12*1)
@@ -695,6 +706,8 @@ adamLoop:
 	VADDPD Z17, Z7, Z7      // sqrt(vhat)+eps
 	VMULPD Z6, Z16, Z6      // lr*mhat
 	VDIVPD Z7, Z6, Z6       // step
+	VMOVUPD Z6, (R10)
+	ADDQ R11, R10
 	VSUBPD Z6, Z3, Z3       // p - step
 	VMOVUPD Z3, (DI)(R12*1)
 	ADDQ $64, R12
@@ -797,5 +810,96 @@ gsUpdate:
 	ADDQ $128, BX
 	DECQ R10
 	JNZ  gsUpdate
+	VZEROUPPER
+	RET
+
+// func adamTiedRows(p, grad, m, v, step *float64, n, stride, rows int)
+//
+// The other rows of a tied run whose first row adamCols has stepped:
+// for rows j = 1 … rows−1, stride elements apart, and their first n
+// elements (n a positive multiple of 8), p_j -= step (VSUBPD with p as the
+// minuend, adamCols' operand order), m_j and v_j take row 0's new moments,
+// and the gradient is cleared. One pass per row instead of a kernel call per
+// array.
+TEXT ·adamTiedRows(SB), NOSPLIT, $0-64
+	MOVQ p+0(FP), DI
+	MOVQ grad+8(FP), SI
+	MOVQ m+16(FP), R8
+	MOVQ v+24(FP), R9
+	MOVQ step+32(FP), R10
+	MOVQ n+40(FP), CX
+	MOVQ stride+48(FP), DX
+	SHLQ $3, DX
+	MOVQ rows+56(FP), BX
+	VPXORQ Z9, Z9, Z9
+	MOVQ R8, R11 // row j's m and v
+	MOVQ R9, R13
+
+tiedRow:
+	DECQ BX
+	JLE  tiedDone
+	ADDQ DX, DI
+	ADDQ DX, SI
+	ADDQ DX, R11
+	ADDQ DX, R13
+	XORQ R12, R12
+	MOVQ CX, AX
+
+tiedCols:
+	VMOVUPD (DI)(R12*1), Z0
+	VSUBPD (R10)(R12*1), Z0, Z0
+	VMOVUPD Z0, (DI)(R12*1)
+	VMOVUPD (R8)(R12*1), Z1
+	VMOVUPD Z1, (R11)(R12*1)
+	VMOVUPD (R9)(R12*1), Z2
+	VMOVUPD Z2, (R13)(R12*1)
+	VMOVUPD Z9, (SI)(R12*1)
+	ADDQ $64, R12
+	SUBQ $8, AX
+	JNZ  tiedCols
+	JMP  tiedRow
+
+tiedDone:
+	VZEROUPPER
+	RET
+
+// func rowsEqual3(grad, m, v *float64, n, stride int) bool
+//
+// Reports whether the row stride elements on holds the bits of the row at
+// grad, m and v over the first n elements (n a positive multiple of 8): the
+// XOR of each pair of quadwords, ORed together over all three arrays, is
+// zero. No early exit: AdamUpdateRows compares the first gradient element
+// before it calls rowTied.
+TEXT ·rowsEqual3(SB), NOSPLIT, $0-41
+	MOVQ grad+0(FP), SI
+	MOVQ m+8(FP), R8
+	MOVQ v+16(FP), R9
+	MOVQ n+24(FP), CX
+	MOVQ stride+32(FP), DX
+	SHLQ $3, DX
+	LEAQ (SI)(DX*1), R10
+	LEAQ (R8)(DX*1), R11
+	LEAQ (R9)(DX*1), R13
+	VPXORQ Z3, Z3, Z3
+	XORQ R12, R12
+
+tiedCmp:
+	VMOVDQU64 (SI)(R12*1), Z0
+	VPXORQ (R10)(R12*1), Z0, Z0
+	VMOVDQU64 (R8)(R12*1), Z1
+	VPXORQ (R11)(R12*1), Z1, Z1
+	VMOVDQU64 (R9)(R12*1), Z2
+	VPXORQ (R13)(R12*1), Z2, Z2
+	VPORQ Z0, Z3, Z3
+	VPORQ Z1, Z2, Z2
+	VPORQ Z2, Z3, Z3
+	ADDQ $64, R12
+	SUBQ $8, CX
+	JNZ  tiedCmp
+
+	VPTESTMQ Z3, Z3, K1
+	KMOVW K1, AX
+	TESTL AX, AX
+	SETEQ ret+40(FP)
 	VZEROUPPER
 	RET

@@ -91,6 +91,34 @@ func gsProject(x, r *float64, rows, n int) {
 	}
 }
 
-func adamCols(p, grad, m, v *float64, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
-	adamScalar(unsafeSlice(p, n), unsafeSlice(grad, n), unsafeSlice(m, n), unsafeSlice(v, n), lr, beta1, beta2, eps, bc1, bc2)
+func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
+	var steps []float64
+	if stepStride != 0 {
+		steps = unsafeSlice(step, n)
+	}
+	adamScalar(unsafeSlice(p, n), unsafeSlice(grad, n), unsafeSlice(m, n), unsafeSlice(v, n), steps, lr, beta1, beta2, eps, bc1, bc2)
+}
+
+func adamTiedRows(p, grad, m, v, step *float64, n, stride, rows int) {
+	ps, gs := unsafeSlice(p, rows*stride), unsafeSlice(grad, rows*stride)
+	ms, vs := unsafeSlice(m, rows*stride), unsafeSlice(v, rows*stride)
+	st := unsafeSlice(step, n)
+	for o := stride; o < rows*stride; o += stride {
+		for j := range st {
+			ps[o+j] -= st[j]
+			ms[o+j], vs[o+j], gs[o+j] = ms[j], vs[j], 0
+		}
+	}
+}
+
+func rowsEqual3(grad, m, v *float64, n, stride int) bool {
+	for _, x := range []*float64{grad, m, v} {
+		xs := unsafeSlice(x, stride+n)
+		for j := 0; j < n; j++ {
+			if math.Float64bits(xs[j]) != math.Float64bits(xs[stride+j]) {
+				return false
+			}
+		}
+	}
+	return true
 }

@@ -515,19 +515,19 @@ func TestAdamUpdateSIMDMatchesScalar(t *testing.T) {
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
 			prev := SetSIMD(false)
-			AdamUpdate(p1, g1, m1, v1, lr, beta1, beta2, eps, bc1, bc2)
+			adamUpdate(p1, g1, m1, v1, lr, beta1, beta2, eps, bc1, bc2)
 			SetSIMD(true)
-			AdamUpdate(p2, g2, m2, v2, lr, beta1, beta2, eps, bc1, bc2)
+			adamUpdate(p2, g2, m2, v2, lr, beta1, beta2, eps, bc1, bc2)
 			SetSIMD(prev)
 			for i := range g1 {
 				if g1[i] != 0 || g2[i] != 0 {
-					t.Fatalf("AdamUpdate left gradient residue at %d: scalar %v simd %v", i, g1[i], g2[i])
+					t.Fatalf("adamUpdate left gradient residue at %d: scalar %v simd %v", i, g1[i], g2[i])
 				}
 			}
 		}
-		requireBitIdentical(t, "AdamUpdate p", p1, p2)
-		requireBitIdentical(t, "AdamUpdate m", m1, m2)
-		requireBitIdentical(t, "AdamUpdate v", v1, v2)
+		requireBitIdentical(t, "adamUpdate p", p1, p2)
+		requireBitIdentical(t, "adamUpdate m", m1, m2)
+		requireBitIdentical(t, "adamUpdate v", v1, v2)
 	}
 }
 

@@ -6,8 +6,9 @@
 #     so must every BenchmarkCollectEpisode row (an episode collected into a
 #     warm buffer, at 1 and 2 procs: its states valued on the caller and on
 #     the value lane), and
-#   - every BenchmarkPPOUpdate row (paper and narrow width, at 1, 2 and 4
-#     procs: the sequential path beside the actor/critic lanes) must stay
+#   - every BenchmarkPPOUpdate row (paper and narrow width on dense states,
+#     padded on a per-VM cluster's, at 1, 2 and 4 procs: the sequential path
+#     beside the actor/critic lanes) must stay
 #     within PPO_ALLOC_BUDGET allocs/op (the batched update pipeline keeps
 #     steady-state staging in agent-owned scratch; the few remaining allocs
 #     are per-Update bookkeeping), and
