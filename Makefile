@@ -147,7 +147,8 @@ bench-env:
 # check for changes touching the update pipeline. It prints the paper-width,
 # the narrow-width and the padded (a per-VM cluster whose void inputs tie
 # first-layer rows) update at 1, 2 and 4 procs side by side (no timing
-# gate: run-to-run drift on a shared box exceeds any useful threshold).
+# gate: run-to-run drift on a shared box exceeds any useful threshold), and
+# holds BenchmarkOrthogonalScaled, a layer's initial weight, to 2 allocs/op.
 bench-update:
 	GO="$(GO)" ./scripts/bench_alloc_guard.sh update
 

@@ -5,6 +5,8 @@ import (
 	"path/filepath"
 	"strings"
 	"testing"
+
+	"repro/internal/fed"
 )
 
 // captureStdout runs fn with os.Stdout redirected to a file and returns what
@@ -62,5 +64,14 @@ func TestEveryExperimentIDDispatches(t *testing.T) {
 	}
 	if err := run("scale", bc); err == nil || !strings.Contains(err.Error(), "unknown experiment") {
 		t.Errorf("run(scale) = %v, want an unknown-experiment error", err)
+	}
+}
+
+// TestAblationHeadsFourIsTheDefault guards runAblation's shortcut: it prints
+// the pfrl-dm curve as the heads=4 row, which is that run only while PFRL-DM's
+// attention aggregator defaults to four heads.
+func TestAblationHeadsFourIsTheDefault(t *testing.T) {
+	if h := fed.NewAttention(1).Gen.Heads; h != 4 {
+		t.Fatalf("PFRL-DM's aggregator defaults to %d heads; runAblation's heads=4 row assumes 4", h)
 	}
 }

@@ -34,9 +34,8 @@ type Linear struct {
 // initialization scaled by gain (the standard PPO initialization); biases
 // start at zero.
 func NewLinear(rng *rand.Rand, name string, in, out int, gain float64) *Linear {
-	w := tensor.OrthogonalScaled(rng, out, in, gain).T() // stored In x Out for x·W
 	return &Linear{
-		W: NewParameter(name+".W", w),
+		W: NewParameter(name+".W", tensor.OrthogonalScaled(rng, out, in, gain)),
 		B: NewParameter(name+".B", tensor.New(1, out)),
 	}
 }

@@ -4,7 +4,6 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
-	"runtime"
 	"testing"
 
 	"repro/internal/nn"
@@ -20,14 +19,37 @@ func poolMisses(fn func()) int64 {
 	return (gets1 - gets0) - (hits1 - hits0)
 }
 
+// holdLaneTapes runs one epoch of each lane of a over buf outside optimize,
+// so nothing resets the tapes after it: the actor and critic tapes are left
+// holding the working sets of buf's last minibatch.
+func holdLaneTapes(a *PPO, buf *Buffer) {
+	st, cfg := &a.upd, &a.Cfg
+	st.adv, st.targets = buf.GAEInto(cfg.Gamma, cfg.Lambda, st.adv, st.targets)
+	st.ensure(buf.Len(), cfg.MiniBatch, cfg.StateDim)
+	st.tiedColumns(buf, cfg.StateDim)
+	for i := range st.idx {
+		st.idx[i] = i
+	}
+	a.actorEpoch(buf)
+	a.criticEpoch(buf)
+}
+
 // TestUpdateParksNoTapeBuffers pins that Update hands its tapes' matrices back
 // to the pool before it returns: both tapes are empty afterwards, so an agent
 // idle between updates holds none, and a second agent of the same shape —
 // the next client a swarm worker trains — runs its first Update entirely on
-// what the first returned, with no pool miss. On both update paths; the lanes
-// run on one P, where they take turns in the same order every time — on two,
-// the second agent's lanes may overlap more than the first's did and need
-// more matrices at once than the pool has ever lent.
+// what the pool already holds, with no pool miss. On both update paths.
+//
+// How many matrices the lanes hold at once depends on how they interleave,
+// which the scheduler decides (preemption can split either lane's epoch
+// anywhere, even on one P). At any moment each lane holds at most one
+// minibatch's tape and its current op's temporaries. So on the lanes path
+// the first Update runs while four other agents hold, on both tapes, a
+// minibatch's working sets, two of full size and two of the buffer's tail
+// size: the pool then lends the second Update each lane's sets twice over on
+// top of all the first Update borrowed at its peak, enough for both lanes at
+// their peaks at once, and the assertion holds under any interleaving and at
+// any GOMAXPROCS.
 func TestUpdateParksNoTapeBuffers(t *testing.T) {
 	for _, lanes := range []bool{false, true} {
 		name := "sequential"
@@ -36,7 +58,6 @@ func TestUpdateParksNoTapeBuffers(t *testing.T) {
 		}
 		t.Run(name, func(t *testing.T) {
 			forceLanes(t, lanes)
-			defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(1))
 			const stateDim, actions = 24, 5
 			cfg := DefaultConfig(stateDim, actions)
 			first := NewDualCriticPPO(cfg, rand.New(rand.NewSource(1)))
@@ -45,11 +66,31 @@ func TestUpdateParksNoTapeBuffers(t *testing.T) {
 			env := NewSyntheticEnv(stateDim, actions, 150, 3)
 			env.Reset()
 			CollectEpisode(env, first, &buf)
-			if buf.Len()%cfg.MiniBatch == 0 || buf.Len() < cfg.MiniBatch {
+			tail := buf.Len() % cfg.MiniBatch
+			if tail == 0 || buf.Len() < cfg.MiniBatch {
 				t.Fatalf("buffer of %d transitions: want full minibatches and a partial one", buf.Len())
 			}
 
+			var holders []*PPO
+			if lanes {
+				var full, last Buffer
+				for _, s := range buf.Steps()[:cfg.MiniBatch] {
+					full.Add(s)
+				}
+				for _, s := range buf.Steps()[buf.Len()-tail:] {
+					last.Add(s)
+				}
+				for i, b := range []*Buffer{&full, &full, &last, &last} {
+					h := NewDualCriticPPO(cfg, rand.New(rand.NewSource(int64(10+i))))
+					holdLaneTapes(h, b)
+					holders = append(holders, h)
+				}
+			}
 			first.Update(&buf)
+			for _, h := range holders {
+				h.upd.actorTape.Reset()
+				h.upd.criticTape.Reset()
+			}
 			if n, m := first.upd.actorTape.Len(), first.upd.criticTape.Len(); n != 0 || m != 0 {
 				t.Fatalf("after Update the actor tape holds %d nodes and the critic tape %d, want 0", n, m)
 			}

@@ -91,16 +91,6 @@ func vecAllZero(src *float64, n int) bool
 //go:noescape
 func tanhGradCols(dst, grad, y *float64, n int)
 
-// gsProject projects each of the gsLanes rows of a Gram–Schmidt block, held
-// k-major at x (x[k*gsLanes+l] is row l's element k, for k in [0,n)), against
-// finished rows r_0 … r_{rows-1} (r_j at r[j*n:]), in ascending j: per row,
-// the dot starts at +0 and adds its products in k order, then the row loses
-// dot times r_j, element by element — the scalar loop's operations in its
-// order, one lane per row (see gramSchmidtSIMD). rows and n are positive.
-//
-//go:noescape
-func gsProject(x, r *float64, rows, n int)
-
 // adamCols applies the element-wise Adam update to n elements (n a positive
 // multiple of 8), transcribing the exact float op order of the scalar rule
 // in adamScalar, and clears grad in the same pass. All ops involved (mul,

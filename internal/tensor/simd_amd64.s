@@ -718,101 +718,6 @@ adamDone:
 	VZEROUPPER
 	RET
 
-// func gsProject(x, r *float64, rows, n int)
-//
-// Projects a 16-row Gram–Schmidt block against rows finished rows:
-//
-//	for j in [0,rows), every lane l of x:
-//		d = +0; for k ascending: d += x[k*16+l] * r[j*n+k]
-//		for k: x[k*16+l] -= d * r[j*n+k]
-//
-// x holds the block k-major, one ZMM lane per row (Z0/Z1 = lanes 0–7/8–15),
-// so a broadcast of r_j[k] gives every row's next product at once; n and rows
-// are positive. Per lane that is the scalar loop's `dot += ri[k]*rj[k]` from
-// +0 in k order, then `ri[k] -= dot*rj[k]`: VMULPD then VADDPD/VSUBPD, never
-// FMA, so every rounding is the scalar one. The update for row j and the dot
-// for row j+1 share one pass over x: the dot at k only reads x[k] after row
-// j's update of it, exactly the value the scalar loop reads.
-TEXT ·gsProject(SB), NOSPLIT, $0-32
-	MOVQ x+0(FP), DI
-	MOVQ r+8(FP), SI
-	MOVQ rows+16(FP), R8
-	MOVQ n+24(FP), R9
-	VPXORQ Z0, Z0, Z0
-	VPXORQ Z1, Z1, Z1
-	MOVQ DI, BX
-	MOVQ SI, CX
-	MOVQ R9, R10
-
-gsDot: // the dots against the first row
-	VBROADCASTSD (CX), Z2
-	VMULPD (BX), Z2, Z3
-	VADDPD Z3, Z0, Z0
-	VMULPD 64(BX), Z2, Z4
-	VADDPD Z4, Z1, Z1
-	ADDQ $8, CX
-	ADDQ $128, BX
-	DECQ R10
-	JNZ  gsDot
-
-gsRow: // Z0/Z1 = the dots against row SI
-	DECQ R8
-	JZ   gsLast
-	LEAQ (SI)(R9*8), DX // the next row
-	VPXORQ Z5, Z5, Z5
-	VPXORQ Z6, Z6, Z6
-	MOVQ DI, BX
-	MOVQ SI, CX
-	MOVQ DX, AX
-	MOVQ R9, R10
-
-gsFused: // x -= d*r_j, then d' += x*r_{j+1}
-	VBROADCASTSD (CX), Z2
-	VMULPD Z2, Z0, Z3
-	VMOVUPD (BX), Z7
-	VSUBPD Z3, Z7, Z7
-	VMOVUPD Z7, (BX)
-	VMULPD Z2, Z1, Z4
-	VMOVUPD 64(BX), Z8
-	VSUBPD Z4, Z8, Z8
-	VMOVUPD Z8, 64(BX)
-	VBROADCASTSD (AX), Z9
-	VMULPD Z9, Z7, Z3
-	VADDPD Z3, Z5, Z5
-	VMULPD Z9, Z8, Z4
-	VADDPD Z4, Z6, Z6
-	ADDQ $8, CX
-	ADDQ $8, AX
-	ADDQ $128, BX
-	DECQ R10
-	JNZ  gsFused
-	VMOVAPD Z5, Z0
-	VMOVAPD Z6, Z1
-	MOVQ DX, SI
-	JMP  gsRow
-
-gsLast: // the last row's update alone
-	MOVQ DI, BX
-	MOVQ SI, CX
-	MOVQ R9, R10
-
-gsUpdate:
-	VBROADCASTSD (CX), Z2
-	VMULPD Z2, Z0, Z3
-	VMOVUPD (BX), Z7
-	VSUBPD Z3, Z7, Z7
-	VMOVUPD Z7, (BX)
-	VMULPD Z2, Z1, Z4
-	VMOVUPD 64(BX), Z8
-	VSUBPD Z4, Z8, Z8
-	VMOVUPD Z8, 64(BX)
-	ADDQ $8, CX
-	ADDQ $128, BX
-	DECQ R10
-	JNZ  gsUpdate
-	VZEROUPPER
-	RET
-
 // func adamTiedRows(p, grad, m, v, step *float64, n, stride, rows int)
 //
 // The other rows of a tied run whose first row adamCols has stepped:

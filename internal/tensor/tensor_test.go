@@ -400,7 +400,11 @@ func TestPropScaleLinear(t *testing.T) {
 
 func TestOrthogonalRows(t *testing.T) {
 	rng := rand.New(rand.NewSource(8))
-	m := OrthogonalScaled(rng, 4, 16, 1.0)
+	w := OrthogonalScaled(rng, 4, 16, 1.0)
+	if w.Rows != 16 || w.Cols != 4 {
+		t.Fatalf("got %dx%d, want the 16x4 x·W layout", w.Rows, w.Cols)
+	}
+	m := w.T() // one orthonormal row per output unit
 	for i := 0; i < 4; i++ {
 		ri := RowVector(m.Row(i))
 		if math.Abs(ri.Norm2()-1) > 1e-9 {

@@ -12,6 +12,11 @@
 #     within PPO_ALLOC_BUDGET allocs/op (the batched update pipeline keeps
 #     steady-state staging in agent-owned scratch; the few remaining allocs
 #     are per-Update bookkeeping), and
+#   - every BenchmarkOrthogonalScaled row must stay within 2 allocs/op: the
+#     returned fanIn x fanOut x·W weight's header and data. The draws and the
+#     Gram–Schmidt block live in pooled scratch, and the result is written
+#     transposed, so a second result-sized allocation (a returning .T() copy,
+#     say) fails here, and
 #   - every BenchmarkFedAggregate row must report 0 allocs/op (the
 #     federation data plane — the wire session's two ends plus pooled
 #     aggregation, on the identity tier and on i8+delta — reuses encoder
@@ -29,7 +34,7 @@
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
 #   env    only the zero-alloc env/rollout/collector guards (`make bench-env`)
-#   update only the PPOUpdate budget guard (`make bench-update`)
+#   update only the PPOUpdate and OrthogonalScaled budget guards (`make bench-update`)
 #   agg    only the federation data-plane guards (`make bench-agg`)
 #
 # BENCHTIME defaults to a short fixed iteration count so `make ci` stays
@@ -60,6 +65,9 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "update" ]; then
 	"$GO" test ./internal/rl/ -run '^$' \
 		-bench 'BenchmarkPPOUpdate' -cpu 1,2,4 \
 		-benchtime "$PPO_BENCHTIME" -benchmem | tee -a "$out"
+	"$GO" test ./internal/tensor/ -run '^$' \
+		-bench 'BenchmarkOrthogonalScaled' \
+		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 	"$GO" test ./internal/fed/ -run '^$' \
@@ -87,6 +95,14 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 		}
 	}
 }
+/^BenchmarkOrthogonalScaled/ {
+	for (i = 2; i <= NF; i++) {
+		if ($i == "allocs/op" && $(i-1) + 0 > 2) {
+			printf "FAIL: %s reports %s allocs/op (budget 2)\n", $1, $(i-1)
+			bad = 1
+		}
+	}
+}
 /^BenchmarkAsyncReply/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "allocs/op" && $(i-1) + 0 > 1) {
@@ -106,8 +122,8 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 END { exit bad }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, AsyncReply within 1, RPCSync within 10" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 10" ;;
 env) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode are allocation-free" ;;
-update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op" ;;
+update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2" ;;
 agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op, RPCSync within 10" ;;
 esac
