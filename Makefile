@@ -27,9 +27,12 @@ STATICCHECK_VERSION ?= 2025.1
 
 ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke figs-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
 
-# gofmt -l prints the files it would rewrite; any output fails the gate.
+# The arm64 pass type-checks the portable kernels (internal/tensor's
+# !amd64 files), which no amd64 build compiles. gofmt -l prints the files it
+# would rewrite; any output fails the gate.
 vet:
 	$(GO) vet ./...
+	GOARCH=arm64 $(GO) vet ./...
 	@unformatted="$$(gofmt -l cmd internal *.go)"; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: not formatted (run gofmt -w):"; echo "$$unformatted"; exit 1; \
@@ -158,8 +161,8 @@ bench-update:
 # installs) must allocate nothing, on the identity tier and on i8+delta; an
 # async server's non-participant reply (BenchmarkAsyncReply) allocates only
 # the frame copy it sends after the lock; one loopback Sync through the binary
-# RPC codec (BenchmarkRPCSync) stays within net/rpc's own per-call
-# bookkeeping plus that copy.
+# RPC codec (BenchmarkRPCSync) allocates only the client's boxed arguments
+# and that copy.
 bench-agg:
 	GO="$(GO)" BENCHTIME="$${BENCHTIME:-50x}" ./scripts/bench_alloc_guard.sh agg
 

@@ -43,6 +43,17 @@ type benchConfig struct {
 	smooth       int
 	csvDir       string
 	workloadSpec string
+	// runs holds the invocation's training runs, so an experiment that needs
+	// a run an earlier one made (fig9 after fig8, fig16 after fig15 in -exp
+	// all) reads it instead of training it again. Nil trains every time.
+	runs map[trainKey]*core.TrainResult
+}
+
+// trainKey names one training run of an invocation: the client table (2 or
+// 3) and the algorithm; the flags fix everything else.
+type trainKey struct {
+	table int
+	alg   core.Algorithm
 }
 
 // expIDs is the -exp usage string; run dispatches every id in it but "all".
@@ -90,7 +101,8 @@ func main() {
 			}
 		}()
 	}
-	bc := benchConfig{seed: *seed, scale: *scale, tasks: *tasks, episodes: *episodes, comm: *comm, smooth: *smooth, csvDir: *csvDir, workloadSpec: *workloadSpec}
+	bc := benchConfig{seed: *seed, scale: *scale, tasks: *tasks, episodes: *episodes, comm: *comm, smooth: *smooth, csvDir: *csvDir, workloadSpec: *workloadSpec,
+		runs: map[trainKey]*core.TrainResult{}}
 	if bc.csvDir != "" {
 		if err := os.MkdirAll(bc.csvDir, 0o755); err != nil {
 			log.Fatal(err)
@@ -114,6 +126,33 @@ func (bc benchConfig) experiment(specs []core.ClientSpec) core.ExperimentConfig 
 	cfg.CommEvery = bc.comm
 	cfg.EpisodeStepCap = 5 * bc.tasks
 	return cfg
+}
+
+// convergence is core.RunConvergence on client table 2 or 3, training only
+// the runs bc.runs does not hold yet.
+func (bc benchConfig) convergence(table int, algs []core.Algorithm) (map[string][]float64, map[core.Algorithm]*core.TrainResult, error) {
+	specs := core.Table2Specs()
+	if table == 3 {
+		specs = core.Table3Specs()
+	}
+	var train []core.Algorithm
+	for _, alg := range algs {
+		if bc.runs[trainKey{table, alg}] == nil {
+			train = append(train, alg)
+		}
+	}
+	curves, results, err := core.RunConvergence(bc.experiment(specs), train)
+	if err != nil {
+		return nil, nil, err
+	}
+	for _, alg := range algs {
+		if r := bc.runs[trainKey{table, alg}]; r != nil {
+			curves[alg.String()], results[alg] = r.MeanCurve, r
+		} else if bc.runs != nil {
+			bc.runs[trainKey{table, alg}] = results[alg]
+		}
+	}
+	return curves, results, nil
 }
 
 func run(id string, bc benchConfig) error {
@@ -224,8 +263,7 @@ func runFig7(bc benchConfig) error {
 
 func runFig8(bc benchConfig) error {
 	fmt.Println("Figure 8: FedAvg vs independent PPO convergence (§3.2)")
-	cfg := bc.experiment(core.Table2Specs())
-	curves, _, err := core.RunConvergence(cfg, []core.Algorithm{core.AlgFedAvg, core.AlgPPO})
+	curves, _, err := bc.convergence(2, []core.Algorithm{core.AlgFedAvg, core.AlgPPO})
 	if err != nil {
 		return err
 	}
@@ -238,8 +276,7 @@ func runFig8(bc benchConfig) error {
 
 func runFig9(bc benchConfig) error {
 	fmt.Println("Figure 9: critic loss before/after FedAvg aggregation (§3.2)")
-	cfg := bc.experiment(core.Table2Specs())
-	_, results, err := core.RunConvergence(cfg, []core.Algorithm{core.AlgFedAvg})
+	_, results, err := bc.convergence(2, []core.Algorithm{core.AlgFedAvg})
 	if err != nil {
 		return err
 	}
@@ -312,8 +349,7 @@ func runFig11to13(bc benchConfig) error {
 
 func runFig15(bc benchConfig) error {
 	fmt.Println("Figure 15: convergence of PFRL-DM / MFPO / FedAvg / PPO (§5.2)")
-	cfg := bc.experiment(core.Table3Specs())
-	curves, _, err := core.RunConvergence(cfg, core.AllAlgorithms())
+	curves, _, err := bc.convergence(3, core.AllAlgorithms())
 	if err != nil {
 		return err
 	}
@@ -333,7 +369,7 @@ func runHybridAndTable4(bc benchConfig) error {
 	fmt.Println("(completed = tasks scheduled/offered over all clients; incomplete clients left tasks")
 	fmt.Println("unscheduled at the evaluation horizon, and response/makespan cover scheduled tasks only)")
 	cfg := bc.experiment(core.Table3Specs())
-	_, results, err := core.RunConvergence(cfg, core.AllAlgorithms())
+	_, results, err := bc.convergence(3, core.AllAlgorithms())
 	if err != nil {
 		return err
 	}

@@ -1,11 +1,13 @@
 package main
 
 import (
+	"maps"
 	"os"
 	"path/filepath"
 	"strings"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fed"
 )
 
@@ -73,5 +75,36 @@ func TestEveryExperimentIDDispatches(t *testing.T) {
 func TestAblationHeadsFourIsTheDefault(t *testing.T) {
 	if h := fed.NewAttention(1).Gen.Heads; h != 4 {
 		t.Fatalf("PFRL-DM's aggregator defaults to %d heads; runAblation's heads=4 row assumes 4", h)
+	}
+}
+
+// TestConvergenceRunsAreReused: within one invocation fig9 reads the FedAvg
+// run fig8 trained on Table 2 and fig16 the four runs fig15 trained on Table
+// 3, training nothing again, and each prints what it prints run alone.
+func TestConvergenceRunsAreReused(t *testing.T) {
+	alone := benchConfig{seed: 1, scale: 4, tasks: 10, episodes: 2, comm: 1, smooth: 5}
+	shared := alone
+	shared.runs = map[trainKey]*core.TrainResult{}
+	for _, c := range []struct {
+		first, then string
+		runs        int
+	}{{"fig8", "fig9", 2}, {"fig15", "fig16", 6}} {
+		var err error
+		captureStdout(t, func() { err = run(c.first, shared) })
+		if err != nil || len(shared.runs) != c.runs {
+			t.Fatalf("-exp %s: %d runs held, want %d (err %v)", c.first, len(shared.runs), c.runs, err)
+		}
+		held := maps.Clone(shared.runs)
+		got := captureStdout(t, func() { err = run(c.then, shared) })
+		if err != nil || !maps.Equal(shared.runs, held) {
+			t.Fatalf("-exp %s after %s changed the runs held (err %v)", c.then, c.first, err)
+		}
+		if want := captureStdout(t, func() { err = run(c.then, alone) }); err != nil || got != want {
+			t.Fatalf("-exp %s after %s printed\n%s\nand alone (err %v)\n%s", c.then, c.first, got, err, want)
+		}
+	}
+	_, results, err := shared.convergence(2, []core.Algorithm{core.AlgFedAvg})
+	if err != nil || results[core.AlgFedAvg] != shared.runs[trainKey{2, core.AlgFedAvg}] {
+		t.Fatalf("a held run was trained again (err %v)", err)
 	}
 }

@@ -24,7 +24,7 @@
 //	internal/rl        the one PPO learner, plain or dual-critic (§4.3)
 //	internal/fedcore   transport-agnostic federated round engine
 //	internal/fed       clients, in-process rounds, aggregators (§4.4-4.5)
-//	internal/fednet    the same rounds over TCP (net/rpc), swarm chaos harness
+//	internal/fednet    the same rounds over TCP (binary RPC), swarm chaos harness
 //	internal/obs       JSONL events, Prometheus registry, phase timers
 //	internal/core      the algorithm table, experiment orchestration, one runner per figure
 //	internal/stats     Wilcoxon signed-rank test and descriptive stats

@@ -4,7 +4,6 @@ import (
 	"errors"
 	"fmt"
 	"math"
-	"net/rpc"
 	"slices"
 	"strings"
 	"sync"
@@ -28,7 +27,7 @@ func startAsyncServer(t *testing.T, n, k, bound, buffer int, agg fed.Aggregator,
 
 // dialRaw opens a bare RPC connection to addr on the fednet wire format,
 // closed when the test ends.
-func dialRaw(tb testing.TB, addr string) *rpc.Client {
+func dialRaw(tb testing.TB, addr string) *rpcClient {
 	tb.Helper()
 	conn, err := dialRPC(addr)
 	if err != nil {
@@ -39,10 +38,10 @@ func dialRaw(tb testing.TB, addr string) *rpc.Client {
 }
 
 // rawJoin registers a bare RPC connection as the next client slot.
-func rawJoin(t *testing.T, conn *rpc.Client) JoinReply {
+func rawJoin(t *testing.T, conn *rpcClient) JoinReply {
 	t.Helper()
 	var reply JoinReply
-	if err := conn.Call("Federation.Join", JoinArgs{}, &reply); err != nil {
+	if err := conn.Call(methodJoin, JoinArgs{}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	return reply
@@ -56,7 +55,7 @@ func TestAsyncServerDedupesRetransmits(t *testing.T) {
 	initial := fed.Payload{0, 0}
 	srv, addr := startAsyncServer(t, 2, 2, -1, 2, fed.FedAvg{}, initial)
 
-	conns := make([]*rpc.Client, 2)
+	conns := make([]*rpcClient, 2)
 	for i := range conns {
 		conn := dialRaw(t, addr)
 		if reply := rawJoin(t, conn); !reply.Async {
@@ -68,10 +67,10 @@ func TestAsyncServerDedupesRetransmits(t *testing.T) {
 	// Client 0 submits seq 1, then retransmits it (duplicated/delayed ACK).
 	var first, dup SyncReply
 	args := SyncArgs{ClientID: 0, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}
-	if err := conns[0].Call("Federation.Sync", args, &first); err != nil {
+	if err := conns[0].Call(methodSync, args, &first); err != nil {
 		t.Fatal(err)
 	}
-	if err := conns[0].Call("Federation.Sync", args, &dup); err != nil {
+	if err := conns[0].Call(methodSync, args, &dup); err != nil {
 		t.Fatalf("retransmit errored instead of being answered idempotently: %v", err)
 	}
 
@@ -79,7 +78,7 @@ func TestAsyncServerDedupesRetransmits(t *testing.T) {
 	// retransmit had been buffered, the commit would have fired early with
 	// two copies of client 0's delta.
 	var reply SyncReply
-	if err := conns[1].Call("Federation.Sync",
+	if err := conns[1].Call(methodSync,
 		SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{4, 8})}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +227,7 @@ func TestLostReplyRecoversThroughRefMismatch(t *testing.T) {
 	// the server frames (and rotates) for client 0 and the client never knows.
 	conn := dialRaw(t, addr)
 	var lost FetchReply
-	if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: rc.ID(), Base: -1}, &lost); err != nil || lost.RefTag == 0 {
+	if err := conn.Call(methodFetch, FetchArgs{ClientID: rc.ID(), Base: -1}, &lost); err != nil || lost.RefTag == 0 {
 		t.Fatalf("stand-in fetch: tag %#x err %v, want a tagged reply", lost.RefTag, err)
 	}
 
@@ -263,7 +262,7 @@ func TestAsyncFetchDeliversCommittedResults(t *testing.T) {
 	initial := fed.Payload{0, 0}
 	srv, addr := startAsyncServer(t, 2, 2, -1, 2, fed.FedAvg{}, initial)
 
-	conns := make([]*rpc.Client, 2)
+	conns := make([]*rpcClient, 2)
 	for i := range conns {
 		conn := dialRaw(t, addr)
 		rawJoin(t, conn)
@@ -271,7 +270,7 @@ func TestAsyncFetchDeliversCommittedResults(t *testing.T) {
 	}
 
 	var r0, r1 SyncReply
-	if err := conns[0].Call("Federation.Sync",
+	if err := conns[0].Call(methodSync,
 		SyncArgs{ClientID: 0, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}, &r0); err != nil {
 		t.Fatal(err)
 	}
@@ -279,7 +278,7 @@ func TestAsyncFetchDeliversCommittedResults(t *testing.T) {
 	if r0.Participant || r0.Round != 0 {
 		t.Fatalf("pre-commit reply %+v", r0)
 	}
-	if err := conns[1].Call("Federation.Sync",
+	if err := conns[1].Call(methodSync,
 		SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{4, 8})}, &r1); err != nil {
 		t.Fatal(err)
 	}
@@ -290,7 +289,7 @@ func TestAsyncFetchDeliversCommittedResults(t *testing.T) {
 
 	// Client 0 fetches its retained personalized payload.
 	var f0 FetchReply
-	if err := conns[0].Call("Federation.Fetch", FetchArgs{ClientID: 0, Base: 0}, &f0); err != nil {
+	if err := conns[0].Call(methodFetch, FetchArgs{ClientID: 0, Base: 0}, &f0); err != nil {
 		t.Fatal(err)
 	}
 	if !f0.Has || !f0.Participant || f0.Round != 1 {
@@ -298,7 +297,7 @@ func TestAsyncFetchDeliversCommittedResults(t *testing.T) {
 	}
 	// A second fetch from the advanced base: nothing new.
 	var f1 FetchReply
-	if err := conns[0].Call("Federation.Fetch", FetchArgs{ClientID: 0, Base: f0.Round}, &f1); err != nil {
+	if err := conns[0].Call(methodFetch, FetchArgs{ClientID: 0, Base: f0.Round}, &f1); err != nil {
 		t.Fatal(err)
 	}
 	if f1.Has {
@@ -314,7 +313,7 @@ func TestAsyncStaleSubmissionDropped(t *testing.T) {
 	initial := fed.Payload{0}
 	srv, addr := startAsyncServer(t, 2, 2, 0, 1, fed.FedAvg{}, initial)
 
-	conns := make([]*rpc.Client, 2)
+	conns := make([]*rpcClient, 2)
 	for i := range conns {
 		conn := dialRaw(t, addr)
 		rawJoin(t, conn)
@@ -324,16 +323,16 @@ func TestAsyncStaleSubmissionDropped(t *testing.T) {
 	var reply SyncReply
 	// Client 0 commits rounds 1 and 2 (buffer 1: every accepted submission
 	// commits).
-	if err := conns[0].Call("Federation.Sync",
+	if err := conns[0].Call(methodSync,
 		SyncArgs{ClientID: 0, Round: 1, Base: 0, Frame: testFrame(fed.Payload{1})}, &reply); err != nil {
 		t.Fatal(err)
 	}
-	if err := conns[0].Call("Federation.Sync",
+	if err := conns[0].Call(methodSync,
 		SyncArgs{ClientID: 0, Round: 2, Base: 1, Frame: testFrame(fed.Payload{2})}, &reply); err != nil {
 		t.Fatal(err)
 	}
 	// Client 1 is still on base 0: two rounds stale, dropped under bound 0.
-	if err := conns[1].Call("Federation.Sync",
+	if err := conns[1].Call(methodSync,
 		SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{9})}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -341,7 +340,7 @@ func TestAsyncStaleSubmissionDropped(t *testing.T) {
 		t.Fatalf("stale delta leaked into the global: %v", g)
 	}
 	// The drop surfaces in the next committed report.
-	if err := conns[0].Call("Federation.Sync",
+	if err := conns[0].Call(methodSync,
 		SyncArgs{ClientID: 0, Round: 3, Base: 2, Frame: testFrame(fed.Payload{3})}, &reply); err != nil {
 		t.Fatal(err)
 	}
@@ -361,12 +360,12 @@ func TestUnjoinedClientRefused(t *testing.T) {
 		t.Fatalf("first join got slot %d", id)
 	}
 	var reply SyncReply
-	err := conn.Call("Federation.Sync", SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}, &reply)
+	err := conn.Call(methodSync, SyncArgs{ClientID: 1, Round: 1, Base: 0, Frame: testFrame(fed.Payload{2, 4})}, &reply)
 	if err == nil || !strings.Contains(err.Error(), "unknown client") {
 		t.Fatalf("Sync as the unjoined id 1: err %v, want unknown client", err)
 	}
 	var fetch FetchReply
-	err = conn.Call("Federation.Fetch", FetchArgs{ClientID: 1, Base: -1}, &fetch)
+	err = conn.Call(methodFetch, FetchArgs{ClientID: 1, Base: -1}, &fetch)
 	if err == nil || !strings.Contains(err.Error(), "unknown client") {
 		t.Fatalf("Fetch as the unjoined id 1: err %v, want unknown client", err)
 	}
@@ -385,11 +384,11 @@ func TestFetchRejectedOnSyncServer(t *testing.T) {
 	conn := dialRaw(t, addr)
 	rawJoin(t, conn)
 	var reply FetchReply
-	if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: 0}, &reply); err == nil {
+	if err := conn.Call(methodFetch, FetchArgs{ClientID: 0}, &reply); err == nil {
 		t.Fatal("sync server accepted an async Fetch")
 	}
-	var srvErr rpc.ServerError
-	if cerr := conn.Call("Federation.Fetch", FetchArgs{ClientID: 0}, &reply); !errors.As(cerr, &srvErr) {
+	var srvErr serverError
+	if cerr := conn.Call(methodFetch, FetchArgs{ClientID: 0}, &reply); !errors.As(cerr, &srvErr) {
 		t.Fatalf("unexpected error shape: %v", cerr)
 	}
 }
@@ -464,7 +463,7 @@ func TestAsyncNonFiniteUploadRetried(t *testing.T) {
 	poisoned := mustUpload(t, transport, locals[0])
 	poisoned[0] = math.Inf(1)
 	var reply SyncReply
-	err := conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: 1, Base: 0, Frame: testFrame(poisoned)}, &reply)
+	err := conn.Call(methodSync, SyncArgs{ClientID: id, Round: 1, Base: 0, Frame: testFrame(poisoned)}, &reply)
 	if retry, redial := retryable(err); !serverSaid(err, msgBadUpload) || !retry || redial {
 		t.Fatalf("non-finite Sync: err %v (retry %v, redial %v), want a retryable %q", err, retry, redial, msgBadUpload)
 	}
@@ -595,13 +594,13 @@ func TestAsyncRepliesFrameCommittedGlobal(t *testing.T) {
 		conn := dialRaw(t, addr)
 		id := rawJoin(t, conn).ClientID
 		wg.Add(1)
-		go func(conn *rpc.Client, id int) {
+		go func(conn *rpcClient, id int) {
 			defer wg.Done()
 			base := 0
 			for seq := 1; seq <= syncs; seq++ {
 				up := fed.Payload{float64(id), float64(seq), float64(id * seq)}
 				var sr SyncReply
-				if err := conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: seq, Base: base, Frame: testFrame(up)}, &sr); err != nil {
+				if err := conn.Call(methodSync, SyncArgs{ClientID: id, Round: seq, Base: base, Frame: testFrame(up)}, &sr); err != nil {
 					t.Error(err)
 					return
 				}
@@ -616,7 +615,7 @@ func TestAsyncRepliesFrameCommittedGlobal(t *testing.T) {
 				base = sr.Round
 
 				var fr FetchReply
-				if err := conn.Call("Federation.Fetch", FetchArgs{ClientID: id, Base: base - 1}, &fr); err != nil {
+				if err := conn.Call(methodFetch, FetchArgs{ClientID: id, Base: base - 1}, &fr); err != nil {
 					t.Error(err)
 					return
 				}

@@ -22,9 +22,8 @@ func BenchmarkAsyncReply(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	h := &rpcHandler{s: s}
 	for i := 0; i < clients; i++ {
-		if err := h.Join(JoinArgs{}, &JoinReply{}); err != nil {
+		if err := s.join(JoinArgs{}, &JoinReply{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -34,7 +33,7 @@ func BenchmarkAsyncReply(b *testing.B) {
 		for j := range up {
 			up[j] = float64(id+1) * 1e-3 * float64(j%17)
 		}
-		if err := h.Sync(SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
+		if err := s.sync(SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -45,7 +44,7 @@ func BenchmarkAsyncReply(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := h.Fetch(FetchArgs{ClientID: clients - 1, Base: 0}, &reply); err != nil || !reply.Has || reply.Participant {
+		if err := s.fetch(FetchArgs{ClientID: clients - 1, Base: 0}, &reply); err != nil || !reply.Has || reply.Participant {
 			b.Fatalf("fetch: %+v, %v", reply, err)
 		}
 	}
@@ -74,7 +73,7 @@ func BenchmarkRPCSync(b *testing.B) {
 	b.Cleanup(s.Close)
 	conn := dialRaw(b, addr)
 	for i := 0; i < clients; i++ {
-		if err := conn.Call("Federation.Join", JoinArgs{}, &JoinReply{}); err != nil {
+		if err := conn.Call(methodJoin, JoinArgs{}, &JoinReply{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -84,7 +83,7 @@ func BenchmarkRPCSync(b *testing.B) {
 		for j := range up {
 			up[j] = float64(id+1) * 1e-3 * float64(j%17)
 		}
-		if err := conn.Call("Federation.Sync", SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
+		if err := conn.Call(methodSync, SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -107,7 +106,7 @@ func BenchmarkRPCSync(b *testing.B) {
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		args.Frame = wire.Encode(up)
-		if err := conn.Call("Federation.Sync", args, &reply); err != nil {
+		if err := conn.Call(methodSync, args, &reply); err != nil {
 			b.Fatal(err)
 		}
 		install(&reply)

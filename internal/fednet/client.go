@@ -6,7 +6,7 @@ import (
 	"io"
 	"math/rand"
 	"net"
-	"net/rpc"
+	"os"
 	"strings"
 	"time"
 
@@ -67,15 +67,14 @@ type RemoteClient struct {
 	round int // sync mode: next server round; async mode: local submission seq
 	async bool
 	base  int // the server round whose global we last installed
-	rpc   *rpc.Client
+	rpc   *rpcClient
 	rng   *rand.Rand
 	stats ClientStats
 
 	// wire is the client end of the wire session (codec from the JoinReply).
 	wire *fedcore.WireClient
 	// down is the storage the next Sync or Fetch reply's frame is read
-	// into: the last reply's, which install has decoded out of by then. A
-	// call that times out keeps it (see call).
+	// into: the last reply's, which install has decoded out of by then.
 	down []byte
 }
 
@@ -103,7 +102,7 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 	c.rpc = conn
 	var reply JoinReply
 	args := JoinArgs{Rejoin: opts.Rejoin, ClientID: opts.RejoinID}
-	if err := c.call("Federation.Join", args, &reply); err != nil {
+	if err := c.call(methodJoin, args, &reply); err != nil {
 		conn.Close()
 		return nil, fmt.Errorf("fednet: join: %w", err)
 	}
@@ -142,34 +141,28 @@ func (c *RemoteClient) Round() int {
 // Stats returns the client's fault-tolerance counters.
 func (c *RemoteClient) Stats() ClientStats { return c.stats }
 
-// call issues one RPC, bounded by CallTimeout when set. On timeout the
-// connection is closed (a stale late reply must not leak into a future
-// call's budget) and the caller is expected to reconnect before retrying.
-// The abandoned call keeps its reply's storage: its late reply may still be
-// read into it while the connection closes, so the next reply gets fresh
-// storage (DESIGN §9 contract 21).
-func (c *RemoteClient) call(method string, args, reply any) error {
+// call issues one RPC, bounded by CallTimeout when set: a deadline on the
+// connection, which a timed-out call closes, so the caller is expected to
+// reconnect before retrying. Nothing reads into the reply once call has
+// returned, so the reply's storage is the caller's again either way.
+func (c *RemoteClient) call(method byte, args, reply any) error {
 	if c.opts.CallTimeout <= 0 {
 		return c.rpc.Call(method, args, reply)
 	}
-	inflight := c.rpc.Go(method, args, reply, make(chan *rpc.Call, 1))
-	t := time.NewTimer(c.opts.CallTimeout)
-	defer t.Stop()
-	select {
-	case done := <-inflight.Done:
-		return done.Error
-	case <-t.C:
-		c.stats.Timeouts++
-		mNetTimeouts.Inc()
-		if obs.Active() {
-			obs.Emit(obs.E("rpc_timeout").At(c.id, c.round, -1).
-				S("method", method).
-				F("timeout_seconds", c.opts.CallTimeout.Seconds()))
-		}
-		c.rpc.Close()
-		c.down = nil
-		return fmt.Errorf("%w: %s after %v", ErrRPCTimeout, method, c.opts.CallTimeout)
+	_ = c.rpc.conn.SetDeadline(time.Now().Add(c.opts.CallTimeout)) // a closed connection fails the call
+	err := c.rpc.Call(method, args, reply)
+	if !errors.Is(err, os.ErrDeadlineExceeded) {
+		return err
 	}
+	c.stats.Timeouts++
+	mNetTimeouts.Inc()
+	if obs.Active() {
+		obs.Emit(obs.E("rpc_timeout").At(c.id, c.round, -1).
+			S("method", methodNames[method]).
+			F("timeout_seconds", c.opts.CallTimeout.Seconds()))
+	}
+	c.rpc.Close()
+	return fmt.Errorf("%w: %s after %v", ErrRPCTimeout, methodNames[method], c.opts.CallTimeout)
 }
 
 // reconnect tears down the connection and dials a fresh one.
@@ -194,11 +187,11 @@ func retryable(err error) (retry, redial bool) {
 		return false, false
 	case errors.Is(err, fed.ErrInjectedFault):
 		return true, false
-	case errors.Is(err, ErrRPCTimeout), errors.Is(err, rpc.ErrShutdown),
+	case errors.Is(err, ErrRPCTimeout), errors.Is(err, net.ErrClosed),
 		errors.Is(err, io.EOF), errors.Is(err, io.ErrUnexpectedEOF):
 		return true, true
 	}
-	var srvErr rpc.ServerError
+	var srvErr serverError
 	if errors.As(err, &srvErr) {
 		return serverSaid(err, msgBadUpload) || serverSaid(err, msgRefMismatch), false
 	}
@@ -210,7 +203,7 @@ func retryable(err error) (retry, redial bool) {
 }
 
 // serverSaid reports whether err carries one of the server's message
-// prefixes (net/rpc flattens server-side errors to strings).
+// prefixes (the wire carries server-side errors as strings).
 func serverSaid(err error, msg string) bool {
 	return err != nil && strings.Contains(err.Error(), msg)
 }
@@ -325,7 +318,7 @@ func (c *RemoteClient) syncOnce() error {
 	}
 	reply := SyncReply{Frame: c.down}
 	args := SyncArgs{ClientID: c.id, Round: c.round, Frame: c.wire.Encode(upload), Base: c.base}
-	if err := c.call("Federation.Sync", args, &reply); err != nil {
+	if err := c.call(methodSync, args, &reply); err != nil {
 		return err
 	}
 	c.down = reply.Frame
@@ -357,7 +350,7 @@ func (c *RemoteClient) install(frame []byte, refTag uint64) error {
 func (c *RemoteClient) Fetch() (installed bool, err error) {
 	err = c.retry("fetch", func() error {
 		reply := FetchReply{Frame: c.down}
-		if err := c.call("Federation.Fetch", FetchArgs{ClientID: c.id, Base: c.base}, &reply); err != nil {
+		if err := c.call(methodFetch, FetchArgs{ClientID: c.id, Base: c.base}, &reply); err != nil {
 			return err
 		}
 		if c.down = reply.Frame; !reply.Has {
@@ -381,7 +374,7 @@ func (c *RemoteClient) Async() bool { return c.async }
 func (c *RemoteClient) resync() error {
 	return c.retry("resync", func() error {
 		var reply JoinReply
-		if err := c.call("Federation.Join", JoinArgs{Rejoin: true, ClientID: c.id}, &reply); err != nil {
+		if err := c.call(methodJoin, JoinArgs{Rejoin: true, ClientID: c.id}, &reply); err != nil {
 			return err
 		}
 		if err := c.Transport.Download(c.Local, reply.Global); err != nil {

@@ -8,16 +8,15 @@ import (
 	"io"
 	"math"
 	"net"
-	"net/rpc"
-	"sync"
 
 	"repro/internal/fed"
 	"repro/internal/fedcore"
 )
 
-// The federation's RPC wire format: net/rpc's calls, sequence numbers and
-// error strings over a fixed binary encoding (rpc.ClientCodec and
-// rpc.ServerCodec below) instead of gob.
+// The federation's RPC wire format: calls, sequence numbers and error
+// strings over a fixed binary encoding. The server reads, serves and answers
+// one call at a time per connection (Server.serveConn); the client end,
+// rpcClient, writes a request and reads its own reply.
 //
 // A connection opens with the client's 8-byte preface, rpcPreface: a magic
 // and the format's version. The server refuses a connection that does not
@@ -28,7 +27,7 @@ import (
 //	offset  size  field
 //	0       1     method id: 1 Join, 2 Sync, 3 Fetch (0 in the error
 //	              response to a method the server does not know)
-//	1       8     seq, net/rpc's call sequence number
+//	1       8     seq, the call's sequence number, echoed in its reply
 //	9       2     e, the error string's length (0 in a request)
 //	11      4     n, the body's length (0 in an error response)
 //	15      e     error string
@@ -45,10 +44,9 @@ import (
 // caller's slice through the connection's bufio.Writer, never copied into
 // an encoder's buffer. A reply's variable part is read into the storage the
 // caller's reply struct already holds, so a client that hands its last
-// reply's frame back in allocates nothing in steady state — and must not
-// hand it to a retry after a timeout, since the abandoned call's late
-// reply may still be read into it. An upload is read into a buffer the
-// server connection lends to the one request it has in flight.
+// reply's frame back in allocates nothing in steady state; nothing reads
+// into it once the call has returned, timed out or not. Every upload on a
+// server connection is read into that connection's one buffer.
 const (
 	rpcPreface = "PFRPC/1\n"
 	// rpcMagic is the preface without its version and newline.
@@ -73,29 +71,23 @@ const (
 	methodFetch
 )
 
-// rpcMethods names the methods by wire id.
-var rpcMethods = [...]string{methodJoin: "Federation.Join", methodSync: "Federation.Sync", methodFetch: "Federation.Fetch"}
+// methodNames names the methods in errors and events.
+var methodNames = [...]string{methodJoin: "Federation.Join", methodSync: "Federation.Sync", methodFetch: "Federation.Fetch"}
 
 // errBadMessage marks a message that breaks the wire format.
 var errBadMessage = errors.New("fednet: malformed rpc message")
 
-// methodID returns the wire id of a method name, 0 for none.
-func methodID(name string) byte {
-	for id, m := range rpcMethods {
-		if id > 0 && m == name {
-			return byte(id)
-		}
-	}
-	return 0
-}
+// serverError is an error string a server answered a call with. The client
+// classifies it by its msg* prefix.
+type serverError string
 
-// codecConn is what both ends share: one connection, its buffers, and the
-// message being read. Reads run on one goroutine and writes, which net/rpc
-// serializes, on others, so each side has its own scratch.
+func (e serverError) Error() string { return string(e) }
+
+// codecConn is what both ends share: a connection's buffers, and the
+// message being read.
 type codecConn struct {
-	rwc io.ReadWriteCloser
-	br  *bufio.Reader
-	bw  *bufio.Writer
+	br *bufio.Reader
+	bw *bufio.Writer
 
 	rs [24]byte             // read scratch: the header, a body's fixed part
 	ws [msgHeader + 24]byte // write scratch: the header and a body's fixed part
@@ -104,14 +96,32 @@ type codecConn struct {
 	body   int  // and the bytes of its body not yet read
 }
 
-func newCodecConn(rwc io.ReadWriteCloser) codecConn {
-	return codecConn{rwc: rwc, br: bufio.NewReader(rwc), bw: bufio.NewWriter(rwc)}
+func newCodecConn(rw io.ReadWriter) codecConn {
+	return codecConn{br: bufio.NewReader(rw), bw: bufio.NewWriter(rw)}
 }
 
-func (c *codecConn) Close() error { return c.rwc.Close() }
+// errPreface marks a connection refused for its preface.
+var errPreface = errors.New("fednet: refused connection")
+
+// readPreface reads a server connection's preface, and refuses a connection
+// that does not open with it — a gob-speaking net/rpc client, a client of
+// another version of the format — without decoding anything from it.
+func (c *codecConn) readPreface() error {
+	p := c.rs[:len(rpcPreface)]
+	if _, err := io.ReadFull(c.br, p); err != nil {
+		return fmt.Errorf("%w: no preface: %v", errPreface, err)
+	}
+	switch {
+	case string(p) == rpcPreface:
+		return nil
+	case string(p[:len(rpcMagic)]) == rpcMagic:
+		return fmt.Errorf("%w: wire format %q, this server speaks %q", errPreface, p, rpcPreface)
+	}
+	return fmt.Errorf("%w: not the %q wire format (a gob net/rpc client?)", errPreface, rpcPreface)
+}
 
 // readHeader reads one message header and its error string. A connection
-// that ends before the header returns io.EOF bare, as net/rpc expects.
+// that ends before the header returns io.EOF bare.
 func (c *codecConn) readHeader(request bool) (method byte, seq uint64, errMsg string, err error) {
 	h := c.rs[:msgHeader]
 	if _, err = io.ReadFull(c.br, h); err != nil {
@@ -124,7 +134,7 @@ func (c *codecConn) readHeader(request bool) (method byte, seq uint64, errMsg st
 		return 0, 0, "", fmt.Errorf("%w: a %d-byte body exceeds the frame bound %d", errBadMessage, n, maxBody)
 	case request && e != 0:
 		return 0, 0, "", fmt.Errorf("%w: a request carries an error string", errBadMessage)
-	case !request && int(method) >= len(rpcMethods):
+	case !request && method > methodFetch:
 		return 0, 0, "", fmt.Errorf("%w: response for unknown method %d", errBadMessage, method)
 	}
 	if e > 0 {
@@ -205,8 +215,8 @@ const (
 
 // bodyLayout returns the method a body type belongs to, its fixed part's
 // length and its variable part, or method 0 for a type the wire does not
-// decode into. Bodies are decoded into pointers, as net/rpc hands them over
-// (and encoded, by putBody, from argument values, as callers pass them).
+// decode into. Bodies are decoded into pointers (and encoded, by putBody,
+// from argument values, as callers pass them).
 func bodyLayout(body any) (method byte, fixed, tail int) {
 	switch body.(type) {
 	case *JoinArgs:
@@ -383,138 +393,60 @@ func putBody(dst []byte, body any) (fixed, frame []byte, global fed.Payload, ok 
 	return dst, frame, global, true
 }
 
-// clientCodec is the client end: net/rpc's rpc.ClientCodec on the binary
-// wire format.
-type clientCodec struct{ codecConn }
-
-// newClientCodec opens a client connection: the preface goes out with the
-// first request.
-func newClientCodec(rwc io.ReadWriteCloser) *clientCodec {
-	c := &clientCodec{newCodecConn(rwc)}
-	_, _ = c.bw.WriteString(rpcPreface) // flushed, and checked, with the first request
-	return c
+// rpcClient is the client end of a connection: one call at a time, each
+// writing its request and reading its own reply, so no reply is read once
+// its call has returned.
+type rpcClient struct {
+	codecConn
+	conn net.Conn
+	seq  uint64 // the last call's
 }
 
 // dialRPC connects to a fednet server.
-func dialRPC(addr string) (*rpc.Client, error) {
+func dialRPC(addr string) (*rpcClient, error) {
 	conn, err := net.Dial("tcp", addr)
 	if err != nil {
 		return nil, err
 	}
-	return rpc.NewClientWithCodec(newClientCodec(conn)), nil
+	return newRPCClient(conn), nil
 }
 
-// WriteRequest sends one call. A method without a wire id is refused before
-// anything is written, so the connection stays usable.
-func (c *clientCodec) WriteRequest(r *rpc.Request, body any) error {
-	id := methodID(r.ServiceMethod)
-	if id == 0 {
-		return fmt.Errorf("fednet: no such rpc method %q", r.ServiceMethod)
-	}
-	return c.write(id, r.Seq, "", body)
+// newRPCClient opens a client connection: the preface goes out with the
+// first request.
+func newRPCClient(conn net.Conn) *rpcClient {
+	c := &rpcClient{codecConn: newCodecConn(conn), conn: conn}
+	_, _ = c.bw.WriteString(rpcPreface) // flushed, and checked, with the first request
+	return c
 }
 
-func (c *clientCodec) ReadResponseHeader(r *rpc.Response) error {
-	method, seq, errMsg, err := c.readHeader(false)
-	if err != nil {
+// Call sends one request and reads its reply into the storage reply's Frame
+// or Global already holds. An error the server answered comes back as a
+// serverError; any other error leaves the connection unusable, except a body
+// type the wire does not carry, refused before anything is written.
+func (c *rpcClient) Call(method byte, args, reply any) error {
+	c.seq++
+	if err := c.write(method, c.seq, "", args); err != nil {
 		return err
 	}
-	r.ServiceMethod, r.Seq, r.Error = rpcMethods[method], seq, errMsg
-	return nil
+	return c.readReply(c.seq, reply)
 }
 
-// ReadResponseBody reads a reply into the storage its Frame or Global
-// already holds: the caller owns that storage, and must not pass storage a
-// call that timed out was given.
-func (c *clientCodec) ReadResponseBody(body any) error { return c.readBody(body) }
-
-// serverCodec is the server end: net/rpc's rpc.ServerCodec on the binary
-// wire format.
-type serverCodec struct {
-	codecConn
-
-	// up is the connection's upload buffer. net/rpc runs every request on
-	// its own goroutine and reads the next one meanwhile, so up is lent
-	// only to a request read while no other was in flight, and comes back
-	// once every request read has been answered. mu guards the two counts;
-	// up itself is touched only by the reading goroutine.
-	mu       sync.Mutex
-	inflight int
-	lent     bool
-	up       []byte
-}
-
-// errPreface marks a connection refused for its preface.
-var errPreface = errors.New("fednet: refused connection")
-
-// newServerCodec reads the connection's preface, and refuses a connection
-// that does not open with it — a gob-speaking net/rpc client, a client of
-// another version of the format — without decoding anything from it.
-func newServerCodec(rwc io.ReadWriteCloser) (*serverCodec, error) {
-	c := &serverCodec{codecConn: newCodecConn(rwc)}
-	p := c.rs[:len(rpcPreface)]
-	if _, err := io.ReadFull(c.br, p); err != nil {
-		return nil, fmt.Errorf("%w: no preface: %v", errPreface, err)
-	}
+// readReply reads the reply to call seq into reply.
+func (c *codecConn) readReply(seq uint64, reply any) error {
+	_, got, errMsg, err := c.readHeader(false)
 	switch {
-	case string(p) == rpcPreface:
-		return c, nil
-	case string(p[:len(rpcMagic)]) == rpcMagic:
-		return nil, fmt.Errorf("%w: wire format %q, this server speaks %q", errPreface, p, rpcPreface)
-	}
-	return nil, fmt.Errorf("%w: not the %q wire format (a gob net/rpc client?)", errPreface, rpcPreface)
-}
-
-func (c *serverCodec) ReadRequestHeader(r *rpc.Request) error {
-	method, seq, _, err := c.readHeader(true)
-	if err != nil {
+	case err != nil:
 		return err
+	case got != seq:
+		return fmt.Errorf("%w: reply %d to call %d", errBadMessage, got, seq)
+	case errMsg != "":
+		if err := c.skipBody(); err != nil {
+			return err
+		}
+		return serverError(errMsg)
 	}
-	r.Seq = seq
-	if method != 0 && int(method) < len(rpcMethods) {
-		r.ServiceMethod = rpcMethods[method]
-	} else {
-		// net/rpc answers "can't find method" and reads on.
-		r.ServiceMethod = fmt.Sprintf("Federation.method%d", method)
-	}
-	c.mu.Lock()
-	c.inflight++
-	c.mu.Unlock()
-	return nil
+	return c.readBody(reply)
 }
 
-// ReadRequestBody reads a Sync's upload into the connection's buffer when
-// it can be lent (see serverCodec.up), into a fresh one otherwise.
-func (c *serverCodec) ReadRequestBody(body any) error {
-	args, ok := body.(*SyncArgs)
-	if !ok {
-		return c.readBody(body)
-	}
-	c.mu.Lock()
-	lend := !c.lent && c.inflight == 1
-	c.lent = c.lent || lend
-	c.mu.Unlock()
-	if lend {
-		args.Frame = c.up
-	}
-	err := c.readBody(body)
-	if lend {
-		c.up = args.Frame[:0]
-	}
-	return err
-}
-
-// WriteResponse sends one answer; once every request read has been
-// answered, the upload buffer is free again.
-func (c *serverCodec) WriteResponse(r *rpc.Response, body any) error {
-	err := c.write(methodID(r.ServiceMethod), r.Seq, r.Error, body)
-	c.mu.Lock()
-	if c.inflight--; c.inflight == 0 {
-		c.lent = false
-	}
-	c.mu.Unlock()
-	if err != nil {
-		_ = c.rwc.Close() // the write error is the one reported
-	}
-	return err
-}
+// Close closes the connection.
+func (c *rpcClient) Close() error { return c.conn.Close() }

@@ -10,7 +10,6 @@ import (
 	"reflect"
 	"runtime"
 	"strings"
-	"sync"
 	"testing"
 	"time"
 
@@ -25,22 +24,20 @@ type pipeEnd struct {
 	io.Writer
 }
 
-func (pipeEnd) Close() error { return nil }
-
-// memCodecs returns a client and a server codec joined in memory, the
-// preface already read.
-func memCodecs(t *testing.T) (*clientCodec, *serverCodec) {
+// memConns returns a client and a server end joined in memory, the preface
+// already read.
+func memConns(t *testing.T) (client, server *codecConn) {
 	t.Helper()
 	var requests, responses bytes.Buffer
-	cc := newClientCodec(pipeEnd{&responses, &requests})
+	cc, sc := newCodecConn(pipeEnd{&responses, &requests}), newCodecConn(pipeEnd{&requests, &responses})
+	_, _ = cc.bw.WriteString(rpcPreface)
 	if err := cc.bw.Flush(); err != nil {
 		t.Fatal(err)
 	}
-	sc, err := newServerCodec(pipeEnd{&requests, &responses})
-	if err != nil {
+	if err := sc.readPreface(); err != nil {
 		t.Fatal(err)
 	}
-	return cc, sc
+	return &cc, &sc
 }
 
 // wireView is a message as the wire defines equality: a float by its bit
@@ -67,11 +64,11 @@ func wireView(m any) any {
 }
 
 // TestRPCCodecRoundTrip pins the wire format (DESIGN §9 contract 21): every
-// message type crosses it bit for bit, replies are read into the storage the
-// caller hands in, the msg* error prefixes reach the client as the same
-// rpc.ServerError the gob format delivered and retryable classifies them
-// alike, and a method without a wire id — refused by the client, or unknown
-// to the server — leaves the connection usable.
+// message type crosses it bit for bit, a reply must echo its call's seq and
+// is read into the storage the caller hands in, every upload on a server connection into its one buffer,
+// the msg* error prefixes reach the client as serverErrors and retryable
+// classifies them, and a method the server does not know, or a body the
+// client cannot encode, leaves the connection usable.
 func TestRPCCodecRoundTrip(t *testing.T) {
 	frame := fedcore.NewEncoder(fedcore.CodecConfig{Tier: fedcore.TierI8}).Encode(fed.Payload{1, -2, 3e-3})
 	global := fed.Payload{
@@ -84,135 +81,109 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 	}
 
 	t.Run("messages", func(t *testing.T) {
-		cc, sc := memCodecs(t)
+		cc, sc := memConns(t)
 		requests := []struct {
-			method string
+			method byte
 			args   any
 			into   any
 		}{
-			{"Federation.Join", JoinArgs{Rejoin: true, ClientID: 7}, &JoinArgs{}},
-			{"Federation.Join", JoinArgs{ClientID: -1}, &JoinArgs{}},
-			{"Federation.Sync", SyncArgs{ClientID: 3, Round: math.MinInt64, Frame: frame, Base: math.MaxInt64}, &SyncArgs{}},
-			{"Federation.Sync", SyncArgs{ClientID: 3, Round: 1}, &SyncArgs{}},
-			{"Federation.Sync", SyncArgs{ClientID: 3, Round: 2, Frame: []byte{}}, &SyncArgs{}},
-			{"Federation.Fetch", FetchArgs{ClientID: 2, Base: -1}, &FetchArgs{}},
+			{methodJoin, JoinArgs{Rejoin: true, ClientID: 7}, &JoinArgs{}},
+			{methodJoin, JoinArgs{ClientID: -1}, &JoinArgs{}},
+			{methodSync, SyncArgs{ClientID: 3, Round: math.MinInt64, Frame: frame, Base: math.MaxInt64}, &SyncArgs{}},
+			{methodSync, SyncArgs{ClientID: 3, Round: 1}, &SyncArgs{}},
+			{methodSync, SyncArgs{ClientID: 3, Round: 2, Frame: []byte{}}, &SyncArgs{}},
+			{methodFetch, FetchArgs{ClientID: 2, Base: -1}, &FetchArgs{}},
 		}
 		for i, c := range requests {
 			seq := uint64(i) + 1<<40
-			if err := cc.WriteRequest(&rpc.Request{ServiceMethod: c.method, Seq: seq}, c.args); err != nil {
-				t.Fatalf("%s: write: %v", c.method, err)
+			if err := cc.write(c.method, seq, "", c.args); err != nil {
+				t.Fatalf("%T: write: %v", c.args, err)
 			}
-			var req rpc.Request
-			if err := sc.ReadRequestHeader(&req); err != nil || req.ServiceMethod != c.method || req.Seq != seq {
-				t.Fatalf("%s: header %+v, err %v", c.method, req, err)
+			method, got, errMsg, err := sc.readHeader(true)
+			if err != nil || method != c.method || got != seq || errMsg != "" {
+				t.Fatalf("%T: header %d %d %q, err %v", c.args, method, got, errMsg, err)
 			}
-			if err := sc.ReadRequestBody(c.into); err != nil {
-				t.Fatalf("%s: body: %v", c.method, err)
+			if err := sc.readBody(c.into); err != nil {
+				t.Fatalf("%T: body: %v", c.args, err)
 			}
 			if got, want := wireView(c.into), wireView(c.args); !reflect.DeepEqual(got, want) {
 				t.Fatalf("request %d: got %v, want %v", i, got, want)
 			}
-			// Answer it, so the next upload may use the connection's buffer.
-			if err := sc.WriteResponse(&rpc.Response{ServiceMethod: c.method, Seq: seq, Error: "x"}, struct{}{}); err != nil {
+			// An error answer reaches the client as the server's string.
+			if err := sc.write(c.method, seq, "x", nil); err != nil {
 				t.Fatal(err)
 			}
-			var resp rpc.Response
-			if err := cc.ReadResponseHeader(&resp); err != nil || resp.Seq != seq || resp.Error != "x" {
-				t.Fatalf("error response %+v, err %v", resp, err)
-			}
-			if err := cc.ReadResponseBody(nil); err != nil {
-				t.Fatal(err)
+			if err := cc.readReply(seq, nil); err != serverError("x") {
+				t.Fatalf("error response: %v (%T)", err, err)
 			}
 		}
 
 		replies := []struct {
-			method string
+			method byte
 			reply  any
 			into   any
 		}{
-			{"Federation.Join", &JoinReply{ClientID: 5, Global: global, Round: 9, Async: true,
+			{methodJoin, &JoinReply{ClientID: 5, Global: global, Round: 9, Async: true,
 				Codec: fedcore.CodecConfig{Tier: fedcore.TierI16, Delta: true, NoErrorFeedback: true}}, &JoinReply{}},
-			{"Federation.Join", &JoinReply{ClientID: 1}, &JoinReply{Global: fed.Payload{4}}},
-			{"Federation.Sync", &SyncReply{Frame: frame, RefTag: 1<<63 | 5, Participant: true, Round: -3}, &SyncReply{}},
-			{"Federation.Sync", &SyncReply{Round: 4}, &SyncReply{Frame: []byte("stale")}},
-			{"Federation.Sync", &SyncReply{Frame: []byte{}, Round: 4}, &SyncReply{}},
-			{"Federation.Fetch", &FetchReply{Frame: frame, RefTag: 2, Participant: true, Round: 8, Has: true}, &FetchReply{}},
-			{"Federation.Fetch", &FetchReply{Round: 8}, &FetchReply{}},
+			{methodJoin, &JoinReply{ClientID: 1}, &JoinReply{Global: fed.Payload{4}}},
+			{methodSync, &SyncReply{Frame: frame, RefTag: 1<<63 | 5, Participant: true, Round: -3}, &SyncReply{}},
+			{methodSync, &SyncReply{Round: 4}, &SyncReply{Frame: []byte("stale")}},
+			{methodSync, &SyncReply{Frame: []byte{}, Round: 4}, &SyncReply{}},
+			{methodFetch, &FetchReply{Frame: frame, RefTag: 2, Participant: true, Round: 8, Has: true}, &FetchReply{}},
+			{methodFetch, &FetchReply{Round: 8}, &FetchReply{}},
 		}
 		for i, c := range replies {
 			seq := uint64(i)
-			if err := sc.WriteResponse(&rpc.Response{ServiceMethod: c.method, Seq: seq}, c.reply); err != nil {
-				t.Fatalf("%s: write: %v", c.method, err)
+			if err := sc.write(c.method, seq, "", c.reply); err != nil {
+				t.Fatalf("%T: write: %v", c.reply, err)
 			}
-			var resp rpc.Response
-			if err := cc.ReadResponseHeader(&resp); err != nil || resp.Seq != seq || resp.Error != "" {
-				t.Fatalf("%s: header %+v, err %v", c.method, resp, err)
-			}
-			if err := cc.ReadResponseBody(c.into); err != nil {
-				t.Fatalf("%s: body: %v", c.method, err)
+			if err := cc.readReply(seq, c.into); err != nil {
+				t.Fatalf("%T: %v", c.reply, err)
 			}
 			if got, want := wireView(c.into), wireView(c.reply); !reflect.DeepEqual(got, want) {
 				t.Fatalf("reply %d: got %v, want %v", i, got, want)
 			}
 		}
+		// The client checks that a reply echoes its call's seq.
+		if err := sc.write(methodFetch, 7, "", &FetchReply{}); err != nil {
+			t.Fatal(err)
+		}
+		if err := cc.readReply(8, &FetchReply{}); !errors.Is(err, errBadMessage) {
+			t.Fatalf("the reply to call 7 read as call 8's: err %v", err)
+		}
 	})
 
 	t.Run("storage", func(t *testing.T) {
-		cc, sc := memCodecs(t)
+		cc, sc := memConns(t)
 		// A reply is read into the storage the caller hands in.
 		reuse := make([]byte, 0, 2*len(frame))
 		into := SyncReply{Frame: reuse}
-		if err := sc.WriteResponse(&rpc.Response{ServiceMethod: "Federation.Sync"}, &SyncReply{Frame: frame}); err != nil {
+		if err := sc.write(methodSync, 1, "", &SyncReply{Frame: frame}); err != nil {
 			t.Fatal(err)
 		}
-		var resp rpc.Response
-		if err := cc.ReadResponseHeader(&resp); err != nil {
-			t.Fatal(err)
-		}
-		if err := cc.ReadResponseBody(&into); err != nil || !bytes.Equal(into.Frame, frame) || &into.Frame[0] != &reuse[:1][0] {
+		if err := cc.readReply(1, &into); err != nil || !bytes.Equal(into.Frame, frame) || &into.Frame[0] != &reuse[:1][0] {
 			t.Fatalf("reply frame not read into the caller's storage (err %v)", err)
 		}
-		// An upload read while no other request is in flight goes into the
-		// connection's buffer, which comes back once it is answered.
-		cc, sc = memCodecs(t)
+		// Every upload on one connection is read into its one buffer, as the
+		// server loop reads them.
+		var m callSlots
 		var first *byte
 		for i := 0; i < 3; i++ {
-			if err := cc.WriteRequest(&rpc.Request{ServiceMethod: "Federation.Sync", Seq: uint64(i)}, SyncArgs{Frame: frame}); err != nil {
+			if err := cc.write(methodSync, uint64(i), "", SyncArgs{Frame: frame}); err != nil {
 				t.Fatal(err)
 			}
-			var req rpc.Request
-			var args SyncArgs
-			if err := sc.ReadRequestHeader(&req); err != nil {
+			method, _, _, err := sc.readHeader(true)
+			if err != nil {
 				t.Fatal(err)
 			}
-			if err := sc.ReadRequestBody(&args); err != nil || !bytes.Equal(args.Frame, frame) {
+			if err := sc.readBody(m.args(method)); err != nil || !bytes.Equal(m.syncArgs.Frame, frame) {
 				t.Fatalf("upload %d: %v", i, err)
 			}
 			if first == nil {
-				first = &args.Frame[0]
-			} else if &args.Frame[0] != first {
-				t.Fatalf("upload %d: a fresh buffer on a connection with nothing else in flight", i)
+				first = &m.syncArgs.Frame[0]
+			} else if &m.syncArgs.Frame[0] != first {
+				t.Fatalf("upload %d: a fresh buffer on a connection that served the last one", i)
 			}
-			if err := sc.WriteResponse(&rpc.Response{ServiceMethod: "Federation.Sync", Seq: req.Seq}, &SyncReply{}); err != nil {
-				t.Fatal(err)
-			}
-		}
-		// Two in flight at once: the second must not share the first's.
-		var held [2]SyncArgs
-		for i := range held {
-			if err := cc.WriteRequest(&rpc.Request{ServiceMethod: "Federation.Sync", Seq: uint64(10 + i)}, SyncArgs{Frame: frame}); err != nil {
-				t.Fatal(err)
-			}
-			var req rpc.Request
-			if err := sc.ReadRequestHeader(&req); err != nil {
-				t.Fatal(err)
-			}
-			if err := sc.ReadRequestBody(&held[i]); err != nil {
-				t.Fatal(err)
-			}
-		}
-		if &held[0].Frame[0] == &held[1].Frame[0] {
-			t.Fatal("two requests in flight share one upload buffer")
 		}
 	})
 
@@ -227,7 +198,7 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 		aconn, bconn := dialRaw(t, asyncAddr), dialRaw(t, barrierAddr)
 		aid, bid := rawJoin(t, aconn).ClientID, rawJoin(t, bconn).ClientID
 		for round := 0; round < 2; round++ {
-			if err := bconn.Call("Federation.Sync", SyncArgs{ClientID: bid, Round: round, Frame: testFrame(initial)}, &SyncReply{}); err != nil {
+			if err := bconn.Call(methodSync, SyncArgs{ClientID: bid, Round: round, Frame: testFrame(initial)}, &SyncReply{}); err != nil {
 				t.Fatal(err)
 			}
 		}
@@ -239,27 +210,27 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 			retry, redial bool
 		}{
 			{msgBadUpload, func() error {
-				return aconn.Call("Federation.Sync", SyncArgs{ClientID: aid, Round: 1, Frame: []byte("short")}, &SyncReply{})
+				return aconn.Call(methodSync, SyncArgs{ClientID: aid, Round: 1, Frame: []byte("short")}, &SyncReply{})
 			}, true, false},
 			{msgRefMismatch, func() error {
-				return aconn.Call("Federation.Sync", SyncArgs{ClientID: aid, Round: 1, Frame: delta.Encode(initial)}, &SyncReply{})
+				return aconn.Call(methodSync, SyncArgs{ClientID: aid, Round: 1, Frame: delta.Encode(initial)}, &SyncReply{})
 			}, true, false},
 			{msgRoundPassed, func() error {
-				return bconn.Call("Federation.Sync", SyncArgs{ClientID: bid, Round: 0, Frame: testFrame(initial)}, &SyncReply{})
+				return bconn.Call(methodSync, SyncArgs{ClientID: bid, Round: 0, Frame: testFrame(initial)}, &SyncReply{})
 			}, false, false},
 			{"fednet: unknown client", func() error {
-				return aconn.Call("Federation.Fetch", FetchArgs{ClientID: 1}, &FetchReply{})
+				return aconn.Call(methodFetch, FetchArgs{ClientID: 1}, &FetchReply{})
 			}, false, false},
 			{msgClosed, func() error {
 				async.Close()
-				return aconn.Call("Federation.Sync", SyncArgs{ClientID: aid, Round: 1, Frame: testFrame(initial)}, &SyncReply{})
+				return aconn.Call(methodSync, SyncArgs{ClientID: aid, Round: 1, Frame: testFrame(initial)}, &SyncReply{})
 			}, false, false},
 		}
 		for _, c := range cases {
 			err := c.call()
-			var srvErr rpc.ServerError
+			var srvErr serverError
 			if !errors.As(err, &srvErr) || !strings.HasPrefix(string(srvErr), c.prefix) {
-				t.Fatalf("err %v (%T), want an rpc.ServerError starting %q", err, err, c.prefix)
+				t.Fatalf("err %v (%T), want a serverError starting %q", err, err, c.prefix)
 			}
 			if retry, redial := retryable(err); retry != c.retry || redial != c.redial {
 				t.Fatalf("%q: retryable = %v, %v, want %v, %v", c.prefix, retry, redial, c.retry, c.redial)
@@ -270,40 +241,22 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 	t.Run("unknown method", func(t *testing.T) {
 		_, addr := startServer(t, 2, 2, fed.FedAvg{}, fed.Payload{0, 0})
 		conn := dialRaw(t, addr)
-		// A method with no wire id is refused before anything is written.
-		if err := conn.Call("Federation.Leave", JoinArgs{}, &JoinReply{}); err == nil || !strings.Contains(err.Error(), "no such rpc method") {
-			t.Fatalf("client-side unknown method: %v", err)
+		// A body the wire does not carry is refused before anything is
+		// written.
+		if err := conn.Call(methodJoin, struct{}{}, &JoinReply{}); err == nil || !strings.Contains(err.Error(), "cannot encode") {
+			t.Fatalf("unencodable arguments: %v", err)
 		}
 		if id := rawJoin(t, conn).ClientID; id != 0 {
-			t.Fatalf("join after a refused method got slot %d", id)
+			t.Fatalf("join after refused arguments got slot %d", id)
 		}
 		// An id the server does not know is answered with an error and its
 		// body skipped.
-		tcp, err := net.Dial("tcp", addr)
-		if err != nil {
-			t.Fatal(err)
+		var srvErr serverError
+		if err := conn.Call(9, JoinArgs{ClientID: 5}, &JoinReply{}); !errors.As(err, &srvErr) || !strings.Contains(err.Error(), "no such rpc method 9") {
+			t.Fatalf("unknown id: %v", err)
 		}
-		defer tcp.Close()
-		cc := newClientCodec(tcp)
-		if err := cc.write(9, 1, "", JoinArgs{ClientID: 5}); err != nil {
-			t.Fatal(err)
-		}
-		var resp rpc.Response
-		if err := cc.ReadResponseHeader(&resp); err != nil || resp.Seq != 1 || !strings.Contains(resp.Error, "can't find method") {
-			t.Fatalf("unknown id: response %+v, err %v", resp, err)
-		}
-		if err := cc.ReadResponseBody(nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := cc.WriteRequest(&rpc.Request{ServiceMethod: "Federation.Join", Seq: 2}, JoinArgs{}); err != nil {
-			t.Fatal(err)
-		}
-		var reply JoinReply
-		if err := cc.ReadResponseHeader(&resp); err != nil || resp.Seq != 2 || resp.Error != "" {
-			t.Fatalf("join after an unknown id: response %+v, err %v", resp, err)
-		}
-		if err := cc.ReadResponseBody(&reply); err != nil || reply.ClientID != 1 || len(reply.Global) != 2 {
-			t.Fatalf("join after an unknown id: %+v, err %v", reply, err)
+		if reply := rawJoin(t, conn); reply.ClientID != 1 || len(reply.Global) != 2 {
+			t.Fatalf("join after an unknown id: %+v", reply)
 		}
 	})
 }
@@ -353,33 +306,16 @@ func TestRPCRefusesOtherFormats(t *testing.T) {
 	}
 }
 
-// lingeringConn is a client connection whose Close does not interrupt a
-// read already waiting on it — the window in which a call that timed out
-// can still have its late reply read. eof closes when a read fails.
-type lingeringConn struct {
-	net.Conn
-	eof  chan struct{}
-	once sync.Once
-}
-
-func (c *lingeringConn) Close() error { return nil }
-
-func (c *lingeringConn) Read(p []byte) (int, error) {
-	n, err := c.Conn.Read(p)
-	if err != nil {
-		c.once.Do(func() { close(c.eof) })
-	}
-	return n, err
-}
-
 // TestTimedOutReplyKeepsItsStorage pins the timeout half of DESIGN §9
-// contract 21: a call that times out keeps its reply storage, and the retry
-// on a fresh connection reads into storage of its own, so a late reply read
-// into the abandoned call's storage cannot reach what the client installed.
+// contract 21: a call that times out closes its connection and returns, and
+// nothing reads a reply into its storage after that — a late reply has no
+// reader — so the retry reads into the same storage and installs the round
+// the server committed, not the late reply's.
 func TestTimedOutReplyKeepsItsStorage(t *testing.T) {
 	transport := fed.PublicCriticTransport{}
 	local := newLocalClient(t, 0, 150)
-	_, addr := startAsyncServer(t, 1, 1, -1, 1, fed.FedAvg{}, mustUpload(t, transport, local))
+	initial := mustUpload(t, transport, local)
+	srv, addr := startAsyncServer(t, 2, 1, -1, 1, fed.FedAvg{}, initial)
 	rc, err := DialOptions(addr, local, transport, Options{
 		CallTimeout: 250 * time.Millisecond, Retries: 1, RetryBase: time.Millisecond, RetryMax: time.Millisecond,
 	})
@@ -390,59 +326,68 @@ func TestTimedOutReplyKeepsItsStorage(t *testing.T) {
 	if err := rc.RunRounds(1, 1); err != nil {
 		t.Fatal(err)
 	}
-	abandoned := rc.down[:cap(rc.down)]
-	if len(abandoned) == 0 {
+	storage := rc.down[:cap(rc.down)]
+	if len(storage) == 0 {
 		t.Fatal("no reply storage after a round")
 	}
+	// A second client commits round 2, so the client's next Fetch has a
+	// global to install.
+	other := dialRaw(t, addr)
+	id := rawJoin(t, other).ClientID
+	if err := other.Call(methodSync, SyncArgs{ClientID: id, Round: 1, Base: 1, Frame: testFrame(initial)}, &SyncReply{}); err != nil || srv.Rounds() != 2 {
+		t.Fatalf("second client's commit: rounds %d, err %v", srv.Rounds(), err)
+	}
 
-	// The next call, the round's Fetch, goes to a stand-in server that
-	// answers only once released — after the retry has landed.
+	// The Fetch goes to a stand-in server that answers only once released —
+	// after the retry has landed.
 	clientEnd, serverEnd := net.Pipe()
-	conn := &lingeringConn{Conn: clientEnd, eof: make(chan struct{})}
 	rc.rpc.Close()
-	rc.rpc = rpc.NewClientWithCodec(newClientCodec(conn))
+	rc.rpc = newRPCClient(clientEnd)
 	release, served := make(chan struct{}), make(chan error, 1)
 	go func() {
 		served <- func() error {
-			defer serverEnd.Close()
-			sc, err := newServerCodec(serverEnd)
+			sc := newCodecConn(serverEnd)
+			if err := sc.readPreface(); err != nil {
+				return err
+			}
+			_, seq, _, err := sc.readHeader(true)
 			if err != nil {
 				return err
 			}
-			var req rpc.Request
-			var args FetchArgs
-			if err := sc.ReadRequestHeader(&req); err != nil {
-				return err
-			}
-			if err := sc.ReadRequestBody(&args); err != nil {
+			if err := sc.readBody(&FetchArgs{}); err != nil {
 				return err
 			}
 			<-release
-			late := &FetchReply{Frame: bytes.Repeat([]byte{0xEE}, len(abandoned)), Round: 99, Has: true}
-			return sc.WriteResponse(&rpc.Response{ServiceMethod: req.ServiceMethod, Seq: req.Seq}, late)
+			late := &FetchReply{Frame: bytes.Repeat([]byte{0xEE}, len(storage)), Round: 99, Has: true}
+			return sc.write(methodFetch, seq, "", late)
 		}()
 	}()
-	if err := rc.RunRounds(1, 1); err != nil {
-		t.Fatal(err)
+	installed, err := rc.Fetch()
+	if err != nil || !installed {
+		t.Fatalf("fetch: installed %v, err %v", installed, err)
 	}
 	if st := rc.Stats(); st.Timeouts != 1 || st.Retries != 1 {
 		t.Fatalf("stats %+v, want the Fetch to time out once and land on its retry", st)
 	}
-	if cap(rc.down) > 0 && &rc.down[:1][0] == &abandoned[0] {
-		t.Fatal("the retry read its reply into the timed-out call's storage")
+	if &rc.down[:1][0] != &storage[0] {
+		t.Fatal("the retry did not reuse the timed-out call's storage")
 	}
-	kept := append([]byte(nil), rc.down...)
+	kept := bytes.Clone(storage)
 
 	close(release)
-	if err := <-served; err != nil {
-		t.Fatal(err)
+	select {
+	case err := <-served:
+		if !errors.Is(err, io.ErrClosedPipe) {
+			t.Fatalf("late reply: err %v, want the timed-out call's connection closed to it", err)
+		}
+	case <-time.After(5 * time.Second):
+		t.Fatal("the late reply is still being written: the timed-out call left its connection open")
 	}
-	<-conn.eof // the late reply was read: the stream ended after it
-	if abandoned[0] != 0xEE {
-		t.Fatal("the late reply never reached the abandoned storage: the window was not exercised")
-	}
-	if !bytes.Equal(rc.down, kept) {
+	if !bytes.Equal(storage, kept) {
 		t.Fatal("the late reply changed the storage the retry's reply was read into")
+	}
+	if rc.Round() != 2 {
+		t.Fatalf("round %d after the retry, want the server's 2", rc.Round())
 	}
 }
 
@@ -456,7 +401,7 @@ func rpcMessage(method byte, seq uint64, errMsg string, body any) []byte {
 	return b.Bytes()
 }
 
-// FuzzRPCCodec drives the server's request reader and the client's response
+// FuzzRPCCodec drives the server loop's request reader and rpcClient's reply
 // reader over arbitrary bytes — truncated, oversized, reordered and
 // unknown-method messages among them. Neither may panic, and neither may
 // allocate in proportion to a length the input declares but does not back
@@ -493,50 +438,40 @@ func FuzzRPCCodec(f *testing.F) {
 		f.Add(seed)
 	}
 	f.Fuzz(func(t *testing.T, data []byte) {
-		server, err := newServerCodec(pipeEnd{bytes.NewReader(append([]byte(rpcPreface), data...)), io.Discard})
-		if err != nil {
+		server := newCodecConn(pipeEnd{bytes.NewReader(append([]byte(rpcPreface), data...)), io.Discard})
+		if err := server.readPreface(); err != nil {
 			t.Fatal(err)
 		}
-		client := &clientCodec{newCodecConn(pipeEnd{bytes.NewReader(data), io.Discard})}
+		client := newCodecConn(pipeEnd{bytes.NewReader(data), io.Discard})
 		var ms runtime.MemStats
 		runtime.ReadMemStats(&ms)
 		before := ms.TotalAlloc
 
+		// The server loop's reader: each call's arguments into the
+		// connection's slots, a malformed body answered and read past.
+		var m callSlots
 		for {
-			var req rpc.Request
-			if server.ReadRequestHeader(&req) != nil {
+			method, seq, _, err := server.readHeader(true)
+			if err != nil {
 				break
 			}
-			var body any
-			switch methodID(req.ServiceMethod) {
-			case methodJoin:
-				body = &JoinArgs{}
-			case methodSync:
-				body = &SyncArgs{}
-			case methodFetch:
-				body = &FetchArgs{}
-			}
-			_ = server.ReadRequestBody(body) // a malformed body is answered, as net/rpc does
-			_ = server.WriteResponse(&rpc.Response{ServiceMethod: req.ServiceMethod, Seq: req.Seq, Error: "answered"}, struct{}{})
+			_ = server.readBody(m.args(method))
+			_ = server.write(method, seq, "answered", nil)
 		}
-		for {
-			var resp rpc.Response
-			if client.ReadResponseHeader(&resp) != nil {
-				break
-			}
-			// A reply of the header's type, of another type, or none.
+		// rpcClient's reader: the reply to each call in turn, read into a
+		// reply of the header's type, of another type, or none.
+		for seq := uint64(1); ; seq++ {
 			var body any
-			switch {
-			case resp.Error != "":
-			case resp.Seq%4 == 0:
+			switch seq % 4 {
+			case 0:
 				body = &JoinReply{Global: make(fed.Payload, 0, 2)}
-			case resp.Seq%4 == 1:
+			case 1:
 				body = &SyncReply{Frame: make([]byte, 0, 16)}
-			case resp.Seq%4 == 2:
+			case 2:
 				body = &FetchReply{}
 			}
-			if client.ReadResponseBody(body) != nil && body != nil {
-				break // net/rpc's client stops reading on a bad reply body
+			if err := client.readReply(seq, body); errors.Is(err, io.EOF) || errors.Is(err, io.ErrUnexpectedEOF) {
+				break // every other error read at least a header
 			}
 		}
 

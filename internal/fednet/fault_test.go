@@ -224,7 +224,7 @@ func TestRetainedResultAfterLostReply(t *testing.T) {
 		go func(i int, rc *RemoteClient) {
 			defer wg.Done()
 			args := SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(uploads[i])}
-			if err := rc.rpc.Call("Federation.Sync", args, &first[i]); err != nil {
+			if err := rc.rpc.Call(methodSync, args, &first[i]); err != nil {
 				t.Error(err)
 			}
 		}(i, rc)
@@ -234,7 +234,7 @@ func TestRetainedResultAfterLostReply(t *testing.T) {
 	// Client 0 retries round 0 — as after a lost reply or a duplicate send.
 	var again SyncReply
 	args := SyncArgs{ClientID: rcs[0].ID(), Round: 0, Frame: testFrame(uploads[0])}
-	if err := rcs[0].rpc.Call("Federation.Sync", args, &again); err != nil {
+	if err := rcs[0].rpc.Call(methodSync, args, &again); err != nil {
 		t.Fatalf("retained-result retry failed: %v", err)
 	}
 	ap, fp := testDecode(t, again.Frame), testDecode(t, first[0].Frame)
@@ -370,7 +370,7 @@ func TestBadUploadRejected(t *testing.T) {
 
 	full := mustUpload(t, transport, local)
 	var reply SyncReply
-	err = rc.rpc.Call("Federation.Sync",
+	err = rc.rpc.Call(methodSync,
 		SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(full[:len(full)-1])}, &reply)
 	if err == nil || !strings.Contains(err.Error(), msgBadUpload) {
 		t.Fatalf("err %v, want %q rejection", err, msgBadUpload)
@@ -534,7 +534,7 @@ func TestServerCloseReleasesBarrierWaiters(t *testing.T) {
 	}
 	// Late callers are turned away the same way.
 	var reply SyncReply
-	err = rc.rpc.Call("Federation.Sync", SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(srv.Global())}, &reply)
+	err = rc.rpc.Call(methodSync, SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(srv.Global())}, &reply)
 	if err == nil || !strings.Contains(err.Error(), msgClosed) {
 		t.Fatalf("post-close Sync: err %v, want %q", err, msgClosed)
 	}
@@ -620,7 +620,7 @@ func TestBarrierNonFiniteUploadSitsRoundOut(t *testing.T) {
 		go func(i int, rc *RemoteClient) {
 			defer wg.Done()
 			args := SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(uploads[i])}
-			if err := rc.rpc.Call("Federation.Sync", args, &replies[i]); err != nil {
+			if err := rc.rpc.Call(methodSync, args, &replies[i]); err != nil {
 				t.Errorf("client %d: %v", i, err)
 			}
 		}(i, rc)

@@ -1,8 +1,8 @@
 // Package fednet runs the federated layer over a real network: a TCP
-// aggregation server (stdlib net/rpc on the binary wire format of codec.go)
-// and remote clients that train locally and exchange only model payloads —
-// the paper's cross-provider collaboration made literal, with no workload
-// data ever leaving a client (§1, §3.4).
+// aggregation server (the binary RPC wire format of codec.go, one call in
+// flight per connection) and remote clients that train locally and exchange
+// only model payloads — the paper's cross-provider collaboration made
+// literal, with no workload data ever leaving a client (§1, §3.4).
 //
 // Protocol (one barrier round; ServerConfig.Async replaces the barrier by
 // submit-and-return plus a Fetch RPC, see SyncArgs and FetchArgs):
@@ -43,7 +43,6 @@ import (
 	"errors"
 	"fmt"
 	"net"
-	"net/rpc"
 	"sync"
 	"time"
 
@@ -51,8 +50,8 @@ import (
 	"repro/internal/fedcore"
 )
 
-// Error-message prefixes shared by server and client. net/rpc flattens
-// server-side errors to strings, so the client classifies them by prefix.
+// Error-message prefixes shared by server and client. The wire carries a
+// server-side error as its string, so the client classifies it by prefix.
 const (
 	// msgRoundPassed tells a straggler its round aggregated without it;
 	// the client must resync by rejoining its slot instead of retrying.
@@ -189,7 +188,6 @@ type Server struct {
 	cfg      ServerConfig
 	engine   *fedcore.AsyncEngine
 	listener net.Listener
-	rpcSrv   *rpc.Server
 
 	// mu guards everything below and is held across engine calls, so the
 	// engine's Delivery callback runs under it. Lock order: mu → engine.
@@ -253,10 +251,6 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	s.engine = engine
 	s.pending = make([]fed.Payload, cfg.Clients)
 	s.retained = make([]retainedPayload, cfg.Clients)
-	s.rpcSrv = rpc.NewServer()
-	if err := s.rpcSrv.RegisterName("Federation", &rpcHandler{s: s}); err != nil {
-		return nil, err
-	}
 	return s, nil
 }
 
@@ -280,16 +274,82 @@ func (s *Server) Listen(addr string) (string, error) {
 	return ln.Addr().String(), nil
 }
 
-// serveConn serves one connection, or refuses it — one text line, nothing
-// decoded — when it does not open with the wire format's preface.
+// serveConn serves one connection, one call at a time — read, serve,
+// answer — or refuses it — one text line, nothing decoded — when it does not
+// open with the wire format's preface. A body the wire cannot decode, or a
+// method it does not know, is answered with an error and the connection reads
+// on; a broken header or a failed write ends it.
 func (s *Server) serveConn(conn net.Conn) {
-	codec, err := newServerCodec(conn)
-	if err != nil {
+	defer conn.Close()
+	c := newCodecConn(conn)
+	if err := c.readPreface(); err != nil {
 		_, _ = fmt.Fprintln(conn, err) // best effort: the peer may not read it
-		_ = conn.Close()
 		return
 	}
-	s.rpcSrv.ServeCodec(codec)
+	var m callSlots
+	for {
+		method, seq, _, err := c.readHeader(true)
+		if err != nil {
+			return
+		}
+		args := m.args(method)
+		var reply any
+		if err = c.readBody(args); err == nil {
+			reply, err = s.serve(method, &m)
+		}
+		if args == nil {
+			method = 0 // the answer to a method the server does not know
+		}
+		errMsg := ""
+		if err != nil {
+			errMsg = err.Error()
+		}
+		if c.write(method, seq, errMsg, reply) != nil {
+			return
+		}
+		// A sent reply's payload is the server's no longer: a join's global
+		// would otherwise stay live for as long as its connection.
+		m.join, m.sync, m.fetch = JoinReply{}, SyncReply{}, FetchReply{}
+	}
+}
+
+// callSlots is one connection's arguments and replies, reused call after
+// call: a Sync's upload is read into the frame storage the last one left,
+// and a reply is zero when its call is served.
+type callSlots struct {
+	joinArgs  JoinArgs
+	join      JoinReply
+	syncArgs  SyncArgs
+	sync      SyncReply
+	fetchArgs FetchArgs
+	fetch     FetchReply
+}
+
+// args returns what a method's arguments are read into: nil, which skips
+// the body, for a method the server does not know.
+func (m *callSlots) args(method byte) any {
+	switch method {
+	case methodJoin:
+		return &m.joinArgs
+	case methodSync:
+		return &m.syncArgs
+	case methodFetch:
+		return &m.fetchArgs
+	}
+	return nil
+}
+
+// serve runs one call on the arguments read into m and returns its reply.
+func (s *Server) serve(method byte, m *callSlots) (reply any, err error) {
+	switch method {
+	case methodJoin:
+		return &m.join, s.join(m.joinArgs, &m.join)
+	case methodSync:
+		return &m.sync, s.sync(m.syncArgs, &m.sync)
+	case methodFetch:
+		return &m.fetch, s.fetch(m.fetchArgs, &m.fetch)
+	}
+	return nil, fmt.Errorf("fednet: no such rpc method %d", method)
 }
 
 // Close stops accepting connections, stops the round deadline and releases
@@ -329,17 +389,12 @@ func (s *Server) Comm() fed.CommStats {
 	return s.wire.Comm()
 }
 
-// rpcHandler is the net/rpc receiver (kept separate so Server's exported
-// methods don't have to fit the RPC signature shape).
-type rpcHandler struct{ s *Server }
-
-// Join implements the registration RPC. A fresh join allocates the next
+// join implements the registration RPC. A fresh join allocates the next
 // slot; a rejoin reclaims an existing slot — after a client restart, or a
 // round the barrier closed without it — and returns the current round so the
 // client resumes in step. The payload handed out is the engine's out-of-band
 // install rule, the same one that serves an in-process fed.AddClient.
-func (h *rpcHandler) Join(args JoinArgs, reply *JoinReply) error {
-	s := h.s
+func (s *Server) join(args JoinArgs, reply *JoinReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if args.Rejoin {
@@ -400,16 +455,16 @@ func (s *Server) noteCommit(report RoundInfo) {
 	gNetRound.Set(float64(report.Round + 1))
 }
 
-// Sync implements the round exchange RPC: the round barrier in sync mode, a
+// sync implements the round exchange RPC: the round barrier in sync mode, a
 // non-blocking staleness-weighted submission in async mode. The two share
 // the upload and downlink paths and the engine; they differ in what the
 // protocol pins — whether the reply waits for the commit, the order arrivals
 // reach the engine, and how long a result is retained (DESIGN §9 contract 16).
-func (h *rpcHandler) Sync(args SyncArgs, reply *SyncReply) error {
-	if h.s.cfg.Async {
-		return h.s.syncAsync(args, reply)
+func (s *Server) sync(args SyncArgs, reply *SyncReply) error {
+	if s.cfg.Async {
+		return s.syncAsync(args, reply)
 	}
-	return h.s.syncBarrier(args, reply)
+	return s.syncBarrier(args, reply)
 }
 
 // syncBarrier holds the caller until its round closes: on the last
@@ -605,12 +660,11 @@ func (s *Server) syncAsync(args SyncArgs, reply *SyncReply) error {
 	return nil
 }
 
-// Fetch implements the async pull RPC: when a round has committed since the
+// fetch implements the async pull RPC: when a round has committed since the
 // client's Base, it returns the client's retained personalized payload (if
 // it participated in that commit) or the current global. Sync servers
 // reject it — the barrier reply already delivers every result.
-func (h *rpcHandler) Fetch(args FetchArgs, reply *FetchReply) error {
-	s := h.s
+func (s *Server) fetch(args FetchArgs, reply *FetchReply) error {
 	if !s.cfg.Async {
 		return fmt.Errorf("fednet: Fetch requires an async server")
 	}

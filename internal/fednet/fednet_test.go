@@ -220,7 +220,7 @@ func TestPartialParticipationOverNetwork(t *testing.T) {
 			local.TrainEpisodes(1)
 			var reply SyncReply
 			args := SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(mustUpload(t, transport, local))}
-			if err := rc.rpc.Call("Federation.Sync", args, &reply); err != nil {
+			if err := rc.rpc.Call(methodSync, args, &reply); err != nil {
 				t.Error(err)
 				return
 			}
@@ -269,12 +269,12 @@ func TestSyncRejectsBadRequests(t *testing.T) {
 	defer rc.Close()
 	var reply SyncReply
 	// Wrong round.
-	err = rc.rpc.Call("Federation.Sync", SyncArgs{ClientID: rc.ID(), Round: 7}, &reply)
+	err = rc.rpc.Call(methodSync, SyncArgs{ClientID: rc.ID(), Round: 7}, &reply)
 	if err == nil {
 		t.Fatal("expected round-mismatch error")
 	}
 	// Unknown client.
-	err = rc.rpc.Call("Federation.Sync", SyncArgs{ClientID: 55, Round: 0}, &reply)
+	err = rc.rpc.Call(methodSync, SyncArgs{ClientID: 55, Round: 0}, &reply)
 	if err == nil {
 		t.Fatal("expected unknown-client error")
 	}

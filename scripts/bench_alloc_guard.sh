@@ -26,10 +26,10 @@
 #     a non-participant by framing the committed global in place; the one
 #     alloc is the frame copy that is sent after the lock is released), and
 #   - BenchmarkRPCSync — one loopback Sync through the binary RPC codec —
-#     must stay within 10 allocs/op: net/rpc's own per-call bookkeeping
-#     (the Call and its channel, the boxed arguments, the reflected argument
-#     and reply, the handler's call) plus that frame copy. The codec itself
-#     reads uploads and replies into reused buffers and allocates nothing.
+#     must stay within 2 allocs/op: the arguments the client boxes for
+#     rpcClient.Call plus that frame copy. The server reads each call into its
+#     connection's reused argument and reply slots, uploads and replies into
+#     reused buffers, and allocates nothing else.
 #
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
@@ -113,8 +113,8 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 }
 /^BenchmarkRPCSync/ {
 	for (i = 2; i <= NF; i++) {
-		if ($i == "allocs/op" && $(i-1) + 0 > 10) {
-			printf "FAIL: %s reports %s allocs/op (budget 10)\n", $1, $(i-1)
+		if ($i == "allocs/op" && $(i-1) + 0 > 2) {
+			printf "FAIL: %s reports %s allocs/op (budget 2)\n", $1, $(i-1)
 			bad = 1
 		}
 	}
@@ -122,8 +122,8 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 END { exit bad }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 10" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 2" ;;
 env) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode are allocation-free" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2" ;;
-agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op, RPCSync within 10" ;;
+agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op, RPCSync within 2" ;;
 esac
