@@ -5,8 +5,8 @@
 #                     race-enabled tests (incl. the federation
 #                     fault-tolerance suite and the simulator invariant
 #                     harness), the tensor tests once more under
-#                     GOAMD64=v3, one iteration of each perf
-#                     microbenchmark, one smoke pass of the end-to-end
+#                     GOAMD64=v3, the allocation-gated perf
+#                     microbenchmarks, one smoke pass of the end-to-end
 #                     benchmark, every figure runner twice at toy size
 #                     (the two outputs must be identical), a
 #                     /metrics endpoint smoke test, a 4-client
@@ -23,9 +23,9 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-smoke bench-env bench-update bench-agg bench-e2e-smoke figs-smoke results metrics-smoke fed-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-env bench-update bench-agg bench-e2e-smoke figs-smoke results metrics-smoke fed-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race test-v3 bench-smoke bench-env bench-update bench-agg bench-e2e-smoke figs-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
+ci: vet staticcheck build race test-race test-v3 bench-env bench-update bench-agg bench-e2e-smoke figs-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
 
 # The arm64 pass type-checks the portable kernels (internal/tensor's
 # !amd64 files), which no amd64 build compiles. gofmt -l prints the files it
@@ -133,11 +133,6 @@ fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzMatMulMatchesScalar -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzMatMulTransATied -fuzztime 10s ./internal/tensor
 	$(GO) test -run '^$$' -fuzz FuzzOrthogonalScaled -fuzztime 10s ./internal/tensor
-
-# One iteration of each microbenchmark: catches panics/regressions in the
-# bench harness itself without paying for a full measurement run.
-bench-smoke:
-	$(GO) test ./internal/rl/ -run xxx -bench 'BenchmarkRolloutStep|BenchmarkPPOUpdate' -benchtime=1x -benchmem
 
 # Simulator-core and rollout benchmarks under the allocation guard: fails
 # if BenchmarkEnvStep (per-VM and ranked slot views) or BenchmarkRolloutStep

@@ -43,17 +43,16 @@ type benchConfig struct {
 	smooth       int
 	csvDir       string
 	workloadSpec string
-	// runs holds the invocation's training runs, so an experiment that needs
-	// a run an earlier one made (fig9 after fig8, fig16 after fig15 in -exp
-	// all) reads it instead of training it again. Nil trains every time.
+	// runs holds the invocation's training runs, each trained once, by train.
 	runs map[trainKey]*core.TrainResult
 }
 
 // trainKey names one training run of an invocation: the client table (2 or
-// 3) and the algorithm; the flags fix everything else.
+// 3), the algorithm and the communication frequency; the flags fix the rest.
 type trainKey struct {
 	table int
 	alg   core.Algorithm
+	comm  int
 }
 
 // expIDs is the -exp usage string; run dispatches every id in it but "all".
@@ -128,31 +127,38 @@ func (bc benchConfig) experiment(specs []core.ClientSpec) core.ExperimentConfig 
 	return cfg
 }
 
-// convergence is core.RunConvergence on client table 2 or 3, training only
-// the runs bc.runs does not hold yet.
-func (bc benchConfig) convergence(table int, algs []core.Algorithm) (map[string][]float64, map[core.Algorithm]*core.TrainResult, error) {
+// train returns the run of alg on client table 2 or 3 at communication
+// frequency comm, training it the first time it is asked for.
+func (bc benchConfig) train(table int, alg core.Algorithm, comm int) (*core.TrainResult, error) {
+	key := trainKey{table, alg, comm}
+	if r := bc.runs[key]; r != nil {
+		return r, nil
+	}
 	specs := core.Table2Specs()
 	if table == 3 {
 		specs = core.Table3Specs()
 	}
-	var train []core.Algorithm
-	for _, alg := range algs {
-		if bc.runs[trainKey{table, alg}] == nil {
-			train = append(train, alg)
-		}
-	}
-	curves, results, err := core.RunConvergence(bc.experiment(specs), train)
+	bc.comm = comm
+	r, err := core.Train(alg, bc.experiment(specs))
 	if err != nil {
-		return nil, nil, err
+		return nil, fmt.Errorf("%v: %w", alg, err)
 	}
+	bc.runs[key] = r
+	return r, nil
+}
+
+// convergence returns the mean reward curve of each of algs on client table
+// 2 or 3 at -comm, keyed by the algorithm's name.
+func (bc benchConfig) convergence(table int, algs []core.Algorithm) (map[string][]float64, error) {
+	curves := make(map[string][]float64, len(algs))
 	for _, alg := range algs {
-		if r := bc.runs[trainKey{table, alg}]; r != nil {
-			curves[alg.String()], results[alg] = r.MeanCurve, r
-		} else if bc.runs != nil {
-			bc.runs[trainKey{table, alg}] = results[alg]
+		r, err := bc.train(table, alg, bc.comm)
+		if err != nil {
+			return nil, err
 		}
+		curves[alg.String()] = r.MeanCurve
 	}
-	return curves, results, nil
+	return curves, nil
 }
 
 func run(id string, bc benchConfig) error {
@@ -263,7 +269,7 @@ func runFig7(bc benchConfig) error {
 
 func runFig8(bc benchConfig) error {
 	fmt.Println("Figure 8: FedAvg vs independent PPO convergence (§3.2)")
-	curves, _, err := bc.convergence(2, []core.Algorithm{core.AlgFedAvg, core.AlgPPO})
+	curves, err := bc.convergence(2, []core.Algorithm{core.AlgFedAvg, core.AlgPPO})
 	if err != nil {
 		return err
 	}
@@ -276,11 +282,11 @@ func runFig8(bc benchConfig) error {
 
 func runFig9(bc benchConfig) error {
 	fmt.Println("Figure 9: critic loss before/after FedAvg aggregation (§3.2)")
-	_, results, err := bc.convergence(2, []core.Algorithm{core.AlgFedAvg})
+	r, err := bc.train(2, core.AlgFedAvg, bc.comm)
 	if err != nil {
 		return err
 	}
-	pre, post := core.CriticLossSeries(results[core.AlgFedAvg])
+	pre, post := core.CriticLossSeries(r)
 	t := trace.NewTable("round", "local critic loss", "aggregated critic loss")
 	for i := range pre {
 		t.AddRow(i+1, pre[i], post[i])
@@ -349,7 +355,7 @@ func runFig11to13(bc benchConfig) error {
 
 func runFig15(bc benchConfig) error {
 	fmt.Println("Figure 15: convergence of PFRL-DM / MFPO / FedAvg / PPO (§5.2)")
-	curves, _, err := bc.convergence(3, core.AllAlgorithms())
+	curves, err := bc.convergence(3, core.AllAlgorithms())
 	if err != nil {
 		return err
 	}
@@ -369,10 +375,6 @@ func runHybridAndTable4(bc benchConfig) error {
 	fmt.Println("(completed = tasks scheduled/offered over all clients; incomplete clients left tasks")
 	fmt.Println("unscheduled at the evaluation horizon, and response/makespan cover scheduled tasks only)")
 	cfg := bc.experiment(core.Table3Specs())
-	_, results, err := bc.convergence(3, core.AllAlgorithms())
-	if err != nil {
-		return err
-	}
 	evals := map[core.Algorithm]*core.HybridEval{}
 	// A table row: one scheduler's evaluation and its coverage — tasks
 	// completed over tasks offered across clients, and how many clients it
@@ -395,7 +397,11 @@ func runHybridAndTable4(bc benchConfig) error {
 		rows = append(rows, row{name, e, fmt.Sprintf("%d/%d", done, total), fmt.Sprintf("%d/%d", short, len(e.Total))})
 	}
 	for _, alg := range core.AllAlgorithms() {
-		e, err := core.EvalHybrid(results[alg], cfg, 0.2, nil)
+		r, err := bc.train(3, alg, bc.comm)
+		if err != nil {
+			return err
+		}
+		e, err := core.EvalHybrid(r, cfg, 0.2, nil)
 		if err != nil {
 			return err
 		}
@@ -405,7 +411,7 @@ func runHybridAndTable4(bc benchConfig) error {
 	// The floor any learned policy must beat: the heuristics on the same
 	// hybrid test sets and environments, through the same evaluation.
 	for _, p := range []cloudsim.Policy{cloudsim.FirstFit{}, cloudsim.BestFit{}} {
-		e, err := core.EvalHybrid(results[core.AlgPFRLDM], cfg, 0.2, p)
+		e, err := core.EvalHybrid(bc.runs[trainKey{3, core.AlgPFRLDM, bc.comm}], cfg, 0.2, p)
 		if err != nil {
 			return err
 		}
@@ -467,18 +473,16 @@ func runFig20(bc benchConfig) error {
 
 func runFig21(bc benchConfig) error {
 	fmt.Println("Figure 21: communication-frequency sweep (§5.4)")
-	cfg := bc.experiment(core.Table3Specs())
-	freqs := []int{2, 5, 10, 20}
-	out, err := core.RunCommFrequency(cfg, freqs)
-	if err != nil {
-		return err
-	}
 	curves := map[string][]float64{}
 	var names []string
-	for _, f := range freqs {
+	for _, f := range []int{2, 5, 10, 20} {
+		r, err := bc.train(3, core.AlgPFRLDM, f)
+		if err != nil {
+			return err
+		}
 		name := fmt.Sprintf("comm=%d", f)
 		names = append(names, name)
-		curves[name] = out[f]
+		curves[name] = r.MeanCurve
 	}
 	printCurves(bc.smooth, names, curves)
 	bc.writeCSV("fig21", curves)
@@ -488,31 +492,29 @@ func runFig21(bc benchConfig) error {
 func runAblation(bc benchConfig) error {
 	fmt.Println("Ablations: dual-critic, attention aggregation, adaptive alpha")
 	cfg := bc.experiment(core.Table3Specs())
-	variants := []core.AblationVariant{
-		core.AblationFull, core.AblationNoDualCritic,
-		core.AblationNoAttention, core.AblationFixedAlpha,
+	// The unmodified variant is Train(AlgPFRLDM): Figure 15's run.
+	full, err := bc.train(3, core.AlgPFRLDM, bc.comm)
+	if err != nil {
+		return err
 	}
 	t := trace.NewTable("variant", "final reward (tail mean)")
-	var full []float64
-	for _, v := range variants {
+	t.AddRow(string(core.AblationFull), tailMean(full.MeanCurve))
+	for _, v := range []core.AblationVariant{core.AblationNoDualCritic, core.AblationNoAttention, core.AblationFixedAlpha} {
 		curve, err := core.RunAblation(cfg, v, 0)
 		if err != nil {
 			return err
 		}
-		if v == core.AblationFull {
-			full = curve
-		}
 		t.AddRow(string(v), tailMean(curve))
 	}
-	// Attention head count of the full variant. The 0 above selects the
-	// default of 4 heads over the same seed, so the heads=4 row is the
-	// pfrl-dm curve, printed again rather than trained again.
+	// Attention head count of the full variant. PFRL-DM's aggregator
+	// defaults to 4 heads over the same seed, so the heads=4 row is the
+	// pfrl-dm run, printed again rather than trained again.
 	curve, err := core.RunAblation(cfg, core.AblationFull, 1)
 	if err != nil {
 		return err
 	}
 	t.AddRow("heads=1", tailMean(curve))
-	t.AddRow("heads=4", tailMean(full))
+	t.AddRow("heads=4", tailMean(full.MeanCurve))
 	fmt.Print(t.String())
 	return nil
 }

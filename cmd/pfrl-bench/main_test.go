@@ -38,7 +38,8 @@ func captureStdout(t *testing.T, fn func()) string {
 // fails here as "unknown experiment".
 func TestEveryExperimentIDDispatches(t *testing.T) {
 	bc := benchConfig{seed: 1, scale: 4, tasks: 10, episodes: 2, comm: 1, smooth: 5,
-		workloadSpec: filepath.Join("..", "..", "examples", "hybridworkloads", "twoclient.json")}
+		workloadSpec: filepath.Join("..", "..", "examples", "hybridworkloads", "twoclient.json"),
+		runs:         map[trainKey]*core.TrainResult{}}
 	all := map[string]bool{}
 	for _, id := range expand("all") {
 		all[id] = true
@@ -78,33 +79,38 @@ func TestAblationHeadsFourIsTheDefault(t *testing.T) {
 	}
 }
 
-// TestConvergenceRunsAreReused: within one invocation fig9 reads the FedAvg
-// run fig8 trained on Table 2 and fig16 the four runs fig15 trained on Table
-// 3, training nothing again, and each prints what it prints run alone.
+// TestConvergenceRunsAreReused: within one invocation every run is trained
+// once. In -exp all's order, fig9 reads the FedAvg run fig8 trained on Table
+// 2; after fig15's four Table-3 runs, fig16 trains nothing, fig21 only the
+// frequencies other than -comm, and the ablation nothing for its pfrl-dm row.
+// Each prints what it prints run alone, on a fresh memo.
 func TestConvergenceRunsAreReused(t *testing.T) {
-	alone := benchConfig{seed: 1, scale: 4, tasks: 10, episodes: 2, comm: 1, smooth: 5}
-	shared := alone
+	bc := benchConfig{seed: 1, scale: 4, tasks: 10, episodes: 2, comm: 2, smooth: 5}
+	shared := bc
 	shared.runs = map[trainKey]*core.TrainResult{}
 	for _, c := range []struct {
-		first, then string
-		runs        int
-	}{{"fig8", "fig9", 2}, {"fig15", "fig16", 6}} {
+		id               string
+		alone, afterPrev int // runs it trains alone, and after the rows above
+	}{{"fig8", 2, 2}, {"fig9", 1, 0}, {"fig15", 4, 4}, {"fig16", 4, 0}, {"fig21", 4, 3}, {"ablation", 1, 0}} {
+		alone := bc
+		alone.runs = map[trainKey]*core.TrainResult{}
 		var err error
-		captureStdout(t, func() { err = run(c.first, shared) })
-		if err != nil || len(shared.runs) != c.runs {
-			t.Fatalf("-exp %s: %d runs held, want %d (err %v)", c.first, len(shared.runs), c.runs, err)
+		want := captureStdout(t, func() { err = run(c.id, alone) })
+		if err != nil || len(alone.runs) != c.alone {
+			t.Fatalf("-exp %s alone: %d runs trained, want %d (err %v)", c.id, len(alone.runs), c.alone, err)
 		}
 		held := maps.Clone(shared.runs)
-		got := captureStdout(t, func() { err = run(c.then, shared) })
-		if err != nil || !maps.Equal(shared.runs, held) {
-			t.Fatalf("-exp %s after %s changed the runs held (err %v)", c.then, c.first, err)
+		got := captureStdout(t, func() { err = run(c.id, shared) })
+		if err != nil || len(shared.runs) != len(held)+c.afterPrev {
+			t.Fatalf("-exp %s: %d runs trained, want %d (err %v)", c.id, len(shared.runs)-len(held), c.afterPrev, err)
 		}
-		if want := captureStdout(t, func() { err = run(c.then, alone) }); err != nil || got != want {
-			t.Fatalf("-exp %s after %s printed\n%s\nand alone (err %v)\n%s", c.then, c.first, got, err, want)
+		for k, r := range held {
+			if shared.runs[k] != r {
+				t.Fatalf("-exp %s trained the held run %+v again", c.id, k)
+			}
 		}
-	}
-	_, results, err := shared.convergence(2, []core.Algorithm{core.AlgFedAvg})
-	if err != nil || results[core.AlgFedAvg] != shared.runs[trainKey{2, core.AlgFedAvg}] {
-		t.Fatalf("a held run was trained again (err %v)", err)
+		if got != want {
+			t.Fatalf("-exp %s after the rows above printed\n%s\nand alone\n%s", c.id, got, want)
+		}
 	}
 }

@@ -2,8 +2,11 @@
 // cloud-scheduling environments (internal/cloudsim), the workload models
 // (internal/workload), the PPO agent, plain or dual-critic (internal/rl), and the
 // federated layer (internal/fed) into the experiments reported in the
-// paper. Every figure and table in the evaluation has a runner here; the
-// CLI tools are thin wrappers around this package.
+// paper. Train is one training run: Figures 8, 15 and 21 are Train runs,
+// and Figures 9 and 16–19 and Table 4 read them (CriticLossSeries,
+// EvalHybrid, BuildWilcoxonTable). The experiments that are more than a
+// training run — Figures 7, 10–13 and 20 and the ablations — have a runner
+// here. The CLI tools are thin wrappers around this package.
 package core
 
 import (

@@ -169,20 +169,6 @@ func TestTrainPFRLDMUsesHalfParticipation(t *testing.T) {
 	}
 }
 
-func TestRunConvergence(t *testing.T) {
-	cfg := tinyConfig(5)
-	curves, results, err := RunConvergence(cfg, []Algorithm{AlgPPO, AlgFedAvg})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(curves) != 2 || len(results) != 2 {
-		t.Fatal("missing results")
-	}
-	if len(curves["PPO"]) != cfg.Episodes || len(curves["FedAvg"]) != cfg.Episodes {
-		t.Fatal("curve lengths wrong")
-	}
-}
-
 func TestCriticLossSeries(t *testing.T) {
 	cfg := tinyConfig(6)
 	r, err := Train(AlgFedAvg, cfg)
@@ -313,41 +299,6 @@ func TestRunWeightHeatmaps(t *testing.T) {
 			if math.Abs(sum-1) > 1e-6 {
 				t.Fatalf("row not stochastic: %v", row)
 			}
-		}
-	}
-}
-
-func TestRunNewAgent(t *testing.T) {
-	cfg := tinyConfig(10)
-	res, err := RunNewAgent(cfg, 4, 3)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(res.Joined) != 3 || len(res.Fresh) != 3 {
-		t.Fatalf("curves %d/%d, want 3/3", len(res.Joined), len(res.Fresh))
-	}
-}
-
-func TestRunCommFrequency(t *testing.T) {
-	cfg := tinyConfig(11)
-	out, err := RunCommFrequency(cfg, []int{1, 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(out[1]) != cfg.Episodes || len(out[2]) != cfg.Episodes {
-		t.Fatal("frequency curves wrong")
-	}
-}
-
-func TestRunAblationVariants(t *testing.T) {
-	cfg := tinyConfig(12)
-	for _, v := range []AblationVariant{AblationFull, AblationNoDualCritic, AblationNoAttention, AblationFixedAlpha} {
-		curve, err := RunAblation(cfg, v, 0)
-		if err != nil {
-			t.Fatalf("%s: %v", v, err)
-		}
-		if len(curve) != cfg.Episodes {
-			t.Fatalf("%s: curve length %d", v, len(curve))
 		}
 	}
 }

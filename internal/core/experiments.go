@@ -87,26 +87,6 @@ func RunIsoHeter(cfg ExperimentConfig) (*IsoHeterResult, error) {
 }
 
 // ---------------------------------------------------------------------------
-// Figures 8, 15 — convergence comparisons
-// ---------------------------------------------------------------------------
-
-// RunConvergence trains the given algorithms on one shared configuration
-// and returns the mean reward curve per algorithm, keyed by name.
-func RunConvergence(cfg ExperimentConfig, algs []Algorithm) (map[string][]float64, map[Algorithm]*TrainResult, error) {
-	curves := make(map[string][]float64, len(algs))
-	results := make(map[Algorithm]*TrainResult, len(algs))
-	for _, alg := range algs {
-		r, err := Train(alg, cfg)
-		if err != nil {
-			return nil, nil, fmt.Errorf("core: %v: %w", alg, err)
-		}
-		curves[alg.String()] = r.MeanCurve
-		results[alg] = r
-	}
-	return curves, results, nil
-}
-
-// ---------------------------------------------------------------------------
 // Figure 9 — critic loss before/after aggregation
 // ---------------------------------------------------------------------------
 
@@ -431,26 +411,6 @@ func RunNewAgent(cfg ExperimentConfig, warmupEpisodes, joinEpisodes int) (*NewAg
 	fc.TrainEpisodes(joinEpisodes)
 
 	return &NewAgentResult{Joined: jc.Rewards, Fresh: fc.Rewards}, nil
-}
-
-// ---------------------------------------------------------------------------
-// Figure 21 — communication frequency sweep
-// ---------------------------------------------------------------------------
-
-// RunCommFrequency trains PFRL-DM at several communication frequencies and
-// returns the mean reward curve per frequency.
-func RunCommFrequency(cfg ExperimentConfig, freqs []int) (map[int][]float64, error) {
-	out := make(map[int][]float64, len(freqs))
-	for _, fr := range freqs {
-		c := cfg
-		c.CommEvery = fr
-		r, err := Train(AlgPFRLDM, c)
-		if err != nil {
-			return nil, err
-		}
-		out[fr] = r.MeanCurve
-	}
-	return out, nil
 }
 
 // ---------------------------------------------------------------------------

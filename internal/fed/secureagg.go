@@ -22,10 +22,6 @@ import (
 type SecureFedAvg struct {
 	// Seed derives the pairwise mask seeds.
 	Seed int64
-	// MaskScale is the standard deviation of the Gaussian masks
-	// (default 10; large relative to parameter values so masked uploads
-	// carry no usable signal).
-	MaskScale float64
 
 	// LastMasked retains the most recent masked uploads for inspection and
 	// tests (a real deployment would never expose these anywhere else).
@@ -34,8 +30,12 @@ type SecureFedAvg struct {
 
 // NewSecureFedAvg returns a secure-averaging aggregator.
 func NewSecureFedAvg(seed int64) *SecureFedAvg {
-	return &SecureFedAvg{Seed: seed, MaskScale: 10}
+	return &SecureFedAvg{Seed: seed}
 }
+
+// maskScale is the standard deviation of the Gaussian masks: large relative
+// to parameter values, so masked uploads carry no usable signal.
+const maskScale = 10
 
 // Name implements Aggregator.
 func (*SecureFedAvg) Name() string { return "secure-fedavg" }
@@ -49,10 +49,6 @@ func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 		panic("fed: aggregate of zero uploads")
 	}
 	dim := len(uploads[0])
-	scale := s.MaskScale
-	if scale <= 0 {
-		scale = 10
-	}
 
 	masked := make([]Payload, k)
 	for i := range masked {
@@ -63,7 +59,7 @@ func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 		for j := i + 1; j < k; j++ {
 			prg := rand.New(rand.NewSource(s.Seed ^ (int64(i)<<32 | int64(j))))
 			for d := 0; d < dim; d++ {
-				m := scale * prg.NormFloat64()
+				m := maskScale * prg.NormFloat64()
 				masked[i][d] += m
 				masked[j][d] -= m
 			}

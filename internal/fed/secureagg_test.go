@@ -42,7 +42,7 @@ func TestSecureFedAvgMasksHideIndividuals(t *testing.T) {
 			dist += diff * diff
 		}
 		rms := math.Sqrt(dist / float64(len(uploads[i])))
-		if rms < agg.MaskScale/2 {
+		if rms < maskScale/2 {
 			t.Fatalf("upload %d insufficiently masked: rms distance %v", i, rms)
 		}
 	}

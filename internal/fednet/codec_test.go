@@ -190,7 +190,7 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 	t.Run("errors", func(t *testing.T) {
 		transport := fed.PublicCriticTransport{}
 		initial := mustUpload(t, transport, newLocalClient(t, 0, 160))
-		async, asyncAddr := startConfigured(t, ServerConfig{
+		_, asyncAddr := startConfigured(t, ServerConfig{
 			Clients: 2, K: 2, Seed: 1, InitialGlobal: initial, Aggregator: fed.FedAvg{},
 			Async: true, StalenessBound: -1, Codec: fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true},
 		})
@@ -222,8 +222,16 @@ func TestRPCCodecRoundTrip(t *testing.T) {
 				return aconn.Call(methodFetch, FetchArgs{ClientID: 1}, &FetchReply{})
 			}, false, false},
 			{msgClosed, func() error {
-				async.Close()
-				return aconn.Call(methodSync, SyncArgs{ClientID: aid, Round: 1, Frame: testFrame(initial)}, &SyncReply{})
+				// A call held when the server closes is answered before its
+				// connection ends: a Sync on a barrier that will not fill.
+				closing, closingAddr := startServer(t, 2, 2, fed.FedAvg{}, initial)
+				conn := dialRaw(t, closingAddr)
+				id := rawJoin(t, conn).ClientID
+				go func() {
+					awaitArrived(closing, 1)
+					closing.Close()
+				}()
+				return conn.Call(methodSync, SyncArgs{ClientID: id, Round: 0, Frame: testFrame(initial)}, &SyncReply{})
 			}, false, false},
 		}
 		for _, c := range cases {

@@ -506,16 +506,8 @@ func TestServerCloseReleasesBarrierWaiters(t *testing.T) {
 	done := make(chan error, 1)
 	go func() { done <- rc.RunRounds(1, 1) }()
 	// Wait until the upload is pending server-side, i.e. the call is blocked.
-	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
-		srv.mu.Lock()
-		blocked := srv.arrived == 1
-		srv.mu.Unlock()
-		if blocked {
-			break
-		}
-		if time.Now().After(deadline) {
-			t.Fatal("client never reached the barrier")
-		}
+	if !awaitArrived(srv, 1) {
+		t.Fatal("client never reached the barrier")
 	}
 	srv.Close()
 	select {
@@ -532,11 +524,59 @@ func TestServerCloseReleasesBarrierWaiters(t *testing.T) {
 	if srv.Rounds() != 0 {
 		t.Fatal("Close must not commit the open round")
 	}
-	// Late callers are turned away the same way.
-	var reply SyncReply
-	err = rc.rpc.Call(methodSync, SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(srv.Global())}, &reply)
-	if err == nil || !strings.Contains(err.Error(), msgClosed) {
-		t.Fatalf("post-close Sync: err %v, want %q", err, msgClosed)
+	// The answered call was the connection's last: a late caller on it gets
+	// no answer, and a call the server still admits is turned away the same
+	// way as the waiter.
+	args := SyncArgs{ClientID: rc.ID(), Round: 0, Frame: testFrame(srv.Global())}
+	var srvErr serverError
+	if err := rc.rpc.Call(methodSync, args, &SyncReply{}); err == nil || errors.As(err, &srvErr) {
+		t.Fatalf("post-close Sync: err %v, want the connection gone", err)
+	}
+	if err := srv.sync(args, &SyncReply{}); err == nil || err.Error() != msgClosed {
+		t.Fatalf("post-close Sync admitted: err %v, want %q", err, msgClosed)
+	}
+}
+
+// awaitArrived polls, for up to five seconds, until srv's open barrier round
+// holds n uploads, and reports whether it came to.
+func awaitArrived(srv *Server, n int) bool {
+	for deadline := time.Now().Add(5 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		arrived := srv.arrived
+		srv.mu.Unlock()
+		if arrived == n {
+			return true
+		}
+	}
+	return false
+}
+
+// TestServerCloseEndsConnections: Close ends the connections it accepted —
+// a Join on one of them fails, and every serve loop exits — and a Join the
+// server still admits is answered with the non-retryable "server closed".
+func TestServerCloseEndsConnections(t *testing.T) {
+	srv, addr := startServer(t, 2, 2, fed.FedAvg{}, fed.Payload{0, 0})
+	a, b := dialRaw(t, addr), dialRaw(t, addr)
+	rawJoin(t, a)
+	rawJoin(t, b)
+	srv.Close()
+	if err := b.Call(methodJoin, JoinArgs{}, &JoinReply{}); err == nil {
+		t.Fatal("a Join on a connection the server closed succeeded")
+	}
+	for deadline := time.Now().Add(5 * time.Second); ; time.Sleep(time.Millisecond) {
+		srv.mu.Lock()
+		serving := len(srv.conns)
+		srv.mu.Unlock()
+		if serving == 0 {
+			break
+		}
+		if time.Now().After(deadline) {
+			t.Fatalf("%d serve loops still running after Close", serving)
+		}
+	}
+	err := srv.join(JoinArgs{}, &JoinReply{})
+	if err == nil || err.Error() != msgClosed {
+		t.Fatalf("Join after Close: err %v, want %q", err, msgClosed)
 	}
 }
 

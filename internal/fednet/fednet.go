@@ -63,7 +63,7 @@ const (
 	// the server's bookkeeping (a lost reply left the two ends on different
 	// references); the client clears its reference and retries absolutely.
 	msgRefMismatch = "fednet: delta reference mismatch"
-	// msgClosed answers every Sync held or made after Server.Close; it
+	// msgClosed answers every call held or made after Server.Close; it
 	// matches no retryable prefix, so clients give up at once.
 	msgClosed = "fednet: server closed"
 )
@@ -195,6 +195,11 @@ type Server struct {
 	nextID int
 	closed bool
 
+	// conns is every accepted connection whose serve loop runs, true while
+	// the loop serves a call; Close closes the idle ones, and a busy one
+	// ends once its answer is written.
+	conns map[net.Conn]bool
+
 	// Barrier regime: the decoded uploads of the open round by client id
 	// (nil = not arrived) and their count, the channel its waiters block on,
 	// the deadline armed at the first upload, and the closed round's
@@ -233,6 +238,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 		cfg:       cfg,
 		roundDone: make(chan struct{}),
 		lastRound: -1,
+		conns:     map[net.Conn]bool{},
 		wire:      fedcore.NewWireServer(cfg.Codec),
 	}
 	deliver := s.deliverBarrier
@@ -278,9 +284,17 @@ func (s *Server) Listen(addr string) (string, error) {
 // answer — or refuses it — one text line, nothing decoded — when it does not
 // open with the wire format's preface. A body the wire cannot decode, or a
 // method it does not know, is answered with an error and the connection reads
-// on; a broken header or a failed write ends it.
+// on; a broken header, a failed write or Server.Close ends it.
 func (s *Server) serveConn(conn net.Conn) {
 	defer conn.Close()
+	if !s.markConn(conn, false) {
+		return
+	}
+	defer func() {
+		s.mu.Lock()
+		delete(s.conns, conn)
+		s.mu.Unlock()
+	}()
 	c := newCodecConn(conn)
 	if err := c.readPreface(); err != nil {
 		_, _ = fmt.Fprintln(conn, err) // best effort: the peer may not read it
@@ -289,7 +303,7 @@ func (s *Server) serveConn(conn net.Conn) {
 	var m callSlots
 	for {
 		method, seq, _, err := c.readHeader(true)
-		if err != nil {
+		if err != nil || !s.markConn(conn, true) {
 			return
 		}
 		args := m.args(method)
@@ -304,13 +318,25 @@ func (s *Server) serveConn(conn net.Conn) {
 		if err != nil {
 			errMsg = err.Error()
 		}
-		if c.write(method, seq, errMsg, reply) != nil {
+		if c.write(method, seq, errMsg, reply) != nil || !s.markConn(conn, false) {
 			return
 		}
 		// A sent reply's payload is the server's no longer: a join's global
 		// would otherwise stay live for as long as its connection.
 		m.join, m.sync, m.fetch = JoinReply{}, SyncReply{}, FetchReply{}
 	}
+}
+
+// markConn records whether conn's serve loop is serving a call, and reports
+// whether the loop may go on: false once the server is closed.
+func (s *Server) markConn(conn net.Conn, busy bool) bool {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	if s.closed {
+		return false
+	}
+	s.conns[conn] = busy
+	return true
 }
 
 // callSlots is one connection's arguments and replies, reused call after
@@ -352,9 +378,11 @@ func (s *Server) serve(method byte, m *callSlots) (reply any, err error) {
 	return nil, fmt.Errorf("fednet: no such rpc method %d", method)
 }
 
-// Close stops accepting connections, stops the round deadline and releases
+// Close stops accepting connections, stops the round deadline, releases
 // every Sync blocked on the open barrier with a non-retryable "server closed"
-// error; later Syncs fail the same way. Safe to call multiple times.
+// error and ends every connection: an idle one at once, one serving a call
+// once that call is answered — "server closed" for a call admitted after
+// Close. Safe to call multiple times.
 func (s *Server) Close() {
 	s.mu.Lock()
 	defer s.mu.Unlock()
@@ -364,6 +392,11 @@ func (s *Server) Close() {
 	s.closed = true
 	if s.listener != nil {
 		s.listener.Close()
+	}
+	for conn, busy := range s.conns {
+		if !busy {
+			conn.Close()
+		}
 	}
 	if s.timer != nil {
 		s.timer.Stop()
@@ -397,6 +430,9 @@ func (s *Server) Comm() fed.CommStats {
 func (s *Server) join(args JoinArgs, reply *JoinReply) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
+	if s.closed {
+		return errors.New(msgClosed)
+	}
 	if args.Rejoin {
 		if args.ClientID < 0 || args.ClientID >= s.nextID {
 			return fmt.Errorf("fednet: rejoin of unknown client %d (joined: %d)", args.ClientID, s.nextID)
