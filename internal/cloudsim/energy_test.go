@@ -80,7 +80,7 @@ func TestDefaultRewardUnchangedByEnergyCode(t *testing.T) {
 		if loadC := env.LoadBalance() - before; loadC > 0 {
 			rLoad = loadC
 		}
-		if want := cfg.Rho*rRes + (1-cfg.Rho)*rLoad; r != want {
+		if want := rho*rRes + (1-rho)*rLoad; r != want {
 			t.Fatalf("placement %d: reward %v, want Eq. (6)'s %v", placed, r, want)
 		}
 	}

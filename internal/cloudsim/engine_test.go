@@ -167,7 +167,7 @@ func scratchLoadBalance(cfg Config, vms []*VM) float64 {
 			d := (1 - scratchUtil(vm, i)) - avg
 			variance += d * d
 		}
-		total += cfg.ResourceWeights[i] * math.Sqrt(variance/n)
+		total += resourceWeights[i] * math.Sqrt(variance/n)
 	}
 	return total
 }
@@ -388,7 +388,7 @@ func naiveObserve(env *Env) []float64 {
 			}
 		}
 	}
-	for q := 0; q < cfg.QueueDepth; q++ {
+	for q := 0; q < queueDepth; q++ {
 		if q < env.QueueLen() {
 			tk := env.queue[env.qhead+q]
 			out = append(out, float64(tk.CPU)/float64(cfg.MaxCPU), tk.Mem/cfg.MaxMem)

@@ -18,11 +18,10 @@ type Config struct {
 	VMs []VMSpec
 
 	// Observation padding and normalization (federation-wide constants).
-	PadVMs     int     // L: observation covers this many VM slots
-	PadVCPUs   int     // U^vcpu: per-VM vCPU slots in the observation
-	MaxCPU     int     // U^vcpu normalization cap for requests/capacities
-	MaxMem     float64 // U^mem normalization cap in GiB
-	QueueDepth int     // Q: queued tasks visible in the observation
+	PadVMs   int     // L: observation covers this many VM slots
+	PadVCPUs int     // U^vcpu: per-VM vCPU slots in the observation
+	MaxCPU   int     // U^vcpu normalization cap for requests/capacities
+	MaxMem   float64 // U^mem normalization cap in GiB
 
 	// TopK switches the observation and action space to the scalable
 	// fixed-width form: the policy sees the TopK best-fitting candidate VMs
@@ -39,13 +38,8 @@ type Config struct {
 	// the aggregate block.
 	UtilBuckets int
 
-	// Reward shaping.
-	Rho             float64               // ρ in Eq. (6); weight of the response reward
-	ResourceWeights [NumResources]float64 // w_i in Eqs. (4), (9), (24)
-	LazyPenalty     float64               // negative constant for waiting despite a feasible VM
-
 	// Objectives is the per-SLO-class wait shaping; the zero value
-	// reproduces the paper's reward from Rho.
+	// reproduces the paper's reward (Eq. 6).
 	Objectives ObjectiveWeights
 
 	// MaxSteps caps an episode (0 means a generous default of
@@ -54,19 +48,14 @@ type Config struct {
 }
 
 // DefaultConfig returns the configuration used throughout the experiments:
-// ρ = 0.5, equal resource weights, lazy penalty −8 (slightly worse than the
-// worst invalid-placement penalty −e^Σw·util ≥ −e).
+// the cluster's own sizes as the observation pads and normalization caps.
 func DefaultConfig(vms []VMSpec) Config {
 	return Config{
-		VMs:             vms,
-		PadVMs:          len(vms),
-		PadVCPUs:        maxVCPU(vms),
-		MaxCPU:          maxVCPU(vms),
-		MaxMem:          maxMem(vms),
-		QueueDepth:      5,
-		Rho:             0.5,
-		ResourceWeights: [NumResources]float64{0.5, 0.5},
-		LazyPenalty:     -8,
+		VMs:      vms,
+		PadVMs:   len(vms),
+		PadVCPUs: maxVCPU(vms),
+		MaxCPU:   maxVCPU(vms),
+		MaxMem:   maxMem(vms),
 	}
 }
 
@@ -108,10 +97,6 @@ func (c *Config) Validate() error {
 		return fmt.Errorf("cloudsim: no VMs")
 	case c.PadVMs < len(c.VMs):
 		return fmt.Errorf("cloudsim: PadVMs %d < actual VMs %d", c.PadVMs, len(c.VMs))
-	case c.QueueDepth < 1:
-		return fmt.Errorf("cloudsim: QueueDepth must be >= 1")
-	case c.Rho < 0 || c.Rho > 1:
-		return fmt.Errorf("cloudsim: Rho must be in [0,1]")
 	case c.MaxCPU < 1 || c.MaxMem <= 0:
 		return fmt.Errorf("cloudsim: invalid normalization caps")
 	case c.TopK < 0:
@@ -644,6 +629,11 @@ func (e *Env) anyFeasiblePlacement() bool {
 	return false
 }
 
+// lazyPenalty is the reward for waiting despite a feasible VM: slightly
+// worse than the worst invalid-placement penalty −e^Σw·util ≥ −e, so waiting
+// never pays while a placement is possible.
+const lazyPenalty = -8
+
 // Step executes one action and returns the reward. Semantics (§4.2):
 //
 //   - Valid placement: the head task starts on the chosen VM now; reward
@@ -673,7 +663,7 @@ func (e *Env) Step(action int) float64 {
 	if action == e.WaitAction() || !hasHead {
 		reward := 0.0
 		if hasHead && e.anyFeasiblePlacement() {
-			reward = e.cfg.LazyPenalty
+			reward = lazyPenalty
 			mSimLazyWaits.Inc()
 		} else {
 			mSimIdleWaits.Inc()
@@ -723,22 +713,30 @@ func (e *Env) Step(action int) float64 {
 	return reward
 }
 
+// resourceWeights are the w_i of Eqs. (4), (9) and (24), equal across the
+// resources. Nothing writes it (Go has no array constants).
+var resourceWeights = [NumResources]float64{0.5, 0.5}
+
 // invalidPenalty implements Eq. (9): −e^{Σ_i w_i·util_i} for the denied VM.
 // vmIdx < 0 is a void slot, treated as fully utilized.
 func (e *Env) invalidPenalty(vmIdx int) float64 {
 	s := 0.0
 	if vmIdx >= 0 {
 		for i := 0; i < NumResources; i++ {
-			s += e.cfg.ResourceWeights[i] * e.vms[vmIdx].utilization(i)
+			s += resourceWeights[i] * e.vms[vmIdx].utilization(i)
 		}
 	} else {
 		// Padded void VM: treat as fully utilized.
 		for i := 0; i < NumResources; i++ {
-			s += e.cfg.ResourceWeights[i]
+			s += resourceWeights[i]
 		}
 	}
 	return -math.Exp(s)
 }
+
+// rho is ρ in Eq. (6): the weight of the response reward against the
+// load-balance reward.
+const rho = 0.5
 
 // placementReward implements Eqs. (6)–(8).
 func (e *Env) placementReward(t workload.Task, loadBefore, loadAfter float64) float64 {
@@ -759,7 +757,7 @@ func (e *Env) placementReward(t workload.Task, loadBefore, loadAfter float64) fl
 	if loadC > 0 {
 		rLoad = loadC
 	}
-	return e.cfg.Rho*rRes + (1-e.cfg.Rho)*rLoad
+	return rho*rRes + (1-rho)*rLoad
 }
 
 // loadBalance implements Eq. (4): the weighted std-dev of per-VM remaining
@@ -783,7 +781,7 @@ func (e *Env) loadBalance() float64 {
 			d := vm.remainingFraction(i) - avg
 			variance += d * d
 		}
-		total += e.cfg.ResourceWeights[i] * math.Sqrt(variance/n)
+		total += resourceWeights[i] * math.Sqrt(variance/n)
 	}
 	return total
 }
@@ -799,7 +797,7 @@ func (e *Env) loadBalanceFast() float64 {
 		if variance < 0 {
 			variance = 0
 		}
-		total += e.cfg.ResourceWeights[i] * math.Sqrt(variance)
+		total += resourceWeights[i] * math.Sqrt(variance)
 	}
 	return total
 }

@@ -29,8 +29,6 @@ func TestConfigValidate(t *testing.T) {
 	bad := []func(*Config){
 		func(c *Config) { c.VMs = nil },
 		func(c *Config) { c.PadVMs = 1 },
-		func(c *Config) { c.QueueDepth = 0 },
-		func(c *Config) { c.Rho = 1.5 },
 		func(c *Config) { c.MaxCPU = 0 },
 		func(c *Config) { c.MaxMem = 0 },
 		func(c *Config) { c.VMs = []VMSpec{{CPU: 0, Mem: 1}} },
@@ -112,7 +110,7 @@ func TestWaitAdvancesTime(t *testing.T) {
 	if env.Now() != 1 {
 		t.Fatal("wait must advance the clock")
 	}
-	if r != env.Config().LazyPenalty {
+	if r != lazyPenalty {
 		t.Fatalf("waiting with feasible VMs must incur the lazy penalty, got %v", r)
 	}
 }

@@ -75,7 +75,7 @@ func (e *Env) Metrics() Metrics {
 	if e.slots > 0 {
 		util := 0.0
 		for i := 0; i < NumResources; i++ {
-			util += e.cfg.ResourceWeights[i] * e.utilSum[i]
+			util += resourceWeights[i] * e.utilSum[i]
 		}
 		m.AvgUtil = util / float64(e.slots)
 		m.AvgLoadBal = e.loadBalSum / float64(e.slots)

@@ -76,7 +76,7 @@ func leftoverFit(env *Env, sign float64) int {
 		vm := env.vms[vi]
 		leftCPU := float64(vm.freeCPU-head.CPU) / float64(cfg.MaxCPU)
 		leftMem := (vm.freeMem - head.Mem) / cfg.MaxMem
-		score := sign * (cfg.ResourceWeights[0]*leftCPU + cfg.ResourceWeights[1]*leftMem)
+		score := sign * (resourceWeights[0]*leftCPU + resourceWeights[1]*leftMem)
 		if best == -1 || score < bestScore {
 			best, bestScore = s, score
 		}

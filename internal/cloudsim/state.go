@@ -26,6 +26,9 @@ func aggDim(cfg Config) int {
 	return 0
 }
 
+// queueDepth is Q: the queued tasks visible in the observation.
+const queueDepth = 5
+
 // StateDim returns the observation length for a configuration:
 //
 //	L·d  (remaining capacity per VM slot; L = TopK in scalable mode)
@@ -34,7 +37,7 @@ func aggDim(cfg Config) int {
 //	[2B+3 aggregate block, scalable mode with UtilBuckets = B > 0]
 func StateDim(cfg Config) int {
 	l := cfg.padSlots()
-	return l*NumResources + l*cfg.PadVCPUs + cfg.QueueDepth*NumResources + aggDim(cfg)
+	return l*NumResources + l*cfg.PadVCPUs + queueDepth*NumResources + aggDim(cfg)
 }
 
 // StateDim returns the environment's observation length.
@@ -101,8 +104,8 @@ func (e *Env) Observe(dst []float64) []float64 {
 	// S^Queue: requested resources of the visible queue prefix.
 	off := vcpuOff + cfg.padSlots()*cfg.PadVCPUs
 	qlen := e.QueueLen()
-	if qlen > cfg.QueueDepth {
-		qlen = cfg.QueueDepth
+	if qlen > queueDepth {
+		qlen = queueDepth
 	}
 	for q := 0; q < qlen; q++ {
 		t := &e.queue[e.qhead+q]

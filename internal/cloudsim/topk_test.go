@@ -135,7 +135,7 @@ func TestRankedStateDimAndActions(t *testing.T) {
 	if NumActions(small) != 9 || NumActions(large) != 9 {
 		t.Fatalf("NumActions not fixed at k+1: %d / %d", NumActions(small), NumActions(large))
 	}
-	want := 8*NumResources + 8*small.PadVCPUs + small.QueueDepth*NumResources + 2*10 + 3
+	want := 8*NumResources + 8*small.PadVCPUs + queueDepth*NumResources + 2*10 + 3
 	if StateDim(small) != want {
 		t.Fatalf("ranked StateDim = %d, want %d", StateDim(small), want)
 	}

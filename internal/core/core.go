@@ -204,17 +204,17 @@ func ScaleSpecs(specs []ClientSpec, scale int) []ClientSpec {
 
 // FederationCaps computes the federation-wide observation constants shared
 // by every client (§4.1: all agents must have identical network shapes, so
-// smaller clusters are padded with voids).
+// smaller clusters are padded with voids). PadVCPUs, the widest VM, is also
+// the vCPU normalization cap.
 type FederationCaps struct {
 	PadVMs   int
 	PadVCPUs int
-	MaxCPU   int
 	MaxMem   float64
 }
 
 // CapsFor derives the caps from a set of client specs.
 func CapsFor(specs []ClientSpec) FederationCaps {
-	caps := FederationCaps{PadVMs: 1, PadVCPUs: 1, MaxCPU: 1, MaxMem: 1}
+	caps := FederationCaps{PadVMs: 1, PadVCPUs: 1, MaxMem: 1}
 	for _, s := range specs {
 		if len(s.VMs) > caps.PadVMs {
 			caps.PadVMs = len(s.VMs)
@@ -222,7 +222,6 @@ func CapsFor(specs []ClientSpec) FederationCaps {
 		for _, v := range s.VMs {
 			if v.CPU > caps.PadVCPUs {
 				caps.PadVCPUs = v.CPU
-				caps.MaxCPU = v.CPU
 			}
 			if v.Mem > caps.MaxMem {
 				caps.MaxMem = v.Mem
@@ -238,7 +237,7 @@ func (caps FederationCaps) EnvConfig(spec ClientSpec) cloudsim.Config {
 	cfg := cloudsim.DefaultConfig(spec.VMs)
 	cfg.PadVMs = caps.PadVMs
 	cfg.PadVCPUs = caps.PadVCPUs
-	cfg.MaxCPU = caps.MaxCPU
+	cfg.MaxCPU = caps.PadVCPUs
 	cfg.MaxMem = caps.MaxMem
 	return cfg
 }
@@ -248,7 +247,6 @@ func (caps FederationCaps) EnvConfig(spec ClientSpec) cloudsim.Config {
 type ExperimentConfig struct {
 	Specs          []ClientSpec
 	TasksPerClient int
-	TrainFrac      float64
 	Episodes       int
 	CommEvery      int
 	// K is the number of clients aggregated per round (0 means N/2,
@@ -292,7 +290,6 @@ func DefaultExperiment(seed int64) ExperimentConfig {
 	return ExperimentConfig{
 		Specs:          ScaleSpecs(Table3Specs(), 4),
 		TasksPerClient: 120,
-		TrainFrac:      0.6,
 		Episodes:       40,
 		CommEvery:      5,
 		Seed:           seed,
@@ -360,8 +357,12 @@ type ClientData struct {
 	Test  []workload.Task
 }
 
+// trainFrac is the share of each client's tasks it trains on; the rest are
+// its test set.
+const trainFrac = 0.6
+
 // SampleClientData draws each client's tasks (SampleTasks, seeded per
-// client) and splits them train/test.
+// client) and splits them train/test (trainFrac).
 func SampleClientData(cfg ExperimentConfig) ([]ClientData, error) {
 	out := make([]ClientData, len(cfg.Specs))
 	for i, spec := range cfg.Specs {
@@ -370,7 +371,7 @@ func SampleClientData(cfg ExperimentConfig) ([]ClientData, error) {
 		if err != nil {
 			return nil, fmt.Errorf("core: client %d (%s): %w", i, spec.Name, err)
 		}
-		train, test := workload.Split(tasks, cfg.TrainFrac)
+		train, test := workload.Split(tasks, trainFrac)
 		out[i] = ClientData{Spec: spec, Train: train, Test: test}
 	}
 	return out, nil
@@ -386,9 +387,6 @@ type TrainResult struct {
 	// (the paper's Figure 8/15 convergence series).
 	MeanCurve []float64
 	Data      []ClientData
-	// Participation is the number of uploads aggregated in each round
-	// (equals K every round unless faults dropped clients out).
-	Participation []int
 	// Comm is the federation's communication ledger: scalar counts plus
 	// measured wire bytes of every codec frame (zero for AlgPPO).
 	Comm fed.CommStats
@@ -485,10 +483,6 @@ func (r *TrainResult) train(cfg ExperimentConfig, agg fed.Aggregator) error {
 		return err
 	}
 	r.Federation = f
-	r.Participation = make([]int, len(f.Reports))
-	for i, rep := range f.Reports {
-		r.Participation[i] = rep.Participants
-	}
 	r.MeanCurve = fed.MeanRewardCurve(r.Clients)
 	r.Comm = f.Comm()
 	return nil

@@ -440,12 +440,12 @@ func TestTrainReportsParticipation(t *testing.T) {
 		t.Fatal(err)
 	}
 	rounds := cfg.Episodes / cfg.CommEvery
-	if len(r.Participation) != rounds {
-		t.Fatalf("participation for %d rounds, want %d", len(r.Participation), rounds)
+	if len(r.Federation.Reports) != rounds {
+		t.Fatalf("reports for %d rounds, want %d", len(r.Federation.Reports), rounds)
 	}
-	for i, p := range r.Participation {
-		if p != len(cfg.Specs) {
-			t.Fatalf("round %d participation %d, want full %d", i, p, len(cfg.Specs))
+	for i, rep := range r.Federation.Reports {
+		if rep.Participants != len(cfg.Specs) {
+			t.Fatalf("round %d participation %d, want full %d", i, rep.Participants, len(cfg.Specs))
 		}
 	}
 }

@@ -270,7 +270,7 @@ type HybridEval struct {
 // sets and environments, the floor any learned policy must beat.
 func EvalHybrid(r *TrainResult, cfg ExperimentConfig, nativeFrac float64, floor cloudsim.Policy) (*HybridEval, error) {
 	he := &HybridEval{}
-	nTest := int(float64(cfg.TasksPerClient) * (1 - cfg.TrainFrac))
+	nTest := int(float64(cfg.TasksPerClient) * (1 - trainFrac))
 	if nTest < 10 {
 		nTest = 10
 	}
@@ -385,7 +385,7 @@ func RunNewAgent(cfg ExperimentConfig, warmupEpisodes, joinEpisodes int) (*NewAg
 	if err != nil {
 		return nil, fmt.Errorf("core: joiner (%s): %w", spec.Name, err)
 	}
-	train, _ := workload.Split(tasks, cfg.TrainFrac)
+	train, _ := workload.Split(tasks, trainFrac)
 	envCfg := cfg.envConfig(CapsFor(cfg.Specs), spec)
 
 	jc, err := cfg.newClient(AlgPFRLDM, len(f.Clients), spec.Name, envCfg, train, cfg.Seed+515151)

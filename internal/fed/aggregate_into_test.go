@@ -124,7 +124,8 @@ func TestMomentumStateIndependentOfArena(t *testing.T) {
 // arena-backed AggregatePartialInto the round engine calls every commit — to
 // zero allocations once warm at the paper's payload width, for the
 // aggregators whose data plane is pure reduction: FedAvg and Momentum
-// (ReduceMeanInto) and StaticWeights (WeightedMixInto + ReduceMeanInto).
+// (ReduceMeanInto), StaticWeights (WeightedMixInto + ReduceMeanInto) and
+// SecureFedAvg (masking in arena views, one reseeded stream, ReduceMeanInto).
 // Attention allocates its O(K²) weight matrix by design.
 func TestEngineRoundSteadyStateAllocs(t *testing.T) {
 	const k, dim = 8, benchDim
@@ -138,6 +139,7 @@ func TestEngineRoundSteadyStateAllocs(t *testing.T) {
 		{"FedAvg", FedAvg{}},
 		{"Momentum", NewMomentum(0.9)},
 		{"StaticWeights", StaticWeights{W: uniformWeights(k)}},
+		{"SecureFedAvg", NewSecureFedAvg(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var arena fedcore.PayloadArena

@@ -26,7 +26,7 @@ func (a FedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	return fedcore.AggregateOwned(a, uploads)
 }
 
-// AggregateInto implements fedcore.IntoAggregator: the mean reduces into the
+// AggregateInto implements Aggregator: the mean reduces into the
 // arena's global buffer and every personalized view aliases it — FedAvg
 // hands all participants the identical model. Results are valid until the
 // arena's next round.
@@ -46,7 +46,8 @@ func (FedAvg) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]P
 //	v_t = β·v_{t−1} + Δ_t
 //	g_{t+1} = g_t + v_t
 type Momentum struct {
-	// Beta is the momentum coefficient (0.9 in the experiments).
+	// Beta is the momentum coefficient (0.5 in the experiments: core's
+	// algorithm table and the benchmark's MFPO leg).
 	Beta float64
 
 	global   Payload
@@ -64,7 +65,7 @@ func (m *Momentum) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	return fedcore.AggregateOwned(m, uploads)
 }
 
-// AggregateInto implements fedcore.IntoAggregator. The mean reduces into the
+// AggregateInto implements Aggregator. The mean reduces into the
 // arena buffer, the velocity/global update runs in place, and the
 // personalized views alias the aggregator's own global — momentum hands
 // everyone the same model. Results are valid until the next round; the
@@ -121,7 +122,7 @@ func (a *Attention) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	return fedcore.AggregateOwned(a, uploads)
 }
 
-// AggregateInto implements fedcore.IntoAggregator: the Eq. 21 mix writes
+// AggregateInto implements Aggregator: the Eq. 21 mix writes
 // into arena-carved views and the Eq. 22 mean (ψ_G = mean of the
 // personalized models) into the arena global. The attention weight
 // computation is the larger part of the call, not the data plane: its
@@ -157,7 +158,7 @@ func (s StaticWeights) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	return fedcore.AggregateOwned(s, uploads)
 }
 
-// AggregateInto implements fedcore.IntoAggregator with the same arena-backed
+// AggregateInto implements Aggregator with the same arena-backed
 // mix-then-mean shape as Attention, minus the weight generation.
 func (s StaticWeights) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
 	k := len(uploads)

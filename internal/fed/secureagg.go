@@ -1,6 +1,7 @@
 package fed
 
 import (
+	"fmt"
 	"math/rand"
 
 	"repro/internal/fedcore"
@@ -24,8 +25,12 @@ type SecureFedAvg struct {
 	Seed int64
 
 	// LastMasked retains the most recent masked uploads for inspection and
-	// tests (a real deployment would never expose these anywhere else).
+	// tests (a real deployment would never expose these anywhere else). The
+	// payloads live in the arena of the aggregation that masked them, valid
+	// until its next round.
 	LastMasked []Payload
+
+	prg *rand.Rand // the pairwise mask stream, reseeded per pair
 }
 
 // NewSecureFedAvg returns a secure-averaging aggregator.
@@ -40,39 +45,45 @@ const maskScale = 10
 // Name implements Aggregator.
 func (*SecureFedAvg) Name() string { return "secure-fedavg" }
 
-// Aggregate implements Aggregator: it masks each upload with the pairwise
-// streams (simulating what the clients would send), averages the masked
-// payloads, and returns the same global to every participant.
+// Aggregate implements Aggregator.
 func (s *SecureFedAvg) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	k := len(uploads)
-	if k == 0 {
-		panic("fed: aggregate of zero uploads")
-	}
-	dim := len(uploads[0])
+	return fedcore.AggregateOwned(s, uploads)
+}
 
-	masked := make([]Payload, k)
-	for i := range masked {
-		masked[i] = append(Payload(nil), uploads[i]...)
+// AggregateInto implements Aggregator: it masks each upload with the pairwise
+// streams in arena-carved views (simulating what the clients would send),
+// averages the masked payloads into the arena global, and hands every
+// participant that same global. Results are valid until the arena's next
+// round.
+func (s *SecureFedAvg) AggregateInto(uploads []Payload, arena *fedcore.PayloadArena) ([]Payload, Payload) {
+	k := len(uploads)
+	dim := len(uploads[0])
+	masked := arena.Payloads(k, dim)
+	for i, u := range uploads {
+		if len(u) != dim {
+			panic(fmt.Sprintf("fed: upload %d has %d params, want %d", i, len(u), dim))
+		}
+		copy(masked[i], u)
+	}
+	if s.prg == nil {
+		s.prg = rand.New(rand.NewSource(0))
 	}
 	// Pairwise masks: client i adds, client j (> i) subtracts.
 	for i := 0; i < k; i++ {
 		for j := i + 1; j < k; j++ {
-			prg := rand.New(rand.NewSource(s.Seed ^ (int64(i)<<32 | int64(j))))
+			s.prg.Seed(s.Seed ^ (int64(i)<<32 | int64(j)))
 			for d := 0; d < dim; d++ {
-				m := maskScale * prg.NormFloat64()
+				m := maskScale * s.prg.NormFloat64()
 				masked[i][d] += m
 				masked[j][d] -= m
 			}
 		}
 	}
-	s.LastMasked = masked
+	// Alias below rewrites the arena's views; LastMasked keeps its own.
+	s.LastMasked = append(s.LastMasked[:0], masked...)
 
 	// The server only ever touches the masked payloads.
-	global := make(Payload, dim)
+	global := arena.Global(dim)
 	fedcore.ReduceMeanInto(global, masked)
-	personalized := make([]Payload, k)
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), global...)
-	}
-	return personalized, global
+	return arena.Alias(k, global), global
 }

@@ -1,9 +1,12 @@
 package fed
 
 import (
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
+
+	"repro/internal/fedcore"
 )
 
 func randomUploads(seed int64, k, dim int) []Payload {
@@ -105,5 +108,95 @@ func TestFedProxTransportAnchorsClients(t *testing.T) {
 	}
 	if tr.PayloadSize(clients[0]) != (ActorCriticTransport{}).PayloadSize(clients[0]) {
 		t.Fatal("FedProx payload should match the plain transport")
+	}
+}
+
+// secureFedAvgReference is SecureFedAvg.Aggregate as it was before the
+// masking moved into arena views, kept verbatim: a fresh PRG per pair, k
+// masked copies, k personalized copies.
+type secureFedAvgReference struct {
+	Seed       int64
+	LastMasked []Payload
+}
+
+func (s *secureFedAvgReference) Aggregate(uploads []Payload) ([]Payload, Payload) {
+	k := len(uploads)
+	if k == 0 {
+		panic("fed: aggregate of zero uploads")
+	}
+	dim := len(uploads[0])
+
+	masked := make([]Payload, k)
+	for i := range masked {
+		masked[i] = append(Payload(nil), uploads[i]...)
+	}
+	// Pairwise masks: client i adds, client j (> i) subtracts.
+	for i := 0; i < k; i++ {
+		for j := i + 1; j < k; j++ {
+			prg := rand.New(rand.NewSource(s.Seed ^ (int64(i)<<32 | int64(j))))
+			for d := 0; d < dim; d++ {
+				m := maskScale * prg.NormFloat64()
+				masked[i][d] += m
+				masked[j][d] -= m
+			}
+		}
+	}
+	s.LastMasked = masked
+
+	// The server only ever touches the masked payloads.
+	global := make(Payload, dim)
+	fedcore.ReduceMeanInto(global, masked)
+	personalized := make([]Payload, k)
+	for i := range personalized {
+		personalized[i] = append(Payload(nil), global...)
+	}
+	return personalized, global
+}
+
+// TestSecureFedAvgMatchesAllocatingReference pins the arena body to the
+// allocating one bit for bit — global, personalized and masked payloads —
+// over rounds of changing K on one reused arena and through Aggregate, and
+// holds LastMasked apart from the views the arena's Alias rewrites.
+func TestSecureFedAvgMatchesAllocatingReference(t *testing.T) {
+	requireBits := func(what string, got, want Payload) {
+		t.Helper()
+		if len(got) != len(want) {
+			t.Fatalf("%s: length %d, want %d", what, len(got), len(want))
+		}
+		for d := range want {
+			if math.Float64bits(got[d]) != math.Float64bits(want[d]) {
+				t.Fatalf("%s[%d] = %v, want %v (bitwise)", what, d, got[d], want[d])
+			}
+		}
+	}
+	const dim = 97
+	pooled, owned := NewSecureFedAvg(21), NewSecureFedAvg(21)
+	var arena fedcore.PayloadArena
+	for round, k := range []int{3, 8, 1, 5, 8} {
+		uploads := randomUploads(int64(60+round), k, dim)
+		ref := &secureFedAvgReference{Seed: 21}
+		wantPers, wantGlobal := ref.Aggregate(uploads)
+		for _, tc := range []struct {
+			name string
+			agg  *SecureFedAvg
+			run  func() ([]Payload, Payload)
+		}{
+			{"AggregateInto", pooled, func() ([]Payload, Payload) { return pooled.AggregateInto(uploads, &arena) }},
+			{"Aggregate", owned, func() ([]Payload, Payload) { return owned.Aggregate(uploads) }},
+		} {
+			gotPers, gotGlobal := tc.run()
+			where := fmt.Sprintf("round %d (K=%d) %s", round, k, tc.name)
+			requireBits(where+" global", gotGlobal, wantGlobal)
+			if len(gotPers) != k || len(tc.agg.LastMasked) != k {
+				t.Fatalf("%s: %d personalized, %d masked payloads, want %d", where, len(gotPers), len(tc.agg.LastMasked), k)
+			}
+			for i := range wantPers {
+				requireBits(fmt.Sprintf("%s personalized[%d]", where, i), gotPers[i], wantPers[i])
+				requireBits(fmt.Sprintf("%s LastMasked[%d]", where, i), tc.agg.LastMasked[i], ref.LastMasked[i])
+			}
+			if &tc.agg.LastMasked[0] == &gotPers[0] {
+				t.Fatalf("%s: LastMasked shares its backing array with the returned views", where)
+			}
+		}
 	}
 }

@@ -60,32 +60,31 @@ import (
 // Payload is a flat parameter vector exchanged between client and server.
 type Payload = []float64
 
-// Aggregator combines the participating clients' uploads. Aggregate returns
-// one personalized payload per upload (same order) plus the new global
-// payload stored for non-participants and late joiners. internal/fed's
-// aggregators (FedAvg, MFPO momentum, attention, ...) satisfy it directly.
+// Aggregator combines the participating clients' uploads into one
+// personalized payload per upload (same order) plus the new global payload
+// stored for non-participants and late joiners.
+//
+// AggregateInto is the rule, and the form the engine runs: it places its
+// result in caller-owned arena buffers, so a steady-state round allocates
+// nothing. The returned slices are valid only until the arena's next use;
+// callers that retain them must copy. Aggregate returns copies the caller
+// owns; internal/fed's aggregators (FedAvg, MFPO momentum, attention, static
+// weights, secure averaging) all get it from AggregateOwned.
 type Aggregator interface {
 	Name() string
 	Aggregate(uploads []Payload) (personalized []Payload, global Payload)
-}
-
-// IntoAggregator is the pooled form the engine runs: AggregateInto places
-// its result in caller-owned arena buffers, so a steady-state round
-// allocates nothing. The returned slices are valid only until the arena's
-// next use; callers that retain them must copy. internal/fed's FedAvg,
-// Momentum, Attention and StaticWeights implement their rule here and get
-// Aggregate from AggregateOwned; the engine falls back to Aggregate for
-// aggregators without it (SecureFedAvg, test fakes).
-type IntoAggregator interface {
-	Aggregator
 	AggregateInto(uploads []Payload, arena *PayloadArena) (personalized []Payload, global Payload)
 }
+
+// IntoAggregator is an alias of Aggregator, kept for callers written
+// against that name.
+type IntoAggregator = Aggregator
 
 // AggregateOwned is the one implementation of Aggregate for aggregators
 // whose rule lives in AggregateInto: it runs the rule on a throwaway arena
 // and returns copies the caller owns — every payload has its own backing
 // array, aliasing neither the others nor the aggregator's state.
-func AggregateOwned(agg IntoAggregator, uploads []Payload) (personalized []Payload, global Payload) {
+func AggregateOwned(agg Aggregator, uploads []Payload) (personalized []Payload, global Payload) {
 	if len(uploads) == 0 {
 		panic("fedcore: aggregate of zero uploads")
 	}
@@ -103,16 +102,12 @@ func AggregateOwned(agg IntoAggregator, uploads []Payload) (personalized []Paylo
 // the round closed), in arena buffers. Each arrival carries equal weight, so
 // the result is the participation-weighted mean — exactly the aggregator's
 // rule over the k uploads. Zero uploads return prevGlobal itself as the
-// carried-over global — the caller copies or already owns it. Aggregators
-// without the pooled fast path fall back to the allocating Aggregate.
+// carried-over global — the caller copies or already owns it.
 func AggregatePartialInto(agg Aggregator, uploads []Payload, prevGlobal Payload, arena *PayloadArena) (personalized []Payload, global Payload) {
 	if len(uploads) == 0 {
 		return nil, prevGlobal
 	}
-	if into, ok := agg.(IntoAggregator); ok {
-		return into.AggregateInto(uploads, arena)
-	}
-	return agg.Aggregate(uploads)
+	return agg.AggregateInto(uploads, arena)
 }
 
 // DefaultK returns the paper's default participation for an n-client

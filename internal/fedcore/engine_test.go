@@ -14,9 +14,11 @@ type meanAgg struct{}
 
 func (meanAgg) Name() string { return "mean" }
 
-func (meanAgg) Aggregate(uploads []Payload) ([]Payload, Payload) {
-	dim := len(uploads[0])
-	global := make(Payload, dim)
+func (a meanAgg) Aggregate(uploads []Payload) ([]Payload, Payload) { return AggregateOwned(a, uploads) }
+
+func (meanAgg) AggregateInto(uploads []Payload, arena *PayloadArena) ([]Payload, Payload) {
+	global := arena.Global(len(uploads[0]))
+	clear(global)
 	for _, u := range uploads {
 		for j, v := range u {
 			global[j] += v
@@ -26,11 +28,7 @@ func (meanAgg) Aggregate(uploads []Payload) ([]Payload, Payload) {
 	for j := range global {
 		global[j] *= inv
 	}
-	personalized := make([]Payload, len(uploads))
-	for i := range personalized {
-		personalized[i] = append(Payload(nil), global...)
-	}
-	return personalized, global
+	return arena.Alias(len(uploads), global), global
 }
 
 // mustEngine builds a barrier-trigger engine over meanAgg.

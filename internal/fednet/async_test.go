@@ -512,18 +512,22 @@ type spreadAggregator struct{}
 
 func (spreadAggregator) Name() string { return "spread" }
 
-func (spreadAggregator) Aggregate(uploads []fed.Payload) ([]fed.Payload, fed.Payload) {
-	global := make(fed.Payload, len(uploads[0]))
+func (a spreadAggregator) Aggregate(uploads []fed.Payload) ([]fed.Payload, fed.Payload) {
+	return fedcore.AggregateOwned(a, uploads)
+}
+
+func (spreadAggregator) AggregateInto(uploads []fed.Payload, arena *fedcore.PayloadArena) ([]fed.Payload, fed.Payload) {
+	global := arena.Global(len(uploads[0]))
+	clear(global)
 	for _, u := range uploads {
 		for j, v := range u {
 			global[j] += v / float64(len(uploads))
 		}
 	}
-	personalized := make([]fed.Payload, len(uploads))
-	for i := range uploads {
-		personalized[i] = make(fed.Payload, len(global))
+	personalized := arena.Payloads(len(uploads), len(global))
+	for i, p := range personalized {
 		for j, v := range global {
-			personalized[i][j] = v + float64(i+1)
+			p[j] = v + float64(i+1)
 		}
 	}
 	return personalized, global

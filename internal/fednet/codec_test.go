@@ -8,7 +8,7 @@ import (
 	"net"
 	"net/rpc"
 	"reflect"
-	"runtime"
+	"runtime/metrics"
 	"strings"
 	"testing"
 	"time"
@@ -451,9 +451,7 @@ func FuzzRPCCodec(f *testing.F) {
 			t.Fatal(err)
 		}
 		client := newCodecConn(pipeEnd{bytes.NewReader(data), io.Discard})
-		var ms runtime.MemStats
-		runtime.ReadMemStats(&ms)
-		before := ms.TotalAlloc
+		before := heapAllocBytes()
 
 		// The server loop's reader: each call's arguments into the
 		// connection's slots, a malformed body answered and read past.
@@ -483,9 +481,17 @@ func FuzzRPCCodec(f *testing.F) {
 			}
 		}
 
-		runtime.ReadMemStats(&ms)
-		if got, budget := ms.TotalAlloc-before, uint64(1<<20+32*len(data)); got > budget {
+		if got, budget := heapAllocBytes()-before, uint64(1<<20+32*len(data)); got > budget {
 			t.Fatalf("decoding %d bytes allocated %d bytes, budget %d", len(data), got, budget)
 		}
 	})
+}
+
+// heapAllocBytes reads the process's cumulative heap allocation through
+// runtime/metrics, which does not stop the world the way
+// runtime.ReadMemStats does.
+func heapAllocBytes() uint64 {
+	s := [1]metrics.Sample{{Name: "/gc/heap/allocs:bytes"}}
+	metrics.Read(s[:])
+	return s[0].Value.Uint64()
 }

@@ -18,6 +18,7 @@ import (
 	"time"
 
 	"repro/internal/cloudsim"
+	"repro/internal/core"
 	"repro/internal/fed"
 	"repro/internal/fedcore"
 	"repro/internal/rl"
@@ -25,13 +26,13 @@ import (
 )
 
 // swarmProfiles are the heterogeneous cluster shapes cycled across client
-// ids. PadVMs is forced to the widest profile so every client's observation
-// (and therefore transport payload) has the federation-wide fixed width.
-var swarmProfiles = [][]cloudsim.VMSpec{
-	{{CPU: 4, Mem: 16}, {CPU: 8, Mem: 32}},
-	{{CPU: 2, Mem: 8}, {CPU: 4, Mem: 8}, {CPU: 8, Mem: 16}},
-	{{CPU: 16, Mem: 64}},
-	{{CPU: 4, Mem: 8}, {CPU: 4, Mem: 32}, {CPU: 8, Mem: 16}},
+// ids. Their federation caps (core.CapsFor) pad every client's observation
+// (and therefore transport payload) to the same fixed width.
+var swarmProfiles = []core.ClientSpec{
+	{VMs: []cloudsim.VMSpec{{CPU: 4, Mem: 16}, {CPU: 8, Mem: 32}}},
+	{VMs: []cloudsim.VMSpec{{CPU: 2, Mem: 8}, {CPU: 4, Mem: 8}, {CPU: 8, Mem: 16}}},
+	{VMs: []cloudsim.VMSpec{{CPU: 16, Mem: 64}}},
+	{VMs: []cloudsim.VMSpec{{CPU: 4, Mem: 8}, {CPU: 4, Mem: 32}, {CPU: 8, Mem: 16}}},
 }
 
 // swarmDatasets are the workload models cycled across client ids, so the
@@ -149,40 +150,10 @@ func (h swarmHeap) Swap(i, j int) { h[i], h[j] = h[j], h[i] }
 func (h *swarmHeap) Push(x any)   { *h = append(*h, x.(swarmEvent)) }
 func (h *swarmHeap) Pop() any     { old := *h; n := len(old); e := old[n-1]; *h = old[:n-1]; return e }
 
-// swarmPad holds the federation-wide observation pads and normalization
-// caps: every client must encode to the same width against the same caps
-// for the transport payloads to be aggregable.
-type swarmPad struct {
-	vms, vcpus int
-	maxMem     float64
-}
-
-func swarmPads() swarmPad {
-	var p swarmPad
-	for _, profile := range swarmProfiles {
-		if len(profile) > p.vms {
-			p.vms = len(profile)
-		}
-		for _, vm := range profile {
-			if vm.CPU > p.vcpus {
-				p.vcpus = vm.CPU
-			}
-			if vm.Mem > p.maxMem {
-				p.maxMem = vm.Mem
-			}
-		}
-	}
-	return p
-}
-
 // swarmClient builds one heterogeneous in-process client: cluster shape and
 // workload model cycle with the id, observation width is federation-wide.
-func swarmClient(id int, seed int64, tasks int, pad swarmPad) (*fed.Client, error) {
-	cfg := cloudsim.DefaultConfig(swarmProfiles[id%len(swarmProfiles)])
-	cfg.PadVMs = pad.vms
-	cfg.PadVCPUs = pad.vcpus
-	cfg.MaxCPU = pad.vcpus
-	cfg.MaxMem = pad.maxMem
+func swarmClient(id int, seed int64, tasks int, caps core.FederationCaps) (*fed.Client, error) {
+	cfg := caps.EnvConfig(swarmProfiles[id%len(swarmProfiles)])
 	rng := rand.New(rand.NewSource(seed))
 	sampled := cloudsim.ClampTasks(
 		workload.SampleDataset(swarmDatasets[id%len(swarmDatasets)], rng, tasks), cfg.VMs)
@@ -237,10 +208,10 @@ func runSwarm(cfg SwarmConfig, drive func(*swarmFleet) error) (*SwarmResult, err
 	}
 	// The clients are built on as many goroutines as the drive trains on;
 	// each is seeded by its id alone.
-	pad := swarmPads()
+	caps := core.CapsFor(swarmProfiles)
 	clients := make([]*fed.Client, cfg.Clients)
 	if err := fed.Fan(cfg.Clients, runtime.GOMAXPROCS(0), func(i int) error {
-		c, err := swarmClient(i, cfg.Seed+int64(i)*1000003, cfg.Tasks, pad)
+		c, err := swarmClient(i, cfg.Seed+int64(i)*1000003, cfg.Tasks, caps)
 		if err != nil {
 			return fmt.Errorf("fednet: swarm client %d: %w", i, err)
 		}

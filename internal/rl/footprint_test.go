@@ -24,7 +24,7 @@ func poolMisses(fn func()) int64 {
 // holding the working sets of buf's last minibatch.
 func holdLaneTapes(a *PPO, buf *Buffer) {
 	st, cfg := &a.upd, &a.Cfg
-	st.adv, st.targets = buf.GAEInto(cfg.Gamma, cfg.Lambda, st.adv, st.targets)
+	st.adv, st.targets = buf.GAEInto(gamma, lambda, st.adv, st.targets)
 	st.ensure(buf.Len(), cfg.MiniBatch, cfg.StateDim)
 	st.tiedColumns(buf, cfg.StateDim)
 	for i := range st.idx {
@@ -236,10 +236,10 @@ func checkMemoFresh(t *testing.T, memo, fresh *memoRun, seed int64, step, op int
 		name      string
 		got, want float64
 	}{
-		{"local", local, CriticMSE(a.Critic, &memo.buf, a.Cfg.Gamma)},
-		{"public", public, CriticMSE(a.PublicCritic, &memo.buf, a.Cfg.Gamma)},
-		{"local, whole buffer", local, wholeBufferMSE(a.Critic, &memo.buf, a.Cfg.Gamma)},
-		{"public, whole buffer", public, wholeBufferMSE(a.PublicCritic, &memo.buf, a.Cfg.Gamma)},
+		{"local", local, CriticMSE(a.Critic, &memo.buf, gamma)},
+		{"public", public, CriticMSE(a.PublicCritic, &memo.buf, gamma)},
+		{"local, whole buffer", local, wholeBufferMSE(a.Critic, &memo.buf, gamma)},
+		{"public, whole buffer", public, wholeBufferMSE(a.PublicCritic, &memo.buf, gamma)},
 	} {
 		if !sameBits(c.got, c.want) {
 			t.Fatalf("seed %d step %d (op %d): %s loss %v, fresh %v", seed, step, op, c.name, c.got, c.want)

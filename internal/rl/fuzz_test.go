@@ -2,6 +2,7 @@ package rl
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"testing"
 )
@@ -25,6 +26,11 @@ func FuzzLoadCheckpoint(f *testing.F) {
 	f.Add([]byte(`{"format":"pfrl-dm/agent/v1","kind":"ppo","config":{"StateDim":70000,"NumActions":70000}}`))
 	f.Add([]byte(`{"format":"pfrl-dm/agent/v1","kind":"dual-critic","config":{"StateDim":2,"NumActions":2},"actor":[1]}`))
 	f.Add(hostileMiniBatchCheckpoint(f))
+	small := smallCheckpoint(f)
+	f.Add(withConfigValue(f, small, "ActorLR", "-0.001"))
+	f.Add(withConfigValue(f, small, "CriticLR", "-1e-300"))
+	f.Add(withConfigValue(f, small, "Clip", "1e400"))
+	f.Add(withConfigValue(f, small, "EntCoef", "-1e400"))
 	f.Add([]byte(`{"format":"nope"}`))
 	f.Add([]byte(`not json`))
 	f.Add([]byte(``))
@@ -33,6 +39,12 @@ func FuzzLoadCheckpoint(f *testing.F) {
 		agent, err := LoadAgent(bytes.NewReader(data), rand.New(rand.NewSource(9)))
 		if err != nil {
 			return
+		}
+		// An accepted agent steps with finite, non-negative rates.
+		for _, v := range []float64{agent.Cfg.ActorLR, agent.Cfg.CriticLR, agent.Cfg.Clip, agent.Cfg.EntCoef} {
+			if !(v >= 0) || math.IsInf(v, 1) {
+				t.Fatalf("accepted a checkpoint with config %+v", agent.Cfg)
+			}
 		}
 		// An accepted agent must be re-serializable.
 		var out bytes.Buffer

@@ -114,7 +114,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			if s.prox != nil {
 				s.prox.Apply(s.actor)
 			}
-			nn.ClipGradNorm(s.actor, s.cfg.MaxGradNorm)
+			nn.ClipGradNorm(s.actor, maxGradNorm)
 			s.actorOpt.Step()
 			epochActor += -objective.Item()
 			epochEntropy += entropy.Item()
@@ -138,7 +138,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 				if s.prox != nil {
 					s.prox.Apply(cm.net)
 				}
-				nn.ClipGradNorm(cm.net, s.cfg.MaxGradNorm)
+				nn.ClipGradNorm(cm.net, maxGradNorm)
 				cm.opt.Step()
 			}
 			epochCritic += closs.Item()
@@ -163,7 +163,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 
 // referencePPOUpdate mirrors PPO.Update on the frozen reference loop.
 func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
-	adv, targets := buf.GAE(p.Cfg.Gamma, p.Cfg.Lambda)
+	adv, targets := buf.GAE(gamma, lambda)
 	NormalizeInPlace(adv)
 	return ppoUpdateReference(ppoUpdateSpec{
 		cfg:      p.Cfg,
@@ -184,7 +184,7 @@ func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
 // referenceDualUpdate mirrors a dual-critic agent's Update (without the trailing
 // RefreshAlpha, which both callers run identically outside the loop).
 func referenceDualUpdate(d *PPO, buf *Buffer) UpdateStats {
-	adv, targets := buf.GAE(d.Cfg.Gamma, d.Cfg.Lambda)
+	adv, targets := buf.GAE(gamma, lambda)
 	NormalizeInPlace(adv)
 	return ppoUpdateReference(ppoUpdateSpec{
 		cfg:      d.Cfg,

@@ -12,7 +12,8 @@ import (
 
 // Config holds the PPO hyperparameters. The defaults mirror §3.1 of the
 // paper: one hidden layer of 64 units, actor lr 3e-4, critic lr 1e-4,
-// γ = 0.99, clip ε = 0.2.
+// clip ε = 0.2. The discount, the GAE λ and the gradient-norm clip are the
+// constants gamma, lambda and maxGradNorm (update.go).
 type Config struct {
 	StateDim   int
 	NumActions int
@@ -20,14 +21,11 @@ type Config struct {
 
 	ActorLR  float64
 	CriticLR float64
-	Gamma    float64
-	Lambda   float64 // GAE λ
 	Clip     float64 // ε in Eq. (12)
 	EntCoef  float64 // entropy bonus coefficient
 	// UpdateEpochs is Ω': optimization passes over the batch per Update.
 	UpdateEpochs int
 	MiniBatch    int
-	MaxGradNorm  float64 // 0 disables clipping
 }
 
 // DefaultConfig returns the paper's hyperparameters for a given
@@ -39,13 +37,10 @@ func DefaultConfig(stateDim, numActions int) Config {
 		Hidden:       []int{64},
 		ActorLR:      3e-4,
 		CriticLR:     1e-4,
-		Gamma:        0.99,
-		Lambda:       0.95,
 		Clip:         0.2,
 		EntCoef:      0.01,
 		UpdateEpochs: 4,
 		MiniBatch:    64,
-		MaxGradNorm:  0.5,
 	}
 }
 
@@ -260,7 +255,7 @@ func (p *PPO) CriticLosses(buf *Buffer) (local, public float64) {
 		k := lossKey{net, nn.Generation(net), buf, buf.gen}
 		if m.key != k {
 			if staleReturns {
-				p.upd.returns = buf.ReturnsInto(p.Cfg.Gamma, p.upd.returns)
+				p.upd.returns = buf.ReturnsInto(gamma, p.upd.returns)
 				staleReturns = false
 			}
 			*m = lossMemo{k, criticMSE(net, buf.Steps(), p.upd.returns)}

@@ -371,9 +371,7 @@ func rowOf(v []float64) *tensorMatrix { return tensorRowVector(v) }
 
 func TestRefreshAlphaPrefersBetterCritic(t *testing.T) {
 	rng := rand.New(rand.NewSource(10))
-	cfg := DefaultConfig(4, 2)
-	cfg.Gamma = 0.9
-	d := NewDualCriticPPO(cfg, rng)
+	d := NewDualCriticPPO(DefaultConfig(4, 2), rng)
 	// Build a buffer whose returns are all ~0 and force the public critic
 	// to output huge values: its loss explodes, so α → 1 (prefer local).
 	var buf Buffer

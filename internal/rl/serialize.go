@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"io"
+	"math"
 	"math/rand"
 	"os"
 
@@ -14,6 +15,9 @@ import (
 // agentCheckpoint is the on-disk representation of a trained agent. Format
 // v1 has two kinds: a plain agent keeps φ under "critic"; a dual-critic one
 // keeps it under "localCritic", beside ψ, α and — when pinned — the fixed α.
+// The config carries what Config holds; the keys of fields that became
+// constants ("Gamma", "Lambda", "MaxGradNorm") are ignored on load, so older
+// files still load.
 type agentCheckpoint struct {
 	Format     string   `json:"format"`
 	Kind       string   `json:"kind"` // kindPlain | kindDual
@@ -70,10 +74,16 @@ func LoadAgent(r io.Reader, rng *rand.Rand) (*PPO, error) {
 	default:
 		return nil, fmt.Errorf("rl: unknown agent kind %q", ck.Kind)
 	}
-	// Validate the declared architecture and payload lengths before
-	// constructing anything: newAgent trusts its Config, so a hostile
-	// checkpoint must be stopped here, with an error. The constructor
-	// applies withDefaults, so validate the defaulted shape.
+	// Validate the declared hyperparameters, architecture and payload
+	// lengths before constructing anything: newAgent trusts its Config, so a
+	// hostile checkpoint must be stopped here, with an error. The
+	// constructor applies withDefaults, so validate the defaulted shape.
+	if err := errors.Join(
+		checkRate("ActorLR", ck.Cfg.ActorLR), checkRate("CriticLR", ck.Cfg.CriticLR),
+		checkRate("Clip", ck.Cfg.Clip), checkRate("EntCoef", ck.Cfg.EntCoef),
+	); err != nil {
+		return nil, err
+	}
 	cfg := ck.Cfg.withDefaults()
 	actorN, err := nn.CheckSizes(cfg.actorSizes())
 	if err != nil {
@@ -109,6 +119,16 @@ func LoadAgent(r io.Reader, rng *rand.Rand) (*PPO, error) {
 		return nil, err
 	}
 	return a, nil
+}
+
+// checkRate refuses a checkpoint hyperparameter that is NaN, infinite or
+// negative: a non-finite one turns every parameter the first Update steps
+// NaN, a negative learning rate climbs the loss. Zero is accepted.
+func checkRate(name string, v float64) error {
+	if v >= 0 && !math.IsInf(v, 1) {
+		return nil
+	}
+	return fmt.Errorf("rl: checkpoint %s %v is not a finite non-negative number", name, v)
 }
 
 // SaveAgentFile writes an agent checkpoint to path.

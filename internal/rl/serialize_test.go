@@ -4,9 +4,13 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"os"
 	"path/filepath"
+	"regexp"
 	"strings"
 	"testing"
+
+	"repro/internal/nn"
 )
 
 func TestSaveLoadPPO(t *testing.T) {
@@ -150,4 +154,118 @@ func TestAgentFileRoundTrip(t *testing.T) {
 	if _, err := LoadAgentFile(filepath.Join(dir, "missing.json"), rand.New(rand.NewSource(7))); err == nil {
 		t.Fatal("expected missing-file error")
 	}
+}
+
+// TestCheckpointWithRetiredConfigKeys loads a v1 checkpoint as the format
+// wrote it while γ, λ and the gradient-norm clip were Config fields: the
+// three keys are ignored, a re-save drops them, and the agent is the one
+// DefaultConfig builds — same bytes on save, same bits after an Update.
+func TestCheckpointWithRetiredConfigKeys(t *testing.T) {
+	old, err := os.ReadFile("testdata/agent_v1_retired_keys.json")
+	if err != nil {
+		t.Fatal(err)
+	}
+	retired := []string{`"Gamma":0.99`, `"Lambda":0.95`, `"MaxGradNorm":0.5`}
+	for _, key := range retired {
+		if !bytes.Contains(old, []byte(key)) {
+			t.Fatalf("fixture lacks %s", key)
+		}
+	}
+	loaded, err := LoadAgent(bytes.NewReader(old), rand.New(rand.NewSource(9)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	var resaved bytes.Buffer
+	if err := SaveAgent(&resaved, loaded); err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range retired {
+		if k := key[:strings.IndexByte(key, ':')]; bytes.Contains(resaved.Bytes(), []byte(k)) {
+			t.Fatalf("re-saved checkpoint still carries %s", k)
+		}
+	}
+
+	// The fixture is this agent, saved.
+	cfg := DefaultConfig(4, 3)
+	cfg.Hidden = []int{8}
+	ref := NewDualCriticPPO(cfg, rand.New(rand.NewSource(1)))
+	var want bytes.Buffer
+	if err := SaveAgent(&want, ref); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(resaved.Bytes(), want.Bytes()) {
+		t.Fatalf("re-saved checkpoint differs from DefaultConfig's agent:\n got %s\nwant %s", resaved.Bytes(), want.Bytes())
+	}
+
+	var buf Buffer
+	ref.rng = rand.New(rand.NewSource(9))
+	for i := 0; i < 24; i++ {
+		state := []float64{0.1 * float64(i%7), 0.2, -0.3 * float64(i%3), 0.4}
+		action, logp := ref.SelectAction(state)
+		buf.Add(Transition{State: state, Action: action, LogProb: logp, Value: valueOf(ref, state), Reward: float64(i%5) - 2, Done: i%8 == 7})
+	}
+	loaded.rng, ref.rng = rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
+	loaded.Update(&buf)
+	ref.Update(&buf)
+	for _, nets := range [][2]*nn.MLP{{loaded.Actor, ref.Actor}, {loaded.Critic, ref.Critic}, {loaded.PublicCritic, ref.PublicCritic}} {
+		got, want := nn.FlattenParams(nets[0]), nn.FlattenParams(nets[1])
+		for i := range want {
+			if math.Float64bits(got[i]) != math.Float64bits(want[i]) {
+				t.Fatalf("after the first Update: param %d = %v, want %v (bitwise)", i, got[i], want[i])
+			}
+		}
+	}
+	if loaded.Alpha != ref.Alpha {
+		t.Fatalf("after the first Update: alpha %v, want %v", loaded.Alpha, ref.Alpha)
+	}
+}
+
+// TestLoadAgentRefusesBadHyperparameters: a checkpoint's learning rates, ε
+// and entropy coefficient must be finite and non-negative. JSON cannot spell
+// NaN or ±Inf, and the decoder already refuses an overflowing literal; the
+// check refuses the negative values that used to load, and NaN and ±Inf on
+// their own.
+func TestLoadAgentRefusesBadHyperparameters(t *testing.T) {
+	good := smallCheckpoint(t)
+	for _, key := range []string{"ActorLR", "CriticLR", "Clip", "EntCoef"} {
+		for _, tc := range []struct {
+			value string
+			ok    bool
+		}{
+			{"0", true}, {"-0.001", false}, {"-1e-300", false}, {"1e400", false}, {"-1e400", false},
+		} {
+			data := withConfigValue(t, good, key, tc.value)
+			_, err := LoadAgent(bytes.NewReader(data), rand.New(rand.NewSource(1)))
+			if (err == nil) != tc.ok {
+				t.Errorf("%s = %s: error %v, want accepted %v", key, tc.value, err, tc.ok)
+			}
+		}
+		for _, v := range []float64{math.NaN(), math.Inf(1), math.Inf(-1), -1} {
+			if err := checkRate(key, v); err == nil || !strings.Contains(err.Error(), key) {
+				t.Errorf("%s = %v: error %v, want one naming %s", key, v, err, key)
+			}
+		}
+	}
+}
+
+// smallCheckpoint is a plain agent's checkpoint at a small width.
+func smallCheckpoint(tb testing.TB) []byte {
+	tb.Helper()
+	var buf bytes.Buffer
+	cfg := DefaultConfig(4, 3)
+	cfg.Hidden = []int{8}
+	if err := SaveAgent(&buf, NewPPO(cfg, rand.New(rand.NewSource(1)))); err != nil {
+		tb.Fatal(err)
+	}
+	return buf.Bytes()
+}
+
+// withConfigValue rewrites one config key's value in a checkpoint.
+func withConfigValue(tb testing.TB, ck []byte, key, value string) []byte {
+	tb.Helper()
+	re := regexp.MustCompile(`"` + key + `":[^,}]*`)
+	if !re.Match(ck) {
+		tb.Fatalf("checkpoint has no %s", key)
+	}
+	return re.ReplaceAll(ck, []byte(`"`+key+`":`+value))
 }

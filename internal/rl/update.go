@@ -121,6 +121,13 @@ func viewRows(m *tensor.Matrix, rows int) *tensor.Matrix {
 var mPPOUpdates = obs.DefaultRegistry().Counter("pfrl_ppo_updates_total",
 	"PPO gradient updates completed (all agents)")
 
+// The paper's fixed return and optimizer constants (§3.1).
+const (
+	gamma       = 0.99 // discount γ
+	lambda      = 0.95 // GAE λ
+	maxGradNorm = 0.5  // global gradient-norm clip of every optimizer step
+)
+
 // Update runs the clipped PPO update (Eqs. 10–12) over the buffer on the
 // batched pipeline: GAE into agent-owned scratch, then the fused-surrogate
 // minibatch loop of optimize. The actor uses advantages from the value
@@ -129,7 +136,7 @@ var mPPOUpdates = obs.DefaultRegistry().Counter("pfrl_ppo_updates_total",
 // buffer afterwards.
 func (p *PPO) Update(buf *Buffer) UpdateStats {
 	st := &p.upd
-	st.adv, st.targets = buf.GAEInto(p.Cfg.Gamma, p.Cfg.Lambda, st.adv, st.targets)
+	st.adv, st.targets = buf.GAEInto(gamma, lambda, st.adv, st.targets)
 	NormalizeInPlace(st.adv)
 	stats := p.optimize(buf)
 	p.RefreshAlpha(buf)
@@ -305,6 +312,6 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 // clip, then Adam.
 func (p *PPO) step(net *nn.MLP, opt *nn.Adam) {
 	p.prox.Apply(net)
-	nn.ClipGradNorm(net, p.Cfg.MaxGradNorm)
+	nn.ClipGradNorm(net, maxGradNorm)
 	opt.Step()
 }
