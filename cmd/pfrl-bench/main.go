@@ -108,12 +108,46 @@ func main() {
 		}
 	}
 
-	for _, id := range expand(*exp) {
+	if err := runAll(expand(*exp), bc); err != nil {
+		log.Fatal(err)
+	}
+}
+
+// runAll runs the experiments in order under one header each, and after
+// each one releases what no later one reads.
+func runAll(ids []string, bc benchConfig) error {
+	for i, id := range ids {
 		fmt.Printf("==== %s ====\n", id)
 		if err := run(id, bc); err != nil {
-			log.Fatalf("%s: %v", id, err)
+			return fmt.Errorf("%s: %w", id, err)
 		}
 		fmt.Println()
+		bc.release(ids[i+1:])
+	}
+	return nil
+}
+
+// release keeps whole only the runs a later experiment reads whole — fig9's
+// critic-loss series and fig16's evaluations read clients; every other
+// reader (fig8, fig15, fig21, the ablation) reads the mean curve — and cuts
+// every other run down to its curve, so the agents and environments it held
+// are freed. The map keeps every entry, so a cut run is not trained again.
+func (bc benchConfig) release(later []string) {
+	whole := map[trainKey]bool{}
+	for _, id := range later {
+		switch strings.ToLower(id) {
+		case "fig9":
+			whole[trainKey{2, core.AlgFedAvg, bc.comm}] = true
+		case "fig16", "fig17", "fig18", "fig19", "table4":
+			for _, alg := range core.AllAlgorithms() {
+				whole[trainKey{3, alg, bc.comm}] = true
+			}
+		}
+	}
+	for key, r := range bc.runs {
+		if !whole[key] {
+			*r = core.TrainResult{Algorithm: r.Algorithm, MeanCurve: r.MeanCurve}
+		}
 	}
 }
 

@@ -1,6 +1,7 @@
 package main
 
 import (
+	"fmt"
 	"maps"
 	"os"
 	"path/filepath"
@@ -111,6 +112,48 @@ func TestConvergenceRunsAreReused(t *testing.T) {
 		}
 		if got != want {
 			t.Fatalf("-exp %s after the rows above printed\n%s\nand alone\n%s", c.id, got, want)
+		}
+	}
+}
+
+// TestReleaseKeepsWhatLaterExperimentsRead: runAll cuts each run down to its
+// mean curve once no later experiment reads it whole, and -exp all still
+// prints what it prints with every run kept whole — fig9 after fig8 and
+// fig16 after fig15 read the clients of runs trained before them. By the
+// end every run is its curve alone.
+func TestReleaseKeepsWhatLaterExperimentsRead(t *testing.T) {
+	bc := benchConfig{seed: 1, scale: 4, tasks: 10, episodes: 2, comm: 2, smooth: 5}
+	ids := expand("all")
+	kept := bc
+	kept.runs = map[trainKey]*core.TrainResult{}
+	var err error
+	want := captureStdout(t, func() {
+		for _, id := range ids {
+			fmt.Printf("==== %s ====\n", id)
+			if err = run(id, kept); err != nil {
+				return
+			}
+			fmt.Println()
+		}
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	released := bc
+	released.runs = map[trainKey]*core.TrainResult{}
+	got := captureStdout(t, func() { err = runAll(ids, released) })
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got != want {
+		t.Fatalf("-exp all with releases printed\n%s\nand with every run kept whole\n%s", got, want)
+	}
+	if len(released.runs) != len(kept.runs) {
+		t.Fatalf("%d runs trained with releases, %d without", len(released.runs), len(kept.runs))
+	}
+	for key, r := range released.runs {
+		if r.Clients != nil || r.Federation != nil || r.Data != nil || len(r.MeanCurve) != bc.episodes {
+			t.Fatalf("run %+v holds more than its %d-episode curve at the end: %+v", key, bc.episodes, r)
 		}
 	}
 }

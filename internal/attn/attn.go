@@ -68,7 +68,11 @@ func NewAggregator(seed int64) *Aggregator {
 // concurrent use.
 func (a *Aggregator) Weights(embeddings [][]float64) [][]float64 {
 	k, dim := checkEmbeddings(embeddings)
-	x := prepare(embeddings, a.Center)
+	// x·P is accumulated as (xᵀ)ᵀ·P a panel of P's rows at a time, each
+	// decoded into one pooled tile: the kernel adds every element's terms in
+	// ascending row order, as one x·P would (DESIGN §9 contract 6).
+	xt := tensor.DefaultPool().GetUninit(dim, k)
+	prepare(embeddings, a.Center, xt)
 
 	acc := tensor.New(k, k)
 	heads := a.Heads
@@ -84,15 +88,6 @@ func (a *Aggregator) Weights(embeddings [][]float64) [][]float64 {
 		temp = 1
 	}
 	proj := headProjections(projKey{a.Seed, heads, dim, dk})
-	// x·P is accumulated as (xᵀ)ᵀ·P a panel of P's rows at a time, each
-	// decoded into one pooled tile: the kernel adds every element's terms in
-	// ascending row order, as one x·P would (DESIGN §9 contract 6).
-	xt := tensor.DefaultPool().GetUninit(dim, k)
-	for i := 0; i < k; i++ {
-		for j, v := range x.Row(i) {
-			xt.Data[j*k+i] = v
-		}
-	}
 	tile := tensor.DefaultPool().GetUninit(panelRows, dk)
 	q := tensor.Get(k, dk)
 	scores := tensor.Get(k, k)
@@ -301,35 +296,46 @@ func checkEmbeddings(embeddings [][]float64) (k, dim int) {
 	return k, dim
 }
 
-// prepare stacks embeddings into a matrix, optionally centering across
-// clients, and L2-normalizes each row so score scales are comparable across
-// rounds.
-func prepare(embeddings [][]float64, center bool) *tensor.Matrix {
-	x := tensor.FromRows(embeddings)
+// prepare writes the embeddings transposed into xt (dim × k, one column per
+// client), optionally centered across clients, and L2-normalizes each
+// client's column so score scales are comparable across rounds. Every value
+// takes the operations a stacked k × dim matrix's row would, in the same
+// order: each feature's mean is the sum over clients in client order times
+// 1/k, and each norm sums squares in feature order.
+func prepare(embeddings [][]float64, center bool, xt *tensor.Matrix) {
+	k := len(embeddings)
+	for i, e := range embeddings {
+		for j, v := range e {
+			xt.Data[j*k+i] = v
+		}
+	}
 	if center {
-		mean := x.SumCols().Scale(1 / float64(x.Rows))
-		for i := 0; i < x.Rows; i++ {
-			row := x.Row(i)
-			for j := range row {
-				row[j] -= mean.Data[j]
+		inv := 1 / float64(k)
+		for j := 0; j < xt.Rows; j++ {
+			feature := xt.Row(j)
+			mean := 0.0
+			for _, v := range feature {
+				mean += v
+			}
+			mean = inv * mean
+			for i := range feature {
+				feature[i] -= mean
 			}
 		}
 	}
-	for i := 0; i < x.Rows; i++ {
-		row := x.Row(i)
+	for i := 0; i < k; i++ {
 		n := 0.0
-		for _, v := range row {
-			n += v * v
+		for j := i; j < len(xt.Data); j += k {
+			n += xt.Data[j] * xt.Data[j]
 		}
 		n = math.Sqrt(n)
 		if n < 1e-12 {
-			continue // a zero drift row stays zero (softmax handles it)
+			continue // a zero drift stays zero (softmax handles it)
 		}
-		for j := range row {
-			row[j] /= n
+		for j := i; j < len(xt.Data); j += k {
+			xt.Data[j] /= n
 		}
 	}
-	return x
 }
 
 func softmaxVec(v []float64) []float64 {

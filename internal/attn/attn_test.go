@@ -259,7 +259,7 @@ func TestPropAllGeneratorsRowStochastic(t *testing.T) {
 // cached, panel-by-panel Weights must equal bitwise (DESIGN §9 contract 6).
 func referenceWeights(a *Aggregator, embeddings [][]float64) [][]float64 {
 	k, dim := checkEmbeddings(embeddings)
-	x := prepare(embeddings, a.Center)
+	x := referencePrepare(embeddings, a.Center)
 	acc := tensor.New(k, k)
 	heads := max(a.Heads, 1)
 	dk := a.DK
@@ -286,6 +286,37 @@ func referenceWeights(a *Aggregator, embeddings [][]float64) [][]float64 {
 	}
 	acc.ScaleInPlace(1 / float64(heads))
 	return toRows(acc)
+}
+
+// referencePrepare is prepare as it stood before it wrote into Weights'
+// pooled transpose: stack the embeddings into a fresh k × dim matrix, center
+// each column on SumCols·(1/k), L2-normalize each row.
+func referencePrepare(embeddings [][]float64, center bool) *tensor.Matrix {
+	x := tensor.FromRows(embeddings)
+	if center {
+		mean := x.SumCols().Scale(1 / float64(x.Rows))
+		for i := 0; i < x.Rows; i++ {
+			row := x.Row(i)
+			for j := range row {
+				row[j] -= mean.Data[j]
+			}
+		}
+	}
+	for i := 0; i < x.Rows; i++ {
+		row := x.Row(i)
+		n := 0.0
+		for _, v := range row {
+			n += v * v
+		}
+		n = math.Sqrt(n)
+		if n < 1e-12 {
+			continue // a zero drift row stays zero (softmax handles it)
+		}
+		for j := range row {
+			row[j] /= n
+		}
+	}
+	return x
 }
 
 // zeroPlantedEmbeddings is syntheticEmbeddings with zeros planted where the

@@ -1,6 +1,7 @@
 package cloudsim
 
 import (
+	"fmt"
 	"math/rand"
 	"testing"
 
@@ -135,4 +136,56 @@ func BenchmarkEpisode(b *testing.B) {
 			_ = env.Metrics()
 		}
 	})
+}
+
+// BenchmarkStreamedEpisode measures the decision loop of a streamed episode
+// — Observe, a first-fit choice and Step until Done — on a fresh
+// NewEnvSource over the ranked 500-VM view, at N and 8N Google-model tasks.
+// Construction, Drain and Metrics sit outside the timer. What the loop
+// allocates is buffers sized by the cluster, the queue and the distinct
+// waits, never by the task count, so the guard holds the 8N row's B/op to
+// the N row's.
+func BenchmarkStreamedEpisode(b *testing.B) {
+	cfg := benchViews[1].cfg()
+	for _, n := range []int{1000, 8000} {
+		b.Run(fmt.Sprintf("tasks=%d", n), func(b *testing.B) {
+			buf := make([]float64, StateDim(cfg))
+			b.ReportAllocs()
+			for i := 0; i < b.N; i++ {
+				b.StopTimer()
+				env, err := NewEnvSource(cfg, NewSamplerSource(workload.Lookup(workload.Google), 1, n, cfg.VMs))
+				if err != nil {
+					b.Fatal(err)
+				}
+				b.StartTimer()
+				for !env.Done() {
+					buf = env.Observe(buf)
+					env.Step(benchFirstFit(env))
+				}
+				b.StopTimer()
+				env.Drain()
+				if m := env.Metrics(); m.Completed != n {
+					b.Fatalf("placed %d of %d tasks", m.Completed, n)
+				}
+				b.StartTimer()
+			}
+		})
+	}
+}
+
+// metricsSink keeps BenchmarkMetrics' result live.
+var metricsSink Metrics
+
+// BenchmarkMetrics reads a finished episode's metrics: a pass over the
+// placement fold that allocates nothing.
+func BenchmarkMetrics(b *testing.B) {
+	cfg := DefaultConfig(benchCluster())
+	cfg.Objectives.SLOWaitTarget = [workload.NumSLOClasses]int{1, 2, 3}
+	env := MustNewEnv(cfg, benchWorkload(cfg.VMs, 400))
+	RunEpisode(env, FirstFit{})
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		metricsSink = env.Metrics()
+	}
 }

@@ -78,14 +78,15 @@ func TestQueueCursorLifecycle(t *testing.T) {
 		tasks[i] = workload.Task{ID: i, Arrival: i / 50, CPU: 1, Mem: 1, Duration: 1}
 	}
 	env := MustNewEnv(cfg, tasks)
+	var rec recorder
 	for !env.Done() {
 		if _, ok := env.HeadTask(); ok && env.VMs()[0].Fits(mustHead(env)) {
-			env.Step(0)
+			rec.step(env, 0)
 		} else {
-			env.Step(env.WaitAction())
+			rec.step(env, env.WaitAction())
 		}
 	}
-	recs := env.Records()
+	recs := rec.recs
 	if len(recs) != n {
 		t.Fatalf("completed %d, want %d", len(recs), n)
 	}

@@ -115,19 +115,6 @@ func (c *Config) Validate() error {
 	return nil
 }
 
-// TaskRecord is the outcome of one completed task.
-type TaskRecord struct {
-	Task   workload.Task
-	Start  int // slot the task was placed
-	Finish int // slot the task completed
-}
-
-// Wait returns the task's queueing delay j^wait.
-func (r TaskRecord) Wait() int { return r.Start - r.Task.Arrival }
-
-// Response returns j^res = j^wait + j^run (Eq. 3).
-func (r TaskRecord) Response() int { return r.Finish - r.Task.Arrival }
-
 // completion is one entry of the cluster-wide completion heap: a task in a
 // VM's store, keyed by the slot it finishes in with the task ID as the
 // tie-break. The ordering makes same-slot retirements deterministic.
@@ -186,8 +173,14 @@ type Env struct {
 	mask    []bool    // scratch reused by FeasibleActions
 	voidObs []float64 // all-VoidMarker observation every Observe starts from
 
-	completed  []TaskRecord
 	totalTasks int // src.Total() at reset: the offered count
+
+	// The placement fold Metrics reads: a placement's outcome is known when
+	// it is made (fixed durations, no preemption), so no record is kept.
+	placed      int
+	responseSum int64
+	makespan    int
+	waits       [workload.NumSLOClasses]waitHist
 
 	// Layout flags, fixed at Reset.
 	ranked bool // slots are ranked candidates (0 < TopK < len(VMs)), else slot i = VM i
@@ -231,10 +224,6 @@ type Env struct {
 	energySum  float64 // watt-slots across all VMs
 	costSum    float64 // price-slots across busy VMs
 	slots      int
-
-	// Per-class wait scratch reused by Metrics, so repeated metric reads
-	// stay allocation-free once capacities are established.
-	sloWaits [workload.NumSLOClasses][]float64
 
 	// retireHook, when set, observes every completion pop in order (test
 	// hook for the invariant harness; nil in production).
@@ -327,7 +316,10 @@ func (e *Env) resetWith(src TaskSource) {
 	e.queue = e.queue[:0]
 	e.qhead = 0
 	e.heap = e.heap[:0]
-	e.completed = e.completed[:0]
+	e.placed, e.responseSum, e.makespan = 0, 0, 0
+	for c := range e.waits {
+		e.waits[c] = waitHist{runs: e.waits[c].runs[:0]}
+	}
 
 	e.src = src
 	e.totalTasks = src.Total()
@@ -697,13 +689,10 @@ func (e *Env) Step(action int) float64 {
 	})
 	e.popHead()
 	after := e.loadBalance()
-	// The record's Finish is known at placement time because the simulator
-	// is deterministic (fixed durations, no preemption).
-	e.completed = append(e.completed, TaskRecord{
-		Task:   head,
-		Start:  e.now,
-		Finish: e.now + head.Duration,
-	})
+	e.placed++
+	e.responseSum += int64(e.now + head.Duration - head.Arrival)
+	e.makespan = max(e.makespan, e.now+head.Duration)
+	e.waits[sloIndex(head.SLO)].add(e.now - head.Arrival)
 	reward := e.placementReward(head, before, after)
 	// SLO shaping: a per-class linear wait cost on top of Eq. (6), guarded
 	// so the zero-cost default reproduces the unshaped reward bit-for-bit.

@@ -189,17 +189,18 @@ func TestTaskLifecycleAndResponse(t *testing.T) {
 		{ID: 1, Arrival: 1, CPU: 2, Mem: 4, Duration: 2},
 	}
 	env := MustNewEnv(cfg, tasks)
-	env.Step(0) // place task 0 at slot 0
+	var rec recorder
+	rec.step(env, 0) // place task 0 at slot 0
 	// Task 1 arrives at slot 1 but VM is busy until slot 3.
 	for env.Now() < 3 {
-		env.Step(env.WaitAction())
+		rec.step(env, env.WaitAction())
 	}
 	if env.VMs()[0].RunningTasks() != 0 {
 		t.Fatal("task 0 should have finished by slot 3")
 	}
-	env.Step(0) // place task 1 at slot 3 (waited 2 slots)
+	rec.step(env, 0) // place task 1 at slot 3 (waited 2 slots)
 	env.Drain()
-	recs := env.Records()
+	recs := rec.recs
 	if len(recs) != 2 {
 		t.Fatalf("records %d", len(recs))
 	}
@@ -408,7 +409,7 @@ func TestResetRestoresCleanState(t *testing.T) {
 	env.Step(0)
 	env.Step(env.WaitAction())
 	env.Reset(simpleTasks())
-	if env.Now() != 0 || len(env.Records()) != 0 || env.QueueLen() != 2 {
+	if env.Now() != 0 || env.Metrics().Completed != 0 || env.QueueLen() != 2 {
 		t.Fatal("Reset did not restore initial state")
 	}
 	for _, vm := range env.VMs() {
@@ -466,11 +467,12 @@ func TestPropEpisodeInvariants(t *testing.T) {
 		id := workload.AllDatasets()[rng.Intn(workload.NumDatasets)]
 		tasks := ClampTasks(workload.SampleDataset(id, rng, 40), specs)
 		env := MustNewEnv(cfg, tasks)
-		m := RunEpisode(env, FirstFit{})
+		var rec recorder
+		m := rec.run(env, FirstFit{})
 		if m.Completed != m.Total {
 			return false
 		}
-		for _, r := range env.Records() {
+		for _, r := range rec.recs {
 			if r.Wait() < 0 || r.Response() < r.Task.Duration {
 				return false
 			}

@@ -25,6 +25,7 @@ func driveLockstep(t *testing.T, a, b *Env, seed int64) {
 	}
 	rng := rand.New(rand.NewSource(seed))
 	var obsA, obsB []float64
+	var recA, recB recorder
 	step := 0
 	for !a.Done() {
 		if b.Done() {
@@ -38,7 +39,7 @@ func driveLockstep(t *testing.T, a, b *Env, seed int64) {
 			}
 		}
 		action := rng.Intn(a.NumActions())
-		ra, rb := a.Step(action), b.Step(action)
+		ra, rb := recA.step(a, action), recB.step(b, action)
 		if ra != rb {
 			t.Fatalf("step %d action %d: reward %v vs %v", step, action, ra, rb)
 		}
@@ -53,12 +54,12 @@ func driveLockstep(t *testing.T, a, b *Env, seed int64) {
 	if ma != mb {
 		t.Fatalf("metrics diverge:\n%+v\n%+v", ma, mb)
 	}
-	if len(a.Records()) != len(b.Records()) {
-		t.Fatalf("record counts diverge: %d vs %d", len(a.Records()), len(b.Records()))
+	if len(recA.recs) != len(recB.recs) {
+		t.Fatalf("record counts diverge: %d vs %d", len(recA.recs), len(recB.recs))
 	}
-	for i := range a.Records() {
-		if a.Records()[i] != b.Records()[i] {
-			t.Fatalf("record %d diverges: %+v vs %+v", i, a.Records()[i], b.Records()[i])
+	for i := range recA.recs {
+		if recA.recs[i] != recB.recs[i] {
+			t.Fatalf("record %d diverges: %+v vs %+v", i, recA.recs[i], recB.recs[i])
 		}
 	}
 }

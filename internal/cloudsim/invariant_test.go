@@ -58,17 +58,18 @@ func invariantRun(t *testing.T, env *Env, pick func(*Env, *rand.Rand) int, rng *
 
 	prevPulled, prevPlaced := 0, 0
 	steps := 0
+	var rec recorder
 	for !checkDone(t, env) {
-		env.Step(pick(env, rng))
+		rec.step(env, pick(env, rng))
 		steps++
 		// Cursor monotonicity: pulls and placements never regress.
 		if env.pulled < prevPulled {
 			t.Fatalf("source pull counter regressed: %d -> %d", prevPulled, env.pulled)
 		}
-		if len(env.completed) < prevPlaced {
-			t.Fatalf("placement count regressed: %d -> %d", prevPlaced, len(env.completed))
+		if env.placed < prevPlaced {
+			t.Fatalf("placement count regressed: %d -> %d", prevPlaced, env.placed)
 		}
-		prevPulled, prevPlaced = env.pulled, len(env.completed)
+		prevPulled, prevPlaced = env.pulled, env.placed
 		checkStepInvariants(t, env)
 		if deepEvery > 0 && steps%deepEvery == 0 {
 			checkDeepInvariants(t, env)
@@ -88,16 +89,16 @@ func invariantRun(t *testing.T, env *Env, pick func(*Env, *rand.Rand) int, rng *
 			t.Fatalf("VM still running %d tasks after Drain", vm.RunningTasks())
 		}
 	}
-	if len(retired) != len(env.completed) {
-		t.Fatalf("retired %d distinct tasks, placed %d", len(retired), len(env.completed))
+	if len(retired) != len(rec.recs) || len(rec.recs) != env.placed {
+		t.Fatalf("retired %d distinct tasks, recorded %d placements, placed %d", len(retired), len(rec.recs), env.placed)
 	}
-	for _, r := range env.Records() {
+	for _, r := range rec.recs {
 		if retired[r.Task.ID] != 1 {
 			t.Fatalf("placed task %d retired %d times", r.Task.ID, retired[r.Task.ID])
 		}
 	}
-	if !env.Truncated() && env.SourceErr() == nil && len(env.completed) != env.totalTasks {
-		t.Fatalf("episode done with %d of %d tasks placed", len(env.completed), env.totalTasks)
+	if !env.Truncated() && env.SourceErr() == nil && env.placed != env.totalTasks {
+		t.Fatalf("episode done with %d of %d tasks placed", env.placed, env.totalTasks)
 	}
 	if m := env.Metrics(); m.Total != env.src.Total() {
 		t.Fatalf("Metrics.Total %d, source offered %d", m.Total, env.src.Total())
@@ -456,15 +457,16 @@ func TestSourceFailureShutsDownDeterministically(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
+			var rec recorder
 			for !env.Done() {
-				env.Step(FirstFit{}.SelectAction(env))
+				rec.step(env, FirstFit{}.SelectAction(env))
 				checkStepInvariants(t, env)
 			}
 			env.Drain()
 			if env.SourceErr() == nil {
 				t.Fatal("source error not reported")
 			}
-			if got := len(env.Records()); got != 1 {
+			if got := len(rec.recs); got != 1 {
 				t.Fatalf("placed %d tasks, want exactly the 1 valid pre-failure task", got)
 			}
 			checkCoverageShort(t, env.Metrics(), len(tc.tasks))
@@ -552,7 +554,7 @@ func TestSourceMidStreamFailure(t *testing.T) {
 	}
 	for name, source := range cases {
 		t.Run(name, func(t *testing.T) {
-			run := func() ([]TaskRecord, error) {
+			run := func() ([]taskRecord, error) {
 				src := source()
 				cfg := DefaultConfig(specs)
 				cfg.MaxSteps = 500
@@ -560,13 +562,14 @@ func TestSourceMidStreamFailure(t *testing.T) {
 				if err != nil {
 					t.Fatal(err)
 				}
+				var rec recorder
 				for !env.Done() {
-					env.Step(FirstFit{}.SelectAction(env))
+					rec.step(env, FirstFit{}.SelectAction(env))
 					checkStepInvariants(t, env)
 				}
 				env.Drain()
 				checkCoverageShort(t, env.Metrics(), src.Total())
-				return append([]TaskRecord(nil), env.Records()...), env.SourceErr()
+				return rec.recs, env.SourceErr()
 			}
 			recs, srcErr := run()
 			if srcErr == nil {
@@ -598,15 +601,16 @@ func TestSourceErrPropagates(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	var rec recorder
 	for !env.Done() {
-		env.Step(FirstFit{}.SelectAction(env))
+		rec.step(env, FirstFit{}.SelectAction(env))
 	}
 	env.Drain()
 	if env.SourceErr() == nil {
 		t.Fatal("mid-stream source error not surfaced via SourceErr")
 	}
-	if len(env.Records()) != 2 {
-		t.Fatalf("placed %d tasks, want the 2 emitted before the failure", len(env.Records()))
+	if len(rec.recs) != 2 {
+		t.Fatalf("placed %d tasks, want the 2 emitted before the failure", len(rec.recs))
 	}
 	checkCoverageShort(t, env.Metrics(), 3)
 }

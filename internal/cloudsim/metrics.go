@@ -1,7 +1,8 @@
 package cloudsim
 
 import (
-	"sort"
+	"cmp"
+	"slices"
 
 	"repro/internal/workload"
 )
@@ -59,18 +60,14 @@ func (e *Env) Drain() {
 	}
 }
 
-// Metrics summarizes the episode so far.
+// Metrics summarizes the episode so far from the placement fold Step keeps,
+// allocating nothing. Responses and waits are whole slots, so float64 of an
+// int64 sum is the exact float64 sum a record per task gave (below 2^53),
+// and the percentiles interpolate between the sorted sample's waits.
 func (e *Env) Metrics() Metrics {
-	m := Metrics{Completed: len(e.completed), Total: e.totalTasks, Steps: e.step}
-	if len(e.completed) > 0 {
-		sum := 0.0
-		for _, r := range e.completed {
-			sum += float64(r.Response())
-			if r.Finish > m.Makespan {
-				m.Makespan = r.Finish
-			}
-		}
-		m.AvgResponse = sum / float64(len(e.completed))
+	m := Metrics{Makespan: e.makespan, Completed: e.placed, Total: e.totalTasks, Steps: e.step}
+	if e.placed > 0 {
+		m.AvgResponse = float64(e.responseSum) / float64(e.placed)
 	}
 	if e.slots > 0 {
 		util := 0.0
@@ -82,54 +79,65 @@ func (e *Env) Metrics() Metrics {
 	}
 	m.EnergyWattSlots = e.energySum
 	m.Cost = e.costSum
-	e.perSLOMetrics(&m)
+	for c := range m.PerSLO {
+		m.PerSLO[c] = e.waits[c].metrics(workload.SLOClass(c), e.cfg.Objectives.SLOWaitTarget[c])
+	}
 	return m
 }
 
-// perSLOMetrics fills Metrics.PerSLO from the completion records, reusing
-// the env-owned wait buffers so repeated Metrics calls do not allocate in
-// steady state.
-func (e *Env) perSLOMetrics(m *Metrics) {
-	for c := range e.sloWaits {
-		e.sloWaits[c] = e.sloWaits[c][:0]
-	}
-	for _, r := range e.completed {
-		c := sloIndex(r.Task.SLO)
-		e.sloWaits[c] = append(e.sloWaits[c], float64(r.Wait()))
-	}
-	for c := range m.PerSLO {
-		s := &m.PerSLO[c]
-		s.Class = workload.SLOClass(c)
-		waits := e.sloWaits[c]
-		s.Completed = len(waits)
-		if len(waits) == 0 {
-			continue
-		}
-		sort.Float64s(waits)
-		sum := 0.0
-		target := float64(e.cfg.Objectives.SLOWaitTarget[c])
-		for _, w := range waits {
-			sum += w
-			if target > 0 && w > target {
-				s.Violations++
-			}
-		}
-		s.AvgWait = sum / float64(len(waits))
-		s.WaitP50 = waitPercentile(waits, 0.50)
-		s.WaitP95 = waitPercentile(waits, 0.95)
-	}
+// waitHist is one SLO class's waits as a run-length histogram — the distinct
+// waits ascending, each with its count — in O(distinct waits) memory.
+type waitHist struct {
+	n    int
+	sum  int64
+	runs []waitRun
 }
 
-// waitPercentile linearly interpolates a percentile of a sorted sample.
-func waitPercentile(sorted []float64, q float64) float64 {
-	pos := q * float64(len(sorted)-1)
+type waitRun struct{ wait, count int }
+
+func (h *waitHist) add(w int) {
+	h.n++
+	h.sum += int64(w)
+	i, found := slices.BinarySearchFunc(h.runs, w, func(r waitRun, w int) int { return cmp.Compare(r.wait, w) })
+	if !found {
+		h.runs = slices.Insert(h.runs, i, waitRun{wait: w})
+	}
+	h.runs[i].count++
+}
+
+// metrics summarizes the class; a wait above a positive target is a
+// violation.
+func (h *waitHist) metrics(c workload.SLOClass, target int) SLOMetrics {
+	s := SLOMetrics{Class: c, Completed: h.n}
+	if h.n == 0 {
+		return s
+	}
+	s.AvgWait = float64(h.sum) / float64(h.n)
+	s.WaitP50 = h.percentile(0.50)
+	s.WaitP95 = h.percentile(0.95)
+	for _, r := range h.runs {
+		if target > 0 && r.wait > target {
+			s.Violations += r.count
+		}
+	}
+	return s
+}
+
+// percentile linearly interpolates between the waits around q·(n−1).
+func (h *waitHist) percentile(q float64) float64 {
+	pos := q * float64(h.n-1)
 	lo := int(pos)
-	if lo >= len(sorted)-1 {
-		return sorted[len(sorted)-1]
+	if lo >= h.n-1 {
+		return h.kth(h.n - 1)
 	}
-	frac := pos - float64(lo)
-	return sorted[lo] + frac*(sorted[lo+1]-sorted[lo])
+	return h.kth(lo) + (pos-float64(lo))*(h.kth(lo+1)-h.kth(lo))
 }
 
-// Records returns the completion records accumulated so far.
-func (e *Env) Records() []TaskRecord { return e.completed }
+// kth returns the k-th smallest wait, 0-based.
+func (h *waitHist) kth(k int) float64 {
+	i := 0
+	for ; k >= h.runs[i].count; i++ {
+		k -= h.runs[i].count
+	}
+	return float64(h.runs[i].wait)
+}

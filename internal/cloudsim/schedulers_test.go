@@ -134,12 +134,13 @@ func TestRunEpisodeDeterministic(t *testing.T) {
 					RandomFit{Rng: rand.New(rand.NewSource(7))}}
 			}
 			for i, p := range mkPolicies() {
+				var rec1, rec2 recorder
 				env.Reset(tasks)
-				m1 := RunEpisode(env, p)
-				r1 := append([]TaskRecord(nil), env.Records()...)
+				m1 := rec1.run(env, p)
+				r1 := rec1.recs
 				env.Reset(tasks)
-				m2 := RunEpisode(env, mkPolicies()[i])
-				r2 := env.Records()
+				m2 := rec2.run(env, mkPolicies()[i])
+				r2 := rec2.recs
 				if m1 != m2 {
 					t.Fatalf("%s metrics diverge across reruns:\n%+v\n%+v", p.Name(), m1, m2)
 				}

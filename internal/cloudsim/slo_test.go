@@ -61,9 +61,13 @@ func TestPerSLOMetricsHandComputed(t *testing.T) {
 	}
 }
 
-// TestWaitPercentileHandComputed pins the interpolating percentile helper.
+// TestWaitPercentileHandComputed pins the wait histogram's interpolating
+// percentile, the waits added out of order.
 func TestWaitPercentileHandComputed(t *testing.T) {
-	waits := []float64{1, 2, 10}
+	var h waitHist
+	for _, w := range []int{10, 1, 2} {
+		h.add(w)
+	}
 	cases := []struct{ q, want float64 }{
 		{0, 1}, {0.5, 2}, {1, 10},
 		{0.95, 9.2}, // pos 1.9: 2 + 0.9*(10-2)
@@ -71,8 +75,8 @@ func TestWaitPercentileHandComputed(t *testing.T) {
 		{0.75, 6.0}, // pos 1.5: 2 + 0.5*(10-2)
 	}
 	for _, c := range cases {
-		if got := waitPercentile(waits, c.q); got != c.want {
-			t.Errorf("waitPercentile(%v) = %v, want %v", c.q, got, c.want)
+		if got := h.percentile(c.q); got != c.want {
+			t.Errorf("percentile(%v) = %v, want %v", c.q, got, c.want)
 		}
 	}
 }

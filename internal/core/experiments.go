@@ -229,6 +229,7 @@ func RunWeightHeatmaps(cfg ExperimentConfig) (*HeatmapResult, error) {
 	}
 	fed.TrainClients(r.Clients, runCfg.Episodes, runCfg.Parallel)
 
+	// One upload per client: each stays valid, as nothing uploads again.
 	uploads := make([][]float64, len(r.Clients))
 	labels := make([]string, len(r.Clients))
 	for i, c := range r.Clients {

@@ -24,6 +24,26 @@ var wireCodecs = []struct {
 	{"i8+delta", fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}},
 }
 
+// BenchmarkUpload flattens a client's shareable networks into its warm
+// upload buffer — the actor+critic of a plain agent, the public critic of a
+// dual-critic one — which scripts/bench_alloc_guard.sh holds to zero
+// allocs/op.
+func BenchmarkUpload(b *testing.B) {
+	for _, c := range uploadCases {
+		b.Run(c.name, func(b *testing.B) {
+			client := c.client(b)
+			mustUpload(b, c.transport, client)
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := c.transport.Upload(client); err != nil {
+					b.Fatal(err)
+				}
+			}
+		})
+	}
+}
+
 // BenchmarkFedAggregate measures one steady-state data-plane round through
 // the product's wire session — K client ends encode, the server end decodes
 // and counts, the pooled FedAvg aggregation runs, the server end frames the

@@ -67,6 +67,9 @@ type Client struct {
 	// LastBuf holds the most recent episode's trajectories for loss probes
 	// and α refreshes.
 	LastBuf rl.Buffer
+
+	// upload is the buffer every Upload of this client flattens into.
+	upload Payload
 }
 
 // NewClient builds a federated client. The environment keeps cfg's

@@ -197,7 +197,8 @@ func (t *FaultyTransport) Upload(c *Client) (Payload, error) {
 	case faultDelay:
 		t.doSleep()
 	case faultDuplicate:
-		// At-least-once: extract twice, deliver the second result.
+		// At-least-once: extract twice, deliver the second result (into
+		// the same client buffer).
 		if _, err := t.Inner.Upload(c); err != nil {
 			return nil, err
 		}
@@ -209,7 +210,7 @@ func (t *FaultyTransport) Upload(c *Client) (Payload, error) {
 		if len(p) == 0 {
 			return nil, fmt.Errorf("%w: corrupt empty upload (client %d)", ErrInjectedFault, c.ID)
 		}
-		return p[:len(p)-1], nil
+		return p[:len(p)-1], nil // a view of c's buffer, as p is
 	}
 	return t.Inner.Upload(c)
 }

@@ -98,7 +98,7 @@ func TestFaultyTransportPassThroughAtZeroProbability(t *testing.T) {
 	plain := PublicCriticTransport{}
 	faulty := NewFaultyTransport(PublicCriticTransport{}, FaultSpec{Seed: 3})
 
-	want := mustUpload(t, plain, a)
+	want := append(Payload(nil), mustUpload(t, plain, a)...) // a's next Upload reuses its buffer
 	got, err := faulty.Upload(a)
 	if err != nil {
 		t.Fatal(err)
@@ -152,7 +152,7 @@ func TestFaultyTransportCorruptLength(t *testing.T) {
 	}
 	// A corrupt-length download must be detected (error), never silently
 	// installed, and must leave the target client unchanged.
-	before := mustUpload(t, plain, b)
+	before := append(Payload(nil), mustUpload(t, plain, b)...)
 	if err := faulty.Download(b, good); !errors.Is(err, ErrInjectedFault) {
 		t.Fatalf("download err %v, want injected fault", err)
 	}

@@ -129,7 +129,7 @@ func smallTasks(seed int64, n int) []workload.Task {
 	return cloudsim.ClampTasks(workload.SampleDataset(workload.Google, rng, n), smallConfig().VMs)
 }
 
-func newPPOClient(t *testing.T, id int, seed int64) *Client {
+func newPPOClient(t testing.TB, id int, seed int64) *Client {
 	t.Helper()
 	cfg := smallConfig()
 	tasks := smallTasks(seed, 10)
@@ -142,7 +142,7 @@ func newPPOClient(t *testing.T, id int, seed int64) *Client {
 	return c
 }
 
-func newDualClient(t *testing.T, id int, seed int64) *Client {
+func newDualClient(t testing.TB, id int, seed int64) *Client {
 	t.Helper()
 	cfg := smallConfig()
 	tasks := smallTasks(seed, 10)
@@ -156,13 +156,44 @@ func newDualClient(t *testing.T, id int, seed int64) *Client {
 }
 
 // mustUpload extracts a payload, failing the test on error.
-func mustUpload(t *testing.T, tr Transport, c *Client) Payload {
+func mustUpload(t testing.TB, tr Transport, c *Client) Payload {
 	t.Helper()
 	p, err := tr.Upload(c)
 	if err != nil {
 		t.Fatal(err)
 	}
 	return p
+}
+
+// uploadCases are the two built-in transports, each on the kind of client it
+// moves.
+var uploadCases = []struct {
+	name      string
+	transport Transport
+	client    func(testing.TB) *Client
+}{
+	{"actor-critic", ActorCriticTransport{}, func(tb testing.TB) *Client { return newPPOClient(tb, 0, 1) }},
+	{"public-critic", PublicCriticTransport{}, func(tb testing.TB) *Client { return newDualClient(tb, 0, 1) }},
+}
+
+// TestUploadReusesTheClientBuffer pins the Upload contract: the payload is
+// the client's own buffer, rewritten by its next Upload (so a warm Upload
+// allocates nothing), and two clients never share one.
+func TestUploadReusesTheClientBuffer(t *testing.T) {
+	for _, c := range uploadCases {
+		a, b := c.client(t), c.client(t)
+		p := mustUpload(t, c.transport, a)
+		q := mustUpload(t, c.transport, a)
+		if &p[0] != &q[0] {
+			t.Fatalf("%s: a second Upload of one client returned a new buffer", c.name)
+		}
+		if &mustUpload(t, c.transport, b)[0] == &p[0] {
+			t.Fatalf("%s: two clients share an upload buffer", c.name)
+		}
+		if n := testing.AllocsPerRun(20, func() { mustUpload(t, c.transport, a) }); n != 0 {
+			t.Fatalf("%s: a warm Upload allocates %v times, want 0", c.name, n)
+		}
+	}
 }
 
 func TestActorCriticTransportRoundTrip(t *testing.T) {

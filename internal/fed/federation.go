@@ -92,6 +92,7 @@ func New(clients []*Client, transport Transport, agg Aggregator, opts Options) (
 	if commEvery <= 0 {
 		commEvery = 1
 	}
+	// The engine copies initial, so client 0's next Upload may reuse it.
 	initial, err := transport.Upload(clients[0])
 	if err != nil {
 		return nil, fmt.Errorf("fed: initial upload from client %d: %w", clients[0].ID, err)

@@ -2,6 +2,7 @@ package fed
 
 import (
 	"fmt"
+	"slices"
 
 	"repro/internal/fedcore"
 	"repro/internal/nn"
@@ -17,7 +18,9 @@ type Transport interface {
 	Name() string
 	// Upload extracts the client's shareable parameters. An error marks
 	// the client as unable to contribute this round (wrong kind of agent,
-	// injected fault); it must leave the client unchanged.
+	// injected fault); it must leave the client unchanged. The payload is
+	// the client's upload buffer: it is valid until that client's next
+	// Upload, so a caller that keeps it longer copies it.
 	Upload(c *Client) (Payload, error)
 	// Download installs a payload into the client.
 	Download(c *Client, p Payload) error
@@ -28,50 +31,58 @@ type Transport interface {
 
 // actorCritic and publicCritic name the networks of c's agent that travel, in
 // payload order, and refuse the other kind of agent: the whole of a plain
-// agent, or ψ alone of a dual-critic one.
-func actorCritic(c *Client) ([]*nn.MLP, error) {
+// agent, or ψ alone of a dual-critic one. The networks come as an array
+// value, a nil entry naming none, so no slice of them is allocated per call.
+func actorCritic(c *Client) ([2]*nn.MLP, error) {
 	a := c.Agent
 	if a.PublicCritic != nil {
-		return nil, fmt.Errorf("fed: client %d has a dual-critic agent, want a plain one", c.ID)
+		return [2]*nn.MLP{}, fmt.Errorf("fed: client %d has a dual-critic agent, want a plain one", c.ID)
 	}
-	return []*nn.MLP{a.Actor, a.Critic}, nil
+	return [2]*nn.MLP{a.Actor, a.Critic}, nil
 }
 
-func publicCritic(c *Client) ([]*nn.MLP, error) {
+func publicCritic(c *Client) ([2]*nn.MLP, error) {
 	a := c.Agent
 	if a.PublicCritic == nil {
-		return nil, fmt.Errorf("fed: client %d has a plain agent, want a dual-critic one", c.ID)
+		return [2]*nn.MLP{}, fmt.Errorf("fed: client %d has a plain agent, want a dual-critic one", c.ID)
 	}
-	return []*nn.MLP{a.PublicCritic}, nil
+	return [2]*nn.MLP{a.PublicCritic}, nil
 }
 
 // size, flatten and install are the one body under every transport; each
 // takes the (networks, error) pair of the two functions above.
-func size(nets []*nn.MLP, err error) int {
+func size(nets [2]*nn.MLP, err error) int {
 	if err != nil {
 		panic(err)
 	}
 	n := 0
 	for _, m := range nets {
-		n += nn.NumParams(m)
+		if m != nil {
+			n += nn.NumParams(m)
+		}
 	}
 	return n
 }
 
-func flatten(nets []*nn.MLP, err error) (Payload, error) {
+// flatten writes the networks' parameters into c's upload buffer, sized
+// once to the payload, and returns it.
+func (c *Client) flatten(nets [2]*nn.MLP, err error) (Payload, error) {
 	if err != nil {
 		return nil, err
 	}
-	out := make(Payload, 0, size(nets, nil))
+	c.upload = slices.Grow(c.upload[:0], size(nets, nil))
 	for _, m := range nets {
+		if m == nil {
+			continue
+		}
 		for _, p := range m.Params() {
-			out = append(out, p.Data.Data...)
+			c.upload = append(c.upload, p.Data.Data...)
 		}
 	}
-	return out, nil
+	return c.upload, nil
 }
 
-func install(payload Payload, nets []*nn.MLP, err error) error {
+func install(payload Payload, nets [2]*nn.MLP, err error) error {
 	if err != nil {
 		return err
 	}
@@ -79,6 +90,9 @@ func install(payload Payload, nets []*nn.MLP, err error) error {
 		return fmt.Errorf("fed: payload size %d, want %d", len(payload), want)
 	}
 	for _, m := range nets {
+		if m == nil {
+			continue
+		}
 		n := nn.NumParams(m)
 		if err := nn.LoadFlatParams(m, payload[:n]); err != nil {
 			return err
@@ -96,7 +110,7 @@ type ActorCriticTransport struct{}
 func (ActorCriticTransport) Name() string { return "actor+critic" }
 
 // Upload implements Transport.
-func (ActorCriticTransport) Upload(c *Client) (Payload, error) { return flatten(actorCritic(c)) }
+func (ActorCriticTransport) Upload(c *Client) (Payload, error) { return c.flatten(actorCritic(c)) }
 
 // Download implements Transport.
 func (ActorCriticTransport) Download(c *Client, payload Payload) error {
@@ -116,7 +130,7 @@ type PublicCriticTransport struct{}
 func (PublicCriticTransport) Name() string { return "public-critic" }
 
 // Upload implements Transport.
-func (PublicCriticTransport) Upload(c *Client) (Payload, error) { return flatten(publicCritic(c)) }
+func (PublicCriticTransport) Upload(c *Client) (Payload, error) { return c.flatten(publicCritic(c)) }
 
 // Download implements Transport. Installing a new public critic resets its
 // optimizer and refreshes α against the client's most recent trajectories

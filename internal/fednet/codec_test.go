@@ -322,7 +322,7 @@ func TestRPCRefusesOtherFormats(t *testing.T) {
 func TestTimedOutReplyKeepsItsStorage(t *testing.T) {
 	transport := fed.PublicCriticTransport{}
 	local := newLocalClient(t, 0, 150)
-	initial := mustUpload(t, transport, local)
+	initial := append(fed.Payload(nil), mustUpload(t, transport, local)...) // local uploads again below
 	srv, addr := startAsyncServer(t, 2, 1, -1, 1, fed.FedAvg{}, initial)
 	rc, err := DialOptions(addr, local, transport, Options{
 		CallTimeout: 250 * time.Millisecond, Retries: 1, RetryBase: time.Millisecond, RetryMax: time.Millisecond,

@@ -222,6 +222,7 @@ func runSwarm(cfg SwarmConfig, drive func(*swarmFleet) error) (*SwarmResult, err
 	}
 
 	transport := fed.PublicCriticTransport{}
+	// NewServer's engine copies initial before client 0 uploads again.
 	initial, err := transport.Upload(clients[0])
 	if err != nil {
 		return nil, err

@@ -5,7 +5,13 @@
 #     simulator core and the inference fast path are allocation-free), and
 #     so must every BenchmarkCollectEpisode row (an episode collected into a
 #     warm buffer, at 1 and 2 procs: its states valued on the caller and on
-#     the value lane), and
+#     the value lane), and so must BenchmarkMetrics (a metrics read is a pass
+#     over the placement fold), and
+#   - BenchmarkStreamedEpisode's decision loop on a fresh environment must
+#     not allocate with the task count: its 8000-task row may allocate at
+#     most STREAM_BYTES_PER_TASK (4) bytes per task more than its 1000-task
+#     row (a record of even one int64 per placement is 8; what it allocates
+#     is buffers sized by the cluster, the queue and the distinct waits), and
 #   - every BenchmarkPPOUpdate row (paper and narrow width on dense states,
 #     padded on a per-VM cluster's, at 1, 2 and 4 procs: the sequential path
 #     beside the actor/critic lanes) must stay
@@ -21,7 +27,8 @@
 #     federation data plane — the wire session's two ends plus pooled
 #     aggregation, on the identity tier and on i8+delta — reuses encoder
 #     scratch, per-client decode buffers and references, and the payload
-#     arena every round), and
+#     arena every round), and so must every BenchmarkUpload row (a client
+#     flattens its networks into the upload buffer it keeps), and
 #   - BenchmarkAsyncReply must stay within 1 alloc/op (an async server answers
 #     a non-participant by framing the committed global in place; the one
 #     alloc is the frame copy that is sent after the lock is released), and
@@ -45,6 +52,7 @@ MODE="${1:-all}"
 BENCHTIME="${BENCHTIME:-200x}"
 PPO_BENCHTIME="${PPO_BENCHTIME:-5x}"
 PPO_ALLOC_BUDGET="${PPO_ALLOC_BUDGET:-16}"
+STREAM_BYTES_PER_TASK=4
 GO="${GO:-go}"
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
@@ -52,8 +60,11 @@ trap 'rm -f "$out"' EXIT
 : > "$out"
 if [ "$MODE" = "all" ] || [ "$MODE" = "env" ]; then
 	"$GO" test ./internal/cloudsim/ -run '^$' \
-		-bench 'BenchmarkEnvStep|BenchmarkObserve|BenchmarkEpisode' \
+		-bench 'BenchmarkEnvStep|BenchmarkObserve|BenchmarkEpisode|BenchmarkMetrics' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+	"$GO" test ./internal/cloudsim/ -run '^$' \
+		-bench 'BenchmarkStreamedEpisode' \
+		-benchtime 2x -benchmem | tee -a "$out"
 	"$GO" test ./internal/rl/ -run '^$' \
 		-bench 'BenchmarkRolloutStep' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
@@ -71,15 +82,15 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "update" ]; then
 fi
 if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 	"$GO" test ./internal/fed/ -run '^$' \
-		-bench 'BenchmarkFedAggregate' \
+		-bench 'BenchmarkFedAggregate|BenchmarkUpload' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 	"$GO" test ./internal/fednet/ -run '^$' \
 		-bench 'BenchmarkAsyncReply|BenchmarkRPCSync' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
 fi
 
-awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
-/^Benchmark(EnvStep|RolloutStep|CollectEpisode|FedAggregate)/ {
+awk -v ppo_budget="$PPO_ALLOC_BUDGET" -v stream_budget="$STREAM_BYTES_PER_TASK" '
+/^Benchmark(EnvStep|RolloutStep|CollectEpisode|FedAggregate|Metrics|Upload)/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "allocs/op" && $(i-1) != "0") {
 			printf "FAIL: %s reports %s allocs/op (want 0)\n", $1, $(i-1)
@@ -119,11 +130,30 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" '
 		}
 	}
 }
-END { exit bad }
+/^BenchmarkStreamedEpisode\/tasks=/ {
+	n = $1
+	sub(/^BenchmarkStreamedEpisode\/tasks=/, "", n)
+	sub(/-[0-9]+$/, "", n)
+	for (i = 2; i <= NF; i++) {
+		if ($i == "B/op") {
+			streamBytes[n + 0] = $(i-1)
+		}
+	}
+}
+END {
+	if ((1000 in streamBytes) && (8000 in streamBytes)) {
+		per = (streamBytes[8000] - streamBytes[1000]) / 7000
+		if (per > stream_budget) {
+			printf "FAIL: BenchmarkStreamedEpisode allocates %.1f B per extra task (budget %d): %d B/op at 1000 tasks, %d at 8000\n", per, stream_budget, streamBytes[1000], streamBytes[8000]
+			bad = 1
+		}
+	}
+	exit bad
+}
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/FedAggregate allocation-free, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 2" ;;
-env) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode are allocation-free" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/Metrics/FedAggregate/Upload allocation-free, a streamed episode's loop within $STREAM_BYTES_PER_TASK B per task, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 2" ;;
+env) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/Metrics are allocation-free, a streamed episode's loop within $STREAM_BYTES_PER_TASK B per task" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2" ;;
-agg) echo "bench-alloc-guard: FedAggregate data plane is allocation-free, AsyncReply within 1 alloc/op, RPCSync within 2" ;;
+agg) echo "bench-alloc-guard: FedAggregate data plane and Upload are allocation-free, AsyncReply within 1 alloc/op, RPCSync within 2" ;;
 esac
