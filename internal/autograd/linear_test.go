@@ -165,3 +165,66 @@ func checkLinearAgainstComposed(t *testing.T, rng *rand.Rand, label string, x, w
 		tape.Reset()
 	}
 }
+
+// TestLinearOverRowsMatchesStaged pins a Linear fed by a ConstRows leaf to
+// the same Linear over a Const of the staged rows, bit for bit: the forward
+// and the w and b gradients, with SIMD off and on, rows listed out of
+// order from storage they share with other values (a buffer's chunks), on
+// observation-shaped states whose void runs tie columns (with the tie list)
+// and on the SIMD pins' classes with ±Inf/NaN (with none).
+func TestLinearOverRowsMatchesStaged(t *testing.T) {
+	rng := rand.New(rand.NewSource(23))
+	for _, rows := range []int{1, 9, 64} {
+		for _, in := range []int{40, 136} {
+			for _, out := range []int{5, 64} {
+				for _, obs := range []bool{false, true} {
+					store := tensor.New(2*rows+1, in+3)
+					fillClasses(rng, store.Data, !obs)
+					list := make([][]float64, rows)
+					x := tensor.New(rows, in)
+					for i := range list {
+						list[i] = store.Row(2*(rows-i) - 1 + i%2)[i%3:]
+						if obs {
+							fillObservation(rng, list[i][:in])
+						}
+						copy(x.Row(i), list[i])
+					}
+					var ties []int
+					if obs {
+						for c := 1; c < in; c++ {
+							ties = append(ties, c)
+						}
+						for _, r := range list {
+							ties = tensor.NarrowTies(ties, r[:in])
+						}
+					}
+					w, b, g := tensor.New(in, out), tensor.New(1, out), tensor.New(rows, out)
+					fillClasses(rng, w.Data, !obs)
+					fillClasses(rng, b.Data, !obs)
+					fillClasses(rng, g.Data, !obs)
+					label := fmt.Sprintf("%dx%dx%d obs=%v ties=%d", rows, in, out, obs, len(ties))
+					for _, simd := range []bool{false, true} {
+						prev := tensor.SetSIMD(simd)
+						var res [2][3]*tensor.Matrix
+						for k, leaf := range []func(*Tape) *Value{
+							func(tp *Tape) *Value { return tp.Const(x) },
+							func(tp *Tape) *Value { return tp.ConstRows(list, in, ties) },
+						} {
+							tape := NewPooledTape(tensor.DefaultPool())
+							gw, gb := tensor.New(in, out), tensor.New(1, out)
+							y := Linear(leaf(tape), tape.Param(w, gw), tape.Param(b, gb))
+							Sum(Mul(y, tape.Const(g))).Backward()
+							res[k] = [3]*tensor.Matrix{y.Data.Clone(), gw, gb}
+							tape.Reset()
+						}
+						tensor.SetSIMD(prev)
+						at := fmt.Sprintf("%s simd=%v", label, simd)
+						requireSameBits(t, at+" forward", res[0][0].Data, res[1][0].Data)
+						requireSameBits(t, at+" dw", res[0][1].Data, res[1][1].Data)
+						requireSameBits(t, at+" db", res[0][2].Data, res[1][2].Data)
+					}
+				}
+			}
+		}
+	}
+}

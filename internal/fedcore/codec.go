@@ -287,7 +287,6 @@ type Encoder struct {
 	hasRef bool
 
 	residual []float64
-	work     []float64
 	buf      []byte
 }
 
@@ -305,30 +304,60 @@ func (e *Encoder) SetRef(tag uint64, p []float64) {
 // ClearRef drops the delta reference; the next Encode is absolute.
 func (e *Encoder) ClearRef() { e.hasRef = false }
 
+// encodeInput is what a frame encodes, element by element: the payload,
+// less the delta reference when there is one, plus the error-feedback
+// residual when there is one.
+type encodeInput struct {
+	p, ref, residual []float64
+}
+
+// block returns elements [lo, hi) of the encoded vector: (p − ref) +
+// residual, each operation rounded once, in that order, as the staged
+// vector held them, written into dst; or, with neither a reference nor a
+// residual, the payload's own elements, which the caller only reads. A block
+// is at most quantBlock long, so dst lives on the caller's stack and nothing
+// payload-sized is staged.
+func (v encodeInput) block(dst *[quantBlock]float64, lo, hi int) []float64 {
+	d, p := dst[:hi-lo], v.p[lo:hi]
+	switch {
+	case v.ref != nil && v.residual != nil:
+		ref, res := v.ref[lo:hi], v.residual[lo:hi]
+		for i := range d {
+			d[i] = (p[i] - ref[i]) + res[i]
+		}
+	case v.ref != nil:
+		ref := v.ref[lo:hi]
+		for i := range d {
+			d[i] = p[i] - ref[i]
+		}
+	case v.residual != nil:
+		res := v.residual[lo:hi]
+		for i := range d {
+			d[i] = p[i] + res[i]
+		}
+	default:
+		return p
+	}
+	return d
+}
+
 // Encode frames one payload. The returned slice is the encoder's internal
 // buffer: valid until the next Encode, so callers that retain frames must
 // copy. Under the lossy tiers the error-feedback residual updates as a side
-// effect — each accepted frame should reach the server exactly once.
+// effect — each accepted frame should reach the server exactly once. The
+// delta and the residual are folded in a block at a time, on the stack, so
+// nothing payload-sized is staged; the caller's payload is only read.
 func (e *Encoder) Encode(p []float64) []byte {
 	dim := len(p)
-	v := p
-	staged := false
+	v := encodeInput{p: p}
 	var flags byte
 	var tag uint64
 	if e.cfg.Delta && e.hasRef && len(e.ref) == dim {
-		if cap(e.work) < dim {
-			e.work = make([]float64, dim)
-		}
-		e.work = e.work[:dim]
-		for i, x := range p {
-			e.work[i] = x - e.ref[i]
-		}
-		v, staged = e.work, true
+		v.ref = e.ref
 		flags |= flagDelta
 		tag = e.refTag
 	}
-	useEF := e.cfg.Tier != TierIdentity && !e.cfg.NoErrorFeedback // every other tier is lossy
-	if useEF {
+	if e.cfg.Tier != TierIdentity && !e.cfg.NoErrorFeedback { // every other tier is lossy
 		if len(e.residual) != dim {
 			if cap(e.residual) < dim {
 				e.residual = make([]float64, dim)
@@ -336,19 +365,7 @@ func (e *Encoder) Encode(p []float64) []byte {
 			e.residual = e.residual[:dim]
 			clear(e.residual)
 		}
-		if !staged {
-			// Absolute lossy encode: stage v into work so the residual can
-			// be folded in without touching the caller's payload.
-			if cap(e.work) < dim {
-				e.work = make([]float64, dim)
-			}
-			e.work = e.work[:dim]
-			copy(e.work, v)
-			v = e.work
-		}
-		for i := range v {
-			v[i] += e.residual[i]
-		}
+		v.residual = e.residual
 	}
 
 	need := FrameLen(e.cfg.Tier, dim)
@@ -364,26 +381,31 @@ func (e *Encoder) Encode(p []float64) []byte {
 	binary.LittleEndian.PutUint32(e.buf[16:20], uint32(dim))
 	body := e.buf[frameHeader:]
 
+	var blk [quantBlock]float64
 	switch e.cfg.Tier {
 	case TierIdentity:
-		for i, x := range v {
-			binary.LittleEndian.PutUint64(body[i*8:], math.Float64bits(x))
+		for lo := 0; lo < dim; lo += quantBlock {
+			for i, x := range v.block(&blk, lo, min(lo+quantBlock, dim)) {
+				binary.LittleEndian.PutUint64(body[(lo+i)*8:], math.Float64bits(x))
+			}
 		}
 	case TierF32:
-		for i, x := range v {
-			f := float32(x)
-			binary.LittleEndian.PutUint32(body[i*4:], math.Float32bits(f))
-			if useEF {
-				e.residual[i] = x - float64(f)
+		for lo := 0; lo < dim; lo += quantBlock {
+			for i, x := range v.block(&blk, lo, min(lo+quantBlock, dim)) {
+				f := float32(x)
+				binary.LittleEndian.PutUint32(body[(lo+i)*4:], math.Float32bits(f))
+				if v.residual != nil {
+					v.residual[lo+i] = x - float64(f)
+				}
 			}
 		}
 	case TierI16:
-		e.quantize(v, body, 32767, useEF, func(off int, q int32) int {
+		quantize(v, &blk, body, 32767, func(off int, q int32) int {
 			binary.LittleEndian.PutUint16(body[off:], uint16(int16(q)))
 			return off + 2
 		})
 	case TierI8:
-		e.quantize(v, body, 127, useEF, func(off int, q int32) int {
+		quantize(v, &blk, body, 127, func(off int, q int32) int {
 			body[off] = byte(int8(q))
 			return off + 1
 		})
@@ -393,15 +415,17 @@ func (e *Encoder) Encode(p []float64) []byte {
 
 // quantize runs the per-block symmetric integer quantizer over v, writing
 // one float32 scale plus the quantized values per block via put, and folds
-// the round-off into the residual when error feedback is on. The dequantized
-// value is recomputed exactly as the decoder will (float64(q) · float64(
-// float32 scale)), so the residual tracks the receiver's view bit-exactly.
-func (e *Encoder) quantize(v []float64, body []byte, qmax float64, useEF bool, put func(off int, q int32) int) {
+// the round-off into v's residual when it has one. Each block's values are
+// formed in blk (encodeInput.block) before any of its residuals is
+// overwritten. The dequantized value is recomputed exactly as the decoder
+// will (float64(q) · float64(float32 scale)), so the residual tracks the
+// receiver's view bit-exactly.
+func quantize(v encodeInput, blk *[quantBlock]float64, body []byte, qmax float64, put func(off int, q int32) int) {
 	off := 0
-	for lo := 0; lo < len(v); lo += quantBlock {
-		hi := min(lo+quantBlock, len(v))
+	for lo := 0; lo < len(v.p); lo += quantBlock {
+		b := v.block(blk, lo, min(lo+quantBlock, len(v.p)))
 		maxAbs := 0.0
-		for _, x := range v[lo:hi] {
+		for _, x := range b {
 			if a := math.Abs(x); a > maxAbs {
 				maxAbs = a
 			}
@@ -414,16 +438,16 @@ func (e *Encoder) quantize(v []float64, body []byte, qmax float64, useEF bool, p
 		if s > 0 {
 			inv = 1 / s
 		}
-		for i := lo; i < hi; i++ {
-			q := int32(math.RoundToEven(v[i] * inv))
+		for i, x := range b {
+			q := int32(math.RoundToEven(x * inv))
 			if float64(q) > qmax {
 				q = int32(qmax)
 			} else if float64(q) < -qmax {
 				q = -int32(qmax)
 			}
 			off = put(off, q)
-			if useEF {
-				e.residual[i] = v[i] - float64(q)*s
+			if v.residual != nil {
+				v.residual[lo+i] = x - float64(q)*s
 			}
 		}
 	}

@@ -1,8 +1,10 @@
 package fedcore
 
 import (
+	"bytes"
 	"encoding/binary"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"testing"
@@ -257,6 +259,207 @@ func TestDecodeRejectsNonFiniteScale(t *testing.T) {
 		binary.LittleEndian.PutUint32(frame[frameHeader:], math.Float32bits(float32(math.Inf(1))))
 		if _, _, err := DecodeFrame(frame, nil, nil); !errors.Is(err, ErrBadFrame) {
 			t.Errorf("%v inf scale: %v, want ErrBadFrame", tier, err)
+		}
+	}
+}
+
+// TestEncoderMatchesStagingReference holds the Encoder, which stages
+// nothing, to the staging one it replaced: over six rounds of drifting
+// payloads, every frame byte-equal and the residual bit-equal after every
+// round, on the four tiers, delta on and off, error feedback on and off,
+// with a reference of the payload's length, one of the wrong length (the
+// absolute fallback) and none, at dims that are and are not a multiple of
+// quantBlock, with ±0, ±Inf and NaN planted in payload and reference.
+func TestEncoderMatchesStagingReference(t *testing.T) {
+	for _, tier := range []Tier{TierIdentity, TierF32, TierI16, TierI8} {
+		for _, delta := range []bool{false, true} {
+			for _, noEF := range []bool{false, true} {
+				for _, dim := range []int{1, 255, 256, 600, 1024} {
+					for _, refLen := range []int{dim, dim + 1, 0} {
+						cfg := CodecConfig{Tier: tier, Delta: delta, NoErrorFeedback: noEF}
+						enc, ref := NewEncoder(cfg), newStagingEncoder(cfg)
+						if refLen > 0 {
+							r := testVector(int64(dim), refLen, 0.5)
+							r[refLen/2] = math.Copysign(0, -1)
+							enc.SetRef(7, r)
+							ref.SetRef(7, r)
+						}
+						for round := 0; round < 6; round++ {
+							p := testVector(int64(100*dim+round), dim, 1+float64(round))
+							p[0] = math.Copysign(0, -1)
+							if round == 4 && dim > 3 {
+								p[1], p[2], p[3] = math.Inf(1), math.NaN(), math.Inf(-1)
+							}
+							label := fmt.Sprintf("%v delta=%v noEF=%v dim=%d ref=%d round %d", tier, delta, noEF, dim, refLen, round)
+							want := append([]byte(nil), ref.Encode(p)...)
+							if got := enc.Encode(p); !bytes.Equal(got, want) {
+								t.Fatalf("%s: frame differs from the staging encoder's", label)
+							}
+							if len(enc.residual) != len(ref.residual) {
+								t.Fatalf("%s: residual of %d, staging %d", label, len(enc.residual), len(ref.residual))
+							}
+							for i, r := range ref.residual {
+								if math.Float64bits(enc.residual[i]) != math.Float64bits(r) {
+									t.Fatalf("%s: residual[%d] = %v, staging %v", label, i, enc.residual[i], r)
+								}
+							}
+						}
+					}
+				}
+			}
+		}
+	}
+}
+
+// stagingEncoder is the Encoder as it was before it folded the delta and
+// the residual into its element loops: it staged p − ref, or p, in work and
+// added the residual there. Kept verbatim (renamed) as the reference
+// TestEncoderMatchesStagingReference holds the Encoder to.
+type stagingEncoder struct {
+	cfg CodecConfig
+
+	ref    []float64
+	refTag uint64
+	hasRef bool
+
+	residual []float64
+	work     []float64
+	buf      []byte
+}
+
+func newStagingEncoder(cfg CodecConfig) *stagingEncoder { return &stagingEncoder{cfg: cfg} }
+
+// SetRef installs the delta reference — the payload this encoder's client
+// just installed, under the tag both ends agreed on. The payload is copied.
+func (e *stagingEncoder) SetRef(tag uint64, p []float64) {
+	e.ref = append(e.ref[:0], p...)
+	e.refTag = tag
+	e.hasRef = true
+}
+
+// ClearRef drops the delta reference; the next Encode is absolute.
+func (e *stagingEncoder) ClearRef() { e.hasRef = false }
+
+// Encode frames one payload. The returned slice is the encoder's internal
+// buffer: valid until the next Encode, so callers that retain frames must
+// copy. Under the lossy tiers the error-feedback residual updates as a side
+// effect — each accepted frame should reach the server exactly once.
+func (e *stagingEncoder) Encode(p []float64) []byte {
+	dim := len(p)
+	v := p
+	staged := false
+	var flags byte
+	var tag uint64
+	if e.cfg.Delta && e.hasRef && len(e.ref) == dim {
+		if cap(e.work) < dim {
+			e.work = make([]float64, dim)
+		}
+		e.work = e.work[:dim]
+		for i, x := range p {
+			e.work[i] = x - e.ref[i]
+		}
+		v, staged = e.work, true
+		flags |= flagDelta
+		tag = e.refTag
+	}
+	useEF := e.cfg.Tier != TierIdentity && !e.cfg.NoErrorFeedback // every other tier is lossy
+	if useEF {
+		if len(e.residual) != dim {
+			if cap(e.residual) < dim {
+				e.residual = make([]float64, dim)
+			}
+			e.residual = e.residual[:dim]
+			clear(e.residual)
+		}
+		if !staged {
+			// Absolute lossy encode: stage v into work so the residual can
+			// be folded in without touching the caller's payload.
+			if cap(e.work) < dim {
+				e.work = make([]float64, dim)
+			}
+			e.work = e.work[:dim]
+			copy(e.work, v)
+			v = e.work
+		}
+		for i := range v {
+			v[i] += e.residual[i]
+		}
+	}
+
+	need := FrameLen(e.cfg.Tier, dim)
+	if cap(e.buf) < need {
+		e.buf = make([]byte, need)
+	}
+	e.buf = e.buf[:need]
+	binary.LittleEndian.PutUint32(e.buf[0:4], frameMagic)
+	e.buf[4] = byte(e.cfg.Tier)
+	e.buf[5] = flags
+	e.buf[6], e.buf[7] = 0, 0
+	binary.LittleEndian.PutUint64(e.buf[8:16], tag)
+	binary.LittleEndian.PutUint32(e.buf[16:20], uint32(dim))
+	body := e.buf[frameHeader:]
+
+	switch e.cfg.Tier {
+	case TierIdentity:
+		for i, x := range v {
+			binary.LittleEndian.PutUint64(body[i*8:], math.Float64bits(x))
+		}
+	case TierF32:
+		for i, x := range v {
+			f := float32(x)
+			binary.LittleEndian.PutUint32(body[i*4:], math.Float32bits(f))
+			if useEF {
+				e.residual[i] = x - float64(f)
+			}
+		}
+	case TierI16:
+		e.quantize(v, body, 32767, useEF, func(off int, q int32) int {
+			binary.LittleEndian.PutUint16(body[off:], uint16(int16(q)))
+			return off + 2
+		})
+	case TierI8:
+		e.quantize(v, body, 127, useEF, func(off int, q int32) int {
+			body[off] = byte(int8(q))
+			return off + 1
+		})
+	}
+	return e.buf
+}
+
+// quantize runs the per-block symmetric integer quantizer over v, writing
+// one float32 scale plus the quantized values per block via put, and folds
+// the round-off into the residual when error feedback is on. The dequantized
+// value is recomputed exactly as the decoder will (float64(q) · float64(
+// float32 scale)), so the residual tracks the receiver's view bit-exactly.
+func (e *stagingEncoder) quantize(v []float64, body []byte, qmax float64, useEF bool, put func(off int, q int32) int) {
+	off := 0
+	for lo := 0; lo < len(v); lo += quantBlock {
+		hi := min(lo+quantBlock, len(v))
+		maxAbs := 0.0
+		for _, x := range v[lo:hi] {
+			if a := math.Abs(x); a > maxAbs {
+				maxAbs = a
+			}
+		}
+		scale := float32(maxAbs / qmax)
+		binary.LittleEndian.PutUint32(body[off:], math.Float32bits(scale))
+		off += 4
+		s := float64(scale)
+		inv := 0.0
+		if s > 0 {
+			inv = 1 / s
+		}
+		for i := lo; i < hi; i++ {
+			q := int32(math.RoundToEven(v[i] * inv))
+			if float64(q) > qmax {
+				q = int32(qmax)
+			} else if float64(q) < -qmax {
+				q = -int32(qmax)
+			}
+			off = put(off, q)
+			if useEF {
+				e.residual[i] = v[i] - float64(q)*s
+			}
 		}
 	}
 }

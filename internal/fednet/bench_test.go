@@ -1,8 +1,10 @@
 package fednet
 
 import (
+	"runtime"
 	"testing"
 
+	"repro/internal/core"
 	"repro/internal/fed"
 	"repro/internal/fedcore"
 )
@@ -110,5 +112,70 @@ func BenchmarkRPCSync(b *testing.B) {
 			b.Fatal(err)
 		}
 		install(&reply)
+	}
+}
+
+// BenchmarkClientFootprint measures what a swarm client holds between its
+// turns (DESIGN §8 "Per-client footprint"): 32 clients of RunSwarm's recipe
+// at the benchmark's swarm size (8 tasks) each run one activation on the
+// swarm's codec — the initial global framed by a server wire end and
+// installed through the client's (its delta reference), an episode and its
+// Update, the public critic's upload encoded against that reference and
+// decoded by the server end into the client's slot — and a forced GC then
+// reads the live heap. It reports live-B/client, the live heap the clients
+// and both their wire ends added, per client; shared state (the tensor
+// pool, nn's gradient store, the server end's frame cache) is spread over
+// the 32. make bench-agg fails it above FOOTPRINT_BUDGET
+// (scripts/bench_alloc_guard.sh).
+func BenchmarkClientFootprint(b *testing.B) {
+	const clients, tasks = 32, 8
+	codec := fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}
+	caps := core.CapsFor(swarmProfiles)
+	transport := fed.PublicCriticTransport{}
+	for range b.N {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		server := fedcore.NewWireServer(codec)
+		fleet := make([]*fed.Client, clients)
+		ends := make([]*fedcore.WireClient, clients)
+		var global fed.Payload
+		for i := range fleet {
+			c, err := swarmClient(i, 1+int64(i)*1000003, tasks, caps)
+			if err != nil {
+				b.Fatal(err)
+			}
+			if global == nil {
+				up, err := transport.Upload(c)
+				if err != nil {
+					b.Fatal(err)
+				}
+				global = append(fed.Payload(nil), up...)
+			}
+			wc := fedcore.NewWireClient(codec)
+			frame, _, tag := server.Frame(i, global)
+			p, err := wc.Decode(frame)
+			if err == nil {
+				err = wc.Install(p, tag, func(p fed.Payload) error { return transport.Download(c, p) })
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			c.TrainEpisodes(1)
+			up, err := transport.Upload(c)
+			if err == nil {
+				_, err = server.Decode(i, wc.Encode(up))
+			}
+			if err != nil {
+				b.Fatal(err)
+			}
+			fleet[i], ends[i] = c, wc
+		}
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/clients, "live-B/client")
+		runtime.KeepAlive(fleet)
+		runtime.KeepAlive(ends)
+		runtime.KeepAlive(server)
 	}
 }

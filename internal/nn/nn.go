@@ -7,12 +7,19 @@ package nn
 import (
 	"fmt"
 	"math"
+	"sync"
 
 	"repro/internal/autograd"
 	"repro/internal/tensor"
 )
 
 // Parameter couples a trainable matrix with its gradient accumulator.
+//
+// Grad is storage the parameter borrows only while something accumulates
+// into it: nil — a new parameter's, and after ReleaseGrads — reads as a
+// gradient of all +0, and whatever needs the storage (Node, Gradient,
+// Adam.Step) borrows a zeroed buffer of Data's shape. A network between
+// updates therefore holds its parameters and no gradients.
 type Parameter struct {
 	Name string
 	Data *tensor.Matrix
@@ -22,19 +29,105 @@ type Parameter struct {
 	writes uint64
 }
 
-// NewParameter wraps data as a named parameter with a zeroed gradient.
+// NewParameter wraps data as a named parameter, with a gradient of +0 and
+// no gradient storage.
 func NewParameter(name string, data *tensor.Matrix) *Parameter {
-	return &Parameter{Name: name, Data: data, Grad: tensor.New(data.Rows, data.Cols)}
+	return &Parameter{Name: name, Data: data}
+}
+
+// Gradient returns p's gradient storage, borrowing a zeroed buffer when p
+// holds none. It stays p's until ReleaseGrads.
+func (p *Parameter) Gradient() *tensor.Matrix {
+	if p.Grad == nil {
+		p.Grad = gradients.borrow(p.Data.Rows, p.Data.Cols)
+	}
+	return p.Grad
 }
 
 // Node registers the parameter on tape as a differentiable leaf whose
-// gradient accumulates into p.Grad.
+// gradient accumulates into p.Grad, borrowed if p holds none.
 func (p *Parameter) Node(tape *autograd.Tape) *autograd.Value {
-	return tape.Param(p.Data, p.Grad)
+	return tape.Param(p.Data, p.Gradient())
 }
 
-// ZeroGrad clears the accumulated gradient.
-func (p *Parameter) ZeroGrad() { p.Grad.Zero() }
+// ZeroGrad clears the accumulated gradient. Without storage it is +0
+// already.
+func (p *Parameter) ZeroGrad() {
+	if p.Grad != nil {
+		p.Grad.Zero()
+	}
+}
+
+// gradStore lends gradient storage: matrices of exactly a parameter's size
+// on one free list per element count, so a returned buffer is never
+// rounded up the way tensor.Pool's power-of-two buckets round. Every
+// matrix on a free list holds only +0. Safe for concurrent use (the update
+// lanes and the client goroutines borrow at once).
+type gradStore struct {
+	mu   sync.Mutex
+	free map[int][]*tensor.Matrix
+
+	borrows, misses int64 // counters for tests (guarded by mu)
+}
+
+// gradients is the process-wide gradient store.
+var gradients gradStore
+
+// borrow returns a zeroed rows x cols matrix, a returned one when the free
+// list of its size has one.
+func (s *gradStore) borrow(rows, cols int) *tensor.Matrix {
+	n := rows * cols
+	var m *tensor.Matrix
+	s.mu.Lock()
+	s.borrows++
+	if l := s.free[n]; len(l) > 0 {
+		m = l[len(l)-1]
+		l[len(l)-1] = nil
+		s.free[n] = l[:len(l)-1]
+	} else {
+		s.misses++
+	}
+	s.mu.Unlock()
+	if m == nil {
+		return tensor.New(rows, cols)
+	}
+	m.Rows, m.Cols = rows, cols
+	return m
+}
+
+// giveBack clears m and files it for the next borrower of its size.
+func (s *gradStore) giveBack(m *tensor.Matrix) {
+	m.Zero()
+	n := len(m.Data)
+	s.mu.Lock()
+	if s.free == nil {
+		s.free = make(map[int][]*tensor.Matrix)
+	}
+	s.free[n] = append(s.free[n], m)
+	s.mu.Unlock()
+}
+
+// ReleaseGrads hands the gradient storage of every parameter of m back to
+// the store: each buffer is cleared and kept for the next borrower of its
+// size, and the parameter holds none again, its gradient reading +0. No
+// Value of a tape that still references the storage may be used after.
+func ReleaseGrads(m Module) {
+	for _, p := range m.Params() {
+		if p.Grad != nil {
+			gradients.giveBack(p.Grad)
+			p.Grad = nil
+		}
+	}
+}
+
+// GradStats reports how many gradient buffers have been borrowed in this
+// process and how many of those borrows found no returned buffer of their
+// size and allocated one.
+func GradStats() (borrows, misses int64) {
+	gradients.mu.Lock()
+	defer gradients.mu.Unlock()
+	return gradients.borrows, gradients.misses
+}
 
 // NumElems returns the number of scalar elements in the parameter.
 func (p *Parameter) NumElems() int { return len(p.Data.Data) }
@@ -45,7 +138,8 @@ type Module interface {
 	Params() []*Parameter
 }
 
-// ZeroGrads clears the gradients of every parameter of m.
+// ZeroGrads clears the gradients of every parameter of m. A parameter
+// without gradient storage is left without.
 func ZeroGrads(m Module) {
 	for _, p := range m.Params() {
 		p.ZeroGrad()
@@ -79,10 +173,14 @@ func Generation(m Module) uint64 {
 // most maxNorm, and returns the pre-clipping norm. maxNorm <= 0 disables
 // clipping. The sum of squares stays one scalar loop in parameter order (its
 // order is part of the bits); the rescale is elementwise, so it takes the
-// SIMD ScaleInPlace.
+// SIMD ScaleInPlace. A parameter without gradient storage adds +0 terms
+// and scales to +0, so it is skipped and borrows none.
 func ClipGradNorm(m Module, maxNorm float64) float64 {
 	total := 0.0
 	for _, p := range m.Params() {
+		if p.Grad == nil {
+			continue
+		}
 		for _, g := range p.Grad.Data {
 			total += g * g
 		}
@@ -91,7 +189,9 @@ func ClipGradNorm(m Module, maxNorm float64) float64 {
 	if maxNorm > 0 && norm > maxNorm {
 		scale := maxNorm / (norm + 1e-12)
 		for _, p := range m.Params() {
-			p.Grad.ScaleInPlace(scale)
+			if p.Grad != nil {
+				p.Grad.ScaleInPlace(scale)
+			}
 		}
 	}
 	return norm

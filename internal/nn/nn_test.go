@@ -170,7 +170,7 @@ func TestAdamResetClearsState(t *testing.T) {
 	m := NewMLP(rng, "r", []int{2, 2}, ActTanh, 1.0)
 	opt := NewAdam(m, 1e-3)
 	opt.ZeroGrad()
-	m.Params()[0].Grad.Fill(1)
+	m.Params()[0].Gradient().Fill(1)
 	opt.Step()
 	opt.Reset()
 	if opt.step != 0 {
@@ -283,7 +283,7 @@ func TestClipGradNorm(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
 	m := NewMLP(rng, "m", []int{2, 2}, ActTanh, 1.0)
 	for _, p := range m.Params() {
-		p.Grad.Fill(3)
+		p.Gradient().Fill(3)
 	}
 	pre := ClipGradNorm(m, 1.0)
 	if pre <= 1.0 {
@@ -295,7 +295,7 @@ func TestClipGradNorm(t *testing.T) {
 	}
 	// maxNorm <= 0 disables clipping.
 	for _, p := range m.Params() {
-		p.Grad.Fill(3)
+		p.Gradient().Fill(3)
 	}
 	ClipGradNorm(m, 0)
 	if m.Params()[0].Grad.Data[0] != 3 {
@@ -417,7 +417,7 @@ func TestZeroGradsClearsAll(t *testing.T) {
 	rng := rand.New(rand.NewSource(12))
 	m := NewMLP(rng, "m", []int{2, 3, 2}, ActTanh, 1.0)
 	for _, p := range m.Params() {
-		p.Grad.Fill(1)
+		p.Gradient().Fill(1)
 	}
 	ZeroGrads(m)
 	for _, p := range m.Params() {
@@ -456,5 +456,68 @@ func TestCheckSizes(t *testing.T) {
 		case tc.params >= 0 && (err != nil || got != tc.params):
 			t.Errorf("%s: %v = %d, %v; want %d params", tc.name, tc.sizes, got, err, tc.params)
 		}
+	}
+}
+
+// TestGradientsBorrowedOnDemand pins what a parameter without gradient
+// storage does wherever nn reads a gradient: it reads as all +0. A fresh
+// network's ClipGradNorm is 0 and ZeroGrads leaves it without storage;
+// Adam.Step on it borrows a zeroed buffer and steps exactly as a twin whose
+// gradients were explicitly zeroed; Node borrows for a Backward, after which
+// ZeroGrads clears it (the benchmark probes' two paths); ReleaseGrads hands
+// the storage back, and the next borrow of the same sizes takes it from the
+// store without allocating.
+func TestGradientsBorrowedOnDemand(t *testing.T) {
+	build := func() *MLP { return NewMLP(rand.New(rand.NewSource(3)), "g", []int{5, 8, 3}, ActTanh, 1.0) }
+	m, twin := build(), build()
+	for _, p := range m.Params() {
+		if p.Grad != nil {
+			t.Fatalf("a new parameter %s holds gradient storage", p.Name)
+		}
+	}
+	if n := ClipGradNorm(m, 0.5); n != 0 {
+		t.Fatalf("ClipGradNorm of a network without gradients = %v, want 0", n)
+	}
+	ZeroGrads(m)
+	for _, p := range m.Params() {
+		if p.Grad != nil {
+			t.Fatalf("ClipGradNorm or ZeroGrads borrowed storage for %s", p.Name)
+		}
+	}
+	for _, p := range twin.Params() {
+		p.Gradient().Zero()
+	}
+	opt, twinOpt := NewAdam(m, 1e-2), NewAdam(twin, 1e-2)
+	opt.Step()
+	twinOpt.Step()
+	for i, p := range m.Params() {
+		if p.Grad == nil || p.Grad.Norm2() != 0 {
+			t.Fatalf("Adam.Step left %s without a cleared gradient", p.Name)
+		}
+		for j, v := range p.Data.Data {
+			if math.Float64bits(v) != math.Float64bits(twin.Params()[i].Data.Data[j]) {
+				t.Fatalf("%s[%d] stepped to %v on a borrowed gradient, %v on a zeroed one", p.Name, j, v, twin.Params()[i].Data.Data[j])
+			}
+		}
+	}
+	ReleaseGrads(m)
+	tape := autograd.NewTape()
+	autograd.Mean(autograd.Square(m.Forward(tape, tape.Const(tensor.RandNormal(rand.New(rand.NewSource(4)), 4, 5, 0, 1))))).Backward()
+	ZeroGrads(m)
+	for _, p := range m.Params() {
+		if p.Grad == nil || p.Grad.Norm2() != 0 {
+			t.Fatalf("after Backward and ZeroGrads %s holds no cleared gradient", p.Name)
+		}
+	}
+	ReleaseGrads(m)
+	for _, p := range m.Params() {
+		if p.Grad != nil {
+			t.Fatalf("ReleaseGrads left %s holding storage", p.Name)
+		}
+	}
+	borrows0, misses0 := GradStats()
+	opt.Step()
+	if borrows, misses := GradStats(); borrows-borrows0 != int64(len(m.Params())) || misses != misses0 {
+		t.Fatalf("re-borrowing %d gradients: %d borrows, %d misses, want %d and 0", len(m.Params()), borrows-borrows0, misses-misses0, len(m.Params()))
 	}
 }

@@ -46,13 +46,14 @@ func NewAdam(mod Module, lr float64) *Adam {
 // it can use the SIMD fast path and step a run of tied rows once — a
 // padded first layer's, whose gradients, m and v repeat row to row (m and v
 // start tied at zero, here and after Reset); the update is bitwise
-// identical to the historical per-element loop here.
+// identical to the historical per-element loop here. A parameter without
+// gradient storage steps on a borrowed one of +0, which it keeps.
 func (a *Adam) Step() {
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for i, p := range a.params {
-		tensor.AdamUpdateRows(p.Data.Data, p.Grad.Data, a.m[i].Data, a.v[i].Data, a.tied, p.Data.Cols, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
+		tensor.AdamUpdateRows(p.Data.Data, p.Gradient().Data, a.m[i].Data, a.v[i].Data, a.tied, p.Data.Cols, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
 		p.writes++
 	}
 }

@@ -26,8 +26,9 @@ func (px *Proximal) SetRef(modules ...nn.Module) {
 }
 
 // Apply adds μ(w − w_ref) — the gradient of the proximal term — to the
-// module's accumulated gradients. Modules without a captured reference are
-// left untouched, as is everything when Mu is 0.
+// module's accumulated gradients, borrowing storage for a parameter that
+// holds none. Modules without a captured reference are left untouched, as
+// is everything when Mu is 0.
 func (px *Proximal) Apply(m nn.Module) {
 	if px.Mu == 0 {
 		return
@@ -39,8 +40,9 @@ func (px *Proximal) Apply(m nn.Module) {
 	off := 0
 	for _, p := range m.Params() {
 		n := p.NumElems()
+		g := p.Gradient().Data
 		for i := 0; i < n; i++ {
-			p.Grad.Data[i] += px.Mu * (p.Data.Data[i] - ref[off+i])
+			g[i] += px.Mu * (p.Data.Data[i] - ref[off+i])
 		}
 		off += n
 	}

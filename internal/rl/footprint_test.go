@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"math"
 	"math/rand"
+	"reflect"
 	"testing"
 
 	"repro/internal/nn"
@@ -25,13 +26,73 @@ func poolMisses(fn func()) int64 {
 func holdLaneTapes(a *PPO, buf *Buffer) {
 	st, cfg := &a.upd, &a.Cfg
 	st.adv, st.targets = buf.GAEInto(gamma, lambda, st.adv, st.targets)
-	st.ensure(buf.Len(), cfg.MiniBatch, cfg.StateDim)
+	st.ensure(buf.Len(), cfg.MiniBatch)
 	st.tiedColumns(buf, cfg.StateDim)
 	for i := range st.idx {
 		st.idx[i] = i
 	}
 	a.actorEpoch(buf)
 	a.criticEpoch(buf)
+}
+
+// footprintRun is the scenario TestUpdateParksNoTapeBuffers and
+// TestUpdateKeepsNoScratch share: two dual-critic agents of one shape and a
+// buffer of full minibatches and a partial one, collected by the first.
+// firstUpdate runs the first agent's Update — on the lanes path while four
+// other agents hold, on both tapes, a minibatch's working sets, two of full
+// size and two of the buffer's tail size (see TestUpdateParksNoTapeBuffers)
+// — and then lets the holders go.
+type footprintRun struct {
+	cfg           Config
+	first, second *PPO
+	buf           Buffer
+}
+
+func newFootprintRun(t *testing.T) *footprintRun {
+	t.Helper()
+	const stateDim, actions = 24, 5
+	r := &footprintRun{cfg: DefaultConfig(stateDim, actions)}
+	r.first = NewDualCriticPPO(r.cfg, rand.New(rand.NewSource(1)))
+	r.second = NewDualCriticPPO(r.cfg, rand.New(rand.NewSource(2)))
+	env := NewSyntheticEnv(stateDim, actions, 150, 3)
+	env.Reset()
+	CollectEpisode(env, r.first, &r.buf)
+	if tail := r.buf.Len() % r.cfg.MiniBatch; tail == 0 || r.buf.Len() < r.cfg.MiniBatch {
+		t.Fatalf("buffer of %d transitions: want full minibatches and a partial one", r.buf.Len())
+	}
+	return r
+}
+
+func (r *footprintRun) firstUpdate(lanes bool) {
+	var holders []*PPO
+	if lanes {
+		tail := r.buf.Len() % r.cfg.MiniBatch
+		var full, last Buffer
+		for _, s := range r.buf.Steps()[:r.cfg.MiniBatch] {
+			full.Add(s)
+		}
+		for _, s := range r.buf.Steps()[r.buf.Len()-tail:] {
+			last.Add(s)
+		}
+		for i, b := range []*Buffer{&full, &full, &last, &last} {
+			h := NewDualCriticPPO(r.cfg, rand.New(rand.NewSource(int64(10+i))))
+			holdLaneTapes(h, b)
+			holders = append(holders, h)
+		}
+	}
+	r.first.Update(&r.buf)
+	for _, h := range holders {
+		h.upd.actorTape.Reset()
+		h.upd.criticTape.Reset()
+	}
+}
+
+// laneName names a lane setting in subtest names.
+func laneName(lanes bool) string {
+	if lanes {
+		return "lanes"
+	}
+	return "sequential"
 }
 
 // TestUpdateParksNoTapeBuffers pins that Update hands its tapes' matrices back
@@ -52,52 +113,74 @@ func holdLaneTapes(a *PPO, buf *Buffer) {
 // any GOMAXPROCS.
 func TestUpdateParksNoTapeBuffers(t *testing.T) {
 	for _, lanes := range []bool{false, true} {
-		name := "sequential"
-		if lanes {
-			name = "lanes"
-		}
-		t.Run(name, func(t *testing.T) {
+		t.Run(laneName(lanes), func(t *testing.T) {
 			forceLanes(t, lanes)
-			const stateDim, actions = 24, 5
-			cfg := DefaultConfig(stateDim, actions)
-			first := NewDualCriticPPO(cfg, rand.New(rand.NewSource(1)))
-			second := NewDualCriticPPO(cfg, rand.New(rand.NewSource(2)))
-			var buf Buffer
-			env := NewSyntheticEnv(stateDim, actions, 150, 3)
-			env.Reset()
-			CollectEpisode(env, first, &buf)
-			tail := buf.Len() % cfg.MiniBatch
-			if tail == 0 || buf.Len() < cfg.MiniBatch {
-				t.Fatalf("buffer of %d transitions: want full minibatches and a partial one", buf.Len())
-			}
-
-			var holders []*PPO
-			if lanes {
-				var full, last Buffer
-				for _, s := range buf.Steps()[:cfg.MiniBatch] {
-					full.Add(s)
-				}
-				for _, s := range buf.Steps()[buf.Len()-tail:] {
-					last.Add(s)
-				}
-				for i, b := range []*Buffer{&full, &full, &last, &last} {
-					h := NewDualCriticPPO(cfg, rand.New(rand.NewSource(int64(10+i))))
-					holdLaneTapes(h, b)
-					holders = append(holders, h)
-				}
-			}
-			first.Update(&buf)
-			for _, h := range holders {
-				h.upd.actorTape.Reset()
-				h.upd.criticTape.Reset()
-			}
-			if n, m := first.upd.actorTape.Len(), first.upd.criticTape.Len(); n != 0 || m != 0 {
+			r := newFootprintRun(t)
+			r.firstUpdate(lanes)
+			if n, m := r.first.upd.actorTape.Len(), r.first.upd.criticTape.Len(); n != 0 || m != 0 {
 				t.Fatalf("after Update the actor tape holds %d nodes and the critic tape %d, want 0", n, m)
 			}
-			if misses := poolMisses(func() { second.Update(&buf) }); misses != 0 {
+			if misses := poolMisses(func() { r.second.Update(&r.buf) }); misses != 0 {
 				t.Fatalf("a second agent's first Update missed the pool %d times, want 0", misses)
 			}
 		})
+	}
+}
+
+// TestUpdateKeepsNoScratch pins DESIGN §9 contract 24: between updates an
+// agent holds its parameters, its Adam moments and its buffer, and nothing
+// only the update uses. After Update no parameter of the actor, φ or ψ holds
+// gradient storage (nn lends it for the call), nothing in the update
+// scratch is a matrix as wide as a state (the first layers read the
+// buffer's rows in place) and no row list still names a state. A second
+// agent of the same shape then runs its first Update with no miss in nn's
+// gradient store, nor in the tensor pool. On both update paths.
+func TestUpdateKeepsNoScratch(t *testing.T) {
+	for _, lanes := range []bool{false, true} {
+		t.Run(laneName(lanes), func(t *testing.T) {
+			forceLanes(t, lanes)
+			r := newFootprintRun(t)
+			r.firstUpdate(lanes)
+			requireNoUpdateScratch(t, r.first)
+			_, gradMisses0 := nn.GradStats()
+			poolMisses := poolMisses(func() { r.second.Update(&r.buf) })
+			if _, gradMisses := nn.GradStats(); gradMisses != gradMisses0 {
+				t.Fatalf("a second agent's first Update borrowed %d gradients nn's store did not hold, want 0", gradMisses-gradMisses0)
+			}
+			if poolMisses != 0 {
+				t.Fatalf("a second agent's first Update missed the pool %d times, want 0", poolMisses)
+			}
+			requireNoUpdateScratch(t, r.second)
+		})
+	}
+}
+
+// requireNoUpdateScratch fails unless a holds no gradient storage, no
+// matrix of StateDim columns in its update scratch and no row there.
+func requireNoUpdateScratch(t *testing.T, a *PPO) {
+	t.Helper()
+	for _, net := range []*nn.MLP{a.Actor, a.Critic, a.PublicCritic} {
+		for _, p := range net.Params() {
+			if p.Grad != nil {
+				t.Fatalf("after Update %s holds a %dx%d gradient", p.Name, p.Grad.Rows, p.Grad.Cols)
+			}
+		}
+	}
+	st := reflect.ValueOf(&a.upd).Elem()
+	for i := 0; i < st.NumField(); i++ {
+		f, name := st.Field(i), st.Type().Field(i).Name
+		switch {
+		case f.Type() == reflect.TypeOf((*tensor.Matrix)(nil)) && !f.IsNil():
+			if cols := f.Elem().FieldByName("Cols").Int(); int(cols) == a.Cfg.StateDim {
+				t.Fatalf("after Update the scratch's %s is a matrix of %d columns, a state's width", name, cols)
+			}
+		case f.Type() == reflect.TypeOf([][]float64(nil)):
+			for j := 0; j < f.Cap(); j++ {
+				if !f.Slice(0, f.Cap()).Index(j).IsNil() {
+					t.Fatalf("after Update the scratch's %s still names a state at %d", name, j)
+				}
+			}
+		}
 	}
 }
 

@@ -302,35 +302,33 @@ func CriticMSE(critic *nn.MLP, buf *Buffer, gamma float64) float64 {
 	return criticMSE(critic, buf.Steps(), buf.Returns(gamma))
 }
 
-// lossBlockRows is how many states criticMSE stages at once: a minibatch's
-// worth.
+// lossBlockRows is how many states criticMSE evaluates at once: a
+// minibatch's worth.
 const lossBlockRows = 64
 
 // criticMSE is the critic's mean squared error against returns over steps,
-// evaluated lossBlockRows states at a time through one pooled staging block.
-// A row's prediction does not depend on the rows beside it and the squared
-// errors add in row order, so the result is the bits of one Infer over the
-// whole buffer, while the staging stays a minibatch's size however long the
-// buffer is (a whole-buffer staging at table3_parallel's ≈ 450-step episodes
-// takes ≈ 768 KB of pool buckets per client updating at once).
+// evaluated lossBlockRows states at a time, each block's states read where
+// steps hold them (MLP.InferRows over a row list on the stack). A row's
+// prediction does not depend on the rows beside it and the squared errors
+// add in row order, so the result is the bits of one Infer over the whole
+// buffer staged, and nothing state-wide is staged however long the buffer
+// is.
 func criticMSE(critic *nn.MLP, steps []Transition, returns []float64) float64 {
-	rows := min(len(steps), lossBlockRows)
-	states := tensor.DefaultPool().GetUninit(rows, len(steps[0].State))
-	v := tensor.DefaultPool().GetUninit(rows, 1)
+	var rows [lossBlockRows][]float64
+	v := tensor.DefaultPool().GetUninit(min(len(steps), lossBlockRows), 1)
 	mse := 0.0
-	for lo := 0; lo < len(steps); lo += rows {
-		n := min(rows, len(steps)-lo)
-		block, pred := viewRows(states, n), viewRows(v, n)
+	for lo := 0; lo < len(steps); lo += lossBlockRows {
+		n := min(lossBlockRows, len(steps)-lo)
 		for i := range n {
-			copy(block.Row(i), steps[lo+i].State)
+			rows[i] = steps[lo+i].State
 		}
-		critic.Infer(pred, block)
+		pred := viewRows(v, n)
+		critic.InferRows(pred, rows[:n])
 		for i, y := range pred.Data {
 			d := y - returns[lo+i]
 			mse += d * d
 		}
 	}
-	tensor.Put(states)
 	tensor.Put(v)
 	return mse / float64(len(steps))
 }

@@ -101,9 +101,9 @@ func hostileMiniBatchCheckpoint(tb testing.TB) []byte {
 
 // TestLoadedCheckpointUpdatesWhateverItsMiniBatch pins the second half of
 // DESIGN §9 contract 3: what LoadAgent accepts also trains. The update
-// stages no more rows than the buffer holds, so a declared minibatch of any
-// size costs nothing; staging MiniBatch rows would die in the runtime, out
-// of memory, past any recover.
+// sizes its minibatch scratch at no more rows than the buffer holds, so a
+// declared minibatch of any size costs nothing; sizing it at MiniBatch rows
+// would die in the runtime, out of memory, past any recover.
 func TestLoadedCheckpointUpdatesWhateverItsMiniBatch(t *testing.T) {
 	a, err := LoadAgent(bytes.NewReader(hostileMiniBatchCheckpoint(t)), rand.New(rand.NewSource(9)))
 	if err != nil {
@@ -119,8 +119,8 @@ func TestLoadedCheckpointUpdatesWhateverItsMiniBatch(t *testing.T) {
 	if math.IsNaN(stats.CriticLoss) || math.IsInf(stats.CriticLoss, 0) || stats.CriticLoss <= 0 {
 		t.Fatalf("update over 8 steps reported critic loss %v", stats.CriticLoss)
 	}
-	if rows := a.upd.stagedRows; rows != 8 {
-		t.Fatalf("update staged %d rows for an 8-step buffer", rows)
+	if rows := cap(a.upd.actions); rows != 8 {
+		t.Fatalf("update sized its minibatch scratch at %d rows for an 8-step buffer", rows)
 	}
 }
 

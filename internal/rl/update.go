@@ -14,12 +14,13 @@ import (
 // reports; it is a variable so the in-package goldens can force either path.
 var useLanes = func() bool { return runtime.GOMAXPROCS(0) > 1 }
 
-// updateScratch owns every reusable buffer of the batched update pipeline,
-// hoisting all per-call staging out of optimize so a steady-state Update
-// performs no per-minibatch allocations: the shuffle index, the GAE output
-// slices, and one set of minibatch staging plus a pooled tape per lane — the
-// actor lane and the critic lane each stage their own copy of a minibatch's
-// states, so neither ever reads what the other writes. Each agent embeds
+// updateScratch owns the reusable buffers of the batched update pipeline, so
+// a steady-state Update performs no per-minibatch allocations: the shuffle
+// index, the GAE output slices, and per lane a minibatch's row list, its
+// per-transition columns and a pooled tape. Nothing in it is as wide as a
+// state: the lanes' first layers read each minibatch's states where the
+// buffer holds them, through the row lists (autograd.ConstRows), and the
+// gradients are borrowed for the call (nn.Parameter). Each agent embeds
 // one; it is not safe for concurrent use, matching the agents'
 // one-goroutine-per-agent contract.
 type updateScratch struct {
@@ -32,28 +33,30 @@ type updateScratch struct {
 	// CriticLosses scores the critics against.
 	adv, targets, returns []float64
 
-	// Minibatch staging, allocated at the largest batch seen so far (never
-	// more than MiniBatch rows) and viewed down for a partial batch.
-	// Rewritten fully for every batch.
-	stagedRows int
+	// Minibatch columns, allocated at the largest batch seen so far (never
+	// more than MiniBatch rows; cap(actions) is that size) and viewed down
+	// for a partial batch. Rewritten fully for every batch. The row lists
+	// name the batch's states in shuffle order; optimize clears them, so
+	// they keep no buffer alive. The tapes hold pooled matrices only while
+	// optimize runs.
 
-	// Actor lane. The staging matrices stay agent-owned: drawn from the
-	// pool, their 64×StateDim shape rounds up to the next power-of-two
-	// bucket. The tapes hold pooled matrices only while optimize runs.
-	actorStates, oldLogp, advantage *tensor.Matrix
-	actions                         []int
-	actorTape                       *autograd.Tape
+	// Actor lane.
+	actorRows          [][]float64
+	oldLogp, advantage *tensor.Matrix
+	actions            []int
+	actorTape          *autograd.Tape
 
 	// Critic lane.
-	criticStates, target *tensor.Matrix
-	criticTape           *autograd.Tape
+	criticRows [][]float64
+	target     *tensor.Matrix
+	criticTape *autograd.Tape
 
 	// ties lists the state columns whose bits equal their left
 	// neighbour's in every state of the buffer being optimized: padded
 	// observation positions (§4.1) are −1 in every state a client sees.
 	// Rebuilt by every optimize call before the lanes fork and read-only
-	// while they run, it goes into both first layers with the staged
-	// states (autograd.ConstTied).
+	// while they run, it goes into both first layers with the row lists
+	// (autograd.ConstRows).
 	ties []int
 }
 
@@ -82,10 +85,10 @@ func (st *updateScratch) tiedColumns(buf *Buffer, stateDim int) {
 }
 
 // ensure sizes the scratch for a buffer of n transitions under the given
-// minibatch size and state dimension, allocating only on first use or growth.
-// No batch is larger than the buffer, so that is all it stages: MiniBatch
-// comes from a checkpoint and may be any number (DESIGN §9).
-func (st *updateScratch) ensure(n, mb, stateDim int) {
+// minibatch size, allocating only on first use or growth. No batch is
+// larger than the buffer, so that is all it sizes: MiniBatch comes from a
+// checkpoint and may be any number (DESIGN §9).
+func (st *updateScratch) ensure(n, mb int) {
 	mb = min(mb, n)
 	if st.actorTape == nil {
 		st.actorTape = autograd.NewPooledTape(tensor.DefaultPool())
@@ -97,20 +100,17 @@ func (st *updateScratch) ensure(n, mb, stateDim int) {
 	st.idx = st.idx[:n]
 	if cap(st.actions) < mb {
 		st.actions = make([]int, mb)
-	}
-	if st.actorStates == nil || st.actorStates.Cols != stateDim || st.stagedRows < mb {
-		st.actorStates = tensor.New(mb, stateDim)
+		st.actorRows = make([][]float64, mb)
+		st.criticRows = make([][]float64, mb)
 		st.oldLogp = tensor.New(mb, 1)
 		st.advantage = tensor.New(mb, 1)
-		st.criticStates = tensor.New(mb, stateDim)
 		st.target = tensor.New(mb, 1)
-		st.stagedRows = mb
 	}
 }
 
-// viewRows reslices a scratch matrix to its first rows rows (the final
-// minibatch of an epoch is usually partial). The caller owns m and rewrites
-// every viewed element before use.
+// viewRows reslices a matrix to its first rows rows (the final minibatch of
+// an epoch is usually partial), within its capacity. The caller owns m and
+// rewrites every viewed element before use.
 func viewRows(m *tensor.Matrix, rows int) *tensor.Matrix {
 	m.Rows = rows
 	m.Data = m.Data[:rows*m.Cols]
@@ -163,7 +163,7 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 	}
 	defer mPPOUpdates.Inc()
 	cfg := &p.Cfg
-	p.upd.ensure(n, cfg.MiniBatch, cfg.StateDim)
+	p.upd.ensure(n, cfg.MiniBatch)
 	p.upd.tiedColumns(buf, cfg.StateDim)
 	idx := p.upd.idx
 	for i := range idx {
@@ -210,42 +210,51 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 		}
 	}
 	// Both lanes have joined: hand the last minibatch's tape matrices back
-	// to the pool now rather than at this agent's next Update. Parked on
+	// to the pool and the gradients (every step consumed them: all +0) to
+	// nn's store now rather than at this agent's next Update. Parked on
 	// every idle agent of a swarm, they would be the largest per-client
 	// share of its heap (DESIGN §8 "Per-client footprint").
 	p.upd.actorTape.Reset()
 	p.upd.criticTape.Reset()
+	clear(p.upd.actorRows)
+	clear(p.upd.criticRows)
+	nn.ReleaseGrads(p.Actor)
+	nn.ReleaseGrads(p.Critic)
+	if p.PublicCritic != nil {
+		nn.ReleaseGrads(p.PublicCritic)
+	}
 	return stats
 }
 
 // actorSums accumulates one epoch's actor-lane statistics in minibatch order.
 type actorSums struct{ loss, entropy, kl, clip float64 }
 
-// actorEpoch stages and optimizes every actor minibatch of the current
-// shuffle on the actor tape: L = -E[min(r·A, clip(r)·A)] - c·H(π). It
-// touches only the actor, its optimizer and the actor-lane scratch.
+// actorEpoch optimizes every actor minibatch of the current shuffle on the
+// actor tape: L = -E[min(r·A, clip(r)·A)] - c·H(π). It touches only the
+// actor, its optimizer and the actor-lane scratch; the states it reads
+// where the buffer holds them.
 func (p *PPO) actorEpoch(buf *Buffer) actorSums {
 	st, cfg := &p.upd, &p.Cfg
 	steps := buf.Steps()
 	var sums actorSums
 	for lo := 0; lo < len(steps); lo += cfg.MiniBatch {
 		bsz := min(cfg.MiniBatch, len(steps)-lo)
-		states := viewRows(st.actorStates, bsz)
+		rows := st.actorRows[:bsz]
 		oldLogp := viewRows(st.oldLogp, bsz)
 		advantage := viewRows(st.advantage, bsz)
 		actions := st.actions[:bsz]
 		for bi, t := range st.idx[lo : lo+bsz] {
-			copy(states.Row(bi), steps[t].State)
+			rows[bi] = steps[t].State
 			actions[bi] = steps[t].Action
 			oldLogp.Data[bi] = steps[t].LogProb
 			advantage.Data[bi] = st.adv[t]
 		}
 
-		// Gradients are already zero here: parameters start with cleared
-		// grads and Optimizer.Step consumes them, so no ZeroGrads sweep.
+		// Gradients are +0 here: the first Forward borrows zeroed storage
+		// and Optimizer.Step consumes it, so no ZeroGrads sweep.
 		at := st.actorTape
 		at.Reset()
-		logits := p.Actor.Forward(at, at.ConstTied(states, st.ties))
+		logits := p.Actor.Forward(at, at.ConstRows(rows, cfg.StateDim, st.ties))
 		res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, cfg.Clip, cfg.EntCoef)
 		res.Loss.Backward()
 		p.step(p.Actor, p.actorOpt)
@@ -266,8 +275,8 @@ func (p *PPO) actorEpoch(buf *Buffer) actorSums {
 	return sums
 }
 
-// criticEpoch stages and optimizes every critic minibatch of the current
-// shuffle on the critic tape and returns the summed loss: φ's regression,
+// criticEpoch optimizes every critic minibatch of the current shuffle on
+// the critic tape, reading the states in place, and returns the summed loss: φ's regression,
 // plus ψ's when there is one — two independent regressions toward the return
 // targets at full strength (Eqs. 16–17), NOT one through the blended
 // prediction, which would starve whichever critic currently has low α weight
@@ -280,10 +289,10 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 	sum := 0.0
 	for lo := 0; lo < len(steps); lo += cfg.MiniBatch {
 		bsz := min(cfg.MiniBatch, len(steps)-lo)
-		states := viewRows(st.criticStates, bsz)
+		rows := st.criticRows[:bsz]
 		target := viewRows(st.target, bsz)
 		for bi, t := range st.idx[lo : lo+bsz] {
-			copy(states.Row(bi), steps[t].State)
+			rows[bi] = steps[t].State
 			target.Data[bi] = st.targets[t]
 		}
 
@@ -291,7 +300,7 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 		// each step below consumes them.
 		ct := st.criticTape
 		ct.Reset()
-		in, tg := ct.ConstTied(states, st.ties), ct.Const(target)
+		in, tg := ct.ConstRows(rows, cfg.StateDim, st.ties), ct.Const(target)
 		closs := valueLoss(p.Critic.Forward(ct, in), tg)
 		if p.PublicCritic != nil {
 			closs = autograd.Add(closs, valueLoss(p.PublicCritic.Forward(ct, in), tg))

@@ -2,7 +2,10 @@
 
 package tensor
 
-import "math"
+import (
+	"math"
+	"unsafe"
+)
 
 // Non-amd64 builds have no SIMD fast path; the portable scalar kernels are
 // always used. These stubs keep the call sites compiling and, as a safety
@@ -18,7 +21,16 @@ func SIMDEnabled() bool { return false }
 
 func x86HasAVX512() bool { return false }
 
-func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool) {
+func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, rowList, kList *[]float64, listOff int, skipZeros, accumulate bool) {
+	scalar := func(r, t int) float64 {
+		switch {
+		case rowList != nil:
+			return unsafe.Slice(rowList, rows)[r][listOff+t*sStride]
+		case kList != nil:
+			return unsafe.Slice(kList, k)[t][listOff+r*sRowStride]
+		}
+		return *offsetPtr(s, r*sRowStride+t*sStride)
+	}
 	for r := 0; r < rows; r++ {
 		dstS := unsafeSlice(offsetPtr(dst, r*dstStride), cols)
 		if !accumulate {
@@ -27,7 +39,7 @@ func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStri
 			}
 		}
 		for t := 0; t < k; t++ {
-			sv := *offsetPtr(s, r*sRowStride+t*sStride)
+			sv := scalar(r, t)
 			if skipZeros && sv == 0 {
 				continue
 			}

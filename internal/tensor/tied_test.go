@@ -48,8 +48,9 @@ func plantRun(m *Matrix, lo, hi int) {
 }
 
 // requireTiedMatchesPlain builds m's tie list with NarrowTies, checks it
-// against bruteTies and want, and checks that MatMulTransATiedInto over it
-// leaves MatMulTransAInto's bits, with SIMD on and off.
+// against bruteTies and want, and checks that MatMulTransATiedInto over it,
+// reading m's rows through a scattered row list, leaves MatMulTransAInto's
+// bits on m, with SIMD on and off.
 func requireTiedMatchesPlain(t *testing.T, label string, m, dh *Matrix, want []int) {
 	t.Helper()
 	ties := narrowedTies(m)
@@ -64,7 +65,7 @@ func requireTiedMatchesPlain(t *testing.T, label string, m, dh *Matrix, want []i
 		plain := m.MatMulTransAInto(dh, New(m.Cols, dh.Cols))
 		tied := New(m.Cols, dh.Cols)
 		tied.Fill(math.NaN()) // every element must be written
-		m.MatMulTransATiedInto(dh, tied, ties)
+		MatMulTransATiedInto(scatterRows(m), dh, tied, ties)
 		SetSIMD(prev)
 		requireBitIdentical(t, fmt.Sprintf("%s simd=%v", label, simd), plain.Data, tied.Data)
 	}
@@ -132,20 +133,29 @@ func TestMatMulTransATiedMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestMatMulTransATiedRejectsBadLists pins the list's shape check: a tie
-// list out of order, at column 0 or past the last column panics.
+// TestMatMulTransATiedRejectsBadLists pins the lists' shape checks: a tie
+// list out of order, at column 0 or past the last column panics, and so
+// does a row list with a row shorter than the product reads or with a
+// row count other than dh's.
 func TestMatMulTransATiedRejectsBadLists(t *testing.T) {
 	m, dh := New(3, 5), New(3, 2)
-	for _, ties := range [][]int{{0}, {2, 2}, {3, 1}, {5}} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Errorf("ties %v: no panic", ties)
-				}
-			}()
-			m.MatMulTransATiedInto(dh, New(5, 2), ties)
+	rows := scatterRows(m)
+	requirePanics := func(label string, fn func()) {
+		t.Helper()
+		defer func() {
+			if recover() == nil {
+				t.Errorf("%s: no panic", label)
+			}
 		}()
+		fn()
 	}
+	for _, ties := range [][]int{{0}, {2, 2}, {3, 1}, {5}} {
+		requirePanics(fmt.Sprint("ties ", ties), func() { MatMulTransATiedInto(rows, dh, New(5, 2), ties) })
+	}
+	short := append([][]float64{rows[0][:4]}, rows[1:]...)
+	requirePanics("short row", func() { MatMulTransATiedInto(short, dh, New(5, 2), nil) })
+	requirePanics("row count", func() { MatMulTransATiedInto(rows[:2], dh, New(5, 2), nil) })
+	requirePanics("forward short row", func() { MatMulBiasRowsInto(short, New(5, 2), New(1, 2), New(3, 2)) })
 }
 
 // FuzzMatMulTransATied compares the tied product with the plain one on X up

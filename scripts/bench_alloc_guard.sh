@@ -36,13 +36,20 @@
 #     must stay within 2 allocs/op: the arguments the client boxes for
 #     rpcClient.Call plus that frame copy. The server reads each call into its
 #     connection's reused argument and reply slots, uploads and replies into
-#     reused buffers, and allocates nothing else.
+#     reused buffers, and allocates nothing else, and
+#   - BenchmarkClientFootprint — 32 clients of the swarm's recipe after one
+#     activation each (an episode, its Update, an upload encoded on i8+delta
+#     and decoded by the server end), then a forced GC — must report at most
+#     FOOTPRINT_BUDGET live bytes per client: DESIGN §8 "Per-client
+#     footprint"'s total, 686 KiB, plus 10 %. An agent that keeps its
+#     gradients, a state-wide staging matrix or a delta buffer between
+#     updates again (865 KiB per client before they went) fails it.
 #
 # Usage: bench_alloc_guard.sh [all|env|update|agg]
 #   all    (default) run every guarded benchmark
 #   env    only the zero-alloc env/rollout/collector guards (`make bench-env`)
 #   update only the PPOUpdate and OrthogonalScaled budget guards (`make bench-update`)
-#   agg    only the federation data-plane guards (`make bench-agg`)
+#   agg    only the federation data-plane and client-footprint guards (`make bench-agg`)
 #
 # BENCHTIME defaults to a short fixed iteration count so `make ci` stays
 # fast; run with BENCHTIME=2s for a full measurement.
@@ -53,6 +60,7 @@ BENCHTIME="${BENCHTIME:-200x}"
 PPO_BENCHTIME="${PPO_BENCHTIME:-5x}"
 PPO_ALLOC_BUDGET="${PPO_ALLOC_BUDGET:-16}"
 STREAM_BYTES_PER_TASK=4
+FOOTPRINT_BUDGET=772000
 GO="${GO:-go}"
 out="$(mktemp)"
 trap 'rm -f "$out"' EXIT
@@ -87,9 +95,12 @@ if [ "$MODE" = "all" ] || [ "$MODE" = "agg" ]; then
 	"$GO" test ./internal/fednet/ -run '^$' \
 		-bench 'BenchmarkAsyncReply|BenchmarkRPCSync' \
 		-benchtime "$BENCHTIME" -benchmem | tee -a "$out"
+	"$GO" test ./internal/fednet/ -run '^$' \
+		-bench 'BenchmarkClientFootprint' \
+		-benchtime 1x | tee -a "$out"
 fi
 
-awk -v ppo_budget="$PPO_ALLOC_BUDGET" -v stream_budget="$STREAM_BYTES_PER_TASK" '
+awk -v ppo_budget="$PPO_ALLOC_BUDGET" -v stream_budget="$STREAM_BYTES_PER_TASK" -v footprint_budget="$FOOTPRINT_BUDGET" '
 /^Benchmark(EnvStep|RolloutStep|CollectEpisode|FedAggregate|Metrics|Upload)/ {
 	for (i = 2; i <= NF; i++) {
 		if ($i == "allocs/op" && $(i-1) != "0") {
@@ -130,6 +141,14 @@ awk -v ppo_budget="$PPO_ALLOC_BUDGET" -v stream_budget="$STREAM_BYTES_PER_TASK" 
 		}
 	}
 }
+/^BenchmarkClientFootprint/ {
+	for (i = 2; i <= NF; i++) {
+		if ($i == "live-B/client" && $(i-1) + 0 > footprint_budget) {
+			printf "FAIL: %s reports %s live bytes per client (budget %d)\n", $1, $(i-1), footprint_budget
+			bad = 1
+		}
+	}
+}
 /^BenchmarkStreamedEpisode\/tasks=/ {
 	n = $1
 	sub(/^BenchmarkStreamedEpisode\/tasks=/, "", n)
@@ -152,8 +171,8 @@ END {
 }
 ' "$out"
 case "$MODE" in
-all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/Metrics/FedAggregate/Upload allocation-free, a streamed episode's loop within $STREAM_BYTES_PER_TASK B per task, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 2" ;;
+all) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/Metrics/FedAggregate/Upload allocation-free, a streamed episode's loop within $STREAM_BYTES_PER_TASK B per task, PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2, AsyncReply within 1, RPCSync within 2, a swarm client within $FOOTPRINT_BUDGET live bytes" ;;
 env) echo "bench-alloc-guard: EnvStep/RolloutStep/CollectEpisode/Metrics are allocation-free, a streamed episode's loop within $STREAM_BYTES_PER_TASK B per task" ;;
 update) echo "bench-alloc-guard: PPOUpdate within $PPO_ALLOC_BUDGET allocs/op, OrthogonalScaled within 2" ;;
-agg) echo "bench-alloc-guard: FedAggregate data plane and Upload are allocation-free, AsyncReply within 1 alloc/op, RPCSync within 2" ;;
+agg) echo "bench-alloc-guard: FedAggregate data plane and Upload are allocation-free, AsyncReply within 1 alloc/op, RPCSync within 2, a swarm client within $FOOTPRINT_BUDGET live bytes" ;;
 esac
