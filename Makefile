@@ -182,7 +182,8 @@ bench-e2e-smoke:
 # the same bytes (same seed, same bits: the harness's own determinism check,
 # next to the benchmark's and the swarm's). Then the two CLIs no other step
 # runs: workload-stats's Table 1, Figs. 2-5, summary and spec views at small
-# -n, and pfrl-train on the two extension baselines at toy size.
+# -n, and README's pfrl-train command (PFRL-DM with the hybrid evaluation) at
+# toy size.
 figs-smoke:
 	@a="$$(mktemp)" b="$$(mktemp)"; trap 'rm -f "$$a" "$$b"' EXIT; \
 	for out in "$$a" "$$b"; do \
@@ -199,8 +200,7 @@ figs-smoke:
 	for f in 2 3 4 5; do $(GO) run ./cmd/workload-stats -fig $$f -n 200 || exit 1; done
 	$(GO) run ./cmd/workload-stats -summary -n 200
 	$(GO) run ./cmd/workload-stats -spec examples/hybridworkloads/twoclient.json -n 200
-	$(GO) run ./cmd/pfrl-train -alg fedprox -tasks 20 -episodes 6 -comm 2
-	$(GO) run ./cmd/pfrl-train -alg secure-fedavg -hybrid -tasks 20 -episodes 6 -comm 2
+	$(GO) run ./cmd/pfrl-train -alg pfrl-dm -hybrid -tasks 20 -episodes 6 -comm 2
 
 # The official-size counterpart of figs-smoke: the full suite at the
 # EXPERIMENTS.md harness scale plus the headline Figure 15 run on three

@@ -36,12 +36,6 @@ const (
 	// AlgPFRLDM is the paper's method: dual-critic clients, public-critic
 	// transport, multi-head-attention personalization.
 	AlgPFRLDM
-	// AlgFedProx is an extension baseline: FedAvg plus client-side proximal
-	// regularization (Li et al., MLSys 2020).
-	AlgFedProx
-	// AlgSecureFedAvg is an extension baseline: FedAvg computed under
-	// simulated pairwise-masked secure aggregation (§3.4 threat model).
-	AlgSecureFedAvg
 )
 
 // algorithmRow is what an Algorithm is.
@@ -77,9 +71,6 @@ var algorithms = [...]algorithmRow{
 	// The paper's setting: only ψ travels, K = N/2.
 	AlgPFRLDM: {name: "PFRL-DM", spellings: []string{"pfrl-dm", "pfrldm"}, dual: true, transport: fed.PublicCriticTransport{}, defaultK: fedcore.DefaultK,
 		agg: func(cfg ExperimentConfig) fed.Aggregator { return fed.NewAttention(cfg.Seed) }},
-	AlgFedProx: {name: "FedProx", spellings: []string{"fedprox"}, transport: fed.FedProxTransport{Mu: 0.01}, agg: plainMean, defaultK: everyone},
-	AlgSecureFedAvg: {name: "SecureFedAvg", spellings: []string{"secure-fedavg", "securefedavg"}, transport: fed.ActorCriticTransport{}, defaultK: everyone,
-		agg: func(cfg ExperimentConfig) fed.Aggregator { return fed.NewSecureFedAvg(cfg.Seed) }},
 }
 
 func plainMean(ExperimentConfig) fed.Aggregator { return fed.FedAvg{} }

@@ -1,11 +1,24 @@
 package fed
 
 import (
+	"math/rand"
 	"runtime"
 	"testing"
 
 	"repro/internal/fedcore"
 )
+
+func randomUploads(seed int64, k, dim int) []Payload {
+	rng := rand.New(rand.NewSource(seed))
+	out := make([]Payload, k)
+	for i := range out {
+		out[i] = make(Payload, dim)
+		for d := range out[i] {
+			out[i][d] = rng.NormFloat64() * 0.1
+		}
+	}
+	return out
+}
 
 func uniformWeights(k int) [][]float64 {
 	w := make([][]float64, k)
@@ -34,7 +47,6 @@ func TestAggregateReturnsOwnedCopies(t *testing.T) {
 		{"Momentum", NewMomentum(0.9)},
 		{"Attention", NewAttention(11)},
 		{"StaticWeights", StaticWeights{W: uniformWeights(k)}},
-		{"SecureFedAvg", NewSecureFedAvg(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			personalized, global := tc.agg.Aggregate(randomUploads(31, k, dim))
@@ -124,8 +136,7 @@ func TestMomentumStateIndependentOfArena(t *testing.T) {
 // arena-backed AggregatePartialInto the round engine calls every commit — to
 // zero allocations once warm at the paper's payload width, for the
 // aggregators whose data plane is pure reduction: FedAvg and Momentum
-// (ReduceMeanInto), StaticWeights (WeightedMixInto + ReduceMeanInto) and
-// SecureFedAvg (masking in arena views, one reseeded stream, ReduceMeanInto).
+// (ReduceMeanInto) and StaticWeights (WeightedMixInto + ReduceMeanInto).
 // Attention allocates its O(K²) weight matrix by design.
 func TestEngineRoundSteadyStateAllocs(t *testing.T) {
 	const k, dim = 8, benchDim
@@ -139,7 +150,6 @@ func TestEngineRoundSteadyStateAllocs(t *testing.T) {
 		{"FedAvg", FedAvg{}},
 		{"Momentum", NewMomentum(0.9)},
 		{"StaticWeights", StaticWeights{W: uniformWeights(k)}},
-		{"SecureFedAvg", NewSecureFedAvg(3)},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			var arena fedcore.PayloadArena

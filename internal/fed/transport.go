@@ -145,26 +145,3 @@ func (PublicCriticTransport) Download(c *Client, payload Payload) error {
 
 // PayloadSize implements Transport.
 func (PublicCriticTransport) PayloadSize(c *Client) int { return size(publicCritic(c)) }
-
-// FedProxTransport is ActorCriticTransport plus FedProx client behaviour:
-// every download re-anchors the client's proximal regularizer at the
-// received global model, so subsequent local updates are pulled toward it
-// (the classic drift mitigation for heterogeneous federations, included as
-// an extension baseline).
-type FedProxTransport struct {
-	ActorCriticTransport
-	// Mu is the proximal coefficient applied on the clients.
-	Mu float64
-}
-
-// Name implements Transport.
-func (t FedProxTransport) Name() string { return "fedprox(actor+critic)" }
-
-// Download implements Transport.
-func (t FedProxTransport) Download(c *Client, payload Payload) error {
-	if err := t.ActorCriticTransport.Download(c, payload); err != nil {
-		return err
-	}
-	c.Agent.EnableProximal(t.Mu)
-	return nil
-}

@@ -55,7 +55,7 @@ type MLP struct {
 	Act    Activation
 	sizes  []int
 	// params caches the flattened Params() result: the optimizer helpers
-	// (ZeroGrads, ClipGradNorm, Proximal.Apply) call it on every minibatch,
+	// (ZeroGrads, ClipGradNorm) call it on every minibatch,
 	// and rebuilding the slice each time shows up in the update hot loop.
 	// Layers must not change after construction.
 	params []*Parameter

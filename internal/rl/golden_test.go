@@ -44,10 +44,6 @@ type ppoUpdateSpec struct {
 	// criticLoss builds the scalar critic loss.
 	criticLoss    func(tape *autograd.Tape, states, targets *autograd.Value) *autograd.Value
 	criticModules []criticModule
-
-	// prox, when non-nil, applies FedProx regularization to every stepped
-	// module (see Proximal).
-	prox *Proximal
 }
 
 // ppoUpdateReference is a frozen verbatim copy of the pre-pipeline ppoUpdate
@@ -111,9 +107,6 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			entropy := autograd.Neg(autograd.Mean(autograd.SumRows(autograd.Mul(probs, logp))))
 			loss := autograd.Sub(autograd.Neg(objective), autograd.Scale(entropy, s.cfg.EntCoef))
 			loss.Backward()
-			if s.prox != nil {
-				s.prox.Apply(s.actor)
-			}
 			nn.ClipGradNorm(s.actor, maxGradNorm)
 			s.actorOpt.Step()
 			epochActor += -objective.Item()
@@ -135,9 +128,6 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			closs := s.criticLoss(tape, tape.Const(states), tape.Const(target))
 			closs.Backward()
 			for _, cm := range s.criticModules {
-				if s.prox != nil {
-					s.prox.Apply(cm.net)
-				}
 				nn.ClipGradNorm(cm.net, maxGradNorm)
 				cm.opt.Step()
 			}
@@ -177,7 +167,6 @@ func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
 			return valueLoss(p.Critic.Forward(tape, states), targets)
 		},
 		criticModules: []criticModule{{net: p.Critic, opt: p.criticOpt}},
-		prox:          &p.prox,
 	})
 }
 
@@ -320,11 +309,6 @@ var laneCases = []struct {
 	{name: "dual-critic", build: func() (*PPO, []nn.Module) {
 		d := NewDualCriticPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(56)))
 		return d, []nn.Module{d.Actor, d.Critic, d.PublicCritic}
-	}},
-	{name: "fedprox", build: func() (*PPO, []nn.Module) {
-		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(58)))
-		p.EnableProximal(0.1)
-		return p, []nn.Module{p.Actor, p.Critic}
 	}},
 	{name: "ppo-padded", padded: true, build: func() (*PPO, []nn.Module) {
 		p := NewPPO(DefaultConfig(laneStateDim, laneActions), rand.New(rand.NewSource(59)))

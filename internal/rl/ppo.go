@@ -119,7 +119,6 @@ type PPO struct {
 	criticOpt *nn.Adam
 	publicOpt *nn.Adam
 	rng       *rand.Rand
-	prox      Proximal
 	inf       inferScratch
 	val       valueScratch
 	upd       updateScratch // batched update pipeline staging (see update.go)

@@ -316,11 +316,8 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 }
 
 // step turns net's accumulated gradients into one optimizer step: the
-// FedProx pull toward the last global model when enabled (see Proximal;
-// Apply only reads shared state, so both lanes may call it), the global norm
-// clip, then Adam.
+// global norm clip, then Adam.
 func (p *PPO) step(net *nn.MLP, opt *nn.Adam) {
-	p.prox.Apply(net)
 	nn.ClipGradNorm(net, maxGradNorm)
 	opt.Step()
 }

@@ -190,12 +190,13 @@ func FuzzMatMulTransATied(f *testing.F) {
 // TestAdamTiedRowsMatchScalar pins AdamUpdateRows against the scalar Adam
 // over the whole matrix, element by element — parameters, both moments and
 // the cleared gradient — for 60 steps of gradients whose rows come in tied
-// runs: runs that stay tied, a run pulled apart from step 20 by a FedProx
-// term μ(p − ref) that differs per row, a Reset at step 35 (zero moments,
-// the step count restarted) that ties that run again, parameters of −0 under
-// a +0 step (zero gradients while m is +0), and ±Inf and NaN gradients on
-// their own runs late on; widths that are not a multiple of 8, and 1-row
-// parameters. Both SIMD settings.
+// runs: runs that stay tied, a run pulled apart from step 20 by a term
+// μ(p − ref) that differs per row (the writer a product row meets: a later
+// Update whose tie list no longer holds the column), a Reset at step 35
+// (zero moments, the step count restarted) that ties that run again,
+// parameters of −0 under a +0 step (zero gradients while m is +0), and ±Inf
+// and NaN gradients on their own runs late on; widths that are not a
+// multiple of 8, and 1-row parameters. Both SIMD settings.
 func TestAdamTiedRowsMatchScalar(t *testing.T) {
 	const lr, beta1, beta2, eps, mu = 3e-4, 0.9, 0.999, 1e-8, 0.1
 	for _, simd := range []bool{true, false} {
@@ -244,7 +245,7 @@ func TestAdamTiedRowsMatchScalar(t *testing.T) {
 						row[len(row)/2] = x86DefaultNaN
 					}
 				}
-				if it >= 20 { // FedProx's pull on the second run
+				if it >= 20 { // a later Update whose tie list no longer holds the column
 					for r := 4; r < min(8, rows); r++ {
 						for j := 0; j < cols; j++ {
 							g[r*cols+j] += mu * (pR[r*cols+j] - ref[r*cols+j])
