@@ -153,11 +153,13 @@ bench-update:
 # The federation data-plane slice of the allocation guard: one steady-state
 # round through the product's wire session (K client-end encodes, K
 # server-end decodes, pooled aggregation, one frame, K reference rotations, K
-# installs) must allocate nothing, on the identity tier and on i8+delta; an
-# async server's non-participant reply (BenchmarkAsyncReply) allocates only
-# the frame copy it sends after the lock; one loopback Sync through the binary
-# RPC codec (BenchmarkRPCSync) allocates only the client's boxed arguments
-# and that copy.
+# installs) must allocate nothing, on the identity tier and on i8+delta; so
+# must an async server's non-participant reply (BenchmarkAsyncReply), whose
+# frame is copied into its connection's reply buffer; one loopback Sync
+# through the binary RPC codec (BenchmarkRPCSync) allocates only the client's
+# boxed arguments; and a swarm client and an async server's per-client state
+# (BenchmarkClientFootprint, BenchmarkServerFootprint) stay within their
+# live-byte budgets.
 bench-agg:
 	GO="$(GO)" BENCHTIME="$${BENCHTIME:-50x}" ./scripts/bench_alloc_guard.sh agg
 

@@ -76,10 +76,12 @@ func benchFedAggregate(b *testing.B, k, dim int, codec fedcore.CodecConfig) {
 	srv := fedcore.NewWireServer(codec)
 	agg := FedAvg{}
 	var arena fedcore.PayloadArena
+	// The decode storage the server end's caller owns: one per client, since
+	// the aggregation reads all K at once.
 	scratch := make([]Payload, k)
 	round := func() {
 		for i, u := range uploads {
-			up, err := srv.Decode(i, ends[i].Encode(u))
+			up, err := srv.Decode(i, ends[i].Encode(u), scratch[i])
 			if err != nil {
 				b.Fatal(err)
 			}

@@ -59,6 +59,9 @@ type Federation struct {
 	// identically on both paths.
 	wire *fedcore.WireServer
 	ends []*fedcore.WireClient
+	// up is the storage every upload is decoded into: the engine stages
+	// what it accepts and never retains the decode.
+	up Payload
 
 	// all is 0..N-1, the pull-side draw's candidates.
 	all []int
@@ -219,21 +222,22 @@ func (f *Federation) RunRound() error {
 
 // submit moves one upload across the wire — the client end frames it (delta
 // and error feedback per the codec), the server end decodes it against the
-// reference the two share — and hands the decode to the engine under the
-// arguments fednet's barrier server uses: seq round+1 (monotone per client)
-// and base round (which the barrier ignores). Under the identity tier the
-// decode is bit-exact, which is the degradation pin. An upload the engine
-// rejects (ErrBadUpload) is counted in its report, not in CommStats; its
-// client sits the round out.
+// reference the two share, into the one upload buffer — and hands the decode
+// to the engine under the arguments fednet's barrier server uses: seq
+// round+1 (monotone per client) and base round (which the barrier ignores).
+// Under the identity tier the decode is bit-exact, which is the degradation
+// pin. An upload the engine rejects (ErrBadUpload) is counted in its report,
+// not in CommStats; its client sits the round out.
 func (f *Federation) submit(idx int, u Payload) {
 	up := u
 	if len(u) > 0 { // nothing to frame; the engine rejects an empty upload itself
 		var err error
-		if up, err = f.wire.Decode(idx, f.ends[idx].Encode(u)); err != nil {
+		if up, err = f.wire.Decode(idx, f.ends[idx].Encode(u), f.up); err != nil {
 			// The client end knows the outcome of every install in this
 			// process: a bug, not a network condition.
 			panic(fmt.Sprintf("fed: wire desync on client %d upload: %v", idx, err))
 		}
+		f.up = up
 	}
 	round := f.Engine.Round()
 	if _, err := f.Engine.Submit(idx, round+1, round, up); err == nil {

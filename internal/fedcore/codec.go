@@ -202,7 +202,11 @@ func PeekHeader(frame []byte) (Header, error) {
 // payload and parsed header. Delta frames require ref, the payload RefTag
 // refers to, with matching length; the caller is responsible for checking
 // RefTag against its bookkeeping before trusting ref. Every malformed input
-// returns an error wrapping ErrBadFrame — never a panic.
+// returns an error wrapping ErrBadFrame — never a panic — and writes nothing
+// into dst: the frame is checked whole, every block scale included, before
+// the first element is written, so a caller may decode straight into storage
+// it still needs if the frame turns out bad (the wire's client end decodes
+// into its delta reference).
 func DecodeFrame(frame []byte, ref []float64, dst []float64) ([]float64, Header, error) {
 	h, err := PeekHeader(frame)
 	if err != nil {
@@ -216,11 +220,20 @@ func DecodeFrame(frame []byte, ref []float64, dst []float64) ([]float64, Header,
 			return dst[:0], Header{}, fmt.Errorf("%w: reference has %d scalars, frame %d", ErrBadFrame, len(ref), h.Dim)
 		}
 	}
+	body := frame[frameHeader:]
+	switch h.Tier {
+	case TierI16:
+		err = checkScales(body, h.Dim, 2)
+	case TierI8:
+		err = checkScales(body, h.Dim, 1)
+	}
+	if err != nil {
+		return dst[:0], Header{}, err
+	}
 	if cap(dst) < h.Dim {
 		dst = make([]float64, h.Dim)
 	}
 	dst = dst[:h.Dim]
-	body := frame[frameHeader:]
 	switch h.Tier {
 	case TierIdentity:
 		for i := range dst {
@@ -235,9 +248,6 @@ func DecodeFrame(frame []byte, ref []float64, dst []float64) ([]float64, Header,
 		for lo := 0; lo < h.Dim; lo += quantBlock {
 			hi := min(lo+quantBlock, h.Dim)
 			scale := math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
-			if !finite32(scale) {
-				return dst[:0], Header{}, fmt.Errorf("%w: non-finite block scale", ErrBadFrame)
-			}
 			off += 4
 			s := float64(scale)
 			for i := lo; i < hi; i++ {
@@ -251,9 +261,6 @@ func DecodeFrame(frame []byte, ref []float64, dst []float64) ([]float64, Header,
 		for lo := 0; lo < h.Dim; lo += quantBlock {
 			hi := min(lo+quantBlock, h.Dim)
 			scale := math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))
-			if !finite32(scale) {
-				return dst[:0], Header{}, fmt.Errorf("%w: non-finite block scale", ErrBadFrame)
-			}
 			off += 4
 			s := float64(scale)
 			for i := lo; i < hi; i++ {
@@ -268,6 +275,18 @@ func DecodeFrame(frame []byte, ref []float64, dst []float64) ([]float64, Header,
 		}
 	}
 	return dst, h, nil
+}
+
+// checkScales rejects a quantized body, width bytes per value, any of whose
+// block scales is not finite.
+func checkScales(body []byte, dim, width int) error {
+	for lo, off := 0, 0; lo < dim; lo += quantBlock {
+		if !finite32(math.Float32frombits(binary.LittleEndian.Uint32(body[off:]))) {
+			return fmt.Errorf("%w: non-finite block scale", ErrBadFrame)
+		}
+		off += 4 + width*(min(lo+quantBlock, dim)-lo)
+	}
+	return nil
 }
 
 func finite32(f float32) bool {
@@ -294,9 +313,13 @@ type Encoder struct {
 func NewEncoder(cfg CodecConfig) *Encoder { return &Encoder{cfg: cfg} }
 
 // SetRef installs the delta reference — the payload this encoder's client
-// just installed, under the tag both ends agreed on. The payload is copied.
+// just installed, under the tag both ends agreed on. The payload is copied,
+// unless it is the reference's own storage already (what WireClient.Decode
+// returned), which is adopted where it lies.
 func (e *Encoder) SetRef(tag uint64, p []float64) {
-	e.ref = append(e.ref[:0], p...)
+	if len(p) == 0 || len(e.ref) != len(p) || &e.ref[0] != &p[0] {
+		e.ref = append(e.ref[:0], p...)
+	}
 	e.refTag = tag
 	e.hasRef = true
 }

@@ -263,6 +263,47 @@ func TestDecodeRejectsNonFiniteScale(t *testing.T) {
 	}
 }
 
+// TestDecodeFrameFailsWithoutWriting: a frame that fails on its last block's
+// scale leaves dst bit-equal — every scale is checked before the first
+// element is written — on both quantized tiers, absolute and delta, with dst
+// long enough to be decoded in place. The wire's client end decodes into
+// its delta reference and relies on it.
+func TestDecodeFrameFailsWithoutWriting(t *testing.T) {
+	const dim = 600 // three blocks, the last partial
+	for _, tier := range []Tier{TierI16, TierI8} {
+		for _, delta := range []bool{false, true} {
+			enc := NewEncoder(CodecConfig{Tier: tier, Delta: delta, NoErrorFeedback: true})
+			ref := testVector(21, dim, 1)
+			if delta {
+				enc.SetRef(4, ref)
+			}
+			frame := bytes.Clone(enc.Encode(testVector(22, dim, 1)))
+			lastScale := frameHeader + bodyLen(tier, 2*quantBlock)
+			binary.LittleEndian.PutUint32(frame[lastScale:], math.Float32bits(float32(math.NaN())))
+
+			dst := testVector(23, dim, 5)
+			dst[0] = math.Copysign(0, -1)
+			before := bytes.Clone(float64Bytes(dst))
+			got, _, err := DecodeFrame(frame, ref, dst)
+			if !errors.Is(err, ErrBadFrame) || len(got) != 0 {
+				t.Fatalf("%v delta=%v: err %v, %d scalars, want ErrBadFrame and none", tier, delta, err, len(got))
+			}
+			if !bytes.Equal(float64Bytes(dst), before) {
+				t.Fatalf("%v delta=%v: a failed decode wrote into dst", tier, delta)
+			}
+		}
+	}
+}
+
+// float64Bytes returns v's bit patterns, little-endian.
+func float64Bytes(v []float64) []byte {
+	b := make([]byte, 0, 8*len(v))
+	for _, x := range v {
+		b = binary.LittleEndian.AppendUint64(b, math.Float64bits(x))
+	}
+	return b
+}
+
 // TestEncoderMatchesStagingReference holds the Encoder, which stages
 // nothing, to the staging one it replaced: over six rounds of drifting
 // payloads, every frame byte-equal and the residual bit-equal after every
@@ -483,7 +524,8 @@ func TestCodecSteadyStateAllocs(t *testing.T) {
 }
 
 // FuzzDecodeFrame: hostile frames must produce errors, never panics or
-// out-of-bounds reads, on both the refless and the referenced decode path.
+// out-of-bounds reads, on both the refless and the referenced decode path,
+// and a frame that fails writes nothing into the dst it was handed.
 func FuzzDecodeFrame(f *testing.F) {
 	p := testVector(13, 300, 2)
 	for _, tier := range []Tier{TierIdentity, TierF32, TierI16, TierI8} {
@@ -495,10 +537,23 @@ func FuzzDecodeFrame(f *testing.F) {
 	f.Add([]byte("PFC1 garbage"))
 	f.Add([]byte{})
 	f.Fuzz(func(t *testing.T, frame []byte) {
-		dec, h, err := DecodeFrame(frame, nil, nil)
+		// dst holds every dim the seeds and their mutants carry, so a
+		// decode that failed after writing would show in it.
+		dst := testVector(int64(len(frame)), 512, 3)
+		kept := float64Bytes(dst)
+		dec, h, err := DecodeFrame(frame, nil, dst)
 		if err != nil {
 			if len(dec) != 0 {
 				t.Fatal("failed decode returned data")
+			}
+			if !bytes.Equal(float64Bytes(dst), kept) {
+				t.Fatal("failed decode wrote into dst")
+			}
+			if h, perr := PeekHeader(frame); perr == nil && h.Delta {
+				// The referenced path fails the same way, and as cleanly.
+				if _, _, err := DecodeFrame(frame, make([]float64, h.Dim), dst); err != nil && !bytes.Equal(float64Bytes(dst), kept) {
+					t.Fatal("failed delta decode wrote into dst")
+				}
 			}
 			return
 		}

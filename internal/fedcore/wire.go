@@ -5,9 +5,10 @@ import "fmt"
 // The wire session — the protocol around the frame codec — as two end types:
 // fed.Federation wires N client ends to one server end by function calls,
 // fednet puts an RPC between them. Each rule is written once, on the method
-// that applies it: rotate (WireServer.Frame), adopt or clear
+// that applies it: rotate (WireServer.Frame, Send), adopt or clear
 // (WireClient.Install), mismatch (WireServer.Decode, WireClient.Desynced),
-// count (WireServer.Accepted, Frame). DESIGN §7 "Wire session" has the prose.
+// count (WireServer.Accepted, Frame, Send). DESIGN §7 "Wire session" has the
+// prose.
 
 // CommStats accounts for the data exchanged between the clients and the
 // server: scalar counts for the §5.2 communication-cost comparison (PFRL-DM
@@ -56,23 +57,25 @@ type WireServer struct {
 	// Encode-once cache keyed by payload identity (FedAvg and Momentum alias
 	// every participant to one model): the payload, held so its address
 	// cannot be reused; its frame, in down's buffer; its pooled decode — what
-	// a client installs, so what references are taken from when lossy.
-	src   Payload
-	frame []byte
-	view  Payload
+	// a client installs, so what references are taken from when lossy —,
+	// decoded when Frame first needs it (viewed).
+	src    Payload
+	frame  []byte
+	view   Payload
+	viewed bool
 
 	slots  []wireSlot
 	refSeq uint64
 	comm   CommStats
 }
 
-// wireSlot is one client's state: its delta reference (a copy of the view it
-// was sent) under its tag (0 = none held), and the pooled upload decode
-// buffer with the length of the frame last decoded into it.
+// wireSlot is one client's state: its delta reference (the decode of the
+// frame it was last sent) under its tag (0 = none held), and the scalars and
+// bytes of the frame last decoded for it.
 type wireSlot struct {
 	ref     Payload
 	tag     uint64
-	up      Payload
+	upLen   int
 	upBytes int
 }
 
@@ -95,31 +98,44 @@ func (s *WireServer) slot(id int) *wireSlot {
 }
 
 // Decode decodes one uplink frame, against the client's reference when it is
-// a delta, into the client's pooled buffer (valid until its next Decode). A
-// malformed frame is ErrBadFrame; a delta against a tag this end does not
-// hold — a reply lost on the way, a rejoin — is ErrRefMismatch, answered by
-// an absolute resend. Length and finiteness are the engine's to judge.
-func (s *WireServer) Decode(id int, frame []byte) (Payload, error) {
+// a delta, into dst: storage the caller owns, reused when its capacity
+// allows, which the returned payload lives in. A malformed frame is
+// ErrBadFrame; a delta against a tag this end does not hold — a reply lost on
+// the way, a rejoin — is ErrRefMismatch, answered by an absolute resend.
+// Either returns dst[:0], its elements unwritten. Length and finiteness are
+// the engine's to judge.
+func (s *WireServer) Decode(id int, frame []byte, dst Payload) (Payload, error) {
 	sl := s.slot(id)
 	h, err := PeekHeader(frame)
 	if err == nil && h.Delta && (sl.tag == 0 || sl.tag != h.RefTag) {
 		err = fmt.Errorf("%w: client %d sent a delta against tag %#x", ErrRefMismatch, id, h.RefTag)
 	}
 	if err != nil {
-		return nil, err
+		return dst[:0], err
 	}
-	sl.up, _, err = DecodeFrame(frame, sl.ref, sl.up)
-	sl.upBytes = len(frame)
-	return sl.up, err
+	up, _, err := DecodeFrame(frame, sl.ref, dst)
+	sl.upLen, sl.upBytes = len(up), len(frame)
+	return up, err
 }
 
 // Accepted counts the frame last decoded for the client: an upload is counted
 // when the adapter accepts it for the round.
 func (s *WireServer) Accepted(id int) {
 	sl := s.slot(id)
-	s.comm.UploadScalars += int64(len(sl.up))
+	s.comm.UploadScalars += int64(sl.upLen)
 	s.comm.UploadBytes += int64(sl.upBytes)
 	mWireUpload.Add(uint64(sl.upBytes))
+}
+
+// Encode frames p without sending it: the frame of a result the caller
+// retains and later sends with Send. It is this end's buffer, rewritten by
+// the next distinct payload, so the caller copies it.
+func (s *WireServer) Encode(p Payload) []byte {
+	if len(s.src) != len(p) || &s.src[0] != &p[0] {
+		s.frame = s.down.Encode(p)
+		s.src, s.viewed = p, false
+	}
+	return s.frame
 }
 
 // Frame sends p to a client: it frames p (once per distinct payload), counts
@@ -131,25 +147,58 @@ func (s *WireServer) Accepted(id int) {
 // Frame and view are this end's buffers, rewritten by the next distinct
 // payload: a caller that retains the frame copies it.
 func (s *WireServer) Frame(id int, p Payload) (frame []byte, view Payload, tag uint64) {
-	if len(s.src) != len(p) || &s.src[0] != &p[0] {
-		s.frame = s.down.Encode(p)
-		dec, _, err := DecodeFrame(s.frame, nil, s.view)
+	frame = s.Encode(p)
+	if !s.viewed {
+		dec, _, err := DecodeFrame(frame, nil, s.view)
 		if err != nil {
 			panic(fmt.Sprintf("fedcore: self-encoded frame failed to decode: %v", err))
 		}
-		s.src, s.view = p, dec
+		s.view, s.viewed = dec, true
 	}
 	if s.codec.Delta {
-		s.refSeq++
-		tag = s.refSeq
 		sl := s.slot(id)
-		sl.ref, sl.tag = append(sl.ref[:0], s.view...), tag
+		sl.ref = append(sl.ref[:0], s.view...)
+		tag = s.rotate(sl)
 	}
-	s.comm.DownloadScalars += int64(len(p))
-	s.comm.DownloadBytes += int64(len(s.frame))
-	mWireDownload.Add(uint64(len(s.frame)))
+	s.sent(len(p), frame)
+	return frame, s.view, tag
+}
+
+// Send sends a frame Encode made earlier — a retained result — to a client,
+// exactly as Frame would send its payload now: the same download counted, the
+// same tag, and the client's reference decoded from the frame itself, which
+// holds the bits Frame's view would. It returns the tag (0 = delta off).
+func (s *WireServer) Send(id int, frame []byte) (tag uint64) {
+	var h Header
+	var err error
+	if s.codec.Delta {
+		sl := s.slot(id)
+		if sl.ref, h, err = DecodeFrame(frame, nil, sl.ref); err == nil {
+			tag = s.rotate(sl)
+		}
+	} else {
+		h, err = PeekHeader(frame)
+	}
+	if err != nil {
+		panic(fmt.Sprintf("fedcore: retained frame failed to decode: %v", err))
+	}
+	s.sent(h.Dim, frame)
+	return tag
+}
+
+// rotate gives the reference just written into sl a fresh tag.
+func (s *WireServer) rotate(sl *wireSlot) uint64 {
+	s.refSeq++
+	sl.tag = s.refSeq
+	return sl.tag
+}
+
+// sent counts one framed download of dim scalars.
+func (s *WireServer) sent(dim int, frame []byte) {
+	s.comm.DownloadScalars += int64(dim)
+	s.comm.DownloadBytes += int64(len(frame))
+	mWireDownload.Add(uint64(len(frame)))
 	gCompression.Set(s.comm.CompressionRatio())
-	return s.frame, s.view, tag
 }
 
 // NextRound is called by the adapter at every commit. It counts the round,
@@ -166,10 +215,11 @@ func (s *WireServer) NextRound() int {
 func (s *WireServer) Forget(id int) { s.slot(id).tag = 0 }
 
 // WireClient is the client end: the uplink encoder, with its delta reference
-// and error-feedback residual, and the pooled downlink decode buffer.
+// and error-feedback residual. The reference's storage is the end's one
+// payload buffer: a downlink decodes into it, and so does a payload read out
+// of band (Lend).
 type WireClient struct {
 	enc *Encoder
-	dec Payload
 }
 
 // NewWireClient returns a client end holding no reference: its first uplink
@@ -180,17 +230,27 @@ func NewWireClient(codec CodecConfig) *WireClient { return &WireClient{enc: NewE
 // valid until the next Encode; every call advances the lossy tiers' residual.
 func (c *WireClient) Encode(p Payload) []byte { return c.enc.Encode(p) }
 
-// Decode decodes one downlink frame into the pooled buffer.
-func (c *WireClient) Decode(frame []byte) (p Payload, err error) {
-	c.dec, _, err = DecodeFrame(frame, nil, c.dec)
-	return c.dec, err
+// Decode decodes one downlink frame into the reference's storage and returns
+// it, valid until the next Decode or Lend. A frame that decodes overwrites the
+// old reference, so no reference is held — the next uplink is absolute —
+// until Install adopts the new payload; a frame that fails writes nothing and
+// leaves the reference and its tag as they were.
+func (c *WireClient) Decode(frame []byte) (Payload, error) {
+	p, _, err := DecodeFrame(frame, nil, c.enc.ref)
+	if err != nil {
+		return nil, err
+	}
+	c.enc.ref, c.enc.hasRef = p, false
+	return p, nil
 }
 
 // Install loads a payload the server end sent under tag into the local
-// model. It becomes the delta reference only once load succeeded; a failed
-// load clears the reference at once — the server end rotated past it when it
-// framed the payload, so a delta against it is a mismatch foretold. An
-// untagged payload (delta off) is only loaded.
+// model. It becomes the delta reference only once load succeeded — adopted
+// where it lies when it is what Decode returned, copied otherwise (the
+// server end's view, in process); a failed load clears the reference at
+// once — the server end rotated past it when it framed the payload, so a
+// delta against it is a mismatch foretold. An untagged payload (delta off)
+// is only loaded.
 func (c *WireClient) Install(p Payload, tag uint64, load func(Payload) error) error {
 	err := load(p)
 	switch {
@@ -203,7 +263,23 @@ func (c *WireClient) Install(p Payload, tag uint64, load func(Payload) error) er
 	return err
 }
 
-// Desynced records that the ends no longer share a reference — the client
-// installed a payload out of band (a rejoin resync), or the server end
+// Desynced records that the ends no longer share a reference — the server end
 // answered ErrRefMismatch — so the next uplink is absolute.
 func (c *WireClient) Desynced() { c.enc.ClearRef() }
+
+// Lend hands out the reference's storage, emptied, for a payload read out of
+// band — a rejoin's raw global, which the server end keeps no reference for
+// — and drops the reference the read overwrites: the next uplink is
+// absolute. Keep takes the storage back.
+func (c *WireClient) Lend() Payload {
+	c.enc.ClearRef()
+	return c.enc.ref[:0]
+}
+
+// Keep makes p's storage the end's payload storage, holding no reference:
+// what Lend handed out, grown by the read or not, or a payload read before
+// the end existed (the first join's global).
+func (c *WireClient) Keep(p Payload) {
+	c.enc.ClearRef()
+	c.enc.ref = p
+}

@@ -11,8 +11,9 @@ import (
 
 // BenchmarkAsyncReply answers one non-participant Fetch in-process on the
 // swarm's codec (i8 + delta), after a commit: the reply frames the committed
-// global in place, so its one allocation is the copy of the frame that is sent
-// after the lock is released (make bench-agg holds it to 1 alloc/op).
+// global in place and copies the frame into the caller's reply buffer, which
+// is sent after the lock is released, so it allocates nothing (make bench-agg
+// holds it to 0 allocs/op).
 func BenchmarkAsyncReply(b *testing.B) {
 	const clients, dim = 4, 4227
 	initial := make(fed.Payload, dim)
@@ -35,7 +36,7 @@ func BenchmarkAsyncReply(b *testing.B) {
 		for j := range up {
 			up[j] = float64(id+1) * 1e-3 * float64(j%17)
 		}
-		if err := s.sync(SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}); err != nil {
+		if err := s.sync(SyncArgs{ClientID: id, Round: 1, Frame: enc.Encode(up)}, &SyncReply{}, new([]byte)); err != nil {
 			b.Fatal(err)
 		}
 	}
@@ -43,12 +44,17 @@ func BenchmarkAsyncReply(b *testing.B) {
 		b.Fatalf("%d commits, want 1", s.Rounds())
 	}
 	var reply FetchReply
+	var buf []byte
+	fetch := func() {
+		if err := s.fetch(FetchArgs{ClientID: clients - 1, Base: 0}, &reply, &buf); err != nil || !reply.Has || reply.Participant {
+			b.Fatalf("fetch: %+v, %v", reply, err)
+		}
+	}
+	fetch() // sizes the reply buffer, as a connection's first answer does
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if err := s.fetch(FetchArgs{ClientID: clients - 1, Base: 0}, &reply); err != nil || !reply.Has || reply.Participant {
-			b.Fatalf("fetch: %+v, %v", reply, err)
-		}
+		fetch()
 	}
 }
 
@@ -56,8 +62,9 @@ func BenchmarkAsyncReply(b *testing.B) {
 // answered with the committed global: a non-participant retransmits a
 // submission the server already holds, so every call crosses the wire both
 // ways — a delta upload decoded against the client's reference, the global
-// framed in place — without filling the engine's buffer. make bench-agg
-// holds it to an allocs/op budget.
+// framed in place and copied into the connection's reply buffer — without
+// filling the engine's buffer. make bench-agg holds it to an allocs/op
+// budget.
 func BenchmarkRPCSync(b *testing.B) {
 	const clients, dim = 4, 4227
 	codec := fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}
@@ -126,14 +133,14 @@ func BenchmarkRPCSync(b *testing.B) {
 // turns (DESIGN §8 "Per-client footprint"): 32 clients of RunSwarm's recipe
 // at the benchmark's swarm size (8 tasks) each run one activation on the
 // swarm's codec — the initial global framed by a server wire end and
-// installed through the client's (its delta reference), an episode and its
-// Update, the public critic's upload encoded against that reference and
-// decoded by the server end into the client's slot — and a forced GC then
-// reads the live heap. It reports live-B/client, the live heap the clients
-// and both their wire ends added, per client; shared state (the tensor
-// pool, nn's gradient store, the server end's frame cache) is spread over
-// the 32. make bench-agg fails it above FOOTPRINT_BUDGET
-// (scripts/bench_alloc_guard.sh).
+// installed through the client's (decoded into its delta reference), an
+// episode and its Update, the public critic's upload encoded against that
+// reference and decoded by the server end into one buffer every client
+// shares — and a forced GC then reads the live heap. It reports
+// live-B/client, the live heap the clients and both their wire ends added,
+// per client; shared state (the tensor pool, nn's gradient store, the server
+// end's frame cache, the upload decode buffer) is spread over the 32. make
+// bench-agg fails it above FOOTPRINT_BUDGET (scripts/bench_alloc_guard.sh).
 func BenchmarkClientFootprint(b *testing.B) {
 	const clients, tasks = 32, 8
 	codec := fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}
@@ -146,7 +153,7 @@ func BenchmarkClientFootprint(b *testing.B) {
 		server := fedcore.NewWireServer(codec)
 		fleet := make([]*fed.Client, clients)
 		ends := make([]*fedcore.WireClient, clients)
-		var global fed.Payload
+		var global, decoded fed.Payload
 		for i := range fleet {
 			c, err := swarmClient(i, 1+int64(i)*1000003, tasks, caps)
 			if err != nil {
@@ -171,7 +178,7 @@ func BenchmarkClientFootprint(b *testing.B) {
 			c.TrainEpisodes(1)
 			up, err := transport.Upload(c)
 			if err == nil {
-				_, err = server.Decode(i, wc.Encode(up))
+				decoded, err = server.Decode(i, wc.Encode(up), decoded)
 			}
 			if err != nil {
 				b.Fatal(err)
@@ -184,5 +191,68 @@ func BenchmarkClientFootprint(b *testing.B) {
 		runtime.KeepAlive(fleet)
 		runtime.KeepAlive(ends)
 		runtime.KeepAlive(server)
+		runtime.KeepAlive(decoded)
+	}
+}
+
+// BenchmarkServerFootprint measures what an async server holds per client
+// (DESIGN §8 "Per-client footprint"): 32 clients join a server on the
+// swarm's codec (i8 + delta), aggregator (attention) and ψ width, and each
+// syncs twice, in turn, across eight commits (Buffer 8, K 16), so every
+// client holds a server-side delta reference and the participants of the
+// last commits a retained result; then a forced GC reads the live heap the
+// server added, per client. Shared state — the engine's global, arena and
+// staging, the wire's frame cache, the one upload decode buffer — is spread
+// over the 32; a connection's buffers are not in it (the calls are made in
+// process, into one reply buffer). make bench-agg fails it above
+// SERVER_FOOTPRINT_BUDGET (scripts/bench_alloc_guard.sh).
+func BenchmarkServerFootprint(b *testing.B) {
+	const clients, dim = 32, 4225
+	codec := fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true}
+	enc := fedcore.NewEncoder(fedcore.CodecConfig{Tier: fedcore.TierI8})
+	up := make(fed.Payload, dim)
+	var buf []byte
+	run := func() *Server {
+		s, err := NewServer(ServerConfig{
+			Clients: clients, K: 16, Buffer: 8, Seed: 1, InitialGlobal: make(fed.Payload, dim),
+			Aggregator: fed.NewAttention(1), Async: true, StalenessBound: -1, Codec: codec,
+		})
+		if err != nil {
+			b.Fatal(err)
+		}
+		for i := 0; i < clients; i++ {
+			if err := s.join(JoinArgs{}, &JoinReply{}); err != nil {
+				b.Fatal(err)
+			}
+		}
+		for seq := 1; seq <= 2; seq++ {
+			for id := 0; id < clients; id++ {
+				for j := range up {
+					up[j] = float64(id+seq) * 1e-3 * float64(j%17)
+				}
+				var reply SyncReply
+				if err := s.sync(SyncArgs{ClientID: id, Round: seq, Frame: enc.Encode(up), Base: s.Rounds()}, &reply, &buf); err != nil {
+					b.Fatal(err)
+				}
+			}
+		}
+		if s.Rounds() != 2*clients/8 {
+			b.Fatalf("%d commits, want %d", s.Rounds(), 2*clients/8)
+		}
+		return s
+	}
+	// One unmeasured run first pays what any server pays once per process —
+	// ≈ 2.9 MB, the attention projections attn caches per width and the
+	// tensor pool's scratch — so the reading is the per-client state alone.
+	run()
+	for range b.N {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		s := run()
+		runtime.GC()
+		runtime.ReadMemStats(&after)
+		b.ReportMetric(float64(int64(after.HeapAlloc)-int64(before.HeapAlloc))/clients, "live-B/client")
+		runtime.KeepAlive(s)
 	}
 }

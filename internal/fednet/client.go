@@ -71,7 +71,9 @@ type RemoteClient struct {
 	rng   *rand.Rand
 	stats ClientStats
 
-	// wire is the client end of the wire session (codec from the JoinReply).
+	// wire is the client end of the wire session (codec from the JoinReply):
+	// its one payload buffer, the delta reference, is where every downlink
+	// frame and every join's global is read.
 	wire *fedcore.WireClient
 	// down is the storage the next Sync or Fetch reply's frame is read
 	// into: the last reply's, which install has decoded out of by then.
@@ -107,6 +109,7 @@ func DialOptions(addr string, local *fed.Client, transport fed.Transport, opts O
 		return nil, fmt.Errorf("fednet: join: %w", err)
 	}
 	c.wire = fedcore.NewWireClient(reply.Codec)
+	c.wire.Keep(reply.Global)
 	c.id = reply.ClientID
 	// The bootstrap global goes through the caller's transport, which may
 	// inject faults: retry like any other install.
@@ -373,16 +376,18 @@ func (c *RemoteClient) Async() bool { return c.async }
 // instead of poisoned behind it.
 func (c *RemoteClient) resync() error {
 	return c.retry("resync", func() error {
-		var reply JoinReply
-		if err := c.call(methodJoin, JoinArgs{Rejoin: true, ClientID: c.id}, &reply); err != nil {
+		// A raw out-of-band install, read into the wire's storage: the server
+		// forgot our reference on the rejoin, and Lend drops the client's,
+		// so the next uplink is absolute.
+		reply := JoinReply{Global: c.wire.Lend()}
+		err := c.call(methodJoin, JoinArgs{Rejoin: true, ClientID: c.id}, &reply)
+		c.wire.Keep(reply.Global)
+		if err != nil {
 			return err
 		}
 		if err := c.Transport.Download(c.Local, reply.Global); err != nil {
 			return err
 		}
-		// A raw out-of-band install: the server forgot our reference on the
-		// rejoin, so the next uplink must be absolute.
-		c.wire.Desynced()
 		c.round = reply.Round
 		c.stats.Resyncs++
 		mNetResyncs.Inc()

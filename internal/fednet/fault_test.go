@@ -333,7 +333,7 @@ func TestStragglerResyncsViaRejoin(t *testing.T) {
 	enc := fedcore.NewEncoder(fedcore.CodecConfig{Tier: fedcore.TierI8, Delta: true})
 	enc.SetRef(tag, got)
 	srv.mu.Lock()
-	_, err = srv.wire.Decode(rcSlow.ID(), enc.Encode(got))
+	_, err = srv.wire.Decode(rcSlow.ID(), enc.Encode(got), nil)
 	srv.mu.Unlock()
 	if !errors.Is(err, fedcore.ErrRefMismatch) {
 		t.Fatalf("a delta against the pre-rejoin reference decoded with %v, want a mismatch", err)
@@ -532,7 +532,7 @@ func TestServerCloseReleasesBarrierWaiters(t *testing.T) {
 	if err := rc.rpc.Call(methodSync, args, &SyncReply{}); err == nil || errors.As(err, &srvErr) {
 		t.Fatalf("post-close Sync: err %v, want the connection gone", err)
 	}
-	if err := srv.sync(args, &SyncReply{}); err == nil || err.Error() != msgClosed {
+	if err := srv.sync(args, &SyncReply{}, new([]byte)); err == nil || err.Error() != msgClosed {
 		t.Fatalf("post-close Sync admitted: err %v, want %q", err, msgClosed)
 	}
 }

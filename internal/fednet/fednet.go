@@ -201,10 +201,11 @@ type Server struct {
 	conns map[net.Conn]bool
 
 	// Barrier regime: the decoded uploads of the open round by client id
-	// (nil = not arrived) and their count, the channel its waiters block on,
-	// the deadline armed at the first upload, and the closed round's
-	// per-client replies, retained until the next round supersedes them so a
-	// client whose reply was lost can re-fetch it.
+	// (empty = not arrived), each slot's storage kept from round to round,
+	// and their count, the channel its waiters block on, the deadline armed
+	// at the first upload, and the closed round's per-client replies,
+	// retained until the next round supersedes them so a client whose reply
+	// was lost can re-fetch it.
 	pending     []fed.Payload
 	arrived     int
 	roundDone   chan struct{}
@@ -212,23 +213,27 @@ type Server struct {
 	lastRound   int
 	lastResults map[int]SyncReply
 
-	// Async regime, by client id: the personalized payload of a commit its
-	// owner has not collected yet (push transports have no open reply to
-	// carry it), consumed by the owner's next Sync or Fetch. Each is a copy —
-	// the engine's payloads live in arena buffers rewritten next commit —
-	// into a buffer the client's slot keeps across commits.
-	retained []retainedPayload
+	// Async regime: up, the one buffer every upload is decoded into (the
+	// engine stages what it accepts and never retains the decode), and by
+	// client id the personalized result of a commit its owner has not
+	// collected yet (push transports have no open reply to carry it),
+	// consumed by the owner's next Sync or Fetch. A result is kept as its
+	// downlink frame — the engine's payloads live in arena buffers rewritten
+	// next commit — in a buffer the client's slot keeps across commits.
+	up       fed.Payload
+	retained []retainedFrame
 
 	// wire is the server end of the wire session: the per-client delta
 	// references, uplink decode, downlink framing, measured traffic.
 	wire *fedcore.WireServer
 }
 
-// retainedPayload is one client's retained-result slot: p holds an
-// uncollected personalized payload while held is set.
-type retainedPayload struct {
-	p    fed.Payload
-	held bool
+// retainedFrame is one client's retained-result slot: frame holds an
+// uncollected personalized result, framed by the wire's Encode, while held
+// is set.
+type retainedFrame struct {
+	frame []byte
+	held  bool
 }
 
 // NewServer builds a server; it does not listen yet. Round policy (K
@@ -256,7 +261,7 @@ func NewServer(cfg ServerConfig) (*Server, error) {
 	}
 	s.engine = engine
 	s.pending = make([]fed.Payload, cfg.Clients)
-	s.retained = make([]retainedPayload, cfg.Clients)
+	s.retained = make([]retainedFrame, cfg.Clients)
 	return s, nil
 }
 
@@ -322,7 +327,8 @@ func (s *Server) serveConn(conn net.Conn) {
 			return
 		}
 		// A sent reply's payload is the server's no longer: a join's global
-		// would otherwise stay live for as long as its connection.
+		// would otherwise stay live for as long as its connection. An
+		// answer's frame stays in m.frame, which the next one is copied into.
 		m.join, m.sync, m.fetch = JoinReply{}, SyncReply{}, FetchReply{}
 	}
 }
@@ -341,7 +347,8 @@ func (s *Server) markConn(conn net.Conn, busy bool) bool {
 
 // callSlots is one connection's arguments and replies, reused call after
 // call: a Sync's upload is read into the frame storage the last one left,
-// and a reply is zero when its call is served.
+// an async answer's frame is copied into frame, the connection's reply
+// buffer, and a reply is zero when its call is served.
 type callSlots struct {
 	joinArgs  JoinArgs
 	join      JoinReply
@@ -349,6 +356,7 @@ type callSlots struct {
 	sync      SyncReply
 	fetchArgs FetchArgs
 	fetch     FetchReply
+	frame     []byte
 }
 
 // args returns what a method's arguments are read into: nil, which skips
@@ -371,9 +379,9 @@ func (s *Server) serve(method byte, m *callSlots) (reply any, err error) {
 	case methodJoin:
 		return &m.join, s.join(m.joinArgs, &m.join)
 	case methodSync:
-		return &m.sync, s.sync(m.syncArgs, &m.sync)
+		return &m.sync, s.sync(m.syncArgs, &m.sync, &m.frame)
 	case methodFetch:
-		return &m.fetch, s.fetch(m.fetchArgs, &m.fetch)
+		return &m.fetch, s.fetch(m.fetchArgs, &m.fetch, &m.frame)
 	}
 	return nil, fmt.Errorf("fednet: no such rpc method %d", method)
 }
@@ -496,9 +504,10 @@ func (s *Server) noteCommit(report RoundInfo) {
 // the upload and downlink paths and the engine; they differ in what the
 // protocol pins — whether the reply waits for the commit, the order arrivals
 // reach the engine, and how long a result is retained (DESIGN §9 contract 16).
-func (s *Server) sync(args SyncArgs, reply *SyncReply) error {
+// An async answer's frame is copied into *buf, the caller's reply buffer.
+func (s *Server) sync(args SyncArgs, reply *SyncReply, buf *[]byte) error {
 	if s.cfg.Async {
-		return s.syncAsync(args, reply)
+		return s.syncAsync(args, reply, buf)
 	}
 	return s.syncBarrier(args, reply)
 }
@@ -548,13 +557,14 @@ func (s *Server) arrive(args SyncArgs, reply *SyncReply) (round int, done chan s
 	case args.Round > round:
 		return round, nil, fmt.Errorf("fednet: client %d is ahead on round %d, server on %d", args.ClientID, args.Round, round)
 	}
-	if s.pending[args.ClientID] == nil {
+	if len(s.pending[args.ClientID]) == 0 {
 		// First-wins: a duplicate from a retrying client changes nothing.
-		up, err := s.wire.Decode(args.ClientID, args.Frame)
+		up, err := s.wire.Decode(args.ClientID, args.Frame, s.pending[args.ClientID])
 		if want := s.engine.PayloadLen(); err == nil && len(up) != want {
 			err = fmt.Errorf("length %d, want %d", len(up), want)
 		}
 		if err != nil {
+			s.pending[args.ClientID] = up[:0]
 			return round, nil, uploadErr(args.ClientID, err)
 		}
 		s.wire.Accepted(args.ClientID)
@@ -594,13 +604,15 @@ func (s *Server) closeRoundLocked(timedOut bool) {
 		// Lengths were checked on arrival; a non-finite upload is rejected
 		// here, counted in the report, and its client is answered with the
 		// global like any non-participant.
-		if up != nil {
+		if len(up) > 0 {
 			_, _ = s.engine.Submit(id, round+1, round, up)
 		}
 	}
 	report, _ := s.engine.CloseRound(timedOut)
 	s.noteCommit(report)
-	clear(s.pending)
+	for id, up := range s.pending {
+		s.pending[id] = up[:0]
+	}
 	s.arrived = 0
 	if s.timer != nil {
 		s.timer.Stop()
@@ -618,7 +630,7 @@ func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fed
 	s.wire.NextRound()
 	results := make(map[int]SyncReply, s.arrived)
 	for id, up := range s.pending {
-		if up == nil {
+		if len(up) == 0 {
 			continue
 		}
 		p, participant := personalized[id]
@@ -634,33 +646,36 @@ func (s *Server) deliverBarrier(personalized map[int]fedcore.Payload, global fed
 }
 
 // retainPersonalized is the async regime's Delivery: participants collect
-// their personalized payloads on their next contact, so copies are retained
-// until then, each in its client's slot buffer. Runs under s.mu (held by the
-// submitter or Flush) and the engine lock.
+// their personalized payloads on their next contact, so each is retained
+// until then as its downlink frame, in its client's slot buffer — the
+// frame's bytes, not the payload's float64s. Nothing is sent yet: the wire
+// rotates and counts when the result is collected (answerLocked). Runs
+// under s.mu (held by the submitter or Flush) and the engine lock.
 func (s *Server) retainPersonalized(personalized map[int]fedcore.Payload, _ fedcore.Payload) (int, time.Duration) {
 	s.wire.NextRound()
 	for id, p := range personalized {
 		r := &s.retained[id]
-		r.p, r.held = append(r.p[:0], p...), true
+		r.frame, r.held = append(r.frame[:0], s.wire.Encode(p)...), true
 	}
 	return 0, 0
 }
 
-// answerLocked frames what the client should install now: its retained
-// personalized payload, consumed by the take, or else the committed global,
+// answerLocked sends what the client should install now: its retained
+// personalized result, consumed by the take, or else the committed global,
 // framed in place — commits run only under s.mu, which the caller holds, so
-// the engine's GlobalView cannot change under the frame. The frame is sent
-// after the lock is released, so copied out of the wire's buffer.
-func (s *Server) answerLocked(clientID int) (frame []byte, tag uint64, participant bool) {
+// the engine's GlobalView cannot change under the frame. The frame is written
+// to the connection after the lock is released, so it is copied into *buf,
+// the connection's reply buffer, which it returns.
+func (s *Server) answerLocked(clientID int, buf *[]byte) (frame []byte, tag uint64, participant bool) {
 	r := &s.retained[clientID]
-	p, participant := r.p, r.held
-	if participant {
+	if participant = r.held; participant {
 		r.held = false
+		frame, tag = r.frame, s.wire.Send(clientID, r.frame)
 	} else {
-		p = s.engine.GlobalView()
+		frame, _, tag = s.wire.Frame(clientID, s.engine.GlobalView())
 	}
-	frame, _, tag = s.wire.Frame(clientID, p)
-	return append([]byte(nil), frame...), tag, participant
+	*buf = append((*buf)[:0], frame...)
+	return *buf, tag, participant
 }
 
 // syncAsync submits to the buffered engine (which may commit a round inside
@@ -670,13 +685,14 @@ func (s *Server) answerLocked(clientID int) (frame []byte, tag uint64, participa
 // commit the client participated in), otherwise the current global.
 // Duplicate submissions (retransmits after a lost reply) are answered
 // idempotently the same way.
-func (s *Server) syncAsync(args SyncArgs, reply *SyncReply) error {
+func (s *Server) syncAsync(args SyncArgs, reply *SyncReply, buf *[]byte) error {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	if err := s.checkLocked(args.ClientID); err != nil {
 		return err
 	}
-	up, err := s.wire.Decode(args.ClientID, args.Frame)
+	up, err := s.wire.Decode(args.ClientID, args.Frame, s.up)
+	s.up = up
 	if err != nil {
 		return uploadErr(args.ClientID, err)
 	}
@@ -692,15 +708,16 @@ func (s *Server) syncAsync(args SyncArgs, reply *SyncReply) error {
 		s.noteCommit(*res.Committed)
 	}
 	reply.Round = res.Round
-	reply.Frame, reply.RefTag, reply.Participant = s.answerLocked(args.ClientID)
+	reply.Frame, reply.RefTag, reply.Participant = s.answerLocked(args.ClientID, buf)
 	return nil
 }
 
 // fetch implements the async pull RPC: when a round has committed since the
 // client's Base, it returns the client's retained personalized payload (if
 // it participated in that commit) or the current global. Sync servers
-// reject it — the barrier reply already delivers every result.
-func (s *Server) fetch(args FetchArgs, reply *FetchReply) error {
+// reject it — the barrier reply already delivers every result. The answer's
+// frame is copied into *buf, as syncAsync's is.
+func (s *Server) fetch(args FetchArgs, reply *FetchReply, buf *[]byte) error {
 	if !s.cfg.Async {
 		return fmt.Errorf("fednet: Fetch requires an async server")
 	}
@@ -714,7 +731,7 @@ func (s *Server) fetch(args FetchArgs, reply *FetchReply) error {
 		return nil
 	}
 	reply.Has = true
-	reply.Frame, reply.RefTag, reply.Participant = s.answerLocked(args.ClientID)
+	reply.Frame, reply.RefTag, reply.Participant = s.answerLocked(args.ClientID, buf)
 	return nil
 }
 
