@@ -122,6 +122,7 @@ test-v3:
 # -fuzz pattern per invocation, hence one run per target).
 fuzz-smoke:
 	$(GO) test -run '^$$' -fuzz FuzzLoadCheckpoint -fuzztime 10s ./internal/rl
+	$(GO) test -run '^$$' -fuzz FuzzLiveMap -fuzztime 10s ./internal/rl
 	$(GO) test -run '^$$' -fuzz FuzzCSVTrace -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzCSVStream -fuzztime 10s ./internal/workload
 	$(GO) test -run '^$$' -fuzz FuzzParseSpec -fuzztime 10s ./internal/workload

@@ -64,12 +64,9 @@ type Value struct {
 	auxS0                        float64
 	auxIdx                       []int
 
-	// rows and ties are a ConstRows leaf's row list and its list of
-	// repeated columns, read by the Linear it feeds; shape is the header
-	// its Data points at.
-	rows  [][]float64
-	ties  []int
-	shape tensor.Matrix
+	// ties is a ConstTied leaf's list of repeated columns, read by the
+	// backward of the Linear it feeds.
+	ties []int
 }
 
 // Tape records operations for reverse-mode differentiation. A Tape is not
@@ -189,21 +186,15 @@ func (t *Tape) Const(data *tensor.Matrix) *Value {
 	return t.node(data, false, false, nil)
 }
 
-// ConstRows registers a constant leaf held as a list of rows: row i is
-// rows[i][:cols], read where it lies — a minibatch of a trajectory buffer's
-// states through the epoch's shuffle, with nothing staged. Its Data is a
-// len(rows) x cols header without elements, and only Linear reads the leaf:
-// its forward through tensor.MatMulBiasRowsInto and its weight gradient
-// through tensor.MatMulTransATiedInto, with the bits of the same Linear
-// over a Const of the staged rows. ties lists, ascending, each column i
-// that holds the bits of column i−1 in every row (see tensor.NarrowTies),
-// whose weight-gradient rows are copied instead of recomputed; nil for
-// none. Neither rows, the rows they list nor ties is copied; the caller
-// must not change any of them while the tape is live.
-func (t *Tape) ConstRows(rows [][]float64, cols int, ties []int) *Value {
-	v := t.node(nil, false, false, nil)
-	v.shape = tensor.Matrix{Rows: len(rows), Cols: cols}
-	v.Data, v.rows, v.ties = &v.shape, rows, ties
+// ConstTied is Const for data whose columns repeat: ties lists, ascending,
+// each column i that holds the bits of column i−1 in every row (see
+// tensor.NarrowTies). A Linear fed by it computes its weight gradient
+// through tensor.MatMulTransATiedInto, which copies the tied rows instead of
+// recomputing them, with the same bits. Neither data nor ties is copied;
+// the caller must not change either while the tape is live.
+func (t *Tape) ConstTied(data *tensor.Matrix, ties []int) *Value {
+	v := t.node(data, false, false, nil)
+	v.ties = ties
 	return v
 }
 

@@ -1,10 +1,6 @@
 package autograd
 
-import (
-	"math"
-
-	"repro/internal/tensor"
-)
+import "math"
 
 // opcode identifies a hot operator whose backward pass runs through the
 // static opBackward dispatch instead of a heap-allocated closure. Every case
@@ -91,9 +87,9 @@ func opBackward(n *Value) {
 
 // linearBackward is Linear's backward, in the order the composed
 // AddRow(MatMul(x, w), b) ran it: the bias, then x, then w. Each gradient is
-// a sum started at +0 (tensor.SumColsInto, MatMulTransBInto, and
-// MatMulTransAInto, or MatMulTransATiedInto for a ConstRows x), written
-// straight into its buffer when productTarget allows. The
+// a sum started at +0 (tensor.SumColsInto, MatMulTransBInto,
+// MatMulTransATiedInto, which is MatMulTransAInto unless x is a ConstTied
+// leaf), written straight into its buffer when productTarget allows. The
 // composition's products read the MatMul node's gradient, +0 + g, where
 // this reads g: they differ only where g is -0, and a ±0 operand adds a ±0
 // term to a sum that is never -0, which leaves it as it was either way.
@@ -112,11 +108,7 @@ func linearBackward(n *Value) {
 	}
 	if w.requiresGrad {
 		dw := w.productTarget()
-		if x.rows != nil {
-			tensor.MatMulTransATiedInto(x.rows, g, dw, x.ties)
-		} else {
-			x.Data.MatMulTransAInto(g, dw)
-		}
+		x.Data.MatMulTransATiedInto(g, dw, x.ties)
 		w.addProduct(dw)
 	}
 }

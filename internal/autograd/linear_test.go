@@ -166,36 +166,31 @@ func checkLinearAgainstComposed(t *testing.T, rng *rand.Rand, label string, x, w
 	}
 }
 
-// TestLinearOverRowsMatchesStaged pins a Linear fed by a ConstRows leaf to
-// the same Linear over a Const of the staged rows, bit for bit: the forward
-// and the w and b gradients, with SIMD off and on, rows listed out of
-// order from storage they share with other values (a buffer's chunks), on
-// observation-shaped states whose void runs tie columns (with the tie list)
-// and on the SIMD pins' classes with ±Inf/NaN (with none).
-func TestLinearOverRowsMatchesStaged(t *testing.T) {
+// TestLinearOverTiedMatchesPlain pins a Linear fed by a ConstTied leaf —
+// the update's first layers, over a staged block of a buffer's states — to
+// the same Linear over a Const of the block, bit for bit: the forward and
+// the w and b gradients, with SIMD off and on, on observation-shaped states
+// whose void runs tie columns (with the tie list NarrowTies builds) and on
+// the SIMD pins' classes with ±Inf/NaN (with none).
+func TestLinearOverTiedMatchesPlain(t *testing.T) {
 	rng := rand.New(rand.NewSource(23))
 	for _, rows := range []int{1, 9, 64} {
 		for _, in := range []int{40, 136} {
 			for _, out := range []int{5, 64} {
 				for _, obs := range []bool{false, true} {
-					store := tensor.New(2*rows+1, in+3)
-					fillClasses(rng, store.Data, !obs)
-					list := make([][]float64, rows)
 					x := tensor.New(rows, in)
-					for i := range list {
-						list[i] = store.Row(2*(rows-i) - 1 + i%2)[i%3:]
-						if obs {
-							fillObservation(rng, list[i][:in])
-						}
-						copy(x.Row(i), list[i])
+					if obs {
+						fillObservation(rng, x.Data)
+					} else {
+						fillClasses(rng, x.Data, true)
 					}
 					var ties []int
 					if obs {
 						for c := 1; c < in; c++ {
 							ties = append(ties, c)
 						}
-						for _, r := range list {
-							ties = tensor.NarrowTies(ties, r[:in])
+						for i := range rows {
+							ties = tensor.NarrowTies(ties, x.Row(i))
 						}
 					}
 					w, b, g := tensor.New(in, out), tensor.New(1, out), tensor.New(rows, out)
@@ -208,7 +203,7 @@ func TestLinearOverRowsMatchesStaged(t *testing.T) {
 						var res [2][3]*tensor.Matrix
 						for k, leaf := range []func(*Tape) *Value{
 							func(tp *Tape) *Value { return tp.Const(x) },
-							func(tp *Tape) *Value { return tp.ConstRows(list, in, ties) },
+							func(tp *Tape) *Value { return tp.ConstTied(x, ties) },
 						} {
 							tape := NewPooledTape(tensor.DefaultPool())
 							gw, gb := tensor.New(in, out), tensor.New(1, out)

@@ -3,8 +3,6 @@ package autograd
 import (
 	"fmt"
 	"math"
-
-	"repro/internal/tensor"
 )
 
 // Every operator below allocates its forward result through the tape
@@ -25,14 +23,7 @@ func Linear(x, w, b *Value) *Value {
 	t := sameTape(x, w)
 	sameTape(x, b)
 	out := t.opNode(x.Data.Rows, w.Data.Cols, x.requiresGrad || w.requiresGrad || b.requiresGrad)
-	if x.rows != nil {
-		if x.Data.Cols != w.Data.Rows {
-			panic(fmt.Sprintf("autograd: Linear of %d-column rows by a %dx%d weight", x.Data.Cols, w.Data.Rows, w.Data.Cols))
-		}
-		tensor.MatMulBiasRowsInto(x.rows, w.Data, b.Data, out.Data)
-	} else {
-		x.Data.MatMulBiasInto(w.Data, b.Data, out.Data)
-	}
+	x.Data.MatMulBiasInto(w.Data, b.Data, out.Data)
 	out.op, out.srcA, out.srcB, out.srcC = opLinear, x, w, b
 	return out
 }

@@ -172,6 +172,7 @@ type Env struct {
 
 	mask    []bool    // scratch reused by FeasibleActions
 	voidObs []float64 // all-VoidMarker observation every Observe starts from
+	live    []int     // the positions Observe can write (LivePositions)
 
 	totalTasks int // src.Total() at reset: the offered count
 
@@ -377,6 +378,7 @@ func (e *Env) initScalableState() {
 		for i := range e.voidObs {
 			e.voidObs[i] = VoidMarker
 		}
+		e.live = e.livePositions()
 	}
 	if e.ranked {
 		// The index's shape follows from the configuration alone, so one

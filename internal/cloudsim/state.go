@@ -43,6 +43,44 @@ func StateDim(cfg Config) int {
 // StateDim returns the environment's observation length.
 func (e *Env) StateDim() int { return StateDim(e.cfg) }
 
+// LivePositions reports, ascending, every observation position this
+// environment's configuration can ever write, and VoidMarker, which every
+// other position holds in every observation (rl.Padded: the trajectory
+// buffer stores only these). In the per-VM layout they are each real
+// slot's two features, its VM's real vCPUs, the queue block and the
+// aggregate block; in the ranked layout, whose slots hold whichever VMs
+// rank first, every position. The slice is the environment's, fixed for
+// its life; callers must not write it.
+func (e *Env) LivePositions() (live []int, void float64) { return e.live, VoidMarker }
+
+// livePositions lists the positions LivePositions reports.
+func (e *Env) livePositions() []int {
+	dim := e.StateDim()
+	live := make([]int, 0, dim)
+	if e.ranked {
+		for i := range dim {
+			live = append(live, i)
+		}
+		return live
+	}
+	cfg := e.cfg
+	for s := range cfg.VMs {
+		for r := range NumResources {
+			live = append(live, NumResources*s+r)
+		}
+	}
+	vcpuOff := cfg.padSlots() * NumResources
+	for s, vm := range cfg.VMs {
+		for u := range vm.CPU {
+			live = append(live, vcpuOff+s*cfg.PadVCPUs+u)
+		}
+	}
+	for i := vcpuOff + cfg.padSlots()*cfg.PadVCPUs; i < dim; i++ {
+		live = append(live, i) // the queue and the aggregate block
+	}
+	return live
+}
+
 // Observe encodes the current state S = (S^VM, S^vCPU, S^Queue) into dst,
 // allocating when dst is too small, and returns the buffer. Layout:
 //

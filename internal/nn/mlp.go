@@ -141,27 +141,9 @@ func (m *MLP) Forward(tape *autograd.Tape, x *autograd.Value) *autograd.Value {
 // MLPs may Infer concurrently (the pool is thread-safe), but a single MLP
 // must not be shared across goroutines mid-call with a shared dst.
 func (m *MLP) Infer(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
-	return m.infer(dst, x, nil)
-}
-
-// InferRows is Infer over inputs held as a list of rows, row i being
-// rows[i][:sizes[0]]: the first layer reads each row where it lies
-// (tensor.MatMulBiasRowsInto), so nothing is staged, and the output is
-// Infer's over a matrix of the same rows, bit for bit. A nil dst is
-// allocated fresh with len(rows) rows.
-func (m *MLP) InferRows(dst *tensor.Matrix, rows [][]float64) *tensor.Matrix {
-	return m.infer(dst, nil, rows)
-}
-
-// infer is Infer on x, or InferRows on rows when x is nil.
-func (m *MLP) infer(dst, x *tensor.Matrix, rows [][]float64) *tensor.Matrix {
-	n := len(rows)
-	if x != nil {
-		n = x.Rows
-	}
 	outDim := m.sizes[len(m.sizes)-1]
 	if dst == nil {
-		dst = tensor.New(n, outDim)
+		dst = tensor.New(x.Rows, outDim)
 	}
 	cur := x
 	var scratch *tensor.Matrix // pooled intermediate owned by this call
@@ -171,13 +153,9 @@ func (m *MLP) infer(dst, x *tensor.Matrix, rows [][]float64) *tensor.Matrix {
 		if last {
 			out = dst
 		} else {
-			out = tensor.DefaultPool().GetUninit(n, m.sizes[i+1])
+			out = tensor.DefaultPool().GetUninit(x.Rows, m.sizes[i+1])
 		}
-		if cur == nil {
-			tensor.MatMulBiasRowsInto(rows, l.W.Data, l.B.Data, out)
-		} else {
-			cur.MatMulBiasInto(l.W.Data, l.B.Data, out)
-		}
+		cur.MatMulBiasInto(l.W.Data, l.B.Data, out)
 		if !last {
 			out.TanhInto(out)
 		}

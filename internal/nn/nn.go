@@ -58,11 +58,12 @@ func (p *Parameter) ZeroGrad() {
 	}
 }
 
-// gradStore lends gradient storage: matrices of exactly a parameter's size
-// on one free list per element count, so a returned buffer is never
-// rounded up the way tensor.Pool's power-of-two buckets round. Every
-// matrix on a free list holds only +0. Safe for concurrent use (the update
-// lanes and the client goroutines borrow at once).
+// gradStore lends gradient storage, and the blocks rl stages a buffer's
+// states into (Borrow): matrices of exactly the size asked for on one free
+// list per element count, so a returned buffer is never rounded up the way
+// tensor.Pool's power-of-two buckets round. Every matrix on a free list
+// holds only +0. Safe for concurrent use (the update lanes and the client
+// goroutines borrow at once).
 type gradStore struct {
 	mu   sync.Mutex
 	free map[int][]*tensor.Matrix
@@ -120,9 +121,19 @@ func ReleaseGrads(m Module) {
 	}
 }
 
-// GradStats reports how many gradient buffers have been borrowed in this
-// process and how many of those borrows found no returned buffer of their
-// size and allocated one.
+// Borrow lends a zeroed rows x cols matrix from the store gradients are
+// borrowed from; Return hands it back. A caller that stages working data
+// for one call — rl's readers expand a buffer's states into such blocks —
+// shares the store's exact-size free lists with the gradients.
+func Borrow(rows, cols int) *tensor.Matrix { return gradients.borrow(rows, cols) }
+
+// Return clears m, which Borrow lent, and files it for the next borrower
+// of its size. Nothing may use m after.
+func Return(m *tensor.Matrix) { gradients.giveBack(m) }
+
+// GradStats reports how many buffers — gradients, and Borrow's — have been
+// borrowed from the store in this process and how many of those borrows
+// found no returned buffer of their size and allocated one.
 func GradStats() (borrows, misses int64) {
 	gradients.mu.Lock()
 	defer gradients.mu.Unlock()
@@ -169,13 +180,15 @@ func Generation(m Module) uint64 {
 	return g
 }
 
-// ClipGradNorm rescales all gradients of m so their global L2 norm is at
-// most maxNorm, and returns the pre-clipping norm. maxNorm <= 0 disables
-// clipping. The sum of squares stays one scalar loop in parameter order (its
-// order is part of the bits); the rescale is elementwise, so it takes the
-// SIMD ScaleInPlace. A parameter without gradient storage adds +0 terms
-// and scales to +0, so it is skipped and borrows none.
-func ClipGradNorm(m Module, maxNorm float64) float64 {
+// ClipGradNorm returns the global L2 norm of m's gradients and the factor
+// that clips them to at most maxNorm: maxNorm/(norm+1e-12) when the norm
+// exceeds it, else 1 (maxNorm <= 0 disables clipping). It writes no
+// gradient: Adam.StepScaled multiplies each gradient by the factor as it
+// loads it, the one rounding a rescaling pass would have stored, and ×1 is
+// exact. The sum of squares stays one scalar loop in parameter order (its
+// order is part of the bits). A parameter without gradient storage adds +0
+// terms, so it is skipped and borrows none.
+func ClipGradNorm(m Module, maxNorm float64) (norm, scale float64) {
 	total := 0.0
 	for _, p := range m.Params() {
 		if p.Grad == nil {
@@ -185,16 +198,11 @@ func ClipGradNorm(m Module, maxNorm float64) float64 {
 			total += g * g
 		}
 	}
-	norm := math.Sqrt(total)
+	norm = math.Sqrt(total)
 	if maxNorm > 0 && norm > maxNorm {
-		scale := maxNorm / (norm + 1e-12)
-		for _, p := range m.Params() {
-			if p.Grad != nil {
-				p.Grad.ScaleInPlace(scale)
-			}
-		}
+		return norm, maxNorm / (norm + 1e-12)
 	}
-	return norm
+	return norm, 1
 }
 
 // FlattenParams serializes every parameter of m into one flat vector, in

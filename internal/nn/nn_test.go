@@ -285,21 +285,74 @@ func TestClipGradNorm(t *testing.T) {
 	for _, p := range m.Params() {
 		p.Gradient().Fill(3)
 	}
-	pre := ClipGradNorm(m, 1.0)
+	pre, scale := ClipGradNorm(m, 1.0)
 	if pre <= 1.0 {
 		t.Fatalf("expected pre-clip norm > 1, got %v", pre)
 	}
-	post := ClipGradNorm(m, math.Inf(1))
-	if math.Abs(post-1.0) > 1e-9 {
-		t.Fatalf("post-clip norm %v, want 1", post)
+	if math.Abs(pre*scale-1.0) > 1e-9 {
+		t.Fatalf("clipped norm %v·%v = %v, want 1", pre, scale, pre*scale)
+	}
+	if m.Params()[0].Grad.Data[0] != 3 {
+		t.Fatal("ClipGradNorm must leave the gradients to Adam.StepScaled")
+	}
+	if post, s := ClipGradNorm(m, math.Inf(1)); post != pre || s != 1 {
+		t.Fatalf("unbounded clip: norm %v scale %v, want %v and 1", post, s, pre)
 	}
 	// maxNorm <= 0 disables clipping.
-	for _, p := range m.Params() {
-		p.Gradient().Fill(3)
+	if _, s := ClipGradNorm(m, 0); s != 1 {
+		t.Fatalf("maxNorm=0 should not clip: scale %v", s)
 	}
-	ClipGradNorm(m, 0)
-	if m.Params()[0].Grad.Data[0] != 3 {
-		t.Fatal("maxNorm=0 should not clip")
+}
+
+// TestClipFoldMatchesTwoPass pins the clip folded into the Adam step
+// against the two passes it replaced, a frozen copy of the rescaling
+// ClipGradNorm and then Step: 20 steps of an MLP's real gradients, clipped
+// and not, on a first layer whose padded inputs tie its rows, leave the
+// parameters bit for bit equal. Both SIMD settings.
+func TestClipFoldMatchesTwoPass(t *testing.T) {
+	twoPassClip := func(m Module, maxNorm float64) {
+		total := 0.0
+		for _, p := range m.Params() {
+			for _, g := range p.Gradient().Data {
+				total += g * g
+			}
+		}
+		if norm := math.Sqrt(total); maxNorm > 0 && norm > maxNorm {
+			scale := maxNorm / (norm + 1e-12)
+			for _, p := range m.Params() {
+				p.Grad.ScaleInPlace(scale)
+			}
+		}
+	}
+	for _, simd := range []bool{true, false} {
+		prev := tensor.SetSIMD(simd)
+		build := func() *MLP { return NewMLP(rand.New(rand.NewSource(5)), "c", []int{24, 16, 3}, ActTanh, 1.0) }
+		fold, ref := build(), build()
+		foldOpt, refOpt := NewAdam(fold, 3e-3), NewAdam(ref, 3e-3)
+		rng := rand.New(rand.NewSource(6))
+		for it := 0; it < 20; it++ {
+			x := tensor.RandNormal(rng, 8, 24, 0, 1)
+			for r := 0; r < x.Rows; r++ {
+				copy(x.Row(r)[16:], []float64{-1, -1, -1, -1, -1, -1, -1, -1})
+			}
+			maxNorm := []float64{0.05, 100}[it%2]
+			for _, net := range []*MLP{fold, ref} {
+				tape := autograd.NewTape()
+				autograd.Mean(autograd.Square(net.Forward(tape, tape.Const(x)))).Backward()
+			}
+			_, scale := ClipGradNorm(fold, maxNorm)
+			foldOpt.StepScaled(scale)
+			twoPassClip(ref, maxNorm)
+			refOpt.Step()
+			for i, p := range fold.Params() {
+				for j, v := range p.Data.Data {
+					if w := ref.Params()[i].Data.Data[j]; math.Float64bits(v) != math.Float64bits(w) {
+						t.Fatalf("simd=%v step %d: %s[%d] = %v folded, %v in two passes", simd, it, p.Name, j, v, w)
+					}
+				}
+			}
+		}
+		tensor.SetSIMD(prev)
 	}
 }
 
@@ -475,7 +528,7 @@ func TestGradientsBorrowedOnDemand(t *testing.T) {
 			t.Fatalf("a new parameter %s holds gradient storage", p.Name)
 		}
 	}
-	if n := ClipGradNorm(m, 0.5); n != 0 {
+	if n, _ := ClipGradNorm(m, 0.5); n != 0 {
 		t.Fatalf("ClipGradNorm of a network without gradients = %v, want 0", n)
 	}
 	ZeroGrads(m)

@@ -41,19 +41,26 @@ func NewAdam(mod Module, lr float64) *Adam {
 }
 
 // Step applies one Adam update from current gradients and clears them in
+// the same pass: StepScaled at scale 1.
+func (a *Adam) Step() { a.StepScaled(1) }
+
+// StepScaled applies one Adam update from current gradients multiplied by
+// scale — the clip factor ClipGradNorm returns, applied as each gradient is
+// loaded, so a clipped step makes no rescaling pass — and clears them in
 // the same pass (the kernel consumes the gradient, saving the per-minibatch
 // ZeroGrads sweep). The element-wise rule lives in tensor.AdamUpdateRows so
 // it can use the SIMD fast path and step a run of tied rows once — a
 // padded first layer's, whose gradients, m and v repeat row to row (m and v
 // start tied at zero, here and after Reset); the update is bitwise
-// identical to the historical per-element loop here. A parameter without
-// gradient storage steps on a borrowed one of +0, which it keeps.
-func (a *Adam) Step() {
+// identical to the historical per-element loop here over gradients
+// rescaled in place. A parameter without gradient storage steps on a
+// borrowed one of +0, which it keeps.
+func (a *Adam) StepScaled(scale float64) {
 	a.step++
 	bc1 := 1 - math.Pow(a.Beta1, float64(a.step))
 	bc2 := 1 - math.Pow(a.Beta2, float64(a.step))
 	for i, p := range a.params {
-		tensor.AdamUpdateRows(p.Data.Data, p.Gradient().Data, a.m[i].Data, a.v[i].Data, a.tied, p.Data.Cols, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2)
+		tensor.AdamUpdateRows(p.Data.Data, p.Gradient().Data, a.m[i].Data, a.v[i].Data, a.tied, p.Data.Cols, a.LR, a.Beta1, a.Beta2, a.Eps, bc1, bc2, scale)
 		p.writes++
 	}
 }

@@ -8,14 +8,18 @@
 // PublicCritic and Alpha.
 package rl
 
-import "math"
+import (
+	"fmt"
+	"math"
+	"slices"
 
-// Transition is one step of experience.
+	"repro/internal/nn"
+	"repro/internal/tensor"
+)
+
+// Transition is one step of experience. The state its action was taken on
+// is held by the Buffer that holds the transition (Buffer.State).
 type Transition struct {
-	// State is the observation the action was taken on. Recorded by
-	// CollectEpisode it is a view of the Buffer's own storage, valid until
-	// the Buffer's Reset.
-	State   []float64
 	Action  int
 	Reward  float64
 	LogProb float64 // log π_old(a|s) at collection time
@@ -35,18 +39,25 @@ type Transition struct {
 	Bootstrap float64
 }
 
-// Buffer accumulates an on-policy trajectory batch.
+// Buffer accumulates an on-policy trajectory batch: the transitions, and
+// the state of each, stored at its live width (see Padded) and read back at
+// full width, bit for bit.
 type Buffer struct {
 	steps []Transition
 
-	// chunks is the state storage CollectEpisode records into: fixed-size
-	// blocks, so a stored row is never moved and nothing is over-grown.
-	// chunks[:chunk] are full, chunks[chunk] is being filled; Reset rewinds
-	// and the next episode overwrites the same memory. chunks[chunk][mark:]
-	// are the rows stored since the last takeRows.
-	chunks [][]float64
-	chunk  int
-	mark   int
+	// layout is how the states are stored: nil until the first one.
+	// CollectEpisode sets it from its environment while the buffer is
+	// empty; Reset keeps it.
+	layout *stateLayout
+
+	// chunks is the state storage: blocks of stateChunkRows rows of the
+	// layout's live width, so a stored row is never moved and nothing is
+	// over-grown. Row i, the state of transition i, is row
+	// i%stateChunkRows of chunks[i/stateChunkRows]. rows counts the stored
+	// states; Reset rewinds it and the next episode overwrites the same
+	// memory. Rows [mark, rows) are those stored since the last takeRows.
+	chunks     [][]float64
+	rows, mark int
 	// obs is the observation scratch CollectEpisode hands to env.Observe,
 	// kept across episodes.
 	obs []float64
@@ -66,55 +77,308 @@ type Buffer struct {
 // a few dozen chunks.
 const stateChunkRows = 64
 
-// Add appends one transition. The buffer stores t.State as given; the
-// caller must not reuse that slice while the transition is held.
-func (b *Buffer) Add(t Transition) {
+// stateLayout maps a state of width positions to the row a Buffer stores:
+// its live positions in order, as maximal runs of adjacent positions. Every
+// other position holds void in every state stored under it, so expanding a
+// row gives the state back bit for bit. A layout is never changed once
+// built: a value lane may read rows under one while the collector moves the
+// buffer to another.
+type stateLayout struct {
+	width  int
+	void   float64
+	runs   []span // the live positions, ascending
+	stride int    // how many there are: the width of a stored row
+	live   []int  // the positions as reported, nil for every position
+}
+
+// span is the positions [lo, hi).
+type span struct{ lo, hi int }
+
+// newLayout builds the layout of width-wide states whose live positions are
+// live (ascending, in [0, width)); nil makes every position live.
+func newLayout(width int, live []int, void float64) *stateLayout {
+	l := &stateLayout{width: width, void: void, live: slices.Clone(live)}
+	if live == nil {
+		if width > 0 {
+			l.runs = []span{{0, width}}
+		}
+		l.stride = width
+		return l
+	}
+	prev := -1
+	for _, p := range live {
+		if p <= prev || p >= width {
+			panic(fmt.Sprintf("rl: live position %d out of order or outside [0,%d)", p, width))
+		}
+		if n := len(l.runs); n > 0 && l.runs[n-1].hi == p {
+			l.runs[n-1].hi++
+		} else {
+			l.runs = append(l.runs, span{p, p + 1})
+		}
+		prev = p
+	}
+	l.stride = len(live)
+	return l
+}
+
+// fits reports whether l is the layout newLayout(width, live, void) builds.
+func (l *stateLayout) fits(width int, live []int, void float64) bool {
+	if l.width != width {
+		return false
+	}
+	if live == nil {
+		return l.live == nil
+	}
+	return math.Float64bits(l.void) == math.Float64bits(void) && slices.Equal(l.live, live)
+}
+
+// dense reports whether every position is live.
+func (l *stateLayout) dense() bool { return l.stride == l.width }
+
+// compact writes state's live values into row and reports whether every
+// other position of state holds void; when it does not, row is not a
+// faithful copy.
+func (l *stateLayout) compact(row, state []float64) bool {
+	at, off := 0, 0
+	for _, r := range l.runs {
+		if !allVoid(state[at:r.lo], l.void) {
+			return false
+		}
+		off += copy(row[off:], state[r.lo:r.hi])
+		at = r.hi
+	}
+	return allVoid(state[at:], l.void)
+}
+
+// expand writes the state row holds into dst, its first width elements:
+// the live values where they lie and void everywhere else.
+func (l *stateLayout) expand(dst, row []float64) {
+	l.fillVoid(dst)
+	l.scatter(dst, row)
+}
+
+// fillVoid writes void at every position of dst, its first width elements,
+// that is not live.
+func (l *stateLayout) fillVoid(dst []float64) {
+	at := 0
+	for _, r := range l.runs {
+		fillVoid(dst[at:r.lo], l.void)
+		at = r.hi
+	}
+	fillVoid(dst[at:l.width], l.void)
+}
+
+// scatter writes row's values at the live positions of dst, and nothing
+// else: over a dst whose other positions hold void (fillVoid) it is expand.
+func (l *stateLayout) scatter(dst, row []float64) {
+	off := 0
+	for _, r := range l.runs {
+		off += copy(dst[r.lo:r.hi], row[off:])
+	}
+}
+
+func allVoid(xs []float64, void float64) bool {
+	vb := math.Float64bits(void)
+	for _, x := range xs {
+		if math.Float64bits(x) != vb {
+			return false
+		}
+	}
+	return true
+}
+
+func fillVoid(xs []float64, void float64) {
+	for i := range xs {
+		xs[i] = void
+	}
+}
+
+// fit sets the layout CollectEpisode stores env's states under: the
+// positions env reports live (Padded), or every position. A buffer that
+// already holds states stored under another layout of the same width moves
+// to storing every position, which holds them all; one that holds states
+// of another width panics.
+func (b *Buffer) fit(env Environment) {
+	width := env.StateDim()
+	var live []int
+	void := 0.0
+	if p, ok := env.(Padded); ok {
+		live, void = p.LivePositions()
+	}
+	switch l := b.layout; {
+	case l != nil && l.fits(width, live, void):
+	case b.rows == 0:
+		b.relayout(newLayout(width, live, void))
+	case l.width != width:
+		panic(fmt.Sprintf("rl: collecting width-%d states into a buffer of width-%d states", width, l.width))
+	case !l.dense():
+		b.relayout(newLayout(width, nil, 0))
+	}
+}
+
+// relayout moves the buffer to layout l, storing every row again under it.
+// l must hold every position the current layout holds, so no bit is lost.
+func (b *Buffer) relayout(l *stateLayout) {
+	old := Buffer{layout: b.layout, chunks: b.chunks}
+	b.layout = l
+	if old.layout == nil || old.layout.stride != l.stride || b.rows > 0 {
+		b.chunks = nil // rows handed to a value lane keep their memory
+	}
+	if b.rows == 0 {
+		return
+	}
+	state := make([]float64, l.width)
+	for i := range b.rows {
+		old.layout.expand(state, old.row(i))
+		l.compact(b.slot(i), state)
+	}
+}
+
+// slot returns the storage of row i, adding the chunk it starts.
+func (b *Buffer) slot(i int) []float64 {
+	if i/stateChunkRows == len(b.chunks) {
+		b.chunks = append(b.chunks, make([]float64, stateChunkRows*b.layout.stride))
+	}
+	return b.row(i)
+}
+
+// row returns stored row i, the live values of transition i's state.
+func (b *Buffer) row(i int) []float64 {
+	s := b.layout.stride
+	c, r := i/stateChunkRows, i%stateChunkRows
+	return b.chunks[c][r*s : (r+1)*s : (r+1)*s]
+}
+
+// width returns the width of the stored states: 0 for a buffer that has
+// stored none.
+func (b *Buffer) width() int {
+	if b.layout == nil {
+		return 0
+	}
+	return b.layout.width
+}
+
+// storeState copies state into the buffer's own storage as row b.rows and
+// reports whether the row filled its chunk. A full chunk is never written
+// again before Reset, so once takeRows has returned its rows they may be
+// read from another goroutine. An empty buffer without a layout for
+// state's width takes one with every position live; a state that writes a
+// position its layout holds as void moves the buffer to storing every
+// position (relayout); a state whose width is not the stored states' panics.
+func (b *Buffer) storeState(state []float64) (full bool) {
+	if b.layout == nil || (b.rows == 0 && b.layout.width != len(state)) {
+		b.relayout(newLayout(len(state), nil, 0))
+	}
+	if len(state) != b.layout.width {
+		panic(fmt.Sprintf("rl: storing a width-%d state into a buffer of width-%d states", len(state), b.layout.width))
+	}
+	if !b.layout.compact(b.slot(b.rows), state) {
+		b.relayout(newLayout(b.layout.width, nil, 0))
+		b.layout.compact(b.slot(b.rows), state)
+	}
+	b.rows++
+	return b.rows%stateChunkRows == 0
+}
+
+// takeRows returns the rows stored since the last takeRows (or since
+// CollectEpisode began), row-major at the layout's live width: a block of
+// one chunk. CollectEpisode takes them when a chunk fills and at the
+// episode's end, so they never span two chunks.
+func (b *Buffer) takeRows() []float64 {
+	if b.mark == b.rows {
+		return nil
+	}
+	s := b.layout.stride
+	lo := b.mark % stateChunkRows
+	hi := lo + b.rows - b.mark
+	c := b.chunks[b.mark/stateChunkRows]
+	b.mark = b.rows
+	return c[lo*s : hi*s : hi*s]
+}
+
+// expandRows writes the states of rows, row-major at l's live width, into
+// the rows of dst.
+func (l *stateLayout) expandRows(dst *tensor.Matrix, rows []float64) {
+	for i := range dst.Rows {
+		l.expand(dst.Row(i), rows[i*l.stride:(i+1)*l.stride])
+	}
+}
+
+// voidRows writes void at the positions that are not live in every row of
+// dst, a block the states of one buffer are then staged into by
+// Buffer.scatter: the block's void positions stay as they are until it is
+// given back.
+func (b *Buffer) voidRows(dst *tensor.Matrix) {
+	for i := range dst.Rows {
+		b.layout.fillVoid(dst.Row(i))
+	}
+}
+
+// scatter writes the live values of transition i's state into dst: the
+// state itself over a row prepared by voidRows.
+func (b *Buffer) scatter(dst []float64, i int) {
+	b.layout.scatter(dst, b.row(i))
+}
+
+// borrowStates lends a rows x cols block to stage states into for one
+// call — an update lane's minibatch, the value lane's chunk, a critic-loss
+// block, the tie scan's row — from nn's exact-size store (nn.Borrow), never
+// rounded up the way tensor.Pool's power-of-two buckets round (a 64 x 136
+// block would take a 16384-element bucket, 128 KiB where it needs 68). It
+// is a whole number of chunks' rows viewed down to rows, so every reader of
+// one width shares one size.
+func borrowStates(rows, cols int) *tensor.Matrix {
+	m := nn.Borrow(max(1, (rows+stateChunkRows-1)/stateChunkRows)*stateChunkRows, cols)
+	m.Rows, m.Data = rows, m.Data[:rows*cols]
+	return m
+}
+
+// returnStates gives back a block borrowStates lent, whole: the store
+// files it by its element count.
+func returnStates(m *tensor.Matrix) {
+	m.Data = m.Data[:cap(m.Data)]
+	nn.Return(m)
+}
+
+// Add appends one transition and a copy of the state its action was taken
+// on. The state is stored under the buffer's layout — the one CollectEpisode
+// set from its environment, or every position live — and a state that does
+// not hold void where the layout stores nothing moves the buffer to storing
+// every position, so State gives every state back bit for bit. An empty
+// buffer takes a state of any width; otherwise a state whose width is not
+// the stored states' panics, naming both.
+func (b *Buffer) Add(state []float64, t Transition) {
+	b.storeState(state)
+	b.push(t)
+}
+
+// push appends t, whose state is the row last stored.
+func (b *Buffer) push(t Transition) {
 	b.steps = append(b.steps, t)
 	b.gen++
 }
 
-// storeState copies state into the buffer's own storage and returns the
-// copy, a view that stays valid until Reset, and whether the copy filled
-// its chunk. A full chunk is never written again before Reset, so once
-// takeRows has returned its rows they may be read from another goroutine.
-func (b *Buffer) storeState(state []float64) (row []float64, full bool) {
-	d := len(state)
-	for b.chunk < len(b.chunks) && len(b.chunks[b.chunk])+d > cap(b.chunks[b.chunk]) {
-		b.chunk++
-		b.mark = 0
+// State writes the state of transition i into dst (reallocating when dst is
+// too small) and returns it: the observation the action was taken on, bit
+// for bit.
+func (b *Buffer) State(i int, dst []float64) []float64 {
+	_ = b.steps[i]
+	w := b.layout.width
+	if cap(dst) < w {
+		dst = make([]float64, w)
 	}
-	if b.chunk == len(b.chunks) {
-		b.chunks = append(b.chunks, make([]float64, 0, stateChunkRows*d))
-	}
-	c := append(b.chunks[b.chunk], state...)
-	b.chunks[b.chunk] = c
-	return c[len(c)-d : len(c) : len(c)], len(c)+d > cap(c)
-}
-
-// takeRows returns the states stored since the last takeRows (or Reset), a
-// row-major block of the current chunk. CollectEpisode takes them when a
-// chunk fills and at the episode's end, so they never span two chunks.
-func (b *Buffer) takeRows() []float64 {
-	if b.chunk == len(b.chunks) {
-		return nil
-	}
-	c := b.chunks[b.chunk]
-	rows := c[b.mark:len(c):len(c)]
-	b.mark = len(c)
-	return rows
+	dst = dst[:w]
+	b.layout.expand(dst, b.row(i))
+	return dst
 }
 
 // Len returns the number of stored transitions.
 func (b *Buffer) Len() int { return len(b.steps) }
 
-// Reset clears the buffer, retaining capacity. State views handed out by
-// earlier Steps calls are invalid afterwards: their storage is reused.
+// Reset clears the buffer, retaining its storage and its layout.
 func (b *Buffer) Reset() {
 	b.steps = b.steps[:0]
-	for i := range b.chunks {
-		b.chunks[i] = b.chunks[i][:0]
-	}
-	b.chunk, b.mark = 0, 0
+	b.rows, b.mark = 0, 0
 	b.gen++
 }
 

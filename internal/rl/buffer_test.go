@@ -57,16 +57,18 @@ func (stampValues) Values(dst []float64, states *tensorMatrix) {
 	}
 }
 
-// requireStamps checks that steps record, in order, the observations
-// base, base+1, ... in every feature.
-func requireStamps(t *testing.T, steps []Transition, base float64, dim int) {
+// requireStamps checks that buf's transitions [lo, hi) record, in order,
+// the observations base, base+1, ... in every feature.
+func requireStamps(t *testing.T, buf *Buffer, lo, hi int, base float64, dim int) {
 	t.Helper()
-	for i, s := range steps {
-		want := base + float64(i)
-		if len(s.State) != dim {
-			t.Fatalf("step %d: state has %d features, want %d", i, len(s.State), dim)
+	for i := lo; i < hi; i++ {
+		s := buf.Steps()[i]
+		want := base + float64(i-lo)
+		state := buf.State(i, nil)
+		if len(state) != dim {
+			t.Fatalf("step %d: state has %d features, want %d", i, len(state), dim)
 		}
-		for j, x := range s.State {
+		for j, x := range state {
 			if x != want {
 				t.Fatalf("step %d feature %d: stored %v, want the observation taken at that step, %v", i, j, x, want)
 			}
@@ -92,25 +94,25 @@ func TestCollectEpisodeStoresEachObservation(t *testing.T) {
 	if buf.Len() != long {
 		t.Fatalf("collected %d steps, want %d", buf.Len(), long)
 	}
-	requireStamps(t, buf.Steps(), 0, dim)
+	requireStamps(t, &buf, 0, long, 0, dim)
 	if last := buf.Steps()[long-1]; !last.Done || last.Truncated {
 		t.Fatalf("terminal episode must end Done and not Truncated: %+v", last)
 	}
 
 	// A truncated episode appended behind it: the first one's rows stay put.
 	CollectEpisode(&stampEnv{dim: dim, horizon: 40, base: 1000, truncate: true}, stampAgent{}, &buf)
-	requireStamps(t, buf.Steps()[:long], 0, dim)
-	requireStamps(t, buf.Steps()[long:], 1000, dim)
+	requireStamps(t, &buf, 0, long, 0, dim)
+	requireStamps(t, &buf, long, buf.Len(), 1000, dim)
 	if last := buf.Steps()[buf.Len()-1]; !last.Truncated || last.Bootstrap != 1040 {
 		t.Fatalf("cut must bootstrap with the value of the post-cut state 1040: %+v", last)
 	}
 
-	firstRow := &buf.Steps()[0].State[0]
+	firstRow := &buf.row(0)[0]
 	chunks := len(buf.chunks)
 	buf.Reset()
 	CollectEpisode(&stampEnv{dim: dim, horizon: long + 40, base: 5000}, stampAgent{}, &buf)
-	requireStamps(t, buf.Steps(), 5000, dim)
-	if &buf.Steps()[0].State[0] != firstRow || len(buf.chunks) != chunks {
+	requireStamps(t, &buf, 0, buf.Len(), 5000, dim)
+	if &buf.row(0)[0] != firstRow || len(buf.chunks) != chunks {
 		t.Fatalf("Reset must rewind the storage for reuse: %d chunks before, %d after", chunks, len(buf.chunks))
 	}
 }
@@ -212,7 +214,7 @@ func TestChunkValuesMatchPerState(t *testing.T) {
 							t.Fatalf("pass %d: collected %d steps, want %d", pass, len(episode), n)
 						}
 						for j, s := range episode {
-							requireSameBits(t, fmt.Sprintf("pass %d, %d-step episode, step %d value", pass, n, j), s.Value, frozen(s.State))
+							requireSameBits(t, fmt.Sprintf("pass %d, %d-step episode, step %d value", pass, n, j), s.Value, frozen(buf.State(first+j, nil)))
 						}
 						last := episode[n-1]
 						if last.Truncated == env.terminal {

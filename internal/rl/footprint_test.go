@@ -28,11 +28,13 @@ func holdLaneTapes(a *PPO, buf *Buffer) {
 	st.adv, st.targets = buf.GAEInto(gamma, lambda, st.adv, st.targets)
 	st.ensure(buf.Len(), cfg.MiniBatch)
 	st.tiedColumns(buf, cfg.StateDim)
+	st.stage(buf, min(buf.Len(), cfg.MiniBatch))
 	for i := range st.idx {
 		st.idx[i] = i
 	}
 	a.actorEpoch(buf)
 	a.criticEpoch(buf)
+	st.unstage()
 }
 
 // footprintRun is the scenario TestUpdateParksNoTapeBuffers and
@@ -68,11 +70,13 @@ func (r *footprintRun) firstUpdate(lanes bool) {
 	if lanes {
 		tail := r.buf.Len() % r.cfg.MiniBatch
 		var full, last Buffer
-		for _, s := range r.buf.Steps()[:r.cfg.MiniBatch] {
-			full.Add(s)
-		}
-		for _, s := range r.buf.Steps()[r.buf.Len()-tail:] {
-			last.Add(s)
+		for i, s := range r.buf.Steps() {
+			switch {
+			case i < r.cfg.MiniBatch:
+				full.Add(r.buf.State(i, nil), s)
+			case i >= r.buf.Len()-tail:
+				last.Add(r.buf.State(i, nil), s)
+			}
 		}
 		for i, b := range []*Buffer{&full, &full, &last, &last} {
 			h := NewDualCriticPPO(r.cfg, rand.New(rand.NewSource(int64(10+i))))
@@ -130,11 +134,11 @@ func TestUpdateParksNoTapeBuffers(t *testing.T) {
 // TestUpdateKeepsNoScratch pins DESIGN §9 contract 24: between updates an
 // agent holds its parameters, its Adam moments and its buffer, and nothing
 // only the update uses. After Update no parameter of the actor, φ or ψ holds
-// gradient storage (nn lends it for the call), nothing in the update
-// scratch is a matrix as wide as a state (the first layers read the
-// buffer's rows in place) and no row list still names a state. A second
-// agent of the same shape then runs its first Update with no miss in nn's
-// gradient store, nor in the tensor pool. On both update paths.
+// gradient storage (nn lends it for the call) and nothing in the update
+// scratch is a matrix as wide as a state (the lanes' state blocks are
+// borrowed from nn's store for the call). A second agent of the same shape
+// then runs its first Update with no miss in nn's store (gradients and
+// state blocks) nor in the tensor pool. On both update paths.
 func TestUpdateKeepsNoScratch(t *testing.T) {
 	for _, lanes := range []bool{false, true} {
 		t.Run(laneName(lanes), func(t *testing.T) {
@@ -145,7 +149,7 @@ func TestUpdateKeepsNoScratch(t *testing.T) {
 			_, gradMisses0 := nn.GradStats()
 			poolMisses := poolMisses(func() { r.second.Update(&r.buf) })
 			if _, gradMisses := nn.GradStats(); gradMisses != gradMisses0 {
-				t.Fatalf("a second agent's first Update borrowed %d gradients nn's store did not hold, want 0", gradMisses-gradMisses0)
+				t.Fatalf("a second agent's first Update borrowed %d buffers nn's store did not hold, want 0", gradMisses-gradMisses0)
 			}
 			if poolMisses != 0 {
 				t.Fatalf("a second agent's first Update missed the pool %d times, want 0", poolMisses)
@@ -155,8 +159,8 @@ func TestUpdateKeepsNoScratch(t *testing.T) {
 	}
 }
 
-// requireNoUpdateScratch fails unless a holds no gradient storage, no
-// matrix of StateDim columns in its update scratch and no row there.
+// requireNoUpdateScratch fails unless a holds no gradient storage and no
+// matrix of StateDim columns in its update scratch.
 func requireNoUpdateScratch(t *testing.T, a *PPO) {
 	t.Helper()
 	for _, net := range []*nn.MLP{a.Actor, a.Critic, a.PublicCritic} {
@@ -169,16 +173,9 @@ func requireNoUpdateScratch(t *testing.T, a *PPO) {
 	st := reflect.ValueOf(&a.upd).Elem()
 	for i := 0; i < st.NumField(); i++ {
 		f, name := st.Field(i), st.Type().Field(i).Name
-		switch {
-		case f.Type() == reflect.TypeOf((*tensor.Matrix)(nil)) && !f.IsNil():
+		if f.Type() == reflect.TypeOf((*tensor.Matrix)(nil)) && !f.IsNil() {
 			if cols := f.Elem().FieldByName("Cols").Int(); int(cols) == a.Cfg.StateDim {
 				t.Fatalf("after Update the scratch's %s is a matrix of %d columns, a state's width", name, cols)
-			}
-		case f.Type() == reflect.TypeOf([][]float64(nil)):
-			for j := 0; j < f.Cap(); j++ {
-				if !f.Slice(0, f.Cap()).Index(j).IsNil() {
-					t.Fatalf("after Update the scratch's %s still names a state at %d", name, j)
-				}
 			}
 		}
 	}
@@ -334,10 +331,9 @@ func checkMemoFresh(t *testing.T, memo, fresh *memoRun, seed int64, step, op int
 // in blocks: every state of buf staged into one matrix, one Infer over it.
 // It is the reference the blocked evaluation must match bit for bit.
 func wholeBufferMSE(critic *nn.MLP, buf *Buffer, gamma float64) float64 {
-	steps := buf.Steps()
-	states := tensor.New(len(steps), len(steps[0].State))
-	for i, s := range steps {
-		copy(states.Row(i), s.State)
+	states := tensor.New(buf.Len(), buf.width())
+	for i := range buf.Len() {
+		buf.State(i, states.Row(i))
 	}
 	returns := buf.Returns(gamma)
 	v := critic.Infer(nil, states)

@@ -85,7 +85,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			target := tensor.Get(bsz, 1)
 			for bi := 0; bi < bsz; bi++ {
 				t := idx[lo+bi]
-				copy(states.Row(bi), steps[t].State)
+				s.buf.State(t, states.Row(bi))
 				actions[bi] = steps[t].Action
 				oldLogp.Data[bi] = steps[t].LogProb
 				advantage.Data[bi] = s.adv[t]
@@ -107,7 +107,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			entropy := autograd.Neg(autograd.Mean(autograd.SumRows(autograd.Mul(probs, logp))))
 			loss := autograd.Sub(autograd.Neg(objective), autograd.Scale(entropy, s.cfg.EntCoef))
 			loss.Backward()
-			nn.ClipGradNorm(s.actor, maxGradNorm)
+			twoPassClip(s.actor, maxGradNorm)
 			s.actorOpt.Step()
 			epochActor += -objective.Item()
 			epochEntropy += entropy.Item()
@@ -128,7 +128,7 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 			closs := s.criticLoss(tape, tape.Const(states), tape.Const(target))
 			closs.Backward()
 			for _, cm := range s.criticModules {
-				nn.ClipGradNorm(cm.net, maxGradNorm)
+				twoPassClip(cm.net, maxGradNorm)
 				cm.opt.Step()
 			}
 			epochCritic += closs.Item()
@@ -149,6 +149,29 @@ func ppoUpdateReference(s ppoUpdateSpec) UpdateStats {
 		}
 	}
 	return stats
+}
+
+// twoPassClip is a frozen copy of the gradient-norm clip as the reference
+// loop ran it: the global norm's serial sum, then every gradient rescaled
+// in place (ScaleInPlace) when the norm exceeds maxNorm.
+func twoPassClip(net *nn.MLP, maxNorm float64) {
+	total := 0.0
+	for _, p := range net.Params() {
+		if p.Grad == nil {
+			continue
+		}
+		for _, g := range p.Grad.Data {
+			total += g * g
+		}
+	}
+	if norm := math.Sqrt(total); maxNorm > 0 && norm > maxNorm {
+		scale := maxNorm / (norm + 1e-12)
+		for _, p := range net.Params() {
+			if p.Grad != nil {
+				p.Grad.ScaleInPlace(scale)
+			}
+		}
+	}
 }
 
 // referencePPOUpdate mirrors PPO.Update on the frozen reference loop.
@@ -326,8 +349,9 @@ const laneStateDim, laneActions = 24, 5
 func bufferOfLen(t *testing.T, padded bool, n int, seed int64) *Buffer {
 	t.Helper()
 	var buf Buffer
-	for _, tr := range collectBuffer(t, padded, laneStateDim, laneActions, n, seed).Steps()[:n] {
-		buf.Add(tr)
+	src := collectBuffer(t, padded, laneStateDim, laneActions, n, seed)
+	for i, tr := range src.Steps()[:n] {
+		buf.Add(src.State(i, nil), tr)
 	}
 	return &buf
 }
@@ -377,10 +401,12 @@ func TestConcurrentUpdateMatchesSequential(t *testing.T) {
 // every state of buf, by direct comparison.
 func bruteStateTies(buf *Buffer, stateDim int) []int {
 	ties := []int{}
+	var state []float64
 	for c := 1; c < stateDim; c++ {
 		tied := true
-		for _, tr := range buf.Steps() {
-			tied = tied && math.Float64bits(tr.State[c]) == math.Float64bits(tr.State[c-1])
+		for i := range buf.Len() {
+			state = buf.State(i, state)
+			tied = tied && math.Float64bits(state[c]) == math.Float64bits(state[c-1])
 		}
 		if tied {
 			ties = append(ties, c)
@@ -391,7 +417,8 @@ func bruteStateTies(buf *Buffer, stateDim int) []int {
 
 // TestUpdateTieListMatchesScan pins the per-Update tie list: it is the
 // brute-force scan of the buffer's states, and the next Update rebuilds it
-// after Buffer.Add, a write through Steps or Buffer.Reset changes them.
+// after Buffer.Add, a write into a stored state or Buffer.Reset changes
+// them.
 func TestUpdateTieListMatchesScan(t *testing.T) {
 	const stateDim, numActions = laneStateDim, laneActions
 	agent := NewPPO(DefaultConfig(stateDim, numActions), rand.New(rand.NewSource(61)))
@@ -412,15 +439,15 @@ func TestUpdateTieListMatchesScan(t *testing.T) {
 
 	// An added state whose void run at 9–13 is broken at column 11 unties
 	// columns 11 and 12.
-	odd := slices.Clone(buf.Steps()[0].State)
+	odd := buf.State(0, nil)
 	odd[11] = 0.5
-	buf.Add(Transition{State: odd, Action: 0})
+	buf.Add(odd, Transition{Action: 0})
 	check("after Add", buf, []int{1, 2, 10, 13, 21, 22, 23})
 
-	// A write through Steps, which moves no generation, is seen too:
+	// A write into a stored state, which moves no generation, is seen too:
 	// breaking the void run at 0–2 in one state unties columns 1 and 2.
-	buf.Steps()[0].State[1] = 0.25
-	check("after a write through Steps", buf, []int{10, 13, 21, 22, 23})
+	buf.row(0)[1] = 0.25
+	check("after a write into a stored state", buf, []int{10, 13, 21, 22, 23})
 
 	// Reset and a dense refill: nothing is tied any more.
 	buf.Reset()

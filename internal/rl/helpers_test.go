@@ -23,12 +23,11 @@ func valueOf(agent Agent, state []float64) float64 {
 
 // trainCriticStep accumulates one MSE gradient of critic vs. buffer returns.
 func trainCriticStep(critic *nn.MLP, buf *Buffer) {
-	steps := buf.Steps()
 	returns := buf.Returns(0.99)
-	states := tensor.New(len(steps), len(steps[0].State))
-	target := tensor.New(len(steps), 1)
-	for i, s := range steps {
-		copy(states.Row(i), s.State)
+	states := tensor.New(buf.Len(), buf.width())
+	target := tensor.New(buf.Len(), 1)
+	for i := range buf.Len() {
+		buf.State(i, states.Row(i))
 		target.Data[i] = returns[i]
 	}
 	tape := autograd.NewTape()

@@ -257,7 +257,7 @@ func (p *PPO) CriticLosses(buf *Buffer) (local, public float64) {
 				p.upd.returns = buf.ReturnsInto(gamma, p.upd.returns)
 				staleReturns = false
 			}
-			*m = lossMemo{k, criticMSE(net, buf.Steps(), p.upd.returns)}
+			*m = lossMemo{k, criticMSE(net, buf, p.upd.returns)}
 		}
 		return m.loss
 	}
@@ -298,36 +298,42 @@ func CriticMSE(critic *nn.MLP, buf *Buffer, gamma float64) float64 {
 	if buf.Len() == 0 {
 		return 0
 	}
-	return criticMSE(critic, buf.Steps(), buf.Returns(gamma))
+	return criticMSE(critic, buf, buf.Returns(gamma))
 }
 
-// lossBlockRows is how many states criticMSE evaluates at once: a
-// minibatch's worth.
+// lossBlockRows is how many states criticMSE stages at once: a minibatch's
+// worth.
 const lossBlockRows = 64
 
-// criticMSE is the critic's mean squared error against returns over steps,
-// evaluated lossBlockRows states at a time, each block's states read where
-// steps hold them (MLP.InferRows over a row list on the stack). A row's
+// criticMSE is the critic's mean squared error against returns over buf's
+// states, evaluated lossBlockRows states at a time, each block's live
+// values scattered from the buffer's rows into one block borrowed from
+// nn's exact-size store (borrowStates), whose void positions are written
+// once. A row's
 // prediction does not depend on the rows beside it and the squared errors
 // add in row order, so the result is the bits of one Infer over the whole
-// buffer staged, and nothing state-wide is staged however long the buffer
-// is.
-func criticMSE(critic *nn.MLP, steps []Transition, returns []float64) float64 {
-	var rows [lossBlockRows][]float64
-	v := tensor.DefaultPool().GetUninit(min(len(steps), lossBlockRows), 1)
+// buffer, while the staging stays a minibatch's size however long the
+// buffer is.
+func criticMSE(critic *nn.MLP, buf *Buffer, returns []float64) float64 {
+	n := buf.Len()
+	rows := min(n, lossBlockRows)
+	states := borrowStates(rows, buf.width())
+	buf.voidRows(states)
+	v := tensor.DefaultPool().GetUninit(rows, 1)
 	mse := 0.0
-	for lo := 0; lo < len(steps); lo += lossBlockRows {
-		n := min(lossBlockRows, len(steps)-lo)
-		for i := range n {
-			rows[i] = steps[lo+i].State
+	for lo := 0; lo < n; lo += rows {
+		k := min(rows, n-lo)
+		block, pred := viewRows(states, k), viewRows(v, k)
+		for i := range k {
+			buf.scatter(block.Row(i), lo+i)
 		}
-		pred := viewRows(v, n)
-		critic.InferRows(pred, rows[:n])
+		critic.Infer(pred, block)
 		for i, y := range pred.Data {
 			d := y - returns[lo+i]
 			mse += d * d
 		}
 	}
+	returnStates(states)
 	tensor.Put(v)
-	return mse / float64(len(steps))
+	return mse / float64(n)
 }

@@ -48,7 +48,7 @@ func TestApproxKLReported(t *testing.T) {
 		for j := range s {
 			s[j] = rng.NormFloat64()
 		}
-		buf.Add(Transition{State: s, Action: rng.Intn(3), Reward: 1, LogProb: -1.1, Done: i == 31})
+		buf.Add(s, Transition{Action: rng.Intn(3), Reward: 1, LogProb: -1.1, Done: i == 31})
 	}
 	stats := agent.Update(&buf)
 	if stats.ApproxKL == 0 {

@@ -13,9 +13,9 @@ import (
 
 func TestBufferReturns(t *testing.T) {
 	var b Buffer
-	b.Add(Transition{Reward: 1})
-	b.Add(Transition{Reward: 2})
-	b.Add(Transition{Reward: 3, Done: true})
+	b.Add(nil, Transition{Reward: 1})
+	b.Add(nil, Transition{Reward: 2})
+	b.Add(nil, Transition{Reward: 3, Done: true})
 	g := b.Returns(0.5)
 	// G2 = 3; G1 = 2 + 0.5*3 = 3.5; G0 = 1 + 0.5*3.5 = 2.75
 	want := []float64{2.75, 3.5, 3}
@@ -28,8 +28,8 @@ func TestBufferReturns(t *testing.T) {
 
 func TestBufferReturnsResetAtEpisodeBoundary(t *testing.T) {
 	var b Buffer
-	b.Add(Transition{Reward: 5, Done: true})
-	b.Add(Transition{Reward: 7, Done: true})
+	b.Add(nil, Transition{Reward: 5, Done: true})
+	b.Add(nil, Transition{Reward: 7, Done: true})
 	g := b.Returns(0.9)
 	if g[0] != 5 || g[1] != 7 {
 		t.Fatalf("boundary not respected: %v", g)
@@ -38,8 +38,8 @@ func TestBufferReturnsResetAtEpisodeBoundary(t *testing.T) {
 
 func TestGAEMatchesHandComputation(t *testing.T) {
 	var b Buffer
-	b.Add(Transition{Reward: 1, Value: 0.5})
-	b.Add(Transition{Reward: 2, Value: 1.0, Done: true})
+	b.Add(nil, Transition{Reward: 1, Value: 0.5})
+	b.Add(nil, Transition{Reward: 2, Value: 1.0, Done: true})
 	gamma, lambda := 0.9, 0.8
 	adv, targets := b.GAE(gamma, lambda)
 	// t=1 terminal: delta1 = 2 + 0 - 1 = 1; gae1 = 1.
@@ -57,7 +57,7 @@ func TestGAEWithLambdaOneEqualsMonteCarlo(t *testing.T) {
 	vals := []float64{0.3, -0.2, 0.7}
 	rewards := []float64{1, -1, 2}
 	for i := range rewards {
-		b.Add(Transition{Reward: rewards[i], Value: vals[i], Done: i == 2})
+		b.Add(nil, Transition{Reward: rewards[i], Value: vals[i], Done: i == 2})
 	}
 	gamma := 0.95
 	adv, _ := b.GAE(gamma, 1.0)
@@ -71,8 +71,8 @@ func TestGAEWithLambdaOneEqualsMonteCarlo(t *testing.T) {
 
 func TestGAETruncatedTailUsesBootstrap(t *testing.T) {
 	var b Buffer
-	b.Add(Transition{Reward: 1, Value: 0.5})
-	b.Add(Transition{Reward: 2, Value: 1.0, Done: true, Truncated: true, Bootstrap: 3.0})
+	b.Add(nil, Transition{Reward: 1, Value: 0.5})
+	b.Add(nil, Transition{Reward: 2, Value: 1.0, Done: true, Truncated: true, Bootstrap: 3.0})
 	gamma, lambda := 0.9, 0.8
 	adv, targets := b.GAE(gamma, lambda)
 	// t=1 truncated: delta1 = 2 + 0.9*3.0 - 1 = 3.7; gae1 = 3.7.
@@ -95,10 +95,10 @@ func TestGAETruncatedTailUsesBootstrap(t *testing.T) {
 // closes the batch (the collector ends every batch on Done).
 func mixedBuffer() *Buffer {
 	var b Buffer
-	b.Add(Transition{Reward: 1, Value: 0.2, Done: true})
-	b.Add(Transition{Reward: 2, Value: 0.4})
-	b.Add(Transition{Reward: 3, Value: 0.6, Done: true, Truncated: true, Bootstrap: 1.0})
-	b.Add(Transition{Reward: 4, Value: 0.8, Done: true, Truncated: true, Bootstrap: 2.0})
+	b.Add(nil, Transition{Reward: 1, Value: 0.2, Done: true})
+	b.Add(nil, Transition{Reward: 2, Value: 0.4})
+	b.Add(nil, Transition{Reward: 3, Value: 0.6, Done: true, Truncated: true, Bootstrap: 1.0})
+	b.Add(nil, Transition{Reward: 4, Value: 0.8, Done: true, Truncated: true, Bootstrap: 2.0})
 	return &b
 }
 
@@ -223,7 +223,7 @@ func TestNormalizeInPlaceConstantInputCentersToZero(t *testing.T) {
 
 func TestBufferReset(t *testing.T) {
 	var b Buffer
-	b.Add(Transition{})
+	b.Add(nil, Transition{})
 	b.Reset()
 	if b.Len() != 0 {
 		t.Fatal("Reset failed")
@@ -287,7 +287,7 @@ func TestCollectEpisodeFillsBuffer(t *testing.T) {
 		t.Fatal("NaN total reward")
 	}
 	// States must be snapshots, not aliases.
-	if len(steps) > 1 && &steps[0].State[0] == &steps[1].State[0] {
+	if len(steps) > 1 && &buf.row(0)[0] == &buf.row(1)[0] {
 		t.Fatal("states alias each other")
 	}
 }
@@ -376,7 +376,7 @@ func TestRefreshAlphaPrefersBetterCritic(t *testing.T) {
 	// to output huge values: its loss explodes, so α → 1 (prefer local).
 	var buf Buffer
 	for i := 0; i < 10; i++ {
-		buf.Add(Transition{State: []float64{0.1, 0.2, 0.3, 0.4}, Reward: 0, Done: i == 9})
+		buf.Add([]float64{0.1, 0.2, 0.3, 0.4}, Transition{Reward: 0, Done: i == 9})
 	}
 	for _, p := range d.PublicCritic.Params() {
 		p.Data.Fill(3)
@@ -489,7 +489,7 @@ func TestCriticMSEDropsWhenCriticFits(t *testing.T) {
 	var buf Buffer
 	for i := 0; i < 32; i++ {
 		s := []float64{rng.Float64(), rng.Float64(), rng.Float64()}
-		buf.Add(Transition{State: s, Reward: s[0], Done: true}) // return == s[0]
+		buf.Add(s, Transition{Reward: s[0], Done: true}) // return == s[0]
 	}
 	before := CriticMSE(critic, &buf, 0.99)
 	opt := nn.NewAdam(critic, 1e-2)

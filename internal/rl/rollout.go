@@ -69,6 +69,21 @@ type Truncator interface {
 	Truncated() bool
 }
 
+// Padded is an optional Environment refinement for observations padded to
+// a fixed width, as the paper's are (§4.1: every VM slot and vCPU padded to
+// the federation's caps). LivePositions lists, ascending, every position
+// the environment's Observe can write; every other position of every
+// observation holds void. CollectEpisode stores only the live positions of
+// each state (Buffer), and every reader gets the full observation back bit
+// for bit; an environment without it has every position live. cloudsim.Env
+// implements it.
+type Padded interface {
+	// LivePositions returns the live positions and the void value. The
+	// slice is the environment's, fixed for its life; callers must not
+	// write it.
+	LivePositions() (live []int, void float64)
+}
+
 var _ Agent = (*PPO)(nil)
 
 // Rollout metrics, shared via the default registry. Counter bumps are single
@@ -95,11 +110,14 @@ var (
 // with the estimator the agent gave at the start, one stored chunk at a
 // time (see valueLane). Every Value and the Bootstrap carry the bits of a
 // one-state call, and valuing draws no random numbers, so collection stays
-// bitwise deterministic.
+// bitwise deterministic. The buffer stores each state at its live width
+// (Padded).
 func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 	total := 0.0
 	steps := uint64(0)
+	buf.fit(env)
 	next := buf.Len() // the first transition not yet handed for valuation
+	buf.mark = buf.rows
 	state := env.Observe(buf.obs)
 	lane := &buf.values
 	lane.est = agent.Estimator()
@@ -111,9 +129,8 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 		steps++
 		done := env.Done()
 		// The copy is taken here, before the next Observe overwrites state.
-		row, full := buf.storeState(state)
+		full := buf.storeState(state)
 		tr := Transition{
-			State:   row,
 			Action:  action,
 			Reward:  reward,
 			LogProb: logp,
@@ -127,16 +144,16 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 			mTruncations.Inc()
 		}
 		if len(buf.steps) == cap(buf.steps) {
-			lane.join() // Add moves the transitions the lane writes into
+			lane.join() // push moves the transitions the lane writes into
 		}
-		buf.Add(tr)
+		buf.push(tr)
 		if full && !done {
-			lane.add(valueBlock{buf.takeRows(), buf.steps[next:]})
+			lane.add(valueBlock{buf.layout, buf.takeRows(), buf.steps[next:]})
 			next = buf.Len()
 		}
 	}
 	buf.obs = state
-	lane.finish(valueBlock{buf.takeRows(), buf.steps[next:]})
+	lane.finish(valueBlock{buf.layout, buf.takeRows(), buf.steps[next:]})
 	if last := len(buf.steps) - 1; steps > 0 && buf.steps[last].Truncated {
 		buf.steps[last].Bootstrap = lane.bootstrap(state)
 	}
@@ -144,28 +161,31 @@ func CollectEpisode(env Environment, agent Agent, buf *Buffer) float64 {
 	return total
 }
 
-// valueBlock is a run of stored states, row-major, and the transitions
-// whose Value their estimates fill.
+// valueBlock is a run of stored states, row-major at their layout's live
+// width, and the transitions whose Value their estimates fill.
 type valueBlock struct {
+	layout *stateLayout
 	states []float64
 	steps  []Transition
 }
 
-// valueLane values one episode's states, a block of stored rows at a time,
-// with one MLP.Infer per network on a view of the Buffer's chunk storage,
-// and writes each estimate into its transition. When a second P can run it
-// (useLanes, the rule the update's critic lane follows), the first full
-// chunk starts a goroutine that values this and every later block while the
-// rollout goes on, and finish joins it; otherwise the caller values each
-// block as its chunk fills. A block's states are read-only from hand-off
-// until Reset: storeState never writes a full chunk again. Its transitions'
-// Value fields are the lane's until the join, and the collector joins
-// before an Add could move them and before CollectEpisode returns. Once the
-// Buffer and the agent are warm neither path allocates.
+// valueLane values one episode's states, a block of stored rows at a time:
+// it expands the block into a full-width matrix borrowed from nn's exact-size
+// store, runs one MLP.Infer per network on it, and writes each estimate
+// into its transition. When a second P can run it (useLanes, the rule the
+// update's critic lane follows), the first full chunk starts a goroutine
+// that values this and every later block while the rollout goes on, and
+// finish joins it; otherwise the caller values each block as its chunk
+// fills. A block's states are read-only from hand-off until Reset:
+// storeState never writes a full chunk again, and a relayout stores the
+// rows anew elsewhere. Its transitions' Value fields are the lane's until
+// the join, and the collector joins before a push could move them and
+// before CollectEpisode returns. Once the Buffer, the agent and the stores
+// are warm neither path allocates.
 type valueLane struct {
 	est  ValueEstimator
-	view tensor.Matrix // the states being valued
-	out  []float64     // their estimates
+	view tensor.Matrix // the state after a cut episode
+	out  []float64     // the estimates of a block
 
 	running bool
 	blocks  chan valueBlock // blocks handed to the running lane; a zero block ends it
@@ -242,8 +262,10 @@ func (l *valueLane) estimate(b valueBlock) {
 	if cap(l.out) < n {
 		l.out = make([]float64, n)
 	}
-	l.view = tensor.Matrix{Rows: n, Cols: len(b.states) / n, Data: b.states}
-	l.est.Values(l.out[:n], &l.view)
+	states := borrowStates(n, b.layout.width)
+	b.layout.expandRows(states, b.states)
+	l.est.Values(l.out[:n], states)
+	returnStates(states)
 	for i, v := range l.out[:n] {
 		b.steps[i].Value = v
 	}

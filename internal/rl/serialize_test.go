@@ -113,7 +113,7 @@ func TestLoadedCheckpointUpdatesWhateverItsMiniBatch(t *testing.T) {
 	for i := 0; i < 8; i++ {
 		state := []float64{0.1 * float64(i), 0.2, -0.3, 0.4}
 		action, logp := a.SelectAction(state)
-		buf.Add(Transition{State: state, Action: action, LogProb: logp, Value: valueOf(a, state), Reward: 1, Done: i == 7})
+		buf.Add(state, Transition{Action: action, LogProb: logp, Value: valueOf(a, state), Reward: 1, Done: i == 7})
 	}
 	stats := a.Update(&buf)
 	if math.IsNaN(stats.CriticLoss) || math.IsInf(stats.CriticLoss, 0) || stats.CriticLoss <= 0 {
@@ -202,7 +202,7 @@ func TestCheckpointWithRetiredConfigKeys(t *testing.T) {
 	for i := 0; i < 24; i++ {
 		state := []float64{0.1 * float64(i%7), 0.2, -0.3 * float64(i%3), 0.4}
 		action, logp := ref.SelectAction(state)
-		buf.Add(Transition{State: state, Action: action, LogProb: logp, Value: valueOf(ref, state), Reward: float64(i%5) - 2, Done: i%8 == 7})
+		buf.Add(state, Transition{Action: action, LogProb: logp, Value: valueOf(ref, state), Reward: float64(i%5) - 2, Done: i%8 == 7})
 	}
 	loaded.rng, ref.rng = rand.New(rand.NewSource(5)), rand.New(rand.NewSource(5))
 	loaded.Update(&buf)

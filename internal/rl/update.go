@@ -1,6 +1,7 @@
 package rl
 
 import (
+	"fmt"
 	"runtime"
 
 	"repro/internal/autograd"
@@ -16,13 +17,13 @@ var useLanes = func() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // updateScratch owns the reusable buffers of the batched update pipeline, so
 // a steady-state Update performs no per-minibatch allocations: the shuffle
-// index, the GAE output slices, and per lane a minibatch's row list, its
-// per-transition columns and a pooled tape. Nothing in it is as wide as a
-// state: the lanes' first layers read each minibatch's states where the
-// buffer holds them, through the row lists (autograd.ConstRows), and the
-// gradients are borrowed for the call (nn.Parameter). Each agent embeds
-// one; it is not safe for concurrent use, matching the agents'
-// one-goroutine-per-agent contract.
+// index, the GAE output slices, and per lane a minibatch's state block, its
+// per-transition columns and a pooled tape. Nothing it keeps between
+// updates is as wide as a state: each lane stages its minibatch's states,
+// expanded from the buffer's live-width rows, into a block borrowed for
+// the call (borrowStates), and the gradients are borrowed for the call too
+// (nn.Parameter). Each agent embeds one; it is not safe for
+// concurrent use, matching the agents' one-goroutine-per-agent contract.
 type updateScratch struct {
 	// idx is the epoch's shuffle: written between epochs by the caller only,
 	// read by both lanes during one.
@@ -35,34 +36,32 @@ type updateScratch struct {
 
 	// Minibatch columns, allocated at the largest batch seen so far (never
 	// more than MiniBatch rows; cap(actions) is that size) and viewed down
-	// for a partial batch. Rewritten fully for every batch. The row lists
-	// name the batch's states in shuffle order; optimize clears them, so
-	// they keep no buffer alive. The tapes hold pooled matrices only while
-	// optimize runs.
+	// for a partial batch. Rewritten fully for every batch. The state
+	// blocks are borrowed by stage and given back by unstage, both in
+	// optimize, and the tapes hold pooled matrices only while optimize
+	// runs.
 
 	// Actor lane.
-	actorRows          [][]float64
-	oldLogp, advantage *tensor.Matrix
-	actions            []int
-	actorTape          *autograd.Tape
+	actorStates, oldLogp, advantage *tensor.Matrix
+	actions                         []int
+	actorTape                       *autograd.Tape
 
 	// Critic lane.
-	criticRows [][]float64
-	target     *tensor.Matrix
-	criticTape *autograd.Tape
+	criticStates, target *tensor.Matrix
+	criticTape           *autograd.Tape
 
 	// ties lists the state columns whose bits equal their left
 	// neighbour's in every state of the buffer being optimized: padded
 	// observation positions (§4.1) are −1 in every state a client sees.
 	// Rebuilt by every optimize call before the lanes fork and read-only
-	// while they run, it goes into both first layers with the row lists
-	// (autograd.ConstRows).
+	// while they run, it goes into both first layers with the staged
+	// states (autograd.ConstTied).
 	ties []int
 }
 
 // tiedColumns rebuilds the tie list from buf's states (see ties): every
-// column starts as a candidate, each state narrows the list, and a state
-// of another width (an Add from outside the collector) empties it.
+// column starts as a candidate and each state, expanded into a borrowed
+// row (borrowStates), narrows the list.
 func (st *updateScratch) tiedColumns(buf *Buffer, stateDim int) {
 	if cap(st.ties) < stateDim {
 		st.ties = make([]int, 0, stateDim)
@@ -71,17 +70,31 @@ func (st *updateScratch) tiedColumns(buf *Buffer, stateDim int) {
 	for i := 1; i < stateDim; i++ {
 		ties = append(ties, i)
 	}
-	for _, tr := range buf.Steps() {
-		if len(ties) == 0 {
-			break
-		}
-		if len(tr.State) != stateDim {
-			ties = ties[:0]
-			break
-		}
-		ties = tensor.NarrowTies(ties, tr.State)
+	state := borrowStates(1, stateDim)
+	buf.voidRows(state)
+	for i := 0; i < buf.Len() && len(ties) > 0; i++ {
+		buf.scatter(state.Data, i)
+		ties = tensor.NarrowTies(ties, state.Data)
 	}
+	returnStates(state)
 	st.ties = ties
+}
+
+// stage borrows each lane's state block, rows x buf's state width
+// (borrowStates), its void positions written once for the call: a
+// minibatch then scatters only its states' live values into it.
+func (st *updateScratch) stage(buf *Buffer, rows int) {
+	st.actorStates = borrowStates(rows, buf.width())
+	st.criticStates = borrowStates(rows, buf.width())
+	buf.voidRows(st.actorStates)
+	buf.voidRows(st.criticStates)
+}
+
+// unstage gives the lanes' state blocks back.
+func (st *updateScratch) unstage() {
+	returnStates(st.actorStates)
+	returnStates(st.criticStates)
+	st.actorStates, st.criticStates = nil, nil
 }
 
 // ensure sizes the scratch for a buffer of n transitions under the given
@@ -100,8 +113,6 @@ func (st *updateScratch) ensure(n, mb int) {
 	st.idx = st.idx[:n]
 	if cap(st.actions) < mb {
 		st.actions = make([]int, mb)
-		st.actorRows = make([][]float64, mb)
-		st.criticRows = make([][]float64, mb)
 		st.oldLogp = tensor.New(mb, 1)
 		st.advantage = tensor.New(mb, 1)
 		st.target = tensor.New(mb, 1)
@@ -163,8 +174,12 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 	}
 	defer mPPOUpdates.Inc()
 	cfg := &p.Cfg
+	if w := buf.width(); w != cfg.StateDim {
+		panic(fmt.Sprintf("rl: Update of a buffer of width-%d states by an agent of StateDim %d", w, cfg.StateDim))
+	}
 	p.upd.ensure(n, cfg.MiniBatch)
 	p.upd.tiedColumns(buf, cfg.StateDim)
+	p.upd.stage(buf, min(n, cfg.MiniBatch))
 	idx := p.upd.idx
 	for i := range idx {
 		idx[i] = i
@@ -210,14 +225,14 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 		}
 	}
 	// Both lanes have joined: hand the last minibatch's tape matrices back
-	// to the pool and the gradients (every step consumed them: all +0) to
-	// nn's store now rather than at this agent's next Update. Parked on
-	// every idle agent of a swarm, they would be the largest per-client
-	// share of its heap (DESIGN §8 "Per-client footprint").
+	// to the pool, and the state blocks and the gradients (every step
+	// consumed them: all +0) to nn's store, now rather than at this agent's
+	// next Update. Parked on every idle agent of a swarm, they would be the
+	// largest per-client share of its heap (DESIGN §8 "Per-client
+	// footprint").
 	p.upd.actorTape.Reset()
 	p.upd.criticTape.Reset()
-	clear(p.upd.actorRows)
-	clear(p.upd.criticRows)
+	p.upd.unstage()
 	nn.ReleaseGrads(p.Actor)
 	nn.ReleaseGrads(p.Critic)
 	if p.PublicCritic != nil {
@@ -229,22 +244,21 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 // actorSums accumulates one epoch's actor-lane statistics in minibatch order.
 type actorSums struct{ loss, entropy, kl, clip float64 }
 
-// actorEpoch optimizes every actor minibatch of the current shuffle on the
-// actor tape: L = -E[min(r·A, clip(r)·A)] - c·H(π). It touches only the
-// actor, its optimizer and the actor-lane scratch; the states it reads
-// where the buffer holds them.
+// actorEpoch stages and optimizes every actor minibatch of the current
+// shuffle on the actor tape: L = -E[min(r·A, clip(r)·A)] - c·H(π). It
+// touches only the actor, its optimizer and the actor-lane scratch.
 func (p *PPO) actorEpoch(buf *Buffer) actorSums {
 	st, cfg := &p.upd, &p.Cfg
 	steps := buf.Steps()
 	var sums actorSums
 	for lo := 0; lo < len(steps); lo += cfg.MiniBatch {
 		bsz := min(cfg.MiniBatch, len(steps)-lo)
-		rows := st.actorRows[:bsz]
+		states := viewRows(st.actorStates, bsz)
 		oldLogp := viewRows(st.oldLogp, bsz)
 		advantage := viewRows(st.advantage, bsz)
 		actions := st.actions[:bsz]
 		for bi, t := range st.idx[lo : lo+bsz] {
-			rows[bi] = steps[t].State
+			buf.scatter(states.Row(bi), t)
 			actions[bi] = steps[t].Action
 			oldLogp.Data[bi] = steps[t].LogProb
 			advantage.Data[bi] = st.adv[t]
@@ -254,7 +268,7 @@ func (p *PPO) actorEpoch(buf *Buffer) actorSums {
 		// and Optimizer.Step consumes it, so no ZeroGrads sweep.
 		at := st.actorTape
 		at.Reset()
-		logits := p.Actor.Forward(at, at.ConstRows(rows, cfg.StateDim, st.ties))
+		logits := p.Actor.Forward(at, at.ConstTied(states, st.ties))
 		res := autograd.ClippedSurrogateLoss(logits, actions, oldLogp, advantage, cfg.Clip, cfg.EntCoef)
 		res.Loss.Backward()
 		p.step(p.Actor, p.actorOpt)
@@ -275,8 +289,8 @@ func (p *PPO) actorEpoch(buf *Buffer) actorSums {
 	return sums
 }
 
-// criticEpoch optimizes every critic minibatch of the current shuffle on
-// the critic tape, reading the states in place, and returns the summed loss: φ's regression,
+// criticEpoch stages and optimizes every critic minibatch of the current
+// shuffle on the critic tape and returns the summed loss: φ's regression,
 // plus ψ's when there is one — two independent regressions toward the return
 // targets at full strength (Eqs. 16–17), NOT one through the blended
 // prediction, which would starve whichever critic currently has low α weight
@@ -289,10 +303,10 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 	sum := 0.0
 	for lo := 0; lo < len(steps); lo += cfg.MiniBatch {
 		bsz := min(cfg.MiniBatch, len(steps)-lo)
-		rows := st.criticRows[:bsz]
+		states := viewRows(st.criticStates, bsz)
 		target := viewRows(st.target, bsz)
 		for bi, t := range st.idx[lo : lo+bsz] {
-			rows[bi] = steps[t].State
+			buf.scatter(states.Row(bi), t)
 			target.Data[bi] = st.targets[t]
 		}
 
@@ -300,7 +314,7 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 		// each step below consumes them.
 		ct := st.criticTape
 		ct.Reset()
-		in, tg := ct.ConstRows(rows, cfg.StateDim, st.ties), ct.Const(target)
+		in, tg := ct.ConstTied(states, st.ties), ct.Const(target)
 		closs := valueLoss(p.Critic.Forward(ct, in), tg)
 		if p.PublicCritic != nil {
 			closs = autograd.Add(closs, valueLoss(p.PublicCritic.Forward(ct, in), tg))
@@ -315,9 +329,10 @@ func (p *PPO) criticEpoch(buf *Buffer) float64 {
 	return sum
 }
 
-// step turns net's accumulated gradients into one optimizer step: the
-// global norm clip, then Adam.
+// step turns net's accumulated gradients into one optimizer step: Adam on
+// the gradients clipped to the global norm maxGradNorm, the clip's factor
+// applied as Adam loads each gradient.
 func (p *PPO) step(net *nn.MLP, opt *nn.Adam) {
-	nn.ClipGradNorm(net, maxGradNorm)
-	opt.Step()
+	_, scale := nn.ClipGradNorm(net, maxGradNorm)
+	opt.StepScaled(scale)
 }

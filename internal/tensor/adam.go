@@ -8,12 +8,16 @@ import (
 
 // adamUpdate applies one element-wise Adam step over flat parameter storage:
 //
+//	g = g*scale
 //	m = beta1*m + (1-beta1)*g
 //	v = beta2*v + (1-beta2)*g*g
 //	p -= lr * (m/bc1) / (sqrt(v/bc2) + eps)
 //
 // bc1 and bc2 are the bias-correction terms 1-beta^t, computed once per step
-// by the caller. All four slices must have the same length.
+// by the caller. scale is the gradient-norm clip's factor (1 when the
+// gradient is not clipped, an exact multiply): each gradient element is
+// multiplied by it as it is loaded, the one rounding a rescaling pass over
+// the gradient would have stored. All four slices must have the same length.
 //
 // The gradient g is consumed and cleared: every element is zero on return,
 // folded into the same pass over the data so the caller skips a separate
@@ -21,7 +25,7 @@ import (
 // path transcribes the scalar loop's exact float op order using only
 // correctly-rounded instructions, so results are bitwise identical either
 // way (pinned by TestAdamUpdateSIMDMatchesScalar).
-func adamUpdate(p, g, m, v []float64, lr, beta1, beta2, eps, bc1, bc2 float64) {
+func adamUpdate(p, g, m, v []float64, lr, beta1, beta2, eps, bc1, bc2, scale float64) {
 	n := len(p)
 	if len(g) != n || len(m) != n || len(v) != n {
 		panic("tensor: adamUpdate slice length mismatch")
@@ -30,16 +34,16 @@ func adamUpdate(p, g, m, v []float64, lr, beta1, beta2, eps, bc1, bc2 float64) {
 	if simdEnabled {
 		if n8 := n &^ 7; n8 > 0 {
 			var step [8]float64 // stride 0: the steps are not kept
-			adamCols(&p[0], &g[0], &m[0], &v[0], &step[0], 0, n8, beta1, 1-beta1, beta2, 1-beta2, bc1, bc2, lr, eps)
+			adamCols(&p[0], &g[0], &m[0], &v[0], &step[0], 0, n8, beta1, 1-beta1, beta2, 1-beta2, bc1, bc2, lr, eps, scale)
 			i = n8
 		}
 	}
-	adamScalar(p[i:], g[i:], m[i:], v[i:], nil, lr, beta1, beta2, eps, bc1, bc2)
+	adamScalar(p[i:], g[i:], m[i:], v[i:], nil, lr, beta1, beta2, eps, bc1, bc2, scale)
 }
 
 // AdamUpdateRows is adamUpdate over a matrix of cols-wide rows, bit for
 // bit, stepping each run of tied rows once. A row is tied when its
-// gradient, m and v hold the bits of the row above's (the first-layer rows
+// gradient (before the scale), m and v hold the bits of the row above's (the first-layer rows
 // fed by an observation's padded inputs, DESIGN §8): its new m and v, and
 // the amount subtracted from p, are then the row above's too. The run's
 // first row takes adamCols, which also stores that amount in step; each
@@ -48,7 +52,7 @@ func adamUpdate(p, g, m, v []float64, lr, beta1, beta2, eps, bc1, bc2 float64) {
 // are not tied take adamUpdate, one call per stretch of them, so a matrix
 // without ties is one adamUpdate. step is scratch of at least cols
 // elements.
-func AdamUpdateRows(p, g, m, v, step []float64, cols int, lr, beta1, beta2, eps, bc1, bc2 float64) {
+func AdamUpdateRows(p, g, m, v, step []float64, cols int, lr, beta1, beta2, eps, bc1, bc2, scale float64) {
 	n := len(p)
 	if len(g) != n || len(m) != n || len(v) != n {
 		panic("tensor: AdamUpdateRows slice length mismatch")
@@ -67,13 +71,13 @@ func AdamUpdateRows(p, g, m, v, step []float64, cols int, lr, beta1, beta2, eps,
 			continue
 		}
 		if done < r {
-			adamUpdate(p[done:r], g[done:r], m[done:r], v[done:r], lr, beta1, beta2, eps, bc1, bc2)
+			adamUpdate(p[done:r], g[done:r], m[done:r], v[done:r], lr, beta1, beta2, eps, bc1, bc2, scale)
 		}
-		adamRun(p[r:e], g[r:e], m[r:e], v[r:e], step[:cols], lr, beta1, beta2, eps, bc1, bc2)
+		adamRun(p[r:e], g[r:e], m[r:e], v[r:e], step[:cols], lr, beta1, beta2, eps, bc1, bc2, scale)
 		r, done = e, e
 	}
 	if done < n {
-		adamUpdate(p[done:], g[done:], m[done:], v[done:], lr, beta1, beta2, eps, bc1, bc2)
+		adamUpdate(p[done:], g[done:], m[done:], v[done:], lr, beta1, beta2, eps, bc1, bc2, scale)
 	}
 }
 
@@ -102,20 +106,20 @@ func rowTied(g, m, v []float64, off, cols int) bool {
 
 // adamRun steps a run of tied rows of len(step) elements each: the first
 // through adamCols, which keeps its steps, the rest from those steps.
-func adamRun(p, g, m, v, step []float64, lr, beta1, beta2, eps, bc1, bc2 float64) {
+func adamRun(p, g, m, v, step []float64, lr, beta1, beta2, eps, bc1, bc2, scale float64) {
 	cols := len(step)
 	n8 := 0
 	if simdEnabled {
 		n8 = cols &^ 7
 	}
 	if n8 > 0 {
-		adamCols(&p[0], &g[0], &m[0], &v[0], &step[0], 1, n8, beta1, 1-beta1, beta2, 1-beta2, bc1, bc2, lr, eps)
+		adamCols(&p[0], &g[0], &m[0], &v[0], &step[0], 1, n8, beta1, 1-beta1, beta2, 1-beta2, bc1, bc2, lr, eps, scale)
 		adamTiedRows(&p[0], &g[0], &m[0], &v[0], &step[0], n8, cols, len(p)/cols)
 	}
 	if n8 == cols {
 		return
 	}
-	adamScalar(p[n8:cols], g[n8:cols], m[n8:cols], v[n8:cols], step[n8:], lr, beta1, beta2, eps, bc1, bc2)
+	adamScalar(p[n8:cols], g[n8:cols], m[n8:cols], v[n8:cols], step[n8:], lr, beta1, beta2, eps, bc1, bc2, scale)
 	for o := cols; o < len(p); o += cols {
 		for j := n8; j < cols; j++ {
 			p[o+j] -= step[j]
@@ -125,11 +129,13 @@ func adamRun(p, g, m, v, step []float64, lr, beta1, beta2, eps, bc1, bc2 float64
 }
 
 // adamScalar is the portable reference Adam kernel; the assembly fast paths
-// must match it bitwise. Like them, it clears g as it goes, and with a
-// non-nil step it stores each element's step there, as adamCols does.
-func adamScalar(p, g, m, v, step []float64, lr, beta1, beta2, eps, bc1, bc2 float64) {
+// must match it bitwise. Like them, it multiplies each gradient by scale as
+// it loads it and clears g as it goes, and with a non-nil step it stores
+// each element's step there, as adamCols does.
+func adamScalar(p, g, m, v, step []float64, lr, beta1, beta2, eps, bc1, bc2, scale float64) {
 	c1, c2 := 1-beta1, 1-beta2
 	for j, gv := range g {
+		gv *= scale
 		m[j] = beta1*m[j] + c1*gv
 		v[j] = beta2*v[j] + c2*gv*gv
 		g[j] = 0

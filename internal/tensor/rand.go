@@ -125,9 +125,9 @@ func gramSchmidtSIMD(rng *rand.Rand, m *Matrix, gain float64) {
 	x := defaultPool.GetUninit(n, gsLanes)
 	d := defaultPool.GetUninit(1, gsLanes)
 	project := func(r []float64, cols int) {
-		axpyRows(&d.Data[0], &x.Data[0], &r[0], nil, n, cols, 1, gsLanes, 1, gsLanes, 0, nil, nil, 0, false, false)
+		axpyRows(&d.Data[0], &x.Data[0], &r[0], nil, n, cols, 1, gsLanes, 1, gsLanes, 0, false, false)
 		vecScale(&d.Data[0], -1, gsLanes)
-		axpyRows(&x.Data[0], &d.Data[0], &r[0], nil, 1, cols, n, 0, 1, gsLanes, 1, nil, nil, 0, false, true)
+		axpyRows(&x.Data[0], &d.Data[0], &r[0], nil, 1, cols, n, 0, 1, gsLanes, 1, false, true)
 	}
 	for b0 := 0; b0 < m.Rows; b0 += gsLanes {
 		rows := min(gsLanes, m.Rows-b0)

@@ -43,17 +43,9 @@ func x86HasAVX512() bool
 
 // axpyRows computes, for r in [0,rows) and t in [0,k):
 //
-//	dst[r*dstStride : +cols] += s(r,t) * b[t*bStride : +cols]
+//	dst[r*dstStride : +cols] += s[r*sRowStride + t*sStride] * b[t*bStride : +cols]
 //
 // for any k, cols, rows >= 1 (the last cols%8 columns run under a k-mask).
-// The scalar s(r,t) is s[r*sRowStride + t*sStride] when both lists are nil.
-// Otherwise s is nil and the scalars are read where a list of rows holds
-// them: rowList[r][listOff + t*sStride] with one listed row per output row
-// (a product over a row list), or kList[t][listOff + r*sRowStride] with one
-// per k (a transposed product over one). Every listed row must hold the
-// elements read from it. The list only moves where a scalar is read from,
-// so a product over a list has the bits of the same product over a staged
-// copy of its rows.
 // With skipZeros, scalars equal to zero are skipped entirely, matching the
 // `if mv == 0 { continue }` guard in the scalar MatMul/MatMulTransA kernels
 // (the test is on the value bits shifted left by one, so -0.0 is skipped
@@ -74,7 +66,7 @@ func x86HasAVX512() bool
 // NaN-ness is.)
 //
 //go:noescape
-func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, rowList, kList *[]float64, listOff int, skipZeros, accumulate bool)
+func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool)
 
 // vecAdd computes dst[0:n] += src[0:n] for n a positive multiple of 8.
 //
@@ -101,7 +93,8 @@ func tanhGradCols(dst, grad, y *float64, n int)
 
 // adamCols applies the element-wise Adam update to n elements (n a positive
 // multiple of 8), transcribing the exact float op order of the scalar rule
-// in adamScalar, and clears grad in the same pass. All ops involved (mul,
+// in adamScalar — each gradient multiplied by scale as it is loaded — and
+// clears grad in the same pass. All ops involved (mul,
 // add, sub, div, sqrt) are correctly rounded under IEEE-754, so the vector
 // lanes match the scalar loop bitwise. It stores each element's step (the
 // amount subtracted from p) at step, which advances stepStride elements
@@ -109,7 +102,7 @@ func tanhGradCols(dst, grad, y *float64, n int)
 // AdamUpdateRows), 0 writes them over one 8-element block.
 //
 //go:noescape
-func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps, scale float64)
 
 // adamTiedRows finishes a tied run after adamCols stepped its first
 // row: each of the rows−1 rows that follow, stride elements apart, takes

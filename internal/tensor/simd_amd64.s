@@ -32,22 +32,10 @@ no:
 DATA negOne<>+0(SB)/8, $0xBFF0000000000000
 GLOBL negOne<>(SB), RODATA|NOPTR, $8
 
-// func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, rowList, kList *[]float64, listOff int, skipZeros, accumulate bool)
+// func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool)
 //
 // for r in [0,rows), t in [0,k):
-//	dst[r*dstStride : +cols] += s(r,t) * b[t*bStride : +cols]
-//
-// The scalar s(r,t) is s[r*sRowStride + t*sStride], or it is read through a
-// list of rows (slice headers, 24 bytes apart): rowList[r][listOff +
-// t*sStride], one listed row per output row (a product's left operand), or
-// kList[t][listOff + r*sRowStride], one per k (a transposed product's). With
-// a list s is nil, and DX holds listOff + r*sRowStride in bytes — the row's
-// offset into a listed row (kList) — or, loaded at each row start, the
-// listed row's address plus listOff (rowList). Only where a scalar is read
-// from changes, never what is done with it. A rowList runs the masked panel
-// one row per pass. With a kList each k loop runs as its copy (list64,
-// list32, list8x4, list8: the same body, a tail that loads the next listed
-// row), so the strided loops keep their four-instruction tail.
+//	dst[r*dstStride : +cols] += s[r*sRowStride + t*sStride] * b[t*bStride : +cols]
 //
 // k, cols and rows are any positive counts. The j-dimension (columns) is what
 // gets vectorized; every output element keeps the scalar kernels' exact
@@ -83,38 +71,31 @@ GLOBL negOne<>(SB), RODATA|NOPTR, $8
 // (a 64x1 critic head would be nothing else), so four rows share each pass
 // over b and their chains overlap.
 //
-// dst, bias (when non-nil), cols, dstStride and listOff are advanced or
-// scaled in their argument slots. R8 holds k, or walks kList in the k
-// loops' copies that read one (which reload k from its slot).
-TEXT ·axpyRows(SB), NOSPLIT, $0-114
+// dst, bias (when non-nil), cols and dstStride are advanced in their
+// argument slots.
+TEXT ·axpyRows(SB), NOSPLIT, $0-90
 	MOVQ b+8(FP), SI
 	MOVQ k+32(FP), R8
 	MOVQ bStride+56(FP), R10
 	MOVQ sStride+64(FP), R11
 	MOVQ sRowStride+80(FP), R9
-	MOVBQZX skipZeros+112(FP), R14
+	MOVBQZX skipZeros+88(FP), R14
 	XORQ $1, R14 // 1 = keep zero scalars
 	SHLQ $3, R10 // b row stride in bytes
 	SHLQ $3, R11 // s stride in bytes
 	SHLQ $3, R9  // s row stride in bytes
 	LEAQ (R9)(R9*2), R12
 	SHLQ $3, dstStride+72(FP)
-	SHLQ $3, listOff+104(FP)
 
 panel64: // 8 ZMM accumulators = 64 columns per pass
 	CMPQ cols+40(FP), $64
 	JLT  panel32
 	MOVQ dst+0(FP), DI
 	MOVQ s+16(FP), DX
-	ADDQ listOff+104(FP), DX
 	MOVQ rows+48(FP), R15
 
 row64:
-	CMPQ rowList+88(FP), $0
-	JNE  row64l
-
-acc64:
-	CMPB accumulate+113(FP), $0
+	CMPB accumulate+89(FP), $0
 	JEQ  zero64
 	VMOVUPD (DI), Z0
 	VMOVUPD 64(DI), Z1
@@ -140,8 +121,6 @@ start64:
 	MOVQ SI, BX  // &b[panel start]
 	MOVQ DX, CX  // &s[row start]
 	MOVQ R8, R13 // k countdown
-	CMPQ kList+96(FP), $0
-	JNE  list64
 
 k64:
 	MOVQ (CX), AX
@@ -184,8 +163,6 @@ skip64:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k64
-
-end64:
 	MOVQ bias+24(FP), AX
 	TESTQ AX, AX
 	JZ   store64
@@ -221,79 +198,15 @@ store64:
 	SUBQ $64, cols+40(FP)
 	JMP  panel64
 
-row64l: // a listed row: DX = rowList[rows-R15] + listOff
-	MOVQ rowList+88(FP), AX
-	MOVQ rows+48(FP), BX
-	SUBQ R15, BX
-	LEAQ (BX)(BX*2), BX
-	MOVQ (AX)(BX*8), DX
-	ADDQ listOff+104(FP), DX
-	JMP  acc64
-
-list64: // k64 with a kList: each k reads its scalar from its own listed row
-	MOVQ k+32(FP), R13
-	MOVQ kList+96(FP), R8
-	ADDQ (R8), CX // kList[0] + DX
-
-k64l:
-	MOVQ (CX), AX
-	CMPQ AX, negOne<>(SB)
-	JEQ  neg64l
-	SHLQ $1, AX // ±0.0 → ZF set → skip, matching the scalar guard
-	ORQ  R14, AX
-	JZ   skip64l
-	VBROADCASTSD (CX), Z4
-	VMULPD (BX), Z4, Z5
-	VADDPD Z5, Z0, Z0
-	VMULPD 64(BX), Z4, Z6
-	VADDPD Z6, Z1, Z1
-	VMULPD 128(BX), Z4, Z7
-	VADDPD Z7, Z2, Z2
-	VMULPD 192(BX), Z4, Z8
-	VADDPD Z8, Z3, Z3
-	VMULPD 256(BX), Z4, Z24
-	VADDPD Z24, Z20, Z20
-	VMULPD 320(BX), Z4, Z25
-	VADDPD Z25, Z21, Z21
-	VMULPD 384(BX), Z4, Z26
-	VADDPD Z26, Z22, Z22
-	VMULPD 448(BX), Z4, Z27
-	VADDPD Z27, Z23, Z23
-	JMP  skip64l
-
-neg64l: // s = -1: acc - b
-	VSUBPD (BX), Z0, Z0
-	VSUBPD 64(BX), Z1, Z1
-	VSUBPD 128(BX), Z2, Z2
-	VSUBPD 192(BX), Z3, Z3
-	VSUBPD 256(BX), Z20, Z20
-	VSUBPD 320(BX), Z21, Z21
-	VSUBPD 384(BX), Z22, Z22
-	VSUBPD 448(BX), Z23, Z23
-
-skip64l:
-	ADDQ R10, BX
-	DECQ R13
-	JZ   end64
-	ADDQ $24, R8 // the next listed row: CX = kList[t] + DX
-	MOVQ (R8), CX
-	ADDQ DX, CX
-	JMP  k64l
-
 panel32: // 4 ZMM accumulators = 32 columns per pass
 	CMPQ cols+40(FP), $32
 	JLT  panel8
 	MOVQ dst+0(FP), DI
 	MOVQ s+16(FP), DX
-	ADDQ listOff+104(FP), DX
 	MOVQ rows+48(FP), R15
 
 row32:
-	CMPQ rowList+88(FP), $0
-	JNE  row32l
-
-acc32:
-	CMPB accumulate+113(FP), $0
+	CMPB accumulate+89(FP), $0
 	JEQ  zero32
 	VMOVUPD (DI), Z0
 	VMOVUPD 64(DI), Z1
@@ -311,8 +224,6 @@ start32:
 	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
-	CMPQ kList+96(FP), $0
-	JNE  list32
 
 k32:
 	MOVQ (CX), AX
@@ -334,8 +245,6 @@ skip32:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k32
-
-end32:
 	MOVQ bias+24(FP), AX
 	TESTQ AX, AX
 	JZ   store32
@@ -363,44 +272,6 @@ store32:
 	SUBQ $32, cols+40(FP)
 	JMP  panel32
 
-row32l: // a listed row: DX = rowList[rows-R15] + listOff
-	MOVQ rowList+88(FP), AX
-	MOVQ rows+48(FP), BX
-	SUBQ R15, BX
-	LEAQ (BX)(BX*2), BX
-	MOVQ (AX)(BX*8), DX
-	ADDQ listOff+104(FP), DX
-	JMP  acc32
-
-list32: // k32 with a kList: each k reads its scalar from its own listed row
-	MOVQ k+32(FP), R13
-	MOVQ kList+96(FP), R8
-	ADDQ (R8), CX // kList[0] + DX
-
-k32l:
-	MOVQ (CX), AX
-	SHLQ $1, AX
-	ORQ  R14, AX
-	JZ   skip32l
-	VBROADCASTSD (CX), Z4
-	VMULPD (BX), Z4, Z5
-	VADDPD Z5, Z0, Z0
-	VMULPD 64(BX), Z4, Z6
-	VADDPD Z6, Z1, Z1
-	VMULPD 128(BX), Z4, Z7
-	VADDPD Z7, Z2, Z2
-	VMULPD 192(BX), Z4, Z8
-	VADDPD Z8, Z3, Z3
-
-skip32l:
-	ADDQ R10, BX
-	DECQ R13
-	JZ   end32
-	ADDQ $24, R8 // the next listed row: CX = kList[t] + DX
-	MOVQ (R8), CX
-	ADDQ DX, CX
-	JMP  k32l
-
 panel8: // single ZMM under K1 = the panel's min(8, cols left) columns
 	MOVQ cols+40(FP), CX
 	TESTQ CX, CX
@@ -416,7 +287,6 @@ mask8:
 	KMOVW AX, K1
 	MOVQ dst+0(FP), DI
 	MOVQ s+16(FP), DX
-	ADDQ listOff+104(FP), DX
 	MOVQ rows+48(FP), R15
 	MOVQ bias+24(FP), AX
 	TESTQ AX, AX
@@ -426,9 +296,7 @@ mask8:
 rows4: // four rows per pass: s rows at CX, CX+R9, CX+2*R9, CX+R12
 	CMPQ R15, $4
 	JLT  rows1
-	CMPQ rowList+88(FP), $0
-	JNE  rows1
-	CMPB accumulate+113(FP), $0
+	CMPB accumulate+89(FP), $0
 	JEQ  zero8x4
 	MOVQ dstStride+72(FP), AX
 	LEAQ (AX)(AX*2), BX
@@ -448,8 +316,6 @@ start8x4:
 	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
-	CMPQ kList+96(FP), $0
-	JNE  list8x4
 
 k8x4:
 	VMOVUPD.Z (BX), K1, Z5
@@ -493,8 +359,6 @@ skip8d:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k8x4
-
-end8x4:
 	CMPQ bias+24(FP), $0
 	JEQ  store8x4
 	VADDPD Z9, Z0, Z0
@@ -514,65 +378,10 @@ store8x4:
 	SUBQ $4, R15
 	JMP  rows4
 
-list8x4: // k8x4 with a kList: each k reads its scalar from its own listed row
-	MOVQ k+32(FP), R13
-	MOVQ kList+96(FP), R8
-	ADDQ (R8), CX // kList[0] + DX
-
-k8x4l:
-	VMOVUPD.Z (BX), K1, Z5
-	MOVQ (CX), AX
-	SHLQ $1, AX
-	ORQ  R14, AX
-	JZ   skip8al
-	VBROADCASTSD (CX), Z4
-	VMULPD Z5, Z4, Z4
-	VADDPD Z4, Z0, Z0
-
-skip8al:
-	MOVQ (CX)(R9*1), AX
-	SHLQ $1, AX
-	ORQ  R14, AX
-	JZ   skip8bl
-	VBROADCASTSD (CX)(R9*1), Z6
-	VMULPD Z5, Z6, Z6
-	VADDPD Z6, Z1, Z1
-
-skip8bl:
-	MOVQ (CX)(R9*2), AX
-	SHLQ $1, AX
-	ORQ  R14, AX
-	JZ   skip8cl
-	VBROADCASTSD (CX)(R9*2), Z7
-	VMULPD Z5, Z7, Z7
-	VADDPD Z7, Z2, Z2
-
-skip8cl:
-	MOVQ (CX)(R12*1), AX
-	SHLQ $1, AX
-	ORQ  R14, AX
-	JZ   skip8dl
-	VBROADCASTSD (CX)(R12*1), Z8
-	VMULPD Z5, Z8, Z8
-	VADDPD Z8, Z3, Z3
-
-skip8dl:
-	ADDQ R10, BX
-	DECQ R13
-	JZ   end8x4
-	ADDQ $24, R8 // the next listed row: CX = kList[t] + DX
-	MOVQ (R8), CX
-	ADDQ DX, CX
-	JMP  k8x4l
-
-rows1: // the last rows%4 rows (with a rowList, every row), one per pass
+rows1: // the last rows%4 rows, one per pass
 	TESTQ R15, R15
 	JZ   next8
-	CMPQ rowList+88(FP), $0
-	JNE  rows1l
-
-acc8:
-	CMPB accumulate+113(FP), $0
+	CMPB accumulate+89(FP), $0
 	JEQ  zero8
 	VMOVUPD.Z (DI), K1, Z0
 	JMP  start8
@@ -584,8 +393,6 @@ start8:
 	MOVQ SI, BX
 	MOVQ DX, CX
 	MOVQ R8, R13
-	CMPQ kList+96(FP), $0
-	JNE  list8
 
 k8:
 	MOVQ (CX), AX
@@ -602,8 +409,6 @@ skip8:
 	ADDQ R11, CX
 	DECQ R13
 	JNZ  k8
-
-end8:
 	CMPQ bias+24(FP), $0
 	JEQ  store8
 	VADDPD Z9, Z0, Z0
@@ -614,39 +419,6 @@ store8:
 	ADDQ R9, DX
 	DECQ R15
 	JMP  rows1
-
-rows1l: // a listed row: DX = rowList[rows-R15] + listOff
-	MOVQ rowList+88(FP), AX
-	MOVQ rows+48(FP), BX
-	SUBQ R15, BX
-	LEAQ (BX)(BX*2), BX
-	MOVQ (AX)(BX*8), DX
-	ADDQ listOff+104(FP), DX
-	JMP  acc8
-
-list8: // k8 with a kList: each k reads its scalar from its own listed row
-	MOVQ k+32(FP), R13
-	MOVQ kList+96(FP), R8
-	ADDQ (R8), CX // kList[0] + DX
-
-k8l:
-	MOVQ (CX), AX
-	SHLQ $1, AX
-	ORQ  R14, AX
-	JZ   skip8l
-	VBROADCASTSD (CX), Z4
-	VMOVUPD.Z (BX), K1, Z5
-	VMULPD Z5, Z4, Z5
-	VADDPD Z5, Z0, Z0
-
-skip8l:
-	ADDQ R10, BX
-	DECQ R13
-	JZ   end8
-	ADDQ $24, R8 // the next listed row: CX = kList[t] + DX
-	MOVQ (R8), CX
-	ADDQ DX, CX
-	JMP  k8l
 
 next8:
 	ADDQ $64, SI
@@ -814,10 +586,11 @@ tanhDone:
 	VZEROUPPER
 	RET
 
-// func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64)
+// func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps, scale float64)
 //
 // Element-wise Adam, transcribing adamScalar's float op order exactly:
 //
+//	g  = g*scale                 (the gradient-norm clip, as it is loaded)
 //	m' = beta1*m + c1*g          (c1 = 1-beta1)
 //	v' = beta2*v + (c2*g)*g      (c2 = 1-beta2)
 //	p -= (lr*(m'/bc1)) / (sqrt(v'/bc2) + eps)
@@ -831,7 +604,7 @@ tanhDone:
 // every step (the first row of a tied run), 0 overwrites one 8-lane block.
 //
 // mul/add/sub/div/sqrt are all correctly rounded, so lanes == scalar loop.
-TEXT ·adamCols(SB), NOSPLIT, $0-120
+TEXT ·adamCols(SB), NOSPLIT, $0-128
 	MOVQ p+0(FP), DI
 	MOVQ grad+8(FP), SI
 	MOVQ m+16(FP), R8
@@ -848,6 +621,7 @@ TEXT ·adamCols(SB), NOSPLIT, $0-120
 	VBROADCASTSD bc2+96(FP), Z15
 	VBROADCASTSD lr+104(FP), Z16
 	VBROADCASTSD eps+112(FP), Z17
+	VBROADCASTSD scale+120(FP), Z8
 	VXORPD X9, X9, X9       // zero block stored back over the consumed gradient
 	XORQ R12, R12
 
@@ -867,6 +641,8 @@ adamLoop16:
 	VMOVUPD 64(R9)(R12*1), Z20 // v    hi
 	VMOVUPD (DI)(R12*1), Z3    // p    lo
 	VMOVUPD 64(DI)(R12*1), Z21 // p    hi
+	VMULPD Z8, Z0, Z0          // g*scale
+	VMULPD Z8, Z18, Z18
 	VMULPD Z10, Z1, Z1         // beta1*m
 	VMULPD Z10, Z19, Z19
 	VMULPD Z11, Z0, Z4         // c1*g
@@ -918,6 +694,7 @@ adamLoop:
 	VMOVUPD (R8)(R12*1), Z1 // m
 	VMOVUPD (R9)(R12*1), Z2 // v
 	VMOVUPD (DI)(R12*1), Z3 // p
+	VMULPD Z8, Z0, Z0       // g*scale
 	VMULPD Z10, Z1, Z1      // beta1*m
 	VMULPD Z11, Z0, Z4      // c1*g
 	VADDPD Z4, Z1, Z1       // m'

@@ -2,10 +2,7 @@
 
 package tensor
 
-import (
-	"math"
-	"unsafe"
-)
+import "math"
 
 // Non-amd64 builds have no SIMD fast path; the portable scalar kernels are
 // always used. These stubs keep the call sites compiling and, as a safety
@@ -21,16 +18,7 @@ func SIMDEnabled() bool { return false }
 
 func x86HasAVX512() bool { return false }
 
-func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, rowList, kList *[]float64, listOff int, skipZeros, accumulate bool) {
-	scalar := func(r, t int) float64 {
-		switch {
-		case rowList != nil:
-			return unsafe.Slice(rowList, rows)[r][listOff+t*sStride]
-		case kList != nil:
-			return unsafe.Slice(kList, k)[t][listOff+r*sRowStride]
-		}
-		return *offsetPtr(s, r*sRowStride+t*sStride)
-	}
+func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStride, sRowStride int, skipZeros, accumulate bool) {
 	for r := 0; r < rows; r++ {
 		dstS := unsafeSlice(offsetPtr(dst, r*dstStride), cols)
 		if !accumulate {
@@ -39,7 +27,7 @@ func axpyRows(dst, b, s, bias *float64, k, cols, rows, bStride, sStride, dstStri
 			}
 		}
 		for t := 0; t < k; t++ {
-			sv := scalar(r, t)
+			sv := *offsetPtr(s, r*sRowStride+t*sStride)
 			if skipZeros && sv == 0 {
 				continue
 			}
@@ -87,12 +75,12 @@ func tanhGradCols(dst, grad, y *float64, n int) {
 	}
 }
 
-func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps float64) {
+func adamCols(p, grad, m, v, step *float64, stepStride, n int, beta1, c1, beta2, c2, bc1, bc2, lr, eps, scale float64) {
 	var steps []float64
 	if stepStride != 0 {
 		steps = unsafeSlice(step, n)
 	}
-	adamScalar(unsafeSlice(p, n), unsafeSlice(grad, n), unsafeSlice(m, n), unsafeSlice(v, n), steps, lr, beta1, beta2, eps, bc1, bc2)
+	adamScalar(unsafeSlice(p, n), unsafeSlice(grad, n), unsafeSlice(m, n), unsafeSlice(v, n), steps, lr, beta1, beta2, eps, bc1, bc2, scale)
 }
 
 func adamTiedRows(p, grad, m, v, step *float64, n, stride, rows int) {

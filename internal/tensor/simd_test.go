@@ -55,28 +55,6 @@ func fillVoidRuns(rng *rand.Rand, data []float64) {
 	}
 }
 
-// scatterRows returns m's rows as a row list whose rows lie apart from one
-// another, last row first in one backing array, each row between junk
-// elements (NaN, -1, +Inf: whatever a kernel reads past or before a row
-// shows) and listed longer than m.Cols, with junk after its columns. A
-// product over the list must read each row where it lies and nothing else.
-func scatterRows(m *Matrix) [][]float64 {
-	const gap = 3
-	junk := []float64{x86DefaultNaN, -1, math.Inf(1)}
-	stride := m.Cols + 2*gap
-	back := make([]float64, (m.Rows+1)*stride)
-	for i := range back {
-		back[i] = junk[i%len(junk)]
-	}
-	rows := make([][]float64, m.Rows)
-	for i := range rows {
-		at := (m.Rows-i)*stride - m.Cols - gap + i%gap
-		copy(back[at:], m.Row(i))
-		rows[i] = back[at : at+m.Cols+1]
-	}
-	return rows
-}
-
 func cloneMatrix(m *Matrix) *Matrix {
 	c := New(m.Rows, m.Cols)
 	copy(c.Data, m.Data)
@@ -166,17 +144,6 @@ var (
 		func(m, b, out *Matrix) {
 			m.MatMulBiasInto(b, &Matrix{Rows: 1, Cols: b.Cols, Data: b.Data[:b.Cols]}, out)
 		}}
-	// MatMulBiasInto with m's rows read through a scattered row list.
-	matMulBiasRows = simdProduct{"MatMulBiasRowsInto",
-		matMul.operands,
-		func(m, b, out *Matrix) {
-			MatMulBiasRowsInto(scatterRows(m), b, &Matrix{Rows: 1, Cols: b.Cols, Data: b.Data[:b.Cols]}, out)
-		}}
-	// MatMulTransAInto with m's rows (the k of mᵀ·b) read through a
-	// scattered row list, on the tied entry with no ties.
-	matMulTransARows = simdProduct{"MatMulTransATiedInto",
-		matMulTransA.operands,
-		func(m, b, out *Matrix) { MatMulTransATiedInto(scatterRows(m), b, out, nil) }}
 	// out += mᵀ·b, accumulated onto accStart rather than into a zeroed out.
 	addMatMulTransA = simdProduct{"AddMatMulTransAInPlace",
 		matMulTransA.operands,
@@ -243,55 +210,6 @@ func TestMatMulBiasSIMDMatchesScalar(t *testing.T) { checkProductSIMDMatchesScal
 
 func TestMatMulTransASIMDMatchesScalar(t *testing.T) {
 	checkProductSIMDMatchesScalar(t, 42, matMulTransA)
-}
-
-func TestMatMulBiasRowsSIMDMatchesScalar(t *testing.T) {
-	checkProductSIMDMatchesScalar(t, 59, matMulBiasRows)
-}
-
-func TestMatMulTransARowsSIMDMatchesScalar(t *testing.T) {
-	checkProductSIMDMatchesScalar(t, 61, matMulTransARows)
-}
-
-// TestRowListProductsMatchStaged pins the row-list products to the same
-// products over the staged copy of their rows, bit for bit, on the scalar
-// and the SIMD path: over every shape of forEachSIMDShape (every column
-// panel width; 1, 7, 8, 9 and 64 rows, the partial minibatches among them;
-// inner dimensions across the k block), on operands with ±0, ±1 and
-// subnormals, and again with ±Inf and NaN planted. The tied product over a
-// row list is pinned against the plain product by
-// TestMatMulTransATiedMatchesPlain.
-func TestRowListProductsMatchStaged(t *testing.T) {
-	rng := rand.New(rand.NewSource(67))
-	paths := []bool{false}
-	if SIMDEnabled() {
-		paths = append(paths, true)
-	}
-	for _, pair := range [][2]simdProduct{{matMulBiasRows, matMulBias}, {matMulTransARows, matMulTransA}} {
-		list, staged := pair[0], pair[1]
-		forEachSIMDShape(func(rows, inner, cols int, fillM func(*rand.Rand, []float64)) {
-			for _, specials := range []bool{false, true} {
-				m, b := staged.operands(rows, inner, cols)
-				fillM(rng, m.Data)
-				fillMixed(rng, b.Data)
-				if specials {
-					plantSpecials(rng, m.Data)
-					plantSpecials(rng, b.Data)
-				}
-				for _, simd := range paths {
-					want, got := New(rows, cols), New(rows, cols)
-					want.Fill(math.Inf(-1))
-					got.Fill(x86DefaultNaN)
-					prev := SetSIMD(simd)
-					staged.run(m, b, want)
-					list.run(m, b, got)
-					SetSIMD(prev)
-					requireBitIdentical(t, fmt.Sprintf("%s %dx%dx%d specials=%v simd=%v", list.name, rows, inner, cols, specials, simd),
-						want.Data, got.Data)
-				}
-			}
-		})
-	}
 }
 
 func TestMatMulTransBSIMDMatchesScalar(t *testing.T) {
@@ -365,7 +283,7 @@ func fuzzOperand(c byte) float64 {
 	}
 }
 
-// FuzzMatMulMatchesScalar compares all seven products' SIMD and scalar paths
+// FuzzMatMulMatchesScalar compares all five products' SIMD and scalar paths
 // bit for bit on shapes up to 70 x 130 x 70, operand element i of m reading
 // ops[i % len(ops)] and of b reading ops from the other end, so one input
 // steers both operands' patterns.
@@ -393,7 +311,7 @@ func FuzzMatMulMatchesScalar(f *testing.F) {
 			return
 		}
 		rows, inner, cols := 1+int(r)%70, 1+int(k)%130, 1+int(c)%70
-		for _, p := range []simdProduct{matMul, matMulBias, matMulBiasRows, matMulTransA, matMulTransARows, matMulTransB, addMatMulTransA} {
+		for _, p := range []simdProduct{matMul, matMulBias, matMulTransA, matMulTransB, addMatMulTransA} {
 			m, b := p.operands(rows, inner, cols)
 			for i := range m.Data {
 				m.Data[i] = fuzzOperand(ops[i%len(ops)])
@@ -587,19 +505,21 @@ func TestAdamUpdateSIMDMatchesScalar(t *testing.T) {
 		m2 := append([]float64(nil), m1...)
 		v2 := append([]float64(nil), v1...)
 
-		// Several consecutive steps exercise evolving moment state. The
-		// gradient is consumed by each call, so every step gets a fresh
-		// fill and each path its own copy.
-		for step := 1; step <= 3; step++ {
+		// Several consecutive steps exercise evolving moment state, at the
+		// clip's scales: 1 (not clipped), one below it, and one whose
+		// products go subnormal. The gradient is consumed by each call, so
+		// every step gets a fresh fill and each path its own copy.
+		for step, scale := range []float64{1, 0.37, 1e-310, 1} {
+			step++
 			fillMixed(rng, g)
 			g1 := append([]float64(nil), g...)
 			g2 := append([]float64(nil), g...)
 			bc1 := 1 - math.Pow(beta1, float64(step))
 			bc2 := 1 - math.Pow(beta2, float64(step))
 			prev := SetSIMD(false)
-			adamUpdate(p1, g1, m1, v1, lr, beta1, beta2, eps, bc1, bc2)
+			adamUpdate(p1, g1, m1, v1, lr, beta1, beta2, eps, bc1, bc2, scale)
 			SetSIMD(true)
-			adamUpdate(p2, g2, m2, v2, lr, beta1, beta2, eps, bc1, bc2)
+			adamUpdate(p2, g2, m2, v2, lr, beta1, beta2, eps, bc1, bc2, scale)
 			SetSIMD(prev)
 			for i := range g1 {
 				if g1[i] != 0 || g2[i] != 0 {

@@ -190,7 +190,7 @@ func (m *Matrix) AddScaledInPlace(b *Matrix, s float64) *Matrix {
 	if simdEnabled && len(m.Data) > 0 {
 		// Zero scalars are kept: the scalar loop's `x += 0*v` can flip a
 		// -0.0 element to +0.0 and turns an infinite v into NaN.
-		axpyRows(&m.Data[0], &b.Data[0], &s, nil, 1, len(m.Data), 1, 0, 0, 0, 0, nil, nil, 0, false, true)
+		axpyRows(&m.Data[0], &b.Data[0], &s, nil, 1, len(m.Data), 1, 0, 0, 0, 0, false, true)
 		return m
 	}
 	for i, v := range b.Data {
@@ -206,7 +206,7 @@ func (m *Matrix) AddScaledInPlace(b *Matrix, s float64) *Matrix {
 func (m *Matrix) SetScaled(b *Matrix, s float64) *Matrix {
 	m.assertSameShape(b, "SetScaled")
 	if simdEnabled && len(m.Data) > 0 {
-		axpyRows(&m.Data[0], &b.Data[0], &s, nil, 1, len(m.Data), 1, 0, 0, 0, 0, nil, nil, 0, false, false)
+		axpyRows(&m.Data[0], &b.Data[0], &s, nil, 1, len(m.Data), 1, 0, 0, 0, 0, false, false)
 		return m
 	}
 	for i, v := range b.Data {

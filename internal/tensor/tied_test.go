@@ -48,9 +48,8 @@ func plantRun(m *Matrix, lo, hi int) {
 }
 
 // requireTiedMatchesPlain builds m's tie list with NarrowTies, checks it
-// against bruteTies and want, and checks that MatMulTransATiedInto over it,
-// reading m's rows through a scattered row list, leaves MatMulTransAInto's
-// bits on m, with SIMD on and off.
+// against bruteTies and want, and checks that MatMulTransATiedInto over it
+// leaves MatMulTransAInto's bits, with SIMD on and off.
 func requireTiedMatchesPlain(t *testing.T, label string, m, dh *Matrix, want []int) {
 	t.Helper()
 	ties := narrowedTies(m)
@@ -65,7 +64,7 @@ func requireTiedMatchesPlain(t *testing.T, label string, m, dh *Matrix, want []i
 		plain := m.MatMulTransAInto(dh, New(m.Cols, dh.Cols))
 		tied := New(m.Cols, dh.Cols)
 		tied.Fill(math.NaN()) // every element must be written
-		MatMulTransATiedInto(scatterRows(m), dh, tied, ties)
+		m.MatMulTransATiedInto(dh, tied, ties)
 		SetSIMD(prev)
 		requireBitIdentical(t, fmt.Sprintf("%s simd=%v", label, simd), plain.Data, tied.Data)
 	}
@@ -133,29 +132,20 @@ func TestMatMulTransATiedMatchesPlain(t *testing.T) {
 	}
 }
 
-// TestMatMulTransATiedRejectsBadLists pins the lists' shape checks: a tie
-// list out of order, at column 0 or past the last column panics, and so
-// does a row list with a row shorter than the product reads or with a
-// row count other than dh's.
+// TestMatMulTransATiedRejectsBadLists pins the list's shape check: a tie
+// list out of order, at column 0 or past the last column panics.
 func TestMatMulTransATiedRejectsBadLists(t *testing.T) {
 	m, dh := New(3, 5), New(3, 2)
-	rows := scatterRows(m)
-	requirePanics := func(label string, fn func()) {
-		t.Helper()
-		defer func() {
-			if recover() == nil {
-				t.Errorf("%s: no panic", label)
-			}
-		}()
-		fn()
-	}
 	for _, ties := range [][]int{{0}, {2, 2}, {3, 1}, {5}} {
-		requirePanics(fmt.Sprint("ties ", ties), func() { MatMulTransATiedInto(rows, dh, New(5, 2), ties) })
+		func() {
+			defer func() {
+				if recover() == nil {
+					t.Errorf("ties %v: no panic", ties)
+				}
+			}()
+			m.MatMulTransATiedInto(dh, New(5, 2), ties)
+		}()
 	}
-	short := append([][]float64{rows[0][:4]}, rows[1:]...)
-	requirePanics("short row", func() { MatMulTransATiedInto(short, dh, New(5, 2), nil) })
-	requirePanics("row count", func() { MatMulTransATiedInto(rows[:2], dh, New(5, 2), nil) })
-	requirePanics("forward short row", func() { MatMulBiasRowsInto(short, New(5, 2), New(1, 2), New(3, 2)) })
 }
 
 // FuzzMatMulTransATied compares the tied product with the plain one on X up
@@ -196,7 +186,8 @@ func FuzzMatMulTransATied(f *testing.F) {
 // (zero moments, the step count restarted) that ties that run again,
 // parameters of −0 under a +0 step (zero gradients while m is +0), and ±Inf
 // and NaN gradients on their own runs late on; widths that are not a
-// multiple of 8, and 1-row parameters. Both SIMD settings.
+// multiple of 8, and 1-row parameters; every third step's gradients are
+// clipped (a scale below 1), the others not. Both SIMD settings.
 func TestAdamTiedRowsMatchScalar(t *testing.T) {
 	const lr, beta1, beta2, eps, mu = 3e-4, 0.9, 0.999, 1e-8, 0.1
 	for _, simd := range []bool{true, false} {
@@ -259,11 +250,15 @@ func TestAdamTiedRowsMatchScalar(t *testing.T) {
 				}
 				bc1 := 1 - math.Pow(beta1, float64(it-t0))
 				bc2 := 1 - math.Pow(beta2, float64(it-t0))
+				scale := 1.0
+				if it%3 == 0 {
+					scale = 0.5 / (1 + rng.Float64())
+				}
 				gR, gT := append([]float64(nil), g...), append([]float64(nil), g...)
 				prev := SetSIMD(false)
-				adamScalar(pR, gR, mR, vR, nil, lr, beta1, beta2, eps, bc1, bc2)
+				adamScalar(pR, gR, mR, vR, nil, lr, beta1, beta2, eps, bc1, bc2, scale)
 				SetSIMD(simd)
-				AdamUpdateRows(pT, gT, mT, vT, step, cols, lr, beta1, beta2, eps, bc1, bc2)
+				AdamUpdateRows(pT, gT, mT, vT, step, cols, lr, beta1, beta2, eps, bc1, bc2, scale)
 				SetSIMD(prev)
 				at := fmt.Sprintf("%s step %d", label, it)
 				requireBitIdentical(t, at+" p", pR, pT)
@@ -273,6 +268,55 @@ func TestAdamTiedRowsMatchScalar(t *testing.T) {
 			}
 			if rows > 1 && tiedRows == 0 {
 				t.Fatalf("%s: no row was tied; the test no longer reaches the tied path", label)
+			}
+		}
+	}
+}
+
+// TestAdamScaleMatchesTwoPass pins the clip folded into Adam against the
+// two passes it replaced: the gradient rescaled in place (ScaleInPlace, run
+// only when the clip applies, as the clip did) and then stepped at scale 1.
+// Parameters, both moments and the cleared gradient match bit for bit over
+// 12 steps, on matrices with and without tied rows, at scales of 1, just
+// below 1, tiny (subnormal products) and 0, with ±Inf and NaN gradients
+// late on. Both SIMD settings.
+func TestAdamScaleMatchesTwoPass(t *testing.T) {
+	const lr, beta1, beta2, eps = 3e-4, 0.9, 0.999, 1e-8
+	scales := []float64{1, math.Nextafter(1, 0), 0.37, 1e-310, 0}
+	for _, simd := range []bool{true, false} {
+		for _, shape := range [][2]int{{1, 13}, {6, 8}, {12, 70}, {64, 64}} {
+			rows, cols := shape[0], shape[1]
+			rng := rand.New(rand.NewSource(int64(31 + rows*cols)))
+			n := rows * cols
+			pA, mA, vA := make([]float64, n), make([]float64, n), make([]float64, n)
+			fillMixed(rng, pA)
+			pB, mB, vB := append([]float64(nil), pA...), make([]float64, n), make([]float64, n)
+			step := make([]float64, cols)
+			g := make([]float64, n)
+			for it := 1; it <= 12; it++ {
+				fillMixed(rng, g)
+				for r := 1; r < rows; r += 2 { // odd rows tie to the row above
+					copy(g[r*cols:(r+1)*cols], g[(r-1)*cols:r*cols])
+				}
+				if it == 11 {
+					g[0], g[n-1], g[n/2] = math.Inf(1), math.Inf(-1), x86DefaultNaN
+				}
+				scale := scales[it%len(scales)]
+				bc1 := 1 - math.Pow(beta1, float64(it))
+				bc2 := 1 - math.Pow(beta2, float64(it))
+				gA, gB := append([]float64(nil), g...), append([]float64(nil), g...)
+				prev := SetSIMD(simd)
+				AdamUpdateRows(pA, gA, mA, vA, step, cols, lr, beta1, beta2, eps, bc1, bc2, scale)
+				if scale != 1 {
+					(&Matrix{Rows: rows, Cols: cols, Data: gB}).ScaleInPlace(scale)
+				}
+				AdamUpdateRows(pB, gB, mB, vB, step, cols, lr, beta1, beta2, eps, bc1, bc2, 1)
+				SetSIMD(prev)
+				at := fmt.Sprintf("simd=%v %dx%d step %d scale %v", simd, rows, cols, it, scale)
+				requireBitIdentical(t, at+" p", pB, pA)
+				requireBitIdentical(t, at+" m", mB, mA)
+				requireBitIdentical(t, at+" v", vB, vA)
+				requireBitIdentical(t, at+" g", gB, gA)
 			}
 		}
 	}

@@ -43,7 +43,7 @@
 #     reference, an episode, its Update, an upload encoded on i8+delta and
 #     decoded by the server end into one shared buffer), then a forced GC —
 #     must report at most FOOTPRINT_BUDGET live bytes per client: DESIGN §8
-#     "Per-client footprint"'s total, 607 KiB, plus 10 %. An agent that
+#     "Per-client footprint"'s total, 567 KiB, plus 10 %. An agent that
 #     keeps its gradients, a state-wide staging matrix or a delta buffer
 #     between updates again (865 KiB per client before they went), or a wire
 #     end that keeps a payload-sized decode buffer beside its reference
@@ -70,7 +70,7 @@ BENCHTIME="${BENCHTIME:-200x}"
 PPO_BENCHTIME="${PPO_BENCHTIME:-5x}"
 PPO_ALLOC_BUDGET="${PPO_ALLOC_BUDGET:-16}"
 STREAM_BYTES_PER_TASK=4
-FOOTPRINT_BUDGET=684000
+FOOTPRINT_BUDGET=639000
 SERVER_FOOTPRINT_BUDGET=79000
 GO="${GO:-go}"
 out="$(mktemp)"
