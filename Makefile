@@ -1,7 +1,8 @@
 # Developer targets for the PFRL-DM reproduction.
 #
 #   make ci         - the full pre-merge smoke check: vet (incl. the gofmt
-#                     gate), staticcheck (when reachable), build,
+#                     gate), staticcheck (when reachable), the export
+#                     census, build,
 #                     race-enabled tests (incl. the federation
 #                     fault-tolerance suite and the simulator invariant
 #                     harness), the tensor tests once more under
@@ -14,6 +15,7 @@
 #                     async-federation one and a spec-driven federation on
 #                     the ranked top-k layout
 #   make test       - plain test suite (tier-1 gate)
+#   make census     - fail on product code nothing in the product reaches
 #   make test-race  - federation layers + simulator invariants, race-enabled
 #   make fuzz-smoke - a short run of every fuzz target
 #   make bench      - full benchmark runs with allocation reporting
@@ -23,9 +25,9 @@
 GO ?= go
 STATICCHECK_VERSION ?= 2025.1
 
-.PHONY: ci vet staticcheck build test race test-race test-v3 fuzz-smoke bench bench-env bench-update bench-agg bench-e2e-smoke figs-smoke results metrics-smoke fed-smoke swarm-smoke spec-smoke
+.PHONY: ci vet staticcheck census build test race test-race test-v3 fuzz-smoke bench bench-env bench-update bench-agg bench-e2e-smoke figs-smoke results metrics-smoke fed-smoke swarm-smoke spec-smoke
 
-ci: vet staticcheck build race test-race test-v3 bench-env bench-update bench-agg bench-e2e-smoke figs-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
+ci: vet staticcheck census build race test-race test-v3 bench-env bench-update bench-agg bench-e2e-smoke figs-smoke metrics-smoke fed-smoke swarm-smoke spec-smoke
 
 # The arm64 pass type-checks the portable kernels (internal/tensor's
 # !amd64 files), which no amd64 build compiles. gofmt -l prints the files it
@@ -33,10 +35,19 @@ ci: vet staticcheck build race test-race test-v3 bench-env bench-update bench-ag
 vet:
 	$(GO) vet ./...
 	GOARCH=arm64 $(GO) vet ./...
-	@unformatted="$$(gofmt -l cmd internal *.go)"; \
+	@unformatted="$$(gofmt -l cmd internal examples scripts benchmark *.go)"; \
 	if [ -n "$$unformatted" ]; then \
 		echo "gofmt: not formatted (run gofmt -w):"; echo "$$unformatted"; exit 1; \
 	fi
+
+# Every identifier declared in non-test Go under internal/ and in the root
+# package must be reached by some non-test file of the module (a method also
+# through an interface it implements), on amd64 or arm64, or be listed with
+# its reason in scripts/census/allow.txt; a listed one that is reached again
+# or gone fails too. The tool's own tests (go test ./scripts/census/, part of
+# make test) run it on a fixture module.
+census:
+	$(GO) run ./scripts/census
 
 # Pinned staticcheck via `go run` so CI needs no separately-installed binary.
 # The module proxy is unreachable in offline/sandboxed environments; probe

@@ -257,7 +257,7 @@ func CosineWeights(embeddings [][]float64) [][]float64 {
 			scores.Set(i, j, dot/denom)
 		}
 	}
-	return toRows(scores.SoftmaxRows())
+	return toRows(scores.SoftmaxRowsInto(scores))
 }
 
 // KLWeights is the Figure-12 baseline: each embedding is turned into a
@@ -276,7 +276,7 @@ func KLWeights(embeddings [][]float64) [][]float64 {
 			scores.Set(i, j, -klDivergence(dists[i], dists[j]))
 		}
 	}
-	return toRows(scores.SoftmaxRows())
+	return toRows(scores.SoftmaxRowsInto(scores))
 }
 
 func checkEmbeddings(embeddings [][]float64) (k, dim int) {

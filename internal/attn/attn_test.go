@@ -290,11 +290,11 @@ func referenceWeights(a *Aggregator, embeddings [][]float64) [][]float64 {
 
 // referencePrepare is prepare as it stood before it wrote into Weights'
 // pooled transpose: stack the embeddings into a fresh k × dim matrix, center
-// each column on SumCols·(1/k), L2-normalize each row.
+// each column on SumColsInto·(1/k), L2-normalize each row.
 func referencePrepare(embeddings [][]float64, center bool) *tensor.Matrix {
 	x := tensor.FromRows(embeddings)
 	if center {
-		mean := x.SumCols().Scale(1 / float64(x.Rows))
+		mean := x.SumColsInto(tensor.New(1, x.Cols)).ScaleInPlace(1 / float64(x.Rows))
 		for i := 0; i < x.Rows; i++ {
 			row := x.Row(i)
 			for j := range row {

@@ -3,14 +3,17 @@
 //
 // A Tape records every operation in execution order; because operations are
 // appended as they run, iterating the tape in reverse is a valid topological
-// order for backpropagation. The engine supports exactly the operator set
-// needed by the PPO agents in this repository: the fused dense layer,
-// pointwise nonlinearities, softmax/log-softmax, the clipped surrogate
-// objective (elementwise min and clamp), and scalar reductions.
+// order for backpropagation. The PPO update records Linear (the fused dense
+// layer), Add, Sub, Scale, Tanh, Square, Mean and ClippedSurrogateLoss (the
+// fused policy loss: log-softmax, ratio, clip, minimum and entropy in one
+// node). Mul, Neg, Exp, Minimum, Clamp, SoftmaxRows, LogSoftmaxRows,
+// PickCols and SumRows build the same policy loss one op per node: the
+// reference that ClippedSurrogateLoss and the update's goldens compare
+// against.
 //
-// Typical usage:
+// Typical usage (the zero Tape is ready and unpooled):
 //
-//	tape := autograd.NewTape()
+//	var tape autograd.Tape
 //	x := tape.Const(batch)                     // input, no gradient
 //	w := tape.Param(weights, weightGrads)      // leaf with external grad buffer
 //	b := tape.Param(bias, biasGrads)
@@ -82,17 +85,13 @@ type Tape struct {
 	pool *tensor.Pool
 }
 
-// NewTape returns an empty, unpooled tape: every node and matrix is freshly
-// allocated and left to the garbage collector.
-func NewTape() *Tape { return &Tape{} }
-
 // NewPooledTape returns a tape that draws tape-owned matrices (op outputs,
 // gradients, backward temporaries) from pool and returns them on Reset.
 // Reusing one pooled tape across graph builds makes steady-state graph
 // construction allocation-free.
 func NewPooledTape(pool *tensor.Pool) *Tape { return &Tape{pool: pool} }
 
-// Len returns the number of recorded nodes (useful in tests).
+// Len returns the number of recorded nodes: zero once Reset has run.
 func (t *Tape) Len() int { return len(t.nodes) }
 
 // Reset discards the recorded graph and recycles its storage: tape-owned

@@ -11,6 +11,12 @@ import (
 
 const gradTol = 1e-6
 
+// sum is the sum of a's elements spelled with the ops the product records:
+// the mean scaled back by the element count. Its backward hands every
+// element a gradient of exactly 1 (n·1, then divided by n), so it injects an
+// upstream gradient g through sum(Mul(out, g)) bit for bit.
+func sum(a *Value) *Value { return Scale(Mean(a), float64(len(a.Data.Data))) }
+
 // randUniform returns a rows x cols matrix drawn uniformly from [lo, hi).
 func randUniform(rng *rand.Rand, rows, cols int, lo, hi float64) *tensor.Matrix {
 	m := tensor.New(rows, cols)
@@ -24,14 +30,14 @@ func randUniform(rng *rand.Rand, rows, cols int, lo, hi float64) *tensor.Matrix 
 // against central finite differences. build must produce a scalar Value.
 func checkGrad(t *testing.T, name string, input *tensor.Matrix, build func(tp *Tape, x *Value) *Value) {
 	t.Helper()
-	tape := NewTape()
+	tape := new(Tape)
 	x := tape.Var(input)
 	out := build(tape, x)
 	out.Backward()
 	analytic := x.Grad.Clone()
 
 	numeric := NumericGrad(input, 1e-6, func() float64 {
-		tp := NewTape()
+		tp := new(Tape)
 		return build(tp, tp.Var(input)).Item()
 	})
 	if err := MaxGradError(analytic, numeric); err > gradTol {
@@ -47,10 +53,10 @@ func TestGradMatMul(t *testing.T) {
 	b := tensor.RandNormal(rng, 4, 2, 0, 1)
 	bias := tensor.RandNormal(rng, 1, 2, 0, 1)
 	checkGrad(t, "matmul-left", a, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(Linear(x, tp.Const(b), tp.Const(bias))))
+		return sum(Square(Linear(x, tp.Const(b), tp.Const(bias))))
 	})
 	checkGrad(t, "matmul-right", b, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(Linear(tp.Const(a), x, tp.Const(bias))))
+		return sum(Square(Linear(tp.Const(a), x, tp.Const(bias))))
 	})
 }
 
@@ -58,9 +64,9 @@ func TestGradAddSubMulDiv(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	a := tensor.RandNormal(rng, 2, 3, 0, 1)
 	b := randUniform(rng, 2, 3, 0.5, 2.0)
-	checkGrad(t, "add", a, func(tp *Tape, x *Value) *Value { return Sum(Add(x, tp.Const(b))) })
-	checkGrad(t, "sub", a, func(tp *Tape, x *Value) *Value { return Sum(Sub(x, tp.Const(b))) })
-	checkGrad(t, "mul", a, func(tp *Tape, x *Value) *Value { return Sum(Mul(x, tp.Const(b))) })
+	checkGrad(t, "add", a, func(tp *Tape, x *Value) *Value { return sum(Add(x, tp.Const(b))) })
+	checkGrad(t, "sub", a, func(tp *Tape, x *Value) *Value { return sum(Sub(x, tp.Const(b))) })
+	checkGrad(t, "mul", a, func(tp *Tape, x *Value) *Value { return sum(Mul(x, tp.Const(b))) })
 }
 
 // TestGradAddRow gradchecks the bias half of Linear: the gradient with
@@ -71,42 +77,39 @@ func TestGradAddRow(t *testing.T) {
 	w := tensor.RandNormal(rng, 3, 3, 0, 1)
 	bias := tensor.RandNormal(rng, 1, 3, 0, 1)
 	checkGrad(t, "addrow-bias", bias, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(Linear(tp.Const(a), tp.Const(w), x)))
+		return sum(Square(Linear(tp.Const(a), tp.Const(w), x)))
 	})
 }
 
 func TestGradActivations(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := tensor.RandNormal(rng, 3, 3, 0, 1.5)
-	checkGrad(t, "tanh", a, func(tp *Tape, x *Value) *Value { return Sum(Tanh(x)) })
-	checkGrad(t, "exp", a, func(tp *Tape, x *Value) *Value { return Sum(Exp(x)) })
-	checkGrad(t, "square", a, func(tp *Tape, x *Value) *Value { return Sum(Square(x)) })
+	checkGrad(t, "tanh", a, func(tp *Tape, x *Value) *Value { return sum(Tanh(x)) })
+	checkGrad(t, "exp", a, func(tp *Tape, x *Value) *Value { return sum(Exp(x)) })
+	checkGrad(t, "square", a, func(tp *Tape, x *Value) *Value { return sum(Square(x)) })
 
 	// Clamp needs inputs away from its kinks for finite differences.
-	shifted := a.Apply(func(v float64) float64 {
+	shifted := a.ApplyInto(func(v float64) float64 {
 		if math.Abs(v) < 0.05 {
 			return v + 0.2
 		}
 		return v
-	})
-	checkGrad(t, "clamp", shifted, func(tp *Tape, x *Value) *Value { return Sum(Clamp(x, -0.8, 0.8)) })
-
-	pos := randUniform(rng, 3, 3, 0.5, 3)
-	checkGrad(t, "log", pos, func(tp *Tape, x *Value) *Value { return Sum(Log(x)) })
+	}, tensor.New(a.Rows, a.Cols))
+	checkGrad(t, "clamp", shifted, func(tp *Tape, x *Value) *Value { return sum(Clamp(x, -0.8, 0.8)) })
 }
 
 func TestGradScaleNegAddScalar(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	a := tensor.RandNormal(rng, 2, 2, 0, 1)
-	checkGrad(t, "scale", a, func(tp *Tape, x *Value) *Value { return Sum(Scale(x, 2.5)) })
-	checkGrad(t, "neg", a, func(tp *Tape, x *Value) *Value { return Sum(Neg(x)) })
+	checkGrad(t, "scale", a, func(tp *Tape, x *Value) *Value { return sum(Scale(x, 2.5)) })
+	checkGrad(t, "neg", a, func(tp *Tape, x *Value) *Value { return sum(Neg(x)) })
 }
 
 func TestGradReductions(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	a := tensor.RandNormal(rng, 3, 4, 0, 1)
 	checkGrad(t, "mean", a, func(tp *Tape, x *Value) *Value { return Mean(Square(x)) })
-	checkGrad(t, "sumrows", a, func(tp *Tape, x *Value) *Value { return Sum(Square(SumRows(x))) })
+	checkGrad(t, "sumrows", a, func(tp *Tape, x *Value) *Value { return sum(Square(SumRows(x))) })
 }
 
 func TestGradMinimum(t *testing.T) {
@@ -119,8 +122,8 @@ func TestGradMinimum(t *testing.T) {
 			a.Data[i] += 0.2
 		}
 	}
-	checkGrad(t, "min-a", a, func(tp *Tape, x *Value) *Value { return Sum(Minimum(x, tp.Const(b))) })
-	checkGrad(t, "min-b", b, func(tp *Tape, x *Value) *Value { return Sum(Minimum(tp.Const(a), x)) })
+	checkGrad(t, "min-a", a, func(tp *Tape, x *Value) *Value { return sum(Minimum(x, tp.Const(b))) })
+	checkGrad(t, "min-b", b, func(tp *Tape, x *Value) *Value { return sum(Minimum(tp.Const(a), x)) })
 }
 
 func TestGradSoftmax(t *testing.T) {
@@ -128,10 +131,10 @@ func TestGradSoftmax(t *testing.T) {
 	a := tensor.RandNormal(rng, 3, 5, 0, 2)
 	w := tensor.RandNormal(rng, 3, 5, 0, 1) // random weighting so grads are nontrivial
 	checkGrad(t, "softmaxrows", a, func(tp *Tape, x *Value) *Value {
-		return Sum(Mul(SoftmaxRows(x), tp.Const(w)))
+		return sum(Mul(SoftmaxRows(x), tp.Const(w)))
 	})
 	checkGrad(t, "logsoftmaxrows", a, func(tp *Tape, x *Value) *Value {
-		return Sum(Mul(LogSoftmaxRows(x), tp.Const(w)))
+		return sum(Mul(LogSoftmaxRows(x), tp.Const(w)))
 	})
 }
 
@@ -140,7 +143,7 @@ func TestGradPickCols(t *testing.T) {
 	a := tensor.RandNormal(rng, 4, 6, 0, 1)
 	idx := []int{2, 0, 5, 3}
 	checkGrad(t, "pickcols", a, func(tp *Tape, x *Value) *Value {
-		return Sum(Square(PickCols(LogSoftmaxRows(x), idx)))
+		return sum(Square(PickCols(LogSoftmaxRows(x), idx)))
 	})
 }
 
@@ -162,7 +165,7 @@ func TestGradMLPChain(t *testing.T) {
 	}
 	mats := map[string]*tensor.Matrix{"w1": w1, "b1": b1, "w2": w2, "b2": b2}
 	for name, m := range mats {
-		tape := NewTape()
+		tape := new(Tape)
 		params := map[string]*Value{}
 		for n2, m2 := range mats {
 			if n2 == name {
@@ -175,7 +178,7 @@ func TestGradMLPChain(t *testing.T) {
 		out.Backward()
 		analytic := params[name].Grad.Clone()
 		numeric := NumericGrad(m, 1e-6, func() float64 {
-			tp := NewTape()
+			tp := new(Tape)
 			ps := map[string]*Value{}
 			for n2, m2 := range mats {
 				ps[n2] = tp.Const(m2)
@@ -191,9 +194,9 @@ func TestGradMLPChain(t *testing.T) {
 func TestParamAccumulatesIntoBuffer(t *testing.T) {
 	data := tensor.FromSlice(1, 2, []float64{2, 3})
 	grad := tensor.New(1, 2)
-	tape := NewTape()
+	tape := new(Tape)
 	p := tape.Param(data, grad)
-	Sum(Square(p)).Backward()
+	sum(Square(p)).Backward()
 	want := tensor.FromSlice(1, 2, []float64{4, 6})
 	if !grad.ApproxEqual(want, 1e-12) {
 		t.Fatalf("Param grad buffer = %v, want %v", grad, want)
@@ -209,11 +212,11 @@ func TestParamShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	NewTape().Param(tensor.New(2, 2), tensor.New(2, 3))
+	new(Tape).Param(tensor.New(2, 2), tensor.New(2, 3))
 }
 
 func TestBackwardNonScalarPanics(t *testing.T) {
-	tape := NewTape()
+	tape := new(Tape)
 	v := tape.Var(tensor.New(2, 2))
 	defer func() {
 		if recover() == nil {
@@ -224,7 +227,7 @@ func TestBackwardNonScalarPanics(t *testing.T) {
 }
 
 func TestItemNonScalarPanics(t *testing.T) {
-	tape := NewTape()
+	tape := new(Tape)
 	v := tape.Var(tensor.New(2, 2))
 	defer func() {
 		if recover() == nil {
@@ -235,7 +238,7 @@ func TestItemNonScalarPanics(t *testing.T) {
 }
 
 func TestCrossTapePanics(t *testing.T) {
-	t1, t2 := NewTape(), NewTape()
+	t1, t2 := new(Tape), new(Tape)
 	a := t1.Var(tensor.New(1, 1))
 	b := t2.Var(tensor.New(1, 1))
 	defer func() {
@@ -247,7 +250,7 @@ func TestCrossTapePanics(t *testing.T) {
 }
 
 func TestConstReceivesNoGrad(t *testing.T) {
-	tape := NewTape()
+	tape := new(Tape)
 	c := tape.Const(tensor.FromSlice(1, 1, []float64{2}))
 	v := tape.Var(tensor.FromSlice(1, 1, []float64{3}))
 	Mul(c, v).Backward()
@@ -261,7 +264,7 @@ func TestConstReceivesNoGrad(t *testing.T) {
 
 func TestGradAccumulationAcrossUses(t *testing.T) {
 	// f(x) = x·x + 3x  =>  f'(x) = 2x + 3
-	tape := NewTape()
+	tape := new(Tape)
 	x := tape.Var(tensor.FromSlice(1, 1, []float64{5}))
 	out := Add(Mul(x, x), Scale(x, 3))
 	out.Backward()
@@ -271,7 +274,7 @@ func TestGradAccumulationAcrossUses(t *testing.T) {
 }
 
 func TestMinimumTieGoesToA(t *testing.T) {
-	tape := NewTape()
+	tape := new(Tape)
 	a := tape.Var(tensor.FromSlice(1, 1, []float64{1}))
 	b := tape.Var(tensor.FromSlice(1, 1, []float64{1}))
 	Minimum(a, b).Backward()
@@ -284,7 +287,7 @@ func TestMinimumTieGoesToA(t *testing.T) {
 }
 
 func TestPickColsOutOfRangePanics(t *testing.T) {
-	tape := NewTape()
+	tape := new(Tape)
 	a := tape.Var(tensor.New(2, 3))
 	defer func() {
 		if recover() == nil {
@@ -307,12 +310,12 @@ func TestPropGradcheckRandomGraphs(t *testing.T) {
 			h := Tanh(Linear(tp.Const(x), wv, tp.Const(bias)))
 			return Mean(Square(h))
 		}
-		tape := NewTape()
+		tape := new(Tape)
 		wv := tape.Var(w)
 		build(tape, wv).Backward()
 		analytic := wv.Grad.Clone()
 		numeric := NumericGrad(w, 1e-6, func() float64 {
-			tp := NewTape()
+			tp := new(Tape)
 			return build(tp, tp.Const(w)).Item()
 		})
 		return MaxGradError(analytic, numeric) < 1e-5
@@ -337,7 +340,7 @@ func BenchmarkForwardBackwardMLP(b *testing.B) {
 		gb1.Zero()
 		g2.Zero()
 		gb2.Zero()
-		tp := NewTape()
+		tp := new(Tape)
 		h := Tanh(Linear(tp.Const(x), tp.Param(w1, g1), tp.Param(b1, gb1)))
 		y := Linear(h, tp.Param(w2, g2), tp.Param(b2, gb2))
 		Mean(Square(y)).Backward()

@@ -79,12 +79,12 @@ func TestClippedSurrogateLossMatchesComposedOps(t *testing.T) {
 				}
 			}
 
-			ct := NewTape()
+			ct := new(Tape)
 			cx := ct.Var(logits)
 			loss, obj, ent, actLogp, ratio := composedSurrogate(ct, cx, actions, oldLogp, adv, tc.clip, tc.entCoef)
 			loss.Backward()
 
-			ft := NewTape()
+			ft := new(Tape)
 			fx := ft.Var(logits)
 			res := ClippedSurrogateLoss(fx, actions, oldLogp, adv, tc.clip, tc.entCoef)
 			res.Loss.Backward()
@@ -118,7 +118,7 @@ func TestClippedSurrogateLossTapeReuse(t *testing.T) {
 		actions[i] = rng.Intn(a)
 	}
 
-	tape := NewPooledTape(tensor.NewPool())
+	tape := NewPooledTape(new(tensor.Pool))
 	run := func() (float64, *tensor.Matrix) {
 		tape.Reset()
 		x := tape.Var(logits)
@@ -135,7 +135,7 @@ func TestClippedSurrogateLossTapeReuse(t *testing.T) {
 }
 
 func TestClippedSurrogateLossActionOutOfRangePanics(t *testing.T) {
-	tape := NewTape()
+	tape := new(Tape)
 	logits := tape.Var(tensor.New(2, 3))
 	defer func() {
 		if recover() == nil {

@@ -123,7 +123,7 @@ func TestLinearMatchesComposedOps(t *testing.T) {
 }
 
 // checkLinearAgainstComposed runs Linear with SIMD off and on, the upstream
-// gradient g injected through Sum(Mul(out, g)), and compares every result
+// gradient g injected through sum(Mul(out, g)), and compares every result
 // with composedLinear on the scalar kernels. Clean runs take x as a Var and
 // w, b as Params with +0 buffers; dirty runs take all three as Params whose
 // buffers already hold values.
@@ -147,7 +147,7 @@ func checkLinearAgainstComposed(t *testing.T, rng *rand.Rand, label string, x, w
 			xv = tape.Var(x)
 		}
 		out := Linear(xv, tape.Param(w, grads[1]), tape.Param(b, grads[2]))
-		Sum(Mul(out, tape.Const(g))).Backward()
+		sum(Mul(out, tape.Const(g))).Backward()
 
 		tensor.SetSIMD(false)
 		refStart := start
@@ -208,7 +208,7 @@ func TestLinearOverTiedMatchesPlain(t *testing.T) {
 							tape := NewPooledTape(tensor.DefaultPool())
 							gw, gb := tensor.New(in, out), tensor.New(1, out)
 							y := Linear(leaf(tape), tape.Param(w, gw), tape.Param(b, gb))
-							Sum(Mul(y, tape.Const(g))).Backward()
+							sum(Mul(y, tape.Const(g))).Backward()
 							res[k] = [3]*tensor.Matrix{y.Data.Clone(), gw, gb}
 							tape.Reset()
 						}

@@ -103,41 +103,12 @@ func Exp(a *Value) *Value {
 	return out
 }
 
-// Log returns ln(a) elementwise. Behaviour for non-positive inputs follows
-// math.Log (NaN / -Inf); callers are expected to keep inputs positive.
-func Log(a *Value) *Value {
-	t := a.tape
-	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
-	a.Data.ApplyInto(math.Log, out.Data)
-	out.back = func() {
-		tmp := t.alloc(out.Data.Rows, out.Data.Cols)
-		out.Grad.DivElemInto(a.Data, tmp)
-		a.accum(tmp)
-		t.release(tmp)
-	}
-	return out
-}
-
 // Square returns a² elementwise.
 func Square(a *Value) *Value {
 	t := a.tape
 	out := t.opNode(a.Data.Rows, a.Data.Cols, a.requiresGrad)
 	a.Data.ApplyInto(func(x float64) float64 { return x * x }, out.Data)
 	out.op, out.srcA = opSquare, a
-	return out
-}
-
-// Sum returns the 1x1 sum of all elements of a.
-func Sum(a *Value) *Value {
-	t := a.tape
-	out := t.opNode(1, 1, a.requiresGrad)
-	out.Data.Data[0] = a.Data.Sum()
-	out.back = func() {
-		tmp := t.alloc(a.Data.Rows, a.Data.Cols)
-		tmp.Fill(out.Grad.Data[0])
-		a.accum(tmp)
-		t.release(tmp)
-	}
 	return out
 }
 

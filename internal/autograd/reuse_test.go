@@ -54,11 +54,11 @@ func TestPooledTapeResetMatchesFreshTapes(t *testing.T) {
 		return tensor.New(in, hid), tensor.New(1, hid), tensor.New(hid, out), tensor.New(1, out)
 	}
 
-	pool := tensor.NewPool()
+	pool := new(tensor.Pool)
 	pooled := NewPooledTape(pool)
 	for round := 0; round < 4; round++ {
 		fg1, fgb1, fg2, fgb2 := grads()
-		fresh := NewTape()
+		fresh := new(Tape)
 		wantLoss := buildLoss(fresh, x, w1, b1, w2, b2, fg1, fgb1, fg2, fgb2, idx)
 
 		pg1, pgb1, pg2, pgb2 := grads()
@@ -87,7 +87,7 @@ func TestPooledTapeResetMatchesFreshTapes(t *testing.T) {
 // TestPooledTapeSteadyStateDoesNotGrow checks that Reset actually recycles
 // node structs: the spare list bounds total node allocation across rebuilds.
 func TestPooledTapeSteadyStateDoesNotGrow(t *testing.T) {
-	pool := tensor.NewPool()
+	pool := new(tensor.Pool)
 	tape := NewPooledTape(pool)
 	x := tensor.Full(3, 4, 1)
 	w := tensor.Full(4, 2, 0.5)
@@ -116,7 +116,7 @@ func TestPooledTapeSteadyStateDoesNotGrow(t *testing.T) {
 // TestParamGradSurvivesReset ensures Reset never recycles caller-owned
 // Param gradient buffers.
 func TestParamGradSurvivesReset(t *testing.T) {
-	pool := tensor.NewPool()
+	pool := new(tensor.Pool)
 	tape := NewPooledTape(pool)
 	w := tensor.Full(2, 2, 1)
 	g := tensor.New(2, 2)

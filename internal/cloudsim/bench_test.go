@@ -42,7 +42,7 @@ func benchFirstFit(env *Env) int {
 		return env.WaitAction()
 	}
 	for s := 0; s < env.WaitAction(); s++ {
-		if vi := env.CandidateVM(s); vi >= 0 && env.vms[vi].Fits(head) {
+		if vi := int(env.Candidates()[s]); vi >= 0 && env.vms[vi].Fits(head) {
 			return s
 		}
 	}

@@ -68,7 +68,7 @@ func TestDefaultRewardUnchangedByEnergyCode(t *testing.T) {
 	for !env.Done() {
 		a := p.SelectAction(env)
 		head, _ := env.HeadTask()
-		now, before := env.Now(), env.LoadBalance()
+		now, before := env.Now(), env.loadBalance()
 		r := env.Step(a)
 		if a == env.WaitAction() {
 			continue
@@ -77,7 +77,7 @@ func TestDefaultRewardUnchangedByEnergyCode(t *testing.T) {
 		run := float64(head.Duration)
 		rRes := math.Exp(run/(float64(now-head.Arrival)+run)) / math.E
 		rLoad := 1.0
-		if loadC := env.LoadBalance() - before; loadC > 0 {
+		if loadC := env.loadBalance() - before; loadC > 0 {
 			rLoad = loadC
 		}
 		if want := rho*rRes + (1-rho)*rLoad; r != want {

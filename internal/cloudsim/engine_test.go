@@ -35,7 +35,7 @@ func TestRetirementOrderDeterministic(t *testing.T) {
 		env.Step(0) // place task 0 at slot 0, finishes at slot 2
 		env.Step(0) // place task 1 at slot 0, finishes at slot 2
 		env.Drain()
-		got := env.VMs()[0].FreeMem()
+		got := env.vms[0].freeMem
 		if got != idOrder {
 			t.Fatalf("trial %d: freeMem %.20g, want ID-order accumulation %.20g (reverse order gives %.20g)",
 				trial, got, idOrder, revOrder)
@@ -80,7 +80,7 @@ func TestQueueCursorLifecycle(t *testing.T) {
 	env := MustNewEnv(cfg, tasks)
 	var rec recorder
 	for !env.Done() {
-		if _, ok := env.HeadTask(); ok && env.VMs()[0].Fits(mustHead(env)) {
+		if _, ok := env.HeadTask(); ok && env.vms[0].Fits(mustHead(env)) {
 			rec.step(env, 0)
 		} else {
 			rec.step(env, env.WaitAction())
@@ -103,9 +103,8 @@ func TestQueueCursorLifecycle(t *testing.T) {
 	if env.qhead != 0 || len(env.queue) != 0 {
 		t.Fatalf("waiting queue not compacted: qhead=%d len=%d", env.qhead, len(env.queue))
 	}
-	if env.PendingLen() != 0 || !env.srcDone || env.hasPeek {
-		t.Fatalf("source not drained: pending=%d srcDone=%v hasPeek=%v",
-			env.PendingLen(), env.srcDone, env.hasPeek)
+	if !env.srcDone || env.hasPeek {
+		t.Fatalf("source not drained: srcDone=%v hasPeek=%v", env.srcDone, env.hasPeek)
 	}
 	if cap(env.queue) > 4*n {
 		t.Fatalf("queue backing array grew unboundedly: cap %d", cap(env.queue))
@@ -290,7 +289,7 @@ func TestSlotStatsHandComputed(t *testing.T) {
 	env := MustNewEnv(cfg, tasks)
 
 	// Slot 0 pre-placement: empty cluster, perfectly balanced.
-	if lb := env.LoadBalance(); lb != 0 {
+	if lb := env.loadBalance(); lb != 0 {
 		t.Fatalf("empty cluster load balance %v, want 0", lb)
 	}
 
@@ -301,7 +300,7 @@ func TestSlotStatsHandComputed(t *testing.T) {
 		avg := (0.0 + 1.0 + 1.0) / 3.0
 		v := ((0-avg)*(0-avg) + (1-avg)*(1-avg) + (1-avg)*(1-avg)) / 3.0
 		want := 0.5*math.Sqrt(v) + 0.5*math.Sqrt(v)
-		if got := env.LoadBalance(); got != want {
+		if got := env.loadBalance(); got != want {
 			t.Fatalf("load balance after first placement: %v, want %v", got, want)
 		}
 	}
@@ -313,7 +312,7 @@ func TestSlotStatsHandComputed(t *testing.T) {
 		memAvg := (0.0 + 1.0 + 0.75) / 3.0
 		memVar := ((0-memAvg)*(0-memAvg) + (1-memAvg)*(1-memAvg) + (0.75-memAvg)*(0.75-memAvg)) / 3.0
 		want := 0.5*math.Sqrt(cpuVar) + 0.5*math.Sqrt(memVar)
-		if got := env.LoadBalance(); got != want {
+		if got := env.loadBalance(); got != want {
 			t.Fatalf("load balance after second placement: %v, want %v", got, want)
 		}
 	}
@@ -365,7 +364,7 @@ func TestSlotStatsHandComputed(t *testing.T) {
 }
 
 // naiveObserve re-encodes the observation position by position from the slot
-// view alone: slot s is whatever VM CandidateVM(s) names, void when it names
+// view alone: slot s is whatever VM Candidates()[s] names, void when it names
 // none. (The aggregate block is not part of the slot view; it is taken from
 // writeAgg so that an Observe that forgets to write it still fails.)
 func naiveObserve(env *Env) []float64 {
@@ -373,14 +372,14 @@ func naiveObserve(env *Env) []float64 {
 	slots := env.WaitAction()
 	out := make([]float64, 0, env.StateDim())
 	for s := 0; s < slots; s++ {
-		if vi := env.CandidateVM(s); vi >= 0 {
+		if vi := int(env.Candidates()[s]); vi >= 0 {
 			out = append(out, float64(env.vms[vi].freeCPU)/float64(cfg.MaxCPU), env.vms[vi].freeMem/cfg.MaxMem)
 		} else {
 			out = append(out, VoidMarker, VoidMarker)
 		}
 	}
 	for s := 0; s < slots; s++ {
-		vi := env.CandidateVM(s)
+		vi := int(env.Candidates()[s])
 		for k := 0; k < cfg.PadVCPUs; k++ {
 			if vi < 0 || k >= env.vms[vi].Spec.CPU {
 				out = append(out, VoidMarker)
@@ -408,9 +407,9 @@ func naiveObserve(env *Env) []float64 {
 // to the slot view, in every layout: on every step of a seeded episode (a
 // mix of first-fit, random placements and waits) the observation written
 // into a reused, poisoned buffer must be bit-identical to the naive
-// re-encoding driven by CandidateVM — so a skipped void marker or a value
+// re-encoding driven by Candidates() — so a skipped void marker or a value
 // left over from the previous candidate set shows — and slot s must be
-// feasible exactly when CandidateVM(s) names a VM that fits the head task.
+// feasible exactly when Candidates()[s] names a VM that fits the head task.
 func TestObserveMatchesNaiveEncoding(t *testing.T) {
 	small := []VMSpec{{CPU: 4, Mem: 16}, {CPU: 8, Mem: 32}}
 	views := []struct {
@@ -446,8 +445,8 @@ func TestObserveMatchesNaiveEncoding(t *testing.T) {
 			rng := rand.New(rand.NewSource(11))
 			tasks := ClampTasks(workload.SampleDataset(workload.Alibaba2017, rng, 50), cfg.VMs)
 			env := MustNewEnv(cfg, tasks)
-			if env.Ranked() != v.ranked {
-				t.Fatalf("Ranked() = %v, want %v", env.Ranked(), v.ranked)
+			if env.ranked != v.ranked {
+				t.Fatalf("ranked = %v, want %v", env.ranked, v.ranked)
 			}
 			buf := make([]float64, env.StateDim())
 			for step := 0; !env.Done(); step++ {
@@ -467,9 +466,9 @@ func TestObserveMatchesNaiveEncoding(t *testing.T) {
 				head, hasHead := env.HeadTask()
 				mask := env.FeasibleActions()
 				for s := 0; s < env.WaitAction(); s++ {
-					vi := env.CandidateVM(s)
+					vi := int(env.Candidates()[s])
 					if fits := hasHead && vi >= 0 && env.vms[vi].Fits(head); mask[s] != fits {
-						t.Fatalf("step %d: mask[%d] = %v but CandidateVM = %d, fits = %v", step, s, mask[s], vi, fits)
+						t.Fatalf("step %d: mask[%d] = %v but Candidates()[s] = %d, fits = %v", step, s, mask[s], vi, fits)
 					}
 				}
 				if !mask[env.WaitAction()] {

@@ -493,19 +493,6 @@ func (e *Env) Now() int { return e.now }
 // QueueLen returns the number of waiting tasks.
 func (e *Env) QueueLen() int { return len(e.queue) - e.qhead }
 
-// PendingLen returns the number of tasks on their way but not yet arrived:
-// the peeked task plus whatever the source has not emitted yet.
-func (e *Env) PendingLen() int {
-	p := 0
-	if e.hasPeek {
-		p++
-	}
-	if !e.srcDone {
-		p += e.totalTasks - e.pulled
-	}
-	return p
-}
-
 // SourceErr returns the error that shut down the episode's task source
 // (malformed task, arrival-order regression, or a failing source), or nil.
 // After a source failure the environment stops pulling and the episode
@@ -537,9 +524,6 @@ func (e *Env) popHead() {
 		e.qhead = 0
 	}
 }
-
-// VMs exposes the simulated machines (read-only use expected).
-func (e *Env) VMs() []*VM { return e.vms }
 
 // NumActions returns |A|: TopK+1 candidate slots in scalable mode,
 // PadVMs+1 VM slots otherwise; the last action index is Wait.
@@ -792,9 +776,6 @@ func (e *Env) loadBalanceFast() float64 {
 	}
 	return total
 }
-
-// LoadBalance exposes Eq. (4) for metrics and tests.
-func (e *Env) LoadBalance() float64 { return e.loadBalance() }
 
 // advanceTime moves the clock one slot: tasks whose finish slot has come
 // are popped off the completion heap (in deterministic (finish, task ID)

@@ -79,8 +79,15 @@ func TestEnvInitialState(t *testing.T) {
 	if env.QueueLen() != 2 {
 		t.Fatalf("arrivals at slot 0 should be queued: %d", env.QueueLen())
 	}
-	if env.PendingLen() != 1 {
-		t.Fatalf("task arriving at slot 2 should be pending: %d", env.PendingLen())
+	pending := 0 // the peeked task plus whatever the source has not emitted yet
+	if env.hasPeek {
+		pending++
+	}
+	if !env.srcDone {
+		pending += env.totalTasks - env.pulled
+	}
+	if pending != 1 {
+		t.Fatalf("task arriving at slot 2 should be pending: %d", pending)
 	}
 	if env.NumActions() != 3 || env.WaitAction() != 2 {
 		t.Fatalf("action space wrong: %d/%d", env.NumActions(), env.WaitAction())
@@ -99,8 +106,8 @@ func TestValidPlacementDoesNotAdvanceTime(t *testing.T) {
 	if env.QueueLen() != 1 {
 		t.Fatal("head task should leave the queue")
 	}
-	if env.VMs()[0].FreeCPU() != 2 || env.VMs()[0].FreeMem() != 12 {
-		t.Fatalf("resources not deducted: %d/%v", env.VMs()[0].FreeCPU(), env.VMs()[0].FreeMem())
+	if env.vms[0].freeCPU != 2 || env.vms[0].freeMem != 12 {
+		t.Fatalf("resources not deducted: %d/%v", env.vms[0].freeCPU, env.vms[0].freeMem)
 	}
 }
 
@@ -195,7 +202,7 @@ func TestTaskLifecycleAndResponse(t *testing.T) {
 	for env.Now() < 3 {
 		rec.step(env, env.WaitAction())
 	}
-	if env.VMs()[0].RunningTasks() != 0 {
+	if env.vms[0].RunningTasks() != 0 {
 		t.Fatal("task 0 should have finished by slot 3")
 	}
 	rec.step(env, 0) // place task 1 at slot 3 (waited 2 slots)
@@ -226,7 +233,7 @@ func TestResourceConservation(t *testing.T) {
 	env := MustNewEnv(cfg, tasks)
 	policy := FirstFit{}
 	check := func() {
-		for i, vm := range env.VMs() {
+		for i, vm := range env.vms {
 			usedCPU, usedMem := 0, 0.0
 			busyVcpus := 0
 			vm.forEachRunning(func(r *running) {
@@ -388,7 +395,7 @@ func TestClampTasks(t *testing.T) {
 func TestLoadBalanceZeroWhenUniform(t *testing.T) {
 	cfg := DefaultConfig([]VMSpec{{CPU: 4, Mem: 16}, {CPU: 4, Mem: 16}})
 	env := MustNewEnv(cfg, nil)
-	if lb := env.LoadBalance(); lb != 0 {
+	if lb := env.loadBalance(); lb != 0 {
 		t.Fatalf("identical idle VMs should be perfectly balanced, got %v", lb)
 	}
 }
@@ -397,9 +404,9 @@ func TestLoadBalanceIncreasesWithImbalance(t *testing.T) {
 	cfg := DefaultConfig([]VMSpec{{CPU: 4, Mem: 16}, {CPU: 4, Mem: 16}})
 	tasks := []workload.Task{{ID: 0, Arrival: 0, CPU: 4, Mem: 16, Duration: 5}}
 	env := MustNewEnv(cfg, tasks)
-	before := env.LoadBalance()
+	before := env.loadBalance()
 	env.Step(0)
-	if env.LoadBalance() <= before {
+	if env.loadBalance() <= before {
 		t.Fatal("loading one VM fully should worsen balance")
 	}
 }
@@ -412,8 +419,8 @@ func TestResetRestoresCleanState(t *testing.T) {
 	if env.Now() != 0 || env.Metrics().Completed != 0 || env.QueueLen() != 2 {
 		t.Fatal("Reset did not restore initial state")
 	}
-	for _, vm := range env.VMs() {
-		if vm.FreeCPU() != vm.Spec.CPU {
+	for _, vm := range env.vms {
+		if vm.freeCPU != vm.Spec.CPU {
 			t.Fatal("Reset left resources allocated")
 		}
 	}
@@ -423,7 +430,7 @@ func TestHeuristicPoliciesCompleteRealWorkload(t *testing.T) {
 	rng := rand.New(rand.NewSource(2))
 	cfg := DefaultConfig([]VMSpec{{CPU: 8, Mem: 64}, {CPU: 16, Mem: 128}, {CPU: 32, Mem: 256}})
 	base := ClampTasks(workload.SampleDataset(workload.Alibaba2017, rng, 120), cfg.VMs)
-	policies := []Policy{FirstFit{}, BestFit{}, WorstFit{}, RandomFit{Rng: rng}, &RoundRobin{}}
+	policies := []Policy{FirstFit{}, BestFit{}, WorstFit{}, RandomFit{Rng: rng}}
 	for _, p := range policies {
 		env := MustNewEnv(cfg, base)
 		m := RunEpisode(env, p)
@@ -494,7 +501,7 @@ func TestPlacementRewardBounds(t *testing.T) {
 	for !env.Done() {
 		a := p.SelectAction(env)
 		r := env.Step(a)
-		if a != env.WaitAction() && a < len(env.VMs()) {
+		if a != env.WaitAction() && a < len(env.vms) {
 			if r > 1.0000001 {
 				t.Fatalf("placement reward %v > 1", r)
 			}

@@ -227,6 +227,6 @@ func TestMetricsFoldMatchesRecords(t *testing.T) {
 		cfg := DefaultConfig(one)
 		cfg.MaxSteps = 10000
 		cfg.Objectives.SLOWaitTarget = [workload.NumSLOClasses]int{500, 1500, 3000}
-		check(t, cfg, NewSliceSource(tasks), 1)
+		check(t, cfg, &SliceSource{tasks: tasks}, 1)
 	})
 }

@@ -143,7 +143,7 @@ func TestGoldenSliceSourceReset(t *testing.T) {
 	env := MustNewEnv(cfg, tasks)
 	envS := MustNewEnv(cfg, nil)
 	envS.cfg.MaxSteps = env.cfg.MaxSteps // MustNewEnv(nil) derived a smaller cap
-	if err := envS.ResetSource(NewSliceSource(tasks)); err != nil {
+	if err := envS.ResetSource(&SliceSource{tasks: tasks}); err != nil {
 		t.Fatal(err)
 	}
 	driveLockstep(t, env, envS, 43)

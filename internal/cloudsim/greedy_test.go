@@ -13,7 +13,7 @@ import (
 // (rl.EvaluateEpisodeMasked → Drain → Metrics), kept as the golden's
 // reference: observe once up front and after every non-final step, mask every
 // decision with the environment's feasible set.
-func referenceGreedyEpisode(env *cloudsim.Env, agent rl.Agent) cloudsim.Metrics {
+func referenceGreedyEpisode(env *cloudsim.Env, agent *rl.PPO) cloudsim.Metrics {
 	state := env.Observe(nil)
 	for !env.Done() {
 		env.Step(agent.GreedyAction(state, env.FeasibleActions()))
@@ -41,7 +41,7 @@ func TestGreedyAdapterMatchesReferenceLoop(t *testing.T) {
 		cfg  cloudsim.Config
 	}{{"legacy", legacy}, {"ranked", ranked}} {
 		rlCfg := rl.DefaultConfig(cloudsim.StateDim(layout.cfg), cloudsim.NumActions(layout.cfg))
-		for name, agent := range map[string]rl.Agent{
+		for name, agent := range map[string]*rl.PPO{
 			"ppo":         rl.NewPPO(rlCfg, rand.New(rand.NewSource(5))),
 			"dual-critic": rl.NewDualCriticPPO(rlCfg, rand.New(rand.NewSource(5))),
 		} {

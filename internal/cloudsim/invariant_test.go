@@ -84,7 +84,7 @@ func invariantRun(t *testing.T, env *Env, pick func(*Env, *rand.Rand) int, rng *
 	if len(env.heap) != 0 {
 		t.Fatalf("completion heap not empty after Drain: %d entries", len(env.heap))
 	}
-	for _, vm := range env.VMs() {
+	for _, vm := range env.vms {
 		if vm.RunningTasks() != 0 {
 			t.Fatalf("VM still running %d tasks after Drain", vm.RunningTasks())
 		}
@@ -129,7 +129,7 @@ func checkStepInvariants(t *testing.T, env *Env) {
 	if env.qhead < 0 || env.qhead > len(env.queue) {
 		t.Fatalf("queue cursor out of range: qhead=%d len=%d", env.qhead, len(env.queue))
 	}
-	for vi, vm := range env.VMs() {
+	for vi, vm := range env.vms {
 		if vm.freeCPU < 0 || vm.freeCPU > vm.Spec.CPU {
 			t.Fatalf("VM %d freeCPU %d outside [0,%d]", vi, vm.freeCPU, vm.Spec.CPU)
 		}
@@ -178,7 +178,7 @@ func checkDeepInvariants(t *testing.T, env *Env) {
 		histCPU := make([]int, env.cfg.UtilBuckets)
 		histMem := make([]int, env.cfg.UtilBuckets)
 		usedCPU, usedMem := 0, 0.0
-		for _, vm := range env.VMs() {
+		for _, vm := range env.vms {
 			histCPU[env.utilBucket(vm.util[0])]++
 			histMem[env.utilBucket(vm.util[1])]++
 			usedCPU += vm.Spec.CPU - vm.freeCPU
@@ -200,7 +200,7 @@ func checkDeepInvariants(t *testing.T, env *Env) {
 	// Accumulators vs scratch scans.
 	var sumUtil, sumRem, sumRem2 [NumResources]float64
 	busy, busyUtil, busyPrice := 0, 0.0, 0.0
-	for i, vm := range env.VMs() {
+	for i, vm := range env.vms {
 		for r := 0; r < NumResources; r++ {
 			sumUtil[r] += vm.util[r]
 			sumRem[r] += vm.rem[r]
@@ -231,7 +231,7 @@ func checkDeepInvariants(t *testing.T, env *Env) {
 	}
 	type key struct{ c, m, i int }
 	var want []key
-	for i, vm := range env.VMs() {
+	for i, vm := range env.vms {
 		if vm.Fits(head) {
 			want = append(want, key{cpuClassOf(vm.freeCPU), memClassOf(vm.freeMem), i})
 		}
@@ -256,7 +256,7 @@ func checkDeepInvariants(t *testing.T, env *Env) {
 		case s >= len(want) && got[s] != -1:
 			t.Fatalf("candidate slot %d: got VM %d past %d feasible VMs", s, got[s], len(want))
 		}
-		if got[s] >= 0 && !env.VMs()[got[s]].Fits(head) {
+		if got[s] >= 0 && !env.vms[got[s]].Fits(head) {
 			t.Fatalf("candidate slot %d: VM %d does not fit head task", s, got[s])
 		}
 	}
@@ -324,7 +324,6 @@ func TestInvariants20VMs(t *testing.T) {
 					{"first-fit", policyPicker(FirstFit{})},
 					{"best-fit", policyPicker(BestFit{})},
 					{"worst-fit", policyPicker(WorstFit{})},
-					{"round-robin", policyPicker(&RoundRobin{})},
 					{"random-fit", policyPicker(RandomFit{Rng: rand.New(rand.NewSource(seed))})},
 				}
 				for _, p := range policies {
@@ -351,7 +350,7 @@ func TestInvariants500VMs(t *testing.T) {
 			tasks := invWorkload(specs, 1500, seed)
 			env := MustNewEnv(cfg, tasks)
 			for _, pick := range []func(*Env, *rand.Rand) int{
-				pickRandom, policyPicker(BestFit{}), policyPicker(&RoundRobin{}),
+				pickRandom, policyPicker(BestFit{}),
 			} {
 				env.Reset(tasks)
 				invariantRun(t, env, pick, rand.New(rand.NewSource(seed*7+3)), 200)
@@ -412,7 +411,7 @@ func TestSourceLengthMismatchShutsDown(t *testing.T) {
 	specs := []VMSpec{{CPU: 8, Mem: 16}}
 	tasks := ClampTasks(workload.Lookup(workload.Google).Sample(rand.New(rand.NewSource(3)), 6), specs)
 	for _, claim := range []int{len(tasks) + 1, len(tasks) - 1} {
-		env, err := NewEnvSource(DefaultConfig(specs), claimedTotal{NewSliceSource(tasks), claim})
+		env, err := NewEnvSource(DefaultConfig(specs), claimedTotal{&SliceSource{tasks: tasks}, claim})
 		if err != nil {
 			t.Fatal(err)
 		}

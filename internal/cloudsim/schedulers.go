@@ -118,26 +118,6 @@ func (p RandomFit) SelectAction(env *Env) int {
 	return env.WaitAction()
 }
 
-// RoundRobin cycles placement across the slots, skipping to the next one
-// that fits.
-type RoundRobin struct{ next int }
-
-// Name implements Policy.
-func (*RoundRobin) Name() string { return "round-robin" }
-
-// SelectAction implements Policy.
-func (p *RoundRobin) SelectAction(env *Env) int {
-	head, slots := env.headSlots()
-	for k := range slots {
-		s := (p.next + k) % len(slots)
-		if env.slotFits(slots[s], head) {
-			p.next = (s + 1) % len(slots)
-			return s
-		}
-	}
-	return env.WaitAction()
-}
-
 // greedy is the Policy behind Greedy.
 type greedy struct {
 	name   string
@@ -150,7 +130,7 @@ type greedy struct {
 // (plus Wait). Training stays unmasked — agents learn feasibility through the
 // Eq. (9) penalties, as in the paper — but a deployed scheduler never submits
 // a placement its admission check would reject. Taking a function value
-// (rl.Agent's GreedyAction) keeps this package free of internal/rl.
+// (rl.PPO's GreedyAction) keeps this package free of internal/rl.
 func Greedy(name string, choose func(state []float64, mask []bool) int) Policy {
 	return &greedy{name: name, choose: choose}
 }

@@ -48,9 +48,6 @@ func TestHeuristicPlacementsHandComputed(t *testing.T) {
 		// (0.625), t2 → VM2 again (0.25 vs VM0's 0.125), t3 → VM0
 		// (0.40625 vs VM1's 0.09375).
 		{"worst-fit", WorstFit{}, []int{2, 2, 2, 0}},
-		// Round robin cycles: VM0, VM1, then t2 lands on VM2 and t3 wraps
-		// to VM0.
-		{"round-robin", &RoundRobin{}, []int{0, 1, 2, 0}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {
@@ -91,8 +88,8 @@ func TestHeuristicWaitsWhenNothingFits(t *testing.T) {
 				tasks = append(tasks, workload.Task{ID: j, Arrival: 0, CPU: 2, Mem: 2, Duration: 9})
 			}
 			env := MustNewEnv(mode.cfg, tasks)
-			for i := 0; i < len(env.VMs()); i++ {
-				if env.Ranked() {
+			for i := 0; i < len(env.vms); i++ {
+				if env.ranked {
 					env.Step(0) // slot 0 always maps to a fresh fitting VM
 				} else {
 					env.Step(i)
@@ -102,7 +99,7 @@ func TestHeuristicWaitsWhenNothingFits(t *testing.T) {
 			if _, ok := env.HeadTask(); !ok {
 				t.Fatal("expected a blocked head task")
 			}
-			policies := []Policy{FirstFit{}, BestFit{}, WorstFit{}, &RoundRobin{},
+			policies := []Policy{FirstFit{}, BestFit{}, WorstFit{},
 				RandomFit{Rng: rand.New(rand.NewSource(1))}}
 			for _, p := range policies {
 				if got := p.SelectAction(env); got != env.WaitAction() {
@@ -130,7 +127,7 @@ func TestRunEpisodeDeterministic(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			env := MustNewEnv(cfg, tasks)
 			mkPolicies := func() []Policy {
-				return []Policy{FirstFit{}, BestFit{}, WorstFit{}, &RoundRobin{},
+				return []Policy{FirstFit{}, BestFit{}, WorstFit{},
 					RandomFit{Rng: rand.New(rand.NewSource(7))}}
 			}
 			for i, p := range mkPolicies() {

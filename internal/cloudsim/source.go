@@ -31,12 +31,6 @@ type SliceSource struct {
 	pos   int
 }
 
-// NewSliceSource copies tasks into an owned buffer and returns a source over
-// them. Tasks must be sorted by arrival, as with Env.Reset.
-func NewSliceSource(tasks []workload.Task) *SliceSource {
-	return &SliceSource{tasks: append([]workload.Task(nil), tasks...)}
-}
-
 // reset points the source at a caller-owned backing slice without copying
 // (internal: Env reuses its own buffer across Resets to stay allocation-free).
 func (s *SliceSource) reset(tasks []workload.Task) {

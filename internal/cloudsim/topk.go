@@ -213,12 +213,3 @@ func (idx *vmIndex) collect(dst []int32, k int, head workload.Task, vms []*VM) [
 	}
 	return dst
 }
-
-// Ranked reports whether the slots are ranked candidates: a candidate index
-// in front of a cluster larger than TopK. With TopK = 0 or TopK ≥ len(VMs)
-// there is nothing to rank and the environment runs the per-VM layout.
-func (e *Env) Ranked() bool { return e.ranked }
-
-// CandidateVM maps a placement action to the VM index it addresses in the
-// current state, or -1 for a void slot.
-func (e *Env) CandidateVM(slot int) int { return int(e.Candidates()[slot]) }

@@ -93,8 +93,8 @@ func TestTopKRankingTracksPlacements(t *testing.T) {
 			t.Fatalf("after placement, slot %d: got %d want %d", s, vi, want[s])
 		}
 	}
-	if got := env.CandidateVM(1); got != 1 {
-		t.Fatalf("CandidateVM(1) = %d, want 1", got)
+	if got := int(env.Candidates()[1]); got != 1 {
+		t.Fatalf("Candidates()[1] = %d, want 1", got)
 	}
 }
 
@@ -103,19 +103,19 @@ func TestTopKRankingTracksPlacements(t *testing.T) {
 func TestCandidateVMIdentityMode(t *testing.T) {
 	cfg := topkConfig(4) // == len(VMs): identity, not ranked
 	env := MustNewEnv(cfg, []workload.Task{{ID: 0, CPU: 1, Mem: 1, Duration: 1}})
-	if env.Ranked() {
+	if env.ranked {
 		t.Fatal("TopK == len(VMs) should not be ranked mode")
 	}
 	for i := 0; i < 4; i++ {
-		if got := env.CandidateVM(i); got != i {
-			t.Fatalf("identity CandidateVM(%d) = %d", i, got)
+		if got := int(env.Candidates()[i]); got != i {
+			t.Fatalf("identity Candidates()[%d] = %d", i, got)
 		}
 	}
 	cfg.TopK = 6
 	cfg.PadVMs = 6
 	env = MustNewEnv(cfg, []workload.Task{{ID: 0, CPU: 1, Mem: 1, Duration: 1}})
-	if got := env.CandidateVM(5); got != -1 {
-		t.Fatalf("identity CandidateVM(5) = %d, want -1 (void)", got)
+	if got := int(env.Candidates()[5]); got != -1 {
+		t.Fatalf("identity Candidates()[5] = %d, want -1 (void)", got)
 	}
 }
 
@@ -156,10 +156,6 @@ func TestRankedHeuristicSlots(t *testing.T) {
 	}
 	if got := (FirstFit{}).SelectAction(env); got != 0 {
 		t.Fatalf("FirstFit slot = %d, want 0", got)
-	}
-	rr := &RoundRobin{}
-	if a, b := rr.SelectAction(env), rr.SelectAction(env); a != 0 || b != 1 {
-		t.Fatalf("RoundRobin slots = %d,%d, want 0,1", a, b)
 	}
 
 	// After exhausting VM0 the head {1,1} candidates are [2, 1, 3]; the

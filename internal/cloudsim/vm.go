@@ -5,7 +5,7 @@
 // balancing, with invalid-action and lazy-wait penalties), and the four
 // evaluation metrics (average response time, makespan, average utilization,
 // average load balancing). It also provides classic heuristic schedulers
-// (first-fit, best-fit, random, round-robin) as sanity baselines.
+// (first-fit, best-fit, worst-fit, random) as sanity baselines.
 package cloudsim
 
 import (
@@ -113,12 +113,6 @@ func (v *VM) refreshCache() {
 		v.rem[i] = 1 - v.util[i]
 	}
 }
-
-// FreeCPU returns the currently unallocated vCPU count.
-func (v *VM) FreeCPU() int { return v.freeCPU }
-
-// FreeMem returns the currently unallocated memory in GiB.
-func (v *VM) FreeMem() float64 { return v.freeMem }
 
 // Fits reports whether the task's request fits in the VM's free resources.
 func (v *VM) Fits(t workload.Task) bool {

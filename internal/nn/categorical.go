@@ -8,27 +8,19 @@ import (
 // Categorical is a discrete distribution over actions derived from one row
 // of logits, with optional action masking (forbidden actions get probability
 // zero). It is used at rollout time; the differentiable log-probability for
-// training is recomputed on the tape via autograd.LogSoftmaxRows + PickCols.
+// training is recomputed inside autograd.ClippedSurrogateLoss, the fused
+// op the update records. The zero Categorical is ready for SetLogits.
 type Categorical struct {
 	probs []float64
 	logp  []float64
 }
 
-// NewCategorical builds the distribution from logits. mask may be nil; when
-// provided, mask[i]==false removes action i. If every action is masked the
-// distribution falls back to uniform over all actions (the caller should
-// treat that as a modelling bug, but sampling stays well-defined).
-func NewCategorical(logits []float64, mask []bool) *Categorical {
-	c := &Categorical{}
-	c.SetLogits(logits, mask)
-	return c
-}
-
 // SetLogits rebuilds the distribution in place from logits, reusing the
-// receiver's probability and log-probability storage. It is the
-// allocation-free counterpart of NewCategorical for rollout hot loops: one
-// Categorical per agent, refreshed every step. Semantics (masking,
-// all-masked uniform fallback) are identical to NewCategorical.
+// receiver's probability and log-probability storage: one Categorical per
+// agent, refreshed every step. mask may be nil; when provided, mask[i]==false
+// removes action i. If every action is masked the distribution falls back to
+// uniform over all actions (the caller should treat that as a modelling bug,
+// but sampling stays well-defined).
 func (c *Categorical) SetLogits(logits []float64, mask []bool) {
 	n := len(logits)
 	if cap(c.probs) < n {
@@ -107,17 +99,3 @@ func (c *Categorical) Argmax() int {
 
 // LogProb returns log P(action).
 func (c *Categorical) LogProb(action int) float64 { return c.logp[action] }
-
-// Prob returns P(action).
-func (c *Categorical) Prob(action int) float64 { return c.probs[action] }
-
-// Entropy returns the Shannon entropy of the distribution in nats.
-func (c *Categorical) Entropy() float64 {
-	h := 0.0
-	for _, p := range c.probs {
-		if p > 0 {
-			h -= p * math.Log(p)
-		}
-	}
-	return h
-}

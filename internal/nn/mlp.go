@@ -170,13 +170,6 @@ func (m *MLP) Infer(dst *tensor.Matrix, x *tensor.Matrix) *tensor.Matrix {
 	return dst
 }
 
-// Predict runs a gradient-free forward pass and returns a freshly allocated
-// result. It is a convenience wrapper around Infer for callers that keep the
-// output; hot paths should pass their own reusable dst to Infer instead.
-func (m *MLP) Predict(x *tensor.Matrix) *tensor.Matrix {
-	return m.Infer(nil, x)
-}
-
 // Params returns all layer parameters in order.
 func (m *MLP) Params() []*Parameter {
 	if m.params == nil {
@@ -185,17 +178,4 @@ func (m *MLP) Params() []*Parameter {
 		}
 	}
 	return m.params
-}
-
-// Sizes returns a copy of the layer size list.
-func (m *MLP) Sizes() []int { return append([]int(nil), m.sizes...) }
-
-// Clone returns a deep copy of the MLP (same architecture and weights).
-func (m *MLP) Clone(name string) *MLP {
-	rng := rand.New(rand.NewSource(0))
-	c := NewMLP(rng, name, m.sizes, m.Act, 1.0)
-	if err := CopyParams(c, m); err != nil {
-		panic("nn: Clone: " + err.Error())
-	}
-	return c
 }

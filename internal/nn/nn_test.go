@@ -13,7 +13,7 @@ import (
 func TestLinearForwardShape(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	l := NewLinear(rng, "fc", 5, 3, 1.0)
-	tape := autograd.NewTape()
+	tape := new(autograd.Tape)
 	x := tape.Const(tensor.RandNormal(rng, 4, 5, 0, 1))
 	y := l.Forward(tape, x)
 	if y.Data.Rows != 4 || y.Data.Cols != 3 {
@@ -27,7 +27,7 @@ func TestLinearBiasApplied(t *testing.T) {
 	l.W.Data.Zero()
 	l.B.Data.Data[0] = 1.5
 	l.B.Data.Data[1] = -2.5
-	tape := autograd.NewTape()
+	tape := new(autograd.Tape)
 	y := l.Forward(tape, tape.Const(tensor.New(1, 2)))
 	if y.Data.Data[0] != 1.5 || y.Data.Data[1] != -2.5 {
 		t.Fatalf("bias not applied: %v", y.Data.Data)
@@ -44,7 +44,7 @@ func TestLinearAccumulatesIntoDirtyGrad(t *testing.T) {
 	m := NewMLP(rng, "net", []int{60, 64, 6}, ActTanh, 0.01)
 	xa := tensor.RandNormal(rng, 17, 60, 0, 1)
 	xb := tensor.RandNormal(rng, 17, 60, 0, 1)
-	pool := tensor.NewPool()
+	pool := new(tensor.Pool)
 	tape := autograd.NewPooledTape(pool)
 	// backward runs one graph on x and returns how many matrices it drew.
 	backward := func(x *tensor.Matrix) int64 {
@@ -106,18 +106,13 @@ func TestMLPShapesAndSizes(t *testing.T) {
 	if len(m.Layers) != 3 {
 		t.Fatalf("want 3 layers, got %d", len(m.Layers))
 	}
-	out := m.Predict(tensor.RandNormal(rng, 7, 10, 0, 1))
+	out := m.Infer(nil, tensor.RandNormal(rng, 7, 10, 0, 1))
 	if out.Rows != 7 || out.Cols != 5 {
 		t.Fatalf("MLP output %dx%d", out.Rows, out.Cols)
 	}
 	want := 10*64 + 64 + 64*64 + 64 + 64*5 + 5
 	if NumParams(m) != want {
 		t.Fatalf("NumParams = %d, want %d", NumParams(m), want)
-	}
-	sizes := m.Sizes()
-	sizes[0] = 999
-	if m.Sizes()[0] == 999 {
-		t.Fatal("Sizes must return a copy")
 	}
 }
 
@@ -145,15 +140,15 @@ func TestMLPTrainsOnRegression(t *testing.T) {
 	m := NewMLP(rng, "reg", []int{1, 32, 1}, ActTanh, 1.0)
 	opt := NewAdam(m, 1e-2)
 	loss := func() float64 {
-		tape := autograd.NewTape()
+		tape := new(autograd.Tape)
 		pred := m.Forward(tape, tape.Const(x))
 		l := autograd.Mean(autograd.Square(autograd.Sub(pred, tape.Const(y))))
 		return l.Item()
 	}
 	initial := loss()
 	for it := 0; it < 300; it++ {
-		opt.ZeroGrad()
-		tape := autograd.NewTape()
+		ZeroGrads(m)
+		tape := new(autograd.Tape)
 		pred := m.Forward(tape, tape.Const(x))
 		l := autograd.Mean(autograd.Square(autograd.Sub(pred, tape.Const(y))))
 		l.Backward()
@@ -169,7 +164,7 @@ func TestAdamResetClearsState(t *testing.T) {
 	rng := rand.New(rand.NewSource(6))
 	m := NewMLP(rng, "r", []int{2, 2}, ActTanh, 1.0)
 	opt := NewAdam(m, 1e-3)
-	opt.ZeroGrad()
+	ZeroGrads(m)
 	m.Params()[0].Gradient().Fill(1)
 	opt.Step()
 	opt.Reset()
@@ -195,7 +190,7 @@ func TestFlattenLoadRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := tensor.RandNormal(rng, 2, 3, 0, 1)
-	if !a.Predict(in).ApproxEqual(b.Predict(in), 1e-12) {
+	if !a.Infer(nil, in).ApproxEqual(b.Infer(nil, in), 1e-12) {
 		t.Fatal("models disagree after LoadFlatParams")
 	}
 }
@@ -256,26 +251,12 @@ func TestCopyParams(t *testing.T) {
 		t.Fatal(err)
 	}
 	in := tensor.RandNormal(rng, 4, 3, 0, 1)
-	if !a.Predict(in).ApproxEqual(b.Predict(in), 1e-12) {
+	if !a.Infer(nil, in).ApproxEqual(b.Infer(nil, in), 1e-12) {
 		t.Fatal("CopyParams did not synchronize outputs")
 	}
 	c := NewMLP(rng, "c", []int{3, 4, 2}, ActTanh, 1.0)
 	if err := CopyParams(c, a); err == nil {
 		t.Fatal("expected shape mismatch error")
-	}
-}
-
-func TestCloneIsDeep(t *testing.T) {
-	rng := rand.New(rand.NewSource(10))
-	a := NewMLP(rng, "a", []int{2, 3, 2}, ActTanh, 1.0)
-	c := a.Clone("c")
-	in := tensor.RandNormal(rng, 1, 2, 0, 1)
-	if !a.Predict(in).ApproxEqual(c.Predict(in), 1e-12) {
-		t.Fatal("clone output differs")
-	}
-	c.Params()[0].Data.Fill(99)
-	if a.Params()[0].Data.Data[0] == 99 {
-		t.Fatal("clone shares storage with original")
 	}
 }
 
@@ -337,7 +318,7 @@ func TestClipFoldMatchesTwoPass(t *testing.T) {
 			}
 			maxNorm := []float64{0.05, 100}[it%2]
 			for _, net := range []*MLP{fold, ref} {
-				tape := autograd.NewTape()
+				tape := new(autograd.Tape)
 				autograd.Mean(autograd.Square(net.Forward(tape, tape.Const(x)))).Backward()
 			}
 			_, scale := ClipGradNorm(fold, maxNorm)
@@ -357,8 +338,8 @@ func TestClipFoldMatchesTwoPass(t *testing.T) {
 }
 
 func TestCategoricalBasics(t *testing.T) {
-	c := NewCategorical([]float64{0, 0, math.Log(2)}, nil)
-	p := []float64{c.Prob(0), c.Prob(1), c.Prob(2)}
+	c := categorical([]float64{0, 0, math.Log(2)}, nil)
+	p := []float64{c.probs[0], c.probs[1], c.probs[2]}
 	if math.Abs(p[0]+p[1]+p[2]-1) > 1e-12 {
 		t.Fatal("probs must sum to 1")
 	}
@@ -369,23 +350,20 @@ func TestCategoricalBasics(t *testing.T) {
 		t.Fatal("argmax wrong")
 	}
 	if math.Abs(c.LogProb(2)-math.Log(p[2])) > 1e-12 {
-		t.Fatal("LogProb inconsistent with Prob")
-	}
-	if math.Abs(c.Prob(1)-p[1]) > 1e-12 {
-		t.Fatal("Prob accessor wrong")
+		t.Fatal("LogProb inconsistent with the probabilities")
 	}
 }
 
 func TestCategoricalMasking(t *testing.T) {
-	c := NewCategorical([]float64{5, 1, 1}, []bool{false, true, true})
-	if c.Prob(0) != 0 {
+	c := categorical([]float64{5, 1, 1}, []bool{false, true, true})
+	if c.probs[0] != 0 {
 		t.Fatal("masked action must have probability 0")
 	}
 	if !math.IsInf(c.LogProb(0), -1) {
 		t.Fatal("masked action must have -inf log-prob")
 	}
-	if math.Abs(c.Prob(1)-0.5) > 1e-12 {
-		t.Fatalf("remaining mass not renormalized: %v", c.Prob(1))
+	if math.Abs(c.probs[1]-0.5) > 1e-12 {
+		t.Fatalf("remaining mass not renormalized: %v", c.probs[1])
 	}
 	rng := rand.New(rand.NewSource(1))
 	for i := 0; i < 1000; i++ {
@@ -396,16 +374,16 @@ func TestCategoricalMasking(t *testing.T) {
 }
 
 func TestCategoricalAllMaskedFallsBackUniform(t *testing.T) {
-	c := NewCategorical([]float64{1, 2, 3, 4}, []bool{false, false, false, false})
+	c := categorical([]float64{1, 2, 3, 4}, []bool{false, false, false, false})
 	for i := 0; i < 4; i++ {
-		if math.Abs(c.Prob(i)-0.25) > 1e-12 {
-			t.Fatalf("expected uniform fallback, got %v for action %d", c.Prob(i), i)
+		if math.Abs(c.probs[i]-0.25) > 1e-12 {
+			t.Fatalf("expected uniform fallback, got %v for action %d", c.probs[i], i)
 		}
 	}
 }
 
 func TestCategoricalSampleFrequencies(t *testing.T) {
-	c := NewCategorical([]float64{math.Log(0.7), math.Log(0.2), math.Log(0.1)}, nil)
+	c := categorical([]float64{math.Log(0.7), math.Log(0.2), math.Log(0.1)}, nil)
 	rng := rand.New(rand.NewSource(2))
 	counts := make([]int, 3)
 	const n = 50000
@@ -418,17 +396,6 @@ func TestCategoricalSampleFrequencies(t *testing.T) {
 		if math.Abs(got-w) > 0.02 {
 			t.Fatalf("action %d frequency %v, want ~%v", i, got, w)
 		}
-	}
-}
-
-func TestCategoricalEntropy(t *testing.T) {
-	uniform := NewCategorical([]float64{1, 1, 1, 1}, nil)
-	if math.Abs(uniform.Entropy()-math.Log(4)) > 1e-12 {
-		t.Fatalf("uniform entropy %v, want ln4", uniform.Entropy())
-	}
-	peaked := NewCategorical([]float64{100, 0, 0, 0}, nil)
-	if peaked.Entropy() > 1e-6 {
-		t.Fatalf("peaked entropy %v, want ~0", peaked.Entropy())
 	}
 }
 
@@ -447,10 +414,10 @@ func TestPropCategoricalNormalized(t *testing.T) {
 		if !anyAllowed {
 			mask[0] = true
 		}
-		c := NewCategorical(logits, mask)
+		c := categorical(logits, mask)
 		sum := 0.0
 		for i := 0; i < n; i++ {
-			p := c.Prob(i)
+			p := c.probs[i]
 			if p < 0 || p > 1 {
 				return false
 			}
@@ -554,7 +521,7 @@ func TestGradientsBorrowedOnDemand(t *testing.T) {
 		}
 	}
 	ReleaseGrads(m)
-	tape := autograd.NewTape()
+	tape := new(autograd.Tape)
 	autograd.Mean(autograd.Square(m.Forward(tape, tape.Const(tensor.RandNormal(rand.New(rand.NewSource(4)), 4, 5, 0, 1))))).Backward()
 	ZeroGrads(m)
 	for _, p := range m.Params() {

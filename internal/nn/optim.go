@@ -65,13 +65,6 @@ func (a *Adam) StepScaled(scale float64) {
 	}
 }
 
-// ZeroGrad clears all gradients.
-func (a *Adam) ZeroGrad() {
-	for _, p := range a.params {
-		p.ZeroGrad()
-	}
-}
-
 // Reset clears the optimizer's moment estimates and step count, e.g. after
 // parameters are overwritten by a federated aggregation round. The
 // parameters' Generation is not rewound.

@@ -225,19 +225,24 @@ func benchPaddedEnv(tb testing.TB) (*cloudsim.Env, func()) {
 // at table3_parallel's width whose void inputs tie first-layer rows. Run
 // with -cpu 1,2 to read the sequential path beside the lanes.
 func BenchmarkPPOUpdate(b *testing.B) {
-	synthetic := func(stateDim, actions int) func(testing.TB) (Environment, func()) {
-		return func(testing.TB) (Environment, func()) {
+	// sizedEnv is an environment that also reports its action count.
+	type sizedEnv interface {
+		Environment
+		NumActions() int
+	}
+	synthetic := func(stateDim, actions int) func(testing.TB) (sizedEnv, func()) {
+		return func(testing.TB) (sizedEnv, func()) {
 			env := NewSyntheticEnv(stateDim, actions, benchHorizon, 3)
 			return env, env.Reset
 		}
 	}
 	for _, w := range []struct {
 		name string
-		env  func(testing.TB) (Environment, func())
+		env  func(testing.TB) (sizedEnv, func())
 	}{
 		{"paper", synthetic(benchStateDim, benchActions)},
 		{"narrow", synthetic(60, 6)},
-		{"padded", func(tb testing.TB) (Environment, func()) {
+		{"padded", func(tb testing.TB) (sizedEnv, func()) {
 			cluster, restart := benchPaddedEnv(tb)
 			env := &windowEnv{Env: cluster, restart: restart, steps: benchHorizon}
 			return env, env.next

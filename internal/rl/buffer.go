@@ -417,10 +417,12 @@ func (b *Buffer) ReturnsInto(gamma float64, dst []float64) []float64 {
 	return g
 }
 
-// GAE computes Generalized Advantage Estimation with the stored value
+// GAEInto computes Generalized Advantage Estimation with the stored value
 // estimates, resetting at episode boundaries. It returns (advantages,
 // valueTargets) where valueTargets[i] = advantages[i] + Value[i] (the
-// λ-return critic target).
+// λ-return critic target), written into advIn and targetsIn, which are grown
+// as needed and returned resliced to the buffer length; the update pipeline
+// passes agent-owned scratch, nil slices allocate.
 //
 // The successor value V(s_{t+1}) in δ_t = r_t + γ·V(s_{t+1}) − V(s_t) is:
 // the recorded Bootstrap at a truncated episode cut, zero at a true
@@ -428,14 +430,6 @@ func (b *Buffer) ReturnsInto(gamma float64, dst []float64) []float64 {
 // transition's Value otherwise. The GAE
 // accumulator still resets at every Done boundary — truncation ends the
 // trajectory for estimation purposes; it just doesn't zero the tail.
-func (b *Buffer) GAE(gamma, lambda float64) (adv, targets []float64) {
-	return b.GAEInto(gamma, lambda, nil, nil)
-}
-
-// GAEInto is GAE writing into caller-provided slices, which are grown as
-// needed and returned resliced to the buffer length — the allocation-free
-// variant the update pipeline calls with agent-owned scratch. Passing nil
-// slices makes it equivalent to GAE.
 func (b *Buffer) GAEInto(gamma, lambda float64, advIn, targetsIn []float64) (adv, targets []float64) {
 	n := len(b.steps)
 	adv = growFloats(advIn, n)

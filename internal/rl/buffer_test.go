@@ -8,7 +8,6 @@ import (
 	"testing"
 
 	"repro/internal/nn"
-	"repro/internal/tensor"
 )
 
 // stampEnv's observation at step i is base+i in every feature, written into
@@ -233,13 +232,20 @@ func TestChunkValuesMatchPerState(t *testing.T) {
 // frozenValues copies agent's critics and α and returns the per-state
 // estimate of the copy: one Infer per network on a one-row matrix.
 func frozenValues(agent *PPO) func(state []float64) float64 {
-	critic, alpha := agent.Critic.Clone("frozen"), agent.Alpha
+	frozen := func(m *nn.MLP) *nn.MLP {
+		c := nn.NewMLP(rand.New(rand.NewSource(0)), "frozen", agent.Cfg.criticSizes(), nn.ActTanh, 1.0)
+		if err := nn.CopyParams(c, m); err != nil {
+			panic(err)
+		}
+		return c
+	}
+	critic, alpha := frozen(agent.Critic), agent.Alpha
 	var public *nn.MLP
 	if agent.PublicCritic != nil {
-		public = agent.PublicCritic.Clone("frozen.public")
+		public = frozen(agent.PublicCritic)
 	}
 	return func(state []float64) float64 {
-		x := tensor.RowVector(state)
+		x := tensorRowVector(state)
 		v := critic.Infer(nil, x).Data[0]
 		if public == nil {
 			return v

@@ -176,7 +176,7 @@ func twoPassClip(net *nn.MLP, maxNorm float64) {
 
 // referencePPOUpdate mirrors PPO.Update on the frozen reference loop.
 func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
-	adv, targets := buf.GAE(gamma, lambda)
+	adv, targets := buf.GAEInto(gamma, lambda, nil, nil)
 	NormalizeInPlace(adv)
 	return ppoUpdateReference(ppoUpdateSpec{
 		cfg:      p.Cfg,
@@ -196,7 +196,7 @@ func referencePPOUpdate(p *PPO, buf *Buffer) UpdateStats {
 // referenceDualUpdate mirrors a dual-critic agent's Update (without the trailing
 // RefreshAlpha, which both callers run identically outside the loop).
 func referenceDualUpdate(d *PPO, buf *Buffer) UpdateStats {
-	adv, targets := buf.GAE(gamma, lambda)
+	adv, targets := buf.GAEInto(gamma, lambda, nil, nil)
 	NormalizeInPlace(adv)
 	return ppoUpdateReference(ppoUpdateSpec{
 		cfg:      d.Cfg,

@@ -10,14 +10,14 @@ import (
 
 type tensorMatrix = tensor.Matrix
 
-func tensorRowVector(v []float64) *tensorMatrix { return tensor.RowVector(v) }
+func tensorRowVector(v []float64) *tensorMatrix { return tensor.FromSlice(1, len(v), v) }
 
 func nnCopy(dst, src nn.Module) error { return nn.CopyParams(dst, src) }
 
 // valueOf is agent's estimate of one state.
 func valueOf(agent Agent, state []float64) float64 {
 	var v [1]float64
-	agent.Estimator().Values(v[:], tensor.RowVector(state))
+	agent.Estimator().Values(v[:], tensorRowVector(state))
 	return v[0]
 }
 
@@ -30,7 +30,7 @@ func trainCriticStep(critic *nn.MLP, buf *Buffer) {
 		buf.State(i, states.Row(i))
 		target.Data[i] = returns[i]
 	}
-	tape := autograd.NewTape()
+	tape := new(autograd.Tape)
 	v := critic.Forward(tape, tape.Const(states))
 	autograd.Mean(autograd.Square(autograd.Sub(v, tape.Const(target)))).Backward()
 }

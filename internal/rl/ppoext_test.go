@@ -9,9 +9,9 @@ import (
 )
 
 func TestValueLossPlainMatchesMSE(t *testing.T) {
-	tape := autograd.NewTape()
-	pred := tape.Const(tensor.ColVector([]float64{1, 2, 3}))
-	target := tape.Const(tensor.ColVector([]float64{2, 2, 5}))
+	tape := new(autograd.Tape)
+	pred := tape.Const(tensor.FromSlice(3, 1, []float64{1, 2, 3}))
+	target := tape.Const(tensor.FromSlice(3, 1, []float64{2, 2, 5}))
 	got := valueLoss(pred, target).Item()
 	want := (1.0 + 0 + 4) / 3
 	if got != want {
@@ -26,12 +26,12 @@ func TestValueLossGradient(t *testing.T) {
 	build := func(tp *autograd.Tape, x *autograd.Value) *autograd.Value {
 		return valueLoss(x, tp.Const(targetM))
 	}
-	tape := autograd.NewTape()
+	tape := new(autograd.Tape)
 	x := tape.Var(predM)
 	build(tape, x).Backward()
 	analytic := x.Grad.Clone()
 	numeric := autograd.NumericGrad(predM, 1e-6, func() float64 {
-		tp := autograd.NewTape()
+		tp := new(autograd.Tape)
 		return build(tp, tp.Const(predM)).Item()
 	})
 	if err := autograd.MaxGradError(analytic, numeric); err > 1e-5 {

@@ -41,7 +41,7 @@ func TestGAEMatchesHandComputation(t *testing.T) {
 	b.Add(nil, Transition{Reward: 1, Value: 0.5})
 	b.Add(nil, Transition{Reward: 2, Value: 1.0, Done: true})
 	gamma, lambda := 0.9, 0.8
-	adv, targets := b.GAE(gamma, lambda)
+	adv, targets := b.GAEInto(gamma, lambda, nil, nil)
 	// t=1 terminal: delta1 = 2 + 0 - 1 = 1; gae1 = 1.
 	// t=0: delta0 = 1 + 0.9*1.0 - 0.5 = 1.4; gae0 = 1.4 + 0.9*0.8*1 = 2.12.
 	if math.Abs(adv[1]-1) > 1e-12 || math.Abs(adv[0]-2.12) > 1e-12 {
@@ -60,7 +60,7 @@ func TestGAEWithLambdaOneEqualsMonteCarlo(t *testing.T) {
 		b.Add(nil, Transition{Reward: rewards[i], Value: vals[i], Done: i == 2})
 	}
 	gamma := 0.95
-	adv, _ := b.GAE(gamma, 1.0)
+	adv, _ := b.GAEInto(gamma, 1.0, nil, nil)
 	g := b.Returns(gamma)
 	for i := range adv {
 		if math.Abs(adv[i]-(g[i]-vals[i])) > 1e-9 {
@@ -74,7 +74,7 @@ func TestGAETruncatedTailUsesBootstrap(t *testing.T) {
 	b.Add(nil, Transition{Reward: 1, Value: 0.5})
 	b.Add(nil, Transition{Reward: 2, Value: 1.0, Done: true, Truncated: true, Bootstrap: 3.0})
 	gamma, lambda := 0.9, 0.8
-	adv, targets := b.GAE(gamma, lambda)
+	adv, targets := b.GAEInto(gamma, lambda, nil, nil)
 	// t=1 truncated: delta1 = 2 + 0.9*3.0 - 1 = 3.7; gae1 = 3.7.
 	// t=0: delta0 = 1 + 0.9*1.0 - 0.5 = 1.4; gae0 = 1.4 + 0.72*3.7 = 4.064.
 	if math.Abs(adv[1]-3.7) > 1e-12 || math.Abs(adv[0]-4.064) > 1e-12 {
@@ -104,7 +104,7 @@ func mixedBuffer() *Buffer {
 
 func TestGAEMixedBoundariesHandComputed(t *testing.T) {
 	b := mixedBuffer()
-	adv, targets := b.GAE(0.5, 0.5)
+	adv, targets := b.GAEInto(0.5, 0.5, nil, nil)
 	// i=3 truncated:  delta = 4 + 0.5*2.0 - 0.8 = 4.2;  gae = 4.2.
 	// i=2 truncated:  delta = 3 + 0.5*1.0 - 0.6 = 2.9;  gae resets, = 2.9.
 	// i=1:            delta = 2 + 0.5*0.6 - 0.4 = 1.9;  gae = 1.9 + 0.25*2.9 = 2.625.
@@ -129,7 +129,7 @@ func TestGAEMixedBoundariesHandComputed(t *testing.T) {
 
 func TestGAELambdaZeroIsOneStepTD(t *testing.T) {
 	b := mixedBuffer()
-	adv, _ := b.GAE(0.5, 0)
+	adv, _ := b.GAEInto(0.5, 0, nil, nil)
 	// λ=0 collapses GAE to the raw TD errors (the deltas above).
 	want := []float64{0.8, 1.9, 2.9, 4.2}
 	for i := range want {
@@ -145,7 +145,7 @@ func TestGAELambdaOneEqualsBootstrappedMonteCarlo(t *testing.T) {
 	// and the batch's closing cut.
 	b := mixedBuffer()
 	gamma := 0.95
-	adv, _ := b.GAE(gamma, 1.0)
+	adv, _ := b.GAEInto(gamma, 1.0, nil, nil)
 	g := b.Returns(gamma)
 	for i, s := range b.Steps() {
 		if math.Abs(adv[i]-(g[i]-s.Value)) > 1e-9 {
@@ -354,8 +354,8 @@ func TestDualCriticValueBlending(t *testing.T) {
 	for i := range state {
 		state[i] = rng.NormFloat64()
 	}
-	vl := d.Critic.Predict(rowOf(state)).Data[0]
-	vp := d.PublicCritic.Predict(rowOf(state)).Data[0]
+	vl := d.Critic.Infer(nil, rowOf(state)).Data[0]
+	vp := d.PublicCritic.Infer(nil, rowOf(state)).Data[0]
 	d.Alpha = 0.3
 	want := 0.3*vl + 0.7*vp
 	if got := valueOf(d, state); math.Abs(got-want) > 1e-12 {
@@ -419,8 +419,8 @@ func TestPublicCriticRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	state := []float64{0.1, -0.2, 0.3, 0, 0.5}
-	va := a.PublicCritic.Predict(rowOf(state)).Data[0]
-	vb := b.PublicCritic.Predict(rowOf(state)).Data[0]
+	va := a.PublicCritic.Infer(nil, rowOf(state)).Data[0]
+	vb := b.PublicCritic.Infer(nil, rowOf(state)).Data[0]
 	if math.Abs(va-vb) > 1e-12 {
 		t.Fatal("public critic transfer mismatch")
 	}
@@ -467,7 +467,7 @@ func TestDualCriticImprovesOnSmallWorkload(t *testing.T) {
 
 // unmasked is agent's greedy choice with the feasibility mask dropped: the
 // nil mask allows every action.
-func unmasked(agent Agent) func([]float64, []bool) int {
+func unmasked(agent *PPO) func([]float64, []bool) int {
 	return func(state []float64, _ []bool) int { return agent.GreedyAction(state, nil) }
 }
 
@@ -494,7 +494,7 @@ func TestCriticMSEDropsWhenCriticFits(t *testing.T) {
 	before := CriticMSE(critic, &buf, 0.99)
 	opt := nn.NewAdam(critic, 1e-2)
 	for it := 0; it < 200; it++ {
-		opt.ZeroGrad()
+		nn.ZeroGrads(critic)
 		trainCriticStep(critic, &buf)
 		opt.Step()
 	}

@@ -19,8 +19,6 @@ type Environment interface {
 	Done() bool
 	// StateDim returns the observation length.
 	StateDim() int
-	// NumActions returns the size of the discrete action space.
-	NumActions() int
 	// FeasibleActions masks the currently admissible actions. The returned
 	// slice may be a scratch buffer reused by the environment's next
 	// FeasibleActions call (both cloudsim.Env and SyntheticEnv reuse it, so
@@ -35,16 +33,11 @@ type Environment interface {
 type Agent interface {
 	// SelectAction samples from the current policy.
 	SelectAction(state []float64) (action int, logProb float64)
-	// GreedyAction returns the most probable action among those mask allows
-	// (evaluation); a nil mask allows every action.
-	GreedyAction(state []float64, mask []bool) int
 	// Estimator returns the agent's value function as it stands now.
 	// CollectEpisode takes one per episode and values the episode's states
 	// with it, possibly on another goroutine while SelectAction runs: it
 	// must read nothing SelectAction writes.
 	Estimator() ValueEstimator
-	// Update consumes an on-policy buffer and improves the networks.
-	Update(buf *Buffer) UpdateStats
 }
 
 // ValueEstimator estimates state values a block at a time.

@@ -21,10 +21,6 @@ func Mean(v []float64) float64 {
 	return s / float64(len(v))
 }
 
-// Median returns the middle value (mean of the two middle values for even
-// lengths). It returns NaN for empty input.
-func Median(v []float64) float64 { return Percentile(v, 0.5) }
-
 // Percentile returns the q-th percentile (q in [0,1]) with linear
 // interpolation. It returns NaN for empty input.
 func Percentile(v []float64, q float64) float64 {

@@ -12,13 +12,13 @@ func TestDescriptiveBasics(t *testing.T) {
 	if Mean(v) != 5 {
 		t.Fatalf("mean %v", Mean(v))
 	}
-	if Median(v) != 4.5 {
-		t.Fatalf("median %v", Median(v))
+	if Percentile(v, 0.5) != 4.5 {
+		t.Fatalf("median %v", Percentile(v, 0.5))
 	}
 	if Mean(nil) != 0 {
 		t.Fatal("degenerate inputs")
 	}
-	if !math.IsNaN(Median(nil)) {
+	if !math.IsNaN(Percentile(nil, 0.5)) {
 		t.Fatal("median of empty should be NaN")
 	}
 }

@@ -78,16 +78,6 @@ func (m *Matrix) AddTanhGradInPlace(grad, y *Matrix) *Matrix {
 	return m
 }
 
-// DivElemInto sets dst = m / b elementwise and returns dst.
-func (m *Matrix) DivElemInto(b, dst *Matrix) *Matrix {
-	m.assertSameShape(b, "DivElemInto")
-	dst.assertShape(m.Rows, m.Cols, "DivElemInto")
-	for i, v := range m.Data {
-		dst.Data[i] = v / b.Data[i]
-	}
-	return dst
-}
-
 // ScaleInto sets dst = s*m and returns dst.
 func (m *Matrix) ScaleInto(s float64, dst *Matrix) *Matrix {
 	dst.assertShape(m.Rows, m.Cols, "ScaleInto")

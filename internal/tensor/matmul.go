@@ -9,12 +9,6 @@ import (
 // taken one level up, by the actor/critic update overlap and the client
 // goroutines (DESIGN §8 has the measurements).
 
-// MatMul returns the matrix product m · b.
-// It panics if m.Cols != b.Rows.
-func (m *Matrix) MatMul(b *Matrix) *Matrix {
-	return m.MatMulInto(b, New(m.Rows, b.Cols))
-}
-
 // MatMulInto computes dst = m · b and returns dst. dst's contents are never
 // read, it must have shape m.Rows x b.Cols, and must not alias m or b.
 func (m *Matrix) MatMulInto(b, dst *Matrix) *Matrix {
@@ -111,11 +105,6 @@ func productSIMD(out, b *Matrix, s []float64, sStride, sRowStride int, skipZeros
 	}
 }
 
-// MatMulTransB returns m · bᵀ without materializing the transpose.
-func (m *Matrix) MatMulTransB(b *Matrix) *Matrix {
-	return m.MatMulTransBInto(b, New(m.Rows, b.Rows))
-}
-
 // MatMulTransBInto computes dst = m · bᵀ and returns dst. dst's contents are
 // never read, it must have shape m.Rows x b.Rows and must not alias m or b.
 func (m *Matrix) MatMulTransBInto(b, dst *Matrix) *Matrix {
@@ -167,11 +156,6 @@ func matmulTransBSIMD(out, m, b *Matrix) {
 	}
 	productSIMD(out, bt, m.Data, 1, m.Cols, false, false, nil)
 	defaultPool.Put(bt)
-}
-
-// MatMulTransA returns mᵀ · b without materializing the transpose.
-func (m *Matrix) MatMulTransA(b *Matrix) *Matrix {
-	return m.MatMulTransAInto(b, New(m.Cols, b.Cols))
 }
 
 // MatMulTransAInto computes dst = mᵀ · b and returns dst. dst's contents are

@@ -31,10 +31,6 @@ type Pool struct {
 	gets, hits int64
 }
 
-// NewPool returns an empty pool. Equivalent to new(Pool); provided for
-// symmetry with the rest of the package's constructors.
-func NewPool() *Pool { return new(Pool) }
-
 // defaultPool backs the package-level Get/Put helpers and is shared by the
 // autograd tapes and the nn inference path.
 var defaultPool Pool

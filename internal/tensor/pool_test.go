@@ -6,7 +6,7 @@ import (
 )
 
 func TestPoolGetZeroesRecycledBuffers(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	m := p.Get(4, 8)
 	m.Fill(42)
 	p.Put(m)
@@ -22,7 +22,7 @@ func TestPoolGetZeroesRecycledBuffers(t *testing.T) {
 }
 
 func TestPoolReshapesAcrossGets(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	m := p.Get(2, 16)
 	m.Fill(7)
 	p.Put(m)
@@ -50,9 +50,9 @@ func TestDirtyRecycledBufferMatMulInto(t *testing.T) {
 	rng := rand.New(rand.NewSource(1))
 	a := RandNormal(rng, 5, 7, 0, 1)
 	b := RandNormal(rng, 7, 3, 0, 1)
-	want := a.MatMul(b)
+	want := a.MatMulInto(b, New(5, 3))
 
-	p := NewPool()
+	p := new(Pool)
 	dirty := p.Get(5, 3)
 	dirty.Fill(1e9) // poison
 	p.Put(dirty)
@@ -66,7 +66,7 @@ func TestDirtyRecycledBufferMatMulInto(t *testing.T) {
 }
 
 func TestPoolSmallAndOversizeRequests(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	z := p.Get(0, 5)
 	if z.Rows != 0 || z.Cols != 5 || len(z.Data) != 0 {
 		t.Fatalf("zero-row get: %dx%d len %d", z.Rows, z.Cols, len(z.Data))
@@ -79,7 +79,7 @@ func TestPoolSmallAndOversizeRequests(t *testing.T) {
 }
 
 func TestPoolConcurrentGetPut(t *testing.T) {
-	p := NewPool()
+	p := new(Pool)
 	done := make(chan struct{})
 	for g := 0; g < 8; g++ {
 		go func(seed int64) {

@@ -61,12 +61,6 @@ func FromRows(rows [][]float64) *Matrix {
 	return m
 }
 
-// RowVector returns a 1 x n matrix copying v.
-func RowVector(v []float64) *Matrix { return FromSlice(1, len(v), v) }
-
-// ColVector returns an n x 1 matrix copying v.
-func ColVector(v []float64) *Matrix { return FromSlice(len(v), 1, v) }
-
 // Full returns a rows x cols matrix with every element set to v.
 func Full(rows, cols int, v float64) *Matrix {
 	m := New(rows, cols)
@@ -159,9 +153,6 @@ func (m *Matrix) assertSameShape(b *Matrix, op string) {
 	}
 }
 
-// Add returns m + b elementwise.
-func (m *Matrix) Add(b *Matrix) *Matrix { return m.AddInto(b, New(m.Rows, m.Cols)) }
-
 // AddInPlace sets m = m + b and returns m.
 func (m *Matrix) AddInPlace(b *Matrix) *Matrix {
 	m.assertSameShape(b, "AddInPlace")
@@ -215,12 +206,6 @@ func (m *Matrix) SetScaled(b *Matrix, s float64) *Matrix {
 	return m
 }
 
-// Sub returns m - b elementwise.
-func (m *Matrix) Sub(b *Matrix) *Matrix { return m.SubInto(b, New(m.Rows, m.Cols)) }
-
-// Scale returns s*m.
-func (m *Matrix) Scale(s float64) *Matrix { return m.ScaleInto(s, New(m.Rows, m.Cols)) }
-
 // ScaleInPlace sets m = s*m and returns m. Each element is one multiply, so
 // the SIMD prefix has the scalar loop's bits.
 func (m *Matrix) ScaleInPlace(s float64) *Matrix {
@@ -235,21 +220,6 @@ func (m *Matrix) ScaleInPlace(s float64) *Matrix {
 		m.Data[i] *= s
 	}
 	return m
-}
-
-// Apply returns f applied elementwise to m.
-func (m *Matrix) Apply(f func(float64) float64) *Matrix { return m.ApplyInto(f, New(m.Rows, m.Cols)) }
-
-// T returns the transpose of m.
-func (m *Matrix) T() *Matrix {
-	out := New(m.Cols, m.Rows)
-	for i := 0; i < m.Rows; i++ {
-		row := m.Data[i*m.Cols : (i+1)*m.Cols]
-		for j, v := range row {
-			out.Data[j*m.Rows+i] = v
-		}
-	}
-	return out
 }
 
 // Sum returns the sum of all elements.
@@ -269,40 +239,6 @@ func (m *Matrix) Mean() float64 {
 	return m.Sum() / float64(len(m.Data))
 }
 
-// Max returns the maximum element. It panics on an empty matrix.
-func (m *Matrix) Max() float64 {
-	if len(m.Data) == 0 {
-		panic("tensor: Max of empty matrix")
-	}
-	mx := m.Data[0]
-	for _, v := range m.Data[1:] {
-		if v > mx {
-			mx = v
-		}
-	}
-	return mx
-}
-
-// Min returns the minimum element. It panics on an empty matrix.
-func (m *Matrix) Min() float64 {
-	if len(m.Data) == 0 {
-		panic("tensor: Min of empty matrix")
-	}
-	mn := m.Data[0]
-	for _, v := range m.Data[1:] {
-		if v < mn {
-			mn = v
-		}
-	}
-	return mn
-}
-
-// SumRows returns a Rows x 1 column vector whose i-th entry is the sum of row i.
-func (m *Matrix) SumRows() *Matrix { return m.SumRowsInto(New(m.Rows, 1)) }
-
-// SumCols returns a 1 x Cols row vector whose j-th entry is the sum of column j.
-func (m *Matrix) SumCols() *Matrix { return m.SumColsInto(New(1, m.Cols)) }
-
 // Norm2 returns the Frobenius (L2) norm of m.
 func (m *Matrix) Norm2() float64 {
 	s := 0.0
@@ -311,13 +247,6 @@ func (m *Matrix) Norm2() float64 {
 	}
 	return math.Sqrt(s)
 }
-
-// SoftmaxRows returns a matrix whose rows are the softmax of the rows of m,
-// computed with the max-subtraction trick for numerical stability.
-func (m *Matrix) SoftmaxRows() *Matrix { return m.SoftmaxRowsInto(New(m.Rows, m.Cols)) }
-
-// LogSoftmaxRows returns log(softmax) per row, computed stably.
-func (m *Matrix) LogSoftmaxRows() *Matrix { return m.LogSoftmaxRowsInto(New(m.Rows, m.Cols)) }
 
 // ApproxEqual reports whether m and b have the same shape and all elements
 // differ by at most tol.

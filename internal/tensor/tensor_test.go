@@ -64,14 +64,6 @@ func TestFromRowsRagged(t *testing.T) {
 	FromRows([][]float64{{1, 2}, {3}})
 }
 
-func TestVectors(t *testing.T) {
-	rv := RowVector([]float64{1, 2, 3})
-	cv := ColVector([]float64{1, 2, 3})
-	if rv.Rows != 1 || rv.Cols != 3 || cv.Rows != 3 || cv.Cols != 1 {
-		t.Fatal("vector constructors wrong shapes")
-	}
-}
-
 func TestAtSetBounds(t *testing.T) {
 	m := New(2, 2)
 	m.Set(1, 1, 7)
@@ -107,17 +99,14 @@ func TestCloneIndependence(t *testing.T) {
 func TestAddSubMulDiv(t *testing.T) {
 	a := FromSlice(2, 2, []float64{1, 2, 3, 4})
 	b := FromSlice(2, 2, []float64{5, 6, 7, 8})
-	if got := a.Add(b); !got.ApproxEqual(FromSlice(2, 2, []float64{6, 8, 10, 12}), 0) {
-		t.Fatalf("Add: %v", got)
+	if got := a.AddInto(b, New(2, 2)); !got.ApproxEqual(FromSlice(2, 2, []float64{6, 8, 10, 12}), 0) {
+		t.Fatalf("AddInto: %v", got)
 	}
-	if got := b.Sub(a); !got.ApproxEqual(Full(2, 2, 4), 0) {
-		t.Fatalf("Sub: %v", got)
+	if got := b.SubInto(a, New(2, 2)); !got.ApproxEqual(Full(2, 2, 4), 0) {
+		t.Fatalf("SubInto: %v", got)
 	}
 	if got := a.MulElemInto(b, New(2, 2)); !got.ApproxEqual(FromSlice(2, 2, []float64{5, 12, 21, 32}), 0) {
 		t.Fatalf("MulElemInto: %v", got)
-	}
-	if got := b.DivElemInto(a, New(2, 2)); !got.ApproxEqual(FromSlice(2, 2, []float64{5, 3, 7.0 / 3, 2}), 1e-12) {
-		t.Fatalf("DivElemInto: %v", got)
 	}
 }
 
@@ -144,7 +133,7 @@ func TestShapeMismatchPanics(t *testing.T) {
 			t.Fatal("expected panic on shape mismatch")
 		}
 	}()
-	New(2, 2).Add(New(2, 3))
+	New(2, 2).AddInto(New(2, 3), New(2, 2))
 }
 
 func TestTranspose(t *testing.T) {
@@ -159,8 +148,8 @@ func TestMatMulSmall(t *testing.T) {
 	a := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
 	b := FromSlice(3, 2, []float64{7, 8, 9, 10, 11, 12})
 	want := FromSlice(2, 2, []float64{58, 64, 139, 154})
-	if got := a.MatMul(b); !got.ApproxEqual(want, 1e-12) {
-		t.Fatalf("MatMul: %v", got)
+	if got := a.MatMulInto(b, New(2, 2)); !got.ApproxEqual(want, 1e-12) {
+		t.Fatalf("MatMulInto: %v", got)
 	}
 }
 
@@ -171,10 +160,10 @@ func TestMatMulIdentity(t *testing.T) {
 	for i := 0; i < 5; i++ {
 		eye.Set(i, i, 1)
 	}
-	if got := m.MatMul(eye); !got.ApproxEqual(m, 1e-12) {
+	if got := m.MatMulInto(eye, New(5, 5)); !got.ApproxEqual(m, 1e-12) {
 		t.Fatal("M·I != M")
 	}
-	if got := eye.MatMul(m); !got.ApproxEqual(m, 1e-12) {
+	if got := eye.MatMulInto(m, New(5, 5)); !got.ApproxEqual(m, 1e-12) {
 		t.Fatal("I·M != M")
 	}
 }
@@ -183,7 +172,7 @@ func TestMatMulTransB(t *testing.T) {
 	rng := rand.New(rand.NewSource(3))
 	a := RandNormal(rng, 4, 6, 0, 1)
 	b := RandNormal(rng, 5, 6, 0, 1)
-	if got, want := a.MatMulTransB(b), a.MatMul(b.T()); !got.ApproxEqual(want, 1e-10) {
+	if got, want := a.MatMulTransBInto(b, New(4, 5)), a.MatMulInto(b.T(), New(4, 5)); !got.ApproxEqual(want, 1e-10) {
 		t.Fatal("MatMulTransB disagrees with explicit transpose")
 	}
 }
@@ -192,7 +181,7 @@ func TestMatMulTransA(t *testing.T) {
 	rng := rand.New(rand.NewSource(4))
 	a := RandNormal(rng, 6, 4, 0, 1)
 	b := RandNormal(rng, 6, 5, 0, 1)
-	if got, want := a.MatMulTransA(b), a.T().MatMul(b); !got.ApproxEqual(want, 1e-10) {
+	if got, want := a.MatMulTransAInto(b, New(4, 5)), a.T().MatMulInto(b, New(4, 5)); !got.ApproxEqual(want, 1e-10) {
 		t.Fatal("MatMulTransA disagrees with explicit transpose")
 	}
 }
@@ -203,12 +192,12 @@ func TestMatMulShapePanic(t *testing.T) {
 			t.Fatal("expected panic")
 		}
 	}()
-	New(2, 3).MatMul(New(2, 3))
+	New(2, 3).MatMulInto(New(2, 3), New(2, 3))
 }
 
 func TestAddRowBroadcast(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 4, 5, 6})
-	b := RowVector([]float64{10, 20, 30})
+	b := FromSlice(1, 3, []float64{10, 20, 30})
 	want := FromSlice(2, 3, []float64{11, 22, 33, 14, 25, 36})
 	if got := m.AddRowBroadcastInto(b, New(2, 3)); !got.ApproxEqual(want, 0) {
 		t.Fatalf("AddRowBroadcastInto: %v", got)
@@ -223,14 +212,11 @@ func TestReductions(t *testing.T) {
 	if m.Mean() != 3.5 {
 		t.Fatalf("Mean = %v", m.Mean())
 	}
-	if m.Max() != 6 || m.Min() != 1 {
-		t.Fatalf("Max/Min = %v/%v", m.Max(), m.Min())
+	if got := m.SumRowsInto(New(2, 1)); !got.ApproxEqual(FromSlice(2, 1, []float64{6, 15}), 0) {
+		t.Fatalf("SumRowsInto: %v", got)
 	}
-	if got := m.SumRows(); !got.ApproxEqual(ColVector([]float64{6, 15}), 0) {
-		t.Fatalf("SumRows: %v", got)
-	}
-	if got := m.SumCols(); !got.ApproxEqual(RowVector([]float64{5, 7, 9}), 0) {
-		t.Fatalf("SumCols: %v", got)
+	if got := m.SumColsInto(New(1, 3)); !got.ApproxEqual(FromSlice(1, 3, []float64{5, 7, 9}), 0) {
+		t.Fatalf("SumColsInto: %v", got)
 	}
 }
 
@@ -249,7 +235,7 @@ func TestNormDot(t *testing.T) {
 
 func TestSoftmaxRows(t *testing.T) {
 	m := FromSlice(2, 3, []float64{1, 2, 3, 1000, 1000, 1000})
-	s := m.SoftmaxRows()
+	s := m.SoftmaxRowsInto(New(m.Rows, m.Cols))
 	for i := 0; i < 2; i++ {
 		sum := 0.0
 		for _, v := range s.Row(i) {
@@ -277,8 +263,8 @@ func TestSoftmaxRows(t *testing.T) {
 func TestLogSoftmaxRowsConsistent(t *testing.T) {
 	rng := rand.New(rand.NewSource(5))
 	m := RandNormal(rng, 4, 7, 0, 3)
-	ls := m.LogSoftmaxRows()
-	sm := m.SoftmaxRows()
+	ls := m.LogSoftmaxRowsInto(New(4, 7))
+	sm := m.SoftmaxRowsInto(New(4, 7))
 	for i := range ls.Data {
 		if math.Abs(math.Exp(ls.Data[i])-sm.Data[i]) > 1e-10 {
 			t.Fatal("exp(logsoftmax) != softmax")
@@ -288,8 +274,8 @@ func TestLogSoftmaxRowsConsistent(t *testing.T) {
 
 func TestApplyAndScalar(t *testing.T) {
 	m := FromSlice(1, 3, []float64{1, 4, 9})
-	if got := m.Apply(math.Sqrt); !got.ApproxEqual(FromSlice(1, 3, []float64{1, 2, 3}), 1e-12) {
-		t.Fatalf("Apply: %v", got)
+	if got := m.ApplyInto(math.Sqrt, New(1, 3)); !got.ApproxEqual(FromSlice(1, 3, []float64{1, 2, 3}), 1e-12) {
+		t.Fatalf("ApplyInto: %v", got)
 	}
 }
 
@@ -312,7 +298,7 @@ func TestPropAddCommutative(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, b := randMatrixPair(r)
-		return a.Add(b).ApproxEqual(b.Add(a), 1e-9)
+		return a.AddInto(b, New(a.Rows, a.Cols)).ApproxEqual(b.AddInto(a, New(a.Rows, a.Cols)), 1e-9)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -338,8 +324,8 @@ func TestPropMatMulDistributes(t *testing.T) {
 		a := RandNormal(r, n, m, 0, 2)
 		b := RandNormal(r, m, p, 0, 2)
 		c := RandNormal(r, m, p, 0, 2)
-		lhs := a.MatMul(b.Add(c))
-		rhs := a.MatMul(b).Add(a.MatMul(c))
+		lhs := a.MatMulInto(b.AddInto(c, New(m, p)), New(n, p))
+		rhs := a.MatMulInto(b, New(n, p)).AddInPlace(a.MatMulInto(c, New(n, p)))
 		return lhs.ApproxEqual(rhs, 1e-8)
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -354,7 +340,7 @@ func TestPropMatMulTransposeIdentity(t *testing.T) {
 		n, m, p := 1+r.Intn(5), 1+r.Intn(5), 1+r.Intn(5)
 		a := RandNormal(r, n, m, 0, 2)
 		b := RandNormal(r, m, p, 0, 2)
-		return a.MatMul(b).T().ApproxEqual(b.T().MatMul(a.T()), 1e-8)
+		return a.MatMulInto(b, New(n, p)).T().ApproxEqual(b.T().MatMulInto(a.T(), New(p, n)), 1e-8)
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -365,7 +351,7 @@ func TestPropSoftmaxRowsSumToOne(t *testing.T) {
 	f := func(seed int64) bool {
 		r := rand.New(rand.NewSource(seed))
 		a, _ := randMatrixPair(r)
-		s := a.SoftmaxRows()
+		s := a.SoftmaxRowsInto(New(a.Rows, a.Cols))
 		for i := 0; i < s.Rows; i++ {
 			sum := 0.0
 			for _, v := range s.Row(i) {
@@ -389,8 +375,8 @@ func TestPropScaleLinear(t *testing.T) {
 		}
 		r := rand.New(rand.NewSource(seed))
 		a, b := randMatrixPair(r)
-		lhs := a.Add(b).Scale(s)
-		rhs := a.Scale(s).Add(b.Scale(s))
+		lhs := a.AddInto(b, New(a.Rows, a.Cols)).ScaleInPlace(s)
+		rhs := a.ScaleInto(s, New(a.Rows, a.Cols)).AddInPlace(b.ScaleInto(s, New(a.Rows, a.Cols)))
 		return lhs.ApproxEqual(rhs, 1e-6*(1+math.Abs(s)))
 	}
 	if err := quick.Check(f, nil); err != nil {
@@ -406,7 +392,7 @@ func TestOrthogonalRows(t *testing.T) {
 	}
 	m := w.T() // one orthonormal row per output unit
 	for i := 0; i < 4; i++ {
-		ri := RowVector(m.Row(i))
+		ri := FromSlice(1, m.Cols, m.Row(i))
 		if math.Abs(ri.Norm2()-1) > 1e-9 {
 			t.Fatalf("row %d norm %v", i, ri.Norm2())
 		}
@@ -428,7 +414,7 @@ func BenchmarkMatMul64(b *testing.B) {
 	w := RandNormal(rng, 538, 64, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = x.MatMul(w)
+		_ = x.MatMulInto(w, New(64, 64))
 	}
 }
 
@@ -438,6 +424,19 @@ func BenchmarkMatMulLargeParallel(b *testing.B) {
 	w := RandNormal(rng, 256, 256, 0, 1)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		_ = x.MatMul(w)
+		_ = x.MatMulInto(w, New(256, 256))
 	}
+}
+
+// T returns the transpose of m: the reference the TransA/TransB products and
+// the orthogonal-init tests compare against (no product code transposes).
+func (m *Matrix) T() *Matrix {
+	out := New(m.Cols, m.Rows)
+	for i := 0; i < m.Rows; i++ {
+		row := m.Data[i*m.Cols : (i+1)*m.Cols]
+		for j, v := range row {
+			out.Data[j*m.Rows+i] = v
+		}
+	}
+	return out
 }

@@ -286,8 +286,6 @@ func (c *Compiled) Sample(rng *rand.Rand, n int) []Task { return drain(c.Stream(
 type TaskStream interface {
 	// Next emits the next task, or false once the sequence is exhausted.
 	Next() (Task, bool)
-	// Remaining reports how many tasks the stream will still emit.
-	Remaining() int
 }
 
 // Stream returns a lazy generator over n tasks. A single-client spec
@@ -307,7 +305,6 @@ func (c *Compiled) Stream(rng *rand.Rand, n int) TaskStream {
 		streams: make([]*Stream, len(c.Clients)),
 		peek:    make([]Task, len(c.Clients)),
 		has:     make([]bool, len(c.Clients)),
-		total:   n,
 	}
 	for i, cl := range c.Clients {
 		crng := rand.New(rand.NewSource(rng.Int63()))
@@ -325,7 +322,6 @@ type specStream struct {
 	primed  bool
 
 	produced int
-	total    int
 }
 
 func (s *specStream) prime() {
@@ -365,5 +361,3 @@ func (s *specStream) Next() (Task, bool) {
 	s.produced++
 	return t, true
 }
-
-func (s *specStream) Remaining() int { return s.total - s.produced }

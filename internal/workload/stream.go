@@ -52,9 +52,6 @@ func (m *Model) Stream(rng *rand.Rand, n int) *Stream {
 	return s
 }
 
-// Remaining returns the number of tasks the stream will still emit.
-func (s *Stream) Remaining() int { return s.n - s.produced }
-
 // rateAt is the diurnally modulated arrival rate at a slot — the exact
 // expression the legacy generator inlined, kept verbatim so the burst path
 // stays bit-identical.

@@ -95,7 +95,6 @@ const (
 	// ArrivalWeibull separates geometric batches by Weibull-distributed
 	// gaps of shape GapShape and mean 1/(rate·Burstiness).
 	ArrivalWeibull
-	numArrivalKinds
 )
 
 // DistKind selects a marginal distribution family for memory or duration.
@@ -110,7 +109,6 @@ const (
 	// DistQuantile samples by inverse-CDF over an empirical quantile grid
 	// (MemQuantiles / DurQuantiles), linearly interpolated.
 	DistQuantile
-	numDistKinds
 )
 
 // Model is the generative model for one dataset. All fields are exported so

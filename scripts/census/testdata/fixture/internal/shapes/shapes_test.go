@@ -1,0 +1,9 @@
+package shapes
+
+import "testing"
+
+func TestOnlyTested(t *testing.T) {
+	if OnlyTested() != 1 {
+		t.Fatal("OnlyTested")
+	}
+}
