@@ -138,8 +138,9 @@ func BenchmarkRPCSync(b *testing.B) {
 // reference and decoded by the server end into one buffer every client
 // shares — and a forced GC then reads the live heap. It reports
 // live-B/client, the live heap the clients and both their wire ends added,
-// per client; shared state (the tensor pool, nn's gradient store, the server
-// end's frame cache, the upload decode buffer) is spread over the 32. make
+// per client; shared state (the tensor pool, which lends the gradients and
+// state blocks too, the server end's frame cache, the upload decode buffer)
+// is spread over the 32. make
 // bench-agg fails it above FOOTPRINT_BUDGET (scripts/bench_alloc_guard.sh).
 func BenchmarkClientFootprint(b *testing.B) {
 	const clients, tasks = 32, 8

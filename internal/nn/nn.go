@@ -7,7 +7,6 @@ package nn
 import (
 	"fmt"
 	"math"
-	"sync"
 
 	"repro/internal/autograd"
 	"repro/internal/tensor"
@@ -35,11 +34,11 @@ func NewParameter(name string, data *tensor.Matrix) *Parameter {
 	return &Parameter{Name: name, Data: data}
 }
 
-// Gradient returns p's gradient storage, borrowing a zeroed buffer when p
-// holds none. It stays p's until ReleaseGrads.
+// Gradient returns p's gradient storage, a zeroed buffer from the tensor
+// pool when p holds none. It stays p's until ReleaseGrads.
 func (p *Parameter) Gradient() *tensor.Matrix {
 	if p.Grad == nil {
-		p.Grad = gradients.borrow(p.Data.Rows, p.Data.Cols)
+		p.Grad = tensor.Get(p.Data.Rows, p.Data.Cols)
 	}
 	return p.Grad
 }
@@ -58,86 +57,17 @@ func (p *Parameter) ZeroGrad() {
 	}
 }
 
-// gradStore lends gradient storage, and the blocks rl stages a buffer's
-// states into (Borrow): matrices of exactly the size asked for on one free
-// list per element count, so a returned buffer is never rounded up the way
-// tensor.Pool's power-of-two buckets round. Every matrix on a free list
-// holds only +0. Safe for concurrent use (the update lanes and the client
-// goroutines borrow at once).
-type gradStore struct {
-	mu   sync.Mutex
-	free map[int][]*tensor.Matrix
-
-	borrows, misses int64 // counters for tests (guarded by mu)
-}
-
-// gradients is the process-wide gradient store.
-var gradients gradStore
-
-// borrow returns a zeroed rows x cols matrix, a returned one when the free
-// list of its size has one.
-func (s *gradStore) borrow(rows, cols int) *tensor.Matrix {
-	n := rows * cols
-	var m *tensor.Matrix
-	s.mu.Lock()
-	s.borrows++
-	if l := s.free[n]; len(l) > 0 {
-		m = l[len(l)-1]
-		l[len(l)-1] = nil
-		s.free[n] = l[:len(l)-1]
-	} else {
-		s.misses++
-	}
-	s.mu.Unlock()
-	if m == nil {
-		return tensor.New(rows, cols)
-	}
-	m.Rows, m.Cols = rows, cols
-	return m
-}
-
-// giveBack clears m and files it for the next borrower of its size.
-func (s *gradStore) giveBack(m *tensor.Matrix) {
-	m.Zero()
-	n := len(m.Data)
-	s.mu.Lock()
-	if s.free == nil {
-		s.free = make(map[int][]*tensor.Matrix)
-	}
-	s.free[n] = append(s.free[n], m)
-	s.mu.Unlock()
-}
-
-// ReleaseGrads hands the gradient storage of every parameter of m back to
-// the store: each buffer is cleared and kept for the next borrower of its
-// size, and the parameter holds none again, its gradient reading +0. No
-// Value of a tape that still references the storage may be used after.
+// ReleaseGrads puts the gradient storage of every parameter of m back in
+// the tensor pool, and the parameter holds none again, its gradient reading
+// +0. No Value of a tape that still references the storage may be used
+// after.
 func ReleaseGrads(m Module) {
 	for _, p := range m.Params() {
 		if p.Grad != nil {
-			gradients.giveBack(p.Grad)
+			tensor.Put(p.Grad)
 			p.Grad = nil
 		}
 	}
-}
-
-// Borrow lends a zeroed rows x cols matrix from the store gradients are
-// borrowed from; Return hands it back. A caller that stages working data
-// for one call — rl's readers expand a buffer's states into such blocks —
-// shares the store's exact-size free lists with the gradients.
-func Borrow(rows, cols int) *tensor.Matrix { return gradients.borrow(rows, cols) }
-
-// Return clears m, which Borrow lent, and files it for the next borrower
-// of its size. Nothing may use m after.
-func Return(m *tensor.Matrix) { gradients.giveBack(m) }
-
-// GradStats reports how many buffers — gradients, and Borrow's — have been
-// borrowed from the store in this process and how many of those borrows
-// found no returned buffer of their size and allocated one.
-func GradStats() (borrows, misses int64) {
-	gradients.mu.Lock()
-	defer gradients.mu.Unlock()
-	return gradients.borrows, gradients.misses
 }
 
 // NumElems returns the number of scalar elements in the parameter.

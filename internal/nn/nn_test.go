@@ -535,9 +535,9 @@ func TestGradientsBorrowedOnDemand(t *testing.T) {
 			t.Fatalf("ReleaseGrads left %s holding storage", p.Name)
 		}
 	}
-	borrows0, misses0 := GradStats()
+	gets0, hits0 := tensor.DefaultPool().Stats()
 	opt.Step()
-	if borrows, misses := GradStats(); borrows-borrows0 != int64(len(m.Params())) || misses != misses0 {
-		t.Fatalf("re-borrowing %d gradients: %d borrows, %d misses, want %d and 0", len(m.Params()), borrows-borrows0, misses-misses0, len(m.Params()))
+	if gets, hits := tensor.DefaultPool().Stats(); gets-gets0 != int64(len(m.Params())) || hits-hits0 != gets-gets0 {
+		t.Fatalf("re-borrowing %d gradients: %d gets, %d hits, want %d and %d", len(m.Params()), gets-gets0, hits-hits0, len(m.Params()), len(m.Params()))
 	}
 }

@@ -13,7 +13,6 @@ import (
 	"math"
 	"slices"
 
-	"repro/internal/nn"
 	"repro/internal/tensor"
 )
 
@@ -320,24 +319,13 @@ func (b *Buffer) scatter(dst []float64, i int) {
 	b.layout.scatter(dst, b.row(i))
 }
 
-// borrowStates lends a rows x cols block to stage states into for one
-// call — an update lane's minibatch, the value lane's chunk, a critic-loss
-// block, the tie scan's row — from nn's exact-size store (nn.Borrow), never
-// rounded up the way tensor.Pool's power-of-two buckets round (a 64 x 136
-// block would take a 16384-element bucket, 128 KiB where it needs 68). It
-// is a whole number of chunks' rows viewed down to rows, so every reader of
-// one width shares one size.
+// borrowStates lends a rows x cols block from the tensor pool, given back
+// by tensor.Put, to stage states into for one call — an update lane's
+// minibatch, the value lane's chunk, a critic-loss block, the tie scan's
+// row. It is a whole number of chunks' rows viewed down to rows, so every
+// reader of one width shares one buffer size.
 func borrowStates(rows, cols int) *tensor.Matrix {
-	m := nn.Borrow(max(1, (rows+stateChunkRows-1)/stateChunkRows)*stateChunkRows, cols)
-	m.Rows, m.Data = rows, m.Data[:rows*cols]
-	return m
-}
-
-// returnStates gives back a block borrowStates lent, whole: the store
-// files it by its element count.
-func returnStates(m *tensor.Matrix) {
-	m.Data = m.Data[:cap(m.Data)]
-	nn.Return(m)
+	return viewRows(tensor.Get(max(1, (rows+stateChunkRows-1)/stateChunkRows)*stateChunkRows, cols), rows)
 }
 
 // Add appends one transition and a copy of the state its action was taken

@@ -308,12 +308,11 @@ const lossBlockRows = 64
 // criticMSE is the critic's mean squared error against returns over buf's
 // states, evaluated lossBlockRows states at a time, each block's live
 // values scattered from the buffer's rows into one block borrowed from
-// nn's exact-size store (borrowStates), whose void positions are written
-// once. A row's
-// prediction does not depend on the rows beside it and the squared errors
-// add in row order, so the result is the bits of one Infer over the whole
-// buffer, while the staging stays a minibatch's size however long the
-// buffer is.
+// the tensor pool (borrowStates), whose void positions are written once.
+// A row's prediction does not depend on the rows beside it and the squared
+// errors add in row order, so the result is the bits of one Infer over the
+// whole buffer, while the staging stays a minibatch's size however long
+// the buffer is.
 func criticMSE(critic *nn.MLP, buf *Buffer, returns []float64) float64 {
 	n := buf.Len()
 	rows := min(n, lossBlockRows)
@@ -333,7 +332,7 @@ func criticMSE(critic *nn.MLP, buf *Buffer, returns []float64) float64 {
 			mse += d * d
 		}
 	}
-	returnStates(states)
+	tensor.Put(states)
 	tensor.Put(v)
 	return mse / float64(n)
 }

@@ -163,17 +163,17 @@ type valueBlock struct {
 }
 
 // valueLane values one episode's states, a block of stored rows at a time:
-// it expands the block into a full-width matrix borrowed from nn's exact-size
-// store, runs one MLP.Infer per network on it, and writes each estimate
-// into its transition. When a second P can run it (useLanes, the rule the
-// update's critic lane follows), the first full chunk starts a goroutine
-// that values this and every later block while the rollout goes on, and
-// finish joins it; otherwise the caller values each block as its chunk
-// fills. A block's states are read-only from hand-off until Reset:
+// it expands the block into a full-width matrix borrowed from the tensor
+// pool (borrowStates), runs one MLP.Infer per network on it, and writes
+// each estimate into its transition. When a second P can run it (useLanes,
+// the rule the update's critic lane follows), the first full chunk starts a
+// goroutine that values this and every later block while the rollout goes
+// on, and finish joins it; otherwise the caller values each block as its
+// chunk fills. A block's states are read-only from hand-off until Reset:
 // storeState never writes a full chunk again, and a relayout stores the
 // rows anew elsewhere. Its transitions' Value fields are the lane's until
 // the join, and the collector joins before a push could move them and
-// before CollectEpisode returns. Once the Buffer, the agent and the stores
+// before CollectEpisode returns. Once the Buffer, the agent and the pool
 // are warm neither path allocates.
 type valueLane struct {
 	est  ValueEstimator
@@ -258,7 +258,7 @@ func (l *valueLane) estimate(b valueBlock) {
 	states := borrowStates(n, b.layout.width)
 	b.layout.expandRows(states, b.states)
 	l.est.Values(l.out[:n], states)
-	returnStates(states)
+	tensor.Put(states)
 	for i, v := range l.out[:n] {
 		b.steps[i].Value = v
 	}

@@ -16,14 +16,15 @@ import (
 var useLanes = func() bool { return runtime.GOMAXPROCS(0) > 1 }
 
 // updateScratch owns the reusable buffers of the batched update pipeline, so
-// a steady-state Update performs no per-minibatch allocations: the shuffle
-// index, the GAE output slices, and per lane a minibatch's state block, its
-// per-transition columns and a pooled tape. Nothing it keeps between
-// updates is as wide as a state: each lane stages its minibatch's states,
-// expanded from the buffer's live-width rows, into a block borrowed for
-// the call (borrowStates), and the gradients are borrowed for the call too
-// (nn.Parameter). Each agent embeds one; it is not safe for
-// concurrent use, matching the agents' one-goroutine-per-agent contract.
+// a steady-state Update allocates nothing: the shuffle index, the GAE
+// output slices, per lane a minibatch's state block, its per-transition
+// columns and a pooled tape, and the critic lane's channels. Nothing it
+// keeps between updates is as wide as a state: each lane stages its
+// minibatch's states, expanded from the buffer's live-width rows, into a
+// block borrowed from the tensor pool for the call (borrowStates), and the
+// gradients are borrowed from it for the call too (nn.Parameter). Each
+// agent embeds one; it is not safe for concurrent use, matching the
+// agents' one-goroutine-per-agent contract.
 type updateScratch struct {
 	// idx is the epoch's shuffle: written between epochs by the caller only,
 	// read by both lanes during one.
@@ -46,9 +47,12 @@ type updateScratch struct {
 	actions                         []int
 	actorTape                       *autograd.Tape
 
-	// Critic lane.
+	// Critic lane. epochs hands the running lane (runCriticLane) each
+	// epoch's buffer, nil to end it; criticSums carries back its loss sum.
 	criticStates, target *tensor.Matrix
 	criticTape           *autograd.Tape
+	epochs               chan *Buffer
+	criticSums           chan float64
 
 	// ties lists the state columns whose bits equal their left
 	// neighbour's in every state of the buffer being optimized: padded
@@ -76,7 +80,7 @@ func (st *updateScratch) tiedColumns(buf *Buffer, stateDim int) {
 		buf.scatter(state.Data, i)
 		ties = tensor.NarrowTies(ties, state.Data)
 	}
-	returnStates(state)
+	tensor.Put(state)
 	st.ties = ties
 }
 
@@ -92,8 +96,8 @@ func (st *updateScratch) stage(buf *Buffer, rows int) {
 
 // unstage gives the lanes' state blocks back.
 func (st *updateScratch) unstage() {
-	returnStates(st.actorStates)
-	returnStates(st.criticStates)
+	tensor.Put(st.actorStates)
+	tensor.Put(st.criticStates)
 	st.actorStates, st.criticStates = nil, nil
 }
 
@@ -106,6 +110,7 @@ func (st *updateScratch) ensure(n, mb int) {
 	if st.actorTape == nil {
 		st.actorTape = autograd.NewPooledTape(tensor.DefaultPool())
 		st.criticTape = autograd.NewPooledTape(tensor.DefaultPool())
+		st.epochs, st.criticSums = make(chan *Buffer), make(chan float64, 1)
 	}
 	if cap(st.idx) < n {
 		st.idx = make([]int, n)
@@ -185,34 +190,33 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 		idx[i] = i
 	}
 
-	// The send publishes the fresh shuffle to the critic lane; the receive
-	// of its loss sum joins the epoch before idx is written again. The
-	// result is buffered so the lane can deliver and exit even when the
-	// caller has gone (a panic on the actor lane).
-	var epochs chan struct{}
-	var criticSums chan float64
-	if useLanes() {
-		epochs = make(chan struct{})
-		criticSums = make(chan float64, 1)
-		go func() {
-			for range epochs {
-				criticSums <- p.criticEpoch(buf)
+	// The send of buf publishes the fresh shuffle to the critic lane; the
+	// receive of its loss sum joins the epoch before idx is written again.
+	// The sums are buffered so the lane can deliver and exit even when the
+	// caller has gone (a panic on the actor lane); that sum is dropped.
+	lanes := useLanes()
+	if lanes {
+		go runCriticLane()
+		criticStart <- p
+		defer func() {
+			p.upd.epochs <- nil
+			if len(p.upd.criticSums) > 0 {
+				<-p.upd.criticSums
 			}
 		}()
-		defer close(epochs)
 	}
 
 	batches := float64((n-1)/cfg.MiniBatch + 1)
 	var stats UpdateStats
 	for epoch := 0; epoch < cfg.UpdateEpochs; epoch++ {
 		p.rng.Shuffle(n, func(i, j int) { idx[i], idx[j] = idx[j], idx[i] })
-		if epochs != nil {
-			epochs <- struct{}{}
+		if lanes {
+			p.upd.epochs <- buf
 		}
 		actor := p.actorEpoch(buf)
 		var critic float64
-		if epochs != nil {
-			critic = <-criticSums
+		if lanes {
+			critic = <-p.upd.criticSums
 		} else {
 			critic = p.criticEpoch(buf)
 		}
@@ -224,12 +228,11 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 			ClipFrac:   actor.clip / batches,
 		}
 	}
-	// Both lanes have joined: hand the last minibatch's tape matrices back
-	// to the pool, and the state blocks and the gradients (every step
-	// consumed them: all +0) to nn's store, now rather than at this agent's
-	// next Update. Parked on every idle agent of a swarm, they would be the
-	// largest per-client share of its heap (DESIGN §8 "Per-client
-	// footprint").
+	// Both lanes have joined: hand the last minibatch's tape matrices, the
+	// state blocks and the gradients back to the pool, now rather than at
+	// this agent's next Update. Parked on every idle agent of a swarm, they
+	// would be the largest per-client share of its heap (DESIGN §8
+	// "Per-client footprint").
 	p.upd.actorTape.Reset()
 	p.upd.criticTape.Reset()
 	p.upd.unstage()
@@ -239,6 +242,22 @@ func (p *PPO) optimize(buf *Buffer) UpdateStats {
 		nn.ReleaseGrads(p.PublicCritic)
 	}
 	return stats
+}
+
+// criticStart hands an agent to the critic lane started for its update, as
+// laneStart hands a value lane to runValueLane: the go statement needs no
+// closure, and reuses an exited goroutine when the runtime has one. Its
+// buffer, laneStart's size, lets a caller hand over without waiting for the
+// lane to be scheduled; every send follows its own go statement.
+var criticStart = make(chan *PPO, 16)
+
+// runCriticLane runs one critic epoch per buffer its agent's epochs channel
+// delivers, until nil.
+func runCriticLane() {
+	p := <-criticStart
+	for buf := <-p.upd.epochs; buf != nil; buf = <-p.upd.epochs {
+		p.upd.criticSums <- p.criticEpoch(buf)
+	}
 }
 
 // actorSums accumulates one epoch's actor-lane statistics in minibatch order.

@@ -1,17 +1,27 @@
 package tensor
 
-import "sync"
+import (
+	"math/bits"
+	"sync"
+)
 
-// poolBuckets is the number of size classes the pool tracks. Bucket b holds
-// matrices whose backing slice has capacity in [2^b, 2^(b+1)); requests above
-// the largest class bypass the pool entirely.
-const poolBuckets = 26 // up to 2^25 elements ≈ 256 MiB of float64
+// smallClasses is how many power-of-two classes the pool keeps: class b
+// holds buffers of 2^b elements, the largest 4096 float64s, 32 KiB, where
+// Go's own allocator splits small objects from large.
+const smallClasses = 13
 
-// Pool recycles Matrix backing storage through size-bucketed free lists. It
-// exists to take the allocator and GC out of the training hot loop: forward
+// class returns the smallest power-of-two class that holds n elements.
+func class(n int) int { return bits.Len(uint(max(n, 1) - 1)) }
+
+// Pool recycles Matrix backing storage: the process's one matrix store. It
+// takes the allocator and GC out of the training hot loop, where forward
 // and backward passes churn through thousands of small, identically shaped
-// matrices per update, and without reuse the allocator dominates the
-// runtime of the simulate/learn loop.
+// matrices per update and the update borrows its gradients and staged
+// state blocks for the call. A request of at most 4096 elements takes a
+// power-of-two class, so every row count of a partial minibatch shares one
+// buffer size; a larger one takes its exact element count, so a 136 x 64
+// gradient is not rounded up to twice its size. A buffer whose capacity is
+// no class is filed under the largest class it covers.
 //
 // Matrices returned by Get are always fully zeroed, even when recycled, so a
 // dirty buffer released by one computation can never leak stale values into
@@ -24,15 +34,16 @@ const poolBuckets = 26 // up to 2^25 elements ≈ 256 MiB of float64
 // Put-ting a matrix while any reference to it is still live is a caller bug,
 // exactly like freeing live memory.
 type Pool struct {
-	mu   sync.Mutex
-	free [poolBuckets][]*Matrix
+	mu    sync.Mutex
+	small [smallClasses][]*Matrix
+	large map[int][]*Matrix // by exact capacity
 
 	// counters for tests and diagnostics (guarded by mu).
 	gets, hits int64
 }
 
 // defaultPool backs the package-level Get/Put helpers and is shared by the
-// autograd tapes and the nn inference path.
+// autograd tapes, the nn gradients and inference path, and rl's staging.
 var defaultPool Pool
 
 // DefaultPool returns the process-wide shared pool.
@@ -44,21 +55,8 @@ func Get(rows, cols int) *Matrix { return defaultPool.Get(rows, cols) }
 // Put releases m back to the shared default pool.
 func Put(m *Matrix) { defaultPool.Put(m) }
 
-// bucketFor returns the smallest bucket whose capacity class (2^b) can hold
-// n elements, or poolBuckets when n is too large to pool.
-func bucketFor(n int) int {
-	b := 0
-	for 1<<b < n {
-		b++
-		if b >= poolBuckets {
-			return poolBuckets
-		}
-	}
-	return b
-}
-
-// Get returns a zeroed rows x cols matrix, recycling a free buffer of a
-// sufficient size class when one is available.
+// Get returns a zeroed rows x cols matrix, recycling a free buffer of its
+// class when one is available.
 func (p *Pool) Get(rows, cols int) *Matrix {
 	m, recycled := p.get(rows, cols)
 	if recycled {
@@ -82,44 +80,59 @@ func (p *Pool) get(rows, cols int) (m *Matrix, recycled bool) {
 	if rows < 0 || cols < 0 {
 		return New(rows, cols), false // defer to New's shape panic
 	}
-	need := rows * cols
-	b := bucketFor(need)
-	if b >= poolBuckets {
-		return New(rows, cols), false
-	}
+	need, size := rows*cols, rows*cols
+	b := class(need)
 	p.mu.Lock()
 	p.gets++
-	if n := len(p.free[b]); n > 0 {
-		m = p.free[b][n-1]
-		p.free[b][n-1] = nil
-		p.free[b] = p.free[b][:n-1]
-		p.hits++
+	if b < smallClasses {
+		size = 1 << b
+		m, p.small[b] = p.pop(p.small[b])
+	} else if l := p.large[need]; len(l) > 0 {
+		m, p.large[need] = p.pop(l)
 	}
 	p.mu.Unlock()
 	if m == nil {
-		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, need, 1<<b)}, false
+		return &Matrix{Rows: rows, Cols: cols, Data: make([]float64, need, size)}, false
 	}
 	m.Rows, m.Cols = rows, cols
 	m.Data = m.Data[:need]
 	return m, true
 }
 
-// Put releases m's backing storage for reuse. Nil matrices and matrices too
-// large (or too odd) to pool are dropped silently; the caller must not use m
-// afterwards.
+// pop takes the last matrix off free list l and counts the hit: nil when l
+// is empty. p.mu must be held.
+func (p *Pool) pop(l []*Matrix) (*Matrix, []*Matrix) {
+	n := len(l)
+	if n == 0 {
+		return nil, l
+	}
+	p.hits++
+	m := l[n-1]
+	l[n-1] = nil
+	return m, l[:n-1]
+}
+
+// Put releases m's backing storage for reuse. Nil and empty matrices are
+// dropped; the caller must not use m afterwards.
 func (p *Pool) Put(m *Matrix) {
 	if m == nil || cap(m.Data) == 0 {
 		return
 	}
-	// File under the largest class the capacity fully covers, so a later Get
-	// from that bucket is guaranteed enough room.
-	b := 0
-	for b+1 < poolBuckets && 1<<(b+1) <= cap(m.Data) {
-		b++
-	}
+	c := cap(m.Data)
 	m.Data = m.Data[:0]
+	b := class(c)
 	p.mu.Lock()
-	p.free[b] = append(p.free[b], m)
+	if b < smallClasses {
+		if 1<<b > c {
+			b-- // the largest class the capacity covers
+		}
+		p.small[b] = append(p.small[b], m)
+	} else {
+		if p.large == nil {
+			p.large = make(map[int][]*Matrix)
+		}
+		p.large[c] = append(p.large[c], m)
+	}
 	p.mu.Unlock()
 }
 
